@@ -15,7 +15,7 @@ from .algebra import (ConditionalExpectation, DEFAULT_TOL, MatrixStarAlgebra,
                       validate_trace)
 from .basic import (BasicConstruction, build_basic_construction,
                     default_partition, lifted_trace_coefficients,
-                    lifted_trace_via_partition)
+                    lifted_trace_via_partition, product_closure_residual)
 from .constructors import (ConstructedSystem, FiniteExtensionSpec, GroupSystem,
                            SkewProductSpec, build_classical_system,
                            build_explicit_system, build_finite_extension,
@@ -32,7 +32,8 @@ from .spectrum import (CesaroSample, FiberReport, RdsCertificate, SpectrumReport
                        SubmoduleCandidate, absolute_spectrum_check,
                        admissible_elements, build_spectrum_report,
                        cesaro_sequence, classical_fiber_analysis,
-                       find_minimal_modules, rds_verdict, rwm_verdict_exact)
+                       find_minimal_modules, joint_commutant, rds_verdict,
+                       rwm_certificate, rwm_verdict_exact)
 from . import errors
 
 __version__ = "0.1.0"

@@ -149,13 +149,21 @@ def generate_algebra(generators, ambient_dim: int,
 
 def commutant(alg: MatrixStarAlgebra,
               tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """{X : Xb = bX for every basis element b}, via a stacked nullspace."""
+    """{X : Xb = bX for every basis element b}, one basis element at a time.
+
+    The commutant found so far is an orthonormal family X_1 .. X_k; the
+    next basis element b keeps the combinations sum c_i X_i in the null space
+    of c -> sum c_i (b X_i - X_i b), which is again orthonormal.  Each step
+    is one SVD of an n^2 x k matrix, and k shrinks as it goes; no Kronecker
+    matrix is formed.
+    """
     n = alg.ambient_dim
-    eye = np.eye(n, dtype=np.complex128)
-    stacked = np.vstack([np.kron(b, eye) - np.kron(eye, b.T) for b in alg.basis])
-    kernel = linalg.nullspace(stacked, tol.eps_rank)  # (n^2, k) orthonormal columns
-    basis = kernel.T.reshape(-1, n, n)
-    return MatrixStarAlgebra(n, np.ascontiguousarray(basis))
+    mats = np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
+    for b in alg.basis:
+        comms = (b @ mats - mats @ b).reshape(len(mats), -1)
+        kernel = linalg.nullspace(comms.T, tol.eps_rank)  # (k, k') coefficients
+        mats = np.tensordot(kernel.T, mats, axes=(1, 0))
+    return MatrixStarAlgebra(n, np.ascontiguousarray(mats))
 
 
 def center(alg: MatrixStarAlgebra,

@@ -12,6 +12,8 @@ import os
 import sys
 from importlib import resources
 
+import numpy as np
+
 from .algebra import DEFAULT_TOL, ToleranceConfig
 from .descriptions import parse_system
 from .errors import InputError, NumericalBreakdown
@@ -30,6 +32,19 @@ def _default_seed() -> int:
         return int(os.environ.get("VNSPEC_SEED", "0"))
     except ValueError:
         return 0
+
+
+def _positive(kind):
+    """Argparse type: a number of the given kind, greater than zero."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__}: {text!r}")
+        if not value > 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    return parse
 
 
 def shipped_system_paths() -> list:
@@ -83,7 +98,6 @@ def cmd_certify_rds(args) -> int:
 
 
 def _eye(an):
-    import numpy as np
     return np.eye(an.gns.dim)
 
 
@@ -150,9 +164,9 @@ def cmd_selftest(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--eps-rank", type=float, default=None,
+    common.add_argument("--eps-rank", type=_positive(float), default=None,
                         help="singular value cutoff for rank decisions")
-    common.add_argument("--eps-assert", type=float, default=None,
+    common.add_argument("--eps-assert", type=_positive(float), default=None,
                         help="threshold for identity checks")
     common.add_argument("--seed", type=int, default=_default_seed(),
                         help="seed for pseudo-random checks (env VNSPEC_SEED)")
@@ -179,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--element", default=None,
                    help="label of an admissible mean-zero element (k0, k1, ...)")
-    p.add_argument("--N", dest="cesaro_n", type=int, default=None,
+    p.add_argument("--N", dest="cesaro_n", type=_positive(int), default=None,
                    help="number of Cesaro averages")
     p.set_defaults(func=cmd_rwm)
 
@@ -204,7 +218,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericalBreakdown as exc:
+    except (NumericalBreakdown, np.linalg.LinAlgError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
     except InputError as exc:

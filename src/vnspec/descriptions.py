@@ -211,9 +211,17 @@ def parse_system(source) -> SystemDescription:
     _expect(isinstance(params, dict), "parameters", "expected an object")
     tols = doc.get("tolerances", {})
     _expect(isinstance(tols, dict), "tolerances", "expected an object")
-    for key in tols:
-        _expect(key in ("eps_rank", "eps_assert", "cesaro_n_max"),
-                f"tolerances.{key}", "unknown tolerance")
+    for key, value in tols.items():
+        fld = f"tolerances.{key}"
+        _expect(key in ("eps_rank", "eps_assert", "cesaro_n_max"), fld,
+                "unknown tolerance")
+        if key == "cesaro_n_max":
+            _expect(isinstance(value, int) and not isinstance(value, bool)
+                    and value >= 1, fld, "expected a positive integer")
+        else:
+            _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and np.isfinite(value) and value > 0, fld,
+                    "expected a positive finite number")
     desc = SystemDescription(name, kind, _parse_params(kind, params, "parameters"),
                              dict(tols))
     return desc

@@ -95,7 +95,6 @@ def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
     left_d = np.tensordot(d_coords.T, gns.left_mats, axes=(1, 0))  # left(D(a_i))
     right_d = np.stack([gns.j_op(m) for m in left_d])              # j(left(D(a_i)))
     # joint state, route one: diagonal state after D (x) D'
-    l_omega = left_d @ gns.omega
     r_omega = right_d @ gns.omega
     omega_vals = np.einsum("a,iab,jb->ij", gns.omega.conj(), left_d, r_omega,
                            optimize=True)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalBreakdown
+
 
 def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
@@ -108,9 +110,13 @@ def subspace_inclusion_residual(inner: np.ndarray, outer: np.ndarray) -> float:
 
 def inv_sqrt_psd(mat: np.ndarray, eps_rank: float) -> np.ndarray:
     """Inverse square root of a Hermitian positive definite matrix."""
-    w, q = np.linalg.eigh(np.asarray(mat, dtype=np.complex128))
+    try:
+        w, q = np.linalg.eigh(np.asarray(mat, dtype=np.complex128))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"eigendecomposition failed: {exc}") from exc
     if w.min() <= eps_rank:
-        raise np.linalg.LinAlgError("matrix not positive definite")
+        raise NumericalBreakdown(
+            f"matrix not positive definite (smallest eigenvalue {w.min():.2e})")
     return (q * (w ** -0.5)) @ q.conj().T
 
 

@@ -126,9 +126,12 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
     add("rds", spectrum.completeness_residual, passed=spectrum.rds,
         note=f"lifted trace of complement = {spectrum.dim_complement}-dim space "
              f"is finite")
-    # the two theorem routes agreed inside rwm_verdict_exact, or it would raise
-    add("rwm_exact", 0.0, passed=True,
-        note=f"relative weak mixing = {spectrum.rwm}")
+    # the two theorem routes agreed inside rwm_certificate, or it would raise;
+    # the residual is the distance of the fixed space from the F-subspace
+    erg = spectrum.ergodicity
+    add("rwm_exact", erg.residual, passed=True,
+        note=f"relative weak mixing = {spectrum.rwm}; fixed_dim {erg.fixed_dim}, "
+             f"lambda_dim {erg.lambda_dim}")
     if spectrum.dim_complement > 0:
         witness = max((s.minimum for s in spectrum.cesaro), default=0.0)
         consistent = (witness > CESARO_WITNESS_TOL) == (not spectrum.rwm)
@@ -171,7 +174,7 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
             note="not a finite extension")
 
     # partition cross-checks (raise on disagreement; residuals recorded)
-    vs = default_partition(bc)
+    vs = default_partition(bc, tol)
     vals = lifted_trace_via_partition(bc, vs, tol)
     extras["default_partition_residual"] = float(
         np.abs(vals - bc.trace_vector).max())

@@ -14,12 +14,11 @@ import numpy as np
 
 from . import linalg
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, Subsystem, ToleranceConfig,
-                      WStarSystem, block_decomposition, conditional_expectation,
-                      generate_algebra, commutant)
+                      WStarSystem, block_decomposition, conditional_expectation)
 from .basic import BasicConstruction
 from .errors import NotCommutative, NotMeanZero, SubsystemInvalid, VerdictMismatch
 from .gns import GnsSpace
-from .joining import JoiningData, relative_ergodicity_check
+from .joining import ErgodicityCheck, JoiningData, relative_ergodicity_check
 
 CESARO_EXIT_TOL = 1e-6
 
@@ -64,6 +63,7 @@ class SpectrumReport:
     completeness_residual: float
     additivity_residual: float
     cesaro: tuple[CesaroSample, ...]
+    ergodicity: ErgodicityCheck  # evidence behind the rwm verdict
 
 
 def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
@@ -109,25 +109,35 @@ def module_candidate(gns: GnsSpace, bc: BasicConstruction, projection: np.ndarra
                               is_mod, is_inv)
 
 
+def joint_commutant(bc: BasicConstruction,
+                    tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
+    """Commutant of the dynamics unitary together with the right F-action.
+
+    It is {U}' within j(F)' = <A, e>, that is the fixed points of the lifted
+    dynamics: one null space in the coordinates of <A, e>.
+    """
+    fixed = linalg.nullspace(bc.dynamics.matrix - np.eye(bc.algebra.dim),
+                             tol.eps_rank)
+    return MatrixStarAlgebra(bc.gns.dim, np.ascontiguousarray(
+        bc.algebra.from_coords_stack(fixed.T)))
+
+
 def find_minimal_modules(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
                          tol: ToleranceConfig = DEFAULT_TOL
                          ) -> list[SubmoduleCandidate]:
     """Minimal joint invariant blocks of the complement of the F-cyclic space.
 
-    Decomposes through the commutant of the algebra generated by the dynamics
-    unitary and the right subalgebra action, compressed to the complement.
-    Isomorphic minimal modules are reported as their block sum rather than an
-    arbitrary internal splitting.
+    Decomposes the joint commutant of the dynamics unitary and the right
+    subalgebra action, compressed to the complement.  Isomorphic minimal
+    modules are reported as their block sum rather than an arbitrary
+    internal splitting.
     """
-    dim = gns.dim
     evals, evecs = np.linalg.eigh((bc.e + bc.e.conj().T) / 2)
     q = evecs[:, evals < 0.5]  # orthonormal basis of the complement
     m = q.shape[1]
     if m == 0:
         return []
-    f_left = np.stack([gns.left(f) for f in sub.algebra.basis])
-    joint = generate_algebra([gns.u_matrix] + [gns.j_op(x) for x in f_left], dim, tol)
-    comm = commutant(joint, tol)
+    comm = joint_commutant(bc, tol)
     compressed = np.einsum("ah,kab,bg->khg", q.conj(), comm.basis, q,
                            optimize=True)
     rows = linalg.extend_orthonormal(
@@ -141,14 +151,15 @@ def find_minimal_modules(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
     return out
 
 
-def rwm_verdict_exact(jd: JoiningData, bc: BasicConstruction,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def rwm_certificate(jd: JoiningData, bc: BasicConstruction,
+                    tol: ToleranceConfig = DEFAULT_TOL) -> ErgodicityCheck:
     """Relative weak mixing, certified by two independent routes.
 
     Route one: relative ergodicity of the joined system.  Route two: absence
     of nontrivial invariant modules of finite lifted trace, which at finite
     dimension is the statement that the complement of the F-cyclic space is
-    zero.  A disagreement raises, never passes.
+    zero.  A disagreement raises, never passes; otherwise the ergodicity
+    evidence is returned.
     """
     erg = relative_ergodicity_check(jd, bc, tol)
     rank_e = int(round(float(np.trace(bc.e).real)))
@@ -158,7 +169,13 @@ def rwm_verdict_exact(jd: JoiningData, bc: BasicConstruction,
         raise VerdictMismatch(
             f"ergodicity route says {erg.holds} (residual {erg.residual:.2e}) but "
             f"the module route says {module_route} (complement dim {dim_complement})")
-    return erg.holds
+    return erg
+
+
+def rwm_verdict_exact(jd: JoiningData, bc: BasicConstruction,
+                      tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """The verdict of ``rwm_certificate``."""
+    return rwm_certificate(jd, bc, tol).holds
 
 
 @dataclass(frozen=True)
@@ -279,7 +296,7 @@ def build_spectrum_report(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
     modules = blocks if module_certificate is None else list(module_certificate)
     cert = rds_verdict(bc, modules, tol)
     block_cert = rds_verdict(bc, blocks, tol)
-    rwm = rwm_verdict_exact(jd, bc, tol)
+    erg = rwm_certificate(jd, bc, tol)
     additivity = max(
         abs(sum(c.lifted_trace for c in modules) - cert.trace_of_complement),
         abs(sum(c.lifted_trace for c in blocks) - block_cert.trace_of_complement))
@@ -291,5 +308,6 @@ def build_spectrum_report(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
     rank_e = int(round(float(np.trace(bc.e).real)))
     return SpectrumReport(tuple(modules), tuple(blocks), dim_span,
                           gns.dim - rank_e, cert.verdict and block_cert.verdict,
-                          rwm, max(cert.span_residual, block_cert.span_residual),
-                          float(additivity), tuple(samples))
+                          erg.holds,
+                          max(cert.span_residual, block_cert.span_residual),
+                          float(additivity), tuple(samples), erg)

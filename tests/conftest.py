@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,16 @@ E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 E22 = np.array([[0, 0], [0, 1]], dtype=complex)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_child_path():
+    """Tests that start `python -m vnspec` import it from this checkout too."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        yield
 
 
 @pytest.fixture(scope="session")

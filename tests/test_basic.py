@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import vnspec as v
-from vnspec.basic import lifted_trace_via_partition, default_partition
-from vnspec.errors import PartitionInvalid
+from vnspec.basic import (default_partition, lifted_trace_coefficients,
+                          lifted_trace_via_partition, product_closure_residual)
+from vnspec.errors import ExtensionInconsistent, NumericalBreakdown, PartitionInvalid
 
 
 def test_m2_over_scalars_gives_full_operator_algebra(analyses):
@@ -144,3 +145,38 @@ def test_lifted_trace_identity_via_alg_bar_membership(analyses):
     gns, bc = an.gns, an.basic
     x = gns.left_mats[0] @ bc.e @ gns.left_mats[1]
     assert bc.algebra.membership_residual(x) < 1e-9
+
+
+def test_default_partition_uses_given_tolerance(analyses):
+    # the averaged element sum m_i* e m_i is the identity here, so a rank
+    # cutoff of 2 rejects it while the default cutoff accepts it
+    bc = analyses["classical_4cycle"].basic
+    assert len(default_partition(bc)) == bc.algebra.dim
+    with pytest.raises(NumericalBreakdown):
+        default_partition(bc, v.ToleranceConfig(eps_rank=2.0))
+
+
+def test_pipeline_passes_file_tolerance_to_partition(shipped_descriptions,
+                                                     monkeypatch):
+    from vnspec import pipeline
+    seen = []
+
+    def spy(bc, tol):
+        seen.append(tol.eps_rank)
+        return default_partition(bc, tol)
+    monkeypatch.setattr(pipeline, "default_partition", spy)
+    desc = shipped_descriptions["classical_4cycle"]
+    desc = type(desc)(desc.name, desc.kind, desc.parameters, {"eps_rank": 1e-12})
+    assert pipeline.analyze_description(desc).passed
+    assert seen == [1e-12]
+
+
+def test_closure_residual_fails_on_a_truncated_span(analyses):
+    for name, an in analyses.items():
+        gns, bc = an.gns, an.basic
+        gens = list(gns.left_mats) + [bc.e]
+        assert product_closure_residual(bc.algebra, gens) < 1e-12, name
+        short = v.MatrixStarAlgebra(gns.dim, bc.algebra.basis[:-1].copy())
+        assert product_closure_residual(short, gens) > 0.1, name
+        with pytest.raises(ExtensionInconsistent):
+            lifted_trace_coefficients(gns, bc.e, short)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,3 +125,34 @@ def test_console_entry_point():
                            _system_path("group_z4_inversion"), "--quiet"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("flags", [["--element", "k0", "--N", "0"],
+                                   ["--N", "-3"], ["--eps-rank", "-1"],
+                                   ["--eps-assert", "nan"]])
+def test_nonpositive_flags_are_usage_errors(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rwm", _system_path("explicit_m2_grading"), *flags])
+    assert exc.value.code == 2
+
+
+def test_negative_file_tolerance_is_invalid(tmp_path, capsys):
+    doc = json.loads(Path(_system_path("classical_4cycle")).read_text())
+    doc["tolerances"] = {"eps_rank": -1}
+    p = tmp_path / "negative_tol.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(p)]) == 2
+    assert "tolerances.eps_rank" in capsys.readouterr().err
+
+
+def test_singular_partition_scale_is_breakdown(monkeypatch, capsys):
+    # an eps_rank above every eigenvalue of the partition's averaged element
+    # makes its inverse square root fail
+    from vnspec import pipeline
+    from vnspec.algebra import ToleranceConfig
+    from vnspec.basic import default_partition
+    monkeypatch.setattr(pipeline, "default_partition",
+                        lambda bc, tol: default_partition(
+                            bc, ToleranceConfig(eps_rank=2.0)))
+    assert cli.main(["analyze", _system_path("classical_4cycle")]) == 3
+    assert "not positive definite" in capsys.readouterr().err

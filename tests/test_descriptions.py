@@ -97,6 +97,16 @@ def test_tolerance_overrides():
     assert cfg.eps_rank == 1e-10
 
 
+@pytest.mark.parametrize("tols", [{"eps_rank": -1}, {"eps_rank": 0},
+                                  {"eps_assert": "1e-8"}, {"eps_assert": True},
+                                  {"cesaro_n_max": 0}, {"cesaro_n_max": 2.5}])
+def test_parse_rejects_bad_tolerances(tols):
+    doc = {"format_version": 1, "kind": "classical", "tolerances": tols,
+           "parameters": {"weights": [1.0], "permutation": [0]}}
+    with pytest.raises(ValidationError, match="tolerances"):
+        parse_system(doc)
+
+
 def test_shipped_descriptions_cover_required_kinds(shipped_descriptions):
     kinds = {d.kind for d in shipped_descriptions.values()}
     assert {"explicit", "classical", "tensor", "skew_product",

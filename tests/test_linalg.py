@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vnspec import linalg
+from vnspec.errors import NumericalBreakdown
 
 rng_ints = st.integers(min_value=-4, max_value=4)
 
@@ -68,3 +70,14 @@ def test_inv_sqrt_psd():
     h = x @ x.conj().T + np.eye(4)
     s = linalg.inv_sqrt_psd(h, 1e-12)
     assert np.abs(s @ h @ s - np.eye(4)).max() < 1e-10
+
+
+def test_inv_sqrt_psd_failures_are_breakdowns(monkeypatch):
+    with pytest.raises(NumericalBreakdown):
+        linalg.inv_sqrt_psd(np.diag([1.0, 0.0]), 1e-12)
+
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(linalg.np.linalg, "eigh", fail)
+    with pytest.raises(NumericalBreakdown):
+        linalg.inv_sqrt_psd(np.eye(2), 1e-12)

@@ -10,9 +10,8 @@ from .algebra import (ConditionalExpectation, DEFAULT_TOL, MatrixStarAlgebra,
                       TraceFunctional, WStarSystem, automorphism_from_matrix,
                       automorphism_from_unitary, block_decomposition, center,
                       commutant, conditional_expectation, generate_algebra,
-                      gram_matrix, random_element, star_algebra, subsystem,
-                      system, trace_functional, validate_algebra,
-                      validate_trace)
+                      gram_matrix, random_element, subsystem, system,
+                      trace_functional, validate_algebra, validate_trace)
 from .basic import (BasicConstruction, build_basic_construction,
                     default_partition, lifted_trace_coefficients,
                     lifted_trace_via_partition, product_closure_residual)
@@ -25,8 +24,7 @@ from .constructors import (ConstructedSystem, FiniteExtensionSpec, GroupSystem,
                            tensor_partition_isometries, trivial_subalgebra)
 from .gns import (GnsSpace, build_gns, cyclic_subspace_projection,
                   gns_invariant_residuals, right_action)
-from .joining import (CommutantSystem, ErgodicityCheck, JoiningData,
-                      build_commutant_system, joining_equivalence,
+from .joining import (ErgodicityCheck, JoiningData, joining_equivalence,
                       relative_ergodicity_check, relative_joining)
 from .spectrum import (CesaroSample, FiberReport, RdsCertificate, SpectrumReport,
                        SubmoduleCandidate, absolute_spectrum_check,

@@ -75,22 +75,6 @@ class MatrixStarAlgebra:
         return np.eye(self.ambient_dim, dtype=np.complex128)
 
 
-def star_algebra(basis_mats, ambient_dim: int | None = None,
-                 tol: ToleranceConfig = DEFAULT_TOL,
-                 validate: bool = True) -> MatrixStarAlgebra:
-    """Wrap an orthonormal family as a MatrixStarAlgebra, checking the axioms."""
-    basis = np.asarray(basis_mats, dtype=np.complex128)
-    if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
-        raise NonSquareGenerator("basis must be a stack of square matrices")
-    if ambient_dim is not None and ambient_dim != basis.shape[1]:
-        raise DimensionMismatch(
-            f"expected ambient dim {ambient_dim}, got {basis.shape[1]}")
-    alg = MatrixStarAlgebra(basis.shape[1], basis)
-    if validate:
-        validate_algebra(alg, tol)
-    return alg
-
-
 def validate_algebra(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     rows = alg.basis_rows()
     gram = rows @ rows.conj().T
@@ -190,13 +174,12 @@ def block_decomposition(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_T
     z_alg = center(alg, tol)
     dz = z_alg.dim
     rng = np.random.default_rng(seed)
-    cluster_tol = 1e-8
     for _ in range(20):
         zmat = z_alg.from_coords(linalg.random_complex(rng, dz))
         zmat = zmat + zmat.conj().T
         vals, vecs = np.linalg.eigh(zmat)
         spread = max(1.0, float(vals[-1] - vals[0]))
-        splits = np.nonzero(np.diff(vals) > cluster_tol * spread)[0]
+        splits = np.nonzero(np.diff(vals) > tol.eps_rank * spread)[0]
         groups = np.split(np.arange(len(vals)), splits + 1)
         if len(groups) != dz:
             continue

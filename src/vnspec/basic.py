@@ -5,7 +5,8 @@ subspace, builds <A, e> as the span of the products a e b (in finite
 dimensions this span is already a unital algebra, and the check of that is
 recorded), cross-checks it against the commutant j(F)' of the right subalgebra
 action, extends the trace by  lifted(a e b) = mu(a b),  conjugates the
-dynamics, and runs the GNS construction once more on the result.
+dynamics, and maps the result into L2(<A, e>, lifted trace) by a Cholesky
+factor of its Gram matrix.
 """
 from __future__ import annotations
 
@@ -15,12 +16,10 @@ import numpy as np
 
 from . import linalg
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, StarAutomorphism, Subsystem,
-                      ToleranceConfig, TraceFunctional, WStarSystem,
-                      automorphism_from_unitary, commutant, validate_trace)
+                      ToleranceConfig, TraceFunctional, automorphism_from_unitary,
+                      commutant, validate_trace)
 from .errors import CommutantMismatch, ExtensionInconsistent, PartitionInvalid
-from .gns import GnsSpace, build_gns, cyclic_subspace_projection
-
-EXTENSION_TOL = 1e-8  # closure and consistency threshold of the trace extension
+from .gns import GnsSpace, cyclic_subspace_projection, gns_map
 
 
 @dataclass(frozen=True)
@@ -32,13 +31,14 @@ class BasicConstruction:
     trace_vector: np.ndarray        # lifted trace on the algebra basis
     trace: TraceFunctional          # same functional as a density (not normalized)
     dynamics: StarAutomorphism      # conjugation by U in algebra coordinates
-    bar: GnsSpace                   # GNS of (algebra, lifted trace)
+    bar_to_vector: np.ndarray       # algebra coords -> L2(algebra, lifted trace)
+    u_bar: np.ndarray               # unitary implementing the dynamics there
     commutant_residual: float
     extension_residual: float
 
     def __post_init__(self):
-        self.e.setflags(write=False)
-        self.trace_vector.setflags(write=False)
+        for a in (self.e, self.trace_vector, self.bar_to_vector, self.u_bar):
+            a.setflags(write=False)
 
     def lifted_value(self, mat: np.ndarray) -> complex:
         """Lifted trace of an element of the constructed algebra."""
@@ -46,11 +46,7 @@ class BasicConstruction:
 
     def gamma(self, mat: np.ndarray) -> np.ndarray:
         """GNS vector of an element of the constructed algebra."""
-        return self.bar.to_vector @ self.algebra.coords(mat)
-
-    @property
-    def u_bar(self) -> np.ndarray:
-        return self.bar.u_matrix
+        return self.bar_to_vector @ self.algebra.coords(mat)
 
 
 def right_subalgebra(gns: GnsSpace, sub: Subsystem,
@@ -104,7 +100,7 @@ def lifted_trace_coefficients(gns: GnsSpace, e: np.ndarray,
     """
     alg = gns.system.algebra
     closure = product_closure_residual(alg_bar, list(gns.left_mats) + [e])
-    if closure > EXTENSION_TOL:
+    if closure > tol.eps_assert:
         raise ExtensionInconsistent(
             f"span(A e A) is not closed under products "
             f"(residual {closure:.2e})")
@@ -113,7 +109,7 @@ def lifted_trace_coefficients(gns: GnsSpace, e: np.ndarray,
         (alg.basis[:, None] @ alg.basis[None]).reshape(-1, *alg.basis.shape[1:]))
     trace_vec = values @ np.linalg.pinv(span_cols, rcond=tol.eps_rank)
     consistency = float(np.abs(trace_vec @ span_cols - values).max())
-    if consistency > EXTENSION_TOL:
+    if consistency > tol.eps_assert:
         raise ExtensionInconsistent(
             f"trace extension is inconsistent on the kernel "
             f"(residual {consistency:.2e})")
@@ -145,10 +141,11 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     trace_bar = TraceFunctional(rho_bar, normalized=False)
     gram_bar = validate_trace(spanned, trace_bar, tol)
     dyn_bar = automorphism_from_unitary(spanned, gns.u_matrix, trace_bar, tol)
-    bar_system = WStarSystem(spanned, trace_bar, dyn_bar, gram_bar)
-    bar = build_gns(bar_system, tol)
+    # validate_trace has checked that the Gram matrix is positive definite
+    to_vec, _, u_bar = gns_map(gram_bar, dyn_bar.matrix)
     return BasicConstruction(gns, sub, e, spanned, np.ascontiguousarray(trace_vec),
-                             trace_bar, dyn_bar, bar, resid, ext_resid)
+                             trace_bar, dyn_bar, np.ascontiguousarray(to_vec),
+                             np.ascontiguousarray(u_bar), resid, ext_resid)
 
 
 def default_partition(bc: BasicConstruction,

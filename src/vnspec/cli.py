@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass; 1 a requested mathematical verdict is negative;
-2 validation or parse error; 3 numerical breakdown (two independent routes to
-the same quantity disagreed, or a residual check failed).
+2 validation or parse error, an unreadable file, or a system too large for the
+available memory; 3 numerical breakdown (two independent routes to the same
+quantity disagreed, or a residual check failed).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, ToleranceConfig
 from .descriptions import parse_system
-from .errors import InputError, NumericalBreakdown
+from .errors import InputError, NumericalBreakdown, ParseError
 from .pipeline import analyze_description
 from .report import analysis_to_dict, emit_report
 from .spectrum import cesaro_sequence, admissible_elements
@@ -64,7 +65,12 @@ def _resolve_tolerances(desc, args) -> ToleranceConfig:
 
 
 def _analyze_file(path: str, args):
-    desc = parse_system(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    desc = parse_system(text)
     tol = _resolve_tolerances(desc, args)
     return analyze_description(desc, tol, args.seed), tol
 
@@ -150,7 +156,7 @@ def cmd_selftest(args) -> int:
     ok = True
     for path in shipped_system_paths():
         desc = parse_system(path.read_text())
-        an = analyze_description(desc, desc.tolerance_config(), args.seed)
+        an = analyze_description(desc, _resolve_tolerances(desc, args), args.seed)
         reports.append(analysis_to_dict(an))
         ok = ok and an.passed
         if not args.quiet:
@@ -224,8 +230,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+    except MemoryError:
+        print("system is too large for the available memory", file=sys.stderr)
         return EXIT_INVALID
 
 

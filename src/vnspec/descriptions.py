@@ -8,7 +8,6 @@ that parse-emit-parse is idempotent.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,16 +185,12 @@ def _parse_params(kind: str, p: dict, fld: str, factor: bool = False) -> dict:
 
 
 def parse_system(source) -> SystemDescription:
-    """Parse a description from a dict, a JSON string, or a file path."""
+    """Parse a description from a dict or a JSON string."""
     if isinstance(source, dict):
         doc = source
     else:
-        text = source
-        if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
         try:
-            doc = json.loads(text)
+            doc = json.loads(source)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at line {exc.lineno}, "
                              f"column {exc.colno}: {exc.msg}") from exc

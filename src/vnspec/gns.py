@@ -54,14 +54,25 @@ class GnsSpace:
         return self.conj_matrix @ op.T @ self.conj_matrix.conj()
 
 
+def gns_map(gram: np.ndarray, dynamics: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates of L2 for a positive definite Gram matrix.
+
+    Returns the map a -> a Omega (the adjoint of the Cholesky factor of the
+    Hermitian part of the Gram matrix), its inverse, and the dynamics matrix
+    conjugated into a unitary on L2.  The caller checks faithfulness.
+    """
+    to_vec = np.linalg.cholesky((gram + gram.conj().T) / 2).conj().T
+    from_vec = np.linalg.inv(to_vec)
+    return to_vec, from_vec, to_vec @ dynamics @ from_vec
+
+
 def build_gns(system: WStarSystem, tol: ToleranceConfig = DEFAULT_TOL) -> GnsSpace:
     alg = system.algebra
     gram = (system.gram + system.gram.conj().T) / 2
     if np.linalg.eigvalsh(gram).min() < tol.eps_rank:
         raise TraceNotFaithful("Gram matrix is singular; trace is not faithful")
-    low = np.linalg.cholesky(gram)
-    to_vec = low.conj().T
-    from_vec = np.linalg.inv(to_vec)
+    to_vec, from_vec, u_mat = gns_map(system.gram, system.dynamics.matrix)
     omega = to_vec @ alg.coords(alg.identity())
     d = alg.dim
     left_mats = np.empty((d, d, d), dtype=np.complex128)
@@ -70,7 +81,6 @@ def build_gns(system: WStarSystem, tol: ToleranceConfig = DEFAULT_TOL) -> GnsSpa
         left_mats[i] = to_vec @ struct @ from_vec
     star = alg.coords_stack(alg.basis.conj().transpose(0, 2, 1)).T
     conj_mat = to_vec @ star @ from_vec.conj()
-    u_mat = to_vec @ system.dynamics.matrix @ from_vec
     return GnsSpace(system, np.ascontiguousarray(to_vec), np.ascontiguousarray(from_vec),
                     omega, left_mats, np.ascontiguousarray(conj_mat),
                     np.ascontiguousarray(u_mat))

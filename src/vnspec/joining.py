@@ -1,10 +1,9 @@
-"""Commutant system, relatively independent joining and its GNS data.
+"""Relatively independent joining of a system with its commutant.
 
-The commutant carries the mirrored trace and dynamics.  The joining is the
-state on the algebraic tensor product built from the two conditional
-expectations composed with the diagonal state; its GNS space is constructed
-with an explicit null-space quotient and is unitarily equivalent to the GNS
-space of the basic construction.
+The joining is the state on the algebraic tensor product built from the two
+conditional expectations composed with the diagonal state; its GNS space is
+constructed with an explicit null-space quotient and is unitarily equivalent
+to L2 of the basic construction.
 """
 from __future__ import annotations
 
@@ -13,43 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, StarAutomorphism, Subsystem,
-                      ToleranceConfig, TraceFunctional, WStarSystem,
-                      conditional_expectation)
+from .algebra import DEFAULT_TOL, Subsystem, ToleranceConfig, conditional_expectation
 from .basic import BasicConstruction
 from .errors import IsometryViolation, StateNotPositive
 from .gns import GnsSpace
-
-FIXED_POINT_TOL = 1e-8  # eigenvalue-cluster tolerance for unitary fixed spaces
-
-
-@dataclass(frozen=True)
-class CommutantSystem:
-    """The mirrored system on the commutant, with basis j(a_i)."""
-    system: WStarSystem
-    dynamics_residual: float  # | coords of Ad(U) on j(A) minus those on A |
-
-
-def build_commutant_system(gns: GnsSpace,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> CommutantSystem:
-    """Carry trace and dynamics over to the commutant through j."""
-    left_rows = linalg.extend_orthonormal(
-        np.zeros((0, gns.dim ** 2), dtype=np.complex128),
-        gns.left_mats.reshape(len(gns.left_mats), -1), tol.eps_rank)
-    left_onb = left_rows.reshape(-1, gns.dim, gns.dim)
-    basis = np.stack([gns.j_op(m) for m in left_onb])
-    alg = MatrixStarAlgebra(gns.dim, np.ascontiguousarray(basis))
-    density = np.outer(gns.omega, gns.omega.conj())
-    trace = TraceFunctional(np.ascontiguousarray(density), normalized=True)
-    u = gns.u_matrix
-    images = u @ basis @ u.conj().T
-    m_prime = alg.coords_stack(images).T
-    # oracle: conjugating j(x) by U equals j of conjugating x by U
-    mirrored = np.stack([gns.j_op(u @ m @ u.conj().T) for m in left_onb])
-    resid = float(np.abs(images - mirrored).max())
-    dyn = StarAutomorphism(np.ascontiguousarray(m_prime))
-    sys_prime = WStarSystem(alg, trace, dyn)
-    return CommutantSystem(sys_prime, resid)
 
 
 @dataclass(frozen=True)
@@ -61,7 +27,6 @@ class JoiningData:
     """
     gns: GnsSpace
     sub: Subsystem
-    commutant: CommutantSystem
     omega_values: np.ndarray        # (d, d) joint state on basis pairs
     two_formula_residual: float     # expectation route vs lifted-trace route
     marginal_residual: float
@@ -70,12 +35,11 @@ class JoiningData:
     gamma: np.ndarray               # (r, d^2) quotient map onto the GNS space
     w_matrix: np.ndarray            # (r, r) unitary of the joint dynamics
     omega_vec: np.ndarray           # (r,) GNS cyclic vector
-    h_lambda: np.ndarray            # (r, m) orthonormal basis of the F-subspace
     h_lambda_alt_residual: float    # F (x) 1 span versus 1 (x) j(F) span
 
     def __post_init__(self):
         for a in (self.omega_values, self.gram, self.gamma, self.w_matrix,
-                  self.omega_vec, self.h_lambda):
+                  self.omega_vec):
             a.setflags(write=False)
 
     @property
@@ -88,7 +52,6 @@ def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
     parent = gns.system
     alg = parent.algebra
     d = alg.dim
-    commutant_sys = build_commutant_system(gns, tol)
     exp = conditional_expectation(parent, sub, tol)
     # conditioned left/right actions
     d_coords = exp.matrix  # (d, d)
@@ -145,40 +108,42 @@ def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
     alt_span = linalg.orthonormal_columns(f_second, tol.eps_rank)
     span_resid = max(linalg.subspace_inclusion_residual(alt_span, h_lambda),
                      linalg.subspace_inclusion_residual(h_lambda, alt_span))
-    return JoiningData(gns, sub, commutant_sys, omega_vals, two_formula, marg,
-                       invariance, gram, np.ascontiguousarray(gamma),
-                       np.ascontiguousarray(w), omega_vec,
-                       np.ascontiguousarray(h_lambda), span_resid)
+    return JoiningData(gns, sub, omega_vals, two_formula, marg, invariance, gram,
+                       np.ascontiguousarray(gamma), np.ascontiguousarray(w),
+                       omega_vec, span_resid)
 
 
 def joining_equivalence(jd: JoiningData, bc: BasicConstruction,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+                        tol: ToleranceConfig = DEFAULT_TOL
+                        ) -> tuple[np.ndarray, float, float]:
     """The unitary from the joining GNS space onto the basic-construction one.
 
     Determined by gamma(a (x) j(b)) -> gamma_bar(a e b); validated to be
-    unitary and to intertwine the two dynamics unitaries.
+    unitary and to intertwine the two dynamics unitaries.  Returns the map
+    with its isometry and intertwining residuals.
     """
     gns = jd.gns
     d = gns.system.algebra.dim
-    if jd.rank != bc.bar.dim:
+    dim_bar = len(bc.u_bar)
+    if jd.rank != dim_bar:
         raise IsometryViolation(
             f"joining GNS rank {jd.rank} differs from basic-construction "
-            f"dimension {bc.bar.dim}")
-    cols = np.empty((bc.bar.dim, d * d), dtype=np.complex128)
+            f"dimension {dim_bar}")
+    cols = np.empty((dim_bar, d * d), dtype=np.complex128)
     for i in range(d):
         blocks = gns.left_mats[i] @ bc.e @ gns.left_mats
-        cols[:, i * d:(i + 1) * d] = bc.bar.to_vector @ bc.algebra.coords_stack(blocks).T
+        cols[:, i * d:(i + 1) * d] = bc.bar_to_vector @ bc.algebra.coords_stack(blocks).T
     r = cols @ np.linalg.pinv(jd.gamma, rcond=tol.eps_rank)
     eye = np.eye(jd.rank)
     resid = max(float(np.abs(r.conj().T @ r - eye).max()),
                 float(np.abs(r @ r.conj().T - eye).max()))
     if resid > tol.eps_assert:
         raise IsometryViolation(f"equivalence map is not unitary ({resid:.2e})")
-    inter = float(np.abs(r @ jd.w_matrix @ r.conj().T - bc.bar.u_matrix).max())
+    inter = float(np.abs(r @ jd.w_matrix @ r.conj().T - bc.u_bar).max())
     if inter > tol.eps_assert:
         raise IsometryViolation(
             f"equivalence map does not intertwine the dynamics ({inter:.2e})")
-    return r
+    return r, resid, inter
 
 
 @dataclass(frozen=True)
@@ -196,8 +161,7 @@ def relative_ergodicity_check(jd: JoiningData, bc: BasicConstruction,
     The fixed space is computed on the basic-construction side, the F-subspace
     as the span of gamma_bar(e f) over the subalgebra basis.
     """
-    u_bar = bc.bar.u_matrix
-    fixed = linalg.nullspace(u_bar - np.eye(bc.bar.dim), FIXED_POINT_TOL)
+    fixed = linalg.nullspace(bc.u_bar - np.eye(len(bc.u_bar)), tol.eps_rank)
     f_left = np.stack([jd.gns.left(f) for f in jd.sub.algebra.basis])
     cols = np.stack([bc.gamma(bc.e @ m) for m in f_left]).T
     lam = linalg.orthonormal_columns(cols, tol.eps_rank)

@@ -20,21 +20,8 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(x* y)."""
-    return complex(np.vdot(x, y))
-
-
 def hs_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=np.complex128).reshape(-1)
-
-
-def unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(v, dtype=np.complex128).reshape(n, n)
 
 
 def extend_orthonormal(existing: np.ndarray, candidates: np.ndarray,

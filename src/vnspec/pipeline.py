@@ -93,7 +93,7 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
     gns = build_gns(built.system, tol)
     bc = build_basic_construction(gns, built.sub, tol)
     jd = relative_joining(gns, built.sub, bc, tol)
-    r = joining_equivalence(jd, bc, tol)
+    r, isometry, intertwine = joining_equivalence(jd, bc, tol)
     certificate = None
     extras: dict = {}
     if kind == "skew_product":
@@ -114,11 +114,8 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
     add("trace_tracial", _traciality_residual(bc))
     add("alpha_bar_invariance",
         float(np.abs(bc.trace_vector @ bc.dynamics.matrix - bc.trace_vector).max()))
-    eye = np.eye(jd.rank)
-    add("R_isometry", max(float(np.abs(r.conj().T @ r - eye).max()),
-                          float(np.abs(r @ r.conj().T - eye).max())))
-    add("R_intertwine",
-        float(np.abs(r @ jd.w_matrix @ r.conj().T - bc.bar.u_matrix).max()))
+    add("R_isometry", isometry)
+    add("R_intertwine", intertwine)
     add("omega_marginals", jd.marginal_residual)
     add("omega_two_formulas", jd.two_formula_residual)
     add("module_completeness", spectrum.completeness_residual)

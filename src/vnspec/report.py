@@ -55,7 +55,7 @@ def analysis_to_dict(an: SystemAnalysis) -> dict:
             "lifted_trace_of_identity": float(bc.lifted_value(eye).real),
             "lifted_trace_of_e": float(bc.lifted_value(bc.e).real),
             "lifted_trace_of_complement": float(bc.lifted_value(eye - bc.e).real),
-            "dim_bar_gns": bc.bar.dim,
+            "dim_bar_gns": len(bc.u_bar),
             "commutant_residual": bc.commutant_residual,
             "extension_residual": bc.extension_residual,
             "default_partition_residual": an.extras.get(

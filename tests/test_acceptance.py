@@ -73,7 +73,7 @@ def test_criterion_04_equivalence_unitary(analyses):
                     float(np.abs(r.conj().T @ r - eye).max()),
                     float(np.abs(r @ r.conj().T - eye).max()),
                     float(np.abs(r @ an.joining.w_matrix @ r.conj().T
-                                 - an.basic.bar.u_matrix).max()))
+                                 - an.basic.u_bar).max()))
     _report(4, worst < 1e-8, f"max unitarity/intertwining residual {worst:.2e}")
 
 

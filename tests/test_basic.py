@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vnspec as v
+from vnspec.algebra import ToleranceConfig
 from vnspec.basic import (default_partition, lifted_trace_coefficients,
                           lifted_trace_via_partition, product_closure_residual)
 from vnspec.errors import ExtensionInconsistent, NumericalBreakdown, PartitionInvalid
@@ -14,7 +15,7 @@ def test_m2_over_scalars_gives_full_operator_algebra(analyses):
     eye = np.eye(an.gns.dim)
     assert abs(bc.lifted_value(eye) - 4.0) < 1e-9   # canonical trace of 1
     assert abs(bc.lifted_value(bc.e) - 1.0) < 1e-9  # rank-one projection
-    assert bc.bar.dim == 16
+    assert len(bc.u_bar) == 16
 
 
 def test_full_subsystem_collapses(analyses):
@@ -22,7 +23,7 @@ def test_full_subsystem_collapses(analyses):
     bc = an.basic
     assert bc.algebra.dim == an.built.system.algebra.dim
     assert np.abs(bc.e - np.eye(an.gns.dim)).max() < 1e-10
-    assert bc.bar.dim == an.gns.dim
+    assert len(bc.u_bar) == an.gns.dim
     assert abs(bc.lifted_value(np.eye(an.gns.dim)) - 1.0) < 1e-9  # mu itself
 
 
@@ -36,7 +37,7 @@ def test_tensor_dimension_count(analyses):
 def test_skew_bar_space_dimension(analyses):
     an = analyses["skew_z4_inversion"]
     assert an.basic.algebra.dim == 48
-    assert an.basic.bar.dim == 48
+    assert len(an.basic.u_bar) == 48
 
 
 def test_lifted_trace_identity_on_random_pairs(analyses):
@@ -89,7 +90,7 @@ def test_bar_unitary_intertwines_gamma(analyses):
         bc = an.basic
         for _ in range(5):
             x = v.random_element(bc.algebra, rng)
-            lhs = bc.bar.u_matrix @ bc.gamma(x)
+            lhs = bc.u_bar @ bc.gamma(x)
             rhs = bc.gamma(bc.dynamics.apply(bc.algebra, x))
             assert np.abs(lhs - rhs).max() < 1e-9, name
 
@@ -180,3 +181,10 @@ def test_closure_residual_fails_on_a_truncated_span(analyses):
         assert product_closure_residual(short, gens) > 0.1, name
         with pytest.raises(ExtensionInconsistent):
             lifted_trace_coefficients(gns, bc.e, short)
+
+
+def test_extension_threshold_follows_eps_assert(analyses):
+    an = analyses["explicit_m2_grading"]
+    with pytest.raises(ExtensionInconsistent):
+        lifted_trace_coefficients(an.gns, an.basic.e, an.basic.algebra,
+                                  ToleranceConfig(eps_assert=1e-30))

@@ -79,6 +79,17 @@ def test_joining_command(capsys):
 
 def test_missing_file_is_invalid(capsys):
     assert cli.main(["analyze", "/nonexistent/system.json"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_file_is_invalid(kind, tmp_path, capsys):
+    path = tmp_path
+    if kind == "not_utf8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xe9"}')
+    assert cli.main(["analyze", str(path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_bad_document_is_invalid(tmp_path, capsys):
@@ -99,6 +110,12 @@ def test_selftest_runs_all(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is True
     assert len(doc["reports"]) >= 6
+
+
+def test_selftest_takes_tolerance_flags(capsys):
+    assert cli.main(["selftest", "--quiet", "--eps-assert", "1e-6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {c["threshold"] for rep in doc["reports"] for c in rep["checks"]} == {1e-6}
 
 
 def test_reports_validate_against_shipped_schema(capsys):

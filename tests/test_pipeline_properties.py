@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vnspec as v
-from vnspec.pipeline import CHECK_NAMES, analyze_built
+from vnspec.pipeline import CHECK_NAMES, analyze_built, analyze_description
 
 
 @st.composite
@@ -128,3 +128,17 @@ def test_extreme_weights_fail_loudly_not_silently():
     # toolkit must raise rather than emit a wrong certificate
     with pytest.raises(v.errors.NumericalBreakdown):
         analyze_built("t", "tensor", _skewed_fiber_tensor(1e-6))
+
+
+@pytest.mark.parametrize("eps_assert", [1e-6, 1e-12])
+def test_structure_does_not_follow_eps_assert(eps_assert, analyses,
+                                              shipped_descriptions):
+    """The identity-check threshold decides checks, not the fixed space or
+    the module blocks: those are cut with eps_rank."""
+    for name, desc in shipped_descriptions.items():
+        an = analyze_description(desc, v.ToleranceConfig(eps_assert=eps_assert))
+        ref = analyses[name]
+        got, want = an.spectrum, ref.spectrum
+        assert got.ergodicity.fixed_dim == want.ergodicity.fixed_dim, name
+        assert len(got.modules) == len(want.modules), name
+        assert (got.rds, got.rwm, an.passed) == (want.rds, want.rwm, ref.passed), name

@@ -1,10 +1,14 @@
 """The structure-aware routes against the iterate-until-stable ones they replace.
 
-The basic construction is built as span(A e A), the joint commutant of the
-dynamics and the right subalgebra action as the fixed points of the lifted
-dynamics, and the commutant by intersecting null spaces one basis element at
-a time.  The older routes survive here only, as oracles.
+The basic construction is built as span(A e A), its L2 space as a Cholesky
+map of the lifted trace's Gram matrix rather than a full GNS construction, the
+joint commutant of the dynamics and the right subalgebra action as the fixed
+points of the lifted dynamics, and the commutant by intersecting null spaces
+one basis element at a time.  The equivalence residuals in the ledger are the
+ones the equivalence check enforced.  The older routes survive here only, as
+oracles.
 """
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +32,25 @@ def test_span_basis_equals_generated_algebra(analyses):
         generated = v.generate_algebra(list(gns.left_mats) + [bc.e], gns.dim)
         assert generated.dim == bc.algebra.dim, name
         assert _mutual_inclusion(generated, bc.algebra) < 1e-9, name
+
+
+def test_bar_map_equals_gns_of_lifted_system(analyses):
+    for name, an in analyses.items():
+        bc = an.basic
+        bar = v.build_gns(v.WStarSystem(bc.algebra, bc.trace, bc.dynamics))
+        assert np.array_equal(bc.bar_to_vector, bar.to_vector), name
+        assert np.array_equal(bc.u_bar, bar.u_matrix), name
+
+
+def test_ledger_records_equivalence_residuals(analyses):
+    for name, an in analyses.items():
+        r, eye = an.equivalence, np.eye(an.joining.rank)
+        checks = {c.name: c.residual for c in an.checks}
+        assert checks["R_isometry"] == max(
+            float(np.abs(r.conj().T @ r - eye).max()),
+            float(np.abs(r @ r.conj().T - eye).max())), name
+        assert checks["R_intertwine"] == float(
+            np.abs(r @ an.joining.w_matrix @ r.conj().T - an.basic.u_bar).max()), name
 
 
 def test_fixed_points_equal_joint_commutant(analyses):
@@ -113,3 +136,30 @@ def test_skew_d24_fits_in_one_gib():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "ok"
+
+
+def test_skew_d48_is_too_large_for_one_gib(tmp_path):
+    """The next size up does not fit, and the CLI says so with exit 2."""
+    n_x = 12
+    desc = {**SKEW_D24, "name": "skew_x12", "parameters": {
+        **SKEW_D24["parameters"], "weights": [1.0 / n_x] * n_x,
+        "permutation": [(x + 1) % n_x for x in range(n_x)],
+        "cocycle": [1] + [0] * (n_x - 1)}}
+    path = tmp_path / "skew_d48.json"
+    path.write_text(json.dumps(desc))
+    child = textwrap.dedent(f"""
+        import resource, sys
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = {ADDRESS_SPACE_CAP}
+        if hard != resource.RLIM_INFINITY:
+            cap = min(cap, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from vnspec import cli
+        sys.exit(cli.main(["analyze", {str(path)!r}, "--quiet"]))
+    """)
+    env = dict(os.environ, **{k: "1" for k in THREAD_VARS})
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "too large for the available memory" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -89,7 +89,7 @@ def test_fixed_point_witness(analyses):
         bc = an.basic
         for cand in an.spectrum.modules:
             x = bc.gamma(cand.projection)
-            assert np.abs(bc.bar.u_matrix @ x - x).max() < 1e-8, name
+            assert np.abs(bc.u_bar @ x - x).max() < 1e-8, name
             for f in an.built.sub.algebra.basis:
                 y = bc.gamma(bc.e @ an.gns.left(f))
                 assert abs(np.vdot(x, y)) < 1e-8, name

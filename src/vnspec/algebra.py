@@ -115,6 +115,8 @@ def generate_algebra(generators, ambient_dim: int,
     seed = np.stack([eye] + gens) if gens else eye[None]
     empty = np.zeros((0, ambient_dim ** 2), dtype=np.complex128)
     rows = linalg.extend_orthonormal(empty, seed.reshape(len(seed), -1), tol.eps_rank)
+    if not len(rows):
+        raise NumericalBreakdown(f"rank cutoff {tol.eps_rank:g} drops the identity")
     if gens:
         garr = np.stack(gens)
         for _ in range(ambient_dim ** 2):
@@ -146,6 +148,9 @@ def commutant(alg: MatrixStarAlgebra,
     for b in alg.basis:
         comms = (b @ mats - mats @ b).reshape(len(mats), -1)
         kernel = linalg.nullspace(comms.T, tol.eps_rank)  # (k, k') coefficients
+        if not kernel.shape[1]:
+            raise NumericalBreakdown(
+                f"rank cutoff {tol.eps_rank:g} drops the identity from the commutant")
         mats = np.tensordot(kernel.T, mats, axes=(1, 0))
     return MatrixStarAlgebra(n, np.ascontiguousarray(mats))
 

@@ -30,20 +30,32 @@ EXIT_BREAKDOWN = 3
 
 def _default_seed() -> int:
     try:
-        return int(os.environ.get("VNSPEC_SEED", "0"))
-    except ValueError:
+        return _seed(os.environ.get("VNSPEC_SEED", "0"))
+    except argparse.ArgumentTypeError:
         return 0
 
 
+def _seed(text: str) -> int:
+    """Argparse type: a nonnegative integer, as numpy's generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return value
+
+
 def _positive(kind):
-    """Argparse type: a number of the given kind, greater than zero."""
+    """Argparse type: a finite number of the given kind, greater than zero."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__}: {text!r}")
-        if not value > 0:  # also rejects nan
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < float("inf"):  # also rejects nan
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite, got {text}")
         return value
     return parse
 
@@ -108,6 +120,9 @@ def _eye(an):
 
 
 def cmd_rwm(args) -> int:
+    if args.cesaro_n is not None and args.element is None:
+        print("invalid input: --N needs --element", file=sys.stderr)
+        return EXIT_INVALID
     an, tol = _analyze_file(args.file, args)
     sp = an.spectrum
     if args.element is not None:
@@ -174,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="singular value cutoff for rank decisions")
     common.add_argument("--eps-assert", type=_positive(float), default=None,
                         help="threshold for identity checks")
-    common.add_argument("--seed", type=int, default=_default_seed(),
+    common.add_argument("--seed", type=_seed, default=_default_seed(),
                         help="seed for pseudo-random checks (env VNSPEC_SEED)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress narrative output")
@@ -200,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", default=None,
                    help="label of an admissible mean-zero element (k0, k1, ...)")
     p.add_argument("--N", dest="cesaro_n", type=_positive(int), default=None,
-                   help="number of Cesaro averages")
+                   help="number of Cesaro averages (needs --element)")
     p.set_defaults(func=cmd_rwm)
 
     p = subs.add_parser("joining", parents=[common],

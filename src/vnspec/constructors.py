@@ -16,8 +16,8 @@ from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, StarAutomorphism, Subsyste
                       ToleranceConfig, WStarSystem, automorphism_from_matrix,
                       automorphism_from_unitary, generate_algebra, subsystem,
                       system, trace_functional)
-from .errors import (ConstraintViolated, NotAutomorphism, NotUnitary, SpecInvalid,
-                     WeightsNotPreserved)
+from .errors import (ConstraintViolated, DimensionMismatch, NotAutomorphism,
+                     NotUnitary, SpecInvalid, WeightsNotPreserved)
 from .gns import build_gns
 from . import linalg
 
@@ -55,6 +55,8 @@ def build_explicit_system(ambient_dim: int, generators, density,
     """
     alg = generate_algebra(generators, ambient_dim, tol)
     trace = trace_functional(density)
+    if trace.density.shape != (ambient_dim, ambient_dim):
+        raise DimensionMismatch("density has wrong shape")
     if (dynamics_unitary is None) == (dynamics_matrix is None):
         raise SpecInvalid("give exactly one of dynamics_unitary, dynamics_matrix")
     if dynamics_unitary is not None:
@@ -114,10 +116,10 @@ def classical_sub_partition(sys: WStarSystem, blocks,
 # --- finite groups ------------------------------------------------------------
 
 def _validate_group_table(table) -> tuple[np.ndarray, int]:
-    t = np.asarray(table, dtype=int)
-    n = t.shape[0]
-    if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
+    n = len(table)
+    if any(len(row) != n or not all(0 <= x < n for x in row) for row in table):
         raise SpecInvalid("multiplication table must be square over element indices")
+    t = np.asarray(table, dtype=int)
     for i in range(n):
         if sorted(t[i]) != list(range(n)) or sorted(t[:, i]) != list(range(n)):
             raise SpecInvalid("multiplication table rows/columns must be permutations")
@@ -271,14 +273,14 @@ def build_skew_product(spec: SkewProductSpec,
     n_g = gs.table.shape[0]
     perm = list(spec.permutation)
     inv_s = np.argsort(perm)
-    t_perm = np.asarray(gs.automorphism_images)
-    inv_t = np.argsort(t_perm)
+    t_perm = gs.automorphism_images
 
     def t_power(g: int, k: int) -> int:
-        p = t_perm if k >= 0 else inv_t
-        for _ in range(abs(k)):
-            g = int(p[g])
-        return g
+        """T^k g, with k reduced modulo the length of the orbit of g."""
+        orbit = [g]
+        while t_perm[orbit[-1]] != g:
+            orbit.append(t_perm[orbit[-1]])
+        return orbit[k % len(orbit)]
 
     lmats = left_regular_matrices(gs.table)
     n = n_x * n_g

@@ -46,6 +46,14 @@ def _expect(cond: bool, fld: str, msg: str) -> None:
         raise ValidationError(fld, msg)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_matrix(obj, fld: str) -> list:
     _expect(isinstance(obj, list) and obj, fld, "expected a nonempty matrix")
     width = None
@@ -58,7 +66,7 @@ def _parse_matrix(obj, fld: str) -> list:
         new_row = []
         for c, entry in enumerate(row):
             _expect(isinstance(entry, list) and len(entry) == 2
-                    and all(isinstance(x, (int, float)) for x in entry),
+                    and all(_is_number(x) for x in entry),
                     f"{fld}[{r}][{c}]", "entries must be [re, im] pairs")
             _expect(all(np.isfinite(float(x)) for x in entry),
                     f"{fld}[{r}][{c}]", "entries must be finite")
@@ -79,14 +87,14 @@ def array_to_matrix(mat: np.ndarray) -> list:
 
 def _parse_int_list(obj, fld: str) -> list[int]:
     _expect(isinstance(obj, list), fld, "expected a list of integers")
-    _expect(all(isinstance(x, int) for x in obj), fld, "entries must be integers")
+    _expect(all(_is_int(x) for x in obj), fld, "entries must be integers")
     return [int(x) for x in obj]
 
 
 def _parse_float_list(obj, fld: str) -> list[float]:
     _expect(isinstance(obj, list), fld, "expected a list of numbers")
-    _expect(all(isinstance(x, (int, float)) for x in obj), fld,
-            "entries must be numbers")
+    _expect(all(_is_number(x) for x in obj), fld, "entries must be numbers")
+    _expect(all(np.isfinite(float(x)) for x in obj), fld, "entries must be finite")
     return [float(x) for x in obj]
 
 
@@ -105,7 +113,7 @@ def _parse_factor(obj, fld: str) -> dict:
 def _parse_params(kind: str, p: dict, fld: str, factor: bool = False) -> dict:
     out = {}
     if kind == "explicit":
-        _expect(isinstance(p.get("ambient_dim"), int) and p["ambient_dim"] > 0,
+        _expect(_is_int(p.get("ambient_dim")) and p["ambient_dim"] > 0,
                 f"{fld}.ambient_dim", "expected a positive integer")
         out["ambient_dim"] = p["ambient_dim"]
         gens = p.get("algebra_generators", [])
@@ -172,7 +180,8 @@ def _parse_params(kind: str, p: dict, fld: str, factor: bool = False) -> dict:
         b2 = p.get("b2_factor")
         out["b2_factor"] = _parse_factor(b2, f"{fld}.b2_factor") if b2 else None
         s = p.get("s", 0.5)
-        _expect(isinstance(s, (int, float)), f"{fld}.s", "expected a number")
+        _expect(_is_number(s) and np.isfinite(float(s)), f"{fld}.s",
+                "expected a finite number")
         out["s"] = float(s)
         for key in ("v1", "v4"):
             out[key] = _parse_matrix(p.get(key), f"{fld}.{key}")
@@ -196,7 +205,7 @@ def parse_system(source) -> SystemDescription:
                              f"column {exc.colno}: {exc.msg}") from exc
     _expect(isinstance(doc, dict), "$", "document must be an object")
     version = doc.get("format_version")
-    _expect(version == FORMAT_VERSION, "format_version",
+    _expect(_is_int(version) and version == FORMAT_VERSION, "format_version",
             f"expected format version {FORMAT_VERSION}")
     name = doc.get("name", "unnamed")
     _expect(isinstance(name, str), "name", "expected a string")
@@ -211,11 +220,9 @@ def parse_system(source) -> SystemDescription:
         _expect(key in ("eps_rank", "eps_assert", "cesaro_n_max"), fld,
                 "unknown tolerance")
         if key == "cesaro_n_max":
-            _expect(isinstance(value, int) and not isinstance(value, bool)
-                    and value >= 1, fld, "expected a positive integer")
+            _expect(_is_int(value) and value >= 1, fld, "expected a positive integer")
         else:
-            _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and np.isfinite(value) and value > 0, fld,
+            _expect(_is_number(value) and np.isfinite(value) and value > 0, fld,
                     "expected a positive finite number")
     desc = SystemDescription(name, kind, _parse_params(kind, params, "parameters"),
                              dict(tols))

@@ -41,6 +41,10 @@ class NotMeanZero(InputError):
     pass
 
 
+class NotInAlgebra(InputError):
+    pass
+
+
 class NotCommutative(InputError):
     pass
 

@@ -16,11 +16,13 @@ from . import linalg
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, Subsystem, ToleranceConfig,
                       WStarSystem, block_decomposition, conditional_expectation)
 from .basic import BasicConstruction
-from .errors import NotCommutative, NotMeanZero, SubsystemInvalid, VerdictMismatch
+from .errors import (NotCommutative, NotInAlgebra, NotMeanZero, NumericalBreakdown,
+                     SubsystemInvalid, VerdictMismatch)
 from .gns import GnsSpace
 from .joining import ErgodicityCheck, JoiningData, relative_ergodicity_check
 
 CESARO_EXIT_TOL = 1e-6
+CESARO_BLOCK = 1024  # widest block of Cesaro iterates held at once
 
 
 @dataclass(frozen=True)
@@ -69,31 +71,53 @@ class SpectrumReport:
 def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
                     n_max: int | None = None, tol: ToleranceConfig = DEFAULT_TOL,
                     early_exit: bool = True) -> np.ndarray:
-    """Running averages of lambda(|D(a* alpha^n(a))|^2) for a mean-zero a.
+    """Running averages of lambda(|D(a* alpha^n(a))|^2) for a mean-zero a in A.
 
-    Stops early once consecutive doublings agree to 1e-6, unless disabled.
+    In coordinates the n-th term is v^H G v with v = M alpha^n(c), where c
+    holds the coordinates of a, G is the Gram matrix and M = E_F L for the
+    fixed map L: x -> a* x.  The iterates alpha^n(c) are held as columns, in
+    blocks of 1, 2, 4, ... up to CESARO_BLOCK columns and then of
+    CESARO_BLOCK, each advanced by a power of alpha found by repeated
+    squaring, so memory stays O(dim A * CESARO_BLOCK) beside the output.
+    Stops at the first even n >= 4 where the averages at n and n/2 agree to
+    1e-6, unless disabled.
     """
     n_max = tol.cesaro_n_max if n_max is None else n_max
     alg = system.algebra
     a = np.asarray(element, dtype=np.complex128)
+    if alg.membership_residual(a) > tol.eps_assert:
+        raise NotInAlgebra("element does not lie in the algebra")
     exp = conditional_expectation(system, sub, tol)
     coords = alg.coords(a)
     if np.abs(exp.matrix @ coords).max() > tol.eps_assert:
         raise NotMeanZero("element has a nonzero conditional expectation")
-    a_adj = a.conj().T
-    cur = coords
+    m = exp.matrix @ alg.coords_stack(a.conj().T @ alg.basis).T
+    dyn = system.dynamics.matrix
+    block = (dyn @ coords)[:, None]  # alpha^n(c) for n = start, start + 1, ...
+    power = dyn  # alpha^(block width)
     sums = np.empty(n_max, dtype=np.float64)
-    total = 0.0
-    for n in range(1, n_max + 1):
-        cur = system.dynamics.matrix @ cur
-        prod = a_adj @ alg.from_coords(cur)
-        f = alg.from_coords(exp.matrix @ alg.coords(prod))
-        total += float(system.trace.value(f.conj().T @ f).real)
-        sums[n - 1] = total / n
-        if early_exit and n % 2 == 0 and n >= 4:
-            if abs(sums[n - 1] - sums[n // 2 - 1]) < CESARO_EXIT_TOL:
-                return sums[:n].copy()
-    return sums
+    start, total = 1, 0.0
+    while True:
+        stop = min(start + block.shape[1], n_max + 1)
+        v = m @ block[:, :stop - start]
+        terms = np.einsum("in,in->n", v.conj(), system.gram @ v).real
+        running = np.cumsum(np.concatenate(([total], terms)))[1:]
+        total = running[-1]
+        sums[start - 1:stop - 1] = running / np.arange(start, stop)
+        if early_exit:
+            even = np.arange(max(4, start + start % 2), stop, 2)
+            hit = np.abs(sums[even - 1] - sums[even // 2 - 1]) < CESARO_EXIT_TOL
+            if hit.any():
+                return sums[:even[hit.argmax()]].copy()
+        if stop > n_max:
+            return sums
+        start = stop
+        if block.shape[1] < CESARO_BLOCK:
+            moved = power @ block
+            block = np.hstack([moved, power @ moved])
+            power = power @ power
+        else:
+            block = power @ block
 
 
 def module_candidate(gns: GnsSpace, bc: BasicConstruction, projection: np.ndarray,
@@ -118,6 +142,9 @@ def joint_commutant(bc: BasicConstruction,
     """
     fixed = linalg.nullspace(bc.dynamics.matrix - np.eye(bc.algebra.dim),
                              tol.eps_rank)
+    if not fixed.shape[1]:
+        raise NumericalBreakdown(
+            f"rank cutoff {tol.eps_rank:g} drops the identity from the fixed points")
     return MatrixStarAlgebra(bc.gns.dim, np.ascontiguousarray(
         bc.algebra.from_coords_stack(fixed.T)))
 

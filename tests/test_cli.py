@@ -59,6 +59,12 @@ def test_rwm_element_listing(capsys):
     assert "cesaro averages for k0" in out
 
 
+def test_rwm_horizon_needs_element(capsys):
+    code = cli.main(["rwm", _system_path("explicit_m2_grading"), "--N", "4"])
+    assert code == 2
+    assert "--N needs --element" in capsys.readouterr().err
+
+
 def test_rwm_unknown_element(capsys):
     code = cli.main(["rwm", _system_path("explicit_m2_grading"),
                      "--element", "zz"])

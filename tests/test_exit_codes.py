@@ -1,0 +1,173 @@
+"""Every input ends in an exit code of the documented set 0/1/2/3.
+
+Mutated shipped descriptions (keys dropped, values retyped, numbers
+perturbed) and command-line flags run through ``cli.main`` in-process: no
+exception may escape, and exit 1 may only report a negative verdict.  The
+inputs below the fuzz test each gave a traceback once; they are pinned with
+their exit codes, a few of them in a child process.
+"""
+import copy
+import io
+import json
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from vnspec import cli
+
+SHIPPED = {p.stem: json.loads(p.read_text()) for p in cli.shipped_system_paths()}
+COMMANDS = ("analyze", "certify-rds", "rwm", "joining", "report")
+NEGATIVE_VERDICTS = {"rwm": "weakly mixing relative to the subsystem: False",
+                     "certify-rds": "relative discrete spectrum: False"}
+REPLACEMENTS = (None, "x", True, [], {}, 0, -1, 1.5, 1e300, float("nan"),
+                float("inf"), [[0, 0]], 2 ** 40)
+
+
+def _paths(obj, prefix=()):
+    """Every key or index path below the root of a JSON tree."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _perturbed(value, draw):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return draw(st.sampled_from(REPLACEMENTS))
+    if isinstance(value, int):
+        return value + draw(st.sampled_from([-1, 1, 2, 100]))
+    return value * draw(st.sampled_from([0.0, -1.0, 1 + 1e-9, 1 + 1e-3, 2.0]))
+
+
+@st.composite
+def mutated_descriptions(draw):
+    doc = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    for _ in range(draw(st.integers(0, 2))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        op = draw(st.sampled_from(["drop", "retype", "perturb"]))
+        if op == "drop":
+            del parent[path[-1]]
+        elif op == "retype":
+            parent[path[-1]] = draw(st.sampled_from(REPLACEMENTS))
+        else:
+            parent[path[-1]] = _perturbed(parent[path[-1]], draw)
+    return doc
+
+
+@st.composite
+def flag_lists(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    flags = []
+    if command == "rwm":
+        element = draw(st.sampled_from([None, "k0", "k1", "zz"]))
+        if element is not None:
+            flags += ["--element", element]
+        horizon = draw(st.sampled_from([None, "1", "7", "300"]))
+        if horizon is not None:
+            flags += ["--N", horizon]
+    if command in ("analyze", "report"):
+        flags += ["--format", draw(st.sampled_from(["text", "json"]))]
+    for flag in ("--eps-rank", "--eps-assert"):
+        value = draw(st.sampled_from([None, None, "1e-3", "1e-14", "1e-30", "10"]))
+        if value is not None:
+            flags += [flag, value]
+    seed = draw(st.sampled_from([None, "3"]))
+    if seed is not None:
+        flags += ["--seed", seed]
+    # at most one usage error, so that most flag lists reach the analysis
+    flags += draw(st.sampled_from(
+        [[]] * 8 + [["--N", "0"], ["--eps-rank", "inf"], ["--eps-assert", "nan"],
+                    ["--eps-rank", "-1"], ["--seed", "-1"], ["--format", "xml"]]))
+    return command, flags
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "system.json"
+
+
+@settings(max_examples=120, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_descriptions(), flags=flag_lists())
+def test_mutated_inputs_end_in_documented_exit_codes(doc_path, doc, flags):
+    command, rest = flags
+    doc_path.write_text(json.dumps(doc))
+    code, out, _ = _run([command, str(doc_path), *rest])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert command in NEGATIVE_VERDICTS and NEGATIVE_VERDICTS[command] in out
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+PARAMS = ("parameters",)
+PINNED = {
+    "ragged_group_table": (_mutated(SHIPPED["group_z4_inversion"],
+                                    PARAMS + ("group_table", 2), [2, 0, 1]), [], 2),
+    "nan_weight": (_mutated(SHIPPED["skew_z4_inversion"], PARAMS + ("weights", 0),
+                            float("nan")), [], 2),
+    "boolean_dimension": (_mutated(
+        _mutated(SHIPPED["explicit_m2_grading"], PARAMS + ("ambient_dim",), True),
+        PARAMS + ("algebra_generators",), []), [], 2),
+    "density_shape": (_mutated(SHIPPED["explicit_m2_grading"],
+                               PARAMS + ("trace_density",), [[[1.0, 0.0]]]), [], 2),
+    "huge_cocycle": (_mutated(SHIPPED["skew_z4_inversion"], PARAMS + ("cocycle", 0),
+                              2 ** 40), [], 0),
+    "infinite_rank_cutoff": (SHIPPED["classical_4cycle"], ["--eps-rank", "inf"], 2),
+    "rank_cutoff_above_identity": (SHIPPED["explicit_m2_grading"],
+                                   ["--eps-rank", "10"], 3),
+    "rank_cutoff_below_roundoff": (SHIPPED["skew_z4_inversion"],
+                                   ["--eps-rank", "1e-300"], 3),
+    "fixed_points_below_roundoff": (_mutated(SHIPPED["classical_4cycle"],
+                                             PARAMS + ("sub_partition",), None),
+                                    ["--eps-rank", "1e-17"], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_input_exit_code(case, tmp_path):
+    doc, flags, expected = PINNED[case]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(["analyze", str(path), *flags])
+    assert code == expected, err
+
+
+@pytest.mark.parametrize("case", ["ragged_group_table", "nan_weight",
+                                  "rank_cutoff_below_roundoff"])
+def test_pinned_input_has_no_traceback(case, tmp_path):
+    doc, flags, expected = PINNED[case]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "vnspec", "analyze", str(path),
+                           "--quiet", *flags],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == expected
+    assert "Traceback" not in proc.stderr

@@ -5,20 +5,25 @@ map of the lifted trace's Gram matrix rather than a full GNS construction, the
 joint commutant of the dynamics and the right subalgebra action as the fixed
 points of the lifted dynamics, and the commutant by intersecting null spaces
 one basis element at a time.  The equivalence residuals in the ledger are the
-ones the equivalence check enforced.  The older routes survive here only, as
-oracles.
+ones the equivalence check enforced.  Cesaro averages come from one fixed
+coordinate map and blocks of iterates instead of a loop over single steps.
+The older routes survive here only, as oracles.
 """
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import vnspec as v
 from vnspec import linalg
+from vnspec.cli import shipped_system_paths
+from vnspec.descriptions import build_from_description, parse_system
+from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 
 
 def _mutual_inclusion(a, b) -> float:
@@ -163,3 +168,76 @@ def test_skew_d48_is_too_large_for_one_gib(tmp_path):
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "too large for the available memory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# --- Cesaro averages: column blocks against the per-step loop ----------------
+
+def _stepwise_cesaro(system, sub, element, n_max, early_exit):
+    """The per-step loop cesaro_sequence ran before the column blocks."""
+    alg = system.algebra
+    a = np.asarray(element, dtype=np.complex128)
+    exp = v.conditional_expectation(system, sub)
+    coords = alg.coords(a)
+    a_adj = a.conj().T
+    cur = coords
+    sums = np.empty(n_max, dtype=np.float64)
+    total = 0.0
+    for n in range(1, n_max + 1):
+        cur = system.dynamics.matrix @ cur
+        prod = a_adj @ alg.from_coords(cur)
+        f = alg.from_coords(exp.matrix @ alg.coords(prod))
+        total += float(system.trace.value(f.conj().T @ f).real)
+        sums[n - 1] = total / n
+        if early_exit and n % 2 == 0 and n >= 4:
+            if abs(sums[n - 1] - sums[n // 2 - 1]) < CESARO_EXIT_TOL:
+                return sums[:n].copy()
+    return sums
+
+
+CESARO_SYSTEMS = {p.stem: p.read_text() for p in shipped_system_paths()}
+CESARO_SYSTEMS[SKEW_D24["name"]] = json.dumps(SKEW_D24)
+LONGEST = 3000
+
+
+def _admissible(name):
+    built = build_from_description(parse_system(CESARO_SYSTEMS[name]))
+    return built, admissible_elements(built.system, built.sub)
+
+
+@pytest.mark.parametrize("name", sorted(CESARO_SYSTEMS))
+def test_cesaro_blocks_equal_stepwise_loop(name):
+    """Horizons 1000, 2048 and 3000 end inside, at and past a block edge."""
+    built, elements = _admissible(name)
+    for label, a in elements:
+        oracle = _stepwise_cesaro(built.system, built.sub, a, LONGEST, False)
+        for n_max in (2048, 1000, LONGEST):
+            seq = v.cesaro_sequence(built.system, built.sub, a, n_max=n_max,
+                                    early_exit=False)
+            assert len(seq) == n_max, (name, label)
+            assert np.abs(seq - oracle[:n_max]).max() <= 1e-12, (name, label)
+
+
+@pytest.mark.parametrize("name", sorted(CESARO_SYSTEMS))
+def test_cesaro_early_exit_equals_stepwise_loop(name):
+    built, elements = _admissible(name)
+    n_max = v.DEFAULT_TOL.cesaro_n_max
+    for label, a in elements:
+        oracle = _stepwise_cesaro(built.system, built.sub, a, n_max, True)
+        seq = v.cesaro_sequence(built.system, built.sub, a)
+        assert len(seq) == len(oracle), (name, label)
+        assert np.abs(seq - oracle).max() <= 1e-12, (name, label)
+
+
+def test_cesaro_memory_does_not_grow_with_horizon():
+    """Every iterate of 2**18 steps at d = 24 would take 96 MiB."""
+    built, elements = _admissible("finite_extension_m2")
+    _, a = elements[0]
+    tracemalloc.start()
+    try:
+        seq = v.cesaro_sequence(built.system, built.sub, a, n_max=2 ** 18,
+                                early_exit=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == 2 ** 18 and np.all(np.isfinite(seq))
+    assert peak < 16 * 2 ** 20

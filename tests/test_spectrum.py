@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import vnspec as v
-from vnspec.errors import NotCommutative, NotMeanZero, SubsystemInvalid
+from vnspec.errors import (InputError, NotCommutative, NotInAlgebra, NotMeanZero,
+                           SubsystemInvalid)
 from vnspec.spectrum import admissible_elements
 from conftest import E12
 
@@ -26,6 +27,18 @@ def test_cesaro_constant_quarter(m2_grading):
 def test_cesaro_rejects_nonzero_expectation(m2_grading):
     with pytest.raises(NotMeanZero):
         v.cesaro_sequence(m2_grading.system, m2_grading.sub, np.eye(2))
+
+
+def test_cesaro_rejects_element_outside_algebra(analyses):
+    # E_01 is not diagonal; its projection onto the algebra is zero, which
+    # would read as an all-zero average, a false weak-mixing witness
+    built = analyses["classical_4cycle"].built
+    e01 = np.zeros((4, 4), dtype=complex)
+    e01[0, 1] = 1.0
+    assert built.system.algebra.membership_residual(e01) == pytest.approx(1.0)
+    with pytest.raises(NotInAlgebra):
+        v.cesaro_sequence(built.system, built.sub, e01)
+    assert issubclass(NotInAlgebra, InputError)
 
 
 def test_cesaro_early_exit_shortens(m2_grading):

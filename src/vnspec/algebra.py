@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import (DimensionMismatch, NonSquareGenerator, NotUnitary,
-                     NumericalBreakdown, SubsystemInvalid, TraceNotFaithful)
+from .errors import (DimensionMismatch, NonSquareGenerator, NotAutomorphism,
+                     NotUnitary, NumericalBreakdown, SubsystemInvalid,
+                     TraceNotFaithful)
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class MatrixStarAlgebra:
     """Unital *-subalgebra of M_N(C) with a Hilbert-Schmidt orthonormal basis."""
     ambient_dim: int
     basis: np.ndarray  # (dim, N, N)
-    contains_identity: bool = True
 
     def __post_init__(self):
         self.basis.setflags(write=False)
@@ -75,23 +75,35 @@ class MatrixStarAlgebra:
         return np.eye(self.ambient_dim, dtype=np.complex128)
 
 
+def product_closure_residual(alg: MatrixStarAlgebra, generators) -> float:
+    """How far the span of the basis is from a unital algebra.
+
+    When every basis element is a sum of words in the generators, the span is
+    closed under products once it is closed under right multiplication by
+    each generator.  Returns the worst relative distance of such a product
+    from the span, and of the identity.
+    """
+    rows = alg.basis_rows()
+    worst = alg.membership_residual(alg.identity())
+    for g in generators:
+        prods = (alg.basis @ g).reshape(alg.dim, -1)
+        resid = prods - (prods @ rows.conj().T) @ rows
+        norms = np.maximum(1.0, np.linalg.norm(prods, axis=1))
+        worst = max(worst, float((np.linalg.norm(resid, axis=1) / norms).max()))
+    return worst
+
+
 def validate_algebra(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     rows = alg.basis_rows()
     gram = rows @ rows.conj().T
     if np.abs(gram - np.eye(alg.dim)).max() > tol.eps_assert:
         raise NumericalBreakdown("basis is not Hilbert-Schmidt orthonormal")
-    for i in range(alg.dim):
-        prods = (alg.basis[i] @ alg.basis).reshape(alg.dim, -1)
-        resid = prods - (prods @ rows.conj().T) @ rows
-        if np.abs(resid).max() > tol.eps_assert:
-            raise NumericalBreakdown("basis is not closed under products")
+    if product_closure_residual(alg, alg.basis) > tol.eps_assert:
+        raise NumericalBreakdown("span is not a unital algebra")
     adj = alg.basis.conj().transpose(0, 2, 1).reshape(alg.dim, -1)
     resid = adj - (adj @ rows.conj().T) @ rows
     if np.abs(resid).max() > tol.eps_assert:
         raise NumericalBreakdown("basis is not closed under adjoints")
-    if alg.contains_identity:
-        if alg.membership_residual(alg.identity()) > tol.eps_assert:
-            raise NumericalBreakdown("identity is not in the span")
 
 
 def generate_algebra(generators, ambient_dim: int,
@@ -260,9 +272,6 @@ class StarAutomorphism:
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
-    def apply_coords(self, c: np.ndarray) -> np.ndarray:
-        return self.matrix @ c
-
     def apply(self, alg: MatrixStarAlgebra, mat: np.ndarray) -> np.ndarray:
         return alg.from_coords(self.matrix @ alg.coords(mat))
 
@@ -281,7 +290,13 @@ def automorphism_from_matrix(alg: MatrixStarAlgebra, matrix,
 def automorphism_from_unitary(alg: MatrixStarAlgebra, unitary,
                               trace: TraceFunctional,
                               tol: ToleranceConfig = DEFAULT_TOL) -> StarAutomorphism:
-    """Normalize conjugation by a unitary to coordinate form."""
+    """Conjugation by a unitary in coordinate form.
+
+    Ad(u) is a *-automorphism of the algebra exactly when u A u* lies in A
+    (equality follows by dimension).  Its coordinate matrix over the
+    Hilbert-Schmidt orthonormal basis is then unitary, so nonsingular,
+    multiplicative and *-preserving; only invariance and the trace are checked.
+    """
     u = linalg.as_matrix(unitary)
     if u.shape != (alg.ambient_dim, alg.ambient_dim):
         raise DimensionMismatch("unitary has wrong shape")
@@ -289,9 +304,13 @@ def automorphism_from_unitary(alg: MatrixStarAlgebra, unitary,
         raise NotUnitary("dynamics matrix is not unitary")
     images = u @ alg.basis @ u.conj().T
     m = alg.coords_stack(images).T  # column j = coords of u b_j u*
-    auto = StarAutomorphism(np.ascontiguousarray(m))
-    validate_automorphism(alg, auto, trace, tol)
-    return auto
+    resid = float(np.abs(alg.from_coords_stack(m.T) - images).max())
+    if resid > tol.eps_assert:
+        raise NotAutomorphism(f"conjugation by the unitary does not map the algebra "
+                              f"onto itself (residual {resid:.2e})")
+    if np.abs(trace.values(images) - trace.values(alg.basis)).max() > tol.eps_assert:
+        raise NotAutomorphism("conjugation by the unitary does not preserve the trace")
+    return StarAutomorphism(np.ascontiguousarray(m))
 
 
 def validate_automorphism(alg: MatrixStarAlgebra, auto: StarAutomorphism,
@@ -330,14 +349,9 @@ class WStarSystem:
 
 
 def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
-           dynamics: StarAutomorphism, tol: ToleranceConfig = DEFAULT_TOL,
-           validate: bool = True) -> WStarSystem:
-    if validate:
-        gram = validate_trace(algebra, trace, tol)
-        validate_automorphism(algebra, dynamics, trace, tol)
-    else:
-        gram = gram_matrix(algebra, trace)
-    return WStarSystem(algebra, trace, dynamics, gram)
+           dynamics: StarAutomorphism, tol: ToleranceConfig = DEFAULT_TOL) -> WStarSystem:
+    """Validates the trace; the dynamics was validated where it was made."""
+    return WStarSystem(algebra, trace, dynamics, validate_trace(algebra, trace, tol))
 
 
 @dataclass(frozen=True)
@@ -345,13 +359,10 @@ class Subsystem:
     """Unital subalgebra F with alpha(F) = F and faithful restricted trace."""
     parent: WStarSystem
     algebra: MatrixStarAlgebra
-    coords_in_parent: np.ndarray = field(repr=False, default=None)  # (m, d)
-    dynamics_matrix: np.ndarray = field(repr=False, default=None)   # (m, m)
+    coords_in_parent: np.ndarray = field(repr=False)  # (m, d)
 
     def __post_init__(self):
-        for a in (self.coords_in_parent, self.dynamics_matrix):
-            if a is not None:
-                a.setflags(write=False)
+        self.coords_in_parent.setflags(write=False)
 
 
 def subsystem(parent: WStarSystem, sub_algebra: MatrixStarAlgebra,
@@ -366,15 +377,13 @@ def subsystem(parent: WStarSystem, sub_algebra: MatrixStarAlgebra,
     if np.abs(recon - sub_algebra.basis).max() > tol.eps_assert:
         raise SubsystemInvalid("subalgebra is not contained in the parent algebra")
     images = alg.from_coords_stack((parent.dynamics.matrix @ coords.T).T)
-    phi = sub_algebra.coords_stack(images).T  # column i = coords_F(alpha(f_i))
-    recon2 = sub_algebra.from_coords_stack(phi.T)
+    recon2 = sub_algebra.from_coords_stack(sub_algebra.coords_stack(images))
     if np.abs(recon2 - images).max() > tol.eps_assert:
         raise SubsystemInvalid("dynamics does not preserve the subalgebra")
     sub_gram = gram_matrix(sub_algebra, parent.trace)
     if np.linalg.eigvalsh((sub_gram + sub_gram.conj().T) / 2).min() < tol.eps_rank:
         raise SubsystemInvalid("restricted trace is not faithful")
-    return Subsystem(parent, sub_algebra, np.ascontiguousarray(coords),
-                     np.ascontiguousarray(phi))
+    return Subsystem(parent, sub_algebra, np.ascontiguousarray(coords))
 
 
 @dataclass(frozen=True)
@@ -385,9 +394,6 @@ class ConditionalExpectation:
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
-
-    def apply_coords(self, c: np.ndarray) -> np.ndarray:
-        return self.matrix @ c
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
         alg = self.sub.parent.algebra

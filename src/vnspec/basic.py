@@ -17,8 +17,9 @@ import numpy as np
 from . import linalg
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, StarAutomorphism, Subsystem,
                       ToleranceConfig, TraceFunctional, automorphism_from_unitary,
-                      commutant, validate_trace)
-from .errors import CommutantMismatch, ExtensionInconsistent, PartitionInvalid
+                      commutant, product_closure_residual, validate_trace)
+from .errors import (CommutantMismatch, ExtensionInconsistent, NotAutomorphism,
+                     NumericalBreakdown, PartitionInvalid)
 from .gns import GnsSpace, cyclic_subspace_projection, gns_map
 
 
@@ -66,24 +67,6 @@ def _span_products(gns: GnsSpace, e: np.ndarray) -> np.ndarray:
     n = gns.dim
     left_e = gns.left_mats @ e
     return (left_e[:, None] @ gns.left_mats[None]).reshape(-1, n, n)
-
-
-def product_closure_residual(alg_bar: MatrixStarAlgebra, generators) -> float:
-    """How far span(A e A) is from a unital algebra.
-
-    Every element of the span is a sum of words in the generators left(a_i)
-    and e, so the span is closed under products once it is closed under right
-    multiplication by each generator.  Returns the worst relative distance of
-    such a product from the span, and of the identity.
-    """
-    rows = alg_bar.basis_rows()
-    worst = alg_bar.membership_residual(alg_bar.identity())
-    for g in generators:
-        prods = (alg_bar.basis @ g).reshape(alg_bar.dim, -1)
-        resid = prods - (prods @ rows.conj().T) @ rows
-        norms = np.maximum(1.0, np.linalg.norm(prods, axis=1))
-        worst = max(worst, float((np.linalg.norm(resid, axis=1) / norms).max()))
-    return worst
 
 
 def lifted_trace_coefficients(gns: GnsSpace, e: np.ndarray,
@@ -140,7 +123,10 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
                            axes=(0, 0))
     trace_bar = TraceFunctional(rho_bar, normalized=False)
     gram_bar = validate_trace(spanned, trace_bar, tol)
-    dyn_bar = automorphism_from_unitary(spanned, gns.u_matrix, trace_bar, tol)
+    try:  # U normalises <A, e> whenever alpha is an automorphism of A fixing F
+        dyn_bar = automorphism_from_unitary(spanned, gns.u_matrix, trace_bar, tol)
+    except NotAutomorphism as exc:
+        raise NumericalBreakdown(f"lifted dynamics: {exc}") from exc
     # validate_trace has checked that the Gram matrix is positive definite
     to_vec, _, u_bar = gns_map(gram_bar, dyn_bar.matrix)
     return BasicConstruction(gns, sub, e, spanned, np.ascontiguousarray(trace_vec),

@@ -43,26 +43,15 @@ def trivial_subalgebra(ambient_dim: int) -> MatrixStarAlgebra:
 
 # --- explicit systems ---------------------------------------------------------
 
-def build_explicit_system(ambient_dim: int, generators, density,
-                          dynamics_unitary=None, dynamics_matrix=None,
+def build_explicit_system(ambient_dim: int, generators, density, dynamics_unitary,
                           sub_generators=(), tol: ToleranceConfig = DEFAULT_TOL
                           ) -> ConstructedSystem:
-    """System from generators, a density matrix and dynamics.
-
-    Dynamics may be given either as conjugation by a unitary or as a
-    coordinate matrix over the generated basis; both are normalized to the
-    coordinate form.
-    """
+    """System from generators, a density matrix and conjugation by a unitary."""
     alg = generate_algebra(generators, ambient_dim, tol)
     trace = trace_functional(density)
     if trace.density.shape != (ambient_dim, ambient_dim):
         raise DimensionMismatch("density has wrong shape")
-    if (dynamics_unitary is None) == (dynamics_matrix is None):
-        raise SpecInvalid("give exactly one of dynamics_unitary, dynamics_matrix")
-    if dynamics_unitary is not None:
-        dyn = automorphism_from_unitary(alg, dynamics_unitary, trace, tol)
-    else:
-        dyn = automorphism_from_matrix(alg, dynamics_matrix, trace, tol)
+    dyn = automorphism_from_unitary(alg, dynamics_unitary, trace, tol)
     sys = system(alg, trace, dyn, tol)
     sub_alg = generate_algebra(sub_generators, ambient_dim, tol)
     return ConstructedSystem(sys, subsystem(sys, sub_alg, tol))
@@ -236,10 +225,8 @@ def tensor_partition_isometries(b_factor, c_factor,
     the fiber GNS space, so that sum w_i* e w_i = 1 on the product space.
     """
     (balg, btrace), (calg, ctrace) = b_factor, c_factor
-    gns_b = build_gns(system(balg, btrace, identity_automorphism(balg), tol,
-                             validate=False), tol)
-    gns_c = build_gns(system(calg, ctrace, identity_automorphism(calg), tol,
-                             validate=False), tol)
+    gns_b = build_gns(WStarSystem(balg, btrace, identity_automorphism(balg)), tol)
+    gns_c = build_gns(WStarSystem(calg, ctrace, identity_automorphism(calg)), tol)
     eye_b = np.eye(gns_b.dim, dtype=np.complex128)
     out = []
     for i in range(gns_c.dim):

@@ -21,14 +21,13 @@ class GnsSpace:
     """GNS data: cyclic vector, left action, modular conjugation, dynamics."""
     system: WStarSystem
     to_vector: np.ndarray    # (dim, d): algebra coords -> H coords, a -> a Omega
-    from_vector: np.ndarray  # inverse map
     omega: np.ndarray        # coordinates of Omega = 1 Omega
     left_mats: np.ndarray    # (d, dim, dim), left multiplication per basis element
     conj_matrix: np.ndarray  # K with J x = K conj(x)
     u_matrix: np.ndarray     # unitary implementing the dynamics
 
     def __post_init__(self):
-        for a in (self.to_vector, self.from_vector, self.omega, self.left_mats,
+        for a in (self.to_vector, self.omega, self.left_mats,
                   self.conj_matrix, self.u_matrix):
             a.setflags(write=False)
 
@@ -81,9 +80,8 @@ def build_gns(system: WStarSystem, tol: ToleranceConfig = DEFAULT_TOL) -> GnsSpa
         left_mats[i] = to_vec @ struct @ from_vec
     star = alg.coords_stack(alg.basis.conj().transpose(0, 2, 1)).T
     conj_mat = to_vec @ star @ from_vec.conj()
-    return GnsSpace(system, np.ascontiguousarray(to_vec), np.ascontiguousarray(from_vec),
-                    omega, left_mats, np.ascontiguousarray(conj_mat),
-                    np.ascontiguousarray(u_mat))
+    return GnsSpace(system, np.ascontiguousarray(to_vec), omega, left_mats,
+                    np.ascontiguousarray(conj_mat), np.ascontiguousarray(u_mat))
 
 
 def cyclic_subspace_projection(gns: GnsSpace, sub: Subsystem,

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import vnspec as v
 from vnspec.errors import (DimensionMismatch, NonSquareGenerator, NotUnitary,
-                           SubsystemInvalid, TraceNotFaithful)
+                           NumericalBreakdown, SubsystemInvalid, TraceNotFaithful)
 from conftest import E11, E12, E21, E22
 
 TOL = v.DEFAULT_TOL
@@ -66,6 +66,12 @@ def test_generated_algebra_is_closed_and_double_commutant_stable(data):
     double = v.commutant(v.commutant(alg))
     assert double.dim == alg.dim
     assert max(double.membership_residual(x) for x in alg.basis) < 1e-9
+
+
+def test_validate_algebra_rejects_a_span_without_the_identity():
+    corner = v.MatrixStarAlgebra(2, E11[None].copy())  # closed under * and products
+    with pytest.raises(NumericalBreakdown, match="unital"):
+        v.validate_algebra(corner)
 
 
 # --- commutant ------------------------------------------------------------

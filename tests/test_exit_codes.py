@@ -13,6 +13,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -127,7 +128,14 @@ def _mutated(doc, path, value):
     return doc
 
 
+def _complex(rows):
+    return [[[float(x), 0.0] for x in row] for row in rows]
+
+
 PARAMS = ("parameters",)
+DIAGONAL_M2 = _mutated(SHIPPED["explicit_m2_grading"], PARAMS + ("algebra_generators",),
+                       [_complex([[1, 0], [0, -1]])])
+ROTATION_45 = _complex(np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0))
 PINNED = {
     "ragged_group_table": (_mutated(SHIPPED["group_z4_inversion"],
                                     PARAMS + ("group_table", 2), [2, 0, 1]), [], 2),
@@ -148,6 +156,13 @@ PINNED = {
     "fixed_points_below_roundoff": (_mutated(SHIPPED["classical_4cycle"],
                                              PARAMS + ("sub_partition",), None),
                                     ["--eps-rank", "1e-17"], 3),
+    # Ad(u) must map A onto itself and keep the trace; both once ended in exit 3
+    "unitary_not_normalising": (_mutated(DIAGONAL_M2, PARAMS + ("dynamics_unitary",),
+                                         ROTATION_45), [], 2),
+    "unitary_moves_trace": (_mutated(
+        _mutated(DIAGONAL_M2, PARAMS + ("trace_density",),
+                 _complex([[0.3, 0], [0, 0.7]])),
+        PARAMS + ("dynamics_unitary",), _complex([[0, 1], [1, 0]])), [], 2),
 }
 
 
@@ -161,7 +176,8 @@ def test_pinned_input_exit_code(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["ragged_group_table", "nan_weight",
-                                  "rank_cutoff_below_roundoff"])
+                                  "rank_cutoff_below_roundoff",
+                                  "unitary_not_normalising"])
 def test_pinned_input_has_no_traceback(case, tmp_path):
     doc, flags, expected = PINNED[case]
     path = tmp_path / "system.json"

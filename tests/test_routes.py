@@ -7,7 +7,9 @@ points of the lifted dynamics, and the commutant by intersecting null spaces
 one basis element at a time.  The equivalence residuals in the ledger are the
 ones the equivalence check enforced.  Cesaro averages come from one fixed
 coordinate map and blocks of iterates instead of a loop over single steps.
-The older routes survive here only, as oracles.
+Conjugation by a unitary is checked by invariance of the algebra and of the
+trace instead of the generic automorphism check.  The older routes survive
+here only, as oracles.
 """
 import json
 import os
@@ -21,8 +23,11 @@ import pytest
 
 import vnspec as v
 from vnspec import linalg
+from vnspec.algebra import validate_automorphism
 from vnspec.cli import shipped_system_paths
 from vnspec.descriptions import build_from_description, parse_system
+from vnspec.errors import NotAutomorphism, NumericalBreakdown
+from vnspec.pipeline import analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 
 
@@ -168,6 +173,53 @@ def test_skew_d48_is_too_large_for_one_gib(tmp_path):
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "too large for the available memory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# --- conjugation automorphisms: invariance against the generic check --------
+
+def _unitarity_after_generic_check(system_like):
+    m = system_like.dynamics.matrix
+    validate_automorphism(system_like.algebra, system_like.dynamics,
+                          system_like.trace, v.DEFAULT_TOL)
+    return float(np.abs(m @ m.conj().T - np.eye(len(m))).max())
+
+
+def test_conjugation_maps_pass_the_generic_check(analyses):
+    for name, an in analyses.items():
+        assert _unitarity_after_generic_check(an.built.system) <= 1e-12, name
+        assert _unitarity_after_generic_check(an.basic) <= 1e-12, name
+
+
+def test_skew_d24_lifted_dynamics_passes_the_generic_check():
+    an = analyze_description(parse_system(SKEW_D24))
+    assert an.basic.algebra.dim == 96
+    assert _unitarity_after_generic_check(an.basic) <= 1e-12
+
+
+def _unchecked_conjugation(alg, u):
+    """The coordinate matrix automorphism_from_unitary builds, unchecked."""
+    images = u @ alg.basis @ u.conj().T
+    return v.StarAutomorphism(np.ascontiguousarray(alg.coords_stack(images).T))
+
+
+BAD_UNITARIES = {  # density, unitary and the fault, on the diagonal algebra of M_2
+    "not_normalising": (np.eye(2) / 2,
+                        np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0),
+                        "onto itself"),
+    "moves_trace": (np.diag([0.3, 0.7]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                    "preserve the trace"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_UNITARIES))
+def test_generic_check_rejects_what_invariance_rejects(name):
+    density, u, fault = BAD_UNITARIES[name]
+    alg = v.generate_algebra([np.diag([1.0, -1.0])], 2)
+    trace = v.trace_functional(density)
+    with pytest.raises(NotAutomorphism, match=fault):
+        v.automorphism_from_unitary(alg, u, trace)
+    with pytest.raises(NumericalBreakdown):
+        validate_automorphism(alg, _unchecked_conjugation(alg, u), trace)
 
 
 # --- Cesaro averages: column blocks against the per-step loop ----------------

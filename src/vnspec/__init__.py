@@ -8,11 +8,11 @@ weak mixing and relative discrete spectrum.
 from .algebra import (ConditionalExpectation, DEFAULT_TOL, MatrixStarAlgebra,
                       StarAutomorphism, Subsystem, ToleranceConfig,
                       TraceFunctional, WStarSystem, automorphism_from_matrix,
-                      automorphism_from_unitary, block_decomposition, center,
-                      commutant, conditional_expectation, generate_algebra,
-                      gram_matrix, product_closure_residual, random_element,
-                      subsystem, system, trace_functional, validate_algebra,
-                      validate_trace)
+                      automorphism_from_unitary, block_decomposition,
+                      bratteli_dimension, center, commutant,
+                      conditional_expectation, generate_algebra, gram_matrix,
+                      product_closure_residual, random_element, subsystem,
+                      system, trace_functional, validate_algebra, validate_trace)
 from .basic import (BasicConstruction, build_basic_construction,
                     default_partition, lifted_trace_coefficients,
                     lifted_trace_via_partition)
@@ -24,15 +24,14 @@ from .constructors import (ConstructedSystem, FiniteExtensionSpec, GroupSystem,
                            group_sub_system, identity_automorphism,
                            tensor_partition_isometries, trivial_subalgebra)
 from .gns import (GnsSpace, build_gns, cyclic_subspace_projection,
-                  gns_invariant_residuals, right_action)
+                  gns_invariant_residuals)
 from .joining import (ErgodicityCheck, JoiningData, joining_equivalence,
                       relative_ergodicity_check, relative_joining)
 from .spectrum import (CesaroSample, FiberReport, RdsCertificate, SpectrumReport,
-                       SubmoduleCandidate, absolute_spectrum_check,
-                       admissible_elements, build_spectrum_report,
-                       cesaro_sequence, classical_fiber_analysis,
-                       find_minimal_modules, joint_commutant, rds_verdict,
-                       rwm_certificate, rwm_verdict_exact)
+                       SubmoduleCandidate, admissible_elements,
+                       build_spectrum_report, cesaro_sequence,
+                       classical_fiber_analysis, find_minimal_modules,
+                       joint_commutant, rds_verdict, rwm_certificate)
 from . import errors
 
 __version__ = "0.1.0"

@@ -7,6 +7,7 @@ trace-preserving *-automorphism (a coordinate matrix over the basis).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+BLOCK_SEED = 7  # seed of the generic central element in block_decomposition
 
 
 @dataclass(frozen=True)
@@ -180,8 +182,14 @@ def center(alg: MatrixStarAlgebra,
     return MatrixStarAlgebra(n, np.ascontiguousarray(mats))
 
 
-def block_decomposition(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
-                        seed: int = 7) -> list[np.ndarray]:
+def is_commutative(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Whether every pair of basis elements commutes up to ``eps_assert``."""
+    return all(np.abs(b @ alg.basis - alg.basis @ b).max() <= tol.eps_assert
+               for b in alg.basis)
+
+
+def block_decomposition(alg: MatrixStarAlgebra,
+                        tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """Minimal central projections, pairwise orthogonal and summing to 1.
 
     A generic self-adjoint central element is drawn from a fixed seed; its
@@ -190,7 +198,7 @@ def block_decomposition(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_T
     """
     z_alg = center(alg, tol)
     dz = z_alg.dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BLOCK_SEED)
     for _ in range(20):
         zmat = z_alg.from_coords(linalg.random_complex(rng, dz))
         zmat = zmat + zmat.conj().T
@@ -206,6 +214,27 @@ def block_decomposition(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_T
                                       linalg.sort_key(p)))
             return projs
     raise NumericalBreakdown("could not separate central blocks")
+
+
+def bratteli_dimension(alg: MatrixStarAlgebra, sub_alg: MatrixStarAlgebra,
+                       tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """dim j(F)' = sum_k m_k^2, the dimension of <A, e> (Goodman, de la Harpe
+    and Jones 1989, ch. 2).
+
+    Over the minimal central projections p_k of F, F p_k = M_{n_k} acts on
+    A p_k, which is m_k copies of its row space.  Right multiplication by p_k
+    projects each span orthogonally, so the singular values counted are 0 or 1.
+    """
+    total = 0
+    for p in block_decomposition(sub_alg, tol):
+        dim_fp, dim_ap = (np.linalg.matrix_rank(
+            (x.basis @ p).reshape(x.dim, -1), tol=tol.eps_rank) for x in (sub_alg, alg))
+        n_k = math.isqrt(dim_fp)
+        if not n_k or n_k * n_k != dim_fp or dim_ap % n_k:
+            raise NumericalBreakdown(f"a central block of F has dim F p = {dim_fp}, "
+                                     f"not n^2 for an n dividing dim A p = {dim_ap}")
+        total += (dim_ap // n_k) ** 2
+    return total
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Given a system on H with cyclic projection e onto the subalgebra's cyclic
 subspace, builds <A, e> as the span of the products a e b (in finite
 dimensions this span is already a unital algebra, and the check of that is
-recorded), cross-checks it against the commutant j(F)' of the right subalgebra
-action, extends the trace by  lifted(a e b) = mu(a b),  conjugates the
+recorded), certifies that it is the commutant j(F)' of the right subalgebra
+action by inclusion (every basis element commutes with j(F)) and dimension
+(the Bratteli count sum_k m_k^2 over the central blocks of F in A, which
+never reads e), extends the trace by  lifted(a e b) = mu(a b),  conjugates the
 dynamics, and maps the result into L2(<A, e>, lifted trace) by a Cholesky
 factor of its Gram matrix.
 """
@@ -17,9 +19,9 @@ import numpy as np
 from . import linalg
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, StarAutomorphism, Subsystem,
                       ToleranceConfig, TraceFunctional, automorphism_from_unitary,
-                      commutant, product_closure_residual, validate_trace)
+                      bratteli_dimension, product_closure_residual, validate_trace)
 from .errors import (CommutantMismatch, ExtensionInconsistent, NotAutomorphism,
-                     NumericalBreakdown, PartitionInvalid)
+                     NumericalBreakdown, PartitionInvalid, TraceNotFaithful)
 from .gns import GnsSpace, cyclic_subspace_projection, gns_map
 
 
@@ -48,18 +50,6 @@ class BasicConstruction:
     def gamma(self, mat: np.ndarray) -> np.ndarray:
         """GNS vector of an element of the constructed algebra."""
         return self.bar_to_vector @ self.algebra.coords(mat)
-
-
-def right_subalgebra(gns: GnsSpace, sub: Subsystem,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """The right action algebra j(F) acting on H, with an orthonormal basis."""
-    left_f = np.stack([gns.left(f) for f in sub.algebra.basis])
-    rows = linalg.extend_orthonormal(
-        np.zeros((0, gns.dim ** 2), dtype=np.complex128),
-        left_f.reshape(len(left_f), -1), tol.eps_rank)
-    mats = rows.reshape(-1, gns.dim, gns.dim)
-    j_mats = np.stack([gns.j_op(m) for m in mats])
-    return MatrixStarAlgebra(gns.dim, np.ascontiguousarray(j_mats))
 
 
 def _span_products(gns: GnsSpace, e: np.ndarray) -> np.ndarray:
@@ -107,26 +97,27 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
         np.zeros((0, n * n), dtype=np.complex128),
         _span_products(gns, e).reshape(-1, n * n), tol.eps_rank)
     spanned = MatrixStarAlgebra(n, np.ascontiguousarray(rows.reshape(-1, n, n)))
-    via_commutant = commutant(right_subalgebra(gns, sub, tol), tol)
-    resid = max(
-        max((via_commutant.membership_residual(b) for b in spanned.basis),
-            default=0.0),
-        max((spanned.membership_residual(b) for b in via_commutant.basis),
-            default=0.0))
-    if spanned.dim != via_commutant.dim or resid > tol.eps_assert:
+    # inclusion in j(F)': the largest entry of [b, j(f)], relative to |j(f)|
+    right_f = [gns.j_op(gns.left(f)) for f in sub.algebra.basis]
+    resid = max(float(np.abs(spanned.basis @ j - j @ spanned.basis).max()
+                      / np.linalg.norm(j, 2)) for j in right_f)
+    count = bratteli_dimension(gns.system.algebra, sub.algebra, tol)
+    if spanned.dim != count or resid > tol.eps_assert:
         raise CommutantMismatch(
-            f"span(A e A) (dim {spanned.dim}) and commutant route "
-            f"(dim {via_commutant.dim}) disagree, residual {resid:.2e}")
+            f"span(A e A) (dim {spanned.dim}) and j(F)' (dim {count} by the "
+            f"Bratteli count) disagree, commutator residual {resid:.2e}")
     trace_vec, ext_resid = lifted_trace_coefficients(gns, e, spanned, tol)
     # density representing the lifted trace on the algebra: faithful and PSD
     rho_bar = np.tensordot(trace_vec, spanned.basis.conj().transpose(0, 2, 1),
                            axes=(0, 0))
     trace_bar = TraceFunctional(rho_bar, normalized=False)
-    gram_bar = validate_trace(spanned, trace_bar, tol)
-    try:  # U normalises <A, e> whenever alpha is an automorphism of A fixing F
+    # the lifted trace is faithful, and U normalises <A, e> whenever alpha is
+    # an automorphism of A fixing F; a fault here is a failed cross-check
+    try:
+        gram_bar = validate_trace(spanned, trace_bar, tol)
         dyn_bar = automorphism_from_unitary(spanned, gns.u_matrix, trace_bar, tol)
-    except NotAutomorphism as exc:
-        raise NumericalBreakdown(f"lifted dynamics: {exc}") from exc
+    except (TraceNotFaithful, NotAutomorphism) as exc:
+        raise NumericalBreakdown(f"lifted system: {exc}") from exc
     # validate_trace has checked that the Gram matrix is positive definite
     to_vec, _, u_bar = gns_map(gram_bar, dyn_bar.matrix)
     return BasicConstruction(gns, sub, e, spanned, np.ascontiguousarray(trace_vec),

@@ -96,11 +96,6 @@ def cyclic_subspace_projection(gns: GnsSpace, sub: Subsystem,
     return q @ q.conj().T
 
 
-def right_action(gns: GnsSpace, x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Right module action x . a = j(a) x."""
-    return gns.j_op(gns.left(mat)) @ x
-
-
 def gns_invariant_residuals(gns: GnsSpace) -> dict[str, float]:
     """Numerical residuals of the defining GNS identities (for checks/tests)."""
     alg = gns.system.algebra

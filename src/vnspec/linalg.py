@@ -111,8 +111,8 @@ def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def sort_key(mat: np.ndarray, decimals: int = 8) -> bytes:
-    """Deterministic lexicographic key on rounded entries."""
-    r = np.round(mat.real, decimals) + 0.0
-    i = np.round(mat.imag, decimals) + 0.0
+def sort_key(mat: np.ndarray) -> bytes:
+    """Deterministic lexicographic key on entries rounded to 8 decimals."""
+    r = np.round(mat.real, 8) + 0.0
+    i = np.round(mat.imag, 8) + 0.0
     return r.tobytes() + i.tobytes()

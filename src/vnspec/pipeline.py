@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, ToleranceConfig, product_trace_table,
-                      random_element)
+from .algebra import (DEFAULT_TOL, ToleranceConfig, is_commutative,
+                      product_trace_table, random_element)
 from .basic import (BasicConstruction, build_basic_construction, default_partition,
                     lifted_trace_via_partition)
 from .constructors import (ConstructedSystem, finite_extension_diagnostics,
@@ -31,6 +31,7 @@ CHECK_NAMES = (
 )
 
 CESARO_WITNESS_TOL = 1e-6
+RANDOM_PAIRS = 100  # seeded pairs (a, b) on which lifted(a e b) = mu(a b) is checked
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,12 @@ class SystemAnalysis:
         return all(c.passed for c in self.checks if c.applicable)
 
 
-def _random_pair_residual(gns: GnsSpace, bc: BasicConstruction, seed: int,
-                          pairs: int = 100) -> float:
+def _random_pair_residual(gns: GnsSpace, bc: BasicConstruction, seed: int) -> float:
     """|lifted(a e b) - mu(a b)| over seeded random pairs."""
     rng = np.random.default_rng(seed)
     alg = gns.system.algebra
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(RANDOM_PAIRS):
         a = random_element(alg, rng)
         b = random_element(alg, rng)
         lifted = bc.lifted_value(gns.left(a) @ bc.e @ gns.left(b))
@@ -78,13 +78,6 @@ def _random_pair_residual(gns: GnsSpace, bc: BasicConstruction, seed: int,
 def _traciality_residual(bc: BasicConstruction) -> float:
     table = product_trace_table(bc.algebra, bc.trace.density)
     return float(np.abs(table - table.T).max())
-
-
-def _is_commutative(sub_basis: np.ndarray, eps: float) -> bool:
-    for i in range(len(sub_basis)):
-        if np.abs(sub_basis[i] @ sub_basis - sub_basis @ sub_basis[i]).max() > eps:
-            return False
-    return True
 
 
 def analyze_built(name: str, kind: str, built: ConstructedSystem,
@@ -138,7 +131,7 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
         vacuous = spectrum.rwm and not spectrum.cesaro
         add("rwm_cesaro_consistency", 0.0 if vacuous else 1.0, passed=vacuous,
             note="no admissible mean-zero elements")
-    if _is_commutative(built.sub.algebra.basis, tol.eps_assert):
+    if is_commutative(built.sub.algebra, tol):
         fibers = [classical_fiber_analysis(gns, built.sub, mod, tol)
                   for mod in spectrum.modules]
         extras["fibers"] = fibers
@@ -180,8 +173,6 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
         tvals = lifted_trace_via_partition(bc, vt, tol)
         extras["tensor_partition_residual"] = float(
             np.abs(tvals - bc.trace_vector).max())
-        (balg, _), (calg, _) = built.tensor_factors
-        extras["tensor_dims_ok"] = bc.algebra.dim == balg.dim * calg.dim ** 2
     return SystemAnalysis(name, kind, built, gns, bc, jd, r, spectrum,
                           tuple(checks), extras)
 

@@ -14,10 +14,11 @@ import numpy as np
 
 from . import linalg
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, Subsystem, ToleranceConfig,
-                      WStarSystem, block_decomposition, conditional_expectation)
+                      WStarSystem, block_decomposition, conditional_expectation,
+                      is_commutative)
 from .basic import BasicConstruction
 from .errors import (NotCommutative, NotInAlgebra, NotMeanZero, NumericalBreakdown,
-                     SubsystemInvalid, VerdictMismatch)
+                     VerdictMismatch)
 from .gns import GnsSpace
 from .joining import ErgodicityCheck, JoiningData, relative_ergodicity_check
 
@@ -199,12 +200,6 @@ def rwm_certificate(jd: JoiningData, bc: BasicConstruction,
     return erg
 
 
-def rwm_verdict_exact(jd: JoiningData, bc: BasicConstruction,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """The verdict of ``rwm_certificate``."""
-    return rwm_certificate(jd, bc, tol).holds
-
-
 @dataclass(frozen=True)
 class RdsCertificate:
     verdict: bool
@@ -218,15 +213,19 @@ def rds_verdict(bc: BasicConstruction, modules: list[SubmoduleCandidate],
     """Relative discrete spectrum with an explicit spanning certificate.
 
     True iff the modules of finite lifted trace span the complement of the
-    F-cyclic space; at finite dimension every projection has finite lifted
-    trace, so the decomposition itself is the certificate.
+    F-cyclic space and each is what it claims to be: a right F-module (its
+    projection lies in <A, e>) invariant under U.  At finite dimension every
+    projection has finite lifted trace, so the decomposition itself is the
+    certificate.
     """
     one_minus_e = np.eye(bc.gns.dim) - bc.e
     total = sum((c.projection for c in modules),
                 np.zeros_like(bc.e))
     resid = float(np.abs(total - one_minus_e).max())
     value = float((bc.trace_vector @ bc.algebra.coords(one_minus_e)).real)
-    return RdsCertificate(resid < tol.eps_assert, tuple(modules), resid, value)
+    claims = all(c.is_right_module and c.is_u_invariant for c in modules)
+    return RdsCertificate(resid < tol.eps_assert and claims, tuple(modules), resid,
+                          value)
 
 
 @dataclass(frozen=True)
@@ -250,10 +249,8 @@ def classical_fiber_analysis(gns: GnsSpace, sub: Subsystem,
     largest fiber dimension.
     """
     f = sub.algebra
-    for i in range(f.dim):
-        comm = f.basis[i] @ f.basis - f.basis @ f.basis[i]
-        if np.abs(comm).max() > tol.eps_assert:
-            raise NotCommutative("subalgebra is not commutative")
+    if not is_commutative(f, tol):
+        raise NotCommutative("subalgebra is not commutative")
     atoms = block_decomposition(f, tol)
     weights = [float(gns.system.trace.value(p).real) for p in atoms]
     dims = []
@@ -269,22 +266,6 @@ def classical_fiber_analysis(gns: GnsSpace, sub: Subsystem,
              (False, True): "plain", (False, False): "neither"}[(w_match, p_match)]
     return FiberReport(tuple(weights), tuple(dims), weighted, plain, measured,
                        label, max(dims) if dims else 0)
-
-
-def absolute_spectrum_check(gns: GnsSpace, sub: Subsystem,
-                            tol: ToleranceConfig = DEFAULT_TOL
-                            ) -> tuple[bool, np.ndarray]:
-    """Discrete spectrum in the absolute case (trivial subalgebra).
-
-    The dynamics unitary is diagonalizable, so its eigenvectors span; the
-    returned eigenvalue list is the certificate.
-    """
-    if sub.algebra.dim != 1:
-        raise SubsystemInvalid("absolute case requires the trivial subalgebra")
-    vals = np.linalg.eigvals(gns.u_matrix)
-    order = np.lexsort((np.round(vals.imag, 9), np.round(vals.real, 9),
-                        np.round(np.angle(vals), 9)))
-    return True, vals[order]
 
 
 def admissible_elements(system: WStarSystem, sub: Subsystem,

@@ -84,7 +84,7 @@ def test_criterion_05_theorem_cross_check(analyses):
         erg = v.relative_ergodicity_check(an.joining, an.basic)
         dim_e_zero = an.spectrum.dim_complement == 0
         h_equal = int(round(np.trace(an.basic.e).real)) == an.gns.dim
-        exact = v.rwm_verdict_exact(an.joining, an.basic)  # raises on mismatch
+        exact = v.rwm_certificate(an.joining, an.basic).holds  # raises on mismatch
         ok = ok and (erg.holds == dim_e_zero == h_equal == exact)
     _report(5, ok, "all three characterizations agree on every shipped system")
 

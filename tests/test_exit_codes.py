@@ -163,6 +163,10 @@ PINNED = {
         _mutated(DIAGONAL_M2, PARAMS + ("trace_density",),
                  _complex([[0.3, 0], [0, 0.7]])),
         PARAMS + ("dynamics_unitary",), _complex([[0, 1], [1, 0]])), [], 2),
+    # A's trace passes this cutoff (Gram minimum 0.5) but the lifted trace on
+    # <A, e> does not (0.25): a failed cross-check, not bad input
+    "lifted_trace_below_cutoff": (SHIPPED["full_subsystem_m2"],
+                                  ["--eps-rank", "0.3"], 3),
 }
 
 

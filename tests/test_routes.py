@@ -8,8 +8,10 @@ one basis element at a time.  The equivalence residuals in the ledger are the
 ones the equivalence check enforced.  Cesaro averages come from one fixed
 coordinate map and blocks of iterates instead of a loop over single steps.
 Conjugation by a unitary is checked by invariance of the algebra and of the
-trace instead of the generic automorphism check.  The older routes survive
-here only, as oracles.
+trace instead of the generic automorphism check.  span(A e A) is certified
+as j(F)' by commutation with j(F) and the Bratteli dimension instead of the
+commutant of j(F) grown from all of M_n.  The older routes survive here only,
+as oracles.
 """
 import json
 import os
@@ -26,9 +28,11 @@ from vnspec import linalg
 from vnspec.algebra import validate_automorphism
 from vnspec.cli import shipped_system_paths
 from vnspec.descriptions import build_from_description, parse_system
-from vnspec.errors import NotAutomorphism, NumericalBreakdown
+from vnspec import basic
+from vnspec.errors import CommutantMismatch, NotAutomorphism, NumericalBreakdown
 from vnspec.pipeline import analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
+from conftest import E12
 
 
 def _mutual_inclusion(a, b) -> float:
@@ -126,6 +130,71 @@ ADDRESS_SPACE_CAP = 1 << 30
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+@pytest.fixture(scope="module")
+def skew_d24():
+    return analyze_description(parse_system(SKEW_D24))
+
+
+# --- <A, e> = j(F)': commutation and the Bratteli count against the commutant
+
+def _right_subalgebra(gns, sub, eps_rank=1e-10):
+    """j(F) on H with an orthonormal basis, as the pipeline once built it."""
+    left_f = np.stack([gns.left(f) for f in sub.algebra.basis])
+    rows = linalg.extend_orthonormal(
+        np.zeros((0, gns.dim ** 2), dtype=np.complex128),
+        left_f.reshape(len(left_f), -1), eps_rank)
+    mats = rows.reshape(-1, gns.dim, gns.dim)
+    return v.MatrixStarAlgebra(gns.dim, np.stack([gns.j_op(m) for m in mats]))
+
+
+def _assert_commutant_route(name, an):
+    bc, sub = an.basic, an.built.sub
+    oracle = v.commutant(_right_subalgebra(an.gns, sub))
+    count = v.bratteli_dimension(an.built.system.algebra, sub.algebra)
+    assert oracle.dim == bc.algebra.dim == count, name
+    assert _mutual_inclusion(oracle, bc.algebra) < 1e-9, name
+    assert bc.commutant_residual <= 1e-14, name
+
+
+def test_span_equals_commutant_of_right_action(analyses):
+    for name, an in analyses.items():
+        _assert_commutant_route(name, an)
+
+
+def test_skew_d24_span_equals_commutant_of_right_action(skew_d24):
+    _assert_commutant_route(SKEW_D24["name"], skew_d24)
+
+
+@pytest.fixture()
+def m2_over_diagonal_gns():
+    built = v.build_explicit_system(2, [E12], np.eye(2) / 2,
+                                    dynamics_unitary=np.eye(2),
+                                    sub_generators=[np.diag([1.0, -1.0])])
+    return v.build_gns(built.system), built.sub
+
+
+def test_projection_off_the_commutant_fails_inclusion(m2_over_diagonal_gns,
+                                                      monkeypatch):
+    """j(w) e j(w)* spans j(w F w*)': of the right dimension, but off j(F)'."""
+    gns, sub = m2_over_diagonal_gns
+    e = v.cyclic_subspace_projection(gns, sub)
+    jw = gns.j_op(gns.left(np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)))
+    monkeypatch.setattr(basic, "cyclic_subspace_projection",
+                        lambda *args: jw @ e @ jw.conj().T)
+    with pytest.raises(CommutantMismatch, match=r"\(dim 8\) and j\(F\)' \(dim 8 "):
+        v.build_basic_construction(gns, sub)
+
+
+def test_span_missing_a_row_fails_dimension(m2_over_diagonal_gns, monkeypatch):
+    """A row short of span(A e A) still commutes with j(F)."""
+    gns, sub = m2_over_diagonal_gns
+    extend = linalg.extend_orthonormal
+    monkeypatch.setattr(linalg, "extend_orthonormal",
+                        lambda *args: extend(*args)[:-1])
+    with pytest.raises(CommutantMismatch, match=r"\(dim 7\) .* \(dim 8 "):
+        v.build_basic_construction(gns, sub)
+
+
 def test_skew_d24_fits_in_one_gib():
     """The stacked-commutant module search needed about 1.5 GB here."""
     child = textwrap.dedent(f"""
@@ -148,14 +217,14 @@ def test_skew_d24_fits_in_one_gib():
     assert proc.stdout.strip() == "ok"
 
 
-def test_skew_d48_is_too_large_for_one_gib(tmp_path):
-    """The next size up does not fit, and the CLI says so with exit 2."""
-    n_x = 12
-    desc = {**SKEW_D24, "name": "skew_x12", "parameters": {
+def test_skew_d64_is_too_large_for_one_gib(tmp_path):
+    """d = 48 fits; at d = 64 the joining does not, and the CLI says so."""
+    n_x = 16
+    desc = {**SKEW_D24, "name": "skew_x16", "parameters": {
         **SKEW_D24["parameters"], "weights": [1.0 / n_x] * n_x,
         "permutation": [(x + 1) % n_x for x in range(n_x)],
         "cocycle": [1] + [0] * (n_x - 1)}}
-    path = tmp_path / "skew_d48.json"
+    path = tmp_path / "skew_d64.json"
     path.write_text(json.dumps(desc))
     child = textwrap.dedent(f"""
         import resource, sys
@@ -190,10 +259,9 @@ def test_conjugation_maps_pass_the_generic_check(analyses):
         assert _unitarity_after_generic_check(an.basic) <= 1e-12, name
 
 
-def test_skew_d24_lifted_dynamics_passes_the_generic_check():
-    an = analyze_description(parse_system(SKEW_D24))
-    assert an.basic.algebra.dim == 96
-    assert _unitarity_after_generic_check(an.basic) <= 1e-12
+def test_skew_d24_lifted_dynamics_passes_the_generic_check(skew_d24):
+    assert skew_d24.basic.algebra.dim == 96
+    assert _unitarity_after_generic_check(skew_d24.basic) <= 1e-12
 
 
 def _unchecked_conjugation(alg, u):

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import vnspec as v
-from vnspec.errors import (InputError, NotCommutative, NotInAlgebra, NotMeanZero,
-                           SubsystemInvalid)
+from vnspec import linalg
+from vnspec.errors import InputError, NotCommutative, NotInAlgebra, NotMeanZero
 from vnspec.spectrum import admissible_elements
 from conftest import E12
 
@@ -139,7 +141,7 @@ def test_rds_always_true_and_rwm_iff_trivial_complement(analyses):
 
 def test_rwm_verdict_cross_check(analyses):
     for name, an in analyses.items():
-        assert v.rwm_verdict_exact(an.joining, an.basic) == an.spectrum.rwm, name
+        assert v.rwm_certificate(an.joining, an.basic).holds == an.spectrum.rwm, name
 
 
 def test_rds_certificate_contents(analyses):
@@ -148,6 +150,30 @@ def test_rds_certificate_contents(analyses):
     assert cert.verdict
     assert abs(cert.trace_of_complement - 3.0) < 1e-9
     assert len(cert.modules) == 2
+
+
+def test_rds_rejects_a_spanning_split_that_is_not_invariant(analyses):
+    """A line in 1 - e and its complement span, but are not U-invariant."""
+    an = analyses["skew_z4_inversion"]
+    gns, bc = an.gns, an.basic
+    rng = np.random.default_rng(31)
+    vec = (np.eye(gns.dim) - bc.e) @ linalg.random_complex(rng, gns.dim)
+    line = np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
+    split = [v.spectrum.module_candidate(gns, bc, p)
+             for p in (line, np.eye(gns.dim) - bc.e - line)]
+    assert not split[0].is_u_invariant
+    cert = v.rds_verdict(bc, split)
+    assert cert.span_residual < 1e-12
+    assert not cert.verdict
+
+
+@pytest.mark.parametrize("claim", ["is_right_module", "is_u_invariant"])
+def test_rds_requires_every_module_claim(analyses, claim):
+    an = analyses["skew_z4_inversion"]
+    modules = list(an.spectrum.modules)
+    assert v.rds_verdict(an.basic, modules).verdict
+    modules[-1] = dataclasses.replace(modules[-1], **{claim: False})
+    assert not v.rds_verdict(an.basic, modules).verdict
 
 
 # --- classical fibers ---------------------------------------------------
@@ -187,34 +213,6 @@ def test_full_complement_fibers(analyses):
                                        np.eye(an.gns.dim) - an.basic.e)
     rep = v.classical_fiber_analysis(an.gns, an.built.sub, comp)
     assert rep.fiber_dims == (3, 3, 3)  # |G| - 1 per atom
-
-
-# --- absolute case -----------------------------------------------------------
-
-def test_absolute_spectrum_requires_trivial_subalgebra(analyses):
-    an = analyses["classical_4cycle"]
-    with pytest.raises(SubsystemInvalid):
-        v.absolute_spectrum_check(an.gns, an.built.sub)
-
-
-def test_absolute_spectrum_identity_dynamics():
-    alg = v.generate_algebra([E12], 2)
-    tr = v.trace_functional(np.eye(2) / 2)
-    dyn = v.automorphism_from_unitary(alg, np.eye(2), tr)
-    sys = v.system(alg, tr, dyn)
-    sub = v.subsystem(sys, v.generate_algebra([], 2))
-    gns = v.build_gns(sys)
-    ok, vals = v.absolute_spectrum_check(gns, sub)
-    assert ok
-    assert np.abs(vals - 1.0).max() < 1e-10
-
-
-def test_absolute_spectrum_phase_dynamics(analyses):
-    an = analyses["explicit_m2_grading"]
-    ok, vals = v.absolute_spectrum_check(an.gns, an.built.sub)
-    assert ok
-    counted = sorted(np.round(vals.real, 6) + 1j * np.round(vals.imag, 6))
-    assert counted == [-1.0, -1.0, 1.0, 1.0]  # grading phases on matrix units
 
 
 def test_right_module_characterization_both_ways(analyses):

@@ -9,13 +9,12 @@ from .algebra import (ConditionalExpectation, DEFAULT_TOL, MatrixStarAlgebra,
                       StarAutomorphism, Subsystem, ToleranceConfig,
                       TraceFunctional, WStarSystem, automorphism_from_matrix,
                       automorphism_from_unitary, block_decomposition,
-                      bratteli_dimension, center, commutant,
+                      bratteli_blocks, center, commutant,
                       conditional_expectation, generate_algebra, gram_matrix,
                       product_closure_residual, random_element, subsystem,
                       system, trace_functional, validate_algebra, validate_trace)
 from .basic import (BasicConstruction, build_basic_construction,
-                    default_partition, lifted_trace_coefficients,
-                    lifted_trace_via_partition)
+                    default_partition, lifted_trace, lifted_trace_via_partition)
 from .constructors import (ConstructedSystem, FiniteExtensionSpec, GroupSystem,
                            SkewProductSpec, build_classical_system,
                            build_explicit_system, build_finite_extension,

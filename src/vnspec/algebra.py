@@ -216,16 +216,17 @@ def block_decomposition(alg: MatrixStarAlgebra,
     raise NumericalBreakdown("could not separate central blocks")
 
 
-def bratteli_dimension(alg: MatrixStarAlgebra, sub_alg: MatrixStarAlgebra,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """dim j(F)' = sum_k m_k^2, the dimension of <A, e> (Goodman, de la Harpe
-    and Jones 1989, ch. 2).
+def bratteli_blocks(alg: MatrixStarAlgebra, sub_alg: MatrixStarAlgebra,
+                    tol: ToleranceConfig = DEFAULT_TOL
+                    ) -> list[tuple[np.ndarray, int, int]]:
+    """The central blocks (p_k, n_k, m_k) of F in A (Goodman, de la Harpe and
+    Jones 1989, ch. 2); dim j(F)' = sum_k m_k^2 is the dimension of <A, e>.
 
     Over the minimal central projections p_k of F, F p_k = M_{n_k} acts on
     A p_k, which is m_k copies of its row space.  Right multiplication by p_k
     projects each span orthogonally, so the singular values counted are 0 or 1.
     """
-    total = 0
+    blocks = []
     for p in block_decomposition(sub_alg, tol):
         dim_fp, dim_ap = (np.linalg.matrix_rank(
             (x.basis @ p).reshape(x.dim, -1), tol=tol.eps_rank) for x in (sub_alg, alg))
@@ -233,8 +234,8 @@ def bratteli_dimension(alg: MatrixStarAlgebra, sub_alg: MatrixStarAlgebra,
         if not n_k or n_k * n_k != dim_fp or dim_ap % n_k:
             raise NumericalBreakdown(f"a central block of F has dim F p = {dim_fp}, "
                                      f"not n^2 for an n dividing dim A p = {dim_ap}")
-        total += (dim_ap // n_k) ** 2
-    return total
+        blocks.append((p, n_k, dim_ap // n_k))
+    return blocks
 
 
 @dataclass(frozen=True)

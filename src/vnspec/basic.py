@@ -6,9 +6,9 @@ dimensions this span is already a unital algebra, and the check of that is
 recorded), certifies that it is the commutant j(F)' of the right subalgebra
 action by inclusion (every basis element commutes with j(F)) and dimension
 (the Bratteli count sum_k m_k^2 over the central blocks of F in A, which
-never reads e), extends the trace by  lifted(a e b) = mu(a b),  conjugates the
-dynamics, and maps the result into L2(<A, e>, lifted trace) by a Cholesky
-factor of its Gram matrix.
+never reads e), gives it the trace  lifted(a e b) = mu(a b)  in closed form
+from the same blocks, conjugates the dynamics, and maps the result into
+L2(<A, e>, lifted trace) by a Cholesky factor of its Gram matrix.
 """
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ import numpy as np
 from . import linalg
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, StarAutomorphism, Subsystem,
                       ToleranceConfig, TraceFunctional, automorphism_from_unitary,
-                      bratteli_dimension, product_closure_residual, validate_trace)
+                      bratteli_blocks, product_closure_residual,
+                      product_trace_table, validate_trace)
 from .errors import (CommutantMismatch, ExtensionInconsistent, NotAutomorphism,
                      NumericalBreakdown, PartitionInvalid, TraceNotFaithful)
 from .gns import GnsSpace, cyclic_subspace_projection, gns_map
@@ -59,34 +60,35 @@ def _span_products(gns: GnsSpace, e: np.ndarray) -> np.ndarray:
     return (left_e[:, None] @ gns.left_mats[None]).reshape(-1, n, n)
 
 
-def lifted_trace_coefficients(gns: GnsSpace, e: np.ndarray,
-                              alg_bar: MatrixStarAlgebra,
-                              tol: ToleranceConfig = DEFAULT_TOL
-                              ) -> tuple[np.ndarray, float]:
-    """Extend  a e b -> mu(a b)  to a linear functional on the whole algebra.
+def lifted_trace(gns: GnsSpace, e: np.ndarray, alg_bar: MatrixStarAlgebra,
+                 blocks: list[tuple[np.ndarray, int, int]], tol: ToleranceConfig = DEFAULT_TOL
+                 ) -> tuple[TraceFunctional, float]:
+    """The trace  a e b -> mu(a b)  on the algebra, in closed form.
 
     First checks that the algebra, the span of {a_i e a_j}, is closed under
-    products and contains the identity.  Every basis element is then
-    expressed in the spanning family by least squares; consistency requires
-    that null combinations of the family map to zero values.  The returned
-    residual is the larger of the closure and the consistency residual.
+    products and contains the identity.  <A, e> = j(F)' has the trace vector
+    of F, so the trace is Tr(x Delta) with the central density
+    Delta = j(sum_k mu(p_k) / n_k^2 p_k) over the blocks (p_k, n_k, m_k) of F
+    in A.  The defining identity is checked on every pair of basis elements;
+    the returned residual is the larger of the closure and that residual.
     """
-    alg = gns.system.algebra
     closure = product_closure_residual(alg_bar, list(gns.left_mats) + [e])
     if closure > tol.eps_assert:
         raise ExtensionInconsistent(
             f"span(A e A) is not closed under products "
             f"(residual {closure:.2e})")
-    span_cols = alg_bar.coords_stack(_span_products(gns, e)).T
-    values = gns.system.trace.values(
-        (alg.basis[:, None] @ alg.basis[None]).reshape(-1, *alg.basis.shape[1:]))
-    trace_vec = values @ np.linalg.pinv(span_cols, rcond=tol.eps_rank)
-    consistency = float(np.abs(trace_vec @ span_cols - values).max())
-    if consistency > tol.eps_assert:
+    mu = gns.system.trace
+    z = sum(mu.value(p).real / n ** 2 * p for p, n, _ in blocks)
+    density = gns.j_op(gns.left(z))
+    lifted = np.einsum("ab,ibc,cd,jda->ij", density, gns.left_mats, e,
+                       gns.left_mats, optimize=True)
+    defining = float(np.abs(
+        lifted - product_trace_table(gns.system.algebra, mu.density)).max())
+    if defining > tol.eps_assert:
         raise ExtensionInconsistent(
-            f"trace extension is inconsistent on the kernel "
-            f"(residual {consistency:.2e})")
-    return trace_vec, max(closure, consistency)
+            f"lifted(a e b) = mu(a b) fails on a basis pair "
+            f"(residual {defining:.2e})")
+    return TraceFunctional(density, normalized=False), max(closure, defining)
 
 
 def build_basic_construction(gns: GnsSpace, sub: Subsystem,
@@ -101,16 +103,13 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     right_f = [gns.j_op(gns.left(f)) for f in sub.algebra.basis]
     resid = max(float(np.abs(spanned.basis @ j - j @ spanned.basis).max()
                       / np.linalg.norm(j, 2)) for j in right_f)
-    count = bratteli_dimension(gns.system.algebra, sub.algebra, tol)
+    blocks = bratteli_blocks(gns.system.algebra, sub.algebra, tol)
+    count = sum(m * m for _, _, m in blocks)
     if spanned.dim != count or resid > tol.eps_assert:
         raise CommutantMismatch(
             f"span(A e A) (dim {spanned.dim}) and j(F)' (dim {count} by the "
             f"Bratteli count) disagree, commutator residual {resid:.2e}")
-    trace_vec, ext_resid = lifted_trace_coefficients(gns, e, spanned, tol)
-    # density representing the lifted trace on the algebra: faithful and PSD
-    rho_bar = np.tensordot(trace_vec, spanned.basis.conj().transpose(0, 2, 1),
-                           axes=(0, 0))
-    trace_bar = TraceFunctional(rho_bar, normalized=False)
+    trace_bar, ext_resid = lifted_trace(gns, e, spanned, blocks, tol)
     # the lifted trace is faithful, and U normalises <A, e> whenever alpha is
     # an automorphism of A fixing F; a fault here is a failed cross-check
     try:
@@ -120,7 +119,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
         raise NumericalBreakdown(f"lifted system: {exc}") from exc
     # validate_trace has checked that the Gram matrix is positive definite
     to_vec, _, u_bar = gns_map(gram_bar, dyn_bar.matrix)
-    return BasicConstruction(gns, sub, e, spanned, np.ascontiguousarray(trace_vec),
+    return BasicConstruction(gns, sub, e, spanned, trace_bar.values(spanned.basis),
                              trace_bar, dyn_bar, np.ascontiguousarray(to_vec),
                              np.ascontiguousarray(u_bar), resid, ext_resid)
 
@@ -147,7 +146,7 @@ def lifted_trace_via_partition(bc: BasicConstruction, partial_isometries,
     """Evaluate the lifted trace as sum_i <J v_i* Omega, t J v_i* Omega>.
 
     Validates sum v_i* e v_i = 1 and that the result agrees with the
-    least-squares extension on the algebra basis.
+    closed-form trace on the algebra basis.
     """
     vs = [np.asarray(v, dtype=np.complex128) for v in partial_isometries]
     total = sum(v.conj().T @ bc.e @ v for v in vs)
@@ -159,6 +158,6 @@ def lifted_trace_via_partition(bc: BasicConstruction, partial_isometries,
     resid = float(np.abs(values - bc.trace_vector).max())
     if resid > tol.eps_assert:
         raise ExtensionInconsistent(
-            f"partition formula disagrees with the trace extension "
+            f"partition formula disagrees with the closed-form trace "
             f"(residual {resid:.2e})")
     return values

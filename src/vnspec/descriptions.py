@@ -25,6 +25,19 @@ FORMAT_VERSION = 1
 KINDS = ("explicit", "classical", "group_vn", "tensor", "skew_product",
          "finite_extension")
 FACTOR_KINDS = ("explicit", "classical", "group_vn")
+TOP_KEYS = ("format_version", "name", "kind", "parameters", "tolerances")
+FACTOR_KEYS = ("kind", "parameters")
+PARAMETER_KEYS = {
+    "explicit": ("ambient_dim", "algebra_generators", "trace_density",
+                 "dynamics_unitary", "subalgebra_generators"),
+    "classical": ("weights", "permutation", "sub_partition"),
+    "group_vn": ("group_table", "automorphism", "subgroup"),
+    "tensor": ("b_factor", "c_factor"),
+    "skew_product": ("weights", "permutation", "group_table",
+                     "group_automorphism", "cocycle"),
+    "finite_extension": ("b1_factor", "b2_factor", "s", "v1", "v2", "v3", "v4"),
+}
+SUBSYSTEM_KEYS = ("subalgebra_generators", "sub_partition", "subgroup")  # not in factors
 
 
 @dataclass(frozen=True)
@@ -44,6 +57,11 @@ class SystemDescription:
 def _expect(cond: bool, fld: str, msg: str) -> None:
     if not cond:
         raise ValidationError(fld, msg)
+
+
+def _expect_known_keys(obj: dict, known, fld: str) -> None:
+    for key in obj:
+        _expect(key in known, f"{fld}.{key}" if fld else str(key), "unknown key")
 
 
 def _is_int(x) -> bool:
@@ -100,6 +118,7 @@ def _parse_float_list(obj, fld: str) -> list[float]:
 
 def _parse_factor(obj, fld: str) -> dict:
     _expect(isinstance(obj, dict), fld, "expected a factor object")
+    _expect_known_keys(obj, FACTOR_KEYS, fld)
     kind = obj.get("kind")
     _expect(kind in FACTOR_KINDS, f"{fld}.kind",
             f"factor kind must be one of {FACTOR_KINDS}")
@@ -111,6 +130,8 @@ def _parse_factor(obj, fld: str) -> dict:
 
 
 def _parse_params(kind: str, p: dict, fld: str, factor: bool = False) -> dict:
+    _expect_known_keys(p, [k for k in PARAMETER_KEYS.get(kind, ())
+                           if not (factor and k in SUBSYSTEM_KEYS)], fld)
     out = {}
     if kind == "explicit":
         _expect(_is_int(p.get("ambient_dim")) and p["ambient_dim"] > 0,
@@ -226,6 +247,7 @@ def parse_system(source) -> SystemDescription:
                     "expected a positive finite number")
     desc = SystemDescription(name, kind, _parse_params(kind, params, "parameters"),
                              dict(tols))
+    _expect_known_keys(doc, TOP_KEYS, "")
     return desc
 
 

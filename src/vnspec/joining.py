@@ -14,7 +14,7 @@ import numpy as np
 from . import linalg
 from .algebra import DEFAULT_TOL, Subsystem, ToleranceConfig, conditional_expectation
 from .basic import BasicConstruction
-from .errors import IsometryViolation, StateNotPositive
+from .errors import IsometryViolation, NumericalBreakdown, StateNotPositive
 from .gns import GnsSpace
 
 
@@ -78,6 +78,9 @@ def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
     # invariance under the joint dynamics
     m_alpha = parent.dynamics.matrix
     invariance = float(np.abs(m_alpha.T @ omega_vals @ m_alpha - omega_vals).max())
+    if invariance > tol.eps_assert:
+        raise NumericalBreakdown(f"the joining is not invariant under alpha (x) "
+                                 f"alpha' (residual {invariance:.2e})")
     # Gram of the joining state over the d^2 simple tensors
     p_vecs = np.empty((d, d, gns.dim), dtype=np.complex128)
     q_vecs = np.empty((d, d, gns.dim), dtype=np.complex128)
@@ -95,8 +98,9 @@ def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
     lam = vals[keep]
     v = vecs[:, keep]
     gamma = (np.sqrt(lam)[:, None] * v.conj().T)  # (r, d^2)
-    m_tau = np.kron(m_alpha, m_alpha)
-    w = (np.sqrt(lam)[:, None] * (v.conj().T @ m_tau @ v)) / np.sqrt(lam)[None, :]
+    # kron(m, m) acts on a column of v, read as a d x d matrix V, as m V m^T
+    m_tau_v = (m_alpha @ v.T.reshape(-1, d, d) @ m_alpha.T).reshape(-1, d * d).T
+    w = (np.sqrt(lam)[:, None] * (v.conj().T @ m_tau_v)) / np.sqrt(lam)[None, :]
     id_coords = alg.coords(alg.identity())
     omega_vec = gamma @ np.kron(id_coords, id_coords)
     # F-subspace, both descriptions
@@ -108,6 +112,9 @@ def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
     alt_span = linalg.orthonormal_columns(f_second, tol.eps_rank)
     span_resid = max(linalg.subspace_inclusion_residual(alt_span, h_lambda),
                      linalg.subspace_inclusion_residual(h_lambda, alt_span))
+    if span_resid > tol.eps_assert:
+        raise NumericalBreakdown(f"F (x) 1 and 1 (x) j(F) span different subspaces "
+                                 f"(residual {span_resid:.2e})")
     return JoiningData(gns, sub, omega_vals, two_formula, marg, invariance, gram,
                        np.ascontiguousarray(gamma), np.ascontiguousarray(w),
                        omega_vec, span_resid)
@@ -133,7 +140,10 @@ def joining_equivalence(jd: JoiningData, bc: BasicConstruction,
     for i in range(d):
         blocks = gns.left_mats[i] @ bc.e @ gns.left_mats
         cols[:, i * d:(i + 1) * d] = bc.bar_to_vector @ bc.algebra.coords_stack(blocks).T
-    r = cols @ np.linalg.pinv(jd.gamma, rcond=tol.eps_rank)
+    # gamma = sqrt(lam) v^H has orthogonal rows of squared norms lam, so its
+    # pseudo-inverse is gamma^H / lam
+    lam = np.einsum("ij,ij->i", jd.gamma.conj(), jd.gamma).real
+    r = cols @ (jd.gamma.conj().T / lam)
     eye = np.eye(jd.rank)
     resid = max(float(np.abs(r.conj().T @ r - eye).max()),
                 float(np.abs(r @ r.conj().T - eye).max()))

@@ -3,8 +3,8 @@ import pytest
 
 import vnspec as v
 from vnspec.algebra import ToleranceConfig
-from vnspec.basic import (default_partition, lifted_trace_coefficients,
-                          lifted_trace_via_partition, product_closure_residual)
+from vnspec.basic import (default_partition, lifted_trace, lifted_trace_via_partition,
+                          product_closure_residual)
 from vnspec.errors import ExtensionInconsistent, NumericalBreakdown, PartitionInvalid
 
 
@@ -172,6 +172,10 @@ def test_pipeline_passes_file_tolerance_to_partition(shipped_descriptions,
     assert seen == [1e-12]
 
 
+def _blocks(an):
+    return v.bratteli_blocks(an.built.system.algebra, an.built.sub.algebra)
+
+
 def test_closure_residual_fails_on_a_truncated_span(analyses):
     for name, an in analyses.items():
         gns, bc = an.gns, an.basic
@@ -179,12 +183,12 @@ def test_closure_residual_fails_on_a_truncated_span(analyses):
         assert product_closure_residual(bc.algebra, gens) < 1e-12, name
         short = v.MatrixStarAlgebra(gns.dim, bc.algebra.basis[:-1].copy())
         assert product_closure_residual(short, gens) > 0.1, name
-        with pytest.raises(ExtensionInconsistent):
-            lifted_trace_coefficients(gns, bc.e, short)
+        with pytest.raises(ExtensionInconsistent, match="not closed"):
+            lifted_trace(gns, bc.e, short, _blocks(an))
 
 
 def test_extension_threshold_follows_eps_assert(analyses):
     an = analyses["explicit_m2_grading"]
     with pytest.raises(ExtensionInconsistent):
-        lifted_trace_coefficients(an.gns, an.basic.e, an.basic.algebra,
-                                  ToleranceConfig(eps_assert=1e-30))
+        lifted_trace(an.gns, an.basic.e, an.basic.algebra, _blocks(an),
+                     ToleranceConfig(eps_assert=1e-30))

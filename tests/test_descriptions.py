@@ -41,6 +41,28 @@ def test_parse_rejects_unknown_kind():
     assert err.value.field == "kind"
 
 
+@pytest.mark.parametrize("system, path, field", [
+    ("classical_4cycle", (), "tolerence"),
+    ("classical_4cycle", ("parameters",), "parameters.partiton"),
+    ("tensor_diag2_m2", ("parameters", "b_factor"), "parameters.b_factor.extra"),
+    # a factor takes no subsystem
+    ("tensor_diag2_m2", ("parameters", "b_factor", "parameters"),
+     "parameters.b_factor.parameters.sub_partition"),
+    ("finite_extension_m2", ("parameters", "b2_factor", "parameters"),
+     "parameters.b2_factor.parameters.subgroup"),
+])
+def test_parse_rejects_unknown_keys(system, path, field):
+    doc = json.loads(next(p for p in shipped_system_paths()
+                          if p.stem == system).read_text())
+    obj = doc
+    for key in path:
+        obj = obj[key]
+    obj[field.rsplit(".", 1)[-1]] = [[0]]
+    with pytest.raises(ValidationError, match="unknown key") as err:
+        parse_system(doc)
+    assert err.value.field == field
+
+
 def test_parse_rejects_ragged_matrix():
     doc = {"format_version": 1, "name": "x", "kind": "explicit",
            "parameters": {"ambient_dim": 2,

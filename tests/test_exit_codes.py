@@ -1,7 +1,7 @@
 """Every input ends in an exit code of the documented set 0/1/2/3.
 
-Mutated shipped descriptions (keys dropped, values retyped, numbers
-perturbed) and command-line flags run through ``cli.main`` in-process: no
+Mutated shipped descriptions (keys dropped or inserted, values retyped,
+numbers perturbed) and command-line flags run through ``cli.main`` in-process: no
 exception may escape, and exit 1 may only report a negative verdict.  The
 inputs below the fuzz test each gave a traceback once; they are pinned with
 their exit codes, a few of them in a child process.
@@ -25,6 +25,7 @@ NEGATIVE_VERDICTS = {"rwm": "weakly mixing relative to the subsystem: False",
                      "certify-rds": "relative discrete spectrum: False"}
 REPLACEMENTS = (None, "x", True, [], {}, 0, -1, 1.5, 1e300, float("nan"),
                 float("inf"), [[0, 0]], 2 ** 40)
+INSERTED_KEYS = ("extra", "partiton", "tolerence", "subgroup", "kind")
 
 
 def _paths(obj, prefix=()):
@@ -55,9 +56,16 @@ def mutated_descriptions(draw):
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        op = draw(st.sampled_from(["drop", "retype", "perturb"]))
+        op = draw(st.sampled_from(["drop", "retype", "perturb", "insert"]))
         if op == "drop":
             del parent[path[-1]]
+        elif op == "insert":
+            # into the object at the path, or else into the one holding it
+            target = parent[path[-1]]
+            target = target if isinstance(target, dict) else parent
+            if isinstance(target, dict):
+                target[draw(st.sampled_from(INSERTED_KEYS))] = draw(
+                    st.sampled_from(REPLACEMENTS))
         elif op == "retype":
             parent[path[-1]] = draw(st.sampled_from(REPLACEMENTS))
         else:
@@ -168,6 +176,11 @@ PINNED = {
     "lifted_trace_below_cutoff": (SHIPPED["full_subsystem_m2"],
                                   ["--eps-rank", "0.3"], 3),
 }
+# misspelled keys were once ignored: this analysed F = C with exit 0
+TYPO_KEYS = copy.deepcopy(SHIPPED["classical_4cycle"])
+TYPO_KEYS["parameters"]["partiton"] = TYPO_KEYS["parameters"].pop("sub_partition")
+TYPO_KEYS["tolerence"] = {"eps_rank": 1e-12}
+PINNED["misspelled_keys"] = (TYPO_KEYS, [], 2)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
@@ -177,6 +190,13 @@ def test_pinned_input_exit_code(case, tmp_path):
     path.write_text(json.dumps(doc))
     code, _, err = _run(["analyze", str(path), *flags])
     assert code == expected, err
+
+
+def test_misspelled_key_is_named(tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(TYPO_KEYS))
+    code, _, err = _run(["analyze", str(path)])
+    assert code == 2 and "partiton" in err, err
 
 
 @pytest.mark.parametrize("case", ["ragged_group_table", "nan_weight",

@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 import vnspec as v
+from vnspec import linalg
+from vnspec.errors import NumericalBreakdown
 
 
 def test_commutant_system_dimensions_and_trace(analyses):
@@ -136,3 +141,32 @@ def test_relative_ergodicity_cases(analyses, m2_over_diagonal):
     bc = v.build_basic_construction(gns, sub)
     jd = v.relative_joining(gns, sub, bc)
     assert not v.relative_ergodicity_check(jd, bc).holds
+
+
+def test_joining_rejects_a_dynamics_that_moves_f(m2_over_diagonal):
+    """Ad(w) for a 45 degree rotation w keeps the trace of M_2 but moves the
+    diagonal F, so mu o (E (x) E') is not invariant under alpha (x) alpha'."""
+    sys, sub = m2_over_diagonal.system, m2_over_diagonal.sub
+    gns = v.build_gns(sys)
+    bc = v.build_basic_construction(gns, sub)
+    w = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    moved = replace(sys, dynamics=v.automorphism_from_unitary(sys.algebra, w,
+                                                               sys.trace))
+    with pytest.raises(NumericalBreakdown, match="not invariant"):
+        v.relative_joining(replace(gns, system=moved), replace(sub, parent=moved),
+                           bc)
+
+
+def test_joining_rejects_unequal_f_subspaces(analyses, monkeypatch):
+    """The 1 (x) j(F) description of the F-subspace loses a vector."""
+    an = analyses["classical_4cycle"]
+    orthonormal, calls = linalg.orthonormal_columns, []
+
+    def second_short(cols, eps_rank):
+        calls.append(cols)
+        q = orthonormal(cols, eps_rank)
+        return q[:, :-1] if len(calls) == 2 else q
+    monkeypatch.setattr(linalg, "orthonormal_columns", second_short)
+    with pytest.raises(NumericalBreakdown, match="span different subspaces"):
+        v.relative_joining(an.gns, an.built.sub, an.basic)
+    assert len(calls) == 2

@@ -10,8 +10,10 @@ coordinate map and blocks of iterates instead of a loop over single steps.
 Conjugation by a unitary is checked by invariance of the algebra and of the
 trace instead of the generic automorphism check.  span(A e A) is certified
 as j(F)' by commutation with j(F) and the Bratteli dimension instead of the
-commutant of j(F) grown from all of M_n.  The older routes survive here only,
-as oracles.
+commutant of j(F) grown from all of M_n.  The lifted trace is the closed form
+Tr(x j(sum_k mu(p_k) / n_k^2 p_k)) over the central blocks of F instead of a
+least-squares extension over the spanning family.  The older routes survive
+here only, as oracles.
 """
 import json
 import os
@@ -29,7 +31,9 @@ from vnspec.algebra import validate_automorphism
 from vnspec.cli import shipped_system_paths
 from vnspec.descriptions import build_from_description, parse_system
 from vnspec import basic
-from vnspec.errors import CommutantMismatch, NotAutomorphism, NumericalBreakdown
+from vnspec.algebra import DEFAULT_TOL, product_closure_residual
+from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, NotAutomorphism,
+                           NumericalBreakdown)
 from vnspec.pipeline import analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 from conftest import E12
@@ -150,7 +154,8 @@ def _right_subalgebra(gns, sub, eps_rank=1e-10):
 def _assert_commutant_route(name, an):
     bc, sub = an.basic, an.built.sub
     oracle = v.commutant(_right_subalgebra(an.gns, sub))
-    count = v.bratteli_dimension(an.built.system.algebra, sub.algebra)
+    count = sum(m * m for _, _, m in v.bratteli_blocks(an.built.system.algebra,
+                                                        sub.algebra))
     assert oracle.dim == bc.algebra.dim == count, name
     assert _mutual_inclusion(oracle, bc.algebra) < 1e-9, name
     assert bc.commutant_residual <= 1e-14, name
@@ -163,6 +168,67 @@ def test_span_equals_commutant_of_right_action(analyses):
 
 def test_skew_d24_span_equals_commutant_of_right_action(skew_d24):
     _assert_commutant_route(SKEW_D24["name"], skew_d24)
+
+
+# --- the lifted trace: closed form against the least-squares extension ------
+
+def lifted_trace_coefficients(gns, e, alg_bar, tol=DEFAULT_TOL):
+    """Extend  a e b -> mu(a b)  to a linear functional on the whole algebra.
+
+    First checks that the algebra, the span of {a_i e a_j}, is closed under
+    products and contains the identity.  Every basis element is then
+    expressed in the spanning family by least squares; consistency requires
+    that null combinations of the family map to zero values.  The returned
+    residual is the larger of the closure and the consistency residual.
+    """
+    alg = gns.system.algebra
+    closure = product_closure_residual(alg_bar, list(gns.left_mats) + [e])
+    if closure > tol.eps_assert:
+        raise ExtensionInconsistent(
+            f"span(A e A) is not closed under products "
+            f"(residual {closure:.2e})")
+    span_cols = alg_bar.coords_stack(basic._span_products(gns, e)).T
+    values = gns.system.trace.values(
+        (alg.basis[:, None] @ alg.basis[None]).reshape(-1, *alg.basis.shape[1:]))
+    trace_vec = values @ np.linalg.pinv(span_cols, rcond=tol.eps_rank)
+    consistency = float(np.abs(trace_vec @ span_cols - values).max())
+    if consistency > tol.eps_assert:
+        raise ExtensionInconsistent(
+            f"trace extension is inconsistent on the kernel "
+            f"(residual {consistency:.2e})")
+    return trace_vec, max(closure, consistency)
+
+
+def _assert_trace_route(name, an):
+    bc = an.basic
+    oracle, resid = lifted_trace_coefficients(an.gns, bc.e, bc.algebra)
+    assert resid <= 1e-13, name
+    assert np.abs(bc.trace_vector - oracle).max() <= 1e-12, name
+    assert bc.extension_residual <= 1e-13, name
+
+
+def test_closed_form_trace_equals_least_squares(analyses):
+    for name, an in analyses.items():
+        _assert_trace_route(name, an)
+
+
+def test_skew_d24_closed_form_trace_equals_least_squares(skew_d24):
+    _assert_trace_route(SKEW_D24["name"], skew_d24)
+
+
+@pytest.mark.parametrize("name, blocks", [
+    ("full_subsystem_m2", [(2, 2)]),
+    ("finite_extension_m2", [(2, 8), (1, 4), (1, 4)]),
+])
+def test_bratteli_blocks_and_wrong_weight(analyses, name, blocks):
+    """(n_k, m_k) per block; the weight mu(p_k) / n_k fails the definition."""
+    an = analyses[name]
+    found = v.bratteli_blocks(an.built.system.algebra, an.built.sub.algebra)
+    assert [(n, m) for _, n, m in found] == blocks
+    # n_k -> sqrt(n_k) turns the weight mu(p_k) / n_k^2 into mu(p_k) / n_k
+    wrong = [(p, np.sqrt(n), m) for p, n, m in found]
+    with pytest.raises(ExtensionInconsistent, match="basis pair"):
+        v.lifted_trace(an.gns, an.basic.e, an.basic.algebra, wrong)
 
 
 @pytest.fixture()

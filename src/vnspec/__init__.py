@@ -24,7 +24,7 @@ from .constructors import (ConstructedSystem, FiniteExtensionSpec, GroupSystem,
                            tensor_partition_isometries, trivial_subalgebra)
 from .gns import (GnsSpace, build_gns, cyclic_subspace_projection,
                   gns_invariant_residuals)
-from .joining import (ErgodicityCheck, JoiningData, joining_equivalence,
+from .joining import (ErgodicityCheck, JoiningData, factor_gram, joining_equivalence,
                       relative_ergodicity_check, relative_joining)
 from .spectrum import (CesaroSample, FiberReport, RdsCertificate, SpectrumReport,
                        SubmoduleCandidate, admissible_elements,

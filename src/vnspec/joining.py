@@ -2,8 +2,8 @@
 
 The joining is the state on the algebraic tensor product built from the two
 conditional expectations composed with the diagonal state; its GNS space is
-constructed with an explicit null-space quotient and is unitarily equivalent
-to L2 of the basic construction.
+the range of a pivoted Cholesky factor of the state's Gram matrix over the
+simple tensors, and is unitarily equivalent to L2 of the basic construction.
 """
 from __future__ import annotations
 
@@ -31,20 +31,70 @@ class JoiningData:
     two_formula_residual: float     # expectation route vs lifted-trace route
     marginal_residual: float
     invariance_residual: float
-    gram: np.ndarray                # (d^2, d^2) Gram of the joining state
     gamma: np.ndarray               # (r, d^2) quotient map onto the GNS space
     w_matrix: np.ndarray            # (r, r) unitary of the joint dynamics
     omega_vec: np.ndarray           # (r,) GNS cyclic vector
     h_lambda_alt_residual: float    # F (x) 1 span versus 1 (x) j(F) span
+    factor_residual: float          # ||G - L L^H||_F of the Gram factor
+    smallest_pivot: float           # smallest pivot kept in that factor
 
     def __post_init__(self):
-        for a in (self.omega_values, self.gram, self.gamma, self.w_matrix,
+        for a in (self.omega_values, self.gamma, self.w_matrix,
                   self.omega_vec):
             a.setflags(write=False)
 
     @property
     def rank(self) -> int:
         return self.gamma.shape[0]
+
+
+def factor_gram(p: np.ndarray, q: np.ndarray, to_vector: np.ndarray,
+                tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float, float]:
+    """Factor G = L L^H + S for G[(i, j), (k, l)] = sum_h conj(p[i, k, h]) q[j, l, h].
+
+    Pivoted Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 10) runs on the whitened G_w = K^-H G K^-1, K = kron(R, R) for
+    R = to_vector, computing one row of G_w per pivot, and stops once the
+    largest remaining diagonal entry is at most eps_rank; then L = K^H L_w.
+    The Schur complement S = G - L L^H is formed a block of rows at a time and
+    never stored whole.  As L L^H is positive, lambda_min(G) >= -||S||_F, so
+    StateNotPositive is raised when ||S||_F > eps_assert.  Returns L^T (row k
+    is column k of L), ||S||_F and the smallest pivot kept.
+    """
+    d = len(p)
+    r_inv = np.linalg.inv(to_vector)
+    p_w = np.einsum("ia,kc,ikh->ach", r_inv, r_inv.conj(), p, optimize=True)
+    q_w = np.einsum("jb,ld,jlh->bhd", r_inv.conj(), r_inv, q, optimize=True)
+    diag = np.einsum("aah,bhb->ab", p_w.conj(), q_w).real.ravel()
+    rows = np.empty((min(d * d, 64), d * d), dtype=np.complex128)
+    pivots: list[float] = []
+    while len(pivots) < d * d:
+        k, piv = len(pivots), int(np.argmax(diag))
+        if diag[piv] <= tol.eps_rank:
+            break
+        if k == len(rows):
+            rows = np.concatenate([rows, np.empty_like(rows)])
+        a, b = divmod(piv, d)
+        col = (p_w[a].conj() @ q_w[b]).ravel().conj()  # column piv of G_w
+        rows[k] = (col - rows[:k].T @ rows[:k, piv].conj()) / np.sqrt(diag[piv])
+        pivots.append(float(diag[piv]))
+        diag -= rows[k].real ** 2 + rows[k].imag ** 2
+        diag[piv] = 0.0
+    # L = K^H L_w: R^H X conj(R) for each column X of L_w read as a d x d matrix
+    rows = (to_vector.conj().T @ rows[:len(pivots)].reshape(-1, d, d)
+            @ to_vector.conj()).reshape(len(pivots), -1)
+    rows_conj = rows.conj()
+    q_t = np.ascontiguousarray(q.transpose(0, 2, 1))
+    sq = 0.0
+    for i in range(d):
+        block = np.matmul(p[i].conj(), q_t).reshape(d, -1)  # rows (i, j) of G
+        block -= rows[:, i * d:(i + 1) * d].T @ rows_conj
+        sq += float(np.vdot(block, block).real)
+    resid = float(np.sqrt(sq))
+    if resid > tol.eps_assert:
+        raise StateNotPositive(f"joining state has negative part: Schur complement "
+                               f"{resid:.2e} at rank {len(pivots)}")
+    return rows, resid, min(pivots, default=float("inf"))
 
 
 def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
@@ -61,13 +111,12 @@ def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
     r_omega = right_d @ gns.omega
     omega_vals = np.einsum("a,iab,jb->ij", gns.omega.conj(), left_d, r_omega,
                            optimize=True)
-    # route two: lifted trace of e a e j(b); j sends the commutant slot back to
-    # a left-acting element, so the conditioning happens through e alone
+    # route two: lifted trace Tr(Delta x) of x = e a e j(b); j sends the
+    # commutant slot back to a left-acting element, so the conditioning
+    # happens through e alone
     e = bc.e
-    alt = np.empty((d, d), dtype=np.complex128)
-    for i in range(d):
-        blocks = e @ gns.left_mats[i] @ e @ gns.left_mats
-        alt[i] = bc.algebra.coords_stack(blocks) @ bc.trace_vector
+    alt = np.einsum("ab,ibc,cd,jda->ij", bc.trace.density @ e, gns.left_mats, e,
+                    gns.left_mats, optimize=True)
     two_formula = float(np.abs(omega_vals - alt).max())
     # marginals against mu and mu' = mu(j(.))
     mu_vals = parent.trace.values(alg.basis)
@@ -81,26 +130,22 @@ def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
     if invariance > tol.eps_assert:
         raise NumericalBreakdown(f"the joining is not invariant under alpha (x) "
                                  f"alpha' (residual {invariance:.2e})")
-    # Gram of the joining state over the d^2 simple tensors
+    # Gram of the joining state over the d^2 simple tensors, as a sum of
+    # Kronecker products
     p_vecs = np.empty((d, d, gns.dim), dtype=np.complex128)
     q_vecs = np.empty((d, d, gns.dim), dtype=np.complex128)
     adj = alg.basis.conj().transpose(0, 2, 1)
     for i in range(d):
         p_vecs[i] = (e @ gns.to_vector @ alg.coords_stack(adj @ alg.basis[i]).T).T
         q_vecs[i] = (e @ gns.to_vector @ alg.coords_stack(alg.basis @ adj[i]).T).T
-    gram = np.einsum("ikh,jlh->ijkl", p_vecs.conj(), q_vecs,
-                     optimize=True).reshape(d * d, d * d)
-    gram = (gram + gram.conj().T) / 2
-    vals, vecs = np.linalg.eigh(gram)
-    if vals.min() < -tol.eps_assert:
-        raise StateNotPositive(f"joining state has negative part {vals.min():.2e}")
-    keep = vals > tol.eps_rank
-    lam = vals[keep]
-    v = vecs[:, keep]
-    gamma = (np.sqrt(lam)[:, None] * v.conj().T)  # (r, d^2)
-    # kron(m, m) acts on a column of v, read as a d x d matrix V, as m V m^T
-    m_tau_v = (m_alpha @ v.T.reshape(-1, d, d) @ m_alpha.T).reshape(-1, d * d).T
-    w = (np.sqrt(lam)[:, None] * (v.conj().T @ m_tau_v)) / np.sqrt(lam)[None, :]
+    l_rows, factor_resid, smallest_pivot = factor_gram(p_vecs, q_vecs,
+                                                       gns.to_vector, tol)
+    # L = V S with V orthonormal: gamma = S V^H, and L L^H = gamma^H gamma
+    _, s, vh = np.linalg.svd(l_rows, full_matrices=False)
+    gamma = s[:, None] * vh.conj()  # (r, d^2)
+    # kron(m, m) acts on a column of V, read as a d x d matrix X, as m X m^T
+    moved = (m_alpha @ vh.reshape(-1, d, d) @ m_alpha.T).reshape(len(s), -1)
+    w = s[:, None] * (vh.conj() @ moved.T) / s[None, :]
     id_coords = alg.coords(alg.identity())
     omega_vec = gamma @ np.kron(id_coords, id_coords)
     # F-subspace, both descriptions
@@ -115,9 +160,9 @@ def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
     if span_resid > tol.eps_assert:
         raise NumericalBreakdown(f"F (x) 1 and 1 (x) j(F) span different subspaces "
                                  f"(residual {span_resid:.2e})")
-    return JoiningData(gns, sub, omega_vals, two_formula, marg, invariance, gram,
+    return JoiningData(gns, sub, omega_vals, two_formula, marg, invariance,
                        np.ascontiguousarray(gamma), np.ascontiguousarray(w),
-                       omega_vec, span_resid)
+                       omega_vec, span_resid, factor_resid, smallest_pivot)
 
 
 def joining_equivalence(jd: JoiningData, bc: BasicConstruction,

@@ -24,8 +24,8 @@ from .spectrum import (SpectrumReport, build_spectrum_report,
 CHECK_NAMES = (
     "mu_bar_extension", "commutant_equality", "trace_tracial",
     "alpha_bar_invariance", "R_isometry", "R_intertwine", "omega_marginals",
-    "omega_two_formulas", "module_completeness", "trace_additivity", "rds",
-    "rwm_exact", "rwm_cesaro_consistency", "fiber_formula",
+    "omega_two_formulas", "joining_factorisation", "module_completeness",
+    "trace_additivity", "rds", "rwm_exact", "rwm_cesaro_consistency", "fiber_formula",
     "finite_extension_beta", "finite_extension_nonproduct",
 )
 
@@ -95,6 +95,9 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
     add("R_intertwine", intertwine)
     add("omega_marginals", jd.marginal_residual)
     add("omega_two_formulas", jd.two_formula_residual)
+    add("joining_factorisation", jd.factor_residual,
+        note=f"smallest kept pivot {jd.smallest_pivot:.3e}, "
+             f"{jd.smallest_pivot / tol.eps_rank:.3e} x eps_rank")
     add("module_completeness", spectrum.completeness_residual)
     add("trace_additivity", spectrum.additivity_residual)
     add("rds", spectrum.completeness_residual, passed=spectrum.rds,

@@ -6,6 +6,7 @@ import pytest
 import vnspec as v
 from vnspec import linalg
 from vnspec.errors import NumericalBreakdown
+from test_routes import joining_gram_by_eigh
 
 
 def test_commutant_system_dimensions_and_trace(analyses):
@@ -70,7 +71,8 @@ def test_joining_of_trivial_subsystem_is_product(analyses):
 def test_gram_positive_and_quotient_rank(analyses):
     for name, an in analyses.items():
         jd = an.joining
-        vals = np.linalg.eigvalsh(jd.gram)
+        gram, _, _ = joining_gram_by_eigh(an.gns, an.basic)
+        vals = np.linalg.eigvalsh(gram)
         assert vals.min() > -1e-9, name
         assert jd.rank == len(an.basic.u_bar), name
 

@@ -1,9 +1,13 @@
 """End-to-end properties: every valid input yields a coherent certificate."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import vnspec as v
+from vnspec import cli
+from vnspec.descriptions import parse_system
 from vnspec.pipeline import CHECK_NAMES, analyze_built, analyze_description
 
 
@@ -119,12 +123,49 @@ def test_skewed_weights_within_regime_pass():
     assert max(s.minimum for s in an.spectrum.cesaro) > 1e-2
 
 
+def test_skewed_weights_pass_down_to_1e6():
+    # the joining factors its Gram in GNS-whitened coordinates, where the
+    # pivots do not scale with the weight
+    an = analyze_built("t", "tensor", _skewed_fiber_tensor(1e-6))
+    assert an.passed
+    assert an.joining.smallest_pivot > 0.5
+
+
 def test_extreme_weights_fail_loudly_not_silently():
-    # joining Gram eigenvalues scale with the squared weight; once they sink
-    # below the rank cutoff the equivalence map cannot be unitary and the
-    # toolkit must raise rather than emit a wrong certificate
+    # the equivalence map loses accuracy like 1 / weight: it passes at 2e-8
+    # and is off unitary by more than eps_assert from about 1.5e-8 down, and
+    # the toolkit must raise rather than emit a wrong certificate
     with pytest.raises(v.errors.NumericalBreakdown):
-        analyze_built("t", "tensor", _skewed_fiber_tensor(1e-6))
+        analyze_built("t", "tensor", _skewed_fiber_tensor(1e-8))
+
+
+def _weight_ladder(weight, atom_pairs):
+    """Weights (w, w, (1-2w)/2, (1-2w)/2), the swaps 0 <-> 1 and 2 <-> 3, and F
+    trivial or generated by the two invariant atom pairs."""
+    params = {"weights": [weight, weight, (1 - 2 * weight) / 2, (1 - 2 * weight) / 2],
+              "permutation": [1, 0, 3, 2]}
+    if atom_pairs:
+        params["sub_partition"] = [[0, 1], [2, 3]]
+    return {"format_version": 1, "name": "weight_ladder", "kind": "classical",
+            "parameters": params}
+
+
+@pytest.mark.parametrize("atom_pairs", [False, True], ids=["trivial_f", "atom_pairs"])
+def test_weight_ladder_passes_down_to_the_trace_cutoff(atom_pairs):
+    """Every weight the faithfulness cutoff eps_rank admits is certified, with
+    whitened pivots of 1; a full eigendecomposition of the Gram lost rank
+    below w = 1e-5 with trivial F and below w = 5e-10 with the atom pairs."""
+    an = analyze_description(parse_system(_weight_ladder(2e-10, atom_pairs)))
+    assert an.passed
+    assert an.joining.smallest_pivot > 0.5
+
+
+@pytest.mark.parametrize("atom_pairs", [False, True], ids=["trivial_f", "atom_pairs"])
+def test_weight_ladder_below_the_trace_cutoff_is_refused(atom_pairs, tmp_path, capsys):
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(_weight_ladder(5e-11, atom_pairs)))
+    assert cli.main(["analyze", str(path), "--quiet"]) == 2
+    assert "not faithful" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("eps_assert", [1e-6, 1e-12])

@@ -12,8 +12,10 @@ trace instead of the generic automorphism check.  span(A e A) is certified
 as j(F)' by commutation with j(F) and the Bratteli dimension instead of the
 commutant of j(F) grown from all of M_n.  The lifted trace is the closed form
 Tr(x j(sum_k mu(p_k) / n_k^2 p_k)) over the central blocks of F instead of a
-least-squares extension over the spanning family.  The older routes survive
-here only, as oracles.
+least-squares extension over the spanning family.  The joining's GNS space
+comes from a pivoted Cholesky factor of its Gram matrix in GNS-whitened
+coordinates instead of a full eigendecomposition of the d^2 x d^2 Gram.  The
+older routes survive here only, as oracles.
 """
 import json
 import os
@@ -33,7 +35,7 @@ from vnspec.descriptions import build_from_description, parse_system
 from vnspec import basic
 from vnspec.algebra import DEFAULT_TOL, product_closure_residual
 from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, NotAutomorphism,
-                           NumericalBreakdown)
+                           NumericalBreakdown, StateNotPositive)
 from vnspec.pipeline import analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 from conftest import E12
@@ -283,14 +285,15 @@ def test_skew_d24_fits_in_one_gib():
     assert proc.stdout.strip() == "ok"
 
 
-def test_skew_d64_is_too_large_for_one_gib(tmp_path):
-    """d = 48 fits; at d = 64 the joining does not, and the CLI says so."""
-    n_x = 16
+def test_skew_d96_is_too_large_for_one_gib(tmp_path):
+    """d = 64 fits; at d = 96 the d^2 products spanning <A, e> do not, and the
+    CLI says so."""
+    n_x = 24
     desc = {**SKEW_D24, "name": "skew_x16", "parameters": {
         **SKEW_D24["parameters"], "weights": [1.0 / n_x] * n_x,
         "permutation": [(x + 1) % n_x for x in range(n_x)],
         "cocycle": [1] + [0] * (n_x - 1)}}
-    path = tmp_path / "skew_d64.json"
+    path = tmp_path / "skew_d96.json"
     path.write_text(json.dumps(desc))
     child = textwrap.dedent(f"""
         import resource, sys
@@ -308,6 +311,76 @@ def test_skew_d64_is_too_large_for_one_gib(tmp_path):
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "too large for the available memory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# --- the joining Gram: pivoted Cholesky against the full eigendecomposition -
+
+def joining_gram_by_eigh(gns, bc, tol=DEFAULT_TOL):
+    """The joining Gram over the d^2 simple tensors with its kept eigenpairs,
+    by the d^2 x d^2 eigh the joining once used."""
+    alg = gns.system.algebra
+    d = alg.dim
+    e = bc.e
+    p_vecs = np.empty((d, d, gns.dim), dtype=np.complex128)
+    q_vecs = np.empty((d, d, gns.dim), dtype=np.complex128)
+    adj = alg.basis.conj().transpose(0, 2, 1)
+    for i in range(d):
+        p_vecs[i] = (e @ gns.to_vector @ alg.coords_stack(adj @ alg.basis[i]).T).T
+        q_vecs[i] = (e @ gns.to_vector @ alg.coords_stack(alg.basis @ adj[i]).T).T
+    gram = np.einsum("ikh,jlh->ijkl", p_vecs.conj(), q_vecs,
+                     optimize=True).reshape(d * d, d * d)
+    gram = (gram + gram.conj().T) / 2
+    vals, vecs = np.linalg.eigh(gram)
+    if vals.min() < -tol.eps_assert:
+        raise StateNotPositive(f"joining state has negative part {vals.min():.2e}")
+    keep = vals > tol.eps_rank
+    return gram, vals[keep], vecs[:, keep]
+
+
+def _assert_factor_route(name, an):
+    jd = an.joining
+    gram, lam, _ = joining_gram_by_eigh(an.gns, an.basic)
+    assert jd.rank == len(lam), name
+    got = np.sort(np.einsum("ij,ij->i", jd.gamma.conj(), jd.gamma).real)
+    assert np.abs(got - lam).max() <= 1e-10 * lam.max(), name
+    assert np.abs(jd.gamma.conj().T @ jd.gamma - gram).max() <= 1e-12, name
+    assert jd.factor_residual <= 1e-12, name
+
+
+def test_factor_equals_eigh_route(analyses):
+    for name, an in analyses.items():
+        _assert_factor_route(name, an)
+
+
+def test_skew_d24_factor_equals_eigh_route(skew_d24):
+    _assert_factor_route(SKEW_D24["name"], skew_d24)
+
+
+def _as_kronecker_terms(spectrum, seed=0):
+    """p, q with sum_h conj(p[i, k, h]) q[j, l, h] a Hermitian d^2 x d^2 matrix
+    of the given spectrum, one term per pair (j, l)."""
+    n = len(spectrum)
+    d = int(round(np.sqrt(n)))
+    u, _ = np.linalg.qr(linalg.random_complex(np.random.default_rng(seed), (n, n)))
+    gram = (u * np.asarray(spectrum)) @ u.conj().T
+    p = gram.conj().reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d, d, n)
+    return gram, p, np.eye(n).reshape(d, d, n)
+
+
+def test_factor_rejects_a_negative_eigenvalue():
+    _, p, q = _as_kronecker_terms([3.0, 2.0, 1.0, 0.5, -1e-6] + [0.0] * 11)
+    with pytest.raises(StateNotPositive, match="negative part"):
+        v.factor_gram(p, q, np.eye(4))
+
+
+def test_factor_finds_the_rank_of_a_positive_matrix():
+    gram, p, q = _as_kronecker_terms([4.0, 1.0, 1e-3, 1e-6, 1e-9] + [0.0] * 20,
+                                     seed=1)
+    rows, resid, smallest = v.factor_gram(p, q, np.eye(5))
+    assert rows.shape == (5, 25)
+    assert resid <= 1e-12
+    assert np.abs(rows.T @ rows.conj() - gram).max() <= 1e-12
+    assert 1e-10 < smallest <= 1e-9
 
 
 # --- conjugation automorphisms: invariance against the generic check --------

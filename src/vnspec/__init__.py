@@ -22,8 +22,7 @@ from .constructors import (ConstructedSystem, FiniteExtensionSpec, GroupSystem,
                            build_tensor_system, classical_sub_partition,
                            group_sub_system, identity_automorphism,
                            tensor_partition_isometries, trivial_subalgebra)
-from .gns import (GnsSpace, build_gns, cyclic_subspace_projection,
-                  gns_invariant_residuals)
+from .gns import GnsSpace, build_gns, cyclic_subspace_projection
 from .joining import (ErgodicityCheck, JoiningData, factor_gram, joining_equivalence,
                       relative_ergodicity_check, relative_joining)
 from .spectrum import (CesaroSample, FiberReport, RdsCertificate, SpectrumReport,

@@ -1,14 +1,16 @@
 """Jones basic construction with its canonical lifted trace.
 
 Given a system on H with cyclic projection e onto the subalgebra's cyclic
-subspace, builds <A, e> as the span of the products a e b (in finite
-dimensions this span is already a unital algebra, and the check of that is
-recorded), certifies that it is the commutant j(F)' of the right subalgebra
-action by inclusion (every basis element commutes with j(F)) and dimension
-(the Bratteli count sum_k m_k^2 over the central blocks of F in A, which
-never reads e), gives it the trace  lifted(a e b) = mu(a b)  in closed form
-from the same blocks, conjugates the dynamics, and maps the result into
-L2(<A, e>, lifted trace) by a Cholesky factor of its Gram matrix.
+subspace, builds <A, e> as the span of the products a e b, certifies that it
+is the commutant j(F)' of the right subalgebra action by inclusion (every
+basis element commutes with j(F)) and dimension (the Bratteli count
+sum_k m_k^2 over the central blocks of F in A, which never reads e), and
+that it is a unital algebra by the Jones relation  e a e = E(a) e  on the
+basis of A, so that (a e b)(c e d) = a E(b c) e d stays in the span, and by
+the identity's membership.  It gives the algebra the trace
+lifted(a e b) = mu(a b)  in closed form from the same blocks, conjugates the
+dynamics, and maps the result into L2(<A, e>, lifted trace) by a Cholesky
+factor of its Gram matrix.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 from . import linalg
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, StarAutomorphism, Subsystem,
                       ToleranceConfig, TraceFunctional, automorphism_from_unitary,
-                      bratteli_blocks, product_closure_residual,
+                      bratteli_blocks, conditional_expectation,
                       product_trace_table, validate_trace)
 from .errors import (CommutantMismatch, ExtensionInconsistent, NotAutomorphism,
                      NumericalBreakdown, PartitionInvalid, TraceNotFaithful)
@@ -60,23 +62,40 @@ def _span_products(gns: GnsSpace, e: np.ndarray) -> np.ndarray:
     return (left_e[:, None] @ gns.left_mats[None]).reshape(-1, n, n)
 
 
+def _jones_relation(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
+                    alg_bar: MatrixStarAlgebra, tol: ToleranceConfig) -> float:
+    """Residual of  e a e = E(a) e  on the basis of A, and of the identity's
+    membership in the algebra, the span of {a_i e a_j}.
+
+    By the relation (Jones 1983), (a e b)(c e d) = a E(b c) e d, so span(A e A)
+    is closed under products; the dimension count has certified that the
+    basis leaves none of the a e b out.  E is the trace-preserving
+    conditional expectation onto F, and L(E(a_i)) = sum_j E[j, i] L(a_j).
+    """
+    ident = alg_bar.membership_residual(np.eye(gns.dim))
+    if ident > tol.eps_assert:
+        raise ExtensionInconsistent(
+            f"span(A e A) does not contain the identity (residual {ident:.2e})")
+    exp = conditional_expectation(gns.system, sub, tol).matrix
+    cond = np.tensordot(exp, gns.left_mats, axes=(0, 0))
+    jones = float(np.abs(e @ gns.left_mats @ e - cond @ e).max())
+    if jones > tol.eps_assert:
+        raise ExtensionInconsistent(
+            f"the Jones relation e a e = E(a) e fails on a basis element of A "
+            f"(residual {jones:.2e})")
+    return max(ident, jones)
+
+
 def lifted_trace(gns: GnsSpace, e: np.ndarray, alg_bar: MatrixStarAlgebra,
                  blocks: list[tuple[np.ndarray, int, int]], tol: ToleranceConfig = DEFAULT_TOL
                  ) -> tuple[TraceFunctional, float]:
     """The trace  a e b -> mu(a b)  on the algebra, in closed form.
 
-    First checks that the algebra, the span of {a_i e a_j}, is closed under
-    products and contains the identity.  <A, e> = j(F)' has the trace vector
-    of F, so the trace is Tr(x Delta) with the central density
-    Delta = j(sum_k mu(p_k) / n_k^2 p_k) over the blocks (p_k, n_k, m_k) of F
-    in A.  The defining identity is checked on every pair of basis elements;
-    the returned residual is the larger of the closure and that residual.
+    <A, e> = j(F)' has the trace vector of F, so the trace is Tr(x Delta)
+    with the central density Delta = j(sum_k mu(p_k) / n_k^2 p_k) over the
+    blocks (p_k, n_k, m_k) of F in A.  The defining identity is checked on
+    every pair of basis elements, and its residual is returned.
     """
-    closure = product_closure_residual(alg_bar, list(gns.left_mats) + [e])
-    if closure > tol.eps_assert:
-        raise ExtensionInconsistent(
-            f"span(A e A) is not closed under products "
-            f"(residual {closure:.2e})")
     mu = gns.system.trace
     z = sum(mu.value(p).real / n ** 2 * p for p, n, _ in blocks)
     density = gns.j_op(gns.left(z))
@@ -88,7 +107,7 @@ def lifted_trace(gns: GnsSpace, e: np.ndarray, alg_bar: MatrixStarAlgebra,
         raise ExtensionInconsistent(
             f"lifted(a e b) = mu(a b) fails on a basis pair "
             f"(residual {defining:.2e})")
-    return TraceFunctional(density, normalized=False), max(closure, defining)
+    return TraceFunctional(density, normalized=False), defining
 
 
 def build_basic_construction(gns: GnsSpace, sub: Subsystem,
@@ -109,7 +128,8 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
         raise CommutantMismatch(
             f"span(A e A) (dim {spanned.dim}) and j(F)' (dim {count} by the "
             f"Bratteli count) disagree, commutator residual {resid:.2e}")
-    trace_bar, ext_resid = lifted_trace(gns, e, spanned, blocks, tol)
+    jones = _jones_relation(gns, sub, e, spanned, tol)
+    trace_bar, defining = lifted_trace(gns, e, spanned, blocks, tol)
     # the lifted trace is faithful, and U normalises <A, e> whenever alpha is
     # an automorphism of A fixing F; a fault here is a failed cross-check
     try:
@@ -121,7 +141,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     to_vec, _, u_bar = gns_map(gram_bar, dyn_bar.matrix)
     return BasicConstruction(gns, sub, e, spanned, trace_bar.values(spanned.basis),
                              trace_bar, dyn_bar, np.ascontiguousarray(to_vec),
-                             np.ascontiguousarray(u_bar), resid, ext_resid)
+                             np.ascontiguousarray(u_bar), resid, max(jones, defining))
 
 
 def default_partition(bc: BasicConstruction,

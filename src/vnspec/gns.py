@@ -94,46 +94,3 @@ def cyclic_subspace_projection(gns: GnsSpace, sub: Subsystem,
     cols = gns.to_vector @ sub.coords_in_parent.T  # (dim, m), columns f Omega
     q = linalg.orthonormal_columns(cols, tol.eps_rank)
     return q @ q.conj().T
-
-
-def gns_invariant_residuals(gns: GnsSpace) -> dict[str, float]:
-    """Numerical residuals of the defining GNS identities (for checks/tests)."""
-    alg = gns.system.algebra
-    d, dim = alg.dim, gns.dim
-    eye = np.eye(dim)
-    k = gns.conj_matrix
-    u = gns.u_matrix
-    out = {}
-    # <Omega, a Omega> = mu(a) on the basis
-    vals = np.array([np.vdot(gns.omega, gns.left_mats[i] @ gns.omega)
-                     for i in range(d)])
-    out["cyclic_vector_trace"] = float(
-        np.abs(vals - gns.system.trace.values(alg.basis)).max())
-    # J is an involution and antiunitary
-    out["j_involution"] = float(np.abs(k @ k.conj() - eye).max())
-    out["j_antiunitary"] = float(np.abs(k.conj().T @ k - eye).max())
-    out["j_fixes_omega"] = float(np.abs(k @ gns.omega.conj() - gns.omega).max())
-    # J(a Omega) = a* Omega
-    star_vecs = gns.to_vector @ alg.coords_stack(
-        alg.basis.conj().transpose(0, 2, 1)).T
-    plain_vecs = gns.to_vector @ np.eye(d)
-    out["j_star_vector"] = float(
-        np.abs(k @ plain_vecs.conj() - star_vecs).max())
-    # U unitary, U Omega = Omega, U a U* = alpha(a)
-    out["u_unitary"] = float(np.abs(u @ u.conj().T - eye).max())
-    out["u_fixes_omega"] = float(np.abs(u @ gns.omega - gns.omega).max())
-    images = alg.from_coords_stack(gns.system.dynamics.matrix.T)
-    conj_resid = 0.0
-    for i in range(d):
-        lhs = u @ gns.left_mats[i] @ u.conj().T
-        conj_resid = max(conj_resid, float(np.abs(lhs - gns.left(images[i])).max()))
-    out["u_implements_dynamics"] = conj_resid
-    out["uj_commute"] = float(np.abs(u @ k - k @ u.conj()).max())
-    # left and right actions commute
-    comm = 0.0
-    for i in range(d):
-        ji = gns.j_op(gns.left_mats[i])
-        resid = np.abs(gns.left_mats @ ji - ji @ gns.left_mats).max()
-        comm = max(comm, float(resid))
-    out["left_right_commute"] = comm
-    return out

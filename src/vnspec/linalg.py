@@ -78,7 +78,9 @@ def nullspace(mat: np.ndarray, eps_rank: float) -> np.ndarray:
     """Orthonormal columns spanning the kernel, cutoff on singular values."""
     a = np.asarray(mat, dtype=np.complex128)
     m, n = a.shape
-    if m < n:  # pad so the economy SVD still returns all right singular vectors
+    if m > n:  # R of a = QR has the same singular values and right vectors
+        a = np.linalg.qr(a, mode="r")
+    elif m < n:  # pad so the economy SVD still returns all right singular vectors
         a = np.vstack([a, np.zeros((n - m, n), dtype=np.complex128)])
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > eps_rank))

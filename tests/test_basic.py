@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import vnspec as v
-from vnspec.algebra import ToleranceConfig
-from vnspec.basic import (default_partition, lifted_trace, lifted_trace_via_partition,
-                          product_closure_residual)
-from vnspec.errors import ExtensionInconsistent, NumericalBreakdown, PartitionInvalid
+from vnspec import linalg
+from vnspec.algebra import ToleranceConfig, product_closure_residual
+from vnspec.basic import default_partition, lifted_trace, lifted_trace_via_partition
+from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, NumericalBreakdown,
+                           PartitionInvalid)
 
 
 def test_m2_over_scalars_gives_full_operator_algebra(analyses):
@@ -176,15 +177,20 @@ def _blocks(an):
     return v.bratteli_blocks(an.built.system.algebra, an.built.sub.algebra)
 
 
-def test_closure_residual_fails_on_a_truncated_span(analyses):
+def test_closure_residual_fails_on_a_truncated_span(analyses, monkeypatch):
+    """The closure oracle sees a missing row; the pipeline's dimension count
+    rejects a span built one row short before the Jones relation is tried."""
+    extend = linalg.extend_orthonormal
     for name, an in analyses.items():
         gns, bc = an.gns, an.basic
         gens = list(gns.left_mats) + [bc.e]
         assert product_closure_residual(bc.algebra, gens) < 1e-12, name
         short = v.MatrixStarAlgebra(gns.dim, bc.algebra.basis[:-1].copy())
         assert product_closure_residual(short, gens) > 0.1, name
-        with pytest.raises(ExtensionInconsistent, match="not closed"):
-            lifted_trace(gns, bc.e, short, _blocks(an))
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "extend_orthonormal", lambda *args: extend(*args)[:-1])
+            with pytest.raises(CommutantMismatch, match="disagree"):
+                v.build_basic_construction(gns, an.built.sub)
 
 
 def test_extension_threshold_follows_eps_assert(analyses):

@@ -56,6 +56,25 @@ def test_nullspace_of_wide_and_tall():
     assert linalg.nullspace(b, 1e-12).shape == (3, 0)
 
 
+def _nullspace_by_full_svd(a, eps_rank):
+    """The kernel from an economy SVD of the tall matrix itself."""
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    return vh[int(np.sum(s > eps_rank)):].conj().T
+
+
+@pytest.mark.parametrize("seed, rows, cols, rank", [
+    (0, 40, 6, 6), (1, 300, 12, 7), (2, 900, 28, 19), (3, 50, 5, 0)])
+def test_nullspace_of_tall_input_matches_full_svd(seed, rows, cols, rank):
+    rng = np.random.default_rng(seed)
+    a = linalg.random_complex(rng, (rows, rank)) @ linalg.random_complex(rng, (rank, cols))
+    got = linalg.nullspace(a, 1e-10)
+    want = _nullspace_by_full_svd(a, 1e-10)
+    assert got.shape == want.shape == (cols, cols - rank)
+    assert np.abs(got.conj().T @ got - np.eye(cols - rank)).max(initial=0.0) < 1e-12
+    assert linalg.subspace_inclusion_residual(got, want) <= 1e-12
+    assert linalg.subspace_inclusion_residual(want, got) <= 1e-12
+
+
 def test_subspace_inclusion_residual():
     e1 = np.array([[1.0], [0.0], [0.0]], dtype=complex)
     plane = np.eye(3, dtype=complex)[:, :2]

@@ -14,8 +14,10 @@ commutant of j(F) grown from all of M_n.  The lifted trace is the closed form
 Tr(x j(sum_k mu(p_k) / n_k^2 p_k)) over the central blocks of F instead of a
 least-squares extension over the spanning family.  The joining's GNS space
 comes from a pivoted Cholesky factor of its Gram matrix in GNS-whitened
-coordinates instead of a full eigendecomposition of the d^2 x d^2 Gram.  The
-older routes survive here only, as oracles.
+coordinates instead of a full eigendecomposition of the d^2 x d^2 Gram.
+span(A e A) is shown closed under products by the Jones relation
+e a e = E(a) e instead of multiplying the span by every generator.  The older
+routes survive here only, as oracles.
 """
 import json
 import os
@@ -36,7 +38,7 @@ from vnspec import basic
 from vnspec.algebra import DEFAULT_TOL, product_closure_residual
 from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, NotAutomorphism,
                            NumericalBreakdown, StateNotPositive)
-from vnspec.pipeline import analyze_description
+from vnspec.pipeline import analyze_built, analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 from conftest import E12
 
@@ -263,6 +265,73 @@ def test_span_missing_a_row_fails_dimension(m2_over_diagonal_gns, monkeypatch):
         v.build_basic_construction(gns, sub)
 
 
+# --- <A, e> is an algebra: the Jones relation against the generic closure test
+
+def _closure_oracle(an):
+    """The span times each of the d + 1 generators left(a_i) and e, projected
+    back, and the identity's membership, as the pipeline once checked it."""
+    return product_closure_residual(an.basic.algebra,
+                                    list(an.gns.left_mats) + [an.basic.e])
+
+
+@pytest.fixture(scope="module")
+def spied_analyses():
+    """The shipped systems, the d = 24 skew product, both weight ladders at
+    2e-10 and the skewed tensor at 2e-8, analysed while every call of the
+    generic closure test is recorded."""
+    from test_pipeline_properties import _skewed_fiber_tensor, _weight_ladder
+    calls = []
+
+    def spy(alg, generators):
+        calls.append((alg.ambient_dim, alg.dim))
+        return product_closure_residual(alg, generators)
+    modules = [m for name, m in sys.modules.items() if name.startswith("vnspec")
+               and getattr(m, "product_closure_residual", None) is product_closure_residual]
+    with pytest.MonkeyPatch.context() as mp:
+        for m in modules:
+            mp.setattr(m, "product_closure_residual", spy)
+        found = {p.stem: analyze_description(parse_system(p.read_text()))
+                 for p in shipped_system_paths()}
+        found[SKEW_D24["name"]] = analyze_description(parse_system(SKEW_D24))
+        for pairs in (False, True):
+            found[f"weight_ladder_{pairs}"] = analyze_description(
+                parse_system(_weight_ladder(2e-10, pairs)))
+        found["skewed_tensor"] = analyze_built("t", "tensor", _skewed_fiber_tensor(2e-8))
+    return found, calls
+
+
+def test_span_is_closed_under_every_generator(spied_analyses):
+    found, _ = spied_analyses
+    assert len(found) == 11
+    for name, an in found.items():
+        assert an.passed, name
+        assert _closure_oracle(an) < 1e-12, name
+        assert an.basic.extension_residual < 1e-12, name
+
+
+def test_pipeline_never_runs_the_generic_closure_test(spied_analyses):
+    _, calls = spied_analyses
+    assert calls == []
+
+
+def test_conjugated_projection_fails_the_jones_relation(analyses, monkeypatch):
+    """u e u* for a unitary u of A outside F spans the same algebra, commutes
+    with j(F) and has the Bratteli dimension, but breaks e a e = E(a) e."""
+    an = analyses["finite_extension_m2"]
+    gns, sub, alg = an.gns, an.built.sub, an.built.system.algebra
+    h = v.random_element(alg, np.random.default_rng(3))
+    w, q = np.linalg.eigh(h + h.conj().T)
+    u = (q * np.exp(1j * w)) @ q.conj().T
+    assert alg.membership_residual(u) < 1e-12
+    assert sub.algebra.membership_residual(u) > 0.1
+    lu = gns.left(u)
+    e = v.cyclic_subspace_projection(gns, sub)
+    monkeypatch.setattr(basic, "cyclic_subspace_projection",
+                        lambda *args: lu @ e @ lu.conj().T)
+    with pytest.raises(ExtensionInconsistent, match="Jones relation"):
+        v.build_basic_construction(gns, sub)
+
+
 def test_skew_d24_fits_in_one_gib():
     """The stacked-commutant module search needed about 1.5 GB here."""
     child = textwrap.dedent(f"""
@@ -273,7 +342,7 @@ def test_skew_d24_fits_in_one_gib():
             cap = min(cap, hard)
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
         from vnspec.descriptions import parse_system
-        from vnspec.pipeline import analyze_description
+        from vnspec.pipeline import analyze_built, analyze_description
         an = analyze_description(parse_system({SKEW_D24!r}))
         assert an.passed and an.basic.algebra.dim == 96
         print("ok")

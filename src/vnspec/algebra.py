@@ -34,6 +34,7 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 BLOCK_SEED = 7  # seed of the generic central element in block_decomposition
+SPAN_SEED = 11  # seed of the generic generators of A over F spanning <A, e>
 
 
 @dataclass(frozen=True)
@@ -171,13 +172,18 @@ def commutant(alg: MatrixStarAlgebra,
 
 def center(alg: MatrixStarAlgebra,
            tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """Center of the algebra, computed in its own coordinates."""
+    """Center of the algebra, computed in its own coordinates.
+
+    The d n^2 x d matrix of commutators c -> [sum_i c_i b_i, b_j], stacked
+    over j, is reduced to its R factor one n^2-row block at a time; R has the
+    same kernel and singular values, and no more than d + n^2 rows are held.
+    """
     d, n = alg.dim, alg.ambient_dim
-    cols = np.empty((d * n * n, d), dtype=np.complex128)
-    for i in range(d):
-        comms = alg.basis[i] @ alg.basis - alg.basis @ alg.basis[i]
-        cols[:, i] = comms.reshape(-1)
-    kernel = linalg.nullspace(cols, tol.eps_rank)  # coords of central elements
+    r = np.zeros((0, d), dtype=np.complex128)
+    for b in alg.basis:
+        block = (alg.basis @ b - b @ alg.basis).reshape(d, -1).T  # col i: [b_i, b]
+        r = np.linalg.qr(np.vstack([r, block]), mode="r")
+    kernel = linalg.nullspace(r, tol.eps_rank)  # coords of central elements
     mats = np.tensordot(kernel.T, alg.basis, axes=(1, 0))
     return MatrixStarAlgebra(n, np.ascontiguousarray(mats))
 

@@ -1,13 +1,18 @@
 """Jones basic construction with its canonical lifted trace.
 
 Given a system on H with cyclic projection e onto the subalgebra's cyclic
-subspace, builds <A, e> as the span of the products a e b, certifies that it
-is the commutant j(F)' of the right subalgebra action by inclusion (every
-basis element commutes with j(F)) and dimension (the Bratteli count
-sum_k m_k^2 over the central blocks of F in A, which never reads e), and
-that it is a unital algebra by the Jones relation  e a e = E(a) e  on the
-basis of A, so that (a e b)(c e d) = a E(b c) e d stays in the span, and by
-the identity's membership.  It gives the algebra the trace
+subspace, builds <A, e> as the span of the d k products x e b, for the d
+elements x of A making the L(x) e Hilbert-Schmidt orthonormal and k seeded
+generic b in A with F b_1 + ... + F b_k = A (a Pimsner-Popa-type generating
+set), k = ceil(dim A / dim F) unless more are needed; it never forms the d^2
+products a_i e a_j.  It certifies that this span is the commutant j(F)' of
+the right subalgebra action by inclusion (every basis element commutes with
+j(F)) and dimension (the Bratteli count sum_k m_k^2 over the central blocks
+of F in A, which never reads e or the b), and that it is a unital algebra by
+the Jones relation  e a e = E(a) e  on the basis of A and by the identity's
+membership.  The relation makes e commute with F, so a e (f b) = (a f) e b
+and the span is all of span(A e A), which is closed under
+(a e b)(c e d) = a E(b c) e d.  It gives the algebra the trace
 lifted(a e b) = mu(a b)  in closed form from the same blocks, conjugates the
 dynamics, and maps the result into L2(<A, e>, lifted trace) by a Cholesky
 factor of its Gram matrix.
@@ -19,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, StarAutomorphism, Subsystem,
-                      ToleranceConfig, TraceFunctional, automorphism_from_unitary,
+from .algebra import (DEFAULT_TOL, SPAN_SEED, MatrixStarAlgebra, StarAutomorphism,
+                      Subsystem, ToleranceConfig, TraceFunctional, automorphism_from_unitary,
                       bratteli_blocks, conditional_expectation,
                       product_trace_table, validate_trace)
 from .errors import (CommutantMismatch, ExtensionInconsistent, NotAutomorphism,
@@ -55,22 +60,70 @@ class BasicConstruction:
         return self.bar_to_vector @ self.algebra.coords(mat)
 
 
-def _span_products(gns: GnsSpace, e: np.ndarray) -> np.ndarray:
-    """The d^2 products left(a_i) e left(a_j); row i * d + j."""
+def _whitener(ops: np.ndarray) -> np.ndarray:
+    """C with sum_j C[j, i] ops[j] Hilbert-Schmidt orthonormal: R^-1 for the
+    Cholesky factor R^H R of the operators' Gram matrix."""
+    rows = ops.reshape(len(ops), -1)
+    gram = rows.conj() @ rows.T
+    return np.linalg.inv(np.linalg.cholesky((gram + gram.conj().T) / 2).conj().T)
+
+
+def _generators(alg: MatrixStarAlgebra, sub_alg: MatrixStarAlgebra,
+                whiten: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """HS coordinates of seeded generic b_1 .. b_k with F b_1 + ... + F b_k = A.
+
+    Draws k = ceil(dim A / dim F) of them at once, the fewest that can
+    generate, as complex normal vectors mapped by ``whiten``, and one more at
+    a time while the products f_c b_s span less than A, decided by one rank
+    count of their coordinates.  k never depends on the Bratteli count that
+    the span is checked against.
+    """
+    d, n = alg.dim, alg.ambient_dim
+    rng = np.random.default_rng(SPAN_SEED)
+    draws = linalg.random_complex(rng, (-(-d // sub_alg.dim), d))
+    while True:
+        coords = draws @ whiten.T
+        prods = sub_alg.basis[:, None] @ alg.from_coords_stack(coords)[None]
+        rank = np.linalg.matrix_rank(alg.coords_stack(prods.reshape(-1, n, n)),
+                                     tol=tol.eps_rank)
+        if rank == d:
+            return coords
+        if len(draws) >= d:
+            raise NumericalBreakdown(
+                f"{len(draws)} generic elements generate a space of dim {rank} "
+                f"over F, not all of A (dim {d})")
+        draws = np.vstack([draws, linalg.random_complex(rng, (1, d))])
+
+
+def _span_candidates(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
+                     tol: ToleranceConfig) -> np.ndarray:
+    """The d k products (L(x_i) e)(e L(b_s)) spanning <A, e>, one row each.
+
+    The x_i make the L(x_i) e Hilbert-Schmidt orthonormal, and the b_s are
+    generic combinations of elements making the e L(b) so, which generate A
+    over F.  Both factors then have singular values near 1 however skewed
+    the trace, so the rank cutoff sees no trace weight.  As e commutes with
+    L(F), a e (f b) = (a f) e b, so span(A e B) = span(A e A).
+    """
     n = gns.dim
-    left_e = gns.left_mats @ e
-    return (left_e[:, None] @ gns.left_mats[None]).reshape(-1, n, n)
+    left_e, e_left = gns.left_mats @ e, e @ gns.left_mats
+    left_x = np.tensordot(_whitener(left_e), left_e, axes=(0, 0))
+    coords = _generators(gns.system.algebra, sub.algebra, _whitener(e_left), tol)
+    right_b = np.tensordot(coords, e_left, axes=(1, 0))
+    return (left_x[:, None] @ right_b[None]).reshape(-1, n * n)
 
 
 def _jones_relation(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
                     alg_bar: MatrixStarAlgebra, tol: ToleranceConfig) -> float:
     """Residual of  e a e = E(a) e  on the basis of A, and of the identity's
-    membership in the algebra, the span of {a_i e a_j}.
+    membership in the algebra, the span of {x_i e b_s}.
 
-    By the relation (Jones 1983), (a e b)(c e d) = a E(b c) e d, so span(A e A)
-    is closed under products; the dimension count has certified that the
-    basis leaves none of the a e b out.  E is the trace-preserving
-    conditional expectation onto F, and L(E(a_i)) = sum_j E[j, i] L(a_j).
+    For a in F the relation gives e a = a e, so with F b_1 + ... + F b_k = A
+    the span holds every a e (f b) = (a f) e b, that is span(A e A); by the
+    relation (Jones 1983), (a e b)(c e d) = a E(b c) e d, so span(A e A) is
+    closed under products.  The dimension count has certified that the basis
+    leaves none of the x_i e b_s out.  E is the trace-preserving conditional
+    expectation onto F, and L(E(a_i)) = sum_j E[j, i] L(a_j).
     """
     ident = alg_bar.membership_residual(np.eye(gns.dim))
     if ident > tol.eps_assert:
@@ -114,9 +167,8 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
                              tol: ToleranceConfig = DEFAULT_TOL) -> BasicConstruction:
     e = cyclic_subspace_projection(gns, sub, tol)
     n = gns.dim
-    rows = linalg.extend_orthonormal(
-        np.zeros((0, n * n), dtype=np.complex128),
-        _span_products(gns, e).reshape(-1, n * n), tol.eps_rank)
+    rows = linalg.extend_orthonormal(np.zeros((0, n * n), dtype=np.complex128),
+                                     _span_candidates(gns, sub, e, tol), tol.eps_rank)
     spanned = MatrixStarAlgebra(n, np.ascontiguousarray(rows.reshape(-1, n, n)))
     # inclusion in j(F)': the largest entry of [b, j(f)], relative to |j(f)|
     right_f = [gns.j_op(gns.left(f)) for f in sub.algebra.basis]

@@ -16,8 +16,11 @@ least-squares extension over the spanning family.  The joining's GNS space
 comes from a pivoted Cholesky factor of its Gram matrix in GNS-whitened
 coordinates instead of a full eigendecomposition of the d^2 x d^2 Gram.
 span(A e A) is shown closed under products by the Jones relation
-e a e = E(a) e instead of multiplying the span by every generator.  The older
-routes survive here only, as oracles.
+e a e = E(a) e instead of multiplying the span by every generator.  <A, e> is
+spanned by the d k products x_i e b_s over a few generic generators b_s of A
+over F instead of all d^2 products a_i e a_j, and the center is found from the
+commutators reduced to their R factor block by block instead of stacked whole.
+The older routes survive here only, as oracles.
 """
 import json
 import os
@@ -34,7 +37,7 @@ from vnspec import linalg
 from vnspec.algebra import validate_automorphism
 from vnspec.cli import shipped_system_paths
 from vnspec.descriptions import build_from_description, parse_system
-from vnspec import basic
+from vnspec import algebra, basic
 from vnspec.algebra import DEFAULT_TOL, product_closure_residual
 from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, NotAutomorphism,
                            NumericalBreakdown, StateNotPositive)
@@ -135,6 +138,7 @@ SKEW_D24 = {
         "group_table": [[(i + j) % 4 for j in range(4)] for i in range(4)],
         "group_automorphism": [0, 3, 2, 1], "cocycle": [1, 0, 2, 0, 0, 0]}}
 ADDRESS_SPACE_CAP = 1 << 30
+SMALL_ADDRESS_SPACE_CAP = 384 << 20
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -176,6 +180,13 @@ def test_skew_d24_span_equals_commutant_of_right_action(skew_d24):
 
 # --- the lifted trace: closed form against the least-squares extension ------
 
+def span_products(gns, e):
+    """The d^2 products left(a_i) e left(a_j); row i * d + j."""
+    n = gns.dim
+    left_e = gns.left_mats @ e
+    return (left_e[:, None] @ gns.left_mats[None]).reshape(-1, n, n)
+
+
 def lifted_trace_coefficients(gns, e, alg_bar, tol=DEFAULT_TOL):
     """Extend  a e b -> mu(a b)  to a linear functional on the whole algebra.
 
@@ -191,7 +202,7 @@ def lifted_trace_coefficients(gns, e, alg_bar, tol=DEFAULT_TOL):
         raise ExtensionInconsistent(
             f"span(A e A) is not closed under products "
             f"(residual {closure:.2e})")
-    span_cols = alg_bar.coords_stack(basic._span_products(gns, e)).T
+    span_cols = alg_bar.coords_stack(span_products(gns, e)).T
     values = gns.system.trace.values(
         (alg.basis[:, None] @ alg.basis[None]).reshape(-1, *alg.basis.shape[1:]))
     trace_vec = values @ np.linalg.pinv(span_cols, rcond=tol.eps_rank)
@@ -332,6 +343,102 @@ def test_conjugated_projection_fails_the_jones_relation(analyses, monkeypatch):
         v.build_basic_construction(gns, sub)
 
 
+# --- <A, e> spanned by x_i e b_s for generators b_s of A over F, against
+# --- all d^2 products a_i e a_j
+
+def _product_span(gns, e, eps_rank=1e-10):
+    """span(A e A) from all d^2 products, as the pipeline once built it."""
+    n = gns.dim
+    rows = linalg.extend_orthonormal(np.zeros((0, n * n), dtype=np.complex128),
+                                     span_products(gns, e).reshape(-1, n * n), eps_rank)
+    return v.MatrixStarAlgebra(n, np.ascontiguousarray(rows.reshape(-1, n, n)))
+
+
+def test_generated_span_equals_all_products(spied_analyses):
+    """k = ceil(d / dim F) generators suffice on every system here."""
+    found, _ = spied_analyses
+    for name, an in found.items():
+        alg, sub_alg = an.built.system.algebra, an.built.sub.algebra
+        old = _product_span(an.gns, an.basic.e)
+        assert old.dim == an.basic.algebra.dim, name
+        assert _mutual_inclusion(old, an.basic.algebra) <= 1e-12, name
+        left_e = an.gns.left_mats @ an.basic.e
+        gens = basic._generators(alg, sub_alg, basic._whitener(left_e), DEFAULT_TOL)
+        assert len(gens) == -(-alg.dim // sub_alg.dim), name
+
+
+def test_finite_extension_offers_96_candidates_not_576(analyses, monkeypatch):
+    an = analyses["finite_extension_m2"]
+    offered, extend = [], linalg.extend_orthonormal
+
+    def spy(existing, candidates, eps_rank):
+        offered.append(len(candidates))
+        return extend(existing, candidates, eps_rank)
+    monkeypatch.setattr(linalg, "extend_orthonormal", spy)
+    bc = v.build_basic_construction(an.gns, an.built.sub)
+    assert offered == [96] and bc.algebra.dim == 96
+    assert len(span_products(an.gns, bc.e)) == 576
+
+
+@pytest.mark.parametrize("name", ["weight_ladder_False", "weight_ladder_True",
+                                  "skewed_tensor"])
+def test_span_rank_margin(spied_analyses, name):
+    """The smallest kept singular value of the candidates is 1e8 eps_rank or
+    more, and the largest is near 1; the d^2 unwhitened products kept theirs
+    at 2, 5e9 and 200 eps_rank here."""
+    an = spied_analyses[0][name]
+    cand = basic._span_candidates(an.gns, an.built.sub, an.basic.e, DEFAULT_TOL)
+    s = np.linalg.svd(cand, compute_uv=False)
+    assert s[an.basic.algebra.dim - 1] >= 1e8 * DEFAULT_TOL.eps_rank
+    assert s[0] <= 10.0
+
+
+def test_one_generator_short_fails_dimension(analyses, monkeypatch):
+    an = analyses["finite_extension_m2"]
+    gens = basic._generators
+    monkeypatch.setattr(basic, "_generators", lambda *args: gens(*args)[:-1])
+    with pytest.raises(CommutantMismatch, match=r"\(dim \d+\) and j\(F\)' \(dim 96 "):
+        v.build_basic_construction(an.gns, an.built.sub)
+
+
+def test_degenerate_draws_fail_to_generate(analyses, monkeypatch):
+    """Equal draws b_s never generate A over F, even d of them."""
+    an = analyses["finite_extension_m2"]
+    monkeypatch.setattr(linalg, "random_complex",
+                        lambda rng, shape: np.ones(shape, dtype=np.complex128))
+    with pytest.raises(NumericalBreakdown, match="24 generic elements generate"):
+        v.build_basic_construction(an.gns, an.built.sub)
+
+
+# --- the center: commutators reduced block by block against one stacked SVD
+
+def _stacked_center(alg, eps_rank=1e-10):
+    """The kernel of all d n^2 x d commutator coordinates at once."""
+    d, n = alg.dim, alg.ambient_dim
+    cols = np.empty((d * n * n, d), dtype=np.complex128)
+    for i in range(d):
+        cols[:, i] = (alg.basis[i] @ alg.basis - alg.basis @ alg.basis[i]).reshape(-1)
+    kernel = linalg.nullspace(cols, eps_rank)
+    return v.MatrixStarAlgebra(
+        n, np.ascontiguousarray(np.tensordot(kernel.T, alg.basis, axes=(1, 0))))
+
+
+def test_blockwise_center_equals_stacked_on_module_corners(analyses, monkeypatch):
+    corners, center = [], algebra.center
+
+    def spy(alg, tol=DEFAULT_TOL):
+        corners.append(alg)
+        return center(alg, tol)
+    monkeypatch.setattr(algebra, "center", spy)
+    for an in analyses.values():
+        v.find_minimal_modules(an.gns, an.built.sub, an.basic)
+    assert len(corners) >= 5
+    for alg in corners:
+        z, oracle = center(alg), _stacked_center(alg)
+        assert z.dim == oracle.dim
+        assert _mutual_inclusion(z, oracle) <= 1e-12
+
+
 def test_skew_d24_fits_in_one_gib():
     """The stacked-commutant module search needed about 1.5 GB here."""
     child = textwrap.dedent(f"""
@@ -354,9 +461,9 @@ def test_skew_d24_fits_in_one_gib():
     assert proc.stdout.strip() == "ok"
 
 
-def test_skew_d96_is_too_large_for_one_gib(tmp_path):
-    """d = 64 fits; at d = 96 the d^2 products spanning <A, e> do not, and the
-    CLI says so."""
+def test_skew_d96_is_too_large_for_384_mib(tmp_path):
+    """d = 96 peaks near 500 MB and fits in 1 GiB, but not under 384 MiB, and
+    the CLI says so; d = 128 needs about three minutes to fail in 1 GiB."""
     n_x = 24
     desc = {**SKEW_D24, "name": "skew_x16", "parameters": {
         **SKEW_D24["parameters"], "weights": [1.0 / n_x] * n_x,
@@ -367,7 +474,7 @@ def test_skew_d96_is_too_large_for_one_gib(tmp_path):
     child = textwrap.dedent(f"""
         import resource, sys
         _, hard = resource.getrlimit(resource.RLIMIT_AS)
-        cap = {ADDRESS_SPACE_CAP}
+        cap = {SMALL_ADDRESS_SPACE_CAP}
         if hard != resource.RLIM_INFINITY:
             cap = min(cap, hard)
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))

@@ -7,9 +7,8 @@ weak mixing and relative discrete spectrum.
 """
 from .algebra import (ConditionalExpectation, DEFAULT_TOL, MatrixStarAlgebra,
                       StarAutomorphism, Subsystem, ToleranceConfig,
-                      TraceFunctional, WStarSystem, automorphism_from_matrix,
-                      automorphism_from_unitary, block_decomposition,
-                      bratteli_blocks, center, commutant,
+                      TraceFunctional, WStarSystem, automorphism_from_unitary,
+                      block_decomposition, bratteli_blocks, center, commutant,
                       conditional_expectation, generate_algebra, gram_matrix,
                       product_closure_residual, random_element, subsystem,
                       system, trace_functional, validate_algebra, validate_trace)

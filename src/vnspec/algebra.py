@@ -3,7 +3,8 @@
 A von Neumann algebra is stored concretely as a *-subalgebra of M_N(C) with a
 Hilbert-Schmidt orthonormal basis.  A W*-dynamical system is such an algebra
 together with a faithful tracial state (given by a density matrix) and a
-trace-preserving *-automorphism (a coordinate matrix over the basis).
+trace-preserving *-automorphism, conjugation by a unitary, stored with its
+coordinate matrix over the basis.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 BLOCK_SEED = 7  # seed of the generic central element in block_decomposition
 SPAN_SEED = 11  # seed of the generic generators of A over F spanning <A, e>
+INCLUSION_SEED = 13  # seed of the generic generators of F in the j(F)' check
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,16 @@ class MatrixStarAlgebra:
         return self.basis.shape[0]
 
     def coords(self, mat: np.ndarray) -> np.ndarray:
-        """Hilbert-Schmidt coordinates of ``mat`` over the basis."""
-        return np.tensordot(self.basis.conj(), mat, axes=([1, 2], [0, 1]))
+        """Hilbert-Schmidt coordinates of ``mat`` over the basis, <b_k, mat>.
+
+        The input and the result are conjugated, never the basis.
+        """
+        return (self.basis_rows() @ np.asarray(mat).conj().reshape(-1)).conj()
 
     def coords_stack(self, mats: np.ndarray) -> np.ndarray:
         """Coordinates of a stack of matrices; row k holds coords(mats[k])."""
-        return np.tensordot(mats, self.basis.conj(), axes=([1, 2], [1, 2]))
+        flat = np.asarray(mats).reshape(len(mats), -1)
+        return (flat.conj() @ self.basis_rows().T).conj()
 
     def from_coords(self, c: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(c, dtype=np.complex128), self.basis, axes=(0, 0))
@@ -284,6 +290,13 @@ def validate_trace(alg: MatrixStarAlgebra, trace: TraceFunctional,
     Faithfulness is only required on the algebra (the ambient density may be
     singular).  Returns the Gram matrix for reuse.
     """
+    return checked_trace(alg, trace, tol)[0]
+
+
+def checked_trace(alg: MatrixStarAlgebra, trace: TraceFunctional,
+                  tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """``validate_trace``, returning the Gram matrix and the traciality
+    residual max |T - T^T| of the product trace table it checked."""
     rho = trace.density
     if np.abs(rho - rho.conj().T).max() > tol.eps_assert:
         raise TraceNotFaithful("density is not Hermitian")
@@ -293,34 +306,28 @@ def validate_trace(alg: MatrixStarAlgebra, trace: TraceFunctional,
     if np.linalg.eigvalsh((gram + gram.conj().T) / 2).min() < tol.eps_rank:
         raise TraceNotFaithful("trace is not faithful on the algebra")
     table = product_trace_table(alg, rho)
-    if np.abs(table - table.T).max() > tol.eps_assert:
+    tracial = float(np.abs(table - table.T).max())
+    if tracial > tol.eps_assert:
         raise TraceNotFaithful("functional is not tracial on the algebra")
     if trace.normalized and abs(trace.value(alg.identity()) - 1.0) > tol.eps_assert:
         raise TraceNotFaithful("normalized trace must send 1 to 1")
-    return gram
+    return gram, tracial
 
 
 @dataclass(frozen=True)
 class StarAutomorphism:
-    """Trace-preserving *-automorphism as a coordinate matrix over the basis."""
+    """Trace-preserving *-automorphism Ad(u): its coordinate matrix over the
+    basis, and the ambient unitary u when the map was built from one."""
     matrix: np.ndarray  # (dim, dim)
+    unitary: np.ndarray | None = field(repr=False, default=None)  # (N, N)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
+        if self.unitary is not None:
+            self.unitary.setflags(write=False)
 
     def apply(self, alg: MatrixStarAlgebra, mat: np.ndarray) -> np.ndarray:
         return alg.from_coords(self.matrix @ alg.coords(mat))
-
-
-def automorphism_from_matrix(alg: MatrixStarAlgebra, matrix,
-                             trace: TraceFunctional,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> StarAutomorphism:
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.shape != (alg.dim, alg.dim):
-        raise DimensionMismatch("coordinate matrix has wrong shape")
-    auto = StarAutomorphism(np.ascontiguousarray(m))
-    validate_automorphism(alg, auto, trace, tol)
-    return auto
 
 
 def automorphism_from_unitary(alg: MatrixStarAlgebra, unitary,
@@ -346,48 +353,70 @@ def automorphism_from_unitary(alg: MatrixStarAlgebra, unitary,
                               f"onto itself (residual {resid:.2e})")
     if np.abs(trace.values(images) - trace.values(alg.basis)).max() > tol.eps_assert:
         raise NotAutomorphism("conjugation by the unitary does not preserve the trace")
-    return StarAutomorphism(np.ascontiguousarray(m))
+    return StarAutomorphism(np.ascontiguousarray(m), np.ascontiguousarray(u))
 
 
-def validate_automorphism(alg: MatrixStarAlgebra, auto: StarAutomorphism,
-                          trace: TraceFunctional,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    m = auto.matrix
-    if np.linalg.svd(m, compute_uv=False)[-1] <= tol.eps_rank:
-        raise NumericalBreakdown("automorphism matrix is singular")
-    images = alg.from_coords_stack(m.T)  # images[i] = alpha(b_i)
-    for i in range(alg.dim):
-        lhs = alg.from_coords_stack((m @ alg.coords_stack(alg.basis[i] @ alg.basis).T).T)
-        rhs = images[i] @ images
-        if np.abs(lhs - rhs).max() > tol.eps_assert:
-            raise NumericalBreakdown("map is not multiplicative")
-    adj_of_image = images.conj().transpose(0, 2, 1)
-    image_of_adj = alg.from_coords_stack(
-        (m @ alg.coords_stack(alg.basis.conj().transpose(0, 2, 1)).T).T)
-    if np.abs(image_of_adj - adj_of_image).max() > tol.eps_assert:
-        raise NumericalBreakdown("map is not *-preserving")
-    if np.abs(trace.values(images) - trace.values(alg.basis)).max() > tol.eps_assert:
-        raise NumericalBreakdown("map does not preserve the trace")
+def multiplication_table(alg: MatrixStarAlgebra) -> tuple[np.ndarray, np.ndarray, float]:
+    """Structure constants of the algebra in its own coordinates.
+
+    Returns T with T[i, j] = coords(b_i b_j), the adjoint matrix S with
+    S[:, i] = coords(b_i*), and the closure residual: the largest entry of
+    b_i b_j - sum_c T[i, j, c] b_c or of b_i* - sum_c S[c, i] b_c, which is
+    0 exactly when the span is closed under products and adjoints.  Products
+    are formed a block of rows i at a time.
+    """
+    d, n = alg.dim, alg.ambient_dim
+    rows = alg.basis_rows()
+    table = np.empty((d, d, d), dtype=np.complex128)
+    step = max(1, (1 << 18) // max(1, d * n * n))
+    resid = 0.0
+    for i in range(0, d, step):
+        prods = (alg.basis[i:i + step, None] @ alg.basis[None]).reshape(-1, n * n)
+        coords = alg.coords_stack(prods)
+        table[i:i + step] = coords.reshape(-1, d, d)
+        resid = max(resid, float(np.abs(coords @ rows - prods).max()))
+    adj = alg.basis.conj().transpose(0, 2, 1).reshape(d, -1)
+    star = alg.coords_stack(adj).T
+    resid = max(resid, float(np.abs(star.T @ rows - adj).max()))
+    return table, np.ascontiguousarray(star), resid
 
 
 @dataclass(frozen=True)
 class WStarSystem:
-    """(algebra, faithful tracial state, trace-preserving *-automorphism)."""
+    """(algebra, faithful tracial state, trace-preserving *-automorphism).
+
+    Carries the data every stage reads from the algebra's one multiplication:
+    the Gram matrix, the table T[i, j] = coords(b_i b_j) and the adjoint
+    matrix S[:, i] = coords(b_i*) of ``multiplication_table``.
+    """
     algebra: MatrixStarAlgebra
     trace: TraceFunctional
     dynamics: StarAutomorphism
     gram: np.ndarray = field(repr=False, default=None)
+    table: np.ndarray = field(repr=False, default=None)  # (d, d, d)
+    star: np.ndarray = field(repr=False, default=None)   # (d, d)
 
     def __post_init__(self):
         if self.gram is None:
             object.__setattr__(self, "gram", gram_matrix(self.algebra, self.trace))
-        self.gram.setflags(write=False)
+        if self.table is None or self.star is None:
+            table, star, _ = multiplication_table(self.algebra)
+            object.__setattr__(self, "table", table)
+            object.__setattr__(self, "star", star)
+        for a in (self.gram, self.table, self.star):
+            a.setflags(write=False)
 
 
 def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
            dynamics: StarAutomorphism, tol: ToleranceConfig = DEFAULT_TOL) -> WStarSystem:
-    """Validates the trace; the dynamics was validated where it was made."""
-    return WStarSystem(algebra, trace, dynamics, validate_trace(algebra, trace, tol))
+    """Validates the algebra's closure under products and adjoints, then the
+    trace on it; the dynamics was validated where it was made."""
+    table, star, closure = multiplication_table(algebra)
+    if closure > tol.eps_assert:
+        raise NumericalBreakdown(f"the basis does not span a *-algebra: a product or "
+                                 f"adjoint leaves its span (residual {closure:.2e})")
+    gram = validate_trace(algebra, trace, tol)
+    return WStarSystem(algebra, trace, dynamics, gram, table, star)
 
 
 @dataclass(frozen=True)

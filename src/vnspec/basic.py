@@ -7,8 +7,9 @@ generic b in A with F b_1 + ... + F b_k = A (a Pimsner-Popa-type generating
 set), k = ceil(dim A / dim F) unless more are needed; it never forms the d^2
 products a_i e a_j.  It certifies that this span is the commutant j(F)' of
 the right subalgebra action by inclusion (every basis element commutes with
-j(F)) and dimension (the Bratteli count sum_k m_k^2 over the central blocks
-of F in A, which never reads e or the b), and that it is a unital algebra by
+j(g) for seeded generic g that generate F as an algebra) and dimension (the
+Bratteli count sum_k m_k^2 over the central blocks of F in A, which never
+reads e or the b), and that it is a unital algebra by
 the Jones relation  e a e = E(a) e  on the basis of A and by the identity's
 membership.  The relation makes e commute with F, so a e (f b) = (a f) e b
 and the span is all of span(A e A), which is closed under
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import (DEFAULT_TOL, SPAN_SEED, MatrixStarAlgebra, StarAutomorphism,
-                      Subsystem, ToleranceConfig, TraceFunctional, automorphism_from_unitary,
-                      bratteli_blocks, conditional_expectation,
-                      product_trace_table, validate_trace)
+from .algebra import (DEFAULT_TOL, INCLUSION_SEED, SPAN_SEED, MatrixStarAlgebra,
+                      StarAutomorphism, Subsystem, ToleranceConfig, TraceFunctional,
+                      automorphism_from_unitary, bratteli_blocks, checked_trace,
+                      conditional_expectation, is_commutative, product_trace_table)
 from .errors import (CommutantMismatch, ExtensionInconsistent, NotAutomorphism,
                      NumericalBreakdown, PartitionInvalid, TraceNotFaithful)
 from .gns import GnsSpace, cyclic_subspace_projection, gns_map
@@ -46,6 +47,8 @@ class BasicConstruction:
     u_bar: np.ndarray               # unitary implementing the dynamics there
     commutant_residual: float
     extension_residual: float
+    tracial_residual: float         # max |T - T^T| of the lifted trace's table
+    blocks: tuple                   # central blocks (p_k, n_k, m_k) of F in A
 
     def __post_init__(self):
         for a in (self.e, self.trace_vector, self.bar_to_vector, self.u_bar):
@@ -113,6 +116,40 @@ def _span_candidates(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
     return (left_x[:, None] @ right_b[None]).reshape(-1, n * n)
 
 
+def _inclusion_generators(sub_alg: MatrixStarAlgebra,
+                          tol: ToleranceConfig) -> np.ndarray:
+    """Seeded generic g in F that generate F as an algebra: one when F is
+    commutative, two otherwise.
+
+    An operator commuting with every j(g) commutes with the algebra they
+    generate, which is j of the algebra the g generate, as j is linear and
+    reverses products; so commuting with j(F) needs only these.  Generation
+    as an algebra, not as a *-algebra, is certified by the rank of the words
+    in the g in F's own coordinates: the span of the words of length l is
+    extended by its newest directions times each g, until it stops growing,
+    and must then have dim F.
+    """
+    m, n = sub_alg.dim, sub_alg.ambient_dim
+    rng = np.random.default_rng(INCLUSION_SEED)
+    count = 1 if is_commutative(sub_alg, tol) else 2
+    gens = sub_alg.from_coords_stack(linalg.random_complex(rng, (count, m)))
+    span = linalg.orthonormal_columns(sub_alg.coords(np.eye(n))[:, None],
+                                      tol.eps_rank).T
+    new = span
+    while len(new) and len(span) < m:
+        words = (sub_alg.from_coords_stack(new)[:, None] @ gens[None]).reshape(-1, n, n)
+        cand = sub_alg.coords_stack(words)
+        for _ in range(2):
+            cand = cand - (cand @ span.conj().T) @ span
+        new = linalg.orthonormal_columns(cand.T, tol.eps_rank).T
+        span = np.vstack([span, new])
+    if len(span) != m:
+        raise NumericalBreakdown(
+            f"{count} generic elements of F generate an algebra of dim "
+            f"{len(span)}, not F (dim {m})")
+    return gens
+
+
 def _jones_relation(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
                     alg_bar: MatrixStarAlgebra, tol: ToleranceConfig) -> float:
     """Residual of  e a e = E(a) e  on the basis of A, and of the identity's
@@ -170,10 +207,10 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     rows = linalg.extend_orthonormal(np.zeros((0, n * n), dtype=np.complex128),
                                      _span_candidates(gns, sub, e, tol), tol.eps_rank)
     spanned = MatrixStarAlgebra(n, np.ascontiguousarray(rows.reshape(-1, n, n)))
-    # inclusion in j(F)': the largest entry of [b, j(f)], relative to |j(f)|
-    right_f = [gns.j_op(gns.left(f)) for f in sub.algebra.basis]
+    # inclusion in j(F)': the largest entry of [b, j(g)], relative to |j(g)|
+    right_g = [gns.j_op(gns.left(g)) for g in _inclusion_generators(sub.algebra, tol)]
     resid = max(float(np.abs(spanned.basis @ j - j @ spanned.basis).max()
-                      / np.linalg.norm(j, 2)) for j in right_f)
+                      / np.linalg.norm(j, 2)) for j in right_g)
     blocks = bratteli_blocks(gns.system.algebra, sub.algebra, tol)
     count = sum(m * m for _, _, m in blocks)
     if spanned.dim != count or resid > tol.eps_assert:
@@ -185,7 +222,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     # the lifted trace is faithful, and U normalises <A, e> whenever alpha is
     # an automorphism of A fixing F; a fault here is a failed cross-check
     try:
-        gram_bar = validate_trace(spanned, trace_bar, tol)
+        gram_bar, tracial = checked_trace(spanned, trace_bar, tol)
         dyn_bar = automorphism_from_unitary(spanned, gns.u_matrix, trace_bar, tol)
     except (TraceNotFaithful, NotAutomorphism) as exc:
         raise NumericalBreakdown(f"lifted system: {exc}") from exc
@@ -193,7 +230,8 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     to_vec, _, u_bar = gns_map(gram_bar, dyn_bar.matrix)
     return BasicConstruction(gns, sub, e, spanned, trace_bar.values(spanned.basis),
                              trace_bar, dyn_bar, np.ascontiguousarray(to_vec),
-                             np.ascontiguousarray(u_bar), resid, max(jones, defining))
+                             np.ascontiguousarray(u_bar), resid, max(jones, defining),
+                             tracial, tuple(blocks))
 
 
 def default_partition(bc: BasicConstruction,

@@ -2,9 +2,30 @@
 Neumann algebras of finite groups, tensor products, skew products and finite
 extensions.
 
-Every constructor output passes the full system and subsystem validators.
-Skew products are realized as block matrices indexed by atoms (the finite
-atomic stand-in for a direct integral of copies of the fiber algebra).
+Every dynamics is spatial: conjugation by an ambient unitary, built through
+``automorphism_from_unitary``, which checks that the unitary is unitary, maps
+the algebra onto itself and preserves the trace.  On top of that each
+constructor validates its own description:
+
+* ``build_explicit_system``: generator and density shapes;
+* ``build_classical_system``: positive weights summing to one, a bijective
+  permutation that preserves them; the unitary is the permutation matrix
+  sum_x E_{S^-1 x, x};
+* ``build_group_vn_system``: a group table (square, Latin, with identity,
+  associative) and an automorphism of it; the unitary is f -> f o T;
+* ``build_tensor_system``: factors with spatial dynamics; the unitary is
+  u_B (x) u_C;
+* ``build_skew_product``: the base and the group as above and one cocycle
+  value per atom; the unitary is sum_x E_{S^-1 x, x} (x) P_T^-k(S^-1 x) for
+  P_T delta_h = delta_{T h};
+* ``build_finite_extension``: unitaries v_i in their summands, the
+  relative-commutant conditions and a weight in (0, 1).
+
+``system`` then validates the closure of the basis under products and
+adjoints (its multiplication table) and the trace, and ``subsystem`` the
+subalgebra.  Skew products are realized as block matrices indexed by atoms
+(the finite atomic stand-in for a direct integral of copies of the fiber
+algebra).
 """
 from __future__ import annotations
 
@@ -13,9 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, StarAutomorphism, Subsystem,
-                      ToleranceConfig, WStarSystem, automorphism_from_matrix,
-                      automorphism_from_unitary, generate_algebra, subsystem,
-                      system, trace_functional)
+                      ToleranceConfig, WStarSystem, automorphism_from_unitary,
+                      generate_algebra, subsystem, system, trace_functional)
 from .errors import (ConstraintViolated, DimensionMismatch, NotAutomorphism,
                      NotUnitary, SpecInvalid, WeightsNotPreserved)
 from .gns import build_gns
@@ -33,7 +53,8 @@ class ConstructedSystem:
 
 
 def identity_automorphism(alg: MatrixStarAlgebra) -> StarAutomorphism:
-    return StarAutomorphism(np.eye(alg.dim, dtype=np.complex128))
+    return StarAutomorphism(np.eye(alg.dim, dtype=np.complex128),
+                            np.eye(alg.ambient_dim, dtype=np.complex128))
 
 
 def trivial_subalgebra(ambient_dim: int) -> MatrixStarAlgebra:
@@ -78,11 +99,8 @@ def build_classical_system(weights, permutation,
         basis[x, x, x] = 1.0
     alg = MatrixStarAlgebra(n, basis)
     trace = trace_functional(np.diag(w.astype(np.complex128)))
-    inv = np.argsort(perm)  # alpha(f) = f o S sends the atom indicator x to S^-1 x
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for x in range(n):
-        mat[inv[x], x] = 1.0
-    dyn = automorphism_from_matrix(alg, mat, trace, tol)
+    # alpha(f) = f o S sends the atom indicator x to S^-1 x
+    dyn = automorphism_from_unitary(alg, _atom_permutation(perm), trace, tol)
     return system(alg, trace, dyn, tol)
 
 
@@ -100,6 +118,14 @@ def classical_sub_partition(sys: WStarSystem, blocks,
             m[x, x] = 1.0
         mats.append(m / np.sqrt(len(b)))
     return subsystem(sys, MatrixStarAlgebra(n, np.stack(mats)), tol)
+
+
+def _atom_permutation(perm) -> np.ndarray:
+    """sum_x E_{S^-1 x, x}: conjugation by it sends E_xx to E_{S^-1 x, S^-1 x}."""
+    n = len(perm)
+    u = np.zeros((n, n), dtype=np.complex128)
+    u[np.argsort(perm), np.arange(n)] = 1.0
+    return u
 
 
 # --- finite groups ------------------------------------------------------------
@@ -206,8 +232,10 @@ def build_tensor_system(b_system: WStarSystem, c_system: WStarSystem,
     basis = basis.reshape(balg.dim * calg.dim, nb * nc, nb * nc)
     alg = MatrixStarAlgebra(nb * nc, np.ascontiguousarray(basis))
     trace = trace_functional(np.kron(b_system.trace.density, c_system.trace.density))
-    dyn = automorphism_from_matrix(
-        alg, np.kron(b_system.dynamics.matrix, c_system.dynamics.matrix), trace, tol)
+    u_b, u_c = b_system.dynamics.unitary, c_system.dynamics.unitary
+    if u_b is None or u_c is None:
+        raise SpecInvalid("tensor factors need dynamics given by a unitary")
+    dyn = automorphism_from_unitary(alg, np.kron(u_b, u_c), trace, tol)
     sys = system(alg, trace, dyn, tol)
     eye_c = np.eye(nc, dtype=np.complex128) / np.sqrt(nc)
     f_basis = np.einsum("iab,cd->iacbd", balg.basis, eye_c)
@@ -281,13 +309,16 @@ def build_skew_product(spec: SkewProductSpec,
     density = np.kron(np.diag(np.asarray(spec.weights, dtype=np.complex128)),
                       gs.system.trace.density)
     trace = trace_functional(density)
-    mat = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
+    # Ad(P_T^m) l(g) = l(T^m g) for P_T delta_h = delta_{T h}, so conjugation
+    # by sum_x E_{S^-1 x, x} (x) P_T^-k(S^-1 x) sends the basis element at
+    # (x, g) to the one at (S^-1 x, T^-k(S^-1 x) g)
+    u = np.zeros((n, n), dtype=np.complex128)
     for x in range(n_x):
         xs = int(inv_s[x])  # S^{-1} x, the atom where the image lives
-        for g in range(n_g):
-            g2 = t_power(g, -int(spec.cocycle[xs]))
-            mat[xs * n_g + g2, x * n_g + g] = 1.0
-    dyn = automorphism_from_matrix(alg, mat, trace, tol)
+        k = -int(spec.cocycle[xs])
+        for h in range(n_g):
+            u[xs * n_g + t_power(h, k), x * n_g + h] = 1.0
+    dyn = automorphism_from_unitary(alg, u, trace, tol)
     sys = system(alg, trace, dyn, tol)
     f_basis = np.zeros((n_x, n, n), dtype=np.complex128)
     eye_g = np.eye(n_g) / np.sqrt(n_g)

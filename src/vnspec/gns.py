@@ -73,13 +73,9 @@ def build_gns(system: WStarSystem, tol: ToleranceConfig = DEFAULT_TOL) -> GnsSpa
         raise TraceNotFaithful("Gram matrix is singular; trace is not faithful")
     to_vec, from_vec, u_mat = gns_map(system.gram, system.dynamics.matrix)
     omega = to_vec @ alg.coords(alg.identity())
-    d = alg.dim
-    left_mats = np.empty((d, d, d), dtype=np.complex128)
-    for i in range(d):
-        struct = alg.coords_stack(alg.basis[i] @ alg.basis).T  # col j = coords(b_i b_j)
-        left_mats[i] = to_vec @ struct @ from_vec
-    star = alg.coords_stack(alg.basis.conj().transpose(0, 2, 1)).T
-    conj_mat = to_vec @ star @ from_vec.conj()
+    # column j of table[i].T holds coords(b_i b_j); star[:, i] holds coords(b_i*)
+    left_mats = to_vec @ system.table.transpose(0, 2, 1) @ from_vec
+    conj_mat = to_vec @ system.star @ from_vec.conj()
     return GnsSpace(system, np.ascontiguousarray(to_vec), omega, left_mats,
                     np.ascontiguousarray(conj_mat), np.ascontiguousarray(u_mat))
 

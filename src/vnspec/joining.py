@@ -131,15 +131,15 @@ def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
         raise NumericalBreakdown(f"the joining is not invariant under alpha (x) "
                                  f"alpha' (residual {invariance:.2e})")
     # Gram of the joining state over the d^2 simple tensors, as a sum of
-    # Kronecker products
-    p_vecs = np.empty((d, d, gns.dim), dtype=np.complex128)
-    q_vecs = np.empty((d, d, gns.dim), dtype=np.complex128)
-    adj = alg.basis.conj().transpose(0, 2, 1)
-    for i in range(d):
-        p_vecs[i] = (e @ gns.to_vector @ alg.coords_stack(adj @ alg.basis[i]).T).T
-        q_vecs[i] = (e @ gns.to_vector @ alg.coords_stack(alg.basis @ adj[i]).T).T
-    l_rows, factor_resid, smallest_pivot = factor_gram(p_vecs, q_vecs,
-                                                       gns.to_vector, tol)
+    # Kronecker products with terms p[i, k] = e (b_k* b_i) Omega and
+    # q[i, k] = e (b_k b_i*) Omega, read from the GNS action: b_i Omega is
+    # column i of to_vector, L(b_k*) = L(b_k)^H, and b_i* Omega = J b_i Omega
+    vecs = gns.to_vector
+    p_vecs = np.ascontiguousarray(
+        (e @ gns.left_mats.conj().transpose(0, 2, 1) @ vecs).transpose(2, 0, 1))
+    q_vecs = np.ascontiguousarray(
+        (e @ gns.left_mats @ gns.apply_j(vecs)).transpose(2, 0, 1))
+    l_rows, factor_resid, smallest_pivot = factor_gram(p_vecs, q_vecs, vecs, tol)
     # L = V S with V orthonormal: gamma = S V^H, and L L^H = gamma^H gamma
     _, s, vh = np.linalg.svd(l_rows, full_matrices=False)
     gamma = s[:, None] * vh.conj()  # (r, d^2)
@@ -165,32 +165,45 @@ def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
                        omega_vec, span_resid, factor_resid, smallest_pivot)
 
 
+def _bar_columns(gns: GnsSpace, bc: BasicConstruction) -> np.ndarray:
+    """gamma_bar(a_i e a_j) as column i * d + j."""
+    d = gns.system.algebra.dim
+    cols = np.empty((len(bc.u_bar), d * d), dtype=np.complex128)
+    for i in range(d):
+        blocks = gns.left_mats[i] @ bc.e @ gns.left_mats
+        cols[:, i * d:(i + 1) * d] = bc.bar_to_vector @ bc.algebra.coords_stack(blocks).T
+    return cols
+
+
 def joining_equivalence(jd: JoiningData, bc: BasicConstruction,
                         tol: ToleranceConfig = DEFAULT_TOL
                         ) -> tuple[np.ndarray, float, float]:
     """The unitary from the joining GNS space onto the basic-construction one.
 
-    Determined by gamma(a (x) j(b)) -> gamma_bar(a e b); validated to be
+    Determined by gamma(a (x) j(b)) -> gamma_bar(a e b); validated to satisfy
+    that defining relation R gamma = gamma_bar on all d^2 simple tensors, to be
     unitary and to intertwine the two dynamics unitaries.  Returns the map
-    with its isometry and intertwining residuals.
+    with its isometry residual (the larger of the defining and the unitarity
+    residual) and its intertwining residual.
     """
-    gns = jd.gns
-    d = gns.system.algebra.dim
     dim_bar = len(bc.u_bar)
     if jd.rank != dim_bar:
         raise IsometryViolation(
             f"joining GNS rank {jd.rank} differs from basic-construction "
             f"dimension {dim_bar}")
-    cols = np.empty((dim_bar, d * d), dtype=np.complex128)
-    for i in range(d):
-        blocks = gns.left_mats[i] @ bc.e @ gns.left_mats
-        cols[:, i * d:(i + 1) * d] = bc.bar_to_vector @ bc.algebra.coords_stack(blocks).T
+    cols = _bar_columns(jd.gns, bc)
     # gamma = sqrt(lam) v^H has orthogonal rows of squared norms lam, so its
     # pseudo-inverse is gamma^H / lam
     lam = np.einsum("ij,ij->i", jd.gamma.conj(), jd.gamma).real
     r = cols @ (jd.gamma.conj().T / lam)
+    d = jd.gns.system.algebra.dim  # d columns at a time: no second (r, d^2) array
+    defining = max(float(np.abs(r @ jd.gamma[:, k:k + d] - cols[:, k:k + d]).max())
+                   for k in range(0, d * d, d))
+    if defining > tol.eps_assert:
+        raise IsometryViolation(f"equivalence map does not send gamma(a (x) j(b)) "
+                                f"to gamma_bar(a e b) ({defining:.2e})")
     eye = np.eye(jd.rank)
-    resid = max(float(np.abs(r.conj().T @ r - eye).max()),
+    resid = max(defining, float(np.abs(r.conj().T @ r - eye).max()),
                 float(np.abs(r @ r.conj().T - eye).max()))
     if resid > tol.eps_assert:
         raise IsometryViolation(f"equivalence map is not unitary ({resid:.2e})")

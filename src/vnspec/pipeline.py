@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, ToleranceConfig, is_commutative, product_trace_table
+from .algebra import DEFAULT_TOL, ToleranceConfig, is_commutative
 from .basic import (BasicConstruction, build_basic_construction, default_partition,
                     lifted_trace_via_partition)
 from .constructors import (ConstructedSystem, finite_extension_diagnostics,
@@ -60,11 +60,6 @@ class SystemAnalysis:
         return all(c.passed for c in self.checks if c.applicable)
 
 
-def _traciality_residual(bc: BasicConstruction) -> float:
-    table = product_trace_table(bc.algebra, bc.trace.density)
-    return float(np.abs(table - table.T).max())
-
-
 def analyze_built(name: str, kind: str, built: ConstructedSystem,
                   tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
                   ) -> SystemAnalysis:
@@ -88,7 +83,7 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
 
     add("mu_bar_extension", bc.extension_residual)
     add("commutant_equality", bc.commutant_residual)
-    add("trace_tracial", _traciality_residual(bc))
+    add("trace_tracial", bc.tracial_residual)
     add("alpha_bar_invariance",
         float(np.abs(bc.trace_vector @ bc.dynamics.matrix - bc.trace_vector).max()))
     add("R_isometry", isometry)
@@ -119,7 +114,8 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
         add("rwm_cesaro_consistency", 0.0 if vacuous else 1.0, passed=vacuous,
             note="no admissible mean-zero elements")
     if is_commutative(built.sub.algebra, tol):
-        fibers = [classical_fiber_analysis(gns, built.sub, mod, tol)
+        atoms = [p for p, _, _ in bc.blocks]
+        fibers = [classical_fiber_analysis(gns, built.sub, mod, tol, atoms)
                   for mod in spectrum.modules]
         extras["fibers"] = fibers
         resid = max((min(abs(f.weighted_sum - f.measured),

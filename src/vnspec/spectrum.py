@@ -69,6 +69,15 @@ class SpectrumReport:
     ergodicity: ErgodicityCheck  # evidence behind the rwm verdict
 
 
+def _adjoint_left_map(system: WStarSystem, coords: np.ndarray) -> np.ndarray:
+    """L with L[:, j] = coords(a* b_j) for the element a with coordinates c:
+    sum_m coords(a*)_m T[m, j] with coords(a*) = S conj(c), from the system's
+    multiplication table T and adjoint matrix S."""
+    d = len(coords)
+    a_star = system.star @ coords.conj()
+    return (a_star @ system.table.reshape(d, -1)).reshape(d, d).T
+
+
 def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
                     n_max: int | None = None, tol: ToleranceConfig = DEFAULT_TOL,
                     early_exit: bool = True) -> np.ndarray:
@@ -76,7 +85,8 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
 
     In coordinates the n-th term is v^H G v with v = M alpha^n(c), where c
     holds the coordinates of a, G is the Gram matrix and M = E_F L for the
-    fixed map L: x -> a* x.  The iterates alpha^n(c) are held as columns, in
+    fixed map L: x -> a* x, read from the system's multiplication table T and
+    adjoint matrix S.  The iterates alpha^n(c) are held as columns, in
     blocks of 1, 2, 4, ... up to CESARO_BLOCK columns and then of
     CESARO_BLOCK, each advanced by a power of alpha found by repeated
     squaring, so memory stays O(dim A * CESARO_BLOCK) beside the output.
@@ -92,7 +102,7 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
     coords = alg.coords(a)
     if np.abs(exp.matrix @ coords).max() > tol.eps_assert:
         raise NotMeanZero("element has a nonzero conditional expectation")
-    m = exp.matrix @ alg.coords_stack(a.conj().T @ alg.basis).T
+    m = exp.matrix @ _adjoint_left_map(system, coords)
     dyn = system.dynamics.matrix
     block = (dyn @ coords)[:, None]  # alpha^n(c) for n = start, start + 1, ...
     power = dyn  # alpha^(block width)
@@ -241,17 +251,21 @@ class FiberReport:
 
 def classical_fiber_analysis(gns: GnsSpace, sub: Subsystem,
                              module: SubmoduleCandidate,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> FiberReport:
+                             tol: ToleranceConfig = DEFAULT_TOL,
+                             atoms: list[np.ndarray] | None = None) -> FiberReport:
     """Fiber dimensions of a module over the atoms of a commutative subalgebra.
 
     Reports both the weight-free and the weighted fiber sums next to the
     measured lifted trace and flags which one matches; the rank bound is the
-    largest fiber dimension.
+    largest fiber dimension.  ``atoms`` are the minimal projections of F
+    when the caller has them (the central blocks of a commutative F); without
+    them F is checked to be commutative and decomposed here.
     """
-    f = sub.algebra
-    if not is_commutative(f, tol):
-        raise NotCommutative("subalgebra is not commutative")
-    atoms = block_decomposition(f, tol)
+    if atoms is None:
+        f = sub.algebra
+        if not is_commutative(f, tol):
+            raise NotCommutative("subalgebra is not commutative")
+        atoms = block_decomposition(f, tol)
     weights = [float(gns.system.trace.value(p).real) for p in atoms]
     dims = []
     for p in atoms:

@@ -6,6 +6,7 @@ import vnspec as v
 from vnspec.errors import (DimensionMismatch, NonSquareGenerator, NotUnitary,
                            NumericalBreakdown, SubsystemInvalid, TraceNotFaithful)
 from conftest import E11, E12, E21, E22
+from test_routes import validate_automorphism
 
 TOL = v.DEFAULT_TOL
 
@@ -167,7 +168,8 @@ def test_automorphism_coordinate_and_unitary_forms_agree():
     u = np.diag([1.0, 1.0j])
     auto = v.automorphism_from_unitary(alg, u, tr)
     # normalizing to coordinate form and rebuilding gives the same map
-    rebuilt = v.automorphism_from_matrix(alg, auto.matrix, tr)
+    rebuilt = v.StarAutomorphism(auto.matrix.copy())
+    validate_automorphism(alg, rebuilt, tr)
     x = E12 + 0.5 * E21
     assert np.abs(auto.apply(alg, x) - rebuilt.apply(alg, x)).max() < 1e-12
     assert np.abs(auto.apply(alg, x) - u @ x @ u.conj().T).max() < 1e-12

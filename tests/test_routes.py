@@ -20,7 +20,13 @@ e a e = E(a) e instead of multiplying the span by every generator.  <A, e> is
 spanned by the d k products x_i e b_s over a few generic generators b_s of A
 over F instead of all d^2 products a_i e a_j, and the center is found from the
 commutators reduced to their R factor block by block instead of stacked whole.
-The older routes survive here only, as oracles.
+Every dynamics is a conjugation by a unitary instead of a coordinate matrix
+passed through the generic automorphism check; the left action and the Cesaro
+map read one multiplication table instead of projecting products again; the
+joining's Kronecker terms come from the GNS action instead of coordinate
+passes; and the inclusion in j(F)' commutes with a few generators of F
+instead of every basis element.  The older routes survive here only, as
+oracles.
 """
 import json
 import os
@@ -34,16 +40,38 @@ import pytest
 
 import vnspec as v
 from vnspec import linalg
-from vnspec.algebra import validate_automorphism
 from vnspec.cli import shipped_system_paths
 from vnspec.descriptions import build_from_description, parse_system
-from vnspec import algebra, basic
+from vnspec import algebra, basic, descriptions, joining, spectrum
 from vnspec.algebra import DEFAULT_TOL, product_closure_residual
-from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, NotAutomorphism,
-                           NumericalBreakdown, StateNotPositive)
+from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, IsometryViolation,
+                           NotAutomorphism, NumericalBreakdown, StateNotPositive)
 from vnspec.pipeline import analyze_built, analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 from conftest import E12
+from test_exit_codes import _run as run_cli
+
+
+def validate_automorphism(alg, auto, trace, tol=DEFAULT_TOL) -> None:
+    """The generic check of a coordinate matrix: nonsingular, multiplicative
+    on every pair of basis elements, *-preserving and trace-preserving, as
+    the package once ran it on the classical, skew-product and tensor kinds."""
+    m = auto.matrix
+    if np.linalg.svd(m, compute_uv=False)[-1] <= tol.eps_rank:
+        raise NumericalBreakdown("automorphism matrix is singular")
+    images = alg.from_coords_stack(m.T)  # images[i] = alpha(b_i)
+    for i in range(alg.dim):
+        lhs = alg.from_coords_stack((m @ alg.coords_stack(alg.basis[i] @ alg.basis).T).T)
+        rhs = images[i] @ images
+        if np.abs(lhs - rhs).max() > tol.eps_assert:
+            raise NumericalBreakdown("map is not multiplicative")
+    adj_of_image = images.conj().transpose(0, 2, 1)
+    image_of_adj = alg.from_coords_stack(
+        (m @ alg.coords_stack(alg.basis.conj().transpose(0, 2, 1)).T).T)
+    if np.abs(image_of_adj - adj_of_image).max() > tol.eps_assert:
+        raise NumericalBreakdown("map is not *-preserving")
+    if np.abs(trace.values(images) - trace.values(alg.basis)).max() > tol.eps_assert:
+        raise NumericalBreakdown("map does not preserve the trace")
 
 
 def _mutual_inclusion(a, b) -> float:
@@ -491,18 +519,25 @@ def test_skew_d96_is_too_large_for_384_mib(tmp_path):
 
 # --- the joining Gram: pivoted Cholesky against the full eigendecomposition -
 
-def joining_gram_by_eigh(gns, bc, tol=DEFAULT_TOL):
-    """The joining Gram over the d^2 simple tensors with its kept eigenpairs,
-    by the d^2 x d^2 eigh the joining once used."""
+def coordinate_kronecker_terms(gns, e):
+    """p[i, k] = e R coords(b_k* b_i) and q[i, k] = e R coords(b_k b_i*) for
+    R = to_vector, by the coordinate passes the joining once ran."""
     alg = gns.system.algebra
     d = alg.dim
-    e = bc.e
     p_vecs = np.empty((d, d, gns.dim), dtype=np.complex128)
     q_vecs = np.empty((d, d, gns.dim), dtype=np.complex128)
     adj = alg.basis.conj().transpose(0, 2, 1)
     for i in range(d):
         p_vecs[i] = (e @ gns.to_vector @ alg.coords_stack(adj @ alg.basis[i]).T).T
         q_vecs[i] = (e @ gns.to_vector @ alg.coords_stack(alg.basis @ adj[i]).T).T
+    return p_vecs, q_vecs
+
+
+def joining_gram_by_eigh(gns, bc, tol=DEFAULT_TOL):
+    """The joining Gram over the d^2 simple tensors with its kept eigenpairs,
+    by the d^2 x d^2 eigh the joining once used."""
+    d = gns.system.algebra.dim
+    p_vecs, q_vecs = coordinate_kronecker_terms(gns, bc.e)
     gram = np.einsum("ikh,jlh->ijkl", p_vecs.conj(), q_vecs,
                      optimize=True).reshape(d * d, d * d)
     gram = (gram + gram.conj().T) / 2
@@ -676,3 +711,205 @@ def test_cesaro_memory_does_not_grow_with_horizon():
         tracemalloc.stop()
     assert len(seq) == 2 ** 18 and np.all(np.isfinite(seq))
     assert peak < 16 * 2 ** 20
+
+
+# --- spatial dynamics: conjugation unitaries against the coordinate matrices
+# --- the classical, skew-product and tensor constructors once wrote down
+
+def _t_power(images, g, k):
+    """T^k g, with k reduced modulo the length of the orbit of g."""
+    orbit = [g]
+    while images[orbit[-1]] != g:
+        orbit.append(images[orbit[-1]])
+    return orbit[k % len(orbit)]
+
+
+def written_out_dynamics_matrix(kind, p, tol=DEFAULT_TOL):
+    """The coordinate matrix the constructors once built and checked with
+    validate_automorphism; None for the kinds always built from a unitary."""
+    if kind == "classical":
+        n = len(p["permutation"])
+        mat = np.zeros((n, n), dtype=np.complex128)
+        mat[np.argsort(p["permutation"]), np.arange(n)] = 1.0
+        return mat
+    if kind == "skew_product":
+        images, n_x = p["group_automorphism"], len(p["weights"])
+        n_g = len(images)
+        inv_s = np.argsort(p["permutation"])
+        mat = np.zeros((n_x * n_g, n_x * n_g), dtype=np.complex128)
+        for x in range(n_x):
+            xs = int(inv_s[x])
+            for g in range(n_g):
+                g2 = _t_power(images, g, -int(p["cocycle"][xs]))
+                mat[xs * n_g + g2, x * n_g + g] = 1.0
+        return mat
+    if kind == "tensor":
+        b, c = (written_out_dynamics_matrix("classical", f["parameters"])
+                if f["kind"] == "classical"
+                else descriptions._build_factor(f, tol).dynamics.matrix
+                for f in (p["b_factor"], p["c_factor"]))
+        return np.kron(b, c)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(CESARO_SYSTEMS))
+def test_dynamics_equal_the_written_out_coordinate_matrices(name):
+    desc = parse_system(CESARO_SYSTEMS[name])
+    system = build_from_description(desc).system
+    alg, dyn = system.algebra, system.dynamics
+    validate_automorphism(alg, dyn, system.trace)
+    images = dyn.unitary @ alg.basis @ dyn.unitary.conj().T
+    assert np.abs(alg.from_coords_stack(dyn.matrix.T) - images).max() <= 1e-12
+    oracle = written_out_dynamics_matrix(desc.kind, desc.parameters)
+    assert (oracle is None) == (desc.kind not in ("classical", "skew_product", "tensor"))
+    if oracle is not None:
+        assert np.abs(dyn.matrix - oracle).max() <= 1e-12
+
+
+MUTATED_DYNAMICS = {  # shipped description, parameter, value that breaks it
+    "classical_not_bijective": ("classical_4cycle", "permutation", [1, 1, 3, 0]),
+    "classical_breaks_weights": ("classical_4cycle", "weights", [0.1, 0.2, 0.3, 0.4]),
+    "skew_not_bijective": ("skew_z4_inversion", "permutation", [1, 1, 0]),
+    "skew_breaks_weights": ("skew_z4_inversion", "weights", [0.2, 0.3, 0.5]),
+    "skew_short_cocycle": ("skew_z4_inversion", "cocycle", [0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MUTATED_DYNAMICS))
+def test_mutated_dynamics_end_in_exit_2(case, tmp_path):
+    name, key, value = MUTATED_DYNAMICS[case]
+    doc = json.loads(CESARO_SYSTEMS[name])
+    doc["parameters"][key] = value
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["analyze", str(path), "--quiet"])
+    assert code == 2, err
+    assert "Traceback" not in err
+
+
+# --- one multiplication table per algebra against per-stage coordinate passes
+
+def test_closure_check_rejects_a_swapped_basis_element():
+    """E_{n-1, 0} joins the last atom to the first: HS-orthogonal to the
+    rest of the skew basis, but its adjoint and products leave the span."""
+    system = build_from_description(
+        parse_system(CESARO_SYSTEMS["skew_z4_inversion"])).system
+    alg = system.algebra
+    n = alg.ambient_dim
+    assert algebra.multiplication_table(alg)[2] <= 1e-15
+    basis = alg.basis.copy()
+    basis[1] = np.zeros((n, n))
+    basis[1, n - 1, 0] = 1.0
+    rows = basis.reshape(len(basis), -1)
+    assert np.abs(rows @ rows.conj().T - np.eye(len(basis))).max() == 0.0
+    bad = v.MatrixStarAlgebra(n, basis)
+    assert algebra.multiplication_table(bad)[2] >= 0.5
+    with pytest.raises(NumericalBreakdown, match=r"does not span a \*-algebra"):
+        v.system(bad, system.trace, v.identity_automorphism(bad))
+
+
+@pytest.mark.parametrize("name", sorted(CESARO_SYSTEMS))
+def test_table_left_map_equals_coordinate_pass(name):
+    built, elements = _admissible(name)
+    alg = built.system.algebra
+    rng = np.random.default_rng(23)
+    elements += [(f"r{i}", v.random_element(alg, rng)) for i in range(3)]
+    for label, a in elements:
+        got = spectrum._adjoint_left_map(built.system, alg.coords(a))
+        oracle = alg.coords_stack(a.conj().T @ alg.basis).T
+        assert np.abs(got - oracle).max() <= 1e-12, (name, label)
+
+
+def test_kronecker_terms_equal_coordinate_passes(analyses, skew_d24, monkeypatch):
+    """p and q from the GNS action against the coordinate passes."""
+    seen, factor = [], joining.factor_gram
+
+    def spy(p, q, to_vector, tol=DEFAULT_TOL):
+        seen.append((p, q))
+        return factor(p, q, to_vector, tol)
+    monkeypatch.setattr(joining, "factor_gram", spy)
+    for name, an in {**analyses, SKEW_D24["name"]: skew_d24}.items():
+        seen.clear()
+        v.relative_joining(an.gns, an.built.sub, an.basic)
+        (p, q), = seen
+        p_old, q_old = coordinate_kronecker_terms(an.gns, an.basic.e)
+        assert np.abs(p - p_old).max() <= 1e-12, name
+        assert np.abs(q - q_old).max() <= 1e-12, name
+
+
+# --- the equivalence map and the relation that defines it ---------------------
+
+def test_equivalence_checks_its_defining_relation(analyses, monkeypatch):
+    """A null vector of gamma added to every row of the bar columns leaves
+    R = cols gamma^H / lam, so its unitarity and intertwining, unchanged, but
+    breaks R gamma = cols."""
+    an = analyses["finite_extension_m2"]
+    jd, bc = an.joining, an.basic
+    cols = joining._bar_columns(an.gns, bc)
+    null = np.linalg.svd(jd.gamma)[2][jd.rank]
+    assert np.abs(jd.gamma @ null.conj()).max() <= 1e-12
+    bent = cols + 0.3 * null
+    lam = np.einsum("ij,ij->i", jd.gamma.conj(), jd.gamma).real
+    eye = np.eye(jd.rank)
+    for c in (cols, bent):
+        r = c @ (jd.gamma.conj().T / lam)
+        assert np.abs(r.conj().T @ r - eye).max() <= 1e-12
+        assert np.abs(r @ jd.w_matrix @ r.conj().T - bc.u_bar).max() <= 1e-12
+    assert np.abs(r @ jd.gamma - cols).max() <= 1e-12
+    assert np.abs(r @ jd.gamma - bent).max() >= 0.1
+    monkeypatch.setattr(joining, "_bar_columns", lambda *args: bent)
+    with pytest.raises(IsometryViolation, match="does not send"):
+        v.joining_equivalence(jd, bc)
+
+
+# --- inclusion in j(F)' by generators of F against every basis element of F -
+
+@pytest.mark.parametrize("name, count", [("classical_4cycle", 1),
+                                         ("skew_z4_inversion", 1),
+                                         ("finite_extension_m2", 2)])
+def test_inclusion_generators_generate_f(analyses, name, count):
+    sub_alg = analyses[name].built.sub.algebra
+    gens = basic._inclusion_generators(sub_alg, DEFAULT_TOL)
+    assert len(gens) == count
+    assert v.generate_algebra(list(gens), sub_alg.ambient_dim).dim == sub_alg.dim
+
+
+def _right_action_residual(an):
+    """max |[x, j(f)]| / |j(f)| over the span and every basis element f of F,
+    the inclusion check before it used generators of F."""
+    gns, basis = an.gns, an.basic.algebra.basis
+    return max(float(np.abs(basis @ j - j @ basis).max() / np.linalg.norm(j, 2))
+               for j in (gns.j_op(gns.left(f)) for f in an.built.sub.algebra.basis))
+
+
+def test_generator_inclusion_matches_the_basis_check(analyses):
+    for name, an in analyses.items():
+        assert an.basic.commutant_residual <= 1e-14, name
+        assert _right_action_residual(an) <= 1e-14, name
+
+
+@pytest.mark.parametrize("name", ["classical_4cycle", "finite_extension_m2"])
+def test_row_outside_the_commutant_fails_inclusion(analyses, name, monkeypatch):
+    """The span keeps its dimension, but one row no longer commutes with j(F)."""
+    an = analyses[name]
+    n = an.gns.dim
+    stray = linalg.random_complex(np.random.default_rng(5), n * n)
+    stray /= np.linalg.norm(stray)
+    extend = linalg.extend_orthonormal
+
+    def swap_last(*args):
+        rows = extend(*args).copy()
+        rows[-1] = stray
+        return rows
+    monkeypatch.setattr(linalg, "extend_orthonormal", swap_last)
+    with pytest.raises(CommutantMismatch, match="commutator residual"):
+        v.build_basic_construction(an.gns, an.built.sub)
+
+
+def test_non_generating_elements_fail(analyses, monkeypatch):
+    """One generic element of a noncommutative F generates a commutative
+    algebra, never F."""
+    an = analyses["finite_extension_m2"]
+    monkeypatch.setattr(basic, "is_commutative", lambda *args: True)
+    with pytest.raises(NumericalBreakdown, match="1 generic elements of F generate"):
+        v.build_basic_construction(an.gns, an.built.sub)

@@ -32,7 +32,7 @@ def run(cocycle):
     print("  commutant blocks:",
           [(c.dim, round(c.lifted_trace, 9)) for c in blocks])
     for c in orbit:
-        rep = v.classical_fiber_analysis(gns, skew.sub, c)
+        rep = v.classical_fiber_analysis(bc, c)
         print(f"    fibers {rep.fiber_dims} -> weighted {rep.weighted_sum:.6g},"
               f" plain {rep.plain_sum:.6g}, measured {rep.measured:.6g}"
               f" ({rep.matching_formula})")

@@ -8,10 +8,9 @@ weak mixing and relative discrete spectrum.
 from .algebra import (ConditionalExpectation, DEFAULT_TOL, MatrixStarAlgebra,
                       StarAutomorphism, Subsystem, ToleranceConfig,
                       TraceFunctional, WStarSystem, automorphism_from_unitary,
-                      block_decomposition, bratteli_blocks, center, commutant,
-                      conditional_expectation, generate_algebra, gram_matrix,
-                      product_closure_residual, random_element, subsystem,
-                      system, trace_functional, validate_algebra, validate_trace)
+                      block_decomposition, bratteli_blocks, center, generate_algebra,
+                      gram_matrix, subsystem, system, trace_functional,
+                      validate_trace)
 from .basic import (BasicConstruction, build_basic_construction,
                     default_partition, lifted_trace, lifted_trace_via_partition)
 from .constructors import (ConstructedSystem, FiniteExtensionSpec, GroupSystem,

@@ -4,11 +4,14 @@ A von Neumann algebra is stored concretely as a *-subalgebra of M_N(C) with a
 Hilbert-Schmidt orthonormal basis.  A W*-dynamical system is such an algebra
 together with a faithful tracial state (given by a density matrix) and a
 trace-preserving *-automorphism, conjugation by a unitary, stored with its
-coordinate matrix over the basis.
+coordinate matrix over the basis.  A subsystem carries the trace-preserving
+conditional expectation onto it, solved once where the subsystem is made;
+its central blocks (``bratteli_blocks``) decide whether it is commutative.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +30,10 @@ class ToleranceConfig:
     cesaro_n_max: int = 256
 
     def __post_init__(self):
-        if self.eps_rank <= 0 or self.eps_assert <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.cesaro_n_max < 1:
-            raise ValueError("cesaro_n_max must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.eps_rank, self.eps_assert)):
+            raise ValueError("tolerances must be finite and positive")
+        if not isinstance(self.cesaro_n_max, numbers.Integral) or self.cesaro_n_max < 1:
+            raise ValueError("cesaro_n_max must be a positive integer")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -84,37 +87,6 @@ class MatrixStarAlgebra:
         return np.eye(self.ambient_dim, dtype=np.complex128)
 
 
-def product_closure_residual(alg: MatrixStarAlgebra, generators) -> float:
-    """How far the span of the basis is from a unital algebra.
-
-    When every basis element is a sum of words in the generators, the span is
-    closed under products once it is closed under right multiplication by
-    each generator.  Returns the worst relative distance of such a product
-    from the span, and of the identity.
-    """
-    rows = alg.basis_rows()
-    worst = alg.membership_residual(alg.identity())
-    for g in generators:
-        prods = (alg.basis @ g).reshape(alg.dim, -1)
-        resid = prods - (prods @ rows.conj().T) @ rows
-        norms = np.maximum(1.0, np.linalg.norm(prods, axis=1))
-        worst = max(worst, float((np.linalg.norm(resid, axis=1) / norms).max()))
-    return worst
-
-
-def validate_algebra(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    rows = alg.basis_rows()
-    gram = rows @ rows.conj().T
-    if np.abs(gram - np.eye(alg.dim)).max() > tol.eps_assert:
-        raise NumericalBreakdown("basis is not Hilbert-Schmidt orthonormal")
-    if product_closure_residual(alg, alg.basis) > tol.eps_assert:
-        raise NumericalBreakdown("span is not a unital algebra")
-    adj = alg.basis.conj().transpose(0, 2, 1).reshape(alg.dim, -1)
-    resid = adj - (adj @ rows.conj().T) @ rows
-    if np.abs(resid).max() > tol.eps_assert:
-        raise NumericalBreakdown("basis is not closed under adjoints")
-
-
 def generate_algebra(generators, ambient_dim: int,
                      tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
     """Smallest unital *-subalgebra of M_N containing the generators.
@@ -154,28 +126,6 @@ def generate_algebra(generators, ambient_dim: int,
     return MatrixStarAlgebra(ambient_dim, np.ascontiguousarray(basis))
 
 
-def commutant(alg: MatrixStarAlgebra,
-              tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """{X : Xb = bX for every basis element b}, one basis element at a time.
-
-    The commutant found so far is an orthonormal family X_1 .. X_k; the
-    next basis element b keeps the combinations sum c_i X_i in the null space
-    of c -> sum c_i (b X_i - X_i b), which is again orthonormal.  Each step
-    is one SVD of an n^2 x k matrix, and k shrinks as it goes; no Kronecker
-    matrix is formed.
-    """
-    n = alg.ambient_dim
-    mats = np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
-    for b in alg.basis:
-        comms = (b @ mats - mats @ b).reshape(len(mats), -1)
-        kernel = linalg.nullspace(comms.T, tol.eps_rank)  # (k, k') coefficients
-        if not kernel.shape[1]:
-            raise NumericalBreakdown(
-                f"rank cutoff {tol.eps_rank:g} drops the identity from the commutant")
-        mats = np.tensordot(kernel.T, mats, axes=(1, 0))
-    return MatrixStarAlgebra(n, np.ascontiguousarray(mats))
-
-
 def center(alg: MatrixStarAlgebra,
            tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
     """Center of the algebra, computed in its own coordinates.
@@ -192,12 +142,6 @@ def center(alg: MatrixStarAlgebra,
     kernel = linalg.nullspace(r, tol.eps_rank)  # coords of central elements
     mats = np.tensordot(kernel.T, alg.basis, axes=(1, 0))
     return MatrixStarAlgebra(n, np.ascontiguousarray(mats))
-
-
-def is_commutative(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether every pair of basis elements commutes up to ``eps_assert``."""
-    return all(np.abs(b @ alg.basis - alg.basis @ b).max() <= tol.eps_assert
-               for b in alg.basis)
 
 
 def block_decomposition(alg: MatrixStarAlgebra,
@@ -284,19 +228,13 @@ def product_trace_table(alg: MatrixStarAlgebra, density: np.ndarray) -> np.ndarr
 
 
 def validate_trace(alg: MatrixStarAlgebra, trace: TraceFunctional,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+                   tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """Check Hermitian PSD density, faithfulness on the algebra and traciality.
 
     Faithfulness is only required on the algebra (the ambient density may be
-    singular).  Returns the Gram matrix for reuse.
+    singular).  Returns the Gram matrix for reuse and the traciality residual
+    max |T - T^T| of the product trace table it checked.
     """
-    return checked_trace(alg, trace, tol)[0]
-
-
-def checked_trace(alg: MatrixStarAlgebra, trace: TraceFunctional,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """``validate_trace``, returning the Gram matrix and the traciality
-    residual max |T - T^T| of the product trace table it checked."""
     rho = trace.density
     if np.abs(rho - rho.conj().T).max() > tol.eps_assert:
         raise TraceNotFaithful("density is not Hermitian")
@@ -317,14 +255,13 @@ def checked_trace(alg: MatrixStarAlgebra, trace: TraceFunctional,
 @dataclass(frozen=True)
 class StarAutomorphism:
     """Trace-preserving *-automorphism Ad(u): its coordinate matrix over the
-    basis, and the ambient unitary u when the map was built from one."""
+    basis and the ambient unitary u."""
     matrix: np.ndarray  # (dim, dim)
-    unitary: np.ndarray | None = field(repr=False, default=None)  # (N, N)
+    unitary: np.ndarray = field(repr=False)  # (N, N)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
-        if self.unitary is not None:
-            self.unitary.setflags(write=False)
+        self.unitary.setflags(write=False)
 
     def apply(self, alg: MatrixStarAlgebra, mat: np.ndarray) -> np.ndarray:
         return alg.from_coords(self.matrix @ alg.coords(mat))
@@ -387,22 +324,17 @@ class WStarSystem:
 
     Carries the data every stage reads from the algebra's one multiplication:
     the Gram matrix, the table T[i, j] = coords(b_i b_j) and the adjoint
-    matrix S[:, i] = coords(b_i*) of ``multiplication_table``.
+    matrix S[:, i] = coords(b_i*) of ``multiplication_table``; ``system``
+    computes and checks them.
     """
     algebra: MatrixStarAlgebra
     trace: TraceFunctional
     dynamics: StarAutomorphism
-    gram: np.ndarray = field(repr=False, default=None)
-    table: np.ndarray = field(repr=False, default=None)  # (d, d, d)
-    star: np.ndarray = field(repr=False, default=None)   # (d, d)
+    gram: np.ndarray = field(repr=False)
+    table: np.ndarray = field(repr=False)  # (d, d, d)
+    star: np.ndarray = field(repr=False)   # (d, d)
 
     def __post_init__(self):
-        if self.gram is None:
-            object.__setattr__(self, "gram", gram_matrix(self.algebra, self.trace))
-        if self.table is None or self.star is None:
-            table, star, _ = multiplication_table(self.algebra)
-            object.__setattr__(self, "table", table)
-            object.__setattr__(self, "star", star)
         for a in (self.gram, self.table, self.star):
             a.setflags(write=False)
 
@@ -415,16 +347,31 @@ def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
     if closure > tol.eps_assert:
         raise NumericalBreakdown(f"the basis does not span a *-algebra: a product or "
                                  f"adjoint leaves its span (residual {closure:.2e})")
-    gram = validate_trace(algebra, trace, tol)
+    gram, _ = validate_trace(algebra, trace, tol)
     return WStarSystem(algebra, trace, dynamics, gram, table, star)
 
 
 @dataclass(frozen=True)
+class ConditionalExpectation:
+    """Trace-preserving conditional expectation A -> F in the coordinates of A."""
+    algebra: MatrixStarAlgebra  # A
+    matrix: np.ndarray  # (d, d), image lies in the span of F
+
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
+
+    def apply(self, mat: np.ndarray) -> np.ndarray:
+        return self.algebra.from_coords(self.matrix @ self.algebra.coords(mat))
+
+
+@dataclass(frozen=True)
 class Subsystem:
-    """Unital subalgebra F with alpha(F) = F and faithful restricted trace."""
+    """Unital subalgebra F with alpha(F) = F and faithful restricted trace,
+    with the trace-preserving conditional expectation onto it."""
     parent: WStarSystem
     algebra: MatrixStarAlgebra
     coords_in_parent: np.ndarray = field(repr=False)  # (m, d)
+    expectation: ConditionalExpectation = field(repr=False)
 
     def __post_init__(self):
         self.coords_in_parent.setflags(write=False)
@@ -432,6 +379,8 @@ class Subsystem:
 
 def subsystem(parent: WStarSystem, sub_algebra: MatrixStarAlgebra,
               tol: ToleranceConfig = DEFAULT_TOL) -> Subsystem:
+    """Validates F and solves for E_F, the orthogonal projection of A onto F
+    for the inner product mu(a* b), from F's Gram matrix in A's coordinates."""
     alg = parent.algebra
     if sub_algebra.ambient_dim != alg.ambient_dim:
         raise SubsystemInvalid("ambient dimensions differ")
@@ -445,38 +394,10 @@ def subsystem(parent: WStarSystem, sub_algebra: MatrixStarAlgebra,
     recon2 = sub_algebra.from_coords_stack(sub_algebra.coords_stack(images))
     if np.abs(recon2 - images).max() > tol.eps_assert:
         raise SubsystemInvalid("dynamics does not preserve the subalgebra")
-    sub_gram = gram_matrix(sub_algebra, parent.trace)
-    if np.linalg.eigvalsh((sub_gram + sub_gram.conj().T) / 2).min() < tol.eps_rank:
+    fc = coords.T  # (d, m)
+    small = fc.conj().T @ parent.gram @ fc  # mu(f_k* f_l)
+    if np.linalg.eigvalsh((small + small.conj().T) / 2).min() < tol.eps_rank:
         raise SubsystemInvalid("restricted trace is not faithful")
-    return Subsystem(parent, sub_algebra, np.ascontiguousarray(coords))
-
-
-@dataclass(frozen=True)
-class ConditionalExpectation:
-    """Trace-preserving conditional expectation A -> F in parent coordinates."""
-    sub: Subsystem
-    matrix: np.ndarray  # (d, d), image lies in the span of F
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        alg = self.sub.parent.algebra
-        return alg.from_coords(self.matrix @ alg.coords(mat))
-
-
-def conditional_expectation(parent: WStarSystem, sub: Subsystem,
-                            tol: ToleranceConfig = DEFAULT_TOL) -> ConditionalExpectation:
-    """Orthogonal projection of A onto F for the inner product mu(a* b)."""
-    if sub.parent is not parent:
-        raise SubsystemInvalid("subsystem does not belong to this system")
-    fc = sub.coords_in_parent.T  # (d, m)
-    small = fc.conj().T @ parent.gram @ fc
-    mat = fc @ np.linalg.solve(small, fc.conj().T @ parent.gram)
-    return ConditionalExpectation(sub, np.ascontiguousarray(mat))
-
-
-def random_element(alg: MatrixStarAlgebra, rng: np.random.Generator) -> np.ndarray:
-    """Deterministic pseudo-random algebra element (for property checks)."""
-    c = linalg.random_complex(rng, alg.dim) / np.sqrt(alg.dim)
-    return alg.from_coords(c)
+    exp = fc @ np.linalg.solve(small, fc.conj().T @ parent.gram)
+    return Subsystem(parent, sub_algebra, np.ascontiguousarray(coords),
+                     ConditionalExpectation(alg, np.ascontiguousarray(exp)))

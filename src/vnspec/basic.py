@@ -7,11 +7,12 @@ generic b in A with F b_1 + ... + F b_k = A (a Pimsner-Popa-type generating
 set), k = ceil(dim A / dim F) unless more are needed; it never forms the d^2
 products a_i e a_j.  It certifies that this span is the commutant j(F)' of
 the right subalgebra action by inclusion (every basis element commutes with
-j(g) for seeded generic g that generate F as an algebra) and dimension (the
-Bratteli count sum_k m_k^2 over the central blocks of F in A, which never
-reads e or the b), and that it is a unital algebra by
-the Jones relation  e a e = E(a) e  on the basis of A and by the identity's
-membership.  The relation makes e commute with F, so a e (f b) = (a f) e b
+j(g) for seeded generic g that generate F as an algebra, one when every
+central block of F is M_1 and two otherwise) and dimension (the Bratteli
+count sum_k m_k^2 over those blocks (p_k, n_k, m_k) of F in A, which never
+reads e or the b), and that it is a unital algebra by the Jones relation
+e a e = E(a) e  on the basis of A, with the subsystem's E, and by the
+identity's membership.  The relation makes e commute with F, so a e (f b) = (a f) e b
 and the span is all of span(A e A), which is closed under
 (a e b)(c e d) = a E(b c) e d.  It gives the algebra the trace
 lifted(a e b) = mu(a b)  in closed form from the same blocks, conjugates the
@@ -27,10 +28,11 @@ import numpy as np
 from . import linalg
 from .algebra import (DEFAULT_TOL, INCLUSION_SEED, SPAN_SEED, MatrixStarAlgebra,
                       StarAutomorphism, Subsystem, ToleranceConfig, TraceFunctional,
-                      automorphism_from_unitary, bratteli_blocks, checked_trace,
-                      conditional_expectation, is_commutative, product_trace_table)
+                      automorphism_from_unitary, bratteli_blocks, product_trace_table,
+                      validate_trace)
 from .errors import (CommutantMismatch, ExtensionInconsistent, NotAutomorphism,
-                     NumericalBreakdown, PartitionInvalid, TraceNotFaithful)
+                     NumericalBreakdown, PartitionInvalid, SubsystemInvalid,
+                     TraceNotFaithful)
 from .gns import GnsSpace, cyclic_subspace_projection, gns_map
 
 
@@ -53,6 +55,11 @@ class BasicConstruction:
     def __post_init__(self):
         for a in (self.e, self.trace_vector, self.bar_to_vector, self.u_bar):
             a.setflags(write=False)
+
+    @property
+    def dim_complement(self) -> int:
+        """Dimension of (1 - e) H, the complement of the F-cyclic subspace."""
+        return self.gns.dim - int(round(float(np.trace(self.e).real)))
 
     def lifted_value(self, mat: np.ndarray) -> complex:
         """Lifted trace of an element of the constructed algebra."""
@@ -116,10 +123,10 @@ def _span_candidates(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
     return (left_x[:, None] @ right_b[None]).reshape(-1, n * n)
 
 
-def _inclusion_generators(sub_alg: MatrixStarAlgebra,
+def _inclusion_generators(sub_alg: MatrixStarAlgebra, count: int,
                           tol: ToleranceConfig) -> np.ndarray:
-    """Seeded generic g in F that generate F as an algebra: one when F is
-    commutative, two otherwise.
+    """``count`` seeded generic g in F that generate F as an algebra: the
+    caller passes one when F is commutative, two otherwise.
 
     An operator commuting with every j(g) commutes with the algebra they
     generate, which is j of the algebra the g generate, as j is linear and
@@ -127,11 +134,10 @@ def _inclusion_generators(sub_alg: MatrixStarAlgebra,
     as an algebra, not as a *-algebra, is certified by the rank of the words
     in the g in F's own coordinates: the span of the words of length l is
     extended by its newest directions times each g, until it stops growing,
-    and must then have dim F.
+    and must then have dim F, so a count too small fails here.
     """
     m, n = sub_alg.dim, sub_alg.ambient_dim
     rng = np.random.default_rng(INCLUSION_SEED)
-    count = 1 if is_commutative(sub_alg, tol) else 2
     gens = sub_alg.from_coords_stack(linalg.random_complex(rng, (count, m)))
     span = linalg.orthonormal_columns(sub_alg.coords(np.eye(n))[:, None],
                                       tol.eps_rank).T
@@ -166,8 +172,7 @@ def _jones_relation(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
     if ident > tol.eps_assert:
         raise ExtensionInconsistent(
             f"span(A e A) does not contain the identity (residual {ident:.2e})")
-    exp = conditional_expectation(gns.system, sub, tol).matrix
-    cond = np.tensordot(exp, gns.left_mats, axes=(0, 0))
+    cond = np.tensordot(sub.expectation.matrix, gns.left_mats, axes=(0, 0))
     jones = float(np.abs(e @ gns.left_mats @ e - cond @ e).max())
     if jones > tol.eps_assert:
         raise ExtensionInconsistent(
@@ -202,16 +207,21 @@ def lifted_trace(gns: GnsSpace, e: np.ndarray, alg_bar: MatrixStarAlgebra,
 
 def build_basic_construction(gns: GnsSpace, sub: Subsystem,
                              tol: ToleranceConfig = DEFAULT_TOL) -> BasicConstruction:
+    if sub.parent is not gns.system:
+        raise SubsystemInvalid("subsystem does not belong to this system")
     e = cyclic_subspace_projection(gns, sub, tol)
     n = gns.dim
     rows = linalg.extend_orthonormal(np.zeros((0, n * n), dtype=np.complex128),
                                      _span_candidates(gns, sub, e, tol), tol.eps_rank)
     spanned = MatrixStarAlgebra(n, np.ascontiguousarray(rows.reshape(-1, n, n)))
-    # inclusion in j(F)': the largest entry of [b, j(g)], relative to |j(g)|
-    right_g = [gns.j_op(gns.left(g)) for g in _inclusion_generators(sub.algebra, tol)]
+    blocks = bratteli_blocks(gns.system.algebra, sub.algebra, tol)
+    # inclusion in j(F)': the largest entry of [b, j(g)], relative to |j(g)|,
+    # for one g when F is commutative (every block n_k = 1), two otherwise
+    commutative = all(nk == 1 for _, nk, _ in blocks)
+    gens = _inclusion_generators(sub.algebra, 1 if commutative else 2, tol)
+    right_g = [gns.j_op(gns.left(g)) for g in gens]
     resid = max(float(np.abs(spanned.basis @ j - j @ spanned.basis).max()
                       / np.linalg.norm(j, 2)) for j in right_g)
-    blocks = bratteli_blocks(gns.system.algebra, sub.algebra, tol)
     count = sum(m * m for _, _, m in blocks)
     if spanned.dim != count or resid > tol.eps_assert:
         raise CommutantMismatch(
@@ -222,7 +232,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     # the lifted trace is faithful, and U normalises <A, e> whenever alpha is
     # an automorphism of A fixing F; a fault here is a failed cross-check
     try:
-        gram_bar, tracial = checked_trace(spanned, trace_bar, tol)
+        gram_bar, tracial = validate_trace(spanned, trace_bar, tol)
         dyn_bar = automorphism_from_unitary(spanned, gns.u_matrix, trace_bar, tol)
     except (TraceNotFaithful, NotAutomorphism) as exc:
         raise NumericalBreakdown(f"lifted system: {exc}") from exc
@@ -252,11 +262,11 @@ def default_partition(bc: BasicConstruction,
 
 
 def lifted_trace_via_partition(bc: BasicConstruction, partial_isometries,
-                               tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+                               tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Evaluate the lifted trace as sum_i <J v_i* Omega, t J v_i* Omega>.
 
     Validates sum v_i* e v_i = 1 and that the result agrees with the
-    closed-form trace on the algebra basis.
+    closed-form trace on the algebra basis; returns the largest disagreement.
     """
     vs = [np.asarray(v, dtype=np.complex128) for v in partial_isometries]
     total = sum(v.conj().T @ bc.e @ v for v in vs)
@@ -270,4 +280,4 @@ def lifted_trace_via_partition(bc: BasicConstruction, partial_isometries,
         raise ExtensionInconsistent(
             f"partition formula disagrees with the closed-form trace "
             f"(residual {resid:.2e})")
-    return values
+    return resid

@@ -232,10 +232,8 @@ def build_tensor_system(b_system: WStarSystem, c_system: WStarSystem,
     basis = basis.reshape(balg.dim * calg.dim, nb * nc, nb * nc)
     alg = MatrixStarAlgebra(nb * nc, np.ascontiguousarray(basis))
     trace = trace_functional(np.kron(b_system.trace.density, c_system.trace.density))
-    u_b, u_c = b_system.dynamics.unitary, c_system.dynamics.unitary
-    if u_b is None or u_c is None:
-        raise SpecInvalid("tensor factors need dynamics given by a unitary")
-    dyn = automorphism_from_unitary(alg, np.kron(u_b, u_c), trace, tol)
+    dyn = automorphism_from_unitary(
+        alg, np.kron(b_system.dynamics.unitary, c_system.dynamics.unitary), trace, tol)
     sys = system(alg, trace, dyn, tol)
     eye_c = np.eye(nc, dtype=np.complex128) / np.sqrt(nc)
     f_basis = np.einsum("iab,cd->iacbd", balg.basis, eye_c)
@@ -253,8 +251,8 @@ def tensor_partition_isometries(b_factor, c_factor,
     the fiber GNS space, so that sum w_i* e w_i = 1 on the product space.
     """
     (balg, btrace), (calg, ctrace) = b_factor, c_factor
-    gns_b = build_gns(WStarSystem(balg, btrace, identity_automorphism(balg)), tol)
-    gns_c = build_gns(WStarSystem(calg, ctrace, identity_automorphism(calg)), tol)
+    gns_b = build_gns(system(balg, btrace, identity_automorphism(balg), tol), tol)
+    gns_c = build_gns(system(calg, ctrace, identity_automorphism(calg), tol), tol)
     eye_b = np.eye(gns_b.dim, dtype=np.complex128)
     out = []
     for i in range(gns_c.dim):

@@ -35,10 +35,6 @@ class GnsSpace:
     def dim(self) -> int:
         return self.to_vector.shape[0]
 
-    def vector_of(self, mat: np.ndarray) -> np.ndarray:
-        """a Omega for an algebra element given as an ambient matrix."""
-        return self.to_vector @ self.system.algebra.coords(mat)
-
     def left(self, mat: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by an algebra element."""
         c = self.system.algebra.coords(mat)

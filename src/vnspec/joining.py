@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import DEFAULT_TOL, Subsystem, ToleranceConfig, conditional_expectation
+from .algebra import DEFAULT_TOL, Subsystem, ToleranceConfig
 from .basic import BasicConstruction
-from .errors import IsometryViolation, NumericalBreakdown, StateNotPositive
+from .errors import (IsometryViolation, NumericalBreakdown, StateNotPositive,
+                     SubsystemInvalid)
 from .gns import GnsSpace
 
 
@@ -100,12 +101,13 @@ def factor_gram(p: np.ndarray, q: np.ndarray, to_vector: np.ndarray,
 def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
                      tol: ToleranceConfig = DEFAULT_TOL) -> JoiningData:
     parent = gns.system
+    if sub.parent is not parent:
+        raise SubsystemInvalid("subsystem does not belong to this system")
     alg = parent.algebra
     d = alg.dim
-    exp = conditional_expectation(parent, sub, tol)
     # conditioned left/right actions
-    d_coords = exp.matrix  # (d, d)
-    left_d = np.tensordot(d_coords.T, gns.left_mats, axes=(1, 0))  # left(D(a_i))
+    left_d = np.tensordot(sub.expectation.matrix.T, gns.left_mats,
+                          axes=(1, 0))  # left(D(a_i))
     right_d = np.stack([gns.j_op(m) for m in left_d])              # j(left(D(a_i)))
     # joint state, route one: diagonal state after D (x) D'
     r_omega = right_d @ gns.omega

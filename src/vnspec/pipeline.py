@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, ToleranceConfig, is_commutative
+from .algebra import DEFAULT_TOL, ToleranceConfig
 from .basic import (BasicConstruction, build_basic_construction, default_partition,
                     lifted_trace_via_partition)
 from .constructors import (ConstructedSystem, finite_extension_diagnostics,
@@ -113,10 +113,8 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
         vacuous = spectrum.rwm and not spectrum.cesaro
         add("rwm_cesaro_consistency", 0.0 if vacuous else 1.0, passed=vacuous,
             note="no admissible mean-zero elements")
-    if is_commutative(built.sub.algebra, tol):
-        atoms = [p for p, _, _ in bc.blocks]
-        fibers = [classical_fiber_analysis(gns, built.sub, mod, tol, atoms)
-                  for mod in spectrum.modules]
+    if all(n == 1 for _, n, _ in bc.blocks):  # F is commutative
+        fibers = [classical_fiber_analysis(bc, mod, tol) for mod in spectrum.modules]
         extras["fibers"] = fibers
         resid = max((min(abs(f.weighted_sum - f.measured),
                          abs(f.plain_sum - f.measured)) for f in fibers),
@@ -147,15 +145,11 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
             note="not a finite extension")
 
     # partition cross-checks (raise on disagreement; residuals recorded)
-    vs = default_partition(bc, tol)
-    vals = lifted_trace_via_partition(bc, vs, tol)
-    extras["default_partition_residual"] = float(
-        np.abs(vals - bc.trace_vector).max())
+    extras["default_partition_residual"] = lifted_trace_via_partition(
+        bc, default_partition(bc, tol), tol)
     if built.tensor_factors is not None:
         vt = tensor_partition_isometries(*built.tensor_factors, tol=tol)
-        tvals = lifted_trace_via_partition(bc, vt, tol)
-        extras["tensor_partition_residual"] = float(
-            np.abs(tvals - bc.trace_vector).max())
+        extras["tensor_partition_residual"] = lifted_trace_via_partition(bc, vt, tol)
     return SystemAnalysis(name, kind, built, gns, bc, jd, r, spectrum,
                           tuple(checks), extras)
 

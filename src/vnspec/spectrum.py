@@ -4,7 +4,9 @@ Finds the minimal jointly invariant submodules of the orthogonal complement of
 the subalgebra's cyclic subspace, evaluates their lifted traces, runs the
 Cesaro averages characterizing relative weak mixing, and cross-checks the
 ergodicity route against the module route (any disagreement is an error, never
-a silent pass).
+a silent pass).  The conditional expectation is the one the subsystem
+carries, and the fiber analysis reads its atoms from the central blocks of F
+that the basic construction found.
 """
 from __future__ import annotations
 
@@ -14,11 +16,10 @@ import numpy as np
 
 from . import linalg
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, Subsystem, ToleranceConfig,
-                      WStarSystem, block_decomposition, conditional_expectation,
-                      is_commutative)
+                      WStarSystem, block_decomposition)
 from .basic import BasicConstruction
 from .errors import (NotCommutative, NotInAlgebra, NotMeanZero, NumericalBreakdown,
-                     VerdictMismatch)
+                     SubsystemInvalid, VerdictMismatch)
 from .gns import GnsSpace
 from .joining import ErgodicityCheck, JoiningData, relative_ergodicity_check
 
@@ -94,15 +95,19 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
     1e-6, unless disabled.
     """
     n_max = tol.cesaro_n_max if n_max is None else n_max
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    if sub.parent is not system:
+        raise SubsystemInvalid("subsystem does not belong to this system")
     alg = system.algebra
     a = np.asarray(element, dtype=np.complex128)
     if alg.membership_residual(a) > tol.eps_assert:
         raise NotInAlgebra("element does not lie in the algebra")
-    exp = conditional_expectation(system, sub, tol)
+    exp = sub.expectation.matrix
     coords = alg.coords(a)
-    if np.abs(exp.matrix @ coords).max() > tol.eps_assert:
+    if np.abs(exp @ coords).max() > tol.eps_assert:
         raise NotMeanZero("element has a nonzero conditional expectation")
-    m = exp.matrix @ _adjoint_left_map(system, coords)
+    m = exp @ _adjoint_left_map(system, coords)
     dyn = system.dynamics.matrix
     block = (dyn @ coords)[:, None]  # alpha^n(c) for n = start, start + 1, ...
     power = dyn  # alpha^(block width)
@@ -135,7 +140,7 @@ def module_candidate(gns: GnsSpace, bc: BasicConstruction, projection: np.ndarra
                      tol: ToleranceConfig = DEFAULT_TOL) -> SubmoduleCandidate:
     """Package a projection with its lifted trace and invariance flags."""
     dim_v = int(round(float(np.trace(projection).real)))
-    value = float((bc.trace_vector @ bc.algebra.coords(projection)).real)
+    value = bc.lifted_value(projection).real
     is_mod = bc.algebra.membership_residual(projection) < tol.eps_assert
     u = gns.u_matrix
     is_inv = float(np.abs(u @ projection @ u.conj().T - projection).max()) \
@@ -200,13 +205,11 @@ def rwm_certificate(jd: JoiningData, bc: BasicConstruction,
     evidence is returned.
     """
     erg = relative_ergodicity_check(jd, bc, tol)
-    rank_e = int(round(float(np.trace(bc.e).real)))
-    dim_complement = bc.gns.dim - rank_e
-    module_route = dim_complement == 0
+    module_route = bc.dim_complement == 0
     if erg.holds != module_route:
         raise VerdictMismatch(
-            f"ergodicity route says {erg.holds} (residual {erg.residual:.2e}) but "
-            f"the module route says {module_route} (complement dim {dim_complement})")
+            f"ergodicity route says {erg.holds} (residual {erg.residual:.2e}) but the "
+            f"module route says {module_route} (complement dim {bc.dim_complement})")
     return erg
 
 
@@ -232,7 +235,7 @@ def rds_verdict(bc: BasicConstruction, modules: list[SubmoduleCandidate],
     total = sum((c.projection for c in modules),
                 np.zeros_like(bc.e))
     resid = float(np.abs(total - one_minus_e).max())
-    value = float((bc.trace_vector @ bc.algebra.coords(one_minus_e)).real)
+    value = bc.lifted_value(one_minus_e).real
     claims = all(c.is_right_module and c.is_u_invariant for c in modules)
     return RdsCertificate(resid < tol.eps_assert and claims, tuple(modules), resid,
                           value)
@@ -249,23 +252,19 @@ class FiberReport:
     rank_bound: int
 
 
-def classical_fiber_analysis(gns: GnsSpace, sub: Subsystem,
-                             module: SubmoduleCandidate,
-                             tol: ToleranceConfig = DEFAULT_TOL,
-                             atoms: list[np.ndarray] | None = None) -> FiberReport:
+def classical_fiber_analysis(bc: BasicConstruction, module: SubmoduleCandidate,
+                             tol: ToleranceConfig = DEFAULT_TOL) -> FiberReport:
     """Fiber dimensions of a module over the atoms of a commutative subalgebra.
 
     Reports both the weight-free and the weighted fiber sums next to the
     measured lifted trace and flags which one matches; the rank bound is the
-    largest fiber dimension.  ``atoms`` are the minimal projections of F
-    when the caller has them (the central blocks of a commutative F); without
-    them F is checked to be commutative and decomposed here.
+    largest fiber dimension.  The atoms are the central blocks p_k of F found
+    by the basic construction; F is commutative exactly when every n_k = 1.
     """
-    if atoms is None:
-        f = sub.algebra
-        if not is_commutative(f, tol):
-            raise NotCommutative("subalgebra is not commutative")
-        atoms = block_decomposition(f, tol)
+    if any(n > 1 for _, n, _ in bc.blocks):
+        raise NotCommutative("subalgebra is not commutative")
+    gns = bc.gns
+    atoms = [p for p, _, _ in bc.blocks]
     weights = [float(gns.system.trace.value(p).real) for p in atoms]
     dims = []
     for p in atoms:
@@ -292,9 +291,11 @@ def admissible_elements(system: WStarSystem, sub: Subsystem,
     Cesaro behaviour, and each element is normalized in the GNS norm so that
     witness floors are comparable across trace scales.
     """
+    if sub.parent is not system:
+        raise SubsystemInvalid("subsystem does not belong to this system")
     alg = system.algebra
-    exp = conditional_expectation(system, sub, tol)
-    kernel = linalg.orthonormal_columns(np.eye(alg.dim) - exp.matrix, tol.eps_rank)
+    kernel = linalg.orthonormal_columns(np.eye(alg.dim) - sub.expectation.matrix,
+                                        tol.eps_rank)
     k = kernel.shape[1]
     if k == 0:
         return []
@@ -327,9 +328,8 @@ def build_spectrum_report(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
         values = cesaro_sequence(gns.system, sub, mat, tol=tol)
         samples.append(CesaroSample(label, values))
     dim_span = sum(c.dim for c in modules)
-    rank_e = int(round(float(np.trace(bc.e).real)))
     return SpectrumReport(tuple(modules), tuple(blocks), dim_span,
-                          gns.dim - rank_e, cert.verdict and block_cert.verdict,
+                          bc.dim_complement, cert.verdict and block_cert.verdict,
                           erg.holds,
                           max(cert.span_residual, block_cert.span_residual),
                           float(additivity), tuple(samples), erg)

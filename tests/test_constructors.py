@@ -7,6 +7,7 @@ from vnspec.constructors import (dual_orbits, finite_extension_diagnostics,
 from vnspec.errors import (ConstraintViolated, NotAutomorphism, NotUnitary,
                            SpecInvalid, WeightsNotPreserved)
 from conftest import E12
+from oracles import validate_algebra
 
 Z4 = tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4))
 Z4_INV = tuple((-g) % 4 for g in range(4))
@@ -161,7 +162,7 @@ def test_skew_cocycle_length_checked():
 
 def test_skew_system_passes_validators(analyses):
     an = analyses["skew_z4_inversion"]
-    v.validate_algebra(an.built.system.algebra)
+    validate_algebra(an.built.system.algebra)
     v.validate_trace(an.built.system.algebra, an.built.system.trace)
 
 

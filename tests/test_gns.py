@@ -3,6 +3,7 @@ import pytest
 
 import vnspec as v
 from conftest import E11, E12, E21
+from oracles import random_element, vector_of
 
 TOL = 1e-10
 
@@ -67,7 +68,7 @@ def test_gns_of_scalars_is_one_dimensional():
 def test_gns_dimension_and_gram_for_m2(m2_grading):
     gns = v.build_gns(m2_grading.system)
     assert gns.dim == 4
-    vec = gns.vector_of(E11)
+    vec = vector_of(gns, E11)
     assert abs(np.vdot(vec, vec) - 0.5) < TOL  # mu(E11* E11) = 1/2
 
 
@@ -76,8 +77,8 @@ def test_gns_weighted_diagonal_gram():
     tr = v.trace_functional(np.diag([1 / 3, 2 / 3]))
     dyn = v.automorphism_from_unitary(alg, np.eye(2), tr)
     gns = v.build_gns(v.system(alg, tr, dyn))
-    v1 = gns.vector_of(E11)
-    v2 = gns.vector_of(np.diag([0.0, 1.0]))
+    v1 = vector_of(gns, E11)
+    v2 = vector_of(gns, np.diag([0.0, 1.0]))
     assert abs(np.vdot(v1, v1) - 1 / 3) < TOL
     assert abs(np.vdot(v2, v2) - 2 / 3) < TOL
     assert abs(np.vdot(v1, v2)) < TOL
@@ -96,9 +97,9 @@ def test_inner_product_reproduces_trace(analyses):
         sys = an.built.system
         gns = an.gns
         for _ in range(10):
-            a = v.random_element(sys.algebra, rng)
-            b = v.random_element(sys.algebra, rng)
-            ip = np.vdot(gns.vector_of(a), gns.vector_of(b))
+            a = random_element(sys.algebra, rng)
+            b = random_element(sys.algebra, rng)
+            ip = np.vdot(vector_of(gns, a), vector_of(gns, b))
             assert abs(ip - sys.trace.value(a.conj().T @ b)) < 1e-9, name
 
 
@@ -117,11 +118,11 @@ def test_cyclic_projection_reproduces_expectation(analyses):
     rng = np.random.default_rng(7)
     for name, an in analyses.items():
         sys, sub = an.built.system, an.built.sub
-        exp = v.conditional_expectation(sys, sub)
+        exp = sub.expectation
         for _ in range(5):
-            a = v.random_element(sys.algebra, rng)
-            lhs = an.basic.e @ an.gns.vector_of(a)
-            rhs = an.gns.vector_of(exp.apply(a))
+            a = random_element(sys.algebra, rng)
+            lhs = an.basic.e @ vector_of(an.gns, a)
+            rhs = vector_of(an.gns, exp.apply(a))
             assert np.abs(lhs - rhs).max() < 1e-9, name
 
 
@@ -144,8 +145,8 @@ def test_right_action_on_cyclic_vector(m2_grading):
     gns = v.build_gns(m2_grading.system)
     a = E12 + 0.3 * E11
     # x a for x = Omega equals a Omega in the tracial case
-    assert np.abs(_right(gns, gns.omega, a) - gns.vector_of(a)).max() < TOL
-    x = gns.vector_of(E21)
+    assert np.abs(_right(gns, gns.omega, a) - vector_of(gns, a)).max() < TOL
+    x = vector_of(gns, E21)
     assert np.abs(_right(gns, x, np.eye(2)) - x).max() < TOL
 
 
@@ -154,17 +155,17 @@ def test_right_action_is_right_multiplication(m2_grading):
     rng = np.random.default_rng(2)
     alg = m2_grading.system.algebra
     for _ in range(5):
-        a = v.random_element(alg, rng)
-        b = v.random_element(alg, rng)
-        x = gns.vector_of(b)
+        a = random_element(alg, rng)
+        b = random_element(alg, rng)
+        x = vector_of(gns, b)
         # independent oracle: x . a = (b a) Omega
         assert np.abs(_right(gns, x, a)
-                      - gns.vector_of(b @ a)).max() < 1e-10
+                      - vector_of(gns, b @ a)).max() < 1e-10
 
 
 def test_left_right_distinction(m2_grading):
     gns = v.build_gns(m2_grading.system)
-    x = gns.vector_of(E12)
+    x = vector_of(gns, E12)
     right = _right(gns, x, E11)   # (E12 E11) Omega = 0
     left = gns.left(E11) @ x              # (E11 E12) Omega = E12 Omega
     assert np.abs(right).max() < TOL
@@ -175,9 +176,9 @@ def test_right_action_is_a_right_action(m2_grading):
     gns = v.build_gns(m2_grading.system)
     rng = np.random.default_rng(4)
     alg = m2_grading.system.algebra
-    x = gns.vector_of(v.random_element(alg, rng))
-    a = v.random_element(alg, rng)
-    b = v.random_element(alg, rng)
+    x = vector_of(gns, random_element(alg, rng))
+    a = random_element(alg, rng)
+    b = random_element(alg, rng)
     once = _right(gns, _right(gns, x, a), b)
     composed = _right(gns, x, a @ b)
     assert np.abs(once - composed).max() < 1e-10
@@ -187,8 +188,9 @@ def test_trace_not_faithful_raises():
     alg = v.generate_algebra([E12], 2)
     # positive but unfaithful density on the full matrix algebra
     tr = v.TraceFunctional(np.diag([1.0, 0.0]).astype(complex), normalized=True)
-    dyn = v.StarAutomorphism(np.eye(4, dtype=complex))
-    sys = v.WStarSystem(alg, tr, dyn)
+    dyn = v.StarAutomorphism(np.eye(4, dtype=complex), np.eye(2, dtype=complex))
+    table, star, _ = v.algebra.multiplication_table(alg)
+    sys = v.WStarSystem(alg, tr, dyn, v.gram_matrix(alg, tr), table, star)
     with pytest.raises(v.errors.TraceNotFaithful):
         v.build_gns(sys)
 
@@ -198,9 +200,9 @@ def test_mirrored_expectation_agrees_on_cyclic_vector(analyses):
     rng = np.random.default_rng(19)
     for name, an in analyses.items():
         gns = an.gns
-        exp = v.conditional_expectation(an.built.system, an.built.sub)
+        exp = an.built.sub.expectation
         for _ in range(5):
-            a = v.random_element(an.built.system.algebra, rng)
+            a = random_element(an.built.system.algebra, rng)
             conditioned = gns.left(exp.apply(a))
             lhs = gns.j_op(conditioned) @ gns.omega
             rhs = conditioned @ gns.omega

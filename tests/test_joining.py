@@ -7,6 +7,7 @@ import vnspec as v
 from vnspec import linalg
 from vnspec.errors import NumericalBreakdown
 from test_routes import joining_gram_by_eigh
+from oracles import commutant, random_element
 
 
 def test_commutant_system_dimensions_and_trace(analyses):
@@ -15,7 +16,7 @@ def test_commutant_system_dimensions_and_trace(analyses):
         # mu'(j(a)) = mu(a) on the left algebra
         rng = np.random.default_rng(1)
         for _ in range(5):
-            a = v.random_element(an.built.system.algebra, rng)
+            a = random_element(an.built.system.algebra, rng)
             jb = gns.j_op(gns.left(a))
             lhs = np.vdot(gns.omega, jb @ gns.omega)
             assert abs(lhs - an.built.system.trace.value(a)) < 1e-9, name
@@ -28,7 +29,7 @@ def test_commutant_of_left_algebra_is_mirror(m2_grading):
     onb = linalg.extend_orthonormal(np.zeros((0, 16), dtype=complex),
                                     left_rows, 1e-10)
     left_alg = v.MatrixStarAlgebra(4, onb.reshape(-1, 4, 4))
-    comm = v.commutant(left_alg)
+    comm = commutant(left_alg)
     assert comm.dim == 4
     # the commutant is exactly the mirrored algebra j(A)
     for x in left_alg.basis:

@@ -43,12 +43,13 @@ from vnspec import linalg
 from vnspec.cli import shipped_system_paths
 from vnspec.descriptions import build_from_description, parse_system
 from vnspec import algebra, basic, descriptions, joining, spectrum
-from vnspec.algebra import DEFAULT_TOL, product_closure_residual
+from vnspec.algebra import DEFAULT_TOL
 from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, IsometryViolation,
                            NotAutomorphism, NumericalBreakdown, StateNotPositive)
 from vnspec.pipeline import analyze_built, analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 from conftest import E12
+from oracles import commutant, product_closure_residual, random_element
 from test_exit_codes import _run as run_cli
 
 
@@ -90,7 +91,7 @@ def test_span_basis_equals_generated_algebra(analyses):
 def test_bar_map_equals_gns_of_lifted_system(analyses):
     for name, an in analyses.items():
         bc = an.basic
-        bar = v.build_gns(v.WStarSystem(bc.algebra, bc.trace, bc.dynamics))
+        bar = v.build_gns(v.system(bc.algebra, bc.trace, bc.dynamics))
         assert np.array_equal(bc.bar_to_vector, bar.to_vector), name
         assert np.array_equal(bc.u_bar, bar.u_matrix), name
 
@@ -113,7 +114,7 @@ def test_fixed_points_equal_joint_commutant(analyses):
         joint = v.generate_algebra(
             [gns.u_matrix] + [gns.j_op(gns.left(f)) for f in sub.algebra.basis],
             gns.dim)
-        oracle = v.commutant(joint)
+        oracle = commutant(joint)
         assert fixed.dim == oracle.dim, name
         assert _mutual_inclusion(fixed, oracle) < 1e-9, name
 
@@ -150,7 +151,7 @@ def _random_block_algebra(rng, blocks):
 ])
 def test_intersected_commutant_equals_stacked(seed, blocks):
     alg = _random_block_algebra(np.random.default_rng(seed), blocks)
-    comm = v.commutant(alg)
+    comm = commutant(alg)
     oracle = _stacked_commutant(alg)
     assert comm.dim == oracle.dim == sum(mk * mk for _, mk in blocks)
     assert _mutual_inclusion(comm, oracle) < 1e-9
@@ -189,7 +190,7 @@ def _right_subalgebra(gns, sub, eps_rank=1e-10):
 
 def _assert_commutant_route(name, an):
     bc, sub = an.basic, an.built.sub
-    oracle = v.commutant(_right_subalgebra(an.gns, sub))
+    oracle = commutant(_right_subalgebra(an.gns, sub))
     count = sum(m * m for _, _, m in v.bratteli_blocks(an.built.system.algebra,
                                                         sub.algebra))
     assert oracle.dim == bc.algebra.dim == count, name
@@ -358,7 +359,7 @@ def test_conjugated_projection_fails_the_jones_relation(analyses, monkeypatch):
     with j(F) and has the Bratteli dimension, but breaks e a e = E(a) e."""
     an = analyses["finite_extension_m2"]
     gns, sub, alg = an.gns, an.built.sub, an.built.system.algebra
-    h = v.random_element(alg, np.random.default_rng(3))
+    h = random_element(alg, np.random.default_rng(3))
     w, q = np.linalg.eigh(h + h.conj().T)
     u = (q * np.exp(1j * w)) @ q.conj().T
     assert alg.membership_residual(u) < 1e-12
@@ -617,7 +618,7 @@ def test_skew_d24_lifted_dynamics_passes_the_generic_check(skew_d24):
 def _unchecked_conjugation(alg, u):
     """The coordinate matrix automorphism_from_unitary builds, unchecked."""
     images = u @ alg.basis @ u.conj().T
-    return v.StarAutomorphism(np.ascontiguousarray(alg.coords_stack(images).T))
+    return v.StarAutomorphism(np.ascontiguousarray(alg.coords_stack(images).T), u)
 
 
 BAD_UNITARIES = {  # density, unitary and the fault, on the diagonal algebra of M_2
@@ -646,7 +647,7 @@ def _stepwise_cesaro(system, sub, element, n_max, early_exit):
     """The per-step loop cesaro_sequence ran before the column blocks."""
     alg = system.algebra
     a = np.asarray(element, dtype=np.complex128)
-    exp = v.conditional_expectation(system, sub)
+    exp = sub.expectation
     coords = alg.coords(a)
     a_adj = a.conj().T
     cur = coords
@@ -813,7 +814,7 @@ def test_table_left_map_equals_coordinate_pass(name):
     built, elements = _admissible(name)
     alg = built.system.algebra
     rng = np.random.default_rng(23)
-    elements += [(f"r{i}", v.random_element(alg, rng)) for i in range(3)]
+    elements += [(f"r{i}", random_element(alg, rng)) for i in range(3)]
     for label, a in elements:
         got = spectrum._adjoint_left_map(built.system, alg.coords(a))
         oracle = alg.coords_stack(a.conj().T @ alg.basis).T
@@ -868,8 +869,10 @@ def test_equivalence_checks_its_defining_relation(analyses, monkeypatch):
                                          ("skew_z4_inversion", 1),
                                          ("finite_extension_m2", 2)])
 def test_inclusion_generators_generate_f(analyses, name, count):
-    sub_alg = analyses[name].built.sub.algebra
-    gens = basic._inclusion_generators(sub_alg, DEFAULT_TOL)
+    an = analyses[name]
+    sub_alg = an.built.sub.algebra
+    assert (1 if all(n == 1 for _, n, _ in an.basic.blocks) else 2) == count
+    gens = basic._inclusion_generators(sub_alg, count, DEFAULT_TOL)
     assert len(gens) == count
     assert v.generate_algebra(list(gens), sub_alg.ambient_dim).dim == sub_alg.dim
 
@@ -910,6 +913,56 @@ def test_non_generating_elements_fail(analyses, monkeypatch):
     """One generic element of a noncommutative F generates a commutative
     algebra, never F."""
     an = analyses["finite_extension_m2"]
-    monkeypatch.setattr(basic, "is_commutative", lambda *args: True)
+    generators = basic._inclusion_generators
+    monkeypatch.setattr(basic, "_inclusion_generators",
+                        lambda sub_alg, count, tol: generators(sub_alg, 1, tol))
     with pytest.raises(NumericalBreakdown, match="1 generic elements of F generate"):
         v.build_basic_construction(an.gns, an.built.sub)
+
+
+# --- one path per object: E_F solved once by the subsystem, the test-only
+# --- API and the recomputing fallbacks out of the package
+
+def conditional_expectation_matrix(parent, sub):
+    """Orthogonal projection of A onto F for mu(a* b), as the package once
+    solved it in every stage that needed E_F."""
+    fc = sub.coords_in_parent.T  # (d, m)
+    small = fc.conj().T @ parent.gram @ fc
+    return fc @ np.linalg.solve(small, fc.conj().T @ parent.gram)
+
+
+def test_subsystem_expectation_equals_the_solved_projection(analyses, skew_d24):
+    for name, an in {**analyses, SKEW_D24["name"]: skew_d24}.items():
+        system, sub = an.built.system, an.built.sub
+        assert sub.expectation.algebra is system.algebra, name
+        oracle = conditional_expectation_matrix(system, sub)
+        assert np.abs(sub.expectation.matrix - oracle).max() <= 1e-12, name
+
+
+REMOVED_NAMES = ("checked_trace", "is_commutative", "conditional_expectation",
+                 "commutant", "product_closure_residual", "validate_algebra",
+                 "random_element")
+
+
+def test_removed_names_are_absent():
+    modules = [m for name, m in sys.modules.items()
+               if name == "vnspec" or name.startswith("vnspec.")]
+    assert {"vnspec.algebra", "vnspec.basic", "vnspec.joining", "vnspec.spectrum",
+            "vnspec.pipeline"} <= {m.__name__ for m in modules}
+    assert [(m.__name__, n) for m in modules for n in REMOVED_NAMES
+            if hasattr(m, n)] == []
+    assert not hasattr(v.GnsSpace, "vector_of")
+
+
+def test_subsystem_of_another_system_is_refused(m2_grading, m2_over_diagonal):
+    system, sub = m2_grading.system, m2_over_diagonal.sub
+    gns = v.build_gns(system)
+    with pytest.raises(v.errors.SubsystemInvalid, match="does not belong"):
+        v.cesaro_sequence(system, sub, E12)
+    with pytest.raises(v.errors.SubsystemInvalid, match="does not belong"):
+        admissible_elements(system, sub)
+    with pytest.raises(v.errors.SubsystemInvalid, match="does not belong"):
+        v.build_basic_construction(gns, sub)
+    bc = v.build_basic_construction(gns, m2_grading.sub)
+    with pytest.raises(v.errors.SubsystemInvalid, match="does not belong"):
+        v.relative_joining(gns, sub, bc)

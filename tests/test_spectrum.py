@@ -26,6 +26,12 @@ def test_cesaro_constant_quarter(m2_grading):
     assert np.abs(seq - 0.25).max() < 1e-9
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_cesaro_rejects_a_horizon_below_one(m2_grading, n_max):
+    with pytest.raises(ValueError, match="n_max must be positive"):
+        v.cesaro_sequence(m2_grading.system, m2_grading.sub, E12, n_max=n_max)
+
+
 def test_cesaro_rejects_nonzero_expectation(m2_grading):
     with pytest.raises(NotMeanZero):
         v.cesaro_sequence(m2_grading.system, m2_grading.sub, np.eye(2))
@@ -56,7 +62,7 @@ def test_no_admissible_elements_for_full_subsystem(analyses):
 def test_admissible_elements_span_kernel(analyses):
     for name, an in analyses.items():
         sys, sub = an.built.system, an.built.sub
-        exp = v.conditional_expectation(sys, sub)
+        exp = sub.expectation
         elems = admissible_elements(sys, sub)
         assert len(elems) == sys.algebra.dim - sub.algebra.dim, name
         for _, mat in elems:
@@ -181,8 +187,7 @@ def test_rds_requires_every_module_claim(analyses, claim):
 def test_fiber_analysis_requires_commutative_subalgebra(analyses):
     an = analyses["finite_extension_m2"]
     with pytest.raises(NotCommutative):
-        v.classical_fiber_analysis(an.gns, an.built.sub,
-                                   an.spectrum.modules[0])
+        v.classical_fiber_analysis(an.basic, an.spectrum.modules[0])
 
 
 def test_fiber_analysis_zero_module(analyses):
@@ -190,7 +195,7 @@ def test_fiber_analysis_zero_module(analyses):
     zero = v.spectrum.module_candidate(an.gns, an.basic,
                                        np.zeros((an.gns.dim, an.gns.dim),
                                                 dtype=complex))
-    rep = v.classical_fiber_analysis(an.gns, an.built.sub, zero)
+    rep = v.classical_fiber_analysis(an.basic, zero)
     assert rep.fiber_dims == (0, 0, 0)
     assert rep.measured == 0.0
 
@@ -211,7 +216,7 @@ def test_full_complement_fibers(analyses):
     an = analyses["skew_z4_inversion"]
     comp = v.spectrum.module_candidate(an.gns, an.basic,
                                        np.eye(an.gns.dim) - an.basic.e)
-    rep = v.classical_fiber_analysis(an.gns, an.built.sub, comp)
+    rep = v.classical_fiber_analysis(an.basic, comp)
     assert rep.fiber_dims == (3, 3, 3)  # |G| - 1 per atom
 
 

@@ -31,12 +31,12 @@ def main():
           f"(non-product detected: {diag['nonproduct_detected']})")
     gns = v.build_gns(fe.system)
     bc = v.build_basic_construction(gns, fe.sub)
-    jd = v.relative_joining(gns, fe.sub, bc)
+    jd = v.relative_joining(bc)
     print(f"  dim <A,e> = {bc.algebra.dim}, "
           f"lifted trace of complement = "
           f"{bc.lifted_value(np.eye(gns.dim) - bc.e).real:.6g}")
     print(f"  weak mixing relative to the base: "
-          f"{v.rwm_certificate(jd, bc).holds}")
+          f"{v.rwm_certificate(jd).holds}")
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ def run(cocycle):
     skew = v.build_skew_product(spec)
     gns = v.build_gns(skew.system)
     bc = v.build_basic_construction(gns, skew.sub)
-    orbit = skew_orbit_modules(skew, gns, bc)
-    blocks = v.find_minimal_modules(gns, skew.sub, bc)
+    orbit = skew_orbit_modules(skew, bc)
+    blocks = v.find_minimal_modules(bc)
     print(f"cocycle {cocycle}: dim H = {gns.dim}, "
           f"dim <A,e> = {bc.algebra.dim}, "
           f"lifted trace of complement = "

@@ -30,9 +30,11 @@ class ToleranceConfig:
     cesaro_n_max: int = 256
 
     def __post_init__(self):
-        if not all(math.isfinite(t) and t > 0 for t in (self.eps_rank, self.eps_assert)):
+        if not all(not isinstance(t, (bool, np.bool_)) and math.isfinite(t) and t > 0
+                   for t in (self.eps_rank, self.eps_assert)):
             raise ValueError("tolerances must be finite and positive")
-        if not isinstance(self.cesaro_n_max, numbers.Integral) or self.cesaro_n_max < 1:
+        n_max = self.cesaro_n_max
+        if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 1:
             raise ValueError("cesaro_n_max must be a positive integer")
 
 

@@ -19,13 +19,17 @@ constructor validates its own description:
   value per atom; the unitary is sum_x E_{S^-1 x, x} (x) P_T^-k(S^-1 x) for
   P_T delta_h = delta_{T h};
 * ``build_finite_extension``: unitaries v_i in their summands, the
-  relative-commutant conditions and a weight in (0, 1).
+  relative-commutant conditions and a weight in (0, 1); the unitary is
+  W = w1 (x) E_11 + w2 (x) E_12 + w3 (x) E_21 + w4 (x) E_22.
 
 ``system`` then validates the closure of the basis under products and
 adjoints (its multiplication table) and the trace, and ``subsystem`` the
-subalgebra.  Skew products are realized as block matrices indexed by atoms
-(the finite atomic stand-in for a direct integral of copies of the fiber
-algebra).
+subalgebra.  The last three families share one layout: A = B (x) C over
+F = B (x) 1 with the product trace and b_i (x) c_j at index i dim C + j,
+where C is the fiber, the group algebra or M_2.  Only the unitary differs,
+and each keeps its validated factor systems (B, C).  Skew products are thus
+block matrices indexed by atoms (the finite atomic stand-in for a direct
+integral of copies of the fiber algebra).
 """
 from __future__ import annotations
 
@@ -46,9 +50,8 @@ from . import linalg
 class ConstructedSystem:
     system: WStarSystem
     sub: Subsystem
-    # (algebra, trace) pairs of the tensor factors, when the system carries a
-    # product structure compatible with the basis ordering
-    tensor_factors: tuple | None = None
+    # the factor systems (B, C) of a product system A = B (x) C over F = B (x) 1
+    factors: tuple[WStarSystem, WStarSystem] | None = None
     extras: dict = field(default_factory=dict)
 
 
@@ -221,39 +224,44 @@ def group_sub_system(gs: GroupSystem, subgroup,
     return subsystem(gs.system, MatrixStarAlgebra(n, basis), tol)
 
 
-# --- tensor products ----------------------------------------------------------
+# --- product systems --------------------------------------------------------
 
-def build_tensor_system(b_system: WStarSystem, c_system: WStarSystem,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> ConstructedSystem:
-    """B (x) C with the product trace and product dynamics, over F = B (x) 1."""
+def _product(b_system: WStarSystem, c_system: WStarSystem, unitary: np.ndarray,
+             tol: ToleranceConfig, extras: dict | None = None) -> ConstructedSystem:
+    """A = B (x) C over F = B (x) 1 with the product trace and dynamics
+    Ad(unitary); b_i (x) c_j is basis element i * dim C + j.  The factors'
+    own dynamics is not read."""
     balg, calg = b_system.algebra, c_system.algebra
     nb, nc = balg.ambient_dim, calg.ambient_dim
     basis = np.einsum("iab,jcd->ijacbd", balg.basis, calg.basis)
     basis = basis.reshape(balg.dim * calg.dim, nb * nc, nb * nc)
     alg = MatrixStarAlgebra(nb * nc, np.ascontiguousarray(basis))
     trace = trace_functional(np.kron(b_system.trace.density, c_system.trace.density))
-    dyn = automorphism_from_unitary(
-        alg, np.kron(b_system.dynamics.unitary, c_system.dynamics.unitary), trace, tol)
+    dyn = automorphism_from_unitary(alg, unitary, trace, tol)
     sys = system(alg, trace, dyn, tol)
     eye_c = np.eye(nc, dtype=np.complex128) / np.sqrt(nc)
     f_basis = np.einsum("iab,cd->iacbd", balg.basis, eye_c)
     f_basis = f_basis.reshape(balg.dim, nb * nc, nb * nc)
     sub = subsystem(sys, MatrixStarAlgebra(nb * nc, np.ascontiguousarray(f_basis)), tol)
-    factors = ((balg, b_system.trace), (calg, c_system.trace))
-    return ConstructedSystem(sys, sub, factors)
+    return ConstructedSystem(sys, sub, (b_system, c_system), extras or {})
 
 
-def tensor_partition_isometries(b_factor, c_factor,
+def build_tensor_system(b_system: WStarSystem, c_system: WStarSystem,
+                        tol: ToleranceConfig = DEFAULT_TOL) -> ConstructedSystem:
+    """B (x) C with the product trace and product dynamics, over F = B (x) 1."""
+    return _product(b_system, c_system,
+                    np.kron(b_system.dynamics.unitary, c_system.dynamics.unitary), tol)
+
+
+def tensor_partition_isometries(b_system: WStarSystem, c_system: WStarSystem,
                                 tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Partition elements 1 (x) w_i for the lifted trace of a tensor system.
+    """Partition elements 1 (x) w_i for the lifted trace of a product system.
 
     Each w_i maps z to <J_c h_i, z> Omega_c over an orthonormal basis (h_i) of
     the fiber GNS space, so that sum w_i* e w_i = 1 on the product space.
     """
-    (balg, btrace), (calg, ctrace) = b_factor, c_factor
-    gns_b = build_gns(system(balg, btrace, identity_automorphism(balg), tol), tol)
-    gns_c = build_gns(system(calg, ctrace, identity_automorphism(calg), tol), tol)
-    eye_b = np.eye(gns_b.dim, dtype=np.complex128)
+    gns_c = build_gns(c_system, tol)
+    eye_b = np.eye(b_system.algebra.dim, dtype=np.complex128)
     out = []
     for i in range(gns_c.dim):
         jh = gns_c.conj_matrix[:, i]  # J applied to the i-th coordinate vector
@@ -295,18 +303,7 @@ def build_skew_product(spec: SkewProductSpec,
             orbit.append(t_perm[orbit[-1]])
         return orbit[k % len(orbit)]
 
-    lmats = left_regular_matrices(gs.table)
     n = n_x * n_g
-    basis = np.zeros((n_x * n_g, n, n), dtype=np.complex128)
-    for x in range(n_x):
-        for g in range(n_g):
-            blk = np.zeros((n_x, n_x))
-            blk[x, x] = 1.0
-            basis[x * n_g + g] = np.kron(blk, lmats[g]) / np.sqrt(n_g)
-    alg = MatrixStarAlgebra(n, basis)
-    density = np.kron(np.diag(np.asarray(spec.weights, dtype=np.complex128)),
-                      gs.system.trace.density)
-    trace = trace_functional(density)
     # Ad(P_T^m) l(g) = l(T^m g) for P_T delta_h = delta_{T h}, so conjugation
     # by sum_x E_{S^-1 x, x} (x) P_T^-k(S^-1 x) sends the basis element at
     # (x, g) to the one at (S^-1 x, T^-k(S^-1 x) g)
@@ -316,18 +313,7 @@ def build_skew_product(spec: SkewProductSpec,
         k = -int(spec.cocycle[xs])
         for h in range(n_g):
             u[xs * n_g + t_power(h, k), x * n_g + h] = 1.0
-    dyn = automorphism_from_unitary(alg, u, trace, tol)
-    sys = system(alg, trace, dyn, tol)
-    f_basis = np.zeros((n_x, n, n), dtype=np.complex128)
-    eye_g = np.eye(n_g) / np.sqrt(n_g)
-    for x in range(n_x):
-        blk = np.zeros((n_x, n_x))
-        blk[x, x] = 1.0
-        f_basis[x] = np.kron(blk, eye_g)
-    sub = subsystem(sys, MatrixStarAlgebra(n, f_basis), tol)
-    factors = ((base.algebra, base.trace), (gs.system.algebra, gs.system.trace))
-    return ConstructedSystem(sys, sub, factors,
-                             extras={"group": gs, "base": base})
+    return _product(base, gs.system, u, tol, extras={"group": gs})
 
 
 def dual_orbits(gs: GroupSystem) -> list[tuple[int, ...]]:
@@ -348,7 +334,7 @@ def dual_orbits(gs: GroupSystem) -> list[tuple[int, ...]]:
     return orbits
 
 
-def skew_orbit_modules(skew: ConstructedSystem, gns, bc,
+def skew_orbit_modules(skew: ConstructedSystem, bc,
                        tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Orbit modules of a skew product: base space tensored with the span of
     each dual orbit.  These are invariant right modules of finite lifted trace
@@ -362,9 +348,9 @@ def skew_orbit_modules(skew: ConstructedSystem, gns, bc,
     out = []
     for orbit in dual_orbits(gs):
         idx = [x * n_g + g for x in range(n_x) for g in orbit]
-        cols = gns.to_vector[:, idx]
+        cols = bc.gns.to_vector[:, idx]
         q = linalg.orthonormal_columns(cols, tol.eps_rank)
-        out.append(module_candidate(gns, bc, q @ q.conj().T, tol))
+        out.append(module_candidate(bc, q @ q.conj().T, tol))
     out.sort(key=lambda c: (-round(c.lifted_trace, 8),
                             linalg.sort_key(c.projection)))
     return out
@@ -434,44 +420,30 @@ def build_finite_extension(spec: FiniteExtensionSpec,
                                    [np.zeros((n2, n1)), np.zeros((n2, n2))]])
         pad2 = lambda m: np.block([[np.zeros((n1, n1)), np.zeros((n1, n2))],
                                    [np.zeros((n2, n1)), m]])
-        b_basis = np.stack([pad1(m) for m in b1.algebra.basis]
-                           + [pad2(m) for m in b2.algebra.basis])
+        b_alg = MatrixStarAlgebra(nb, np.stack([pad1(m) for m in b1.algebra.basis]
+                                               + [pad2(m) for m in b2.algebra.basis]))
         b_density = spec.s * pad1(b1.trace.density) \
             + (1.0 - spec.s) * pad2(b2.trace.density)
+        # _product reads only Ad(W), so B1 (+) B2 and M_2 get the identity dynamics
+        b_sys = system(b_alg, trace_functional(b_density), identity_automorphism(b_alg),
+                       tol)
         w1, w4 = pad1(v1), pad1(v4)
         w2, w3 = pad2(v2), pad2(v3)
     else:
-        nb = n1
-        b_basis = b1.algebra.basis.copy()
-        b_density = b1.trace.density.copy()
+        nb, b_sys = n1, b1
         w1, w4 = v1, v4
         w2 = np.zeros((nb, nb), dtype=np.complex128)
         w3 = np.zeros((nb, nb), dtype=np.complex128)
-    b_alg = MatrixStarAlgebra(nb, np.ascontiguousarray(b_basis))
-    b_trace = trace_functional(b_density)
     units = np.zeros((4, 2, 2), dtype=np.complex128)
     units[0, 0, 0] = units[1, 0, 1] = units[2, 1, 0] = units[3, 1, 1] = 1.0
-    a_basis = np.einsum("iab,jcd->ijacbd", b_alg.basis, units)
-    a_basis = a_basis.reshape(b_alg.dim * 4, 2 * nb, 2 * nb)
-    alg = MatrixStarAlgebra(2 * nb, np.ascontiguousarray(a_basis))
-    trace = trace_functional(np.kron(b_density, np.eye(2) / 2.0))
+    m2_alg = MatrixStarAlgebra(2, units)
+    m2_sys = system(m2_alg, trace_functional(np.eye(2, dtype=np.complex128) / 2.0),
+                    identity_automorphism(m2_alg), tol)
+    # W is unitary once each v_i is: the corners act on orthogonal summands
     w_full = (np.kron(w1, units[0]) + np.kron(w2, units[1])
               + np.kron(w3, units[2]) + np.kron(w4, units[3]))
-    if np.abs(w_full @ w_full.conj().T - np.eye(2 * nb)).max() > tol.eps_assert:
-        raise NotUnitary("assembled dynamics matrix is not unitary")
-    dyn = automorphism_from_unitary(alg, w_full, trace, tol)
-    sys = system(alg, trace, dyn, tol)
-    f_basis = np.einsum("iab,cd->iacbd", b_alg.basis,
-                        np.eye(2, dtype=np.complex128) / np.sqrt(2.0))
-    f_basis = f_basis.reshape(b_alg.dim, 2 * nb, 2 * nb)
-    sub = subsystem(sys, MatrixStarAlgebra(2 * nb, np.ascontiguousarray(f_basis)), tol)
-    m2_basis = units.copy()
-    m2_alg = MatrixStarAlgebra(2, m2_basis)
-    m2_trace = trace_functional(np.eye(2, dtype=np.complex128) / 2.0)
-    factors = ((b_alg, b_trace), (m2_alg, m2_trace))
-    extras = {"w": w_full, "ws": (w1, w2, w3, w4), "b_dims": (n1, nb - n1),
-              "b_algebra": b_alg}
-    return ConstructedSystem(sys, sub, factors, extras)
+    return _product(b_sys, m2_sys, w_full, tol,
+                    extras={"ws": (w1, w2, w3, w4), "b_dims": (n1, nb - n1)})
 
 
 def finite_extension_diagnostics(fe: ConstructedSystem,
@@ -484,7 +456,7 @@ def finite_extension_diagnostics(fe: ConstructedSystem,
     be a product (distance of alpha(1 (x) m) from 1 (x) M_2).
     """
     w1, w2, w3, w4 = fe.extras["ws"]
-    b_alg: MatrixStarAlgebra = fe.extras["b_algebra"]
+    b_alg = fe.factors[0].algebra
     alg = fe.system.algebra
     nb = b_alg.ambient_dim
     beta_resid = 0.0

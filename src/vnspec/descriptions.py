@@ -301,7 +301,7 @@ def build_from_description(desc: SystemDescription,
                                 tol)
             else:
                 sub = group_sub_system(gs, p["subgroup"], tol)
-            return ConstructedSystem(gs.system, sub, extras={"group": gs})
+            return ConstructedSystem(gs.system, sub)
         if desc.kind == "tensor":
             return build_tensor_system(_build_factor(p["b_factor"], tol),
                                        _build_factor(p["c_factor"], tol), tol)

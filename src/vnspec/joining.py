@@ -12,11 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import DEFAULT_TOL, Subsystem, ToleranceConfig
+from .algebra import DEFAULT_TOL, ToleranceConfig
 from .basic import BasicConstruction
-from .errors import (IsometryViolation, NumericalBreakdown, StateNotPositive,
-                     SubsystemInvalid)
-from .gns import GnsSpace
+from .errors import IsometryViolation, NumericalBreakdown, StateNotPositive
 
 
 @dataclass(frozen=True)
@@ -26,8 +24,7 @@ class JoiningData:
     Tensor coordinates are indexed over pairs of the parent basis, with the
     commutant slot running over b_i = j(left(a_i)).
     """
-    gns: GnsSpace
-    sub: Subsystem
+    basic: BasicConstruction        # owns the GNS space and the subsystem
     omega_values: np.ndarray        # (d, d) joint state on basis pairs
     two_formula_residual: float     # expectation route vs lifted-trace route
     marginal_residual: float
@@ -98,11 +95,10 @@ def factor_gram(p: np.ndarray, q: np.ndarray, to_vector: np.ndarray,
     return rows, resid, min(pivots, default=float("inf"))
 
 
-def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
+def relative_joining(bc: BasicConstruction,
                      tol: ToleranceConfig = DEFAULT_TOL) -> JoiningData:
+    gns, sub = bc.gns, bc.sub
     parent = gns.system
-    if sub.parent is not parent:
-        raise SubsystemInvalid("subsystem does not belong to this system")
     alg = parent.algebra
     d = alg.dim
     # conditioned left/right actions
@@ -162,13 +158,14 @@ def relative_joining(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
     if span_resid > tol.eps_assert:
         raise NumericalBreakdown(f"F (x) 1 and 1 (x) j(F) span different subspaces "
                                  f"(residual {span_resid:.2e})")
-    return JoiningData(gns, sub, omega_vals, two_formula, marg, invariance,
+    return JoiningData(bc, omega_vals, two_formula, marg, invariance,
                        np.ascontiguousarray(gamma), np.ascontiguousarray(w),
                        omega_vec, span_resid, factor_resid, smallest_pivot)
 
 
-def _bar_columns(gns: GnsSpace, bc: BasicConstruction) -> np.ndarray:
+def _bar_columns(bc: BasicConstruction) -> np.ndarray:
     """gamma_bar(a_i e a_j) as column i * d + j."""
+    gns = bc.gns
     d = gns.system.algebra.dim
     cols = np.empty((len(bc.u_bar), d * d), dtype=np.complex128)
     for i in range(d):
@@ -177,8 +174,7 @@ def _bar_columns(gns: GnsSpace, bc: BasicConstruction) -> np.ndarray:
     return cols
 
 
-def joining_equivalence(jd: JoiningData, bc: BasicConstruction,
-                        tol: ToleranceConfig = DEFAULT_TOL
+def joining_equivalence(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL
                         ) -> tuple[np.ndarray, float, float]:
     """The unitary from the joining GNS space onto the basic-construction one.
 
@@ -188,17 +184,18 @@ def joining_equivalence(jd: JoiningData, bc: BasicConstruction,
     with its isometry residual (the larger of the defining and the unitarity
     residual) and its intertwining residual.
     """
+    bc = jd.basic
     dim_bar = len(bc.u_bar)
     if jd.rank != dim_bar:
         raise IsometryViolation(
             f"joining GNS rank {jd.rank} differs from basic-construction "
             f"dimension {dim_bar}")
-    cols = _bar_columns(jd.gns, bc)
+    cols = _bar_columns(bc)
     # gamma = sqrt(lam) v^H has orthogonal rows of squared norms lam, so its
     # pseudo-inverse is gamma^H / lam
     lam = np.einsum("ij,ij->i", jd.gamma.conj(), jd.gamma).real
     r = cols @ (jd.gamma.conj().T / lam)
-    d = jd.gns.system.algebra.dim  # d columns at a time: no second (r, d^2) array
+    d = bc.gns.system.algebra.dim  # d columns at a time: no second (r, d^2) array
     defining = max(float(np.abs(r @ jd.gamma[:, k:k + d] - cols[:, k:k + d]).max())
                    for k in range(0, d * d, d))
     if defining > tol.eps_assert:
@@ -224,15 +221,16 @@ class ErgodicityCheck:
     lambda_dim: int
 
 
-def relative_ergodicity_check(jd: JoiningData, bc: BasicConstruction,
+def relative_ergodicity_check(jd: JoiningData,
                               tol: ToleranceConfig = DEFAULT_TOL) -> ErgodicityCheck:
     """Whether every fixed vector of the lifted dynamics lies in the F-subspace.
 
     The fixed space is computed on the basic-construction side, the F-subspace
     as the span of gamma_bar(e f) over the subalgebra basis.
     """
+    bc = jd.basic
     fixed = linalg.nullspace(bc.u_bar - np.eye(len(bc.u_bar)), tol.eps_rank)
-    f_left = np.stack([jd.gns.left(f) for f in jd.sub.algebra.basis])
+    f_left = np.stack([bc.gns.left(f) for f in bc.sub.algebra.basis])
     cols = np.stack([bc.gamma(bc.e @ m) for m in f_left]).T
     lam = linalg.orthonormal_columns(cols, tol.eps_rank)
     resid = linalg.subspace_inclusion_residual(fixed, lam)

@@ -65,13 +65,13 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
                   ) -> SystemAnalysis:
     gns = build_gns(built.system, tol)
     bc = build_basic_construction(gns, built.sub, tol)
-    jd = relative_joining(gns, built.sub, bc, tol)
-    r, isometry, intertwine = joining_equivalence(jd, bc, tol)
+    jd = relative_joining(bc, tol)
+    r, isometry, intertwine = joining_equivalence(jd, tol)
     certificate = None
     extras: dict = {}
     if kind == "skew_product":
-        certificate = skew_orbit_modules(built, gns, bc, tol)
-    spectrum = build_spectrum_report(gns, built.sub, bc, jd, tol, seed, certificate)
+        certificate = skew_orbit_modules(built, bc, tol)
+    spectrum = build_spectrum_report(jd, tol, seed, certificate)
 
     checks: list[CheckResult] = []
 
@@ -147,8 +147,8 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
     # partition cross-checks (raise on disagreement; residuals recorded)
     extras["default_partition_residual"] = lifted_trace_via_partition(
         bc, default_partition(bc, tol), tol)
-    if built.tensor_factors is not None:
-        vt = tensor_partition_isometries(*built.tensor_factors, tol=tol)
+    if built.factors is not None:
+        vt = tensor_partition_isometries(*built.factors, tol=tol)
         extras["tensor_partition_residual"] = lifted_trace_via_partition(bc, vt, tol)
     return SystemAnalysis(name, kind, built, gns, bc, jd, r, spectrum,
                           tuple(checks), extras)

@@ -20,7 +20,6 @@ from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, Subsystem, ToleranceConfig
 from .basic import BasicConstruction
 from .errors import (NotCommutative, NotInAlgebra, NotMeanZero, NumericalBreakdown,
                      SubsystemInvalid, VerdictMismatch)
-from .gns import GnsSpace
 from .joining import ErgodicityCheck, JoiningData, relative_ergodicity_check
 
 CESARO_EXIT_TOL = 1e-6
@@ -136,13 +135,13 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
             block = power @ block
 
 
-def module_candidate(gns: GnsSpace, bc: BasicConstruction, projection: np.ndarray,
+def module_candidate(bc: BasicConstruction, projection: np.ndarray,
                      tol: ToleranceConfig = DEFAULT_TOL) -> SubmoduleCandidate:
     """Package a projection with its lifted trace and invariance flags."""
     dim_v = int(round(float(np.trace(projection).real)))
     value = bc.lifted_value(projection).real
     is_mod = bc.algebra.membership_residual(projection) < tol.eps_assert
-    u = gns.u_matrix
+    u = bc.gns.u_matrix
     is_inv = float(np.abs(u @ projection @ u.conj().T - projection).max()) \
         < tol.eps_assert
     return SubmoduleCandidate(np.ascontiguousarray(projection), dim_v, value,
@@ -165,8 +164,7 @@ def joint_commutant(bc: BasicConstruction,
         bc.algebra.from_coords_stack(fixed.T)))
 
 
-def find_minimal_modules(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
-                         tol: ToleranceConfig = DEFAULT_TOL
+def find_minimal_modules(bc: BasicConstruction, tol: ToleranceConfig = DEFAULT_TOL
                          ) -> list[SubmoduleCandidate]:
     """Minimal joint invariant blocks of the complement of the F-cyclic space.
 
@@ -188,13 +186,13 @@ def find_minimal_modules(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
         compressed.reshape(len(compressed), -1), tol.eps_rank)
     corner = MatrixStarAlgebra(m, np.ascontiguousarray(rows.reshape(-1, m, m)))
     blocks = block_decomposition(corner, tol)
-    out = [module_candidate(gns, bc, q @ small @ q.conj().T, tol)
+    out = [module_candidate(bc, q @ small @ q.conj().T, tol)
            for small in blocks]
     out.sort(key=lambda c: (-round(c.lifted_trace, 8), linalg.sort_key(c.projection)))
     return out
 
 
-def rwm_certificate(jd: JoiningData, bc: BasicConstruction,
+def rwm_certificate(jd: JoiningData,
                     tol: ToleranceConfig = DEFAULT_TOL) -> ErgodicityCheck:
     """Relative weak mixing, certified by two independent routes.
 
@@ -204,7 +202,8 @@ def rwm_certificate(jd: JoiningData, bc: BasicConstruction,
     zero.  A disagreement raises, never passes; otherwise the ergodicity
     evidence is returned.
     """
-    erg = relative_ergodicity_check(jd, bc, tol)
+    erg = relative_ergodicity_check(jd, tol)
+    bc = jd.basic
     module_route = bc.dim_complement == 0
     if erg.holds != module_route:
         raise VerdictMismatch(
@@ -310,22 +309,23 @@ def admissible_elements(system: WStarSystem, sub: Subsystem,
     return out
 
 
-def build_spectrum_report(gns: GnsSpace, sub: Subsystem, bc: BasicConstruction,
-                          jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL,
+def build_spectrum_report(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL,
                           seed: int = 0,
                           module_certificate: list[SubmoduleCandidate] | None = None
                           ) -> SpectrumReport:
-    blocks = find_minimal_modules(gns, sub, bc, tol)
+    bc = jd.basic
+    system, sub = bc.gns.system, bc.sub
+    blocks = find_minimal_modules(bc, tol)
     modules = blocks if module_certificate is None else list(module_certificate)
     cert = rds_verdict(bc, modules, tol)
     block_cert = rds_verdict(bc, blocks, tol)
-    erg = rwm_certificate(jd, bc, tol)
+    erg = rwm_certificate(jd, tol)
     additivity = max(
         abs(sum(c.lifted_trace for c in modules) - cert.trace_of_complement),
         abs(sum(c.lifted_trace for c in blocks) - block_cert.trace_of_complement))
     samples = []
-    for label, mat in admissible_elements(gns.system, sub, tol, seed):
-        values = cesaro_sequence(gns.system, sub, mat, tol=tol)
+    for label, mat in admissible_elements(system, sub, tol, seed):
+        values = cesaro_sequence(system, sub, mat, tol=tol)
         samples.append(CesaroSample(label, values))
     dim_span = sum(c.dim for c in modules)
     return SpectrumReport(tuple(modules), tuple(blocks), dim_span,

@@ -276,6 +276,7 @@ def test_trace_after_expectation_is_trace(analyses):
     {"eps_rank": float("nan")}, {"eps_rank": float("inf")}, {"eps_rank": 0.0},
     {"eps_assert": float("nan")}, {"eps_assert": float("inf")}, {"eps_assert": -1e-8},
     {"cesaro_n_max": 2.5}, {"cesaro_n_max": 0}, {"cesaro_n_max": -3},
+    {"cesaro_n_max": True}, {"eps_rank": True}, {"eps_rank": np.True_},
 ])
 def test_tolerance_config_rejects_bad_values(fields):
     with pytest.raises(ValueError):

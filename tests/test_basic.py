@@ -31,7 +31,7 @@ def test_full_subsystem_collapses(analyses):
 
 def test_tensor_dimension_count(analyses):
     an = analyses["tensor_diag2_m2"]
-    (balg, _), (calg, _) = an.built.tensor_factors
+    balg, calg = (f.algebra for f in an.built.factors)
     assert an.basic.algebra.dim == balg.dim * calg.dim ** 2  # 2 * 16
     assert abs(an.basic.lifted_value(np.eye(an.gns.dim)) - calg.dim) < 1e-9
 
@@ -100,7 +100,7 @@ def test_bar_unitary_intertwines_gamma(analyses):
 def test_partition_formulas_agree_everywhere(analyses):
     for name, an in analyses.items():
         assert an.extras["default_partition_residual"] < 1e-9, name
-        if an.built.tensor_factors is not None:
+        if an.built.factors is not None:
             assert an.extras["tensor_partition_residual"] < 1e-9, name
 
 
@@ -127,7 +127,7 @@ def test_partition_trivial_for_full_subsystem(analyses):
 
 def test_partition_rejects_incomplete_family(analyses):
     an = analyses["tensor_diag2_m2"]
-    vt = v.tensor_partition_isometries(*an.built.tensor_factors)
+    vt = v.tensor_partition_isometries(*an.built.factors)
     with pytest.raises(PartitionInvalid):
         lifted_trace_via_partition(an.basic, vt[:-1])
 

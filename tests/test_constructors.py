@@ -111,7 +111,7 @@ def test_tensor_with_trivial_base_reduces_to_absolute(analyses):
 
 def test_tensor_lifted_trace_of_identity_is_fiber_dimension(analyses):
     an = analyses["tensor_diag2_m2"]
-    (_, _), (calg, _) = an.built.tensor_factors
+    calg = an.built.factors[1].algebra
     value = an.basic.lifted_value(np.eye(an.gns.dim))
     assert abs(value - calg.dim) < 1e-9
 
@@ -223,6 +223,7 @@ def test_finite_extension_degenerate_summand_is_product():
                                  dynamics_unitary=X).system
     spec = v.FiniteExtensionSpec(b1=b1, b2=None, s=0.5, v1=X, v4=X)
     fe = v.build_finite_extension(spec)
+    assert fe.factors[0] is b1  # B = B1 is not built again
     diag = finite_extension_diagnostics(fe)
     assert diag["product_distance"] < 1e-9  # alpha = beta (x) id
     assert not diag["nonproduct_expected"]

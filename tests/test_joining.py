@@ -132,18 +132,18 @@ def test_cyclic_vector_images_are_fixed(analyses):
 def test_relative_ergodicity_cases(analyses, m2_over_diagonal):
     # F = A: always ergodic relative to itself
     an = analyses["full_subsystem_m2"]
-    assert v.relative_ergodicity_check(an.joining, an.basic).holds
+    assert v.relative_ergodicity_check(an.joining).holds
     # A strictly bigger than F at finite dimension: never relatively ergodic
     for name in ("explicit_m2_grading", "skew_z4_inversion", "classical_4cycle"):
         an = analyses[name]
-        chk = v.relative_ergodicity_check(an.joining, an.basic)
+        chk = v.relative_ergodicity_check(an.joining)
         assert not chk.holds, name
     # identity dynamics over the trivial subsystem: fixed vectors everywhere
     sys, sub = m2_over_diagonal.system, m2_over_diagonal.sub
     gns = v.build_gns(sys)
     bc = v.build_basic_construction(gns, sub)
-    jd = v.relative_joining(gns, sub, bc)
-    assert not v.relative_ergodicity_check(jd, bc).holds
+    jd = v.relative_joining(bc)
+    assert not v.relative_ergodicity_check(jd).holds
 
 
 def test_joining_rejects_a_dynamics_that_moves_f(m2_over_diagonal):
@@ -156,8 +156,8 @@ def test_joining_rejects_a_dynamics_that_moves_f(m2_over_diagonal):
     moved = replace(sys, dynamics=v.automorphism_from_unitary(sys.algebra, w,
                                                                sys.trace))
     with pytest.raises(NumericalBreakdown, match="not invariant"):
-        v.relative_joining(replace(gns, system=moved), replace(sub, parent=moved),
-                           bc)
+        v.relative_joining(replace(bc, gns=replace(gns, system=moved),
+                                   sub=replace(sub, parent=moved)))
 
 
 def test_joining_rejects_unequal_f_subspaces(analyses, monkeypatch):
@@ -171,5 +171,5 @@ def test_joining_rejects_unequal_f_subspaces(analyses, monkeypatch):
         return q[:, :-1] if len(calls) == 2 else q
     monkeypatch.setattr(linalg, "orthonormal_columns", second_short)
     with pytest.raises(NumericalBreakdown, match="span different subspaces"):
-        v.relative_joining(an.gns, an.built.sub, an.basic)
+        v.relative_joining(an.basic)
     assert len(calls) == 2

@@ -28,6 +28,7 @@ passes; and the inclusion in j(F)' commutes with a few generators of F
 instead of every basis element.  The older routes survive here only, as
 oracles.
 """
+import dataclasses
 import json
 import os
 import subprocess
@@ -42,7 +43,7 @@ import vnspec as v
 from vnspec import linalg
 from vnspec.cli import shipped_system_paths
 from vnspec.descriptions import build_from_description, parse_system
-from vnspec import algebra, basic, descriptions, joining, spectrum
+from vnspec import algebra, basic, constructors, descriptions, joining, spectrum
 from vnspec.algebra import DEFAULT_TOL
 from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, IsometryViolation,
                            NotAutomorphism, NumericalBreakdown, StateNotPositive)
@@ -460,7 +461,7 @@ def test_blockwise_center_equals_stacked_on_module_corners(analyses, monkeypatch
         return center(alg, tol)
     monkeypatch.setattr(algebra, "center", spy)
     for an in analyses.values():
-        v.find_minimal_modules(an.gns, an.built.sub, an.basic)
+        v.find_minimal_modules(an.basic)
     assert len(corners) >= 5
     for alg in corners:
         z, oracle = center(alg), _stacked_center(alg)
@@ -831,7 +832,7 @@ def test_kronecker_terms_equal_coordinate_passes(analyses, skew_d24, monkeypatch
     monkeypatch.setattr(joining, "factor_gram", spy)
     for name, an in {**analyses, SKEW_D24["name"]: skew_d24}.items():
         seen.clear()
-        v.relative_joining(an.gns, an.built.sub, an.basic)
+        v.relative_joining(an.basic)
         (p, q), = seen
         p_old, q_old = coordinate_kronecker_terms(an.gns, an.basic.e)
         assert np.abs(p - p_old).max() <= 1e-12, name
@@ -846,7 +847,7 @@ def test_equivalence_checks_its_defining_relation(analyses, monkeypatch):
     breaks R gamma = cols."""
     an = analyses["finite_extension_m2"]
     jd, bc = an.joining, an.basic
-    cols = joining._bar_columns(an.gns, bc)
+    cols = joining._bar_columns(bc)
     null = np.linalg.svd(jd.gamma)[2][jd.rank]
     assert np.abs(jd.gamma @ null.conj()).max() <= 1e-12
     bent = cols + 0.3 * null
@@ -860,7 +861,7 @@ def test_equivalence_checks_its_defining_relation(analyses, monkeypatch):
     assert np.abs(r @ jd.gamma - bent).max() >= 0.1
     monkeypatch.setattr(joining, "_bar_columns", lambda *args: bent)
     with pytest.raises(IsometryViolation, match="does not send"):
-        v.joining_equivalence(jd, bc)
+        v.joining_equivalence(jd)
 
 
 # --- inclusion in j(F)' by generators of F against every basis element of F -
@@ -963,6 +964,33 @@ def test_subsystem_of_another_system_is_refused(m2_grading, m2_over_diagonal):
         admissible_elements(system, sub)
     with pytest.raises(v.errors.SubsystemInvalid, match="does not belong"):
         v.build_basic_construction(gns, sub)
-    bc = v.build_basic_construction(gns, m2_grading.sub)
-    with pytest.raises(v.errors.SubsystemInvalid, match="does not belong"):
-        v.relative_joining(gns, sub, bc)
+
+
+@pytest.mark.parametrize("name, builds", [("skew_z4_inversion", 3),
+                                          ("tensor_diag2_m2", 3),
+                                          ("finite_extension_m2", 5)])
+def test_factor_systems_are_built_once(shipped_descriptions, monkeypatch, name, builds):
+    """One system() per factor and one for A; the finite extension also builds
+    B = B1 (+) B2 and M_2.  The analysis reads the factors it was given."""
+    seen, build = [], constructors.system
+
+    def spy(*args, **kwargs):
+        seen.append(args[0].dim)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(constructors, "system", spy)
+    analyze_description(shipped_descriptions[name])
+    assert len(seen) == builds, seen
+
+
+def test_product_systems_keep_the_factor_systems(analyses):
+    b = v.build_classical_system([0.5, 0.5], [1, 0])
+    c = analyses["explicit_m2_grading"].built.system
+    built = v.build_tensor_system(b, c)
+    assert built.factors[0] is b and built.factors[1] is c
+    skew = analyses["skew_z4_inversion"].built
+    assert skew.factors[1] is skew.extras["group"].system
+
+
+def test_stages_hold_their_owner_not_its_parts():
+    assert "tensor_factors" not in {f.name for f in dataclasses.fields(v.ConstructedSystem)}
+    assert not {"gns", "sub"} & {f.name for f in dataclasses.fields(v.JoiningData)}

@@ -128,7 +128,7 @@ def test_degenerate_dynamics_reports_block_sum(m2_over_diagonal):
     cs = m2_over_diagonal
     gns = v.build_gns(cs.system)
     bc = v.build_basic_construction(gns, cs.sub)
-    mods = v.find_minimal_modules(gns, cs.sub, bc)
+    mods = v.find_minimal_modules(bc)
     total_dim = sum(c.dim for c in mods)
     rank_e = int(round(np.trace(bc.e).real))
     assert total_dim == gns.dim - rank_e
@@ -147,7 +147,7 @@ def test_rds_always_true_and_rwm_iff_trivial_complement(analyses):
 
 def test_rwm_verdict_cross_check(analyses):
     for name, an in analyses.items():
-        assert v.rwm_certificate(an.joining, an.basic).holds == an.spectrum.rwm, name
+        assert v.rwm_certificate(an.joining).holds == an.spectrum.rwm, name
 
 
 def test_rds_certificate_contents(analyses):
@@ -165,7 +165,7 @@ def test_rds_rejects_a_spanning_split_that_is_not_invariant(analyses):
     rng = np.random.default_rng(31)
     vec = (np.eye(gns.dim) - bc.e) @ linalg.random_complex(rng, gns.dim)
     line = np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
-    split = [v.spectrum.module_candidate(gns, bc, p)
+    split = [v.spectrum.module_candidate(bc, p)
              for p in (line, np.eye(gns.dim) - bc.e - line)]
     assert not split[0].is_u_invariant
     cert = v.rds_verdict(bc, split)
@@ -192,7 +192,7 @@ def test_fiber_analysis_requires_commutative_subalgebra(analyses):
 
 def test_fiber_analysis_zero_module(analyses):
     an = analyses["skew_z4_inversion"]
-    zero = v.spectrum.module_candidate(an.gns, an.basic,
+    zero = v.spectrum.module_candidate(an.basic,
                                        np.zeros((an.gns.dim, an.gns.dim),
                                                 dtype=complex))
     rep = v.classical_fiber_analysis(an.basic, zero)
@@ -214,7 +214,7 @@ def test_fiber_analysis_orbit_module(analyses):
 
 def test_full_complement_fibers(analyses):
     an = analyses["skew_z4_inversion"]
-    comp = v.spectrum.module_candidate(an.gns, an.basic,
+    comp = v.spectrum.module_candidate(an.basic,
                                        np.eye(an.gns.dim) - an.basic.e)
     rep = v.classical_fiber_analysis(an.basic, comp)
     assert rep.fiber_dims == (3, 3, 3)  # |G| - 1 per atom

@@ -42,6 +42,7 @@ DEFAULT_TOL = ToleranceConfig()
 BLOCK_SEED = 7  # seed of the generic central element in block_decomposition
 SPAN_SEED = 11  # seed of the generic generators of A over F spanning <A, e>
 INCLUSION_SEED = 13  # seed of the generic generators of F in the j(F)' check
+CENTER_SEED = 17  # seed of the two generic generators whose commutant is the center
 
 
 @dataclass(frozen=True)
@@ -132,17 +133,22 @@ def center(alg: MatrixStarAlgebra,
            tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
     """Center of the algebra, computed in its own coordinates.
 
-    The d n^2 x d matrix of commutators c -> [sum_i c_i b_i, b_j], stacked
-    over j, is reduced to its R factor one n^2-row block at a time; R has the
-    same kernel and singular values, and no more than d + n^2 rows are held.
+    It is the kernel of c -> ([c, g_1], [c, g_2]) for two seeded generic g,
+    which generate the algebra as two generic elements of a finite-dimensional
+    C*-algebra do; each kernel element is checked to commute with every basis
+    element, which certifies that.  The null space has 2 n^2 rows, not d n^2.
     """
     d, n = alg.dim, alg.ambient_dim
-    r = np.zeros((0, d), dtype=np.complex128)
-    for b in alg.basis:
-        block = (alg.basis @ b - b @ alg.basis).reshape(d, -1).T  # col i: [b_i, b]
-        r = np.linalg.qr(np.vstack([r, block]), mode="r")
-    kernel = linalg.nullspace(r, tol.eps_rank)  # coords of central elements
+    rng = np.random.default_rng(CENTER_SEED)
+    gens = alg.from_coords_stack(linalg.random_complex(rng, (2, d)))
+    comms = alg.basis[:, None] @ gens - gens @ alg.basis[:, None]  # [b_i, g]
+    kernel = linalg.nullspace(comms.reshape(d, -1).T, tol.eps_rank)  # central coords
     mats = np.tensordot(kernel.T, alg.basis, axes=(1, 0))
+    resid = max((float(np.abs(z @ alg.basis - alg.basis @ z).max()) for z in mats),
+                default=0.0)
+    if resid > tol.eps_assert:
+        raise NumericalBreakdown(f"two generic elements do not generate the algebra: "
+                                 f"their commutant is not central (residual {resid:.2e})")
     return MatrixStarAlgebra(n, np.ascontiguousarray(mats))
 
 

@@ -16,8 +16,10 @@ identity's membership.  The relation makes e commute with F, so a e (f b) = (a f
 and the span is all of span(A e A), which is closed under
 (a e b)(c e d) = a E(b c) e d.  It gives the algebra the trace
 lifted(a e b) = mu(a b)  in closed form from the same blocks, conjugates the
-dynamics, and maps the result into L2(<A, e>, lifted trace) by a Cholesky
-factor of its Gram matrix.
+dynamics, maps the result into L2(<A, e>, lifted trace) by a Cholesky
+factor of its Gram matrix, and finds the fixed points of the conjugated
+dynamics, {U}' in <A, e>, by one null space that the module and ergodicity
+routes share.
 """
 from __future__ import annotations
 
@@ -47,13 +49,14 @@ class BasicConstruction:
     dynamics: StarAutomorphism      # conjugation by U in algebra coordinates
     bar_to_vector: np.ndarray       # algebra coords -> L2(algebra, lifted trace)
     u_bar: np.ndarray               # unitary implementing the dynamics there
+    fixed: np.ndarray               # (dim, f) orthonormal coords of the fixed points
     commutant_residual: float
     extension_residual: float
     tracial_residual: float         # max |T - T^T| of the lifted trace's table
     blocks: tuple                   # central blocks (p_k, n_k, m_k) of F in A
 
     def __post_init__(self):
-        for a in (self.e, self.trace_vector, self.bar_to_vector, self.u_bar):
+        for a in (self.e, self.trace_vector, self.bar_to_vector, self.u_bar, self.fixed):
             a.setflags(write=False)
 
     @property
@@ -78,24 +81,26 @@ def _whitener(ops: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky((gram + gram.conj().T) / 2).conj().T)
 
 
-def _generators(alg: MatrixStarAlgebra, sub_alg: MatrixStarAlgebra,
-                whiten: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+def _generators(sub: Subsystem, whiten: np.ndarray,
+                tol: ToleranceConfig) -> np.ndarray:
     """HS coordinates of seeded generic b_1 .. b_k with F b_1 + ... + F b_k = A.
 
     Draws k = ceil(dim A / dim F) of them at once, the fewest that can
     generate, as complex normal vectors mapped by ``whiten``, and one more at
     a time while the products f_c b_s span less than A, decided by one rank
-    count of their coordinates.  k never depends on the Bratteli count that
-    the span is checked against.
+    count of their coordinates sum_ij F[c, i] B[s, j] T[i, j], read from A's
+    multiplication table T.  k never depends on the Bratteli count that the
+    span is checked against.
     """
-    d, n = alg.dim, alg.ambient_dim
+    d = sub.parent.algebra.dim
+    # f_table[c, j] = coords(f_c a_j) over the basis a_j of A
+    f_table = np.tensordot(sub.coords_in_parent, sub.parent.table, axes=(1, 0))
     rng = np.random.default_rng(SPAN_SEED)
-    draws = linalg.random_complex(rng, (-(-d // sub_alg.dim), d))
+    draws = linalg.random_complex(rng, (-(-d // len(f_table)), d))
     while True:
         coords = draws @ whiten.T
-        prods = sub_alg.basis[:, None] @ alg.from_coords_stack(coords)[None]
-        rank = np.linalg.matrix_rank(alg.coords_stack(prods.reshape(-1, n, n)),
-                                     tol=tol.eps_rank)
+        prods = np.tensordot(coords, f_table, axes=(1, 1))  # (k, m, d)
+        rank = np.linalg.matrix_rank(prods.reshape(-1, d), tol=tol.eps_rank)
         if rank == d:
             return coords
         if len(draws) >= d:
@@ -118,7 +123,7 @@ def _span_candidates(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
     n = gns.dim
     left_e, e_left = gns.left_mats @ e, e @ gns.left_mats
     left_x = np.tensordot(_whitener(left_e), left_e, axes=(0, 0))
-    coords = _generators(gns.system.algebra, sub.algebra, _whitener(e_left), tol)
+    coords = _generators(sub, _whitener(e_left), tol)
     right_b = np.tensordot(coords, e_left, axes=(1, 0))
     return (left_x[:, None] @ right_b[None]).reshape(-1, n * n)
 
@@ -238,10 +243,15 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
         raise NumericalBreakdown(f"lifted system: {exc}") from exc
     # validate_trace has checked that the Gram matrix is positive definite
     to_vec, _, u_bar = gns_map(gram_bar, dyn_bar.matrix)
+    # {U}' in <A, e>: alpha_bar is unitary in the Hilbert-Schmidt coordinates
+    fixed = linalg.nullspace(dyn_bar.matrix - np.eye(spanned.dim), tol.eps_rank)
+    if not fixed.shape[1]:
+        raise NumericalBreakdown(
+            f"rank cutoff {tol.eps_rank:g} drops the identity from the fixed points")
     return BasicConstruction(gns, sub, e, spanned, trace_bar.values(spanned.basis),
                              trace_bar, dyn_bar, np.ascontiguousarray(to_vec),
-                             np.ascontiguousarray(u_bar), resid, max(jones, defining),
-                             tracial, tuple(blocks))
+                             np.ascontiguousarray(u_bar), np.ascontiguousarray(fixed),
+                             resid, max(jones, defining), tracial, tuple(blocks))
 
 
 def default_partition(bc: BasicConstruction,

@@ -28,13 +28,6 @@ EXIT_INVALID = 2
 EXIT_BREAKDOWN = 3
 
 
-def _default_seed() -> int:
-    try:
-        return _seed(os.environ.get("VNSPEC_SEED", "0"))
-    except argparse.ArgumentTypeError:
-        return 0
-
-
 def _seed(text: str) -> int:
     """Argparse type: a nonnegative integer, as numpy's generators take."""
     try:
@@ -189,7 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="singular value cutoff for rank decisions")
     common.add_argument("--eps-assert", type=_positive(float), default=None,
                         help="threshold for identity checks")
-    common.add_argument("--seed", type=_seed, default=_default_seed(),
+    # argparse runs a string default through the type, so a bad VNSPEC_SEED
+    # is a usage error like a bad --seed
+    common.add_argument("--seed", type=_seed,
+                        default=os.environ.get("VNSPEC_SEED", "0"),
                         help="seed for pseudo-random checks (env VNSPEC_SEED)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress narrative output")

@@ -198,8 +198,9 @@ def _parse_params(kind: str, p: dict, fld: str, factor: bool = False) -> dict:
         out["cocycle"] = _parse_int_list(p.get("cocycle"), f"{fld}.cocycle")
     elif kind == "finite_extension":
         out["b1_factor"] = _parse_factor(p.get("b1_factor"), f"{fld}.b1_factor")
-        b2 = p.get("b2_factor")
-        out["b2_factor"] = _parse_factor(b2, f"{fld}.b2_factor") if b2 else None
+        b2 = p.get("b2_factor")  # only a missing key or null means no summand
+        out["b2_factor"] = (_parse_factor(b2, f"{fld}.b2_factor")
+                            if b2 is not None else None)
         s = p.get("s", 0.5)
         _expect(_is_number(s) and np.isfinite(float(s)), f"{fld}.s",
                 "expected a finite number")

@@ -225,13 +225,14 @@ def relative_ergodicity_check(jd: JoiningData,
                               tol: ToleranceConfig = DEFAULT_TOL) -> ErgodicityCheck:
     """Whether every fixed vector of the lifted dynamics lies in the F-subspace.
 
-    The fixed space is computed on the basic-construction side, the F-subspace
-    as the span of gamma_bar(e f) over the subalgebra basis.
+    The fixed vectors are gamma_bar of the basic construction's fixed points,
+    whose QR factor is orthonormal with no rank decision as gamma_bar is
+    invertible; the F-subspace is the span of gamma_bar(e f) over F's basis.
     """
     bc = jd.basic
-    fixed = linalg.nullspace(bc.u_bar - np.eye(len(bc.u_bar)), tol.eps_rank)
-    f_left = np.stack([bc.gns.left(f) for f in bc.sub.algebra.basis])
-    cols = np.stack([bc.gamma(bc.e @ m) for m in f_left]).T
+    fixed, _ = np.linalg.qr(bc.bar_to_vector @ bc.fixed)
+    f_left = np.tensordot(bc.sub.coords_in_parent, bc.gns.left_mats, axes=(1, 0))
+    cols = bc.bar_to_vector @ bc.algebra.coords_stack(bc.e @ f_left).T
     lam = linalg.orthonormal_columns(cols, tol.eps_rank)
     resid = linalg.subspace_inclusion_residual(fixed, lam)
     return ErgodicityCheck(resid < tol.eps_assert, resid,

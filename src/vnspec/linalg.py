@@ -1,8 +1,10 @@
 """Dense complex linear algebra helpers.
 
 Matrices are complex128 throughout.  Vectors of operators use the
-Hilbert-Schmidt inner product <x, y> = Tr(x* y); rank decisions are made on
-singular values with an absolute cutoff.
+Hilbert-Schmidt inner product <x, y> = Tr(x* y).  Rank decisions are made on
+singular values: ``orthonormal_columns`` and ``extend_orthonormal`` cut at
+eps_rank * max(1, s_0) for the largest singular value s_0, ``nullspace`` at
+eps_rank itself.
 """
 from __future__ import annotations
 

@@ -18,8 +18,8 @@ from . import linalg
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, Subsystem, ToleranceConfig,
                       WStarSystem, block_decomposition)
 from .basic import BasicConstruction
-from .errors import (NotCommutative, NotInAlgebra, NotMeanZero, NumericalBreakdown,
-                     SubsystemInvalid, VerdictMismatch)
+from .errors import (NotCommutative, NotInAlgebra, NotMeanZero, SubsystemInvalid,
+                     VerdictMismatch)
 from .joining import ErgodicityCheck, JoiningData, relative_ergodicity_check
 
 CESARO_EXIT_TOL = 1e-6
@@ -148,46 +148,29 @@ def module_candidate(bc: BasicConstruction, projection: np.ndarray,
                               is_mod, is_inv)
 
 
-def joint_commutant(bc: BasicConstruction,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
+def joint_commutant(bc: BasicConstruction) -> MatrixStarAlgebra:
     """Commutant of the dynamics unitary together with the right F-action.
 
     It is {U}' within j(F)' = <A, e>, that is the fixed points of the lifted
-    dynamics: one null space in the coordinates of <A, e>.
+    dynamics, which the basic construction found once (``bc.fixed``).
     """
-    fixed = linalg.nullspace(bc.dynamics.matrix - np.eye(bc.algebra.dim),
-                             tol.eps_rank)
-    if not fixed.shape[1]:
-        raise NumericalBreakdown(
-            f"rank cutoff {tol.eps_rank:g} drops the identity from the fixed points")
     return MatrixStarAlgebra(bc.gns.dim, np.ascontiguousarray(
-        bc.algebra.from_coords_stack(fixed.T)))
+        bc.algebra.from_coords_stack(bc.fixed.T)))
 
 
 def find_minimal_modules(bc: BasicConstruction, tol: ToleranceConfig = DEFAULT_TOL
                          ) -> list[SubmoduleCandidate]:
     """Minimal joint invariant blocks of the complement of the F-cyclic space.
 
-    Decomposes the joint commutant of the dynamics unitary and the right
-    subalgebra action, compressed to the complement.  Isomorphic minimal
-    modules are reported as their block sum rather than an arbitrary
-    internal splitting.
+    Both e and 1 - e lie in the joint commutant C, as U e U* = e, so the
+    center of the corner (1 - e) C (1 - e) is Z(C)(1 - e): the blocks are
+    z (1 - e) for the minimal central projections z of C with z (1 - e) != 0.
+    Isomorphic minimal modules are reported as their block sum rather than
+    an arbitrary internal splitting.
     """
-    evals, evecs = np.linalg.eigh((bc.e + bc.e.conj().T) / 2)
-    q = evecs[:, evals < 0.5]  # orthonormal basis of the complement
-    m = q.shape[1]
-    if m == 0:
-        return []
-    comm = joint_commutant(bc, tol)
-    compressed = np.einsum("ah,kab,bg->khg", q.conj(), comm.basis, q,
-                           optimize=True)
-    rows = linalg.extend_orthonormal(
-        np.eye(m, dtype=np.complex128).reshape(1, -1) / np.sqrt(m),
-        compressed.reshape(len(compressed), -1), tol.eps_rank)
-    corner = MatrixStarAlgebra(m, np.ascontiguousarray(rows.reshape(-1, m, m)))
-    blocks = block_decomposition(corner, tol)
-    out = [module_candidate(bc, q @ small @ q.conj().T, tol)
-           for small in blocks]
+    comp = np.eye(bc.gns.dim) - bc.e
+    blocks = [z @ comp for z in block_decomposition(joint_commutant(bc), tol)]
+    out = [module_candidate(bc, p, tol) for p in blocks if np.trace(p).real > 0.5]
     out.sort(key=lambda c: (-round(c.lifted_trace, 8), linalg.sort_key(c.projection)))
     return out
 

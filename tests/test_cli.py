@@ -138,9 +138,19 @@ def test_seed_env_override(monkeypatch):
     monkeypatch.setenv("VNSPEC_SEED", "42")
     parser = cli.build_parser()
     args = parser.parse_args(["selftest"])
-    # _default_seed is read at parser build time; rebuild to pick up the env
+    # the VNSPEC_SEED default is read at parser build time; rebuild to pick up the env
     args = cli.build_parser().parse_args(["selftest"])
     assert args.seed == 42
+
+
+@pytest.mark.parametrize("value", ["abc", "-4"])
+def test_bad_seed_env_is_a_usage_error(monkeypatch, capsys, value):
+    """A VNSPEC_SEED that --seed would refuse is refused, not replaced by 0."""
+    monkeypatch.setenv("VNSPEC_SEED", value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", _system_path("classical_4cycle"), "--quiet"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_console_entry_point():

@@ -109,6 +109,25 @@ def test_build_names_bad_extension_unitary(shipped_descriptions):
     assert "v1" in str(err.value)
 
 
+@pytest.mark.parametrize("b2", [False, 0, {}, [], ""],
+                         ids=["false", "zero", "empty_object", "empty_list",
+                              "empty_string"])
+def test_falsy_b2_factor_is_refused(shipped_descriptions, b2):
+    """Only a missing b2_factor or null means the one-summand extension."""
+    doc = emit_description(shipped_descriptions["finite_extension_m2"])
+    doc = dict(doc, parameters=dict(doc["parameters"], b2_factor=b2))
+    with pytest.raises(ValidationError) as err:
+        parse_system(doc)
+    assert err.value.field.startswith("parameters.b2_factor")
+
+
+def test_null_b2_factor_drops_the_second_summand(shipped_descriptions):
+    doc = emit_description(shipped_descriptions["finite_extension_m2"])
+    doc = dict(doc, parameters=dict(doc["parameters"], b2_factor=None))
+    p = parse_system(doc).parameters
+    assert p["b2_factor"] is None and p["v2"] is None and p["v3"] is None
+
+
 def test_tolerance_overrides():
     desc = SystemDescription("t", "classical",
                              {"weights": [1.0], "permutation": [0],

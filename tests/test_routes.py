@@ -18,15 +18,17 @@ coordinates instead of a full eigendecomposition of the d^2 x d^2 Gram.
 span(A e A) is shown closed under products by the Jones relation
 e a e = E(a) e instead of multiplying the span by every generator.  <A, e> is
 spanned by the d k products x_i e b_s over a few generic generators b_s of A
-over F instead of all d^2 products a_i e a_j, and the center is found from the
-commutators reduced to their R factor block by block instead of stacked whole.
+over F instead of all d^2 products a_i e a_j, and the center is the kernel of
+the commutators with two generic elements, certified against every basis
+element, instead of all commutators stacked whole.
 Every dynamics is a conjugation by a unitary instead of a coordinate matrix
 passed through the generic automorphism check; the left action and the Cesaro
 map read one multiplication table instead of projecting products again; the
 joining's Kronecker terms come from the GNS action instead of coordinate
-passes; and the inclusion in j(F)' commutes with a few generators of F
-instead of every basis element.  The older routes survive here only, as
-oracles.
+passes; the inclusion in j(F)' commutes with a few generators of F
+instead of every basis element; and the minimal modules are Z(C)(1 - e) for
+the joint commutant C instead of the center of the corner (1 - e) C (1 - e).
+The older routes survive here only, as oracles.
 """
 import dataclasses
 import json
@@ -393,7 +395,7 @@ def test_generated_span_equals_all_products(spied_analyses):
         assert old.dim == an.basic.algebra.dim, name
         assert _mutual_inclusion(old, an.basic.algebra) <= 1e-12, name
         left_e = an.gns.left_mats @ an.basic.e
-        gens = basic._generators(alg, sub_alg, basic._whitener(left_e), DEFAULT_TOL)
+        gens = basic._generators(an.built.sub, basic._whitener(left_e), DEFAULT_TOL)
         assert len(gens) == -(-alg.dim // sub_alg.dim), name
 
 
@@ -440,7 +442,7 @@ def test_degenerate_draws_fail_to_generate(analyses, monkeypatch):
         v.build_basic_construction(an.gns, an.built.sub)
 
 
-# --- the center: commutators reduced block by block against one stacked SVD
+# --- the center: commutators with two generic elements against one stacked SVD
 
 def _stacked_center(alg, eps_rank=1e-10):
     """The kernel of all d n^2 x d commutator coordinates at once."""
@@ -467,6 +469,71 @@ def test_blockwise_center_equals_stacked_on_module_corners(analyses, monkeypatch
         z, oracle = center(alg), _stacked_center(alg)
         assert z.dim == oracle.dim
         assert _mutual_inclusion(z, oracle) <= 1e-12
+
+
+def test_center_of_degenerate_draws_fails_its_certificate(monkeypatch):
+    """Two equal draws generate a commutative subalgebra of M_2, whose
+    commutant is larger than the center; the check against the basis says so."""
+    alg = v.generate_algebra([E12], 2)
+    monkeypatch.setattr(linalg, "random_complex",
+                        lambda rng, shape: np.ones(shape, dtype=np.complex128))
+    with pytest.raises(NumericalBreakdown, match="do not generate the algebra"):
+        v.center(alg)
+
+
+# --- modules: Z(C)(1 - e) against the center of the corner (1 - e) C (1 - e)
+
+def corner_modules(bc, tol=DEFAULT_TOL):
+    """The minimal central projections of the corner (1 - e) C (1 - e) of the
+    joint commutant C, as find_minimal_modules once built them: an eigh of e,
+    the compression of C's basis, an orthonormal basis of the corner and the
+    corner's block decomposition."""
+    evals, evecs = np.linalg.eigh((bc.e + bc.e.conj().T) / 2)
+    q = evecs[:, evals < 0.5]  # orthonormal basis of the complement
+    m = q.shape[1]
+    if m == 0:
+        return []
+    compressed = np.einsum("ah,kab,bg->khg", q.conj(), v.joint_commutant(bc).basis, q,
+                           optimize=True)
+    rows = linalg.extend_orthonormal(
+        np.eye(m, dtype=np.complex128).reshape(1, -1) / np.sqrt(m),
+        compressed.reshape(len(compressed), -1), tol.eps_rank)
+    corner = v.MatrixStarAlgebra(m, np.ascontiguousarray(rows.reshape(-1, m, m)))
+    return [q @ small @ q.conj().T for small in v.block_decomposition(corner, tol)]
+
+
+def _assert_module_route(name, bc, blocks):
+    oracle = corner_modules(bc)
+    assert len(blocks) == len(oracle), name
+    for p in oracle:
+        assert min(float(np.abs(c.projection - p).max()) for c in blocks) <= 1e-10, name
+
+
+def test_center_of_c_times_complement_equals_corner_center(analyses, skew_d24,
+                                                          m2_over_diagonal):
+    for name, an in {**analyses, SKEW_D24["name"]: skew_d24}.items():
+        _assert_module_route(name, an.basic, an.spectrum.block_modules)
+    built = m2_over_diagonal
+    bc = v.build_basic_construction(v.build_gns(built.system), built.sub)
+    assert bc.dim_complement == 2
+    _assert_module_route("m2_over_diagonal", bc, v.find_minimal_modules(bc))
+
+
+@pytest.mark.parametrize("name", ["skew_z4_inversion", "finite_extension_m2"])
+def test_fixed_points_are_found_once(analyses, monkeypatch, name):
+    """One null space of a dim <A, e> square matrix per analysis: the fixed
+    points of alpha_bar, which the module and the ergodicity routes share."""
+    an = analyses[name]
+    dim = an.basic.algebra.dim
+    assert v.joint_commutant(an.basic).dim != dim  # no other square of that size
+    shapes, nullspace = [], linalg.nullspace
+
+    def spy(mat, eps_rank):
+        shapes.append(np.shape(mat))
+        return nullspace(mat, eps_rank)
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    analyze_built(name, an.kind, an.built)
+    assert shapes.count((dim, dim)) == 1, shapes
 
 
 def test_skew_d24_fits_in_one_gib():

@@ -33,9 +33,14 @@ class ToleranceConfig:
         if not all(not isinstance(t, (bool, np.bool_)) and math.isfinite(t) and t > 0
                    for t in (self.eps_rank, self.eps_assert)):
             raise ValueError("tolerances must be finite and positive")
-        n_max = self.cesaro_n_max
-        if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 1:
+        if not positive_integer(self.cesaro_n_max):
             raise ValueError("cesaro_n_max must be a positive integer")
+
+
+def positive_integer(value) -> bool:
+    """The rule for a Cesaro horizon: integral, not a bool, at least 1."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
+            and value >= 1)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -43,6 +48,7 @@ BLOCK_SEED = 7  # seed of the generic central element in block_decomposition
 SPAN_SEED = 11  # seed of the generic generators of A over F spanning <A, e>
 INCLUSION_SEED = 13  # seed of the generic generators of F in the j(F)' check
 CENTER_SEED = 17  # seed of the two generic generators whose commutant is the center
+MODES_SEED = 19  # seed of the phases w whose Hermitian part of w alpha is diagonalised
 
 
 @dataclass(frozen=True)
@@ -326,14 +332,38 @@ def multiplication_table(alg: MatrixStarAlgebra) -> tuple[np.ndarray, np.ndarray
     return table, np.ascontiguousarray(star), resid
 
 
+def eigenmodes(matrix: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lam and a unitary eigenbasis V of a unitary matrix alpha,
+    alpha = V diag(lam) V^H.
+
+    V is the eigenbasis of the Hermitian part of w alpha for a seeded phase
+    w, which shares alpha's eigenvectors unless two eigenphases satisfy
+    theta_p + theta_q = -2 arg w (mod 2 pi).  With lam_p the phase of
+    (V^H alpha V)_pp, a draw is kept when max |alpha V - V diag(lam)| is at
+    most eps_assert, and redrawn otherwise, up to 20 times.
+    """
+    rng = np.random.default_rng(MODES_SEED)
+    for _ in range(20):
+        turned = np.exp(2j * np.pi * rng.random()) * matrix  # w alpha
+        _, vecs = np.linalg.eigh(turned + turned.conj().T)
+        moved = matrix @ vecs
+        lam = np.exp(1j * np.angle((vecs.conj() * moved).sum(axis=0)))
+        if np.abs(moved - vecs * lam).max() <= tol.eps_assert:
+            return lam, vecs
+    raise NumericalBreakdown("no unitary eigenbasis of the dynamics was certified")
+
+
 @dataclass(frozen=True)
 class WStarSystem:
     """(algebra, faithful tracial state, trace-preserving *-automorphism).
 
     Carries the data every stage reads from the algebra's one multiplication:
     the Gram matrix, the table T[i, j] = coords(b_i b_j) and the adjoint
-    matrix S[:, i] = coords(b_i*) of ``multiplication_table``; ``system``
-    computes and checks them.
+    matrix S[:, i] = coords(b_i*) of ``multiplication_table``, and the
+    certified eigenbasis ``modes = (lam, V)`` of the dynamics' coordinate
+    matrix, alpha = V diag(lam) V^H, from ``eigenmodes``; ``system`` computes
+    and checks them.
     """
     algebra: MatrixStarAlgebra
     trace: TraceFunctional
@@ -341,22 +371,25 @@ class WStarSystem:
     gram: np.ndarray = field(repr=False)
     table: np.ndarray = field(repr=False)  # (d, d, d)
     star: np.ndarray = field(repr=False)   # (d, d)
+    modes: tuple[np.ndarray, np.ndarray] = field(repr=False)  # (d,), (d, d)
 
     def __post_init__(self):
-        for a in (self.gram, self.table, self.star):
+        for a in (self.gram, self.table, self.star, *self.modes):
             a.setflags(write=False)
 
 
 def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
            dynamics: StarAutomorphism, tol: ToleranceConfig = DEFAULT_TOL) -> WStarSystem:
     """Validates the algebra's closure under products and adjoints, then the
-    trace on it; the dynamics was validated where it was made."""
+    trace on it, and diagonalises the dynamics; the dynamics itself was
+    validated where it was made."""
     table, star, closure = multiplication_table(algebra)
     if closure > tol.eps_assert:
         raise NumericalBreakdown(f"the basis does not span a *-algebra: a product or "
                                  f"adjoint leaves its span (residual {closure:.2e})")
     gram, _ = validate_trace(algebra, trace, tol)
-    return WStarSystem(algebra, trace, dynamics, gram, table, star)
+    return WStarSystem(algebra, trace, dynamics, gram, table, star,
+                       eigenmodes(dynamics.matrix, tol))
 
 
 @dataclass(frozen=True)

@@ -68,10 +68,6 @@ class BasicConstruction:
         """Lifted trace of an element of the constructed algebra."""
         return complex(self.trace_vector @ self.algebra.coords(mat))
 
-    def gamma(self, mat: np.ndarray) -> np.ndarray:
-        """GNS vector of an element of the constructed algebra."""
-        return self.bar_to_vector @ self.algebra.coords(mat)
-
 
 def _whitener(ops: np.ndarray) -> np.ndarray:
     """C with sum_j C[j, i] ops[j] Hilbert-Schmidt orthonormal: R^-1 for the

@@ -5,8 +5,9 @@ the subalgebra's cyclic subspace, evaluates their lifted traces, runs the
 Cesaro averages characterizing relative weak mixing, and cross-checks the
 ergodicity route against the module route (any disagreement is an error, never
 a silent pass).  The conditional expectation is the one the subsystem
-carries, and the fiber analysis reads its atoms from the central blocks of F
-that the basic construction found.
+carries, the Cesaro averages run in the eigenbasis of the dynamics that the
+system carries, and the fiber analysis reads its atoms from the central
+blocks of F that the basic construction found.
 """
 from __future__ import annotations
 
@@ -16,14 +17,14 @@ import numpy as np
 
 from . import linalg
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, Subsystem, ToleranceConfig,
-                      WStarSystem, block_decomposition)
+                      WStarSystem, block_decomposition, positive_integer)
 from .basic import BasicConstruction
 from .errors import (NotCommutative, NotInAlgebra, NotMeanZero, SubsystemInvalid,
                      VerdictMismatch)
 from .joining import ErgodicityCheck, JoiningData, relative_ergodicity_check
 
 CESARO_EXIT_TOL = 1e-6
-CESARO_BLOCK = 1024  # widest block of Cesaro iterates held at once
+CESARO_BLOCK = 1024  # Cesaro steps whose powers of the eigenvalues are held at once
 
 
 @dataclass(frozen=True)
@@ -83,19 +84,22 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
                     early_exit: bool = True) -> np.ndarray:
     """Running averages of lambda(|D(a* alpha^n(a))|^2) for a mean-zero a in A.
 
-    In coordinates the n-th term is v^H G v with v = M alpha^n(c), where c
-    holds the coordinates of a, G is the Gram matrix and M = E_F L for the
-    fixed map L: x -> a* x, read from the system's multiplication table T and
-    adjoint matrix S.  The iterates alpha^n(c) are held as columns, in
-    blocks of 1, 2, 4, ... up to CESARO_BLOCK columns and then of
-    CESARO_BLOCK, each advanced by a power of alpha found by repeated
-    squaring, so memory stays O(dim A * CESARO_BLOCK) beside the output.
-    Stops at the first even n >= 4 where the averages at n and n/2 agree to
-    1e-6, unless disabled.
+    In coordinates the n-th term is v^H G v with v = E L alpha^n(c), where c
+    holds the coordinates of a, G is the Gram matrix, E = E_F, and L: x -> a* x
+    is read from the system's multiplication table T and adjoint matrix S.
+    The coordinates f of F's basis are orthonormal columns spanning E's
+    image, and alpha = V diag(lam) V^H (``system.modes``), so the term is
+    |K lam^n|^2 for the dim F x dim A matrix K = (R f^H E L V) diag(V^H c),
+    with R^H R = f^H G f the Cholesky factor of F's Gram matrix.  The powers
+    lam^n come from one cumprod over a block of up to CESARO_BLOCK steps, and
+    K is moved on by lam^(block width) from block to block, so a step costs
+    O(dim A dim F) and the output grows with the steps run.  Stops at the
+    first even n >= 4 where the averages at n and n/2 agree to 1e-6, unless
+    disabled.
     """
     n_max = tol.cesaro_n_max if n_max is None else n_max
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
+    if not positive_integer(n_max):
+        raise ValueError("n_max must be positive and integral")
     if sub.parent is not system:
         raise SubsystemInvalid("subsystem does not belong to this system")
     alg = system.algebra
@@ -106,18 +110,24 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
     coords = alg.coords(a)
     if np.abs(exp @ coords).max() > tol.eps_assert:
         raise NotMeanZero("element has a nonzero conditional expectation")
-    m = exp @ _adjoint_left_map(system, coords)
-    dyn = system.dynamics.matrix
-    block = (dyn @ coords)[:, None]  # alpha^n(c) for n = start, start + 1, ...
-    power = dyn  # alpha^(block width)
-    sums = np.empty(n_max, dtype=np.float64)
+    lam, vecs = system.modes
+    fh = sub.coords_in_parent.conj()  # f^H
+    r = np.linalg.cholesky(fh @ system.gram @ fh.conj().T).conj().T
+    k = (r @ (fh @ exp) @ _adjoint_left_map(system, coords) @ vecs) \
+        * (vecs.conj().T @ coords)
+    width = min(CESARO_BLOCK, n_max)
+    sums = np.empty(width)  # grows with the steps run
+    powers = np.repeat(lam[:, None], width, axis=1)
+    np.cumprod(powers, axis=1, out=powers)  # lam^1 .. lam^width
     start, total = 1, 0.0
     while True:
-        stop = min(start + block.shape[1], n_max + 1)
-        v = m @ block[:, :stop - start]
-        terms = np.einsum("in,in->n", v.conj(), system.gram @ v).real
+        stop = min(start + width, n_max + 1)
+        z = k @ powers[:, :stop - start]
+        terms = (z.real ** 2 + z.imag ** 2).sum(axis=0)
         running = np.cumsum(np.concatenate(([total], terms)))[1:]
         total = running[-1]
+        if len(sums) < stop - 1:
+            sums = np.concatenate((sums, np.empty(min(n_max, 2 * len(sums)) - len(sums))))
         sums[start - 1:stop - 1] = running / np.arange(start, stop)
         if early_exit:
             even = np.arange(max(4, start + start % 2), stop, 2)
@@ -127,12 +137,7 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
         if stop > n_max:
             return sums
         start = stop
-        if block.shape[1] < CESARO_BLOCK:
-            moved = power @ block
-            block = np.hstack([moved, power @ moved])
-            power = power @ power
-        else:
-            block = power @ block
+        k = k * powers[:, -1]
 
 
 def module_candidate(bc: BasicConstruction, projection: np.ndarray,

@@ -1,7 +1,7 @@
 """Generic algebra routines the package no longer runs, kept as test oracles
 and property-check helpers: the commutant grown from all of M_n, the closure
 test by products with generators, the full algebra validator, seeded random
-elements and GNS vectors of ambient matrices."""
+elements, GNS vectors of ambient matrices and of elements of <A, e>."""
 import numpy as np
 
 from vnspec import linalg
@@ -71,3 +71,8 @@ def random_element(alg: MatrixStarAlgebra, rng: np.random.Generator) -> np.ndarr
 def vector_of(gns, mat: np.ndarray) -> np.ndarray:
     """a Omega for an algebra element given as an ambient matrix."""
     return gns.to_vector @ gns.system.algebra.coords(mat)
+
+
+def bar_vector(bc, mat: np.ndarray) -> np.ndarray:
+    """GNS vector of an element of the basic construction <A, e>."""
+    return bc.bar_to_vector @ bc.algebra.coords(mat)

@@ -131,6 +131,45 @@ def test_block_decomposition_two_full_blocks():
     assert got == expected
 
 
+# --- the eigenbasis of the dynamics ------------------------------------------
+
+def _spied_eigh(monkeypatch):
+    draws, eigh = [], np.linalg.eigh
+
+    def spy(mat):
+        draws.append(mat)
+        return eigh(mat)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return draws
+
+
+def test_eigenmodes_redraw_a_phase_under_which_eigenphases_collide(monkeypatch):
+    """theta_0 + theta_1 = -2 arg w for the first seeded phase w, so the
+    Hermitian part of w alpha has one eigenvalue on both eigenvectors."""
+    w = np.exp(2j * np.pi * np.random.default_rng(v.algebra.MODES_SEED).random())
+    theta = np.array([0.4, -2 * np.angle(w) - 0.4, 1.3, 2.9])
+    q, _ = np.linalg.qr(v.linalg.random_complex(np.random.default_rng(37), (4, 4)))
+    alpha = q @ np.diag(np.exp(1j * theta)) @ q.conj().T
+    draws = _spied_eigh(monkeypatch)
+    lam, vecs = v.algebra.eigenmodes(alpha)
+    assert len(draws) > 1
+    assert np.abs(draws[0] - (w * alpha + (w * alpha).conj().T)).max() < 1e-12
+    first = np.linalg.eigh(draws[0])[1]
+    first_lam = np.diag(first.conj().T @ alpha @ first)
+    assert np.abs(alpha @ first - first * first_lam).max() > 1e-3
+    assert np.abs(alpha @ vecs - vecs * lam).max() <= TOL.eps_assert
+    assert np.abs(vecs.conj().T @ vecs - np.eye(4)).max() < 1e-12
+    assert np.allclose(np.sort(np.mod(np.angle(lam), 2 * np.pi)),
+                       np.sort(np.mod(theta, 2 * np.pi)), atol=1e-10)
+
+
+def test_eigenmodes_refuse_a_non_normal_matrix(monkeypatch):
+    draws = _spied_eigh(monkeypatch)
+    with pytest.raises(NumericalBreakdown, match="eigenbasis"):
+        v.algebra.eigenmodes(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+    assert len(draws) == 20
+
+
 # --- traces -------------------------------------------------------------
 
 def test_trace_validation_rejects_unfaithful():

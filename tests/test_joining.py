@@ -7,7 +7,7 @@ import vnspec as v
 from vnspec import linalg
 from vnspec.errors import NumericalBreakdown
 from test_routes import joining_gram_by_eigh
-from oracles import commutant, random_element
+from oracles import bar_vector, commutant, random_element
 
 
 def test_commutant_system_dimensions_and_trace(analyses):
@@ -100,7 +100,7 @@ def test_equivalence_matches_defining_columns(analyses):
             cb[rng.integers(d)] = 1.0
             a, b = alg.from_coords(ca), alg.from_coords(cb)
             lhs = r @ (jd.gamma @ np.kron(ca, cb))
-            rhs = bc.gamma(gns.left(a) @ bc.e @ gns.left(b))
+            rhs = bar_vector(bc, gns.left(a) @ bc.e @ gns.left(b))
             assert np.abs(lhs - rhs).max() < 1e-9, name
 
 
@@ -116,7 +116,7 @@ def test_isometry_identity_on_random_simple_tensors(analyses):
             a, b = alg.from_coords(ca), alg.from_coords(cb)
             tens = np.kron(ca, cb)
             # <gamma_bar(R0 s), gamma_bar(R0 t)> = <gamma(s), gamma(t)>
-            bar_vec = bc.gamma(gns.left(a) @ bc.e @ gns.left(b))
+            bar_vec = bar_vector(bc, gns.left(a) @ bc.e @ gns.left(b))
             join_vec = jd.gamma @ tens
             assert abs(np.vdot(bar_vec, bar_vec)
                        - np.vdot(join_vec, join_vec)) < 1e-9, name
@@ -125,7 +125,7 @@ def test_isometry_identity_on_random_simple_tensors(analyses):
 def test_cyclic_vector_images_are_fixed(analyses):
     for name, an in analyses.items():
         bc, jd = an.basic, an.joining
-        gamma_e = bc.gamma(bc.e)
+        gamma_e = bar_vector(bc, bc.e)
         assert np.abs(bc.u_bar @ gamma_e - gamma_e).max() < 1e-9, name
 
 
@@ -153,8 +153,8 @@ def test_joining_rejects_a_dynamics_that_moves_f(m2_over_diagonal):
     gns = v.build_gns(sys)
     bc = v.build_basic_construction(gns, sub)
     w = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
-    moved = replace(sys, dynamics=v.automorphism_from_unitary(sys.algebra, w,
-                                                               sys.trace))
+    moved = v.system(sys.algebra, sys.trace,
+                     v.automorphism_from_unitary(sys.algebra, w, sys.trace))
     with pytest.raises(NumericalBreakdown, match="not invariant"):
         v.relative_joining(replace(bc, gns=replace(gns, system=moved),
                                    sub=replace(sub, parent=moved)))

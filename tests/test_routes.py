@@ -5,8 +5,8 @@ map of the lifted trace's Gram matrix rather than a full GNS construction, the
 joint commutant of the dynamics and the right subalgebra action as the fixed
 points of the lifted dynamics, and the commutant by intersecting null spaces
 one basis element at a time.  The equivalence residuals in the ledger are the
-ones the equivalence check enforced.  Cesaro averages come from one fixed
-coordinate map and blocks of iterates instead of a loop over single steps.
+ones the equivalence check enforced.  Cesaro averages come from the
+certified eigenbasis of the dynamics instead of a loop over single steps.
 Conjugation by a unitary is checked by invariance of the algebra and of the
 trace instead of the generic automorphism check.  span(A e A) is certified
 as j(F)' by commutation with j(F) and the Bratteli dimension instead of the
@@ -709,10 +709,10 @@ def test_generic_check_rejects_what_invariance_rejects(name):
         validate_automorphism(alg, _unchecked_conjugation(alg, u), trace)
 
 
-# --- Cesaro averages: column blocks against the per-step loop ----------------
+# --- Cesaro averages: the eigenbasis of the dynamics against the per-step loop
 
 def _stepwise_cesaro(system, sub, element, n_max, early_exit):
-    """The per-step loop cesaro_sequence ran before the column blocks."""
+    """The per-step loop cesaro_sequence ran before it read blocks of steps."""
     alg = system.algebra
     a = np.asarray(element, dtype=np.complex128)
     exp = sub.expectation
@@ -780,6 +780,122 @@ def test_cesaro_memory_does_not_grow_with_horizon():
         tracemalloc.stop()
     assert len(seq) == 2 ** 18 and np.all(np.isfinite(seq))
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("name", sorted(CESARO_SYSTEMS))
+def test_modes_diagonalise_the_dynamics(name):
+    system = _admissible(name)[0].system
+    lam, vecs = system.modes
+    alpha = system.dynamics.matrix
+    assert np.abs(vecs.conj().T @ vecs - np.eye(len(lam))).max() <= 1e-12
+    assert np.abs(np.abs(lam) - 1.0).max() <= 1e-14
+    assert np.abs(alpha @ vecs - vecs * lam).max() <= DEFAULT_TOL.eps_assert
+
+
+@pytest.fixture(scope="module")
+def m3_generic():
+    """M_3 over the scalars under Ad(u) for a seeded random unitary u: the
+    eigenvalues exp(i (theta_j - theta_k)) of the dynamics are not roots of
+    unity, so no Cesaro average settles into a short period."""
+    rng = np.random.default_rng(43)
+    u, _ = np.linalg.qr(linalg.random_complex(rng, (3, 3)))
+    units = np.eye(3, dtype=complex)
+    built = v.build_explicit_system(3, [np.outer(units[0], units[1]),
+                                        np.outer(units[1], units[2])],
+                                    np.eye(3) / 3, u)
+    assert built.system.algebra.dim == 9 and built.sub.algebra.dim == 1
+    return built
+
+
+def test_cesaro_with_a_generic_spectrum_equals_stepwise_loop(m3_generic):
+    built = m3_generic
+    phases = np.angle(built.system.modes[0]) / np.pi
+    assert np.abs(phases * 24 - np.round(phases * 24)).max() > 1e-3
+    for label, a in admissible_elements(built.system, built.sub):
+        oracle = _stepwise_cesaro(built.system, built.sub, a, LONGEST, False)
+        for n_max in (1000, 2048, LONGEST):
+            seq = v.cesaro_sequence(built.system, built.sub, a, n_max=n_max,
+                                    early_exit=False)
+            assert len(seq) == n_max, label
+            assert np.abs(seq - oracle[:n_max]).max() <= 1e-12, label
+
+
+class _ProductSpy(np.ndarray):
+    """An array that records the shape of every matrix product it enters;
+    what it computes comes back as a plain array."""
+    products: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(xs):
+            return tuple(x.view(np.ndarray) if isinstance(x, _ProductSpy) else x
+                         for x in xs)
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+        if ufunc is np.matmul:
+            _ProductSpy.products.append(np.shape(result))
+        return result
+
+
+def test_cesaro_reads_one_decomposition_and_forms_no_square_product(monkeypatch):
+    """Every array the system and F carry records its products: none has d
+    rows and more than one column, and no decomposition is taken, so the
+    admissible elements of one system share the eigenbasis system() found."""
+    built, elements = _admissible("finite_extension_m2")
+    system, sub = built.system, built.sub
+    d = system.algebra.dim
+
+    def spy(arr):
+        return arr.view(_ProductSpy)
+    spied = dataclasses.replace(
+        system, gram=spy(system.gram), table=spy(system.table), star=spy(system.star),
+        dynamics=dataclasses.replace(system.dynamics, matrix=spy(system.dynamics.matrix)),
+        modes=tuple(spy(m) for m in system.modes))
+    spied_sub = dataclasses.replace(
+        sub, parent=spied, coords_in_parent=spy(sub.coords_in_parent),
+        expectation=dataclasses.replace(sub.expectation,
+                                        matrix=spy(sub.expectation.matrix)))
+    expected = [v.cesaro_sequence(system, sub, a) for _, a in elements]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cesaro_sequence took a decomposition")
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(_ProductSpy, "products", [])
+    for (_, a), want in zip(elements, expected):
+        assert np.array_equal(v.cesaro_sequence(spied, spied_sub, a), want)
+    assert _ProductSpy.products
+    assert [s for s in _ProductSpy.products if len(s) == 2 and s[0] >= d and s[1] > 1] \
+        == []
+
+
+def test_early_exit_allocates_only_the_steps_run(tmp_path):
+    """A horizon of 10**9 steps would take 8 GB of averages up front, but the
+    4-cycle's sequences stop after a few steps, so the analysis fits in 1 GiB
+    and stops where the default horizon does."""
+    shipped = next(p for p in shipped_system_paths() if p.stem == "classical_4cycle")
+    path = tmp_path / "long_horizon.json"
+    path.write_text(json.dumps({**json.loads(shipped.read_text()),
+                                "tolerances": {"cesaro_n_max": 10 ** 9}}))
+    child = textwrap.dedent(f"""
+        import resource, sys
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = {ADDRESS_SPACE_CAP}
+        if hard != resource.RLIM_INFINITY:
+            cap = min(cap, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from vnspec import cli
+        sys.exit(cli.main(["analyze", {str(path)!r}, "--format", "json"]))
+    """)
+    env = dict(os.environ, **{k: "1" for k in THREAD_VARS})
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, out, _ = run_cli(["analyze", str(shipped), "--format", "json"])
+    assert code == 0
+    counts = [[c["count"] for c in json.loads(text)["spectrum"]["cesaro"]]
+              for text in (proc.stdout, out)]
+    assert counts[0] == counts[1] and 0 < max(counts[0]) < 256
 
 
 # --- spatial dynamics: conjugation unitaries against the coordinate matrices
@@ -1020,6 +1136,7 @@ def test_removed_names_are_absent():
     assert [(m.__name__, n) for m in modules for n in REMOVED_NAMES
             if hasattr(m, n)] == []
     assert not hasattr(v.GnsSpace, "vector_of")
+    assert not hasattr(v.BasicConstruction, "gamma")
 
 
 def test_subsystem_of_another_system_is_refused(m2_grading, m2_over_diagonal):

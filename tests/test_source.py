@@ -36,6 +36,43 @@ def stray_tolerances(source: str) -> list[str]:
     return [f"line {n.lineno}: {n.value!r}" for n in sorted(found, key=lambda n: n.lineno)]
 
 
+def seed_constants(source: str) -> dict[str, object]:
+    """Values of the module-level *_SEED constants."""
+    return {t.id: node.value.value for node in ast.parse(source).body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            for t in node.targets if isinstance(t, ast.Name) and t.id.endswith("_SEED")}
+
+
+def unnamed_seeds(source: str, constants) -> list[str]:
+    """default_rng calls seeded by anything but one of the *_SEED constants
+    or a parameter named seed of the enclosing function."""
+    found = []
+
+    def visit(node, params):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            params = params | {a.arg for a in ast.walk(node.args)
+                               if isinstance(a, ast.arg)}
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) \
+                == "default_rng":
+            args = node.args + [k.value for k in node.keywords]
+            name = args[0].id if len(args) == 1 and isinstance(args[0], ast.Name) \
+                else None
+            if not (name in constants or (name == "seed" and "seed" in params)):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def shared_seeds(constants: dict[str, object]) -> list[list[str]]:
+    """Groups of *_SEED constants with one value."""
+    groups: dict[object, list[str]] = {}
+    for name, value in sorted(constants.items()):
+        groups.setdefault(value, []).append(name)
+    return [names for names in groups.values() if len(names) > 1]
+
+
 def test_unused_import_check_finds_an_unused_name():
     assert unused_imports("import os\nimport sys\nfrom a import b, c as d\nsys.exit(d)\n") \
         == ["line 1: os", "line 3: b"]
@@ -65,3 +102,30 @@ def test_package_tolerances_live_in_tolerance_config():
     assert len(paths) >= 10
     found = {p.name: stray_tolerances(p.read_text()) for p in paths}
     assert {name: s for name, s in found.items() if s} == {}
+
+
+def test_seed_check_finds_unnamed_and_shared_seeds():
+    source = ("import numpy as np\nA_SEED = 3\nB_SEED = 3\nC_SEED = 5\n"
+              "def f(seed, n):\n    np.random.default_rng(seed)\n"
+              "    np.random.default_rng(n)\n    np.random.default_rng(A_SEED)\n"
+              "def g():\n    np.random.default_rng(seed)\n"
+              "    np.random.default_rng()\n    np.random.default_rng(7)\n")
+    constants = seed_constants(source)
+    assert constants == {"A_SEED": 3, "B_SEED": 3, "C_SEED": 5}
+    assert unnamed_seeds(source, constants) == [
+        "line 7: np.random.default_rng(n)", "line 10: np.random.default_rng(seed)",
+        "line 11: np.random.default_rng()", "line 12: np.random.default_rng(7)"]
+    assert shared_seeds(constants) == [["A_SEED", "B_SEED"]]
+
+
+def test_package_routes_draw_from_their_own_seeds():
+    """Independent routes draw from different seeds: every generator in the
+    package is seeded by a distinct *_SEED constant or a seed parameter."""
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    constants = {}
+    for source in sources.values():
+        constants.update(seed_constants(source))
+    assert len(constants) >= 5
+    found = {name: unnamed_seeds(s, constants) for name, s in sources.items()}
+    assert {name: u for name, u in found.items() if u} == {}
+    assert shared_seeds(constants) == []

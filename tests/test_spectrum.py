@@ -8,6 +8,7 @@ from vnspec import linalg
 from vnspec.errors import InputError, NotCommutative, NotInAlgebra, NotMeanZero
 from vnspec.spectrum import admissible_elements
 from conftest import E12
+from oracles import bar_vector
 
 
 # --- Cesaro averages ---------------------------------------------------------
@@ -26,10 +27,17 @@ def test_cesaro_constant_quarter(m2_grading):
     assert np.abs(seq - 0.25).max() < 1e-9
 
 
-@pytest.mark.parametrize("n_max", [0, -3])
+@pytest.mark.parametrize("n_max", [0, -3, True, 2.5, "4"])
 def test_cesaro_rejects_a_horizon_below_one(m2_grading, n_max):
+    """Also a horizon that is not an integer, by ToleranceConfig's rule."""
     with pytest.raises(ValueError, match="n_max must be positive"):
         v.cesaro_sequence(m2_grading.system, m2_grading.sub, E12, n_max=n_max)
+
+
+def test_cesaro_takes_a_numpy_integer_horizon(m2_grading):
+    seq = v.cesaro_sequence(m2_grading.system, m2_grading.sub, E12,
+                            n_max=np.int64(3), early_exit=False)
+    assert len(seq) == 3 and np.abs(seq - 0.25).max() < 1e-9
 
 
 def test_cesaro_rejects_nonzero_expectation(m2_grading):
@@ -109,10 +117,10 @@ def test_fixed_point_witness(analyses):
     for name, an in analyses.items():
         bc = an.basic
         for cand in an.spectrum.modules:
-            x = bc.gamma(cand.projection)
+            x = bar_vector(bc, cand.projection)
             assert np.abs(bc.u_bar @ x - x).max() < 1e-8, name
             for f in an.built.sub.algebra.basis:
-                y = bc.gamma(bc.e @ an.gns.left(f))
+                y = bar_vector(bc, bc.e @ an.gns.left(f))
                 assert abs(np.vdot(x, y)) < 1e-8, name
 
 

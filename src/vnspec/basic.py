@@ -54,9 +54,13 @@ class BasicConstruction:
     extension_residual: float
     tracial_residual: float         # max |T - T^T| of the lifted trace's table
     blocks: tuple                   # central blocks (p_k, n_k, m_k) of F in A
+    x_coords: np.ndarray            # (d, d) coords of x_i: L(x_i) e HS orthonormal
+    b_coords: np.ndarray            # (k, d) coords of b_s: F b_1 + ... + F b_k = A
+    g_coords: np.ndarray            # coords of the inclusion generators of F
 
     def __post_init__(self):
-        for a in (self.e, self.trace_vector, self.bar_to_vector, self.u_bar, self.fixed):
+        for a in (self.e, self.trace_vector, self.bar_to_vector, self.u_bar, self.fixed,
+                  self.x_coords, self.b_coords, self.g_coords):
             a.setflags(write=False)
 
     @property
@@ -106,9 +110,9 @@ def _generators(sub: Subsystem, whiten: np.ndarray,
         draws = np.vstack([draws, linalg.random_complex(rng, (1, d))])
 
 
-def _span_candidates(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
-                     tol: ToleranceConfig) -> np.ndarray:
-    """The d k products (L(x_i) e)(e L(b_s)) spanning <A, e>, one row each.
+def _span_candidates(gns: GnsSpace, e: np.ndarray, x_coords: np.ndarray,
+                     b_coords: np.ndarray) -> np.ndarray:
+    """The d k products (L(x_i) e)(e L(b_s)) spanning <A, e>, row i k + s.
 
     The x_i make the L(x_i) e Hilbert-Schmidt orthonormal, and the b_s are
     generic combinations of elements making the e L(b) so, which generate A
@@ -116,12 +120,9 @@ def _span_candidates(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
     the trace, so the rank cutoff sees no trace weight.  As e commutes with
     L(F), a e (f b) = (a f) e b, so span(A e B) = span(A e A).
     """
-    n = gns.dim
-    left_e, e_left = gns.left_mats @ e, e @ gns.left_mats
-    left_x = np.tensordot(_whitener(left_e), left_e, axes=(0, 0))
-    coords = _generators(sub, _whitener(e_left), tol)
-    right_b = np.tensordot(coords, e_left, axes=(1, 0))
-    return (left_x[:, None] @ right_b[None]).reshape(-1, n * n)
+    left_x = np.tensordot(x_coords, gns.left_mats, axes=(1, 0)) @ e
+    right_b = e @ np.tensordot(b_coords, gns.left_mats, axes=(1, 0))
+    return (left_x[:, None] @ right_b[None]).reshape(-1, gns.dim ** 2)
 
 
 def _inclusion_generators(sub_alg: MatrixStarAlgebra, count: int,
@@ -212,8 +213,10 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
         raise SubsystemInvalid("subsystem does not belong to this system")
     e = cyclic_subspace_projection(gns, sub, tol)
     n = gns.dim
+    xs = _whitener(gns.left_mats @ e).T  # coordinates of the x_i
+    bs = _generators(sub, _whitener(e @ gns.left_mats), tol)
     rows = linalg.extend_orthonormal(np.zeros((0, n * n), dtype=np.complex128),
-                                     _span_candidates(gns, sub, e, tol), tol.eps_rank)
+                                     _span_candidates(gns, e, xs, bs), tol.eps_rank)
     spanned = MatrixStarAlgebra(n, np.ascontiguousarray(rows.reshape(-1, n, n)))
     blocks = bratteli_blocks(gns.system.algebra, sub.algebra, tol)
     # inclusion in j(F)': the largest entry of [b, j(g)], relative to |j(g)|,
@@ -247,7 +250,8 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     return BasicConstruction(gns, sub, e, spanned, trace_bar.values(spanned.basis),
                              trace_bar, dyn_bar, np.ascontiguousarray(to_vec),
                              np.ascontiguousarray(u_bar), np.ascontiguousarray(fixed),
-                             resid, max(jones, defining), tracial, tuple(blocks))
+                             resid, max(jones, defining), tracial, tuple(blocks),
+                             xs, bs, gns.system.algebra.coords_stack(gens))
 
 
 def default_partition(bc: BasicConstruction,

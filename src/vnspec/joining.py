@@ -1,9 +1,13 @@
 """Relatively independent joining of a system with its commutant.
 
 The joining is the state on the algebraic tensor product built from the two
-conditional expectations composed with the diagonal state; its GNS space is
-the range of a pivoted Cholesky factor of the state's Gram matrix over the
-simple tensors, and is unitarily equivalent to L2 of the basic construction.
+conditional expectations composed with the diagonal state.  Its GNS space is
+the relative tensor product L2(A) (x)_F L2(A) (Sauvageot 1983), which the d k
+generating tensors x_i (x) j(b_s) span just as the x_i e b_s span <A, e>
+(Pimsner and Popa 1986); it is the range of a pivoted Cholesky factor of
+their Gram matrix, and is unitarily equivalent to L2 of the basic
+construction.  Neither the Gram matrix nor the equivalence ranges over the
+d^2 simple tensors a_i (x) j(a_j).
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import DEFAULT_TOL, ToleranceConfig
-from .basic import BasicConstruction
+from .basic import BasicConstruction, _span_candidates
 from .errors import IsometryViolation, NumericalBreakdown, StateNotPositive
 
 
@@ -21,23 +25,26 @@ from .errors import IsometryViolation, NumericalBreakdown, StateNotPositive
 class JoiningData:
     """Relatively independent joining of a system with its commutant.
 
-    Tensor coordinates are indexed over pairs of the parent basis, with the
-    commutant slot running over b_i = j(left(a_i)).
+    omega_values is indexed over pairs of the parent basis, with the
+    commutant slot running over j(left(a_i)).  The GNS space is read through
+    the generating tensors t = x_i (x) j(b_s) of the basic construction,
+    column i k + s: gamma holds the GNS vectors of the unit tensors t / |t|.
     """
     basic: BasicConstruction        # owns the GNS space and the subsystem
     omega_values: np.ndarray        # (d, d) joint state on basis pairs
     two_formula_residual: float     # expectation route vs lifted-trace route
     marginal_residual: float
     invariance_residual: float
-    gamma: np.ndarray               # (r, d^2) quotient map onto the GNS space
+    gamma: np.ndarray               # (r, d k) GNS vectors of t / |t|, rows orthogonal
+    norms: np.ndarray               # (d k,) |t| by the expectation route
     w_matrix: np.ndarray            # (r, r) unitary of the joint dynamics
     omega_vec: np.ndarray           # (r,) GNS cyclic vector
     h_lambda_alt_residual: float    # F (x) 1 span versus 1 (x) j(F) span
-    factor_residual: float          # ||G - L L^H||_F of the Gram factor
+    factor_residual: float          # ||G - L L^H||_F of the scaled Gram's factor
     smallest_pivot: float           # smallest pivot kept in that factor
 
     def __post_init__(self):
-        for a in (self.omega_values, self.gamma, self.w_matrix,
+        for a in (self.omega_values, self.gamma, self.norms, self.w_matrix,
                   self.omega_vec):
             a.setflags(write=False)
 
@@ -46,49 +53,54 @@ class JoiningData:
         return self.gamma.shape[0]
 
 
-def factor_gram(p: np.ndarray, q: np.ndarray, to_vector: np.ndarray,
-                tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float, float]:
-    """Factor G = L L^H + S for G[(i, j), (k, l)] = sum_h conj(p[i, k, h]) q[j, l, h].
+def _read_back(gamma: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """(gamma^H)^+ D^-1/2 for D = diag(norms^2): gamma = S V^H has orthogonal
+    rows of squared norms lam, so (gamma^H)^+ = gamma / lam."""
+    lam = np.einsum("ij,ij->i", gamma.conj(), gamma).real
+    return gamma / lam[:, None] / norms
+
+
+def _tensor_gram(bc: BasicConstruction, left: tuple, right: tuple) -> np.ndarray:
+    """G[(i, s), (l, t)] = <x_i (x) j(b_s), y_l (x) j(c_t)>
+    = mu(E(x_i* y_l) E(c_t b_s*)) for left = (x, b) and right = (y, c),
+    stacks of coordinate rows in A.
+
+    Read from the GNS action alone as <E(y_l* x_i) Omega, E(c_t b_s*) Omega>
+    with E(y* x) Omega = e L(y)^H L(x) Omega and E(c b*) Omega =
+    e L(c) L(b)^H Omega, the operators the span's products x_i e b_s use;
+    coordinates x Omega through to_vector would carry its condition number.
+    """
+    gns, (x, b), (y, c) = bc.gns, left, right
+    lx, lb, ly, lc = (np.tensordot(z, gns.left_mats, axes=(1, 0)) for z in (x, b, y, c))
+    p = bc.e @ ly.conj().transpose(0, 2, 1) @ (lx @ gns.omega).T  # (l, h, i)
+    q = bc.e @ lc @ (lb.conj().transpose(0, 2, 1) @ gns.omega).T  # (t, h, s)
+    return np.einsum("lhi,ths->islt", p.conj(), q, optimize=True).reshape(
+        len(x) * len(b), len(y) * len(c))
+
+
+def factor_gram(gram: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
+                ) -> tuple[np.ndarray, float, float]:
+    """Factor a Hermitian G = L L^H + S by pivoted Cholesky.
 
     Pivoted Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 10) runs on the whitened G_w = K^-H G K^-1, K = kron(R, R) for
-    R = to_vector, computing one row of G_w per pivot, and stops once the
-    largest remaining diagonal entry is at most eps_rank; then L = K^H L_w.
-    The Schur complement S = G - L L^H is formed a block of rows at a time and
-    never stored whole.  As L L^H is positive, lambda_min(G) >= -||S||_F, so
-    StateNotPositive is raised when ||S||_F > eps_assert.  Returns L^T (row k
-    is column k of L), ||S||_F and the smallest pivot kept.
+    ch. 10) pivots on the largest remaining diagonal entry, the first of
+    those equal to it up to a factor 1 - eps_rank, and stops once it is at
+    most eps_rank.  As L L^H is positive, lambda_min(G) >= -||S||_F, so
+    StateNotPositive is raised when ||S||_F > eps_assert.  Returns L^T
+    (row k is column k of L), ||S||_F and the smallest pivot kept.
     """
-    d = len(p)
-    r_inv = np.linalg.inv(to_vector)
-    p_w = np.einsum("ia,kc,ikh->ach", r_inv, r_inv.conj(), p, optimize=True)
-    q_w = np.einsum("jb,ld,jlh->bhd", r_inv.conj(), r_inv, q, optimize=True)
-    diag = np.einsum("aah,bhb->ab", p_w.conj(), q_w).real.ravel()
-    rows = np.empty((min(d * d, 64), d * d), dtype=np.complex128)
+    diag = gram.diagonal().real.copy()
+    rows = np.empty(gram.shape, dtype=np.complex128)
     pivots: list[float] = []
-    while len(pivots) < d * d:
-        k, piv = len(pivots), int(np.argmax(diag))
-        if diag[piv] <= tol.eps_rank:
-            break
-        if k == len(rows):
-            rows = np.concatenate([rows, np.empty_like(rows)])
-        a, b = divmod(piv, d)
-        col = (p_w[a].conj() @ q_w[b]).ravel().conj()  # column piv of G_w
-        rows[k] = (col - rows[:k].T @ rows[:k, piv].conj()) / np.sqrt(diag[piv])
+    while len(pivots) < len(gram) and diag.max() > tol.eps_rank:
+        # the first of the tied entries, so that rounding does not order them
+        k, piv = len(pivots), int(np.argmax(diag >= (1 - tol.eps_rank) * diag.max()))
+        rows[k] = (gram[:, piv] - rows[:k].T @ rows[:k, piv].conj()) / np.sqrt(diag[piv])
         pivots.append(float(diag[piv]))
         diag -= rows[k].real ** 2 + rows[k].imag ** 2
         diag[piv] = 0.0
-    # L = K^H L_w: R^H X conj(R) for each column X of L_w read as a d x d matrix
-    rows = (to_vector.conj().T @ rows[:len(pivots)].reshape(-1, d, d)
-            @ to_vector.conj()).reshape(len(pivots), -1)
-    rows_conj = rows.conj()
-    q_t = np.ascontiguousarray(q.transpose(0, 2, 1))
-    sq = 0.0
-    for i in range(d):
-        block = np.matmul(p[i].conj(), q_t).reshape(d, -1)  # rows (i, j) of G
-        block -= rows[:, i * d:(i + 1) * d].T @ rows_conj
-        sq += float(np.vdot(block, block).real)
-    resid = float(np.sqrt(sq))
+    rows = rows[:len(pivots)]
+    resid = float(np.linalg.norm(gram - rows.T @ rows.conj()))
     if resid > tol.eps_assert:
         raise StateNotPositive(f"joining state has negative part: Schur complement "
                                f"{resid:.2e} at rank {len(pivots)}")
@@ -97,10 +109,8 @@ def factor_gram(p: np.ndarray, q: np.ndarray, to_vector: np.ndarray,
 
 def relative_joining(bc: BasicConstruction,
                      tol: ToleranceConfig = DEFAULT_TOL) -> JoiningData:
-    gns, sub = bc.gns, bc.sub
-    parent = gns.system
-    alg = parent.algebra
-    d = alg.dim
+    gns, sub, e = bc.gns, bc.sub, bc.e
+    parent, alg = gns.system, gns.system.algebra
     # conditioned left/right actions
     left_d = np.tensordot(sub.expectation.matrix.T, gns.left_mats,
                           axes=(1, 0))  # left(D(a_i))
@@ -112,7 +122,6 @@ def relative_joining(bc: BasicConstruction,
     # route two: lifted trace Tr(Delta x) of x = e a e j(b); j sends the
     # commutant slot back to a left-acting element, so the conditioning
     # happens through e alone
-    e = bc.e
     alt = np.einsum("ab,ibc,cd,jda->ij", bc.trace.density @ e, gns.left_mats, e,
                     gns.left_mats, optimize=True)
     two_formula = float(np.abs(omega_vals - alt).max())
@@ -128,81 +137,107 @@ def relative_joining(bc: BasicConstruction,
     if invariance > tol.eps_assert:
         raise NumericalBreakdown(f"the joining is not invariant under alpha (x) "
                                  f"alpha' (residual {invariance:.2e})")
-    # Gram of the joining state over the d^2 simple tensors, as a sum of
-    # Kronecker products with terms p[i, k] = e (b_k* b_i) Omega and
-    # q[i, k] = e (b_k b_i*) Omega, read from the GNS action: b_i Omega is
-    # column i of to_vector, L(b_k*) = L(b_k)^H, and b_i* Omega = J b_i Omega
-    vecs = gns.to_vector
-    p_vecs = np.ascontiguousarray(
-        (e @ gns.left_mats.conj().transpose(0, 2, 1) @ vecs).transpose(2, 0, 1))
-    q_vecs = np.ascontiguousarray(
-        (e @ gns.left_mats @ gns.apply_j(vecs)).transpose(2, 0, 1))
-    l_rows, factor_resid, smallest_pivot = factor_gram(p_vecs, q_vecs, vecs, tol)
+    # Gram of the generating tensors, factored after Jacobi scaling so that
+    # the pivots do not follow the trace weights; |t|^2 = mu(E(x* x) E(b b*))
+    # is positive as mu is faithful and E(b_s b_s*) invertible for generic b_s
+    gens = (bc.x_coords, bc.b_coords)
+    gram = _tensor_gram(bc, gens, gens)
+    norms = np.sqrt(gram.diagonal().real)
+    l_rows, factor_resid, pivot = factor_gram(gram / np.outer(norms, norms), tol)
     # L = V S with V orthonormal: gamma = S V^H, and L L^H = gamma^H gamma
     _, s, vh = np.linalg.svd(l_rows, full_matrices=False)
-    gamma = s[:, None] * vh.conj()  # (r, d^2)
-    # kron(m, m) acts on a column of V, read as a d x d matrix X, as m X m^T
-    moved = (m_alpha @ vh.reshape(-1, d, d) @ m_alpha.T).reshape(len(s), -1)
-    w = s[:, None] * (vh.conj() @ moved.T) / s[None, :]
-    id_coords = alg.coords(alg.identity())
-    omega_vec = gamma @ np.kron(id_coords, id_coords)
+    gamma = s[:, None] * vh.conj()  # (r, d k)
+    read = _read_back(gamma, norms)
+    # <t, W t'> = <t, (alpha (x) alpha') t'>, with t' moved by U
+    moved = tuple(z @ m_alpha.T for z in gens)
+    w = read @ _tensor_gram(bc, gens, moved) @ read.conj().T
+    one = alg.coords(alg.identity())[None]
+    omega_vec = read @ _tensor_gram(bc, gens, (one, one))[:, 0]
     # F-subspace, both descriptions
-    f_first = gamma @ np.stack([np.kron(fc, id_coords)
-                                for fc in sub.coords_in_parent]).T
-    f_second = gamma @ np.stack([np.kron(id_coords, fc)
-                                 for fc in sub.coords_in_parent]).T
-    h_lambda = linalg.orthonormal_columns(f_first, tol.eps_rank)
-    alt_span = linalg.orthonormal_columns(f_second, tol.eps_rank)
+    f = sub.coords_in_parent
+    h_lambda, alt_span = (linalg.orthonormal_columns(read @ _tensor_gram(bc, gens, pair),
+                                                     tol.eps_rank)
+                          for pair in ((f, one), (one, f)))
     span_resid = max(linalg.subspace_inclusion_residual(alt_span, h_lambda),
                      linalg.subspace_inclusion_residual(h_lambda, alt_span))
     if span_resid > tol.eps_assert:
         raise NumericalBreakdown(f"F (x) 1 and 1 (x) j(F) span different subspaces "
                                  f"(residual {span_resid:.2e})")
     return JoiningData(bc, omega_vals, two_formula, marg, invariance,
-                       np.ascontiguousarray(gamma), np.ascontiguousarray(w),
-                       omega_vec, span_resid, factor_resid, smallest_pivot)
+                       np.ascontiguousarray(gamma), norms, np.ascontiguousarray(w),
+                       omega_vec, span_resid, factor_resid, pivot)
 
 
-def _bar_columns(bc: BasicConstruction) -> np.ndarray:
-    """gamma_bar(a_i e a_j) as column i * d + j."""
-    gns = bc.gns
-    d = gns.system.algebra.dim
-    cols = np.empty((len(bc.u_bar), d * d), dtype=np.complex128)
-    for i in range(d):
-        blocks = gns.left_mats[i] @ bc.e @ gns.left_mats
-        cols[:, i * d:(i + 1) * d] = bc.bar_to_vector @ bc.algebra.coords_stack(blocks).T
-    return cols
+def _bar_generators(bc: BasicConstruction) -> np.ndarray:
+    """gamma_bar(x_i e b_s) as column i k + s, from the span candidates'
+    coordinates in <A, e>."""
+    cand = _span_candidates(bc.gns, bc.e, bc.x_coords, bc.b_coords)
+    return bc.bar_to_vector @ bc.algebra.coords_stack(cand).T
+
+
+def _balance(bc: BasicConstruction) -> float:
+    """Largest omega(n* n) / |L(g)|^2 for n = a_i g (x) j(a_j) - a_i (x) j(g a_j)
+    over the basis pairs and the inclusion generators g of F.
+
+    omega(n* n) = T1 - 2 Re T2 + T3, each term a d x d matrix over the pairs
+    of inner products <E(v* u) Omega, E(w z*) Omega> = <u (x) j(z), v (x) j(w)>:
+    T1 = <a g (x) j(b), same>, T2 = <a g (x) j(b), a (x) j(g b)> and
+    T3 = <a (x) j(g b), same>.  O(d^3) per g, with no factor of the rank.
+    """
+    lm, om, e = bc.gns.left_mats, bc.gns.omega, bc.e
+    adj = lm.conj().transpose(0, 2, 1)
+
+    def each(mats, rows):  # row i is mats[i] @ rows[i]
+        return np.einsum("iab,ib->ia", mats, rows)
+    aa = each(adj, lm @ om).conj()                  # rows conj(a_i* a_i Omega)
+    bb = each(lm, adj @ om).T                       # columns b_j b_j* Omega
+
+    def residual(g):
+        lg = np.tensordot(g, lm, axes=(0, 0))
+        aag = each(adj, lm @ (lg @ om)).conj()      # rows conj(a_i* a_i g Omega)
+        bbg = each(lm, adj @ (lg.conj().T @ om)).T  # columns b_j b_j* g* Omega
+        value = aag @ lg @ e @ bb - 2 * (aag @ e @ lg @ bb).real + aa @ e @ lg @ bbg
+        return float(np.abs(value).max()) / np.linalg.norm(lg, 2) ** 2
+    return max(residual(g) for g in bc.g_coords)
 
 
 def joining_equivalence(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL
                         ) -> tuple[np.ndarray, float, float]:
     """The unitary from the joining GNS space onto the basic-construction one.
 
-    Determined by gamma(a (x) j(b)) -> gamma_bar(a e b); validated to satisfy
-    that defining relation R gamma = gamma_bar on all d^2 simple tensors, to be
-    unitary and to intertwine the two dynamics unitaries.  Returns the map
-    with its isometry residual (the larger of the defining and the unitarity
-    residual) and its intertwining residual.
+    Determined by gamma(a (x) j(b)) -> gamma_bar(a e b), and validated on the
+    d k generating tensors t = x_i (x) j(b_s): R = C gamma^+ for the columns
+    C = gamma_bar(x_i e b_s) / |t| must satisfy R gamma = C, be unitary and
+    intertwine the two dynamics unitaries.  That gives the relation on all
+    d^2 simple tensors.  By generation,
+    b = sum_s f_s b_s with f_s in F.  The balance a (x) j(f b) = a f (x) j(b)
+    holds in the GNS space, as omega(n* n) = 0 puts n in the null space of
+    the positive state omega; it is checked for the inclusion generators g
+    of F, so holds on the words in them, all of F.  Hence
+    gamma(a (x) j(b)) = sum_s gamma(a f_s (x) j(b_s)), a combination of the
+    generating tensors as the x_i are a basis of A.  On the bar side the
+    certified Jones relation gives e f = f e, so a e b = sum_s (a f_s) e b_s
+    with the same coefficients, and R sends the one to the other.  Returns
+    the map with its isometry residual (the largest of the defining, the
+    unitarity and the balance residual) and its intertwining residual.
     """
     bc = jd.basic
-    dim_bar = len(bc.u_bar)
-    if jd.rank != dim_bar:
+    if jd.rank != len(bc.u_bar):
         raise IsometryViolation(
             f"joining GNS rank {jd.rank} differs from basic-construction "
-            f"dimension {dim_bar}")
-    cols = _bar_columns(bc)
-    # gamma = sqrt(lam) v^H has orthogonal rows of squared norms lam, so its
-    # pseudo-inverse is gamma^H / lam
-    lam = np.einsum("ij,ij->i", jd.gamma.conj(), jd.gamma).real
-    r = cols @ (jd.gamma.conj().T / lam)
-    d = bc.gns.system.algebra.dim  # d columns at a time: no second (r, d^2) array
-    defining = max(float(np.abs(r @ jd.gamma[:, k:k + d] - cols[:, k:k + d]).max())
-                   for k in range(0, d * d, d))
+            f"dimension {len(bc.u_bar)}")
+    balance = _balance(bc)
+    if balance > tol.eps_assert:
+        raise NumericalBreakdown(f"a g (x) j(b) and a (x) j(g b) differ for g in F "
+                                 f"(omega(n* n) = {balance:.2e})")
+    cols = _bar_generators(bc)
+    r = cols @ _read_back(jd.gamma, jd.norms).conj().T
+    defining = float(np.abs(r @ jd.gamma - cols / jd.norms).max())
     if defining > tol.eps_assert:
         raise IsometryViolation(f"equivalence map does not send gamma(a (x) j(b)) "
                                 f"to gamma_bar(a e b) ({defining:.2e})")
     eye = np.eye(jd.rank)
-    resid = max(defining, float(np.abs(r.conj().T @ r - eye).max()),
+    resid = max(defining, balance, float(np.abs(r.conj().T @ r - eye).max()),
                 float(np.abs(r @ r.conj().T - eye).max()))
     if resid > tol.eps_assert:
         raise IsometryViolation(f"equivalence map is not unitary ({resid:.2e})")

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import vnspec as v
 from vnspec import cli
-from vnspec.descriptions import parse_system
+from vnspec.descriptions import array_to_matrix, build_from_description, parse_system
 from vnspec.pipeline import CHECK_NAMES, analyze_built, analyze_description
+from test_routes import _bar_columns, simple_tensor_vectors
 
 
 @st.composite
@@ -108,12 +109,21 @@ def test_skew_with_weighted_base_and_z3_fiber():
     assert traces == [2.0]  # single dual orbit {1, 2} of the inversion on Z_3
 
 
+def _skewed_fiber_description(weight):
+    """A two-atom base tensored with a commutative fibre of weights (1-w, w)."""
+    return {"format_version": 1, "name": "skewed_tensor", "kind": "tensor",
+            "parameters": {
+                "b_factor": {"kind": "classical",
+                             "parameters": {"weights": [0.5, 0.5], "permutation": [0, 1]}},
+                "c_factor": {"kind": "explicit", "parameters": {
+                    "ambient_dim": 2,
+                    "algebra_generators": [array_to_matrix(np.diag([1.0, -1.0]))],
+                    "trace_density": array_to_matrix(np.diag([1 - weight, weight])),
+                    "dynamics_unitary": array_to_matrix(np.eye(2))}}}}
+
+
 def _skewed_fiber_tensor(weight):
-    b = v.build_classical_system([0.5, 0.5], [0, 1])
-    calg = v.generate_algebra([np.diag([1.0, -1.0])], 2)
-    ctr = v.trace_functional(np.diag([1 - weight, weight]))
-    cdyn = v.automorphism_from_unitary(calg, np.eye(2), ctr)
-    return v.build_tensor_system(b, v.system(calg, ctr, cdyn))
+    return build_from_description(parse_system(_skewed_fiber_description(weight)))
 
 
 def test_skewed_weights_within_regime_pass():
@@ -124,19 +134,30 @@ def test_skewed_weights_within_regime_pass():
 
 
 def test_skewed_weights_pass_down_to_1e6():
-    # the joining factors its Gram in GNS-whitened coordinates, where the
-    # pivots do not scale with the weight
+    # the joining factors the Jacobi-scaled Gram of its generating tensors,
+    # whose pivots do not scale with the weight
     an = analyze_built("t", "tensor", _skewed_fiber_tensor(1e-6))
+    ref = analyze_built("t", "tensor", _skewed_fiber_tensor(1e-2))
     assert an.passed
-    assert an.joining.smallest_pivot > 0.5
+    assert abs(an.joining.smallest_pivot / ref.joining.smallest_pivot - 1) <= 1e-6
+    assert an.joining.smallest_pivot > 0.05
 
 
-def test_extreme_weights_fail_loudly_not_silently():
-    # the equivalence map loses accuracy like 1 / weight: it passes at 2e-8
-    # and is off unitary by more than eps_assert from about 1.5e-8 down, and
-    # the toolkit must raise rather than emit a wrong certificate
-    with pytest.raises(v.errors.NumericalBreakdown):
-        analyze_built("t", "tensor", _skewed_fiber_tensor(1e-8))
+def test_extreme_weights_fail_loudly_not_silently(tmp_path, capsys):
+    # the equivalence is certified down to 1e-9, where the d^2 defining
+    # relation still holds to 1e-12; at 1e-10 the faithfulness cutoff refuses
+    # the trace, and the toolkit must refuse rather than emit a wrong
+    # certificate
+    an = analyze_built("t", "tensor", _skewed_fiber_tensor(1e-9))
+    assert an.passed
+    vecs = simple_tensor_vectors(an.joining)
+    assert np.abs(an.equivalence @ vecs - _bar_columns(an.basic)).max() <= 1e-12
+    path = tmp_path / "skewed.json"
+    path.write_text(json.dumps(_skewed_fiber_description(1e-9)))
+    assert cli.main(["analyze", str(path), "--quiet"]) == 0
+    path.write_text(json.dumps(_skewed_fiber_description(1e-10)))
+    assert cli.main(["analyze", str(path), "--quiet"]) == 2
+    assert "not faithful" in capsys.readouterr().err
 
 
 def _weight_ladder(weight, atom_pairs):
@@ -153,11 +174,14 @@ def _weight_ladder(weight, atom_pairs):
 @pytest.mark.parametrize("atom_pairs", [False, True], ids=["trivial_f", "atom_pairs"])
 def test_weight_ladder_passes_down_to_the_trace_cutoff(atom_pairs):
     """Every weight the faithfulness cutoff eps_rank admits is certified, with
-    whitened pivots of 1; a full eigendecomposition of the Gram lost rank
-    below w = 1e-5 with trivial F and below w = 5e-10 with the atom pairs."""
+    the pivots of the Jacobi-scaled generating Gram at w = 1e-2; a full
+    eigendecomposition of the Gram lost rank below w = 1e-5 with trivial F
+    and below w = 5e-10 with the atom pairs."""
     an = analyze_description(parse_system(_weight_ladder(2e-10, atom_pairs)))
+    ref = analyze_description(parse_system(_weight_ladder(1e-2, atom_pairs)))
     assert an.passed
-    assert an.joining.smallest_pivot > 0.5
+    assert abs(an.joining.smallest_pivot / ref.joining.smallest_pivot - 1) <= 1e-6
+    assert an.joining.smallest_pivot > 0.05
 
 
 @pytest.mark.parametrize("atom_pairs", [False, True], ids=["trivial_f", "atom_pairs"])

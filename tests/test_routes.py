@@ -13,8 +13,10 @@ as j(F)' by commutation with j(F) and the Bratteli dimension instead of the
 commutant of j(F) grown from all of M_n.  The lifted trace is the closed form
 Tr(x j(sum_k mu(p_k) / n_k^2 p_k)) over the central blocks of F instead of a
 least-squares extension over the spanning family.  The joining's GNS space
-comes from a pivoted Cholesky factor of its Gram matrix in GNS-whitened
-coordinates instead of a full eigendecomposition of the d^2 x d^2 Gram.
+comes from a pivoted Cholesky factor of the Gram matrix of the d k
+generating tensors x_i (x) j(b_s) instead of a full eigendecomposition of
+the d^2 x d^2 Gram, and the equivalence is checked on those tensors, with
+the balance over F, instead of on all d^2 simple tensors.
 span(A e A) is shown closed under products by the Jones relation
 e a e = E(a) e instead of multiplying the span by every generator.  <A, e> is
 spanned by the d k products x_i e b_s over a few generic generators b_s of A
@@ -419,7 +421,8 @@ def test_span_rank_margin(spied_analyses, name):
     more, and the largest is near 1; the d^2 unwhitened products kept theirs
     at 2, 5e9 and 200 eps_rank here."""
     an = spied_analyses[0][name]
-    cand = basic._span_candidates(an.gns, an.built.sub, an.basic.e, DEFAULT_TOL)
+    cand = basic._span_candidates(an.gns, an.basic.e, an.basic.x_coords,
+                                  an.basic.b_coords)
     s = np.linalg.svd(cand, compute_uv=False)
     assert s[an.basic.algebra.dim - 1] >= 1e8 * DEFAULT_TOL.eps_rank
     assert s[0] <= 10.0
@@ -559,8 +562,8 @@ def test_skew_d24_fits_in_one_gib():
 
 
 def test_skew_d96_is_too_large_for_384_mib(tmp_path):
-    """d = 96 peaks near 500 MB and fits in 1 GiB, but not under 384 MiB, and
-    the CLI says so; d = 128 needs about three minutes to fail in 1 GiB."""
+    """d = 96 peaks near 460 MB and fits in 1 GiB, but not under 384 MiB, and
+    the CLI says so: the basic construction alone reaches 390 MB of RSS."""
     n_x = 24
     desc = {**SKEW_D24, "name": "skew_x16", "parameters": {
         **SKEW_D24["parameters"], "weights": [1.0 / n_x] * n_x,
@@ -617,13 +620,45 @@ def joining_gram_by_eigh(gns, bc, tol=DEFAULT_TOL):
     return gram, vals[keep], vecs[:, keep]
 
 
+def _bar_columns(bc):
+    """gamma_bar(a_i e a_j) as column i d + j, over all d^2 basis pairs."""
+    gns = bc.gns
+    d = gns.system.algebra.dim
+    cols = np.empty((len(bc.u_bar), d * d), dtype=np.complex128)
+    for i in range(d):
+        blocks = gns.left_mats[i] @ bc.e @ gns.left_mats
+        cols[:, i * d:(i + 1) * d] = bc.bar_to_vector @ bc.algebra.coords_stack(blocks).T
+    return cols
+
+
+def simple_tensor_vectors(jd):
+    """GNS vectors of the d^2 simple tensors a_i (x) j(a_j), column i d + j,
+    read back through (gamma^H)^+ from their inner products with the
+    generating tensors."""
+    bc = jd.basic
+    eye = np.eye(bc.gns.system.algebra.dim)
+    inner = joining._tensor_gram(bc, (bc.x_coords, bc.b_coords), (eye, eye))
+    return joining._read_back(jd.gamma, jd.norms) @ inner
+
+
+def _generating_gram(bc, gram):
+    """The Gram of the generating tensors x_i (x) j(b_s), restricted from a
+    Gram over the d^2 simple tensors by the generators' coordinates."""
+    kron = np.kron(bc.x_coords, bc.b_coords)
+    return kron.conj() @ gram @ kron.T
+
+
 def _assert_factor_route(name, an):
+    """The d^2 simple tensors, read back through the generating factor, have
+    the Gram that the full eigendecomposition factors; gamma factors the
+    Jacobi-scaled Gram of the generating tensors."""
     jd = an.joining
     gram, lam, _ = joining_gram_by_eigh(an.gns, an.basic)
     assert jd.rank == len(lam), name
-    got = np.sort(np.einsum("ij,ij->i", jd.gamma.conj(), jd.gamma).real)
-    assert np.abs(got - lam).max() <= 1e-10 * lam.max(), name
-    assert np.abs(jd.gamma.conj().T @ jd.gamma - gram).max() <= 1e-12, name
+    vecs = simple_tensor_vectors(jd)
+    assert np.abs(vecs.conj().T @ vecs - gram).max() <= 1e-12, name
+    scaled = _generating_gram(an.basic, gram) / np.outer(jd.norms, jd.norms)
+    assert np.abs(jd.gamma.conj().T @ jd.gamma - scaled).max() <= 1e-12, name
     assert jd.factor_residual <= 1e-12, name
 
 
@@ -636,27 +671,38 @@ def test_skew_d24_factor_equals_eigh_route(skew_d24):
     _assert_factor_route(SKEW_D24["name"], skew_d24)
 
 
-def _as_kronecker_terms(spectrum, seed=0):
-    """p, q with sum_h conj(p[i, k, h]) q[j, l, h] a Hermitian d^2 x d^2 matrix
-    of the given spectrum, one term per pair (j, l)."""
+def _assert_relation_on_every_simple_tensor(name, an):
+    """R gamma(a_i (x) j(a_j)) = gamma_bar(a_i e a_j) on all d^2 basis pairs,
+    which the equivalence checks on the d k generating tensors only."""
+    vecs = simple_tensor_vectors(an.joining)
+    assert np.abs(an.equivalence @ vecs - _bar_columns(an.basic)).max() <= 1e-12, name
+
+
+def test_equivalence_holds_on_every_simple_tensor(analyses):
+    for name, an in analyses.items():
+        _assert_relation_on_every_simple_tensor(name, an)
+
+
+def test_skew_d24_equivalence_holds_on_every_simple_tensor(skew_d24):
+    _assert_relation_on_every_simple_tensor(SKEW_D24["name"], skew_d24)
+
+
+def _hermitian(spectrum, seed=0):
+    """A Hermitian matrix of the given spectrum in a seeded random basis."""
     n = len(spectrum)
-    d = int(round(np.sqrt(n)))
     u, _ = np.linalg.qr(linalg.random_complex(np.random.default_rng(seed), (n, n)))
-    gram = (u * np.asarray(spectrum)) @ u.conj().T
-    p = gram.conj().reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d, d, n)
-    return gram, p, np.eye(n).reshape(d, d, n)
+    return (u * np.asarray(spectrum)) @ u.conj().T
 
 
 def test_factor_rejects_a_negative_eigenvalue():
-    _, p, q = _as_kronecker_terms([3.0, 2.0, 1.0, 0.5, -1e-6] + [0.0] * 11)
+    gram = _hermitian([3.0, 2.0, 1.0, 0.5, -1e-6] + [0.0] * 11)
     with pytest.raises(StateNotPositive, match="negative part"):
-        v.factor_gram(p, q, np.eye(4))
+        v.factor_gram(gram)
 
 
 def test_factor_finds_the_rank_of_a_positive_matrix():
-    gram, p, q = _as_kronecker_terms([4.0, 1.0, 1e-3, 1e-6, 1e-9] + [0.0] * 20,
-                                     seed=1)
-    rows, resid, smallest = v.factor_gram(p, q, np.eye(5))
+    gram = _hermitian([4.0, 1.0, 1e-3, 1e-6, 1e-9] + [0.0] * 20, seed=1)
+    rows, resid, smallest = v.factor_gram(gram)
     assert rows.shape == (5, 25)
     assert resid <= 1e-12
     assert np.abs(rows.T @ rows.conj() - gram).max() <= 1e-12
@@ -1006,45 +1052,72 @@ def test_table_left_map_equals_coordinate_pass(name):
 
 
 def test_kronecker_terms_equal_coordinate_passes(analyses, skew_d24, monkeypatch):
-    """p and q from the GNS action against the coordinate passes."""
+    """The Gram of the generating tensors from the GNS action, as factored,
+    against the coordinate passes restricted to the generators."""
     seen, factor = [], joining.factor_gram
 
-    def spy(p, q, to_vector, tol=DEFAULT_TOL):
-        seen.append((p, q))
-        return factor(p, q, to_vector, tol)
+    def spy(gram, tol=DEFAULT_TOL):
+        seen.append(gram)
+        return factor(gram, tol)
     monkeypatch.setattr(joining, "factor_gram", spy)
     for name, an in {**analyses, SKEW_D24["name"]: skew_d24}.items():
         seen.clear()
-        v.relative_joining(an.basic)
-        (p, q), = seen
+        jd = v.relative_joining(an.basic)
+        gram, = seen
         p_old, q_old = coordinate_kronecker_terms(an.gns, an.basic.e)
-        assert np.abs(p - p_old).max() <= 1e-12, name
-        assert np.abs(q - q_old).max() <= 1e-12, name
+        d = len(p_old)
+        dense = np.einsum("ikh,jlh->ijkl", p_old.conj(), q_old,
+                          optimize=True).reshape(d * d, d * d)
+        old = _generating_gram(an.basic, dense) / np.outer(jd.norms, jd.norms)
+        assert np.abs(gram - old).max() <= 1e-12, name
 
 
 # --- the equivalence map and the relation that defines it ---------------------
 
-def test_equivalence_checks_its_defining_relation(analyses, monkeypatch):
-    """A null vector of gamma added to every row of the bar columns leaves
-    R = cols gamma^H / lam, so its unitarity and intertwining, unchanged, but
-    breaks R gamma = cols."""
-    an = analyses["finite_extension_m2"]
+# a classical system whose three-point atom of F needs a third generator b_s,
+# so the d k = 12 generating tensors span a joining of rank 10
+THREE_POINT_ATOM = {
+    "format_version": 1, "name": "three_point_atom", "kind": "classical",
+    "parameters": {"weights": [0.2, 0.2, 0.2, 0.4], "permutation": [1, 2, 0, 3],
+                   "sub_partition": [[0, 1, 2], [3]]}}
+
+
+def test_equivalence_checks_its_defining_relation(monkeypatch):
+    """A null vector of the generating factor added to every row of the bar
+    columns leaves R = C (gamma^H)^+, so its unitarity and intertwining,
+    unchanged, but breaks R gamma = C."""
+    an = analyze_description(parse_system(THREE_POINT_ATOM))
     jd, bc = an.joining, an.basic
-    cols = joining._bar_columns(bc)
-    null = np.linalg.svd(jd.gamma)[2][jd.rank]
-    assert np.abs(jd.gamma @ null.conj()).max() <= 1e-12
-    bent = cols + 0.3 * null
-    lam = np.einsum("ij,ij->i", jd.gamma.conj(), jd.gamma).real
+    assert (jd.rank, jd.gamma.shape[1]) == (10, 12)
+    _assert_relation_on_every_simple_tensor(THREE_POINT_ATOM["name"], an)
+    cols = joining._bar_generators(bc)
+    null = np.linalg.svd(jd.gamma)[2][jd.rank].conj()
+    assert np.abs(jd.gamma @ null).max() <= 1e-12
+    bent = cols + 0.3 * (null * jd.norms).conj()
+    read = joining._read_back(jd.gamma, jd.norms)
     eye = np.eye(jd.rank)
     for c in (cols, bent):
-        r = c @ (jd.gamma.conj().T / lam)
+        r = c @ read.conj().T
         assert np.abs(r.conj().T @ r - eye).max() <= 1e-12
         assert np.abs(r @ jd.w_matrix @ r.conj().T - bc.u_bar).max() <= 1e-12
-    assert np.abs(r @ jd.gamma - cols).max() <= 1e-12
-    assert np.abs(r @ jd.gamma - bent).max() >= 0.1
-    monkeypatch.setattr(joining, "_bar_columns", lambda *args: bent)
+    assert np.abs(r @ jd.gamma - cols / jd.norms).max() <= 1e-12
+    assert np.abs(r @ jd.gamma - bent / jd.norms).max() >= 0.05
+    monkeypatch.setattr(joining, "_bar_generators", lambda *args: bent)
     with pytest.raises(IsometryViolation, match="does not send"):
         v.joining_equivalence(jd)
+
+
+def test_equivalence_checks_the_balance(analyses):
+    """An inclusion generator outside F breaks a g (x) j(b) = a (x) j(g b)."""
+    an = analyses["finite_extension_m2"]
+    bc, alg = an.basic, an.built.system.algebra
+    assert joining._balance(bc) <= 1e-12
+    outside = linalg.random_complex(np.random.default_rng(3), (1, alg.dim))
+    assert an.built.sub.algebra.membership_residual(alg.from_coords(outside[0])) >= 0.1
+    broken = dataclasses.replace(bc, g_coords=outside)
+    assert joining._balance(broken) >= 1e-3
+    with pytest.raises(NumericalBreakdown, match=r"a g \(x\) j\(b\) and a \(x\) j\(g b\)"):
+        v.joining_equivalence(dataclasses.replace(an.joining, basic=broken))
 
 
 # --- inclusion in j(F)' by generators of F against every basis element of F -

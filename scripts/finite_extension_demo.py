@@ -2,7 +2,8 @@
 """Build the two-summand finite extension and print its structural residuals.
 
 Shows the displayed corner pattern of the dynamics on 1 (x) E12, the distance
-from any product form, and the resulting discrete-spectrum certificate.
+from any product form, the resulting discrete-spectrum certificate, and each
+module's multiplicities over the central blocks of the noncommutative base.
 """
 import numpy as np
 
@@ -37,6 +38,13 @@ def main():
           f"{bc.lifted_value(np.eye(gns.dim) - bc.e).real:.6g}")
     print(f"  weak mixing relative to the base: "
           f"{v.rwm_certificate(jd).holds}")
+    reports = [(c, v.fiber_analysis(bc, c)) for c in v.find_minimal_modules(bc)]
+    print(f"  central blocks of F: n_k = {tuple(n for _, n, _ in bc.blocks)}, "
+          f"weights mu(p_k) / n_k = "
+          f"{tuple(round(w, 6) for w in reports[0][1].atom_weights)}")
+    for c, rep in reports:
+        print(f"    module dim {c.dim}: multiplicities {rep.fiber_dims} -> "
+              f"weighted {rep.weighted_sum:.6g}, lifted trace {rep.measured:.6g}")
 
 
 if __name__ == "__main__":

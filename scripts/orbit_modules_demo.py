@@ -8,7 +8,7 @@ per-orbit traces.
 import numpy as np
 
 import vnspec as v
-from vnspec.constructors import skew_orbit_modules
+from vnspec.spectrum import skew_orbit_modules
 
 Z4 = tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4))
 INVERSION = tuple((-g) % 4 for g in range(4))
@@ -32,7 +32,7 @@ def run(cocycle):
     print("  commutant blocks:",
           [(c.dim, round(c.lifted_trace, 9)) for c in blocks])
     for c in orbit:
-        rep = v.classical_fiber_analysis(bc, c)
+        rep = v.fiber_analysis(bc, c)
         print(f"    fibers {rep.fiber_dims} -> weighted {rep.weighted_sum:.6g},"
               f" plain {rep.plain_sum:.6g}, measured {rep.measured:.6g}"
               f" ({rep.matching_formula})")

@@ -25,8 +25,8 @@ from .joining import (ErgodicityCheck, JoiningData, factor_gram, joining_equival
                       relative_ergodicity_check, relative_joining)
 from .spectrum import (CesaroSample, FiberReport, RdsCertificate, SpectrumReport,
                        SubmoduleCandidate, admissible_elements,
-                       build_spectrum_report, cesaro_sequence,
-                       classical_fiber_analysis, find_minimal_modules,
+                       build_spectrum_report, cesaro_sequence, fiber_analysis,
+                       find_minimal_modules,
                        joint_commutant, rds_verdict, rwm_certificate)
 from . import errors
 

@@ -43,7 +43,6 @@ from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, StarAutomorphism, Subsyste
 from .errors import (ConstraintViolated, DimensionMismatch, NotAutomorphism,
                      NotUnitary, SpecInvalid, WeightsNotPreserved)
 from .gns import build_gns
-from . import linalg
 
 
 @dataclass(frozen=True)
@@ -332,28 +331,6 @@ def dual_orbits(gs: GroupSystem) -> list[tuple[int, ...]]:
             h = gs.automorphism_images[h]
         orbits.append(tuple(sorted(orbit)))
     return orbits
-
-
-def skew_orbit_modules(skew: ConstructedSystem, bc,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> list:
-    """Orbit modules of a skew product: base space tensored with the span of
-    each dual orbit.  These are invariant right modules of finite lifted trace
-    spanning the complement of the base's cyclic subspace; their traces equal
-    the orbit sizes.
-    """
-    from .spectrum import module_candidate  # cycle-free: function-level import
-    gs: GroupSystem = skew.extras["group"]
-    n_g = gs.table.shape[0]
-    n_x = skew.system.algebra.dim // n_g
-    out = []
-    for orbit in dual_orbits(gs):
-        idx = [x * n_g + g for x in range(n_x) for g in orbit]
-        cols = bc.gns.to_vector[:, idx]
-        q = linalg.orthonormal_columns(cols, tol.eps_rank)
-        out.append(module_candidate(bc, q @ q.conj().T, tol))
-    out.sort(key=lambda c: (-round(c.lifted_trace, 8),
-                            linalg.sort_key(c.projection)))
-    return out
 
 
 # --- finite extensions ----------------------------------------------------

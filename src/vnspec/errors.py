@@ -45,10 +45,6 @@ class NotInAlgebra(InputError):
     pass
 
 
-class NotCommutative(InputError):
-    pass
-
-
 class NotAutomorphism(InputError):
     pass
 

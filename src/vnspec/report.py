@@ -38,7 +38,7 @@ def analysis_to_dict(an: SystemAnalysis) -> dict:
                "weighted_sum": f.weighted_sum, "plain_sum": f.plain_sum,
                "measured": f.measured, "matching_formula": f.matching_formula,
                "rank_bound": f.rank_bound}
-              for f in an.extras.get("fibers", [])]
+              for f in an.spectrum.fibers]
     out = {
         "report_version": REPORT_VERSION,
         "name": an.name,

@@ -1,13 +1,14 @@
 """Relative weak mixing and relative discrete spectrum diagnostics.
 
 Finds the minimal jointly invariant submodules of the orthogonal complement of
-the subalgebra's cyclic subspace, evaluates their lifted traces, runs the
+the subalgebra's cyclic subspace, by the generic block route and, for skew
+products, by the orbit route; evaluates their lifted traces, runs the
 Cesaro averages characterizing relative weak mixing, and cross-checks the
 ergodicity route against the module route (any disagreement is an error, never
 a silent pass).  The conditional expectation is the one the subsystem
 carries, the Cesaro averages run in the eigenbasis of the dynamics that the
-system carries, and the fiber analysis reads its atoms from the central
-blocks of F that the basic construction found.
+system carries, and the fiber analysis counts each module's multiplicities
+over the central blocks of F that the basic construction found, for every F.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from . import linalg
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, Subsystem, ToleranceConfig,
                       WStarSystem, block_decomposition, positive_integer)
 from .basic import BasicConstruction
-from .errors import (NotCommutative, NotInAlgebra, NotMeanZero, SubsystemInvalid,
-                     VerdictMismatch)
+from .constructors import ConstructedSystem, GroupSystem, dual_orbits
+from .errors import NotInAlgebra, NotMeanZero, SubsystemInvalid, VerdictMismatch
 from .joining import ErgodicityCheck, JoiningData, relative_ergodicity_check
 
 CESARO_EXIT_TOL = 1e-6
@@ -68,6 +69,7 @@ class SpectrumReport:
     additivity_residual: float
     cesaro: tuple[CesaroSample, ...]
     ergodicity: ErgodicityCheck  # evidence behind the rwm verdict
+    fibers: tuple[FiberReport, ...]  # one per entry of ``modules``
 
 
 def _adjoint_left_map(system: WStarSystem, coords: np.ndarray) -> np.ndarray:
@@ -180,6 +182,27 @@ def find_minimal_modules(bc: BasicConstruction, tol: ToleranceConfig = DEFAULT_T
     return out
 
 
+def skew_orbit_modules(skew: ConstructedSystem, bc: BasicConstruction,
+                       tol: ToleranceConfig = DEFAULT_TOL) -> list[SubmoduleCandidate]:
+    """Orbit modules of a skew product: base space tensored with the span of
+    each dual orbit.  These are invariant right modules of finite lifted trace
+    spanning the complement of the base's cyclic subspace; their traces equal
+    the orbit sizes.
+    """
+    gs: GroupSystem = skew.extras["group"]
+    n_g = gs.table.shape[0]
+    n_x = skew.system.algebra.dim // n_g
+    out = []
+    for orbit in dual_orbits(gs):
+        idx = [x * n_g + g for x in range(n_x) for g in orbit]
+        cols = bc.gns.to_vector[:, idx]
+        q = linalg.orthonormal_columns(cols, tol.eps_rank)
+        out.append(module_candidate(bc, q @ q.conj().T, tol))
+    out.sort(key=lambda c: (-round(c.lifted_trace, 8),
+                            linalg.sort_key(c.projection)))
+    return out
+
+
 def rwm_certificate(jd: JoiningData,
                     tol: ToleranceConfig = DEFAULT_TOL) -> ErgodicityCheck:
     """Relative weak mixing, certified by two independent routes.
@@ -230,33 +253,50 @@ def rds_verdict(bc: BasicConstruction, modules: list[SubmoduleCandidate],
 
 @dataclass(frozen=True)
 class FiberReport:
-    atom_weights: tuple[float, ...]
-    fiber_dims: tuple[int, ...]
+    atom_weights: tuple[float, ...]  # mu(p_k) / n_k: a minimal projection of F p_k
+    fiber_dims: tuple[int, ...]      # the multiplicities c_k, rounded
+    integrality_gap: float           # max_k |c_k - round(c_k)|
     weighted_sum: float
     plain_sum: float
     measured: float
     matching_formula: str  # "weighted", "plain", "both" or "neither"
     rank_bound: int
 
+    @property
+    def residual(self) -> float:
+        """The larger gap of the fiber formula: weighted sum against the
+        measured lifted trace, and the multiplicities against integers."""
+        return max(abs(self.weighted_sum - self.measured), self.integrality_gap)
 
-def classical_fiber_analysis(bc: BasicConstruction, module: SubmoduleCandidate,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> FiberReport:
-    """Fiber dimensions of a module over the atoms of a commutative subalgebra.
 
-    Reports both the weight-free and the weighted fiber sums next to the
-    measured lifted trace and flags which one matches; the rank bound is the
-    largest fiber dimension.  The atoms are the central blocks p_k of F found
-    by the basic construction; F is commutative exactly when every n_k = 1.
+def fiber_analysis(bc: BasicConstruction, module: SubmoduleCandidate,
+                   tol: ToleranceConfig = DEFAULT_TOL) -> FiberReport:
+    """Multiplicities of a module over the central blocks (p_k, n_k, m_k) of F.
+
+    A module P lies in <A, e> = j(F)', so P j(p_k) H is c_k copies of the
+    irreducible right F p_k = M_{n_k} module, c_k = Tr(P j(p_k)) / n_k, and a
+    minimal projection of F p_k has trace mu(p_k) / n_k.  The lifted trace of
+    P is then sum_k mu(p_k) / n_k c_k, as <A, e> carries the trace vector of
+    F (Goodman, de la Harpe and Jones 1989, ch. 2).  For a commutative F
+    every n_k = 1 and this is the classical weighted fiber sum; the
+    weight-free sum of the c_k is kept beside it as the classical
+    comparison, flagged in ``matching_formula``, and the rank bound is the
+    largest c_k.
+
+    How independent this is: the weighted sum is Tr(Delta P) for the same
+    closed-form density Delta as ``BasicConstruction.trace``, so it is not a
+    third route to the trace.  It evaluates that density block by block on H
+    against the lifted trace read from P's <A, e> coordinates, and adds the
+    integrality of every c_k.
     """
-    if any(n > 1 for _, n, _ in bc.blocks):
-        raise NotCommutative("subalgebra is not commutative")
     gns = bc.gns
-    atoms = [p for p, _, _ in bc.blocks]
-    weights = [float(gns.system.trace.value(p).real) for p in atoms]
-    dims = []
-    for p in atoms:
+    weights, mults = [], []
+    for p, n, _ in bc.blocks:
+        weights.append(float(gns.system.trace.value(p).real) / n)
         jp = gns.j_op(gns.left(p))
-        dims.append(int(round(float(np.trace(jp @ module.projection).real))))
+        mults.append(float(np.trace(jp @ module.projection).real) / n)
+    dims = [int(round(c)) for c in mults]
+    gap = max(abs(c - k) for c, k in zip(mults, dims))
     weighted = float(sum(w * dv for w, dv in zip(weights, dims)))
     plain = float(sum(dims))
     measured = module.lifted_trace
@@ -264,8 +304,8 @@ def classical_fiber_analysis(bc: BasicConstruction, module: SubmoduleCandidate,
     p_match = abs(plain - measured) < tol.eps_assert
     label = {(True, True): "both", (True, False): "weighted",
              (False, True): "plain", (False, False): "neither"}[(w_match, p_match)]
-    return FiberReport(tuple(weights), tuple(dims), weighted, plain, measured,
-                       label, max(dims) if dims else 0)
+    return FiberReport(tuple(weights), tuple(dims), gap, weighted, plain, measured,
+                       label, max(dims))
 
 
 def admissible_elements(system: WStarSystem, sub: Subsystem,
@@ -320,4 +360,5 @@ def build_spectrum_report(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL,
                           bc.dim_complement, cert.verdict and block_cert.verdict,
                           erg.holds,
                           max(cert.span_residual, block_cert.span_residual),
-                          float(additivity), tuple(samples), erg)
+                          float(additivity), tuple(samples), erg,
+                          tuple(fiber_analysis(bc, m, tol) for m in modules))

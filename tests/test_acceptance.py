@@ -147,7 +147,7 @@ def test_criterion_09_completeness_additivity(analyses):
 def test_criterion_10_classical_fibers(analyses):
     """Per-atom fiber dimensions of the large skew module, formula flagged."""
     an = analyses["skew_z4_inversion"]
-    rep = an.extras["fibers"][0]
+    rep = an.spectrum.fibers[0]
     ok = (rep.fiber_dims == (2, 2, 2)
           and rep.matching_formula in ("weighted", "both")
           and abs(rep.weighted_sum - rep.measured) < 1e-8)

@@ -1039,6 +1039,29 @@ def test_closure_check_rejects_a_swapped_basis_element():
         v.system(bad, system.trace, v.identity_automorphism(bad))
 
 
+def test_multiplication_table_is_associative(analyses, skew_d24):
+    """(b_i b_j) b_k = b_i (b_j b_k) read from T[i, j] = coords(b_i b_j):
+    sum_c T[i, j, c] T[c, k, :] = sum_c T[j, k, c] T[i, c, :] on seeded
+    triples of basis indices."""
+    rng = np.random.default_rng(41)
+    for name, an in {**analyses, SKEW_D24["name"]: skew_d24}.items():
+        t = an.built.system.table
+        i, j, k = rng.integers(len(t), size=(3, 256))
+        left = np.einsum("mc,cmx->mx", t[i, j], t[:, k])
+        right = np.einsum("mc,mcx->mx", t[j, k], t[i])
+        assert np.abs(left - right).max() <= 1e-12 * max(1.0, np.abs(t).max()), name
+
+
+def test_fiber_formula_applies_to_every_system(analyses, skew_d24):
+    """The blockwise Tr(Delta P) over the central blocks of F against the
+    lifted trace from <A, e> coordinates, commutative F or not."""
+    for name, an in {**analyses, SKEW_D24["name"]: skew_d24}.items():
+        check = {c.name: c for c in an.checks}["fiber_formula"]
+        assert check.applicable and check.passed, name
+        assert len(an.spectrum.fibers) == len(an.spectrum.modules), name
+        assert (check.note == "no modules") == (not an.spectrum.modules), name
+
+
 @pytest.mark.parametrize("name", sorted(CESARO_SYSTEMS))
 def test_table_left_map_equals_coordinate_pass(name):
     built, elements = _admissible(name)
@@ -1198,7 +1221,7 @@ def test_subsystem_expectation_equals_the_solved_projection(analyses, skew_d24):
 
 REMOVED_NAMES = ("checked_trace", "is_commutative", "conditional_expectation",
                  "commutant", "product_closure_residual", "validate_algebra",
-                 "random_element")
+                 "random_element", "classical_fiber_analysis", "NotCommutative")
 
 
 def test_removed_names_are_absent():
@@ -1210,6 +1233,7 @@ def test_removed_names_are_absent():
             if hasattr(m, n)] == []
     assert not hasattr(v.GnsSpace, "vector_of")
     assert not hasattr(v.BasicConstruction, "gamma")
+    assert not hasattr(constructors, "skew_orbit_modules")  # spectrum owns it
 
 
 def test_subsystem_of_another_system_is_refused(m2_grading, m2_over_diagonal):

@@ -73,6 +73,16 @@ def shared_seeds(constants: dict[str, object]) -> list[list[str]]:
     return [names for names in groups.values() if len(names) > 1]
 
 
+def function_level_imports(source: str) -> list[str]:
+    """Import statements inside a function body, nested functions included."""
+    tree = ast.parse(source)
+    found = {n for f in ast.walk(tree)
+             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for n in ast.walk(f) if isinstance(n, (ast.Import, ast.ImportFrom))}
+    return [f"line {n.lineno}: {ast.unparse(n)}"
+            for n in sorted(found, key=lambda n: n.lineno)]
+
+
 def test_unused_import_check_finds_an_unused_name():
     assert unused_imports("import os\nimport sys\nfrom a import b, c as d\nsys.exit(d)\n") \
         == ["line 1: os", "line 3: b"]
@@ -83,6 +93,26 @@ def test_package_modules_have_no_unused_imports():
     assert len(paths) >= 10
     found = {p.name: unused_imports(p.read_text()) for p in paths}
     assert {name: u for name, u in found.items() if u} == {}
+
+
+def test_function_level_import_check_finds_nested_imports():
+    source = ("import os\n"
+              "def f():\n    from .spectrum import module_candidate\n"
+              "    def g():\n        import sys\n"
+              "class C:\n    import json\n"
+              "    async def h(self):\n        from a import b as c\n")
+    assert function_level_imports(source) == [
+        "line 3: from .spectrum import module_candidate", "line 5: import sys",
+        "line 9: from a import b as c"]
+
+
+def test_package_modules_import_only_at_module_level():
+    """Layering: a module that needs another imports it at the top, so an
+    import cycle shows at import time instead of hiding in a function."""
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = {p.name: function_level_imports(p.read_text()) for p in paths}
+    assert {name: f for name, f in found.items() if f} == {}
 
 
 def test_tolerance_check_finds_a_stray_literal():

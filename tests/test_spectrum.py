@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import vnspec as v
-from vnspec import linalg
-from vnspec.errors import InputError, NotCommutative, NotInAlgebra, NotMeanZero
+from vnspec import linalg, pipeline
+from vnspec.errors import InputError, NotInAlgebra, NotMeanZero
 from vnspec.spectrum import admissible_elements
 from conftest import E12
 from oracles import bar_vector
@@ -190,12 +190,61 @@ def test_rds_requires_every_module_claim(analyses, claim):
     assert not v.rds_verdict(an.basic, modules).verdict
 
 
-# --- classical fibers ---------------------------------------------------
+# --- fibers: multiplicities over the central blocks of F ------------------
 
-def test_fiber_analysis_requires_commutative_subalgebra(analyses):
+def test_fiber_analysis_of_noncommutative_subalgebra(analyses):
+    """F = M_2 (+) C (+) C: each module's lifted trace is sum_k mu(p_k)/n_k c_k."""
     an = analyses["finite_extension_m2"]
-    with pytest.raises(NotCommutative):
-        v.classical_fiber_analysis(an.basic, an.spectrum.modules[0])
+    assert tuple(n for _, n, _ in an.basic.blocks) == (2, 1, 1)
+    reports = an.spectrum.fibers
+    assert [r.fiber_dims for r in reports] == [
+        (0, 2, 0), (0, 0, 2), (3, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for rep in reports:
+        assert np.abs(np.subtract(rep.atom_weights, (1 / 6, 1 / 3, 1 / 3))).max() < 1e-15
+        assert rep.integrality_gap < 1e-13
+        assert abs(rep.weighted_sum - rep.measured) < 1e-12
+    assert np.abs(np.subtract([r.measured for r in reports],
+                              (2 / 3, 2 / 3, 1 / 2, 1 / 2, 1 / 3, 1 / 3))).max() < 1e-12
+    check = {c.name: c for c in an.checks}["fiber_formula"]
+    assert check.applicable and check.passed
+
+
+def test_fiber_analysis_flags_a_fractional_multiplicity(analyses, monkeypatch):
+    """A rank-one projection inside j(p_k) H with n_k = 2 has c_k = 1/2, and
+    fiber_formula fails on it."""
+    an = analyses["finite_extension_m2"]
+    gns = an.gns
+    k, p = next((k, p) for k, (p, n, _) in enumerate(an.basic.blocks) if n == 2)
+    jp = gns.j_op(gns.left(p))
+    vec = jp @ np.ones(gns.dim, dtype=complex)
+    vec /= np.linalg.norm(vec)
+    rank_one = v.spectrum.module_candidate(an.basic, np.outer(vec, vec.conj()))
+    rep = v.fiber_analysis(an.basic, rank_one)
+    assert rep.fiber_dims[k] in (0, 1)
+    assert abs(rep.integrality_gap - 0.5) < 1e-12
+    report = pipeline.build_spectrum_report
+    monkeypatch.setattr(pipeline, "build_spectrum_report",
+                        lambda jd, tol, seed, _: report(jd, tol, seed, [rank_one]))
+    redone = pipeline.analyze_built(an.name, an.kind, an.built)
+    check = {c.name: c for c in redone.checks}["fiber_formula"]
+    assert check.applicable and not check.passed
+    assert abs(check.residual - 0.5) < 1e-12
+
+
+def test_fiber_formula_fails_on_the_plain_sum(analyses, monkeypatch):
+    """The ledger takes the weighted sum only: the large orbit module of the
+    skew product, with its lifted trace set to the plain sum 6 (the weighted
+    sum is 2), fails fiber_formula."""
+    an = analyses["skew_z4_inversion"]
+    big, *rest = an.spectrum.modules
+    tampered = [dataclasses.replace(big, lifted_trace=6.0), *rest]
+    monkeypatch.setattr(pipeline, "skew_orbit_modules", lambda *_: tampered)
+    redone = pipeline.analyze_built(an.name, an.kind, an.built)
+    rep = redone.spectrum.fibers[0]
+    assert (rep.weighted_sum, rep.plain_sum, rep.matching_formula) == (2.0, 6.0, "plain")
+    check = {c.name: c for c in redone.checks}["fiber_formula"]
+    assert check.applicable and not check.passed
+    assert abs(check.residual - 4.0) < 1e-12
 
 
 def test_fiber_analysis_zero_module(analyses):
@@ -203,14 +252,14 @@ def test_fiber_analysis_zero_module(analyses):
     zero = v.spectrum.module_candidate(an.basic,
                                        np.zeros((an.gns.dim, an.gns.dim),
                                                 dtype=complex))
-    rep = v.classical_fiber_analysis(an.basic, zero)
+    rep = v.fiber_analysis(an.basic, zero)
     assert rep.fiber_dims == (0, 0, 0)
     assert rep.measured == 0.0
 
 
 def test_fiber_analysis_orbit_module(analyses):
     an = analyses["skew_z4_inversion"]
-    reports = an.extras["fibers"]
+    reports = an.spectrum.fibers
     big = reports[0]
     assert big.fiber_dims == (2, 2, 2)
     assert big.matching_formula == "weighted"
@@ -224,7 +273,7 @@ def test_full_complement_fibers(analyses):
     an = analyses["skew_z4_inversion"]
     comp = v.spectrum.module_candidate(an.basic,
                                        np.eye(an.gns.dim) - an.basic.e)
-    rep = v.classical_fiber_analysis(an.basic, comp)
+    rep = v.fiber_analysis(an.basic, comp)
     assert rep.fiber_dims == (3, 3, 3)  # |G| - 1 per atom
 
 

@@ -100,8 +100,10 @@ def generate_algebra(generators, ambient_dim: int,
                      tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
     """Smallest unital *-subalgebra of M_N containing the generators.
 
-    Extends the span by products with the generators (both sides) and by
-    adjoints until the dimension stabilizes; capped at N^2 rounds.
+    Extends the span by the products of its newest rows with the generators
+    (both sides) and by their adjoints, as the older rows' already lie in it,
+    until it stops growing; capped at N^2 rounds.  A cutoff below roundoff
+    keeps noise rows, which outgrow N^2 or are not orthonormal.
     """
     gens = []
     for g in generators:
@@ -120,17 +122,22 @@ def generate_algebra(generators, ambient_dim: int,
     if not len(rows):
         raise NumericalBreakdown(f"rank cutoff {tol.eps_rank:g} drops the identity")
     if gens:
-        garr = np.stack(gens)
+        garr, new = np.stack(gens), rows
         for _ in range(ambient_dim ** 2):
-            d = rows.shape[0]
-            mats = rows.reshape(d, ambient_dim, ambient_dim)
+            mats = new.reshape(len(new), ambient_dim, ambient_dim)
             left = np.einsum("gab,kbc->gkac", garr, mats).reshape(-1, ambient_dim ** 2)
             right = np.einsum("kab,gbc->kgac", mats, garr).reshape(-1, ambient_dim ** 2)
-            adjs = mats.conj().transpose(0, 2, 1).reshape(d, -1)
-            rows = linalg.extend_orthonormal(rows, np.vstack([left, right, adjs]),
-                                             tol.eps_rank)
-            if rows.shape[0] == d:
+            adjs = mats.conj().transpose(0, 2, 1).reshape(len(new), -1)
+            grown = linalg.extend_orthonormal(rows, np.vstack([left, right, adjs]),
+                                              tol.eps_rank)
+            rows, new = grown, grown[len(rows):]
+            if not len(new) or len(rows) > ambient_dim ** 2:
                 break
+    ortho = float(np.abs(rows @ rows.conj().T - np.eye(len(rows))).max())
+    if len(rows) > ambient_dim ** 2 or ortho > tol.eps_assert:
+        raise NumericalBreakdown(
+            f"rank cutoff {tol.eps_rank:g} keeps roundoff: {len(rows)} basis rows "
+            f"in M_{ambient_dim}, orthonormal to {ortho:.2e}")
     basis = rows.reshape(rows.shape[0], ambient_dim, ambient_dim)
     return MatrixStarAlgebra(ambient_dim, np.ascontiguousarray(basis))
 
@@ -198,8 +205,8 @@ def bratteli_blocks(alg: MatrixStarAlgebra, sub_alg: MatrixStarAlgebra,
     """
     blocks = []
     for p in block_decomposition(sub_alg, tol):
-        dim_fp, dim_ap = (np.linalg.matrix_rank(
-            (x.basis @ p).reshape(x.dim, -1), tol=tol.eps_rank) for x in (sub_alg, alg))
+        dim_fp, dim_ap = (linalg.rank((x.basis @ p).reshape(x.dim, -1), tol.eps_rank)
+                          for x in (sub_alg, alg))
         n_k = math.isqrt(dim_fp)
         if not n_k or n_k * n_k != dim_fp or dim_ap % n_k:
             raise NumericalBreakdown(f"a central block of F has dim F p = {dim_fp}, "

@@ -100,7 +100,7 @@ def _generators(sub: Subsystem, whiten: np.ndarray,
     while True:
         coords = draws @ whiten.T
         prods = np.tensordot(coords, f_table, axes=(1, 1))  # (k, m, d)
-        rank = np.linalg.matrix_rank(prods.reshape(-1, d), tol=tol.eps_rank)
+        rank = linalg.rank(prods.reshape(-1, d), tol.eps_rank)
         if rank == d:
             return coords
         if len(draws) >= d:
@@ -141,16 +141,12 @@ def _inclusion_generators(sub_alg: MatrixStarAlgebra, count: int,
     m, n = sub_alg.dim, sub_alg.ambient_dim
     rng = np.random.default_rng(INCLUSION_SEED)
     gens = sub_alg.from_coords_stack(linalg.random_complex(rng, (count, m)))
-    span = linalg.orthonormal_columns(sub_alg.coords(np.eye(n))[:, None],
-                                      tol.eps_rank).T
-    new = span
+    span = new = linalg.extend_orthonormal(np.zeros((0, m), dtype=np.complex128),
+                                           sub_alg.coords(np.eye(n)), tol.eps_rank)
     while len(new) and len(span) < m:
         words = (sub_alg.from_coords_stack(new)[:, None] @ gens[None]).reshape(-1, n, n)
-        cand = sub_alg.coords_stack(words)
-        for _ in range(2):
-            cand = cand - (cand @ span.conj().T) @ span
-        new = linalg.orthonormal_columns(cand.T, tol.eps_rank).T
-        span = np.vstack([span, new])
+        grown = linalg.extend_orthonormal(span, sub_alg.coords_stack(words), tol.eps_rank)
+        span, new = grown, grown[len(span):]
     if len(span) != m:
         raise NumericalBreakdown(
             f"{count} generic elements of F generate an algebra of dim "

@@ -1,10 +1,11 @@
 """Dense complex linear algebra helpers.
 
 Matrices are complex128 throughout.  Vectors of operators use the
-Hilbert-Schmidt inner product <x, y> = Tr(x* y).  Rank decisions are made on
-singular values: ``orthonormal_columns`` and ``extend_orthonormal`` cut at
-eps_rank * max(1, s_0) for the largest singular value s_0, ``nullspace`` at
-eps_rank itself.
+Hilbert-Schmidt inner product <x, y> = Tr(x* y).  This module is the one
+place where a singular value becomes a rank decision, by one rule: keep
+s > eps_rank * max(1, s_0) for the largest singular value s_0, a cutoff that
+scales with the matrix once s_0 exceeds 1.  ``rank``, ``orthonormal_columns``,
+``nullspace`` and ``extend_orthonormal`` all apply it through ``_kept``.
 """
 from __future__ import annotations
 
@@ -26,67 +27,61 @@ def hs_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
+def _kept(s: np.ndarray, eps_rank: float) -> int:
+    """How many of the singular values ``s`` the rank rule keeps."""
+    return int(np.sum(s > eps_rank * np.max(s, initial=1.0)))
+
+
+def _right_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors; a tall matrix is first
+    reduced to R of a = QR, which has the same ones, so U is never formed."""
+    if a.shape[0] > a.shape[1]:
+        a = np.linalg.qr(a, mode="r")
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    return s, vh
+
+
+def rank(mat: np.ndarray, eps_rank: float) -> int:
+    """Numerical rank of a matrix."""
+    s = np.linalg.svd(np.asarray(mat, dtype=np.complex128), compute_uv=False)
+    return _kept(s, eps_rank)
+
+
 def extend_orthonormal(existing: np.ndarray, candidates: np.ndarray,
-                       eps_rank: float, chunk: int = 384) -> np.ndarray:
+                       eps_rank: float) -> np.ndarray:
     """Extend an orthonormal row family by the span of ``candidates``.
 
-    Candidates are Gram-Schmidt projected against the existing rows (twice,
-    re-orthogonalization) and the genuinely new directions are extracted by an
-    SVD with singular-value cutoff ``eps_rank``.  Large batches are processed
-    in chunks so that rows already captured are filtered before any SVD.
+    The candidates are projected off the existing rows twice
+    (re-orthogonalization), and one SVD of what is left gives the new
+    directions, which are stacked below the existing rows.
     """
     cand = np.atleast_2d(np.asarray(candidates, dtype=np.complex128))
-    if cand.size == 0:
-        return existing
-    out = existing
-    for start in range(0, cand.shape[0], chunk):
-        out = _extend_block(out, cand[start:start + chunk], eps_rank)
-    return out
-
-
-def _extend_block(existing: np.ndarray, cand: np.ndarray,
-                  eps_rank: float) -> np.ndarray:
     if existing.size:
         for _ in range(2):
             cand = cand - (cand @ existing.conj().T) @ existing
-    norms = np.linalg.norm(cand, axis=1)
-    cand = cand[norms > eps_rank]
-    if cand.shape[0] == 0:
-        return existing
-    _, s, vh = np.linalg.svd(cand, full_matrices=False)
-    keep = int(np.sum(s > eps_rank * max(1.0, float(s[0]))))
-    if not keep:
-        return existing
-    new = vh[:keep]
+    s, vh = _right_svd(cand)
+    new = vh[:_kept(s, eps_rank)]
     if existing.size:
         # single polishing pass; residual after the batch projection is ~1e-15
         new = new - (new @ existing.conj().T) @ existing
         new = new / np.linalg.norm(new, axis=1)[:, None]
-        return np.vstack([existing, new])
-    return new
+    return np.vstack([existing, new])
 
 
 def orthonormal_columns(cols: np.ndarray, eps_rank: float) -> np.ndarray:
     """Orthonormal basis of the column span, via SVD."""
-    a = np.atleast_2d(np.asarray(cols, dtype=np.complex128))
-    if a.size == 0:
-        return a
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    keep = int(np.sum(s > eps_rank * max(1.0, float(s[0]) if s.size else 0.0)))
-    return u[:, :keep]
+    u, s, _ = np.linalg.svd(np.asarray(cols, dtype=np.complex128), full_matrices=False)
+    return u[:, :_kept(s, eps_rank)]
 
 
 def nullspace(mat: np.ndarray, eps_rank: float) -> np.ndarray:
-    """Orthonormal columns spanning the kernel, cutoff on singular values."""
+    """Orthonormal columns spanning the kernel."""
     a = np.asarray(mat, dtype=np.complex128)
     m, n = a.shape
-    if m > n:  # R of a = QR has the same singular values and right vectors
-        a = np.linalg.qr(a, mode="r")
-    elif m < n:  # pad so the economy SVD still returns all right singular vectors
+    if m < n:  # pad so the economy SVD still returns all right singular vectors
         a = np.vstack([a, np.zeros((n - m, n), dtype=np.complex128)])
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > eps_rank))
-    return vh[rank:].conj().T
+    s, vh = _right_svd(a)
+    return vh[_kept(s, eps_rank):].conj().T
 
 
 def subspace_inclusion_residual(inner: np.ndarray, outer: np.ndarray) -> float:

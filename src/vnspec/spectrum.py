@@ -21,7 +21,8 @@ from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, Subsystem, ToleranceConfig
                       WStarSystem, block_decomposition, positive_integer)
 from .basic import BasicConstruction
 from .constructors import ConstructedSystem, GroupSystem, dual_orbits
-from .errors import NotInAlgebra, NotMeanZero, SubsystemInvalid, VerdictMismatch
+from .errors import (NotInAlgebra, NotMeanZero, NumericalBreakdown, SubsystemInvalid,
+                     VerdictMismatch)
 from .joining import ErgodicityCheck, JoiningData, relative_ergodicity_check
 
 CESARO_EXIT_TOL = 1e-6
@@ -313,25 +314,24 @@ def admissible_elements(system: WStarSystem, sub: Subsystem,
                         seed: int = 0) -> list[tuple[str, np.ndarray]]:
     """A labeled basis of the kernel of the conditional expectation.
 
-    The raw null-space basis is mixed by a seeded random unitary so that
-    structured zeros of individual basis vectors do not mask the generic
-    Cesaro behaviour, and each element is normalized in the GNS norm so that
-    witness floors are comparable across trace scales.
+    One QR of (1 - E_F) G, for a seeded Gaussian d x k matrix G with
+    k = dim A - dim F and a rank k checked at eps_rank, gives generic elements,
+    so structured zeros do not mask the Cesaro behaviour; unlike an SVD of
+    1 - E_F, whose nonzero singular values are degenerate, it moves only by
+    roundoff when E_F does.  Each element is normalized in the GNS norm so
+    that witness floors are comparable across trace scales.
     """
     if sub.parent is not system:
         raise SubsystemInvalid("subsystem does not belong to this system")
     alg = system.algebra
-    kernel = linalg.orthonormal_columns(np.eye(alg.dim) - sub.expectation.matrix,
-                                        tol.eps_rank)
-    k = kernel.shape[1]
-    if k == 0:
-        return []
+    k = alg.dim - sub.algebra.dim
     rng = np.random.default_rng(seed)
-    mix, _ = np.linalg.qr(linalg.random_complex(rng, (k, k)))
-    mixed = kernel @ mix
+    cols = (np.eye(alg.dim) - sub.expectation.matrix) @ linalg.random_complex(
+        rng, (alg.dim, k))
+    if linalg.rank(cols, tol.eps_rank) != k:
+        raise NumericalBreakdown(f"{k} generic elements span less than ker E_F")
     out = []
-    for i in range(k):
-        c = mixed[:, i]
+    for i, c in enumerate(np.linalg.qr(cols)[0].T):
         norm = np.sqrt(float((c.conj() @ system.gram @ c).real))
         out.append((f"k{i}", alg.from_coords(c / norm)))
     return out

@@ -1,7 +1,8 @@
 """Generic algebra routines the package no longer runs, kept as test oracles
 and property-check helpers: the commutant grown from all of M_n, the closure
 test by products with generators, the full algebra validator, seeded random
-elements, GNS vectors of ambient matrices and of elements of <A, e>."""
+elements, GNS vectors of ambient matrices and of elements of <A, e>, and a
+stand-in for the span routine that faults only the span of <A, e>."""
 import numpy as np
 
 from vnspec import linalg
@@ -25,6 +26,19 @@ def product_closure_residual(alg: MatrixStarAlgebra, generators) -> float:
         norms = np.maximum(1.0, np.linalg.norm(prods, axis=1))
         worst = max(worst, float((np.linalg.norm(resid, axis=1) / norms).max()))
     return worst
+
+
+def on_span(n: int, patched):
+    """A stand-in for ``linalg.extend_orthonormal`` that calls ``patched`` on
+    the span of <A, e>, whose candidates are n^2 wide for the GNS dimension
+    n, and the real routine on every other span, such as the words of the
+    inclusion generators in F's coordinates."""
+    extend = linalg.extend_orthonormal
+
+    def routed(existing, candidates, eps_rank):
+        wide = np.shape(candidates)[-1] == n * n
+        return (patched if wide else extend)(existing, candidates, eps_rank)
+    return routed
 
 
 def validate_algebra(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> None:

@@ -40,6 +40,28 @@ def test_generate_algebra_errors():
         v.generate_algebra([np.eye(3)], 2)
 
 
+@pytest.mark.parametrize("eps_rank", [1e-20, 1e-17, 1e-10])
+def test_generate_algebra_refuses_a_cutoff_that_keeps_roundoff(eps_rank):
+    """A cutoff below roundoff keeps noise directions once the span is all of
+    M_2; the rows then outgrow N^2 = 4 or stop being orthonormal.  Either the
+    result is the orthonormal basis of M_2 or a NumericalBreakdown names the
+    cutoff."""
+    tol = v.ToleranceConfig(eps_rank=eps_rank)
+    try:
+        alg = v.generate_algebra([E12], 2, tol)
+    except NumericalBreakdown as exc:
+        assert eps_rank < 1e-16 and f"rank cutoff {eps_rank:g}" in str(exc)
+        return
+    rows = alg.basis_rows()
+    assert alg.dim == 4
+    assert np.abs(rows @ rows.conj().T - np.eye(4)).max() < 1e-12
+
+
+def test_generate_algebra_at_a_cutoff_of_1e_300_is_a_breakdown():
+    with pytest.raises(NumericalBreakdown, match=r"rank cutoff 1e-300 .* M_2"):
+        v.generate_algebra([E12], 2, v.ToleranceConfig(eps_rank=1e-300))
+
+
 @st.composite
 def small_generators(draw):
     n = draw(st.integers(min_value=2, max_value=3))

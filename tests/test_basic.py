@@ -7,7 +7,7 @@ from vnspec.algebra import ToleranceConfig
 from vnspec.basic import default_partition, lifted_trace, lifted_trace_via_partition
 from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, NumericalBreakdown,
                            PartitionInvalid)
-from oracles import bar_vector, product_closure_residual, random_element
+from oracles import bar_vector, on_span, product_closure_residual, random_element
 
 
 def test_m2_over_scalars_gives_full_operator_algebra(analyses):
@@ -188,7 +188,8 @@ def test_closure_residual_fails_on_a_truncated_span(analyses, monkeypatch):
         short = v.MatrixStarAlgebra(gns.dim, bc.algebra.basis[:-1].copy())
         assert product_closure_residual(short, gens) > 0.1, name
         with monkeypatch.context() as mp:
-            mp.setattr(linalg, "extend_orthonormal", lambda *args: extend(*args)[:-1])
+            mp.setattr(linalg, "extend_orthonormal",
+                       on_span(gns.dim, lambda *args: extend(*args)[:-1]))
             with pytest.raises(CommutantMismatch, match="disagree"):
                 v.build_basic_construction(gns, an.built.sub)
 

@@ -161,6 +161,12 @@ PINNED = {
                                    ["--eps-rank", "10"], 3),
     "rank_cutoff_below_roundoff": (SHIPPED["skew_z4_inversion"],
                                    ["--eps-rank", "1e-300"], 3),
+    # generate_algebra once kept noise rows here and the explicit parts
+    # failed the automorphism check with exit 2
+    **{f"explicit_parts_below_roundoff_{name}": (SHIPPED[name],
+                                                 ["--eps-rank", "1e-300"], 3)
+       for name in ("explicit_m2_grading", "full_subsystem_m2", "tensor_diag2_m2",
+                    "finite_extension_m2")},
     "fixed_points_below_roundoff": (_mutated(SHIPPED["classical_4cycle"],
                                              PARAMS + ("sub_partition",), None),
                                     ["--eps-rank", "1e-17"], 3),

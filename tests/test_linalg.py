@@ -43,8 +43,38 @@ def test_extend_orthonormal_incremental_matches_batch():
     empty = np.zeros((0, 7), dtype=np.complex128)
     all_at_once = linalg.extend_orthonormal(empty, cand, 1e-10)
     stepped = linalg.extend_orthonormal(empty, cand[:10], 1e-10)
-    stepped = linalg.extend_orthonormal(stepped, cand[10:], 1e-10, chunk=8)
+    stepped = linalg.extend_orthonormal(stepped, cand[10:], 1e-10)
     assert all_at_once.shape == stepped.shape == (7, 7)
+    assert np.abs(stepped @ stepped.conj().T - np.eye(7)).max() < 1e-12
+
+
+def test_nullspace_is_scale_invariant():
+    """The cutoff grows with the largest singular value, so scaling a matrix
+    keeps its kernel: an absolute cutoff of 1e-10 loses it at c = 1e8."""
+    rng = np.random.default_rng(4)
+    a = linalg.random_complex(rng, (5, 3)) @ linalg.random_complex(rng, (3, 4))
+    for c in (1.0, 1e4, 1e8):
+        k = linalg.nullspace(c * a, 1e-10)
+        assert k.shape == (4, 1), c
+        assert np.abs(a @ k).max() < 1e-12 * np.linalg.norm(a, 2), c
+        assert linalg.rank(c * a, 1e-10) == 3, c
+
+
+def test_rank_and_spans_share_one_cutoff():
+    """rank, orthonormal_columns, extend_orthonormal and nullspace keep the
+    same singular values: s > eps_rank * max(1, s_0)."""
+    s = np.array([1e6, 1.0, 2e-4, 5e-5])
+    rng = np.random.default_rng(6)
+    u, _ = np.linalg.qr(linalg.random_complex(rng, (6, 4)))
+    w, _ = np.linalg.qr(linalg.random_complex(rng, (5, 4)))
+    a = (u * s) @ w.conj().T
+    empty = np.zeros((0, 5), dtype=np.complex128)
+    for eps, kept in ((1e-12, 4), (1e-10, 3), (1e-8, 2), (1e-5, 1)):
+        assert linalg.rank(a, eps) == kept, eps
+        assert linalg.orthonormal_columns(a, eps).shape == (6, kept), eps
+        assert linalg.extend_orthonormal(empty, a, eps).shape == (kept, 5), eps
+        assert linalg.nullspace(a, eps).shape == (5, 5 - kept), eps
+    assert linalg.rank(np.zeros((0, 3)), 1e-10) == 0
 
 
 def test_nullspace_of_wide_and_tall():

@@ -54,7 +54,7 @@ from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, IsometryVio
 from vnspec.pipeline import analyze_built, analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 from conftest import E12
-from oracles import commutant, product_closure_residual, random_element
+from oracles import commutant, on_span, product_closure_residual, random_element
 from test_exit_codes import _run as run_cli
 
 
@@ -305,7 +305,7 @@ def test_span_missing_a_row_fails_dimension(m2_over_diagonal_gns, monkeypatch):
     gns, sub = m2_over_diagonal_gns
     extend = linalg.extend_orthonormal
     monkeypatch.setattr(linalg, "extend_orthonormal",
-                        lambda *args: extend(*args)[:-1])
+                        on_span(gns.dim, lambda *args: extend(*args)[:-1]))
     with pytest.raises(CommutantMismatch, match=r"\(dim 7\) .* \(dim 8 "):
         v.build_basic_construction(gns, sub)
 
@@ -408,7 +408,7 @@ def test_finite_extension_offers_96_candidates_not_576(analyses, monkeypatch):
     def spy(existing, candidates, eps_rank):
         offered.append(len(candidates))
         return extend(existing, candidates, eps_rank)
-    monkeypatch.setattr(linalg, "extend_orthonormal", spy)
+    monkeypatch.setattr(linalg, "extend_orthonormal", on_span(an.gns.dim, spy))
     bc = v.build_basic_construction(an.gns, an.built.sub)
     assert offered == [96] and bc.algebra.dim == 96
     assert len(span_products(an.gns, bc.e)) == 576
@@ -1184,7 +1184,7 @@ def test_row_outside_the_commutant_fails_inclusion(analyses, name, monkeypatch):
         rows = extend(*args).copy()
         rows[-1] = stray
         return rows
-    monkeypatch.setattr(linalg, "extend_orthonormal", swap_last)
+    monkeypatch.setattr(linalg, "extend_orthonormal", on_span(n, swap_last))
     with pytest.raises(CommutantMismatch, match="commutator residual"):
         v.build_basic_construction(an.gns, an.built.sub)
 

@@ -83,6 +83,15 @@ def function_level_imports(source: str) -> list[str]:
             for n in sorted(found, key=lambda n: n.lineno)]
 
 
+def matrix_rank_calls(source: str) -> list[str]:
+    """Calls of matrix_rank, as an attribute or as a bare name."""
+    found = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)
+             and (getattr(n.func, "attr", None) or getattr(n.func, "id", None))
+             == "matrix_rank"]
+    return [f"line {n.lineno}: {ast.unparse(n)}"
+            for n in sorted(found, key=lambda n: n.lineno)]
+
+
 def test_unused_import_check_finds_an_unused_name():
     assert unused_imports("import os\nimport sys\nfrom a import b, c as d\nsys.exit(d)\n") \
         == ["line 1: os", "line 3: b"]
@@ -159,3 +168,20 @@ def test_package_routes_draw_from_their_own_seeds():
     found = {name: unnamed_seeds(s, constants) for name, s in sources.items()}
     assert {name: u for name, u in found.items() if u} == {}
     assert shared_seeds(constants) == []
+
+
+def test_matrix_rank_check_finds_calls():
+    source = ("import numpy as np\nfrom numpy.linalg import matrix_rank\n"
+              "r = np.linalg.matrix_rank(a, tol=1)\n"
+              "def f(a):\n    return matrix_rank(a) + rank(a)\n")
+    assert matrix_rank_calls(source) == ["line 3: np.linalg.matrix_rank(a, tol=1)",
+                                         "line 5: matrix_rank(a)"]
+
+
+def test_rank_decisions_go_through_linalg():
+    """One rank rule: every rank of a matrix is counted by linalg.rank,
+    never by np.linalg.matrix_rank and its absolute cutoff."""
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = {p.name: matrix_rank_calls(p.read_text()) for p in paths}
+    assert {name: f for name, f in found.items() if f} == {}

@@ -77,6 +77,25 @@ def test_admissible_elements_span_kernel(analyses):
             assert np.abs(exp.apply(mat)).max() < 1e-9, name
 
 
+def test_cesaro_witnesses_move_by_roundoff_with_e_f(analyses):
+    """A 1e-15 perturbation of E_F moves every labelled element's Cesaro
+    averages by roundoff: the elements are a QR of (1 - E_F) G for a fixed
+    draw G, not an SVD basis of the degenerate singular values of 1 - E_F."""
+    rng = np.random.default_rng(8)
+    for name, an in analyses.items():
+        sys, sub = an.built.system, an.built.sub
+        exp = sub.expectation
+        noise = 1e-15 * linalg.random_complex(rng, exp.matrix.shape)
+        moved = dataclasses.replace(
+            sub, expectation=dataclasses.replace(exp, matrix=exp.matrix + noise))
+        elems, moved_elems = admissible_elements(sys, sub), admissible_elements(sys, moved)
+        assert len(elems) == len(moved_elems), name
+        for (label, a), (_, b) in zip(elems, moved_elems):
+            before = v.cesaro_sequence(sys, sub, a, early_exit=False)
+            after = v.cesaro_sequence(sys, sub, b, early_exit=False)
+            assert np.abs(after - before).max() <= 1e-12, (name, label)
+
+
 # --- module discovery ------------------------------------------------------
 
 def test_no_modules_when_subsystem_is_everything(analyses):

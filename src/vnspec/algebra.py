@@ -49,6 +49,7 @@ SPAN_SEED = 11  # seed of the generic generators of A over F spanning <A, e>
 INCLUSION_SEED = 13  # seed of the generic generators of F in the j(F)' check
 CENTER_SEED = 17  # seed of the two generic generators whose commutant is the center
 MODES_SEED = 19  # seed of the phases w whose Hermitian part of w alpha is diagonalised
+PRODUCT_SEED = 23  # seed of the generic pair certifying a product system's inherited table
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,9 @@ def center(alg: MatrixStarAlgebra,
     gens = alg.from_coords_stack(linalg.random_complex(rng, (2, d)))
     comms = alg.basis[:, None] @ gens - gens @ alg.basis[:, None]  # [b_i, g]
     kernel = linalg.nullspace(comms.reshape(d, -1).T, tol.eps_rank)  # central coords
+    if not kernel.shape[1]:  # the identity is central, so the cutoff dropped it
+        raise NumericalBreakdown(
+            f"rank cutoff {tol.eps_rank:g} drops the identity from the center")
     mats = np.tensordot(kernel.T, alg.basis, axes=(1, 0))
     resid = max((float(np.abs(z @ alg.basis - alg.basis @ z).max()) for z in mats),
                 default=0.0)
@@ -190,7 +194,8 @@ def block_decomposition(alg: MatrixStarAlgebra,
             projs.sort(key=lambda p: (-round(float(np.trace(p).real), 6),
                                       linalg.sort_key(p)))
             return projs
-    raise NumericalBreakdown("could not separate central blocks")
+    raise NumericalBreakdown(
+        f"could not separate central blocks at rank cutoff {tol.eps_rank:g}")
 
 
 def bratteli_blocks(alg: MatrixStarAlgebra, sub_alg: MatrixStarAlgebra,
@@ -339,6 +344,26 @@ def multiplication_table(alg: MatrixStarAlgebra) -> tuple[np.ndarray, np.ndarray
     return table, np.ascontiguousarray(star), resid
 
 
+def _generic_closure_residual(alg: MatrixStarAlgebra, table: np.ndarray,
+                             star: np.ndarray) -> float:
+    """The largest entry of X Y - sum_k (x^T T_k y) b_k and of
+    X* - sum_k (S conj(x))_k b_k for one seeded generic pair X = sum x_i b_i,
+    Y = sum y_j b_j, in O(N^3 + d^3).
+
+    Both differences are sum_ij x_i y_j (b_i b_j - sum_k T[i, j, k] b_k) and
+    sum_i conj(x_i) (b_i* - sum_k S[k, i] b_k), so at generic coefficients
+    they vanish only if the basis is closed under products and adjoints with
+    structure constants T and S.
+    """
+    rng = np.random.default_rng(PRODUCT_SEED)
+    x, y = linalg.random_complex(rng, (2, alg.dim))
+    xm, ym = alg.from_coords_stack(np.stack([x, y]))
+    prod = alg.from_coords(np.einsum("i,ijk,j->k", x, table, y))
+    adj = alg.from_coords(star @ x.conj())
+    return max(float(np.abs(xm @ ym - prod).max()),
+               float(np.abs(xm.conj().T - adj).max()))
+
+
 def eigenmodes(matrix: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
                ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues lam and a unitary eigenbasis V of a unitary matrix alpha,
@@ -367,7 +392,8 @@ class WStarSystem:
 
     Carries the data every stage reads from the algebra's one multiplication:
     the Gram matrix, the table T[i, j] = coords(b_i b_j) and the adjoint
-    matrix S[:, i] = coords(b_i*) of ``multiplication_table``, and the
+    matrix S[:, i] = coords(b_i*) (from ``multiplication_table``, or from
+    the factors' tables for a product system), and the
     certified eigenbasis ``modes = (lam, V)`` of the dynamics' coordinate
     matrix, alpha = V diag(lam) V^H, from ``eigenmodes``; ``system`` computes
     and checks them.
@@ -386,11 +412,30 @@ class WStarSystem:
 
 
 def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
-           dynamics: StarAutomorphism, tol: ToleranceConfig = DEFAULT_TOL) -> WStarSystem:
+           dynamics: StarAutomorphism, tol: ToleranceConfig = DEFAULT_TOL,
+           factors: tuple[WStarSystem, WStarSystem] | None = None) -> WStarSystem:
     """Validates the algebra's closure under products and adjoints, then the
     trace on it, and diagonalises the dynamics; the dynamics itself was
-    validated where it was made."""
-    table, star, closure = multiplication_table(algebra)
+    validated where it was made.
+
+    Without ``factors`` the closure is the residual of the dense
+    ``multiplication_table``.  With the factor systems ``(B, C)`` of an
+    algebra whose basis is b_i (x) c_j at index i dim C + j, T and S are
+    read off the factors' tables, as (b_i (x) c_j)(b_k (x) c_l) =
+    b_i b_k (x) c_j c_l and (b_i (x) c_j)* = b_i* (x) c_j*, so that
+    T[(i, j), (k, l)] = T_B[i, k] (x) T_C[j, l] and S = S_B (x) S_C; they
+    are certified on the algebra itself by ``_generic_closure_residual``.
+    """
+    if factors is None:
+        table, star, closure = multiplication_table(algebra)
+    else:
+        (b, c), d = factors, algebra.dim
+        if d != b.algebra.dim * c.algebra.dim:
+            raise DimensionMismatch(f"a product algebra of dim {d} over factors "
+                                    f"of dims {b.algebra.dim} and {c.algebra.dim}")
+        table = np.einsum("ikm,jln->ijklmn", b.table, c.table).reshape(d, d, d)
+        star = np.kron(b.star, c.star)
+        closure = _generic_closure_residual(algebra, table, star)
     if closure > tol.eps_assert:
         raise NumericalBreakdown(f"the basis does not span a *-algebra: a product or "
                                  f"adjoint leaves its span (residual {closure:.2e})")

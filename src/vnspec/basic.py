@@ -219,7 +219,8 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     # for one g when F is commutative (every block n_k = 1), two otherwise
     commutative = all(nk == 1 for _, nk, _ in blocks)
     gens = _inclusion_generators(sub.algebra, 1 if commutative else 2, tol)
-    right_g = [gns.j_op(gns.left(g)) for g in gens]
+    gen_coords = gns.system.algebra.coords_stack(gens)
+    right_g = gns.j_op(np.tensordot(gen_coords, gns.left_mats, axes=(1, 0)))
     resid = max(float(np.abs(spanned.basis @ j - j @ spanned.basis).max()
                       / np.linalg.norm(j, 2)) for j in right_g)
     count = sum(m * m for _, _, m in blocks)
@@ -247,7 +248,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
                              trace_bar, dyn_bar, np.ascontiguousarray(to_vec),
                              np.ascontiguousarray(u_bar), np.ascontiguousarray(fixed),
                              resid, max(jones, defining), tracial, tuple(blocks),
-                             xs, bs, gns.system.algebra.coords_stack(gens))
+                             xs, bs, gen_coords)
 
 
 def default_partition(bc: BasicConstruction,
@@ -259,7 +260,7 @@ def default_partition(bc: BasicConstruction,
     square root gives a valid partition.
     """
     gns = bc.gns
-    m_basis = np.stack([gns.j_op(x) for x in bc.algebra.basis])
+    m_basis = gns.j_op(bc.algebra.basis)
     psi = np.einsum("iba,bc,icd->ad", m_basis.conj(), bc.e, m_basis,
                     optimize=True)
     psi = (psi + psi.conj().T) / 2

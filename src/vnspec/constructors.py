@@ -27,7 +27,8 @@ adjoints (its multiplication table) and the trace, and ``subsystem`` the
 subalgebra.  The last three families share one layout: A = B (x) C over
 F = B (x) 1 with the product trace and b_i (x) c_j at index i dim C + j,
 where C is the fiber, the group algebra or M_2.  Only the unitary differs,
-and each keeps its validated factor systems (B, C).  Skew products are thus
+and each keeps its validated factor systems (B, C), from whose tables
+``system`` reads the table of A.  Skew products are thus
 block matrices indexed by atoms (the finite atomic stand-in for a direct
 integral of copies of the fiber algebra).
 """
@@ -237,7 +238,7 @@ def _product(b_system: WStarSystem, c_system: WStarSystem, unitary: np.ndarray,
     alg = MatrixStarAlgebra(nb * nc, np.ascontiguousarray(basis))
     trace = trace_functional(np.kron(b_system.trace.density, c_system.trace.density))
     dyn = automorphism_from_unitary(alg, unitary, trace, tol)
-    sys = system(alg, trace, dyn, tol)
+    sys = system(alg, trace, dyn, tol, factors=(b_system, c_system))
     eye_c = np.eye(nc, dtype=np.complex128) / np.sqrt(nc)
     f_basis = np.einsum("iab,cd->iacbd", balg.basis, eye_c)
     f_basis = f_basis.reshape(balg.dim, nb * nc, nb * nc)

@@ -45,8 +45,9 @@ class GnsSpace:
         return self.conj_matrix @ x.conj()
 
     def j_op(self, op: np.ndarray) -> np.ndarray:
-        """j(op) = J op* J as a linear matrix, for any operator on H."""
-        return self.conj_matrix @ op.T @ self.conj_matrix.conj()
+        """j(op) = J op* J as a linear matrix, for any operator on H or a
+        stack of them."""
+        return self.conj_matrix @ np.swapaxes(op, -1, -2) @ self.conj_matrix.conj()
 
 
 def gns_map(gram: np.ndarray, dynamics: np.ndarray

@@ -114,7 +114,7 @@ def relative_joining(bc: BasicConstruction,
     # conditioned left/right actions
     left_d = np.tensordot(sub.expectation.matrix.T, gns.left_mats,
                           axes=(1, 0))  # left(D(a_i))
-    right_d = np.stack([gns.j_op(m) for m in left_d])              # j(left(D(a_i)))
+    right_d = gns.j_op(left_d)                                     # j(left(D(a_i)))
     # joint state, route one: diagonal state after D (x) D'
     r_omega = right_d @ gns.omega
     omega_vals = np.einsum("a,iab,jb->ij", gns.omega.conj(), left_d, r_omega,

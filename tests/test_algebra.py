@@ -153,6 +153,13 @@ def test_block_decomposition_two_full_blocks():
     assert got == expected
 
 
+def test_center_without_the_identity_names_the_cutoff():
+    """The identity is always central; at 1e-20 the kernel keeps nothing."""
+    alg = v.generate_algebra([E12], 2)
+    with pytest.raises(NumericalBreakdown, match="rank cutoff 1e-20 drops the identity"):
+        v.algebra.center(alg, v.ToleranceConfig(eps_rank=1e-20))
+
+
 # --- the eigenbasis of the dynamics ------------------------------------------
 
 def _spied_eigh(monkeypatch):

@@ -217,3 +217,18 @@ def test_pinned_input_has_no_traceback(case, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == expected
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["explicit_m2_grading", "finite_extension_m2",
+                                  "full_subsystem_m2"])
+def test_central_blocks_below_roundoff_name_the_cutoff(name, tmp_path):
+    """At this cutoff the center of F loses the identity or its central
+    blocks do not separate; either message names the cutoff."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(SHIPPED[name]))
+    proc = subprocess.run([sys.executable, "-m", "vnspec", "analyze", str(path),
+                           "--quiet", "--eps-rank", "1e-20"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert "rank cutoff 1e-20" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -30,6 +30,8 @@ joining's Kronecker terms come from the GNS action instead of coordinate
 passes; the inclusion in j(F)' commutes with a few generators of F
 instead of every basis element; and the minimal modules are Z(C)(1 - e) for
 the joint commutant C instead of the center of the corner (1 - e) C (1 - e).
+A product system B (x) C reads its multiplication table off its factors'
+tables, certified on one generic pair, instead of projecting all d^2 products.
 The older routes survive here only, as oracles.
 """
 import dataclasses
@@ -1050,6 +1052,57 @@ def test_multiplication_table_is_associative(analyses, skew_d24):
         left = np.einsum("mc,cmx->mx", t[i, j], t[:, k])
         right = np.einsum("mc,mcx->mx", t[j, k], t[i])
         assert np.abs(left - right).max() <= 1e-12 * max(1.0, np.abs(t).max()), name
+
+
+# --- product systems: the factors' tables against the dense table of A -----
+
+PRODUCT_SYSTEMS = ("finite_extension_m2", "tensor_diag2_m2", "skew_z4_inversion")
+
+
+def test_inherited_table_equals_the_dense_table(analyses, skew_d24):
+    """T and S read off the factors, and the Gram matrix validate_trace
+    formed on A, against the dense multiplication_table, gram_matrix and
+    kron(G_B, G_C)."""
+    for name in PRODUCT_SYSTEMS + (SKEW_D24["name"],):
+        built = skew_d24.built if name == SKEW_D24["name"] else analyses[name].built
+        sys_a, (b, c) = built.system, built.factors
+        table, star, closure = algebra.multiplication_table(sys_a.algebra)
+        assert closure <= 1e-13, name
+        assert np.abs(table - sys_a.table).max() <= 1e-13, name
+        assert np.abs(star - sys_a.star).max() <= 1e-13, name
+        gram = algebra.gram_matrix(sys_a.algebra, sys_a.trace)
+        assert np.abs(gram - sys_a.gram).max() <= 1e-13, name
+        assert np.abs(gram - np.kron(b.gram, c.gram)).max() <= 1e-13, name
+
+
+def test_product_system_tables_only_its_factors(monkeypatch):
+    seen, dense = [], algebra.multiplication_table
+
+    def spy(alg):
+        seen.append(alg.dim)
+        return dense(alg)
+    monkeypatch.setattr(algebra, "multiplication_table", spy)
+    built = build_from_description(parse_system(SKEW_D24))
+    assert built.system.algebra.dim == 24
+    assert sorted(seen) == [4, 6]
+
+
+@pytest.mark.parametrize("field", ["table", "star"])
+def test_perturbed_factor_table_fails_the_generic_pair(analyses, field):
+    """A 1e-6 error in one structure constant of a factor leaves the
+    inherited table wrong on A; the generic pair sees it at 4e-7 or more."""
+    b, c = analyses["tensor_diag2_m2"].built.factors
+    bad = getattr(c, field).copy()
+    bad.flat[1] += 1e-6
+    with pytest.raises(NumericalBreakdown, match=r"does not span a \*-algebra"):
+        v.build_tensor_system(b, dataclasses.replace(c, **{field: bad}))
+
+
+def test_factors_of_the_wrong_dimension_are_refused(analyses):
+    sys_a = analyses["tensor_diag2_m2"].built.system
+    b, _ = analyses["tensor_diag2_m2"].built.factors
+    with pytest.raises(v.errors.DimensionMismatch, match="product algebra"):
+        v.system(sys_a.algebra, sys_a.trace, sys_a.dynamics, factors=(b, b))
 
 
 def test_fiber_formula_applies_to_every_system(analyses, skew_d24):

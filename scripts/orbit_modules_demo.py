@@ -21,7 +21,7 @@ def run(cocycle):
     skew = v.build_skew_product(spec)
     gns = v.build_gns(skew.system)
     bc = v.build_basic_construction(gns, skew.sub)
-    orbit = skew_orbit_modules(skew, bc)
+    orbit = skew_orbit_modules(bc, skew.orbits)
     blocks = v.find_minimal_modules(bc)
     print(f"cocycle {cocycle}: dim H = {gns.dim}, "
           f"dim <A,e> = {bc.algebra.dim}, "

@@ -206,16 +206,21 @@ def bratteli_blocks(alg: MatrixStarAlgebra, sub_alg: MatrixStarAlgebra,
 
     Over the minimal central projections p_k of F, F p_k = M_{n_k} acts on
     A p_k, which is m_k copies of its row space.  Right multiplication by p_k
-    projects each span orthogonally, so the singular values counted are 0 or 1.
+    is an orthogonal projection of X = F or A, so its rank dim X p_k is its
+    trace Tr(Q_X p_k), with Q_X = sum_i b_i* b_i over the orthonormal basis
+    of X; each count must lie within eps_assert of an integer.
     """
+    q_f, q_a = (x.basis.reshape(-1, x.ambient_dim).conj().T
+                @ x.basis.reshape(-1, x.ambient_dim) for x in (sub_alg, alg))
     blocks = []
     for p in block_decomposition(sub_alg, tol):
-        dim_fp, dim_ap = (linalg.rank((x.basis @ p).reshape(x.dim, -1), tol.eps_rank)
-                          for x in (sub_alg, alg))
-        n_k = math.isqrt(dim_fp)
-        if not n_k or n_k * n_k != dim_fp or dim_ap % n_k:
-            raise NumericalBreakdown(f"a central block of F has dim F p = {dim_fp}, "
-                                     f"not n^2 for an n dividing dim A p = {dim_ap}")
+        fp, ap = (float(np.vdot(p, q).real) for q in (q_f, q_a))  # Tr(Q p), p = p*
+        dim_fp, dim_ap = round(fp), round(ap)
+        n_k = math.isqrt(max(dim_fp, 0))
+        if max(abs(fp - dim_fp), abs(ap - dim_ap)) > tol.eps_assert \
+                or not n_k or n_k * n_k != dim_fp or dim_ap % n_k:
+            raise NumericalBreakdown(f"a central block of F has dim F p = {fp:.12g}, "
+                                     f"not n^2 for an n dividing dim A p = {ap:.12g}")
         blocks.append((p, n_k, dim_ap // n_k))
     return blocks
 

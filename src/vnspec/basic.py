@@ -57,10 +57,11 @@ class BasicConstruction:
     x_coords: np.ndarray            # (d, d) coords of x_i: L(x_i) e HS orthonormal
     b_coords: np.ndarray            # (k, d) coords of b_s: F b_1 + ... + F b_k = A
     g_coords: np.ndarray            # coords of the inclusion generators of F
+    span_coords: np.ndarray         # (d k, dim) coords of x_i e b_s, row i k + s
 
     def __post_init__(self):
         for a in (self.e, self.trace_vector, self.bar_to_vector, self.u_bar, self.fixed,
-                  self.x_coords, self.b_coords, self.g_coords):
+                  self.x_coords, self.b_coords, self.g_coords, self.span_coords):
             a.setflags(write=False)
 
     @property
@@ -211,9 +212,12 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     n = gns.dim
     xs = _whitener(gns.left_mats @ e).T  # coordinates of the x_i
     bs = _generators(sub, _whitener(e @ gns.left_mats), tol)
+    cand = _span_candidates(gns, e, xs, bs)
     rows = linalg.extend_orthonormal(np.zeros((0, n * n), dtype=np.complex128),
-                                     _span_candidates(gns, e, xs, bs), tol.eps_rank)
+                                     cand, tol.eps_rank)
     spanned = MatrixStarAlgebra(n, np.ascontiguousarray(rows.reshape(-1, n, n)))
+    span_coords = spanned.coords_stack(cand)  # read by the equivalence
+    del cand  # the d k x n^2 candidates are not kept
     blocks = bratteli_blocks(gns.system.algebra, sub.algebra, tol)
     # inclusion in j(F)': the largest entry of [b, j(g)], relative to |j(g)|,
     # for one g when F is commutative (every block n_k = 1), two otherwise
@@ -248,7 +252,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
                              trace_bar, dyn_bar, np.ascontiguousarray(to_vec),
                              np.ascontiguousarray(u_bar), np.ascontiguousarray(fixed),
                              resid, max(jones, defining), tracial, tuple(blocks),
-                             xs, bs, gen_coords)
+                             xs, bs, gen_coords, span_coords)
 
 
 def default_partition(bc: BasicConstruction,

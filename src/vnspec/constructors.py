@@ -30,11 +30,12 @@ where C is the fiber, the group algebra or M_2.  Only the unitary differs,
 and each keeps its validated factor systems (B, C), from whose tables
 ``system`` reads the table of A.  Skew products are thus
 block matrices indexed by atoms (the finite atomic stand-in for a direct
-integral of copies of the fiber algebra).
+integral of copies of the fiber algebra).  A family hands over its own data
+as typed fields: a skew product its dual orbits, a finite extension (n1, n2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,7 +53,10 @@ class ConstructedSystem:
     sub: Subsystem
     # the factor systems (B, C) of a product system A = B (x) C over F = B (x) 1
     factors: tuple[WStarSystem, WStarSystem] | None = None
-    extras: dict = field(default_factory=dict)
+    # a skew product's dual orbits, each as the A-basis indices x n_G + g
+    orbits: tuple[tuple[int, ...], ...] | None = None
+    # a finite extension's summand sizes (n_1, n_2) of B = B1 (+) B2
+    summands: tuple[int, int] | None = None
 
 
 def identity_automorphism(alg: MatrixStarAlgebra) -> StarAutomorphism:
@@ -227,7 +231,7 @@ def group_sub_system(gs: GroupSystem, subgroup,
 # --- product systems --------------------------------------------------------
 
 def _product(b_system: WStarSystem, c_system: WStarSystem, unitary: np.ndarray,
-             tol: ToleranceConfig, extras: dict | None = None) -> ConstructedSystem:
+             tol: ToleranceConfig) -> ConstructedSystem:
     """A = B (x) C over F = B (x) 1 with the product trace and dynamics
     Ad(unitary); b_i (x) c_j is basis element i * dim C + j.  The factors'
     own dynamics is not read."""
@@ -243,7 +247,7 @@ def _product(b_system: WStarSystem, c_system: WStarSystem, unitary: np.ndarray,
     f_basis = np.einsum("iab,cd->iacbd", balg.basis, eye_c)
     f_basis = f_basis.reshape(balg.dim, nb * nc, nb * nc)
     sub = subsystem(sys, MatrixStarAlgebra(nb * nc, np.ascontiguousarray(f_basis)), tol)
-    return ConstructedSystem(sys, sub, (b_system, c_system), extras or {})
+    return ConstructedSystem(sys, sub, (b_system, c_system))
 
 
 def build_tensor_system(b_system: WStarSystem, c_system: WStarSystem,
@@ -313,7 +317,9 @@ def build_skew_product(spec: SkewProductSpec,
         k = -int(spec.cocycle[xs])
         for h in range(n_g):
             u[xs * n_g + t_power(h, k), x * n_g + h] = 1.0
-    return _product(base, gs.system, u, tol, extras={"group": gs})
+    orbits = tuple(tuple(x * n_g + g for x in range(n_x) for g in orbit)
+                   for orbit in dual_orbits(gs))
+    return replace(_product(base, gs.system, u, tol), orbits=orbits)
 
 
 def dual_orbits(gs: GroupSystem) -> list[tuple[int, ...]]:
@@ -420,8 +426,7 @@ def build_finite_extension(spec: FiniteExtensionSpec,
     # W is unitary once each v_i is: the corners act on orthogonal summands
     w_full = (np.kron(w1, units[0]) + np.kron(w2, units[1])
               + np.kron(w3, units[2]) + np.kron(w4, units[3]))
-    return _product(b_sys, m2_sys, w_full, tol,
-                    extras={"ws": (w1, w2, w3, w4), "b_dims": (n1, nb - n1)})
+    return replace(_product(b_sys, m2_sys, w_full, tol), summands=(n1, nb - n1))
 
 
 def finite_extension_diagnostics(fe: ConstructedSystem,
@@ -431,9 +436,11 @@ def finite_extension_diagnostics(fe: ConstructedSystem,
     Checks the two expressions for the restricted dynamics, the off-diagonal
     cancellation, the restriction alpha(b (x) 1) = beta(b) (x) 1, the displayed
     block pattern of alpha(1 (x) m), and whether the dynamics visibly fails to
-    be a product (distance of alpha(1 (x) m) from 1 (x) M_2).
+    be a product (distance of alpha(1 (x) m) from 1 (x) M_2).  The corner
+    w_k of W = sum_k w_k (x) E_k at (a, b) is W[a::2, b::2].
     """
-    w1, w2, w3, w4 = fe.extras["ws"]
+    w = fe.system.dynamics.unitary
+    w1, w2, w3, w4 = w[0::2, 0::2], w[0::2, 1::2], w[1::2, 0::2], w[1::2, 1::2]
     b_alg = fe.factors[0].algebra
     alg = fe.system.algebra
     nb = b_alg.ambient_dim
@@ -456,7 +463,7 @@ def finite_extension_diagnostics(fe: ConstructedSystem,
     # displayed block pattern of alpha(1 (x) m) on the matrix units
     eye_b = np.eye(nb, dtype=np.complex128)
     display_resid = 0.0
-    n1 = fe.extras["b_dims"][0]
+    n1, n2 = fe.summands
     p1 = np.zeros((nb, nb), dtype=np.complex128)
     p1[:n1, :n1] = np.eye(n1)
     p2 = eye_b - p1
@@ -477,11 +484,10 @@ def finite_extension_diagnostics(fe: ConstructedSystem,
     flat = image.reshape(-1)
     proj = fiber_rows.conj() @ flat
     product_distance = float(np.linalg.norm(flat - fiber_rows.T @ proj))
-    both_nonzero = fe.extras["b_dims"][1] > 0
     return {"beta_two_expressions": beta_resid,
             "off_diagonal": offdiag_resid,
             "restriction": restrict_resid,
             "display_pattern": display_resid,
             "product_distance": product_distance,
             "nonproduct_detected": product_distance > tol.eps_assert,
-            "nonproduct_expected": both_nonzero}
+            "nonproduct_expected": n2 > 0}

@@ -6,8 +6,9 @@ the relative tensor product L2(A) (x)_F L2(A) (Sauvageot 1983), which the d k
 generating tensors x_i (x) j(b_s) span just as the x_i e b_s span <A, e>
 (Pimsner and Popa 1986); it is the range of a pivoted Cholesky factor of
 their Gram matrix, and is unitarily equivalent to L2 of the basic
-construction.  Neither the Gram matrix nor the equivalence ranges over the
-d^2 simple tensors a_i (x) j(a_j).
+construction, checked on the x_i e b_s in the <A, e> coordinates that the
+basic construction keeps.  Neither the Gram matrix nor the equivalence
+ranges over the d^2 simple tensors a_i (x) j(a_j).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import DEFAULT_TOL, ToleranceConfig
-from .basic import BasicConstruction, _span_candidates
+from .basic import BasicConstruction
 from .errors import IsometryViolation, NumericalBreakdown, StateNotPositive
 
 
@@ -38,14 +39,12 @@ class JoiningData:
     gamma: np.ndarray               # (r, d k) GNS vectors of t / |t|, rows orthogonal
     norms: np.ndarray               # (d k,) |t| by the expectation route
     w_matrix: np.ndarray            # (r, r) unitary of the joint dynamics
-    omega_vec: np.ndarray           # (r,) GNS cyclic vector
     h_lambda_alt_residual: float    # F (x) 1 span versus 1 (x) j(F) span
     factor_residual: float          # ||G - L L^H||_F of the scaled Gram's factor
     smallest_pivot: float           # smallest pivot kept in that factor
 
     def __post_init__(self):
-        for a in (self.omega_values, self.gamma, self.norms, self.w_matrix,
-                  self.omega_vec):
+        for a in (self.omega_values, self.gamma, self.norms, self.w_matrix):
             a.setflags(write=False)
 
     @property
@@ -60,17 +59,17 @@ def _read_back(gamma: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return gamma / lam[:, None] / norms
 
 
-def _tensor_gram(bc: BasicConstruction, left: tuple, right: tuple) -> np.ndarray:
+def _tensor_gram(bc: BasicConstruction, right: tuple) -> np.ndarray:
     """G[(i, s), (l, t)] = <x_i (x) j(b_s), y_l (x) j(c_t)>
-    = mu(E(x_i* y_l) E(c_t b_s*)) for left = (x, b) and right = (y, c),
-    stacks of coordinate rows in A.
+    = mu(E(x_i* y_l) E(c_t b_s*)) between the generating tensors and
+    right = (y, c), stacks of coordinate rows in A.
 
     Read from the GNS action alone as <E(y_l* x_i) Omega, E(c_t b_s*) Omega>
     with E(y* x) Omega = e L(y)^H L(x) Omega and E(c b*) Omega =
     e L(c) L(b)^H Omega, the operators the span's products x_i e b_s use;
     coordinates x Omega through to_vector would carry its condition number.
     """
-    gns, (x, b), (y, c) = bc.gns, left, right
+    gns, x, b, (y, c) = bc.gns, bc.x_coords, bc.b_coords, right
     lx, lb, ly, lc = (np.tensordot(z, gns.left_mats, axes=(1, 0)) for z in (x, b, y, c))
     p = bc.e @ ly.conj().transpose(0, 2, 1) @ (lx @ gns.omega).T  # (l, h, i)
     q = bc.e @ lc @ (lb.conj().transpose(0, 2, 1) @ gns.omega).T  # (t, h, s)
@@ -141,7 +140,7 @@ def relative_joining(bc: BasicConstruction,
     # the pivots do not follow the trace weights; |t|^2 = mu(E(x* x) E(b b*))
     # is positive as mu is faithful and E(b_s b_s*) invertible for generic b_s
     gens = (bc.x_coords, bc.b_coords)
-    gram = _tensor_gram(bc, gens, gens)
+    gram = _tensor_gram(bc, gens)
     norms = np.sqrt(gram.diagonal().real)
     l_rows, factor_resid, pivot = factor_gram(gram / np.outer(norms, norms), tol)
     # L = V S with V orthonormal: gamma = S V^H, and L L^H = gamma^H gamma
@@ -150,12 +149,10 @@ def relative_joining(bc: BasicConstruction,
     read = _read_back(gamma, norms)
     # <t, W t'> = <t, (alpha (x) alpha') t'>, with t' moved by U
     moved = tuple(z @ m_alpha.T for z in gens)
-    w = read @ _tensor_gram(bc, gens, moved) @ read.conj().T
-    one = alg.coords(alg.identity())[None]
-    omega_vec = read @ _tensor_gram(bc, gens, (one, one))[:, 0]
+    w = read @ _tensor_gram(bc, moved) @ read.conj().T
     # F-subspace, both descriptions
-    f = sub.coords_in_parent
-    h_lambda, alt_span = (linalg.orthonormal_columns(read @ _tensor_gram(bc, gens, pair),
+    f, one = sub.coords_in_parent, alg.coords(alg.identity())[None]
+    h_lambda, alt_span = (linalg.orthonormal_columns(read @ _tensor_gram(bc, pair),
                                                      tol.eps_rank)
                           for pair in ((f, one), (one, f)))
     span_resid = max(linalg.subspace_inclusion_residual(alt_span, h_lambda),
@@ -165,14 +162,7 @@ def relative_joining(bc: BasicConstruction,
                                  f"(residual {span_resid:.2e})")
     return JoiningData(bc, omega_vals, two_formula, marg, invariance,
                        np.ascontiguousarray(gamma), norms, np.ascontiguousarray(w),
-                       omega_vec, span_resid, factor_resid, pivot)
-
-
-def _bar_generators(bc: BasicConstruction) -> np.ndarray:
-    """gamma_bar(x_i e b_s) as column i k + s, from the span candidates'
-    coordinates in <A, e>."""
-    cand = _span_candidates(bc.gns, bc.e, bc.x_coords, bc.b_coords)
-    return bc.bar_to_vector @ bc.algebra.coords_stack(cand).T
+                       span_resid, factor_resid, pivot)
 
 
 def _balance(bc: BasicConstruction) -> float:
@@ -230,7 +220,7 @@ def joining_equivalence(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL
     if balance > tol.eps_assert:
         raise NumericalBreakdown(f"a g (x) j(b) and a (x) j(g b) differ for g in F "
                                  f"(omega(n* n) = {balance:.2e})")
-    cols = _bar_generators(bc)
+    cols = bc.bar_to_vector @ bc.span_coords.T  # gamma_bar(x_i e b_s), column i k + s
     r = cols @ _read_back(jd.gamma, jd.norms).conj().T
     defining = float(np.abs(r @ jd.gamma - cols / jd.norms).max())
     if defining > tol.eps_assert:

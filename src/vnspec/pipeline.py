@@ -1,8 +1,9 @@
 """End-to-end analysis of a described system.
 
 Runs GNS, basic construction, joining, equivalence and spectrum, and fills the
-check ledger: every named identity with its numeric residual.  Checks that do
-not apply to a given kind are reported as not applicable; the fiber formula
+check ledger: every named identity with its numeric residual.  The built
+system's family data, not the kind, decide the family checks; checks that do
+not apply to a system are reported as not applicable; the fiber formula
 applies to every system, as the spectrum reports each module's multiplicities
 over the central blocks of F whether or not F is commutative (with no modules
 it holds vacuously).
@@ -71,8 +72,8 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
     r, isometry, intertwine = joining_equivalence(jd, tol)
     certificate = None
     extras: dict = {}
-    if kind == "skew_product":
-        certificate = skew_orbit_modules(built, bc, tol)
+    if built.orbits is not None:
+        certificate = skew_orbit_modules(bc, built.orbits, tol)
     spectrum = build_spectrum_report(jd, tol, seed, certificate)
 
     checks: list[CheckResult] = []
@@ -120,7 +121,7 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
         note=(f"largest integrality gap {max(f.integrality_gap for f in fibers):.1e}; "
               f"sums matched: {', '.join(f.matching_formula for f in fibers)}"
               if fibers else "no modules"))
-    if kind == "finite_extension":
+    if built.summands is not None:
         diag = finite_extension_diagnostics(built, tol)
         extras["finite_extension"] = diag
         add("finite_extension_beta",

@@ -2,7 +2,8 @@
 
 Finds the minimal jointly invariant submodules of the orthogonal complement of
 the subalgebra's cyclic subspace, by the generic block route and, for skew
-products, by the orbit route; evaluates their lifted traces, runs the
+products, by the orbit route from the orbits' indices; evaluates and
+certifies each family once, runs the
 Cesaro averages characterizing relative weak mixing, and cross-checks the
 ergodicity route against the module route (any disagreement is an error, never
 a silent pass).  The conditional expectation is the one the subsystem
@@ -20,7 +21,6 @@ from . import linalg
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, Subsystem, ToleranceConfig,
                       WStarSystem, block_decomposition, positive_integer)
 from .basic import BasicConstruction
-from .constructors import ConstructedSystem, GroupSystem, dual_orbits
 from .errors import (NotInAlgebra, NotMeanZero, NumericalBreakdown, SubsystemInvalid,
                      VerdictMismatch)
 from .joining import ErgodicityCheck, JoiningData, relative_ergodicity_check
@@ -183,24 +183,18 @@ def find_minimal_modules(bc: BasicConstruction, tol: ToleranceConfig = DEFAULT_T
     return out
 
 
-def skew_orbit_modules(skew: ConstructedSystem, bc: BasicConstruction,
+def skew_orbit_modules(bc: BasicConstruction, orbits: tuple[tuple[int, ...], ...],
                        tol: ToleranceConfig = DEFAULT_TOL) -> list[SubmoduleCandidate]:
     """Orbit modules of a skew product: base space tensored with the span of
-    each dual orbit.  These are invariant right modules of finite lifted trace
-    spanning the complement of the base's cyclic subspace; their traces equal
-    the orbit sizes.
+    each dual orbit, given as its A-basis indices.  These are invariant right
+    modules of finite lifted trace spanning the complement of the base's
+    cyclic subspace; their traces equal the orbit sizes.
     """
-    gs: GroupSystem = skew.extras["group"]
-    n_g = gs.table.shape[0]
-    n_x = skew.system.algebra.dim // n_g
     out = []
-    for orbit in dual_orbits(gs):
-        idx = [x * n_g + g for x in range(n_x) for g in orbit]
-        cols = bc.gns.to_vector[:, idx]
-        q = linalg.orthonormal_columns(cols, tol.eps_rank)
+    for idx in orbits:
+        q = linalg.orthonormal_columns(bc.gns.to_vector[:, list(idx)], tol.eps_rank)
         out.append(module_candidate(bc, q @ q.conj().T, tol))
-    out.sort(key=lambda c: (-round(c.lifted_trace, 8),
-                            linalg.sort_key(c.projection)))
+    out.sort(key=lambda c: (-round(c.lifted_trace, 8), linalg.sort_key(c.projection)))
     return out
 
 
@@ -344,21 +338,20 @@ def build_spectrum_report(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL,
     bc = jd.basic
     system, sub = bc.gns.system, bc.sub
     blocks = find_minimal_modules(bc, tol)
-    modules = blocks if module_certificate is None else list(module_certificate)
-    cert = rds_verdict(bc, modules, tol)
-    block_cert = rds_verdict(bc, blocks, tol)
+    families = [blocks] if module_certificate is None \
+        else [list(module_certificate), blocks]
+    certs = [rds_verdict(bc, family, tol) for family in families]
     erg = rwm_certificate(jd, tol)
-    additivity = max(
-        abs(sum(c.lifted_trace for c in modules) - cert.trace_of_complement),
-        abs(sum(c.lifted_trace for c in blocks) - block_cert.trace_of_complement))
+    additivity = max(abs(sum(c.lifted_trace for c in cert.modules)
+                         - cert.trace_of_complement) for cert in certs)
     samples = []
     for label, mat in admissible_elements(system, sub, tol, seed):
         values = cesaro_sequence(system, sub, mat, tol=tol)
         samples.append(CesaroSample(label, values))
+    modules = families[0]
     dim_span = sum(c.dim for c in modules)
     return SpectrumReport(tuple(modules), tuple(blocks), dim_span,
-                          bc.dim_complement, cert.verdict and block_cert.verdict,
-                          erg.holds,
-                          max(cert.span_residual, block_cert.span_residual),
+                          bc.dim_complement, all(cert.verdict for cert in certs),
+                          erg.holds, max(cert.span_residual for cert in certs),
                           float(additivity), tuple(samples), erg,
                           tuple(fiber_analysis(bc, m, tol) for m in modules))

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import vnspec as v
-from vnspec import linalg
+from vnspec import basic, linalg
 from vnspec.algebra import ToleranceConfig
 from vnspec.basic import default_partition, lifted_trace, lifted_trace_via_partition
 from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, NumericalBreakdown,
@@ -199,3 +201,24 @@ def test_extension_threshold_follows_eps_assert(analyses):
     with pytest.raises(ExtensionInconsistent):
         lifted_trace(an.gns, an.basic.e, an.basic.algebra, _blocks(an),
                      ToleranceConfig(eps_assert=1e-30))
+
+
+def test_jones_relation_needs_the_identity(analyses):
+    """The span of e alone misses the identity, which is checked before the
+    relation itself."""
+    an = analyses["classical_4cycle"]
+    e = an.basic.e
+    assert np.trace(e).real < an.gns.dim - 0.5
+    e_only = v.MatrixStarAlgebra(an.gns.dim, (e / np.linalg.norm(e))[None])
+    with pytest.raises(ExtensionInconsistent,
+                       match=r"span\(A e A\) does not contain the identity \(residual"):
+        basic._jones_relation(an.gns, an.built.sub, e, e_only, v.DEFAULT_TOL)
+
+
+def test_partition_formula_refuses_a_disagreeing_trace(analyses):
+    """A valid partition read against a doubled closed-form trace."""
+    bc = analyses["tensor_diag2_m2"].basic
+    doubled = dataclasses.replace(bc, trace_vector=2 * bc.trace_vector)
+    with pytest.raises(ExtensionInconsistent,
+                       match="partition formula disagrees with the closed-form trace"):
+        lifted_trace_via_partition(doubled, default_partition(bc))

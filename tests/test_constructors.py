@@ -6,7 +6,8 @@ from vnspec.constructors import (dual_orbits, finite_extension_diagnostics,
                                  left_regular_matrices)
 from vnspec.errors import (ConstraintViolated, NotAutomorphism, NotUnitary,
                            SpecInvalid, WeightsNotPreserved)
-from conftest import E12
+from vnspec.descriptions import matrix_to_array
+from conftest import E11, E12, E22
 from oracles import validate_algebra
 
 Z4 = tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4))
@@ -193,17 +194,20 @@ def test_finite_extension_diagnostics_pass(analyses):
     assert diag["nonproduct_detected"]
 
 
-def test_finite_extension_displayed_corner(analyses):
+def test_finite_extension_displayed_corner(analyses, shipped_descriptions):
     # alpha(1 (x) E12) carries v1 v4* in the upper corner of the first summand
     # and v3 v2* in the lower corner of the second, per the block display
     an = analyses["finite_extension_m2"]
+    assert an.built.summands == (2, 2)
+    p = shipped_descriptions["finite_extension_m2"].parameters
+    v1, v2, v3, v4 = (matrix_to_array(p[k]) for k in ("v1", "v2", "v3", "v4"))
+    # w1 = v1 (+) 0, w4 = v4 (+) 0, w2 = 0 (+) v2, w3 = 0 (+) v3 on 2 + 2
+    w1, w4 = np.kron(E11, v1), np.kron(E11, v4)
+    w2, w3 = np.kron(E22, v2), np.kron(E22, v3)
     alg = an.built.system.algebra
     eye_b = np.eye(4, dtype=complex)
-    e12 = np.zeros((2, 2), dtype=complex)
-    e12[0, 1] = 1.0
-    image = an.built.system.dynamics.apply(alg, np.kron(eye_b, e12))
-    w1, w2, w3, w4 = an.built.extras["ws"]
-    expected = np.kron(w1 @ w4.conj().T, e12) + np.kron(w3 @ w2.conj().T, e12.T)
+    image = an.built.system.dynamics.apply(alg, np.kron(eye_b, E12))
+    expected = np.kron(w1 @ w4.conj().T, E12) + np.kron(w3 @ w2.conj().T, E12.T)
     assert np.abs(image - expected).max() < 1e-9
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vnspec.cli import shipped_system_paths
+from vnspec.constructors import left_regular_matrices
 from vnspec.descriptions import (SystemDescription, array_to_matrix,
                                  build_from_description, emit_description,
                                  matrix_to_array, parse_system)
@@ -157,3 +158,26 @@ def test_shipped_descriptions_cover_required_kinds(shipped_descriptions):
     assert full.parameters["subalgebra_generators"] \
         == full.parameters["algebra_generators"]
     assert len(shipped_descriptions) >= 6
+
+
+Z4_TABLE = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+
+
+def _z4_inversion(subgroup):
+    return {"format_version": 1, "name": "z4_subgroup", "kind": "group_vn",
+            "parameters": {"group_table": Z4_TABLE, "automorphism": [0, 3, 2, 1],
+                           "subgroup": subgroup}}
+
+
+def test_group_vn_subgroup_spans_its_subsystem():
+    built = build_from_description(parse_system(_z4_inversion([2, 0])))
+    assert np.array_equal(built.sub.algebra.basis,
+                          left_regular_matrices(np.array(Z4_TABLE))[[0, 2]] / 2)
+
+
+@pytest.mark.parametrize("subgroup, message", [
+    ([1, 3], "subgroup must contain the identity"),
+    ([0, 1], "subgroup is not closed under multiplication")])
+def test_group_vn_subgroup_is_checked(subgroup, message):
+    with pytest.raises(ValidationError, match=rf"^parameters \(group_vn\): {message}$"):
+        build_from_description(parse_system(_z4_inversion(subgroup)))

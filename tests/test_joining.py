@@ -5,7 +5,7 @@ import pytest
 
 import vnspec as v
 from vnspec import linalg
-from vnspec.errors import NumericalBreakdown
+from vnspec.errors import IsometryViolation, NumericalBreakdown
 from test_routes import joining_gram_by_eigh, simple_tensor_vectors
 from oracles import bar_vector, commutant, random_element
 
@@ -80,10 +80,14 @@ def test_gram_positive_and_quotient_rank(analyses):
 
 def test_w_unitary_and_fixes_cyclic_vector(analyses):
     for name, an in analyses.items():
-        jd = an.joining
+        jd, alg = an.joining, an.built.system.algebra
         eye = np.eye(jd.rank)
         assert np.abs(jd.w_matrix @ jd.w_matrix.conj().T - eye).max() < 1e-9, name
-        assert np.abs(jd.w_matrix @ jd.omega_vec - jd.omega_vec).max() < 1e-9, name
+        # Omega = gamma(1 (x) j(1)), a combination of the simple tensors
+        one = alg.coords(alg.identity())
+        omega = simple_tensor_vectors(jd) @ np.kron(one, one)
+        assert abs(np.linalg.norm(omega) - 1.0) < 1e-9, name  # omega(1) = 1
+        assert np.abs(jd.w_matrix @ omega - omega).max() < 1e-9, name
 
 
 def test_equivalence_matches_defining_columns(analyses):
@@ -175,3 +179,18 @@ def test_joining_rejects_unequal_f_subspaces(analyses, monkeypatch):
     with pytest.raises(NumericalBreakdown, match="span different subspaces"):
         v.relative_joining(an.basic)
     assert len(calls) == 2
+
+
+def test_equivalence_refuses_a_rank_mismatch(analyses):
+    jd = analyses["classical_4cycle"].joining
+    short = replace(jd, gamma=jd.gamma[:-1])
+    with pytest.raises(IsometryViolation, match=f"joining GNS rank {jd.rank - 1} differs "
+                       f"from basic-construction dimension {jd.rank}"):
+        v.joining_equivalence(short)
+
+
+def test_equivalence_refuses_a_dynamics_it_does_not_intertwine(analyses):
+    """-W is unitary and leaves R as it was, but R (-W) R* = -U_bar."""
+    jd = analyses["classical_4cycle"].joining
+    with pytest.raises(IsometryViolation, match="does not intertwine the dynamics"):
+        v.joining_equivalence(replace(jd, w_matrix=-jd.w_matrix))

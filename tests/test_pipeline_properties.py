@@ -9,6 +9,7 @@ import vnspec as v
 from vnspec import cli
 from vnspec.descriptions import array_to_matrix, build_from_description, parse_system
 from vnspec.pipeline import CHECK_NAMES, analyze_built, analyze_description
+from conftest import E12
 from test_routes import _bar_columns, simple_tensor_vectors
 
 
@@ -204,3 +205,19 @@ def test_structure_does_not_follow_eps_assert(eps_assert, analyses,
         assert got.ergodicity.fixed_dim == want.ergodicity.fixed_dim, name
         assert len(got.modules) == len(want.modules), name
         assert (got.rds, got.rwm, an.passed) == (want.rds, want.rwm, ref.passed), name
+
+
+def test_extension_without_b2_has_no_nonproduct_check():
+    """With B = B1 the extension is a product, and the ledger says the
+    non-product check does not apply."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    b1 = v.build_explicit_system(2, [E12], np.eye(2) / 2, dynamics_unitary=x).system
+    fe = v.build_finite_extension(v.FiniteExtensionSpec(b1=b1, b2=None, s=0.5,
+                                                        v1=x, v4=x))
+    assert fe.summands == (2, 0)
+    an = analyze_built("extension_of_m2", "finite_extension", fe)
+    checks = {c.name: c for c in an.checks}
+    assert an.passed and checks["finite_extension_beta"].applicable
+    entry = checks["finite_extension_nonproduct"]
+    assert (entry.applicable, entry.passed, entry.note) \
+        == (False, True, "a summand is absent")

@@ -267,6 +267,47 @@ def test_skew_d24_closed_form_trace_equals_least_squares(skew_d24):
     _assert_trace_route(SKEW_D24["name"], skew_d24)
 
 
+def bratteli_counts_by_rank(alg, sub_alg, blocks, eps_rank=DEFAULT_TOL.eps_rank):
+    """(dim F p_k, dim A p_k) as the SVD ranks of the stacked basis @ p_k, as
+    bratteli_blocks once counted them."""
+    return [tuple(linalg.rank((x.basis @ p).reshape(x.dim, -1), eps_rank)
+                  for x in (sub_alg, alg)) for p, _, _ in blocks]
+
+
+def test_bratteli_traces_equal_the_svd_ranks(analyses, skew_d24):
+    for name, an in {**analyses, SKEW_D24["name"]: skew_d24}.items():
+        blocks = an.basic.blocks
+        oracle = bratteli_counts_by_rank(an.built.system.algebra,
+                                         an.built.sub.algebra, blocks)
+        assert [(n * n, n * m) for _, n, m in blocks] == oracle, name
+
+
+def test_bratteli_refuses_a_block_that_is_not_n_squared(analyses, monkeypatch):
+    """The two one-dimensional blocks of F, merged, give dim F p = 2."""
+    an = analyses["finite_extension_m2"]
+    blocks = algebra.block_decomposition
+
+    def merged(alg, tol):
+        big, *ones = blocks(alg, tol)
+        return [big, sum(ones)]
+    monkeypatch.setattr(algebra, "block_decomposition", merged)
+    with pytest.raises(NumericalBreakdown, match=r"a central block of F has dim F p = 2, "
+                       r"not n\^2 for an n dividing dim A p = 8$"):
+        v.bratteli_blocks(an.built.system.algebra, an.built.sub.algebra)
+
+
+def test_bratteli_refuses_a_count_off_an_integer(analyses, monkeypatch):
+    """p (1 + 1e-6) is not a projection: its traces miss 4 and 16 by 4e-6
+    and 1.6e-5."""
+    an = analyses["finite_extension_m2"]
+    blocks = algebra.block_decomposition
+    monkeypatch.setattr(algebra, "block_decomposition",
+                        lambda alg, tol: [p * (1 + 1e-6) for p in blocks(alg, tol)])
+    with pytest.raises(NumericalBreakdown, match=r"dim F p = 4\.000004, not n\^2 for "
+                       r"an n dividing dim A p = 16\.000016$"):
+        v.bratteli_blocks(an.built.system.algebra, an.built.sub.algebra)
+
+
 @pytest.mark.parametrize("name, blocks", [
     ("full_subsystem_m2", [(2, 2)]),
     ("finite_extension_m2", [(2, 8), (1, 4), (1, 4)]),
@@ -639,7 +680,7 @@ def simple_tensor_vectors(jd):
     generating tensors."""
     bc = jd.basic
     eye = np.eye(bc.gns.system.algebra.dim)
-    inner = joining._tensor_gram(bc, (bc.x_coords, bc.b_coords), (eye, eye))
+    inner = joining._tensor_gram(bc, (eye, eye))
     return joining._read_back(jd.gamma, jd.norms) @ inner
 
 
@@ -1158,7 +1199,7 @@ THREE_POINT_ATOM = {
                    "sub_partition": [[0, 1, 2], [3]]}}
 
 
-def test_equivalence_checks_its_defining_relation(monkeypatch):
+def test_equivalence_checks_its_defining_relation():
     """A null vector of the generating factor added to every row of the bar
     columns leaves R = C (gamma^H)^+, so its unitarity and intertwining,
     unchanged, but breaks R gamma = C."""
@@ -1166,7 +1207,10 @@ def test_equivalence_checks_its_defining_relation(monkeypatch):
     jd, bc = an.joining, an.basic
     assert (jd.rank, jd.gamma.shape[1]) == (10, 12)
     _assert_relation_on_every_simple_tensor(THREE_POINT_ATOM["name"], an)
-    cols = joining._bar_generators(bc)
+    # the span products' coordinates are those of the candidates x_i e b_s
+    cand = basic._span_candidates(an.gns, bc.e, bc.x_coords, bc.b_coords)
+    assert np.abs(bc.span_coords - bc.algebra.coords_stack(cand)).max() == 0.0
+    cols = bc.bar_to_vector @ bc.span_coords.T
     null = np.linalg.svd(jd.gamma)[2][jd.rank].conj()
     assert np.abs(jd.gamma @ null).max() <= 1e-12
     bent = cols + 0.3 * (null * jd.norms).conj()
@@ -1178,9 +1222,10 @@ def test_equivalence_checks_its_defining_relation(monkeypatch):
         assert np.abs(r @ jd.w_matrix @ r.conj().T - bc.u_bar).max() <= 1e-12
     assert np.abs(r @ jd.gamma - cols / jd.norms).max() <= 1e-12
     assert np.abs(r @ jd.gamma - bent / jd.norms).max() >= 0.05
-    monkeypatch.setattr(joining, "_bar_generators", lambda *args: bent)
+    bent_bc = dataclasses.replace(
+        bc, span_coords=np.linalg.solve(bc.bar_to_vector, bent).T)
     with pytest.raises(IsometryViolation, match="does not send"):
-        v.joining_equivalence(jd)
+        v.joining_equivalence(dataclasses.replace(jd, basic=bent_bc))
 
 
 def test_equivalence_checks_the_balance(analyses):
@@ -1322,9 +1367,16 @@ def test_product_systems_keep_the_factor_systems(analyses):
     built = v.build_tensor_system(b, c)
     assert built.factors[0] is b and built.factors[1] is c
     skew = analyses["skew_z4_inversion"].built
-    assert skew.factors[1] is skew.extras["group"].system
+    table = np.asarray(SKEW_D24["parameters"]["group_table"])  # Z_4, as shipped
+    assert np.array_equal(skew.factors[1].algebra.basis,
+                          constructors.left_regular_matrices(table) / 2)
+    # the dual orbits {1, 3} and {2} of the inversion, as indices x n_G + g
+    assert skew.orbits == ((1, 3, 5, 7, 9, 11), (2, 6, 10))
 
 
 def test_stages_hold_their_owner_not_its_parts():
-    assert "tensor_factors" not in {f.name for f in dataclasses.fields(v.ConstructedSystem)}
-    assert not {"gns", "sub"} & {f.name for f in dataclasses.fields(v.JoiningData)}
+    assert not {"tensor_factors", "extras"} \
+        & {f.name for f in dataclasses.fields(v.ConstructedSystem)}
+    assert not {"gns", "sub", "omega_vec"} \
+        & {f.name for f in dataclasses.fields(v.JoiningData)}
+    assert not hasattr(joining, "_bar_generators")

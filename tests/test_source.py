@@ -92,6 +92,47 @@ def matrix_rank_calls(source: str) -> list[str]:
             for n in sorted(found, key=lambda n: n.lineno)]
 
 
+def _from_package(node) -> bool:
+    """A from-import out of the package: relative, or from vnspec."""
+    return isinstance(node, ast.ImportFrom) and bool(
+        node.level or node.module == "vnspec" or (node.module or "").startswith("vnspec."))
+
+
+def package_imports(source: str) -> dict[str, int]:
+    """Package modules that a module imports, relative or absolute, with the
+    line of the first such import: from .x, from . import x, vnspec.x."""
+    found: dict[str, int] = {}
+    for node in ast.walk(ast.parse(source)):
+        if _from_package(node):
+            parts = node.module.split(".") if node.module else []
+            names = parts[0 if node.level else 1:][:1] or [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name.split(".")[1] for a in node.names
+                     if a.name.startswith("vnspec.")]
+        else:
+            continue
+        for name in names:
+            found.setdefault(name, node.lineno)
+    return found
+
+
+def private_reaches(source: str) -> list[str]:
+    """Private names (a leading underscore) taken from another package
+    module: imported from it, or read as an attribute of it."""
+    tree = ast.parse(source)
+    modules = set(package_imports(source))
+    found = []
+    for node in ast.walk(tree):
+        if _from_package(node):
+            found += [(node.lineno, f"{'.' * node.level}{node.module or ''} "
+                                    f"import {a.name}")
+                      for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and isinstance(node.value, ast.Name) and node.value.id in modules:
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
 def test_unused_import_check_finds_an_unused_name():
     assert unused_imports("import os\nimport sys\nfrom a import b, c as d\nsys.exit(d)\n") \
         == ["line 1: os", "line 3: b"]
@@ -184,4 +225,46 @@ def test_rank_decisions_go_through_linalg():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) >= 10
     found = {p.name: matrix_rank_calls(p.read_text()) for p in paths}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
+def test_package_import_check_finds_every_form():
+    source = ("from __future__ import annotations\nimport numpy as np\n"
+              "from .constructors import GroupSystem\nfrom . import descriptions, linalg\n"
+              "import vnspec.pipeline\nfrom vnspec.report import analysis_to_dict\n"
+              "from vnspec import cli\nfrom numpy.linalg import svd\n"
+              "from .linalg import rank\n")
+    assert package_imports(source) == {"constructors": 3, "descriptions": 4,
+                                       "linalg": 4, "pipeline": 5, "report": 6,
+                                       "cli": 7}
+
+
+def test_certificate_stages_do_not_import_the_families():
+    """The GNS, basic-construction, joining and spectrum stages read what the
+    built system and their producers hand over, never a constructor or a
+    description."""
+    found = {name: sorted({"constructors", "descriptions"}
+                          & set(package_imports((SRC / f"{name}.py").read_text())))
+             for name in ("gns", "basic", "joining", "spectrum")}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
+def test_private_reach_check_finds_imports_and_attributes():
+    source = ("from .basic import BasicConstruction, _span_candidates\n"
+              "from . import _private, linalg\n"
+              "from vnspec.joining import _tensor_gram as gram\n"
+              "from numpy import _core\nimport numpy as np\n"
+              "x = linalg._kept(s) + linalg.rank(s) + np._pytesttester + self._y\n")
+    assert private_reaches(source) == ["line 1: .basic import _span_candidates",
+                                       "line 2: . import _private",
+                                       "line 3: vnspec.joining import _tensor_gram",
+                                       "line 6: linalg._kept"]
+
+
+def test_package_modules_keep_to_public_names_of_each_other():
+    """A module's private names are its own: another module that needs one
+    reads it from the object that owns it instead."""
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = {p.name: private_reaches(p.read_text()) for p in paths}
     assert {name: f for name, f in found.items() if f} == {}

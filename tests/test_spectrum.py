@@ -5,7 +5,7 @@ import pytest
 
 import vnspec as v
 from vnspec import linalg, pipeline
-from vnspec.errors import InputError, NotInAlgebra, NotMeanZero
+from vnspec.errors import InputError, NotInAlgebra, NotMeanZero, VerdictMismatch
 from vnspec.spectrum import admissible_elements
 from conftest import E12
 from oracles import bar_vector
@@ -313,3 +313,25 @@ def test_right_module_characterization_both_ways(analyses):
     worst = max(np.abs((np.eye(gns.dim) - proj) @ gns.j_op(gns.left(f)) @ proj).max()
                 for f in an.built.sub.algebra.basis)
     assert worst > 1e-3
+
+
+def test_rwm_certificate_refuses_disagreeing_routes(analyses, monkeypatch):
+    """The ergodicity route, flipped, disagrees with the module route."""
+    jd = analyses["skew_z4_inversion"].joining
+    check = v.spectrum.relative_ergodicity_check
+    monkeypatch.setattr(v.spectrum, "relative_ergodicity_check",
+                        lambda jd, tol: dataclasses.replace(check(jd, tol), holds=True))
+    with pytest.raises(VerdictMismatch, match=r"ergodicity route says True \(residual "
+                       r".*\) but the module route says False \(complement dim 9\)"):
+        v.spectrum.rwm_certificate(jd)
+
+
+def test_family_data_not_the_kind_choose_the_certificates(analyses):
+    """A skew product labelled as a tensor still gets its orbit modules, and
+    the label is only reported."""
+    an = analyses["skew_z4_inversion"]
+    redone = pipeline.analyze_built(an.name, "tensor", an.built)
+    assert redone.kind == "tensor" and redone.passed
+    assert [c.dim for c in redone.spectrum.modules] == [6, 3]
+    assert [c.dim for c in redone.spectrum.block_modules] \
+        == [c.dim for c in an.spectrum.block_modules]

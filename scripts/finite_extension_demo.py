@@ -27,9 +27,9 @@ def main():
     print(f"  dim A = {fe.system.algebra.dim}, dim F = {fe.sub.algebra.dim}")
     for key in ("beta_two_expressions", "off_diagonal", "restriction",
                 "display_pattern"):
-        print(f"  {key:22s} residual {diag[key]:.3e}")
-    print(f"  product distance {diag['product_distance']:.6g} "
-          f"(non-product detected: {diag['nonproduct_detected']})")
+        print(f"  {key:22s} residual {getattr(diag, key):.3e}")
+    print(f"  product distance {diag.product_distance:.6g} "
+          f"(non-product detected: {diag.nonproduct_detected})")
     gns = v.build_gns(fe.system)
     bc = v.build_basic_construction(gns, fe.sub)
     jd = v.relative_joining(bc)

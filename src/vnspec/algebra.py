@@ -49,7 +49,10 @@ SPAN_SEED = 11  # seed of the generic generators of A over F spanning <A, e>
 INCLUSION_SEED = 13  # seed of the generic generators of F in the j(F)' check
 CENTER_SEED = 17  # seed of the two generic generators whose commutant is the center
 MODES_SEED = 19  # seed of the phases w whose Hermitian part of w alpha is diagonalised
-PRODUCT_SEED = 23  # seed of the generic pair certifying a product system's inherited table
+PRODUCT_SEED = 23  # seed of the generic pairs certifying a product system's inherited
+                   # table and the block product of <A, e>
+MINIMAL_SEED = 29  # seed of the generic elements of F giving minimal projections and
+                   # matrix units of its blocks and the partial isometries of the dynamics
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,97 @@ class MatrixStarAlgebra:
 
     def identity(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=np.complex128)
+
+
+@dataclass(frozen=True)
+class BlockAlgebra:
+    """The algebra sum_k M_{m_k} (x) 1_{n_k} on C^n, in block coordinates.
+
+    Block k acts through n_k orthonormal frames V_{k,i} (``frames[k][i]``,
+    n x m_k) with pairwise orthogonal ranges: an element x is
+    sum_k sum_i V_{k,i} x_k V_{k,i}^H, and its coordinates are the entries of
+    its blocks x_k, row by row and block after block, sum_k m_k^2 of them.
+    Products and adjoints are blockwise, and the Hilbert-Schmidt product is
+    sum_k n_k tr(x_k^H y_k).  The coordinates of any matrix are those of its
+    Hilbert-Schmidt projection onto the algebra, the averaged compressions
+    (1 / n_k) sum_i V_{k,i}^H x V_{k,i}.
+    """
+    frames: tuple[np.ndarray, ...]  # (n_k, n, m_k) for each block k
+
+    def __post_init__(self):
+        for f in self.frames:
+            f.setflags(write=False)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(f.shape[2] for f in self.frames)
+
+    @property
+    def mults(self) -> tuple[int, ...]:
+        return tuple(f.shape[0] for f in self.frames)
+
+    @property
+    def dim(self) -> int:
+        return sum(m * m for m in self.sizes)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.frames[0].shape[1]
+
+    @property
+    def hs_weights(self) -> np.ndarray:
+        """n_k at each coordinate of block k: <x, y>_HS = sum conj(x) w y."""
+        return np.concatenate([np.full(m * m, float(nk))
+                               for m, nk in zip(self.sizes, self.mults)])
+
+    def blocks(self, c) -> list[np.ndarray]:
+        """The blocks (..., m_k, m_k) of coordinates (..., dim)."""
+        c, out, start = np.asarray(c), [], 0
+        for m in self.sizes:
+            out.append(c[..., start:start + m * m].reshape(*c.shape[:-1], m, m))
+            start += m * m
+        return out
+
+    def join(self, blocks) -> np.ndarray:
+        """Coordinates (..., dim) of blocks (..., m_k, m_k)."""
+        return np.concatenate([b.reshape(*b.shape[:-2], -1) for b in blocks], axis=-1)
+
+    def product(self, x, y) -> np.ndarray:
+        return self.join([a @ b for a, b in zip(self.blocks(x), self.blocks(y))])
+
+    def adjoint(self, x) -> np.ndarray:
+        return self.join([b.conj().swapaxes(-1, -2) for b in self.blocks(x)])
+
+    def identity_coords(self) -> np.ndarray:
+        return self.join([np.eye(m, dtype=np.complex128) for m in self.sizes])
+
+    def coords(self, mats) -> np.ndarray:
+        """Coordinates of a matrix or of a stack (..., n, n) of them."""
+        mats = np.asarray(mats)
+        lead = (1,) * (mats.ndim - 2)
+        out = []
+        for f in self.frames:
+            if len(f) == 1:
+                out.append(f[0].conj().T @ mats @ f[0])
+                continue
+            fh = f.conj().transpose(0, 2, 1)
+            out.append((fh.reshape(len(f), *lead, *fh.shape[1:]) @ mats
+                        @ f.reshape(len(f), *lead, *f.shape[1:])).mean(axis=0))
+        return self.join(out)
+
+    def from_coords(self, c) -> np.ndarray:
+        """The matrices (..., n, n) with coordinates (..., dim)."""
+        c = np.asarray(c, dtype=np.complex128)
+        n = self.ambient_dim
+        total = np.zeros((*c.shape[:-1], n, n), dtype=np.complex128)
+        for f, x in zip(self.frames, self.blocks(c)):
+            for v in f:
+                total += v @ x @ v.conj().T
+        return total
+
+    def membership_residual(self, mat: np.ndarray) -> float:
+        return linalg.hs_norm(mat - self.from_coords(self.coords(mat))) \
+            / max(1.0, linalg.hs_norm(mat))
 
 
 def generate_algebra(generators, ambient_dim: int,
@@ -150,13 +244,15 @@ def center(alg: MatrixStarAlgebra,
     It is the kernel of c -> ([c, g_1], [c, g_2]) for two seeded generic g,
     which generate the algebra as two generic elements of a finite-dimensional
     C*-algebra do; each kernel element is checked to commute with every basis
-    element, which certifies that.  The null space has 2 n^2 rows, not d n^2.
+    element, which certifies that.  The commutators lie in the algebra, so
+    the null space reads their coordinates: 2 d rows, not 2 N^2.
     """
     d, n = alg.dim, alg.ambient_dim
     rng = np.random.default_rng(CENTER_SEED)
     gens = alg.from_coords_stack(linalg.random_complex(rng, (2, d)))
     comms = alg.basis[:, None] @ gens - gens @ alg.basis[:, None]  # [b_i, g]
-    kernel = linalg.nullspace(comms.reshape(d, -1).T, tol.eps_rank)  # central coords
+    comm_coords = alg.coords_stack(comms.reshape(-1, n, n)).reshape(d, -1)
+    kernel = linalg.nullspace(comm_coords.T, tol.eps_rank)  # central coords
     if not kernel.shape[1]:  # the identity is central, so the cutoff dropped it
         raise NumericalBreakdown(
             f"rank cutoff {tol.eps_rank:g} drops the identity from the center")

@@ -1,25 +1,41 @@
-"""Jones basic construction with its canonical lifted trace.
+"""Jones basic construction in the block coordinates of j(F)', with its
+canonical lifted trace.
 
-Given a system on H with cyclic projection e onto the subalgebra's cyclic
-subspace, builds <A, e> as the span of the d k products x e b, for the d
-elements x of A making the L(x) e Hilbert-Schmidt orthonormal and k seeded
-generic b in A with F b_1 + ... + F b_k = A (a Pimsner-Popa-type generating
-set), k = ceil(dim A / dim F) unless more are needed; it never forms the d^2
-products a_i e a_j.  It certifies that this span is the commutant j(F)' of
-the right subalgebra action by inclusion (every basis element commutes with
-j(g) for seeded generic g that generate F as an algebra, one when every
-central block of F is M_1 and two otherwise) and dimension (the Bratteli
-count sum_k m_k^2 over those blocks (p_k, n_k, m_k) of F in A, which never
-reads e or the b), and that it is a unital algebra by the Jones relation
-e a e = E(a) e  on the basis of A, with the subsystem's E, and by the
-identity's membership.  The relation makes e commute with F, so a e (f b) = (a f) e b
-and the span is all of span(A e A), which is closed under
-(a e b)(c e d) = a E(b c) e d.  It gives the algebra the trace
-lifted(a e b) = mu(a b)  in closed form from the same blocks, conjugates the
-dynamics, maps the result into L2(<A, e>, lifted trace) by a Cholesky
-factor of its Gram matrix, and finds the fixed points of the conjugated
-dynamics, {U}' in <A, e>, by one null space that the module and ergodicity
-routes share.
+<A, e> is the commutant j(F)' of the right action of F on H, which is
+sum_k M_{m_k} (x) 1_{n_k} over the central blocks (p_k, n_k, m_k) of F in A
+(Jones 1983; Goodman, de la Harpe and Jones 1989, ch. 2).  Each block has a
+minimal projection q_k of F p_k: p_k itself when n_k = 1, otherwise a
+spectral projection of a seeded generic Hermitian element of F, certified
+by q_k f q_k in C q_k over F's basis.  An orthonormal basis V_k of j(q_k) H
+and the frames V_{k,i} = j(u_{k,i})* V_k, for matrix units u_{k,i} of F p_k,
+make an element x its r = sum_k m_k^2 block entries x_k = V_k^H x V_k
+(``algebra.BlockAlgebra``); no n^2-wide array is formed.
+
+The algebra is spanned by the d k products x e b, for the d elements x of A
+making the L(x) e Hilbert-Schmidt orthonormal and k seeded generic b in A
+with F b_1 + ... + F b_k = A (a Pimsner-Popa-type generating set),
+k = ceil(dim A / dim F) unless more are needed.  Writing e = E_0 E_0^H,
+block k of x e b is (V_k^H L(x) E_0)(E_0^H L(b) V_k), and the d k x r
+matrix of these blocks must have rank r, the Bratteli count sum_k m_k^2
+(which reads A and F, never e or the b).  The products lie in j(F)' as L(A)
+commutes with j(F), and e does too, which one commutator [e, j(g)] per
+seeded generic g certifies (the g generate F as an algebra: one when every
+n_k = 1, two otherwise); a seeded generic pair of span elements must be
+rebuilt from its blocks, multiply blockwise and satisfy the trace property.
+The Jones relation e a e = E(a) e on the basis of A, with the subsystem's E,
+and the identity's membership make the span a unital algebra: e commutes
+with F, so a e (f b) = (a f) e b, the span is all of span(A e A), and
+(a e b)(c e d) = a E(b c) e d.
+
+The lifted trace lifted(a e b) = mu(a b) is sum_k mu(p_k) / n_k tr(x_k), in
+closed form, checked on every pair of basis elements of A.  Conjugation by U
+carries block k to block pi(k), where alpha(p_k) = p_pi(k), by
+x_k -> U_k x_k U_k^H with U_k = V_pi(k)^H j(w_k)* U V_k, for the partial
+isometry w_k from alpha(q_k) to q_pi(k) in F (p_pi(k) when n_k = 1); each
+U_k is certified unitary with U V_k = j(w_k) V_pi(k) U_k.  L2(<A, e>) of the
+lifted trace is diagonal in these coordinates, and the fixed points of the
+lifted dynamics, {U}' in <A, e>, are one null space of an r x r matrix that
+the module and ergodicity routes share.
 """
 from __future__ import annotations
 
@@ -28,14 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import (DEFAULT_TOL, INCLUSION_SEED, SPAN_SEED, MatrixStarAlgebra,
-                      StarAutomorphism, Subsystem, ToleranceConfig, TraceFunctional,
-                      automorphism_from_unitary, bratteli_blocks, product_trace_table,
-                      validate_trace)
-from .errors import (CommutantMismatch, ExtensionInconsistent, NotAutomorphism,
-                     NumericalBreakdown, PartitionInvalid, SubsystemInvalid,
-                     TraceNotFaithful)
-from .gns import GnsSpace, cyclic_subspace_projection, gns_map
+from .algebra import (DEFAULT_TOL, INCLUSION_SEED, MINIMAL_SEED, PRODUCT_SEED, SPAN_SEED,
+                      BlockAlgebra, MatrixStarAlgebra, StarAutomorphism, Subsystem,
+                      ToleranceConfig, TraceFunctional, bratteli_blocks,
+                      product_trace_table)
+from .errors import (CommutantMismatch, ExtensionInconsistent, NumericalBreakdown,
+                     PartitionInvalid, SubsystemInvalid)
+from .gns import GnsSpace, cyclic_subspace_frame
 
 
 @dataclass(frozen=True)
@@ -43,21 +58,21 @@ class BasicConstruction:
     gns: GnsSpace
     sub: Subsystem
     e: np.ndarray                   # projection onto the cyclic subspace of F
-    algebra: MatrixStarAlgebra      # span(A e A), equal to j(F)'
-    trace_vector: np.ndarray        # lifted trace on the algebra basis
-    trace: TraceFunctional          # same functional as a density (not normalized)
-    dynamics: StarAutomorphism      # conjugation by U in algebra coordinates
-    bar_to_vector: np.ndarray       # algebra coords -> L2(algebra, lifted trace)
+    algebra: BlockAlgebra           # span(A e A), equal to j(F)', in block coordinates
+    trace_vector: np.ndarray        # lifted trace: lifted(x) = trace_vector @ coords(x)
+    trace: TraceFunctional          # same functional as a central density (not normalized)
+    dynamics: StarAutomorphism      # conjugation by U in block coordinates
+    bar_to_vector: np.ndarray       # block coords -> L2(algebra, lifted trace), diagonal
     u_bar: np.ndarray               # unitary implementing the dynamics there
     fixed: np.ndarray               # (dim, f) orthonormal coords of the fixed points
     commutant_residual: float
     extension_residual: float
-    tracial_residual: float         # max |T - T^T| of the lifted trace's table
+    tracial_residual: float         # trace property, block product of a generic pair
     blocks: tuple                   # central blocks (p_k, n_k, m_k) of F in A
     x_coords: np.ndarray            # (d, d) coords of x_i: L(x_i) e HS orthonormal
     b_coords: np.ndarray            # (k, d) coords of b_s: F b_1 + ... + F b_k = A
     g_coords: np.ndarray            # coords of the inclusion generators of F
-    span_coords: np.ndarray         # (d k, dim) coords of x_i e b_s, row i k + s
+    span_coords: np.ndarray         # (d k, dim) block coords of x_i e b_s, row i k + s
 
     def __post_init__(self):
         for a in (self.e, self.trace_vector, self.bar_to_vector, self.u_bar, self.fixed,
@@ -111,21 +126,6 @@ def _generators(sub: Subsystem, whiten: np.ndarray,
         draws = np.vstack([draws, linalg.random_complex(rng, (1, d))])
 
 
-def _span_candidates(gns: GnsSpace, e: np.ndarray, x_coords: np.ndarray,
-                     b_coords: np.ndarray) -> np.ndarray:
-    """The d k products (L(x_i) e)(e L(b_s)) spanning <A, e>, row i k + s.
-
-    The x_i make the L(x_i) e Hilbert-Schmidt orthonormal, and the b_s are
-    generic combinations of elements making the e L(b) so, which generate A
-    over F.  Both factors then have singular values near 1 however skewed
-    the trace, so the rank cutoff sees no trace weight.  As e commutes with
-    L(F), a e (f b) = (a f) e b, so span(A e B) = span(A e A).
-    """
-    left_x = np.tensordot(x_coords, gns.left_mats, axes=(1, 0)) @ e
-    right_b = e @ np.tensordot(b_coords, gns.left_mats, axes=(1, 0))
-    return (left_x[:, None] @ right_b[None]).reshape(-1, gns.dim ** 2)
-
-
 def _inclusion_generators(sub_alg: MatrixStarAlgebra, count: int,
                           tol: ToleranceConfig) -> np.ndarray:
     """``count`` seeded generic g in F that generate F as an algebra: the
@@ -155,8 +155,125 @@ def _inclusion_generators(sub_alg: MatrixStarAlgebra, count: int,
     return gens
 
 
+def _partial_isometry(target: np.ndarray, f: np.ndarray, source: np.ndarray,
+                      tol: ToleranceConfig) -> np.ndarray:
+    """w = target f source / sqrt(lambda), with w w* = target and w* w = source.
+
+    For minimal projections of one block of F and a generic f in F,
+    target f source f* target = lambda target with lambda > 0, so w is the
+    partial isometry of F from source to target; both relations are checked.
+    """
+    w = target @ f @ source
+    w = w / np.sqrt(np.vdot(w, w).real / np.trace(target).real)
+    resid = max(float(np.abs(w @ w.conj().T - target).max()),
+                float(np.abs(w.conj().T @ w - source).max()))
+    if resid > tol.eps_assert:
+        raise NumericalBreakdown(f"no partial isometry of F joins two minimal "
+                                 f"projections of a block (residual {resid:.2e})")
+    return w
+
+
+def _minimal_projections(sub: Subsystem, blocks, rng: np.random.Generator,
+                         tol: ToleranceConfig) -> list[np.ndarray]:
+    """For each central block (p_k, n_k, m_k) of F, n_k pairwise orthogonal
+    minimal projections of F p_k summing to p_k, the first being q_k.
+
+    For n_k = 1 that is p_k.  Otherwise F p_k = M_{n_k} (x) 1 on p_k C^N, so a
+    seeded generic Hermitian h in F has n_k eigenvalues there, each as often
+    as rank p_k / n_k, and its eigenprojections, the runs of that length of
+    its sorted eigenvectors, are the projections.  Each is certified to lie
+    in F and to be minimal: q b q = (Tr(q b) / Tr(q)) q for every basis
+    element b of F.
+    """
+    alg = sub.algebra
+    h = alg.from_coords(linalg.random_complex(rng, alg.dim))
+    h = h + h.conj().T
+    out = []
+    for p, nk, _ in blocks:
+        if nk == 1:
+            out.append(p[None])
+            continue
+        w, vecs = np.linalg.eigh(p)
+        support = vecs[:, w > 0.5]
+        if support.shape[1] % nk:
+            raise NumericalBreakdown(f"a central block of F of rank {support.shape[1]} "
+                                     f"is not {nk} equal minimal projections")
+        cols = support @ np.linalg.eigh(support.conj().T @ h @ support)[1]
+        qs = np.stack([c @ c.conj().T for c in np.split(cols, nk, axis=1)])
+        qbq = qs[:, None] @ alg.basis @ qs[:, None]
+        scale = np.trace(qbq, axis1=2, axis2=3) / np.trace(qs, axis1=1, axis2=2)[:, None]
+        resid = max(float(np.abs(qbq - scale[..., None, None] * qs[:, None]).max()),
+                    max(alg.membership_residual(q) for q in qs))
+        if resid > tol.eps_assert:
+            raise NumericalBreakdown(f"eigenprojections of a generic element of F are "
+                                     f"not minimal projections of F "
+                                     f"(residual {resid:.2e})")
+        out.append(qs)
+    return out
+
+
+def _block_algebra(gns: GnsSpace, minimal: list[np.ndarray], f: np.ndarray,
+                   tol: ToleranceConfig) -> BlockAlgebra:
+    """j(F)' in the frames of its blocks: V_k an orthonormal basis of
+    j(q_k) H, and V_{k,i} = j(u_{k,i})* V_k for the matrix units
+    u_{k,i} = q_{k,i} f q_k of F p_k, normalised, which map j(q_k) H onto
+    j(q_{k,i}) H as j reverses products."""
+    alg = gns.system.algebra
+    first = alg.coords_stack(np.stack([qs[0] for qs in minimal]))
+    right = gns.j_op(np.tensordot(first, gns.left_mats, axes=(1, 0)))  # j(q_k)
+    frames = []
+    for qs, jq in zip(minimal, right):
+        v = linalg.orthonormal_columns(jq, tol.eps_rank)
+        units = [_partial_isometry(q, f, qs[0], tol) for q in qs[1:]]
+        others = [gns.j_op(gns.left(u)).conj().T @ v for u in units]
+        frames.append(np.ascontiguousarray(np.stack([v, *others])))
+    return BlockAlgebra(tuple(frames))
+
+
+def corner_factors(gns: GnsSpace, e_frame: np.ndarray,
+                   alg: BlockAlgebra) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each block k, V_k^H L(a_j) E_0 (d, m_k, dim F) and E_0^H L(a_j) V_k
+    (d, dim F, m_k) over the basis a_j of A: block k of a_i e a_j is their
+    product, as e = E_0 E_0^H."""
+    left_e = gns.left_mats @ e_frame
+    e_left = e_frame.conj().T @ gns.left_mats
+    return [(f[0].conj().T @ left_e, e_left @ f[0]) for f in alg.frames]
+
+
+def _span_coords(alg: BlockAlgebra, corners, x_coords: np.ndarray,
+                 b_coords: np.ndarray) -> np.ndarray:
+    """Block coordinates of the d k products x_i e b_s spanning <A, e>, row
+    i k + s.
+
+    The x_i make the L(x_i) e Hilbert-Schmidt orthonormal, and the b_s are
+    generic combinations of elements making the e L(b) so, which generate A
+    over F.  Both factors then have singular values near 1 however skewed
+    the trace, so the rank cutoff sees no trace weight.  As e commutes with
+    L(F), a e (f b) = (a f) e b, so span(A e B) = span(A e A).
+    """
+    blocks = [np.tensordot(x_coords, left, axes=(1, 0))[:, None]
+              @ np.tensordot(b_coords, right, axes=(1, 0))[None]
+              for left, right in corners]
+    return alg.join(blocks).reshape(len(x_coords) * len(b_coords), alg.dim)
+
+
+def _generic_pair(gns: GnsSpace, e_frame: np.ndarray,
+                  b_coords: np.ndarray) -> list[np.ndarray]:
+    """Two seeded generic elements sum_s L(c_s) e L(b_s) of span(A e A), with
+    generic c_s in A, scaled to unit Hilbert-Schmidt norm."""
+    rng = np.random.default_rng(PRODUCT_SEED)
+    right = e_frame.conj().T @ np.tensordot(b_coords, gns.left_mats, axes=(1, 0))
+    pair = []
+    for _ in range(2):
+        c = linalg.random_complex(rng, b_coords.shape)
+        left = np.tensordot(c, gns.left_mats, axes=(1, 0)) @ e_frame
+        x = np.einsum("sab,sbc->ac", left, right)
+        pair.append(x / linalg.hs_norm(x))
+    return pair
+
+
 def _jones_relation(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
-                    alg_bar: MatrixStarAlgebra, tol: ToleranceConfig) -> float:
+                    alg_bar, tol: ToleranceConfig) -> float:
     """Residual of  e a e = E(a) e  on the basis of A, and of the identity's
     membership in the algebra, the span of {x_i e b_s}.
 
@@ -180,76 +297,139 @@ def _jones_relation(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
     return max(ident, jones)
 
 
-def lifted_trace(gns: GnsSpace, e: np.ndarray, alg_bar: MatrixStarAlgebra,
-                 blocks: list[tuple[np.ndarray, int, int]], tol: ToleranceConfig = DEFAULT_TOL
-                 ) -> tuple[TraceFunctional, float]:
+def lifted_trace(gns: GnsSpace, corners, alg: BlockAlgebra,
+                 blocks: list[tuple[np.ndarray, int, int]],
+                 tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """The trace  a e b -> mu(a b)  on the algebra, in closed form.
 
-    <A, e> = j(F)' has the trace vector of F, so the trace is Tr(x Delta)
-    with the central density Delta = j(sum_k mu(p_k) / n_k^2 p_k) over the
-    blocks (p_k, n_k, m_k) of F in A.  The defining identity is checked on
-    every pair of basis elements, and its residual is returned.
+    <A, e> = j(F)' has the trace vector of F: over the blocks
+    (p_k, n_k, m_k) of F in A, the trace of x is sum_k mu(p_k) / n_k tr(x_k),
+    where mu(p_k) / n_k is the trace of a minimal projection of F p_k.
+    Returns it as the vector t with lifted(x) = t @ coords(x), after checking
+    the defining identity on every pair of basis elements a_i, a_j, whose
+    blocks are products of the ``corner_factors``; the residual is returned.
     """
     mu = gns.system.trace
-    z = sum(mu.value(p).real / n ** 2 * p for p, n, _ in blocks)
-    density = gns.j_op(gns.left(z))
-    lifted = np.einsum("ab,ibc,cd,jda->ij", density, gns.left_mats, e,
-                       gns.left_mats, optimize=True)
+    weights = [mu.value(p).real / n for p, n, _ in blocks]
+    lifted = sum(w * np.einsum("iaf,jfa->ij", left, right)
+                 for w, (left, right) in zip(weights, corners))
     defining = float(np.abs(
         lifted - product_trace_table(gns.system.algebra, mu.density)).max())
     if defining > tol.eps_assert:
         raise ExtensionInconsistent(
             f"lifted(a e b) = mu(a b) fails on a basis pair "
             f"(residual {defining:.2e})")
-    return TraceFunctional(density, normalized=False), defining
+    vector = alg.join([w * np.eye(m) for w, m in zip(weights, alg.sizes)])
+    return vector, defining
+
+
+def _lifted_dynamics(gns: GnsSpace, alg: BlockAlgebra, blocks,
+                     minimal: list[np.ndarray], f: np.ndarray,
+                     tol: ToleranceConfig) -> np.ndarray:
+    """Coordinate matrix of x -> U x U* on the block algebra.
+
+    U j(a) U* = j(alpha(a)) as U commutes with J, so U maps j(q_k) H onto
+    j(alpha(q_k)) H, and alpha(p_k) = p_pi(k) for a permutation pi of the
+    blocks.  With w_k the partial isometry of F from alpha(q_k) to q_pi(k)
+    (p_pi(k) when n_k = 1), j(w_k) V_pi(k) is an orthonormal basis of
+    j(alpha(q_k)) H, so U V_k = j(w_k) V_pi(k) U_k for a unitary U_k, and
+    the block pi(k) of U x U* is U_k x_k U_k^H.  Checks pi, U J = J U, each
+    U_k's unitarity and that relation.
+    """
+    u, amb = gns.u_matrix, gns.system.dynamics.unitary
+    conj = gns.conj_matrix
+    resid = float(np.abs(u @ conj - conj @ u.conj()).max())
+    projs = np.stack([p for p, _, _ in blocks])
+    moved = amb @ projs @ amb.conj().T  # alpha(p_k)
+    perm = (moved.reshape(len(projs), -1).conj()
+            @ projs.reshape(len(projs), -1).T).real.argmax(axis=1)
+    resid = max(resid, float(np.abs(moved - projs[perm]).max()))
+    starts = np.cumsum([0, *(m * m for m in alg.sizes)])
+    matrix = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
+    for k, l in enumerate(perm):
+        if (alg.sizes[l], alg.mults[l]) != (alg.sizes[k], alg.mults[k]):
+            raise NumericalBreakdown("the dynamics moves a central block of F onto "
+                                     "one of another shape")
+        image = alg.frames[l][0]
+        if alg.mults[k] > 1:
+            w = _partial_isometry(minimal[l][0], f, amb @ minimal[k][0] @ amb.conj().T,
+                                  tol)
+            image = gns.j_op(gns.left(w)) @ image
+        moved_v = u @ alg.frames[k][0]
+        uk = image.conj().T @ moved_v
+        resid = max(resid, float(np.abs(uk.conj().T @ uk - np.eye(len(uk))).max()),
+                    float(np.abs(moved_v - image @ uk).max()))
+        matrix[starts[l]:starts[l + 1], starts[k]:starts[k + 1]] = np.kron(uk, uk.conj())
+    if resid > tol.eps_assert:
+        raise NumericalBreakdown(f"lifted system: conjugation by the unitary does not "
+                                 f"map the blocks of <A, e> onto each other "
+                                 f"(residual {resid:.2e})")
+    return matrix
 
 
 def build_basic_construction(gns: GnsSpace, sub: Subsystem,
                              tol: ToleranceConfig = DEFAULT_TOL) -> BasicConstruction:
     if sub.parent is not gns.system:
         raise SubsystemInvalid("subsystem does not belong to this system")
-    e = cyclic_subspace_projection(gns, sub, tol)
-    n = gns.dim
-    xs = _whitener(gns.left_mats @ e).T  # coordinates of the x_i
-    bs = _generators(sub, _whitener(e @ gns.left_mats), tol)
-    cand = _span_candidates(gns, e, xs, bs)
-    rows = linalg.extend_orthonormal(np.zeros((0, n * n), dtype=np.complex128),
-                                     cand, tol.eps_rank)
-    spanned = MatrixStarAlgebra(n, np.ascontiguousarray(rows.reshape(-1, n, n)))
-    span_coords = spanned.coords_stack(cand)  # read by the equivalence
-    del cand  # the d k x n^2 candidates are not kept
+    e0 = cyclic_subspace_frame(gns, sub, tol)
+    e = e0 @ e0.conj().T
+    xs = _whitener(gns.left_mats @ e0).T  # coordinates of the x_i
+    bs = _generators(sub, _whitener(e0.conj().T @ gns.left_mats), tol)
     blocks = bratteli_blocks(gns.system.algebra, sub.algebra, tol)
-    # inclusion in j(F)': the largest entry of [b, j(g)], relative to |j(g)|,
-    # for one g when F is commutative (every block n_k = 1), two otherwise
+    rng = np.random.default_rng(MINIMAL_SEED)
+    minimal = _minimal_projections(sub, blocks, rng, tol)
+    f = sub.algebra.from_coords(linalg.random_complex(rng, sub.algebra.dim))
+    alg = _block_algebra(gns, minimal, f, tol)
+    corners = corner_factors(gns, e0, alg)
+    span_coords = _span_coords(alg, corners, xs, bs)  # read by the equivalence
+    rank = linalg.rank(span_coords, tol.eps_rank)
+    # inclusion in j(F)': the largest entry of [e, j(g)], relative to |j(g)|,
+    # for one g when F is commutative (every block n_k = 1), two otherwise, and
+    # a generic pair of span elements rebuilt from its blocks
     commutative = all(nk == 1 for _, nk, _ in blocks)
     gens = _inclusion_generators(sub.algebra, 1 if commutative else 2, tol)
     gen_coords = gns.system.algebra.coords_stack(gens)
     right_g = gns.j_op(np.tensordot(gen_coords, gns.left_mats, axes=(1, 0)))
-    resid = max(float(np.abs(spanned.basis @ j - j @ spanned.basis).max()
-                      / np.linalg.norm(j, 2)) for j in right_g)
+    pair = _generic_pair(gns, e0, bs)
+    resid = max(*(float(np.abs(e @ j - j @ e).max() / np.linalg.norm(j, 2))
+                  for j in right_g),
+                *(float(np.abs(x - alg.from_coords(alg.coords(x))).max()) for x in pair))
     count = sum(m * m for _, _, m in blocks)
-    if spanned.dim != count or resid > tol.eps_assert:
+    if rank != count or alg.dim != count or resid > tol.eps_assert:
         raise CommutantMismatch(
-            f"span(A e A) (dim {spanned.dim}) and j(F)' (dim {count} by the "
+            f"span(A e A) (dim {rank}) and j(F)' (dim {count} by the "
             f"Bratteli count) disagree, commutator residual {resid:.2e}")
-    jones = _jones_relation(gns, sub, e, spanned, tol)
-    trace_bar, defining = lifted_trace(gns, e, spanned, blocks, tol)
-    # the lifted trace is faithful, and U normalises <A, e> whenever alpha is
-    # an automorphism of A fixing F; a fault here is a failed cross-check
-    try:
-        gram_bar, tracial = validate_trace(spanned, trace_bar, tol)
-        dyn_bar = automorphism_from_unitary(spanned, gns.u_matrix, trace_bar, tol)
-    except (TraceNotFaithful, NotAutomorphism) as exc:
-        raise NumericalBreakdown(f"lifted system: {exc}") from exc
-    # validate_trace has checked that the Gram matrix is positive definite
-    to_vec, _, u_bar = gns_map(gram_bar, dyn_bar.matrix)
-    # {U}' in <A, e>: alpha_bar is unitary in the Hilbert-Schmidt coordinates
-    fixed = linalg.nullspace(dyn_bar.matrix - np.eye(spanned.dim), tol.eps_rank)
+    jones = _jones_relation(gns, sub, e, alg, tol)
+    trace_vector, defining = lifted_trace(gns, corners, alg, blocks, tol)
+    # the block product and the trace property on the generic pair
+    x, y = pair
+    cx, cy = alg.coords(x), alg.coords(y)
+    tracial = max(float(np.abs(alg.coords(x @ y) - alg.product(cx, cy)).max()),
+                  abs(trace_vector @ (alg.product(cx, cy) - alg.product(cy, cx))))
+    # the lifted trace's Gram matrix is diagonal here, w_k = mu(p_k) / n_k at
+    # each coordinate of block k; over a Hilbert-Schmidt orthonormal basis its
+    # eigenvalues are w_k / n_k, which faithfulness bounds by eps_rank
+    weights = alg.join([np.full(t.shape, t[0, 0]) for t in alg.blocks(trace_vector)])
+    if (weights / alg.hs_weights).min() < tol.eps_rank:
+        raise NumericalBreakdown("lifted system: trace is not faithful on the algebra")
+    if tracial > tol.eps_assert:
+        raise NumericalBreakdown("lifted system: functional is not tracial on the "
+                                 f"algebra (residual {tracial:.2e})")
+    dyn = _lifted_dynamics(gns, alg, blocks, minimal, f, tol)
+    if np.abs(trace_vector @ dyn - trace_vector).max() > tol.eps_assert:
+        raise NumericalBreakdown("lifted system: conjugation by the unitary does not "
+                                 "preserve the trace")
+    root = np.sqrt(weights)
+    u_bar = root[:, None] * dyn / root
+    # {U}' in <A, e>: alpha_bar is unitary in these coordinates
+    fixed = linalg.nullspace(dyn - np.eye(alg.dim), tol.eps_rank)
     if not fixed.shape[1]:
         raise NumericalBreakdown(
             f"rank cutoff {tol.eps_rank:g} drops the identity from the fixed points")
-    return BasicConstruction(gns, sub, e, spanned, trace_bar.values(spanned.basis),
-                             trace_bar, dyn_bar, np.ascontiguousarray(to_vec),
+    density = TraceFunctional(alg.from_coords(trace_vector / alg.hs_weights),
+                              normalized=False)
+    return BasicConstruction(gns, sub, e, alg, trace_vector, density,
+                             StarAutomorphism(dyn, gns.u_matrix), np.diag(root),
                              np.ascontiguousarray(u_bar), np.ascontiguousarray(fixed),
                              resid, max(jones, defining), tracial, tuple(blocks),
                              xs, bs, gen_coords, span_coords)
@@ -259,17 +439,30 @@ def default_partition(bc: BasicConstruction,
                       tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """Elements v_i of the commutant-side construction with sum v_i* e v_i = 1.
 
-    Takes an orthonormal basis (m_i) of J <A,e> J; the averaged element
-    sum m_i* e m_i is central and positive there, so m_i scaled by its inverse
-    square root gives a valid partition.
+    They are v_i = j(y_i) = J y_i* J for y_i in <A, e> with
+    sum_i y_i e y_i* = 1, as v_i* e v_i = J y_i e y_i* J.  Block k of e is a
+    projection e_k of rank rho_k with orthonormal range columns G_k, and block
+    k of y_i maps G_k onto the standard basis vectors i rho_k .. i rho_k +
+    rho_k - 1 of C^{m_k} (those below m_k), so the y_i e y_i* add up to 1 in
+    max_k ceil(m_k / rho_k) members.
     """
-    gns = bc.gns
-    m_basis = gns.j_op(bc.algebra.basis)
-    psi = np.einsum("iba,bc,icd->ad", m_basis.conj(), bc.e, m_basis,
-                    optimize=True)
-    psi = (psi + psi.conj().T) / 2
-    scale = linalg.inv_sqrt_psd(psi, tol.eps_rank)
-    return [m @ scale for m in m_basis]
+    alg = bc.algebra
+    ranges = [linalg.orthonormal_columns(ek, tol.eps_rank)
+              for ek in alg.blocks(alg.coords(bc.e))]
+    if not all(g.shape[1] for g in ranges):
+        raise NumericalBreakdown(
+            f"rank cutoff {tol.eps_rank:g} drops e from a block of <A, e>")
+    count = max(-(-m // g.shape[1]) for m, g in zip(alg.sizes, ranges))
+    members = []
+    for i in range(count):
+        blocks = []
+        for m, g in zip(alg.sizes, ranges):
+            y = np.zeros((m, m), dtype=np.complex128)
+            rows = range(i * g.shape[1], min((i + 1) * g.shape[1], m))
+            y[rows] = g[:, :len(rows)].conj().T
+            blocks.append(y)
+        members.append(alg.join(blocks))
+    return list(bc.gns.j_op(alg.from_coords(np.stack(members))))
 
 
 def lifted_trace_via_partition(bc: BasicConstruction, partial_isometries,
@@ -277,16 +470,22 @@ def lifted_trace_via_partition(bc: BasicConstruction, partial_isometries,
     """Evaluate the lifted trace as sum_i <J v_i* Omega, t J v_i* Omega>.
 
     Validates sum v_i* e v_i = 1 and that the result agrees with the
-    closed-form trace on the algebra basis; returns the largest disagreement.
+    closed-form trace on the algebra; returns the largest disagreement.  For
+    t in <A, e> and a vector w, <w, t w> = sum_k sum_i z^H t_k z with
+    z = V_{k,i}^H w, so the functional's coordinates are read off the
+    vectors' block components.
     """
     vs = [np.asarray(v, dtype=np.complex128) for v in partial_isometries]
     total = sum(v.conj().T @ bc.e @ v for v in vs)
     if np.abs(total - np.eye(bc.gns.dim)).max() > tol.eps_assert:
         raise PartitionInvalid("sum v_i* e v_i differs from the identity")
     vecs = np.stack([bc.gns.apply_j(v.conj().T @ bc.gns.omega) for v in vs])
-    values = np.einsum("ia,kab,ib->k", vecs.conj(), bc.algebra.basis, vecs,
-                       optimize=True)
-    resid = float(np.abs(values - bc.trace_vector).max())
+    parts = []
+    for f in bc.algebra.frames:
+        z = (f.conj().transpose(0, 2, 1) @ vecs.T).transpose(1, 0, 2).reshape(
+            f.shape[2], -1)
+        parts.append(z.conj() @ z.T)
+    resid = float(np.abs(bc.algebra.join(parts) - bc.trace_vector).max())
     if resid > tol.eps_assert:
         raise ExtensionInconsistent(
             f"partition formula disagrees with the closed-form trace "

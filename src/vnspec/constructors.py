@@ -429,8 +429,26 @@ def build_finite_extension(spec: FiniteExtensionSpec,
     return replace(_product(b_sys, m2_sys, w_full, tol), summands=(n1, nb - n1))
 
 
+@dataclass(frozen=True)
+class FiniteExtensionDiagnostics:
+    """Residuals of the structural identities of a two-dimensional extension."""
+    beta_two_expressions: float  # the two expressions for the restricted dynamics
+    off_diagonal: float          # the off-diagonal cancellation
+    restriction: float           # alpha(b (x) 1) = beta(b) (x) 1
+    display_pattern: float       # the displayed block pattern of alpha(1 (x) m)
+    product_distance: float      # distance of alpha(1 (x) E12) from 1 (x) M_2
+    nonproduct_detected: bool
+    nonproduct_expected: bool    # both summands present
+
+    @property
+    def structure_residual(self) -> float:
+        return max(self.beta_two_expressions, self.off_diagonal, self.restriction,
+                   self.display_pattern)
+
+
 def finite_extension_diagnostics(fe: ConstructedSystem,
-                                 tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+                                 tol: ToleranceConfig = DEFAULT_TOL
+                                 ) -> FiniteExtensionDiagnostics:
     """Residuals of the structural identities of a two-dimensional extension.
 
     Checks the two expressions for the restricted dynamics, the off-diagonal
@@ -484,10 +502,6 @@ def finite_extension_diagnostics(fe: ConstructedSystem,
     flat = image.reshape(-1)
     proj = fiber_rows.conj() @ flat
     product_distance = float(np.linalg.norm(flat - fiber_rows.T @ proj))
-    return {"beta_two_expressions": beta_resid,
-            "off_diagonal": offdiag_resid,
-            "restriction": restrict_resid,
-            "display_pattern": display_resid,
-            "product_distance": product_distance,
-            "nonproduct_detected": product_distance > tol.eps_assert,
-            "nonproduct_expected": n2 > 0}
+    return FiniteExtensionDiagnostics(beta_resid, offdiag_resid, restrict_resid,
+                                      display_resid, product_distance,
+                                      product_distance > tol.eps_assert, n2 > 0)

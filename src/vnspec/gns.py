@@ -77,13 +77,12 @@ def build_gns(system: WStarSystem, tol: ToleranceConfig = DEFAULT_TOL) -> GnsSpa
                     np.ascontiguousarray(conj_mat), np.ascontiguousarray(u_mat))
 
 
-def cyclic_subspace_projection(gns: GnsSpace, sub: Subsystem,
-                               tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Projection e of H onto the closure of F Omega.
+def cyclic_subspace_frame(gns: GnsSpace, sub: Subsystem,
+                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal columns E_0 spanning the closure of F Omega.
 
-    Satisfies e(a Omega) = D(a) Omega for the trace-preserving conditional
-    expectation D onto F.
+    The projection e = E_0 E_0^H satisfies e(a Omega) = D(a) Omega for the
+    trace-preserving conditional expectation D onto F.
     """
     cols = gns.to_vector @ sub.coords_in_parent.T  # (dim, m), columns f Omega
-    q = linalg.orthonormal_columns(cols, tol.eps_rank)
-    return q @ q.conj().T
+    return linalg.orthonormal_columns(cols, tol.eps_rank)

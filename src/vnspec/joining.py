@@ -59,22 +59,33 @@ def _read_back(gamma: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return gamma / lam[:, None] / norms
 
 
-def _tensor_gram(bc: BasicConstruction, right: tuple) -> np.ndarray:
+def _generating_side(bc: BasicConstruction) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors L(x_i) Omega and L(b_s)^H Omega of the generating tensors,
+    as columns i and s, formed once for every ``_tensor_gram`` of a joining
+    from the vectors L(a_j) Omega and L(a_j)^H Omega of A's basis."""
+    lm, om = bc.gns.left_mats, bc.gns.omega
+    return ((bc.x_coords @ (lm @ om)).T,
+            (bc.b_coords.conj() @ (lm.conj().transpose(0, 2, 1) @ om)).T)
+
+
+def _tensor_gram(bc: BasicConstruction, side: tuple[np.ndarray, np.ndarray],
+                 right: tuple) -> np.ndarray:
     """G[(i, s), (l, t)] = <x_i (x) j(b_s), y_l (x) j(c_t)>
-    = mu(E(x_i* y_l) E(c_t b_s*)) between the generating tensors and
-    right = (y, c), stacks of coordinate rows in A.
+    = mu(E(x_i* y_l) E(c_t b_s*)) between the generating tensors, whose
+    vectors ``side`` = (L(x_i) Omega, L(b_s)^H Omega) come from
+    ``_generating_side``, and right = (y, c), stacks of coordinate rows in A.
 
     Read from the GNS action alone as <E(y_l* x_i) Omega, E(c_t b_s*) Omega>
     with E(y* x) Omega = e L(y)^H L(x) Omega and E(c b*) Omega =
     e L(c) L(b)^H Omega, the operators the span's products x_i e b_s use;
     coordinates x Omega through to_vector would carry its condition number.
     """
-    gns, x, b, (y, c) = bc.gns, bc.x_coords, bc.b_coords, right
-    lx, lb, ly, lc = (np.tensordot(z, gns.left_mats, axes=(1, 0)) for z in (x, b, y, c))
-    p = bc.e @ ly.conj().transpose(0, 2, 1) @ (lx @ gns.omega).T  # (l, h, i)
-    q = bc.e @ lc @ (lb.conj().transpose(0, 2, 1) @ gns.omega).T  # (t, h, s)
+    gns, (x_vecs, b_vecs), (y, c) = bc.gns, side, right
+    ly, lc = (np.tensordot(z, gns.left_mats, axes=(1, 0)) for z in (y, c))
+    p = bc.e @ ly.conj().transpose(0, 2, 1) @ x_vecs  # (l, h, i)
+    q = bc.e @ lc @ b_vecs  # (t, h, s)
     return np.einsum("lhi,ths->islt", p.conj(), q, optimize=True).reshape(
-        len(x) * len(b), len(y) * len(c))
+        x_vecs.shape[1] * b_vecs.shape[1], len(y) * len(c))
 
 
 def factor_gram(gram: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
@@ -139,8 +150,8 @@ def relative_joining(bc: BasicConstruction,
     # Gram of the generating tensors, factored after Jacobi scaling so that
     # the pivots do not follow the trace weights; |t|^2 = mu(E(x* x) E(b b*))
     # is positive as mu is faithful and E(b_s b_s*) invertible for generic b_s
-    gens = (bc.x_coords, bc.b_coords)
-    gram = _tensor_gram(bc, gens)
+    gens, side = (bc.x_coords, bc.b_coords), _generating_side(bc)
+    gram = _tensor_gram(bc, side, gens)
     norms = np.sqrt(gram.diagonal().real)
     l_rows, factor_resid, pivot = factor_gram(gram / np.outer(norms, norms), tol)
     # L = V S with V orthonormal: gamma = S V^H, and L L^H = gamma^H gamma
@@ -149,10 +160,10 @@ def relative_joining(bc: BasicConstruction,
     read = _read_back(gamma, norms)
     # <t, W t'> = <t, (alpha (x) alpha') t'>, with t' moved by U
     moved = tuple(z @ m_alpha.T for z in gens)
-    w = read @ _tensor_gram(bc, moved) @ read.conj().T
+    w = read @ _tensor_gram(bc, side, moved) @ read.conj().T
     # F-subspace, both descriptions
     f, one = sub.coords_in_parent, alg.coords(alg.identity())[None]
-    h_lambda, alt_span = (linalg.orthonormal_columns(read @ _tensor_gram(bc, pair),
+    h_lambda, alt_span = (linalg.orthonormal_columns(read @ _tensor_gram(bc, side, pair),
                                                      tol.eps_rank)
                           for pair in ((f, one), (one, f)))
     span_resid = max(linalg.subspace_inclusion_residual(alt_span, h_lambda),
@@ -257,7 +268,7 @@ def relative_ergodicity_check(jd: JoiningData,
     bc = jd.basic
     fixed, _ = np.linalg.qr(bc.bar_to_vector @ bc.fixed)
     f_left = np.tensordot(bc.sub.coords_in_parent, bc.gns.left_mats, axes=(1, 0))
-    cols = bc.bar_to_vector @ bc.algebra.coords_stack(bc.e @ f_left).T
+    cols = bc.bar_to_vector @ bc.algebra.coords(bc.e @ f_left).T
     lam = linalg.orthonormal_columns(cols, tol.eps_rank)
     resid = linalg.subspace_inclusion_residual(fixed, lam)
     return ErgodicityCheck(resid < tol.eps_assert, resid,

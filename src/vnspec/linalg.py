@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalBreakdown
-
 
 def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
@@ -92,18 +90,6 @@ def subspace_inclusion_residual(inner: np.ndarray, outer: np.ndarray) -> float:
         return float(np.linalg.norm(inner, 2))
     resid = inner - outer @ (outer.conj().T @ inner)
     return float(np.linalg.norm(resid, 2))
-
-
-def inv_sqrt_psd(mat: np.ndarray, eps_rank: float) -> np.ndarray:
-    """Inverse square root of a Hermitian positive definite matrix."""
-    try:
-        w, q = np.linalg.eigh(np.asarray(mat, dtype=np.complex128))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"eigendecomposition failed: {exc}") from exc
-    if w.min() <= eps_rank:
-        raise NumericalBreakdown(
-            f"matrix not positive definite (smallest eigenvalue {w.min():.2e})")
-    return (q * (w ** -0.5)) @ q.conj().T
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:

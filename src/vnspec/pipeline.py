@@ -17,8 +17,8 @@ import numpy as np
 from .algebra import DEFAULT_TOL, ToleranceConfig
 from .basic import (BasicConstruction, build_basic_construction, default_partition,
                     lifted_trace_via_partition)
-from .constructors import (ConstructedSystem, finite_extension_diagnostics,
-                           tensor_partition_isometries)
+from .constructors import (ConstructedSystem, FiniteExtensionDiagnostics,
+                           finite_extension_diagnostics, tensor_partition_isometries)
 from .descriptions import SystemDescription, build_from_description
 from .gns import GnsSpace, build_gns
 from .joining import JoiningData, joining_equivalence, relative_joining
@@ -56,7 +56,9 @@ class SystemAnalysis:
     equivalence: np.ndarray
     spectrum: SpectrumReport
     checks: tuple[CheckResult, ...]
-    extras: dict
+    finite_extension: FiniteExtensionDiagnostics | None  # for a finite extension only
+    default_partition_residual: float  # partition formula against the closed-form trace
+    tensor_partition_residual: float | None  # the same for a product system's fibers
 
     @property
     def passed(self) -> bool:
@@ -71,7 +73,7 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
     jd = relative_joining(bc, tol)
     r, isometry, intertwine = joining_equivalence(jd, tol)
     certificate = None
-    extras: dict = {}
+    diag = None
     if built.orbits is not None:
         certificate = skew_orbit_modules(bc, built.orbits, tol)
     spectrum = build_spectrum_report(jd, tol, seed, certificate)
@@ -123,15 +125,12 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
               if fibers else "no modules"))
     if built.summands is not None:
         diag = finite_extension_diagnostics(built, tol)
-        extras["finite_extension"] = diag
-        add("finite_extension_beta",
-            max(diag["beta_two_expressions"], diag["off_diagonal"],
-                diag["restriction"], diag["display_pattern"]))
-        if diag["nonproduct_expected"]:
+        add("finite_extension_beta", diag.structure_residual)
+        if diag.nonproduct_expected:
             add("finite_extension_nonproduct",
-                0.0 if diag["nonproduct_detected"] else 1.0,
-                passed=diag["nonproduct_detected"],
-                note=f"distance from product form {diag['product_distance']:.3e}")
+                0.0 if diag.nonproduct_detected else 1.0,
+                passed=diag.nonproduct_detected,
+                note=f"distance from product form {diag.product_distance:.3e}")
         else:
             add("finite_extension_nonproduct", 0.0, applicable=False,
                 note="a summand is absent")
@@ -142,13 +141,13 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
             note="not a finite extension")
 
     # partition cross-checks (raise on disagreement; residuals recorded)
-    extras["default_partition_residual"] = lifted_trace_via_partition(
-        bc, default_partition(bc, tol), tol)
+    default = lifted_trace_via_partition(bc, default_partition(bc, tol), tol)
+    tensor = None
     if built.factors is not None:
         vt = tensor_partition_isometries(*built.factors, tol=tol)
-        extras["tensor_partition_residual"] = lifted_trace_via_partition(bc, vt, tol)
+        tensor = lifted_trace_via_partition(bc, vt, tol)
     return SystemAnalysis(name, kind, built, gns, bc, jd, r, spectrum,
-                          tuple(checks), extras)
+                          tuple(checks), diag, default, tensor)
 
 
 def analyze_description(desc: SystemDescription,

@@ -58,10 +58,8 @@ def analysis_to_dict(an: SystemAnalysis) -> dict:
             "dim_bar_gns": len(bc.u_bar),
             "commutant_residual": bc.commutant_residual,
             "extension_residual": bc.extension_residual,
-            "default_partition_residual": an.extras.get(
-                "default_partition_residual"),
-            "tensor_partition_residual": an.extras.get(
-                "tensor_partition_residual"),
+            "default_partition_residual": an.default_partition_residual,
+            "tensor_partition_residual": an.tensor_partition_residual,
         },
         "joining": {
             "rank": an.joining.rank,

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, Subsystem, ToleranceConfig,
-                      WStarSystem, block_decomposition, positive_integer)
+from .algebra import (BLOCK_SEED, CENTER_SEED, DEFAULT_TOL, Subsystem, ToleranceConfig,
+                      WStarSystem, positive_integer)
 from .basic import BasicConstruction
 from .errors import (NotInAlgebra, NotMeanZero, NumericalBreakdown, SubsystemInvalid,
                      VerdictMismatch)
@@ -156,28 +156,87 @@ def module_candidate(bc: BasicConstruction, projection: np.ndarray,
                               is_mod, is_inv)
 
 
-def joint_commutant(bc: BasicConstruction) -> MatrixStarAlgebra:
-    """Commutant of the dynamics unitary together with the right F-action.
+def _center_of_fixed_points(bc: BasicConstruction, tol: ToleranceConfig) -> np.ndarray:
+    """The center of C = {U}' in <A, e>, as block coordinates (z, dim).
 
-    It is {U}' within j(F)' = <A, e>, that is the fixed points of the lifted
-    dynamics, which the basic construction found once (``bc.fixed``).
+    C is spanned by the fixed points ``bc.fixed``, orthonormal coordinate
+    columns.  Its center is the kernel of c -> ([c, g_1], [c, g_2]) for two
+    seeded generic g in C, read in the fixed points' coordinates (2 dim C
+    rows); each kernel element is checked to commute with every basis element
+    of C, which certifies that the g generate C.
     """
-    return MatrixStarAlgebra(bc.gns.dim, np.ascontiguousarray(
-        bc.algebra.from_coords_stack(bc.fixed.T)))
+    alg, basis = bc.algebra, bc.fixed.T
+    rng = np.random.default_rng(CENTER_SEED)
+    gens = linalg.random_complex(rng, (2, len(basis))) @ basis
+    comms = alg.product(basis[:, None], gens) - alg.product(gens, basis[:, None])
+    kernel = linalg.nullspace((comms @ basis.conj().T).reshape(len(basis), -1).T,
+                              tol.eps_rank)
+    if not kernel.shape[1]:  # the identity is central, so the cutoff dropped it
+        raise NumericalBreakdown(
+            f"rank cutoff {tol.eps_rank:g} drops the identity from the center")
+    central = kernel.T @ basis
+    resid = max(float(np.abs(alg.product(z, basis) - alg.product(basis, z)).max())
+                for z in central)
+    if resid > tol.eps_assert:
+        raise NumericalBreakdown(f"two generic elements do not generate the algebra: "
+                                 f"their commutant is not central (residual {resid:.2e})")
+    return central
+
+
+def _central_projections(bc: BasicConstruction, tol: ToleranceConfig
+                         ) -> list[np.ndarray]:
+    """Minimal central projections of C, as block coordinates.
+
+    A generic self-adjoint central element z is drawn from a fixed seed; its
+    blocks z_k are diagonalised one by one, and the clusters of their pooled
+    eigenvalues give the projections, one per cluster, with the eigenvectors
+    of that cluster in each block.  Central elements are constant on each
+    minimal central projection, so the clusters are exact up to roundoff;
+    each projection is checked to lie in C.
+    """
+    alg, basis = bc.algebra, bc.fixed.T
+    central = _center_of_fixed_points(bc, tol)
+    rng = np.random.default_rng(BLOCK_SEED)
+    for _ in range(20):
+        z = linalg.random_complex(rng, len(central)) @ central
+        pairs = [np.linalg.eigh(b) for b in alg.blocks(z + alg.adjoint(z))]
+        vals = np.concatenate([w for w, _ in pairs])
+        order = np.argsort(vals, kind="stable")
+        spread = max(1.0, float(vals[order[-1]] - vals[order[0]]))
+        splits = np.nonzero(np.diff(vals[order]) > tol.eps_rank * spread)[0]
+        groups = np.split(order, splits + 1)
+        if len(groups) != len(central):
+            continue
+        label = np.empty(len(vals), dtype=int)  # the cluster of each eigenvalue
+        for i, g in enumerate(groups):
+            label[g] = i
+        labels = np.split(label, np.cumsum([len(w) for w, _ in pairs])[:-1])
+        projs = [alg.join([v[:, lab == i] @ v[:, lab == i].conj().T
+                           for (_, v), lab in zip(pairs, labels)])
+                 for i in range(len(groups))]
+        resid = max(float(np.linalg.norm(p - (p @ basis.conj().T) @ basis))
+                    / max(1.0, float(np.linalg.norm(p))) for p in projs)
+        if resid < tol.eps_assert:
+            return projs
+    raise NumericalBreakdown(
+        f"could not separate central blocks at rank cutoff {tol.eps_rank:g}")
 
 
 def find_minimal_modules(bc: BasicConstruction, tol: ToleranceConfig = DEFAULT_TOL
                          ) -> list[SubmoduleCandidate]:
     """Minimal joint invariant blocks of the complement of the F-cyclic space.
 
-    Both e and 1 - e lie in the joint commutant C, as U e U* = e, so the
-    center of the corner (1 - e) C (1 - e) is Z(C)(1 - e): the blocks are
-    z (1 - e) for the minimal central projections z of C with z (1 - e) != 0.
-    Isomorphic minimal modules are reported as their block sum rather than
-    an arbitrary internal splitting.
+    Both e and 1 - e lie in the joint commutant C of U and the right F-action,
+    {U}' within j(F)' = <A, e>, as U e U* = e, so the center of the corner
+    (1 - e) C (1 - e) is Z(C)(1 - e): the blocks are z (1 - e) for the
+    minimal central projections z of C with z (1 - e) != 0, formed in block
+    coordinates.  Isomorphic minimal modules are reported as their block sum
+    rather than an arbitrary internal splitting.
     """
-    comp = np.eye(bc.gns.dim) - bc.e
-    blocks = [z @ comp for z in block_decomposition(joint_commutant(bc), tol)]
+    alg = bc.algebra
+    comp = alg.identity_coords() - alg.coords(bc.e)
+    blocks = [alg.from_coords(alg.product(z, comp))
+              for z in _central_projections(bc, tol)]
     out = [module_candidate(bc, p, tol) for p in blocks if np.trace(p).real > 0.5]
     out.sort(key=lambda c: (-round(c.lifted_trace, 8), linalg.sort_key(c.projection)))
     return out
@@ -269,7 +328,8 @@ def fiber_analysis(bc: BasicConstruction, module: SubmoduleCandidate,
     """Multiplicities of a module over the central blocks (p_k, n_k, m_k) of F.
 
     A module P lies in <A, e> = j(F)', so P j(p_k) H is c_k copies of the
-    irreducible right F p_k = M_{n_k} module, c_k = Tr(P j(p_k)) / n_k, and a
+    irreducible right F p_k = M_{n_k} module, c_k = Tr(P j(p_k)) / n_k, which
+    is the trace of P's block P_k in <A, e>'s block coordinates, and a
     minimal projection of F p_k has trace mu(p_k) / n_k.  The lifted trace of
     P is then sum_k mu(p_k) / n_k c_k, as <A, e> carries the trace vector of
     F (Goodman, de la Harpe and Jones 1989, ch. 2).  For a commutative F
@@ -278,18 +338,14 @@ def fiber_analysis(bc: BasicConstruction, module: SubmoduleCandidate,
     comparison, flagged in ``matching_formula``, and the rank bound is the
     largest c_k.
 
-    How independent this is: the weighted sum is Tr(Delta P) for the same
-    closed-form density Delta as ``BasicConstruction.trace``, so it is not a
-    third route to the trace.  It evaluates that density block by block on H
-    against the lifted trace read from P's <A, e> coordinates, and adds the
-    integrality of every c_k.
+    How independent this is: the weighted sum reads the same block traces
+    as the lifted trace of P, rounded to integers, so it is not a third route
+    to the trace; what it adds is the integrality of every c_k.
     """
-    gns = bc.gns
-    weights, mults = [], []
-    for p, n, _ in bc.blocks:
-        weights.append(float(gns.system.trace.value(p).real) / n)
-        jp = gns.j_op(gns.left(p))
-        mults.append(float(np.trace(jp @ module.projection).real) / n)
+    trace = bc.gns.system.trace
+    weights = [float(trace.value(p).real) / n for p, n, _ in bc.blocks]
+    mults = [float(np.trace(b).real)
+             for b in bc.algebra.blocks(bc.algebra.coords(module.projection))]
     dims = [int(round(c)) for c in mults]
     gap = max(abs(c - k) for c, k in zip(mults, dims))
     weighted = float(sum(w * dv for w, dv in zip(weights, dims)))

@@ -1,8 +1,10 @@
 """Generic algebra routines the package no longer runs, kept as test oracles
 and property-check helpers: the commutant grown from all of M_n, the closure
 test by products with generators, the full algebra validator, seeded random
-elements, GNS vectors of ambient matrices and of elements of <A, e>, and a
-stand-in for the span routine that faults only the span of <A, e>."""
+elements, GNS vectors of ambient matrices and of elements of <A, e>, the
+inverse square root that scaled the old default partition, and the dense
+form of <A, e>: its n^2-wide span with an SVD basis, and the fixed points of
+its dynamics as n x n matrices."""
 import numpy as np
 
 from vnspec import linalg
@@ -26,19 +28,6 @@ def product_closure_residual(alg: MatrixStarAlgebra, generators) -> float:
         norms = np.maximum(1.0, np.linalg.norm(prods, axis=1))
         worst = max(worst, float((np.linalg.norm(resid, axis=1) / norms).max()))
     return worst
-
-
-def on_span(n: int, patched):
-    """A stand-in for ``linalg.extend_orthonormal`` that calls ``patched`` on
-    the span of <A, e>, whose candidates are n^2 wide for the GNS dimension
-    n, and the real routine on every other span, such as the words of the
-    inclusion generators in F's coordinates."""
-    extend = linalg.extend_orthonormal
-
-    def routed(existing, candidates, eps_rank):
-        wide = np.shape(candidates)[-1] == n * n
-        return (patched if wide else extend)(existing, candidates, eps_rank)
-    return routed
 
 
 def validate_algebra(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> None:
@@ -90,3 +79,43 @@ def vector_of(gns, mat: np.ndarray) -> np.ndarray:
 def bar_vector(bc, mat: np.ndarray) -> np.ndarray:
     """GNS vector of an element of the basic construction <A, e>."""
     return bc.bar_to_vector @ bc.algebra.coords(mat)
+
+
+def span_candidates(bc) -> np.ndarray:
+    """The d k products (L(x_i) e)(e L(b_s)) spanning <A, e>, as n^2-wide
+    rows i k + s, as the package once formed them."""
+    gns = bc.gns
+    left_x = np.tensordot(bc.x_coords, gns.left_mats, axes=(1, 0)) @ bc.e
+    right_b = bc.e @ np.tensordot(bc.b_coords, gns.left_mats, axes=(1, 0))
+    return (left_x[:, None] @ right_b[None]).reshape(-1, gns.dim ** 2)
+
+
+def dense_span(bc, eps_rank: float = DEFAULT_TOL.eps_rank) -> MatrixStarAlgebra:
+    """<A, e> as n x n matrices with a Hilbert-Schmidt orthonormal basis, from
+    one SVD of the n^2-wide span candidates, as the package once built it."""
+    n = bc.gns.dim
+    rows = linalg.extend_orthonormal(np.zeros((0, n * n), dtype=np.complex128),
+                                     span_candidates(bc), eps_rank)
+    return MatrixStarAlgebra(n, np.ascontiguousarray(rows.reshape(-1, n, n)))
+
+
+def joint_commutant(bc, eps_rank: float = DEFAULT_TOL.eps_rank) -> MatrixStarAlgebra:
+    """The fixed points of the lifted dynamics as n x n matrices with a
+    Hilbert-Schmidt orthonormal basis."""
+    n = bc.gns.dim
+    mats = bc.algebra.from_coords(bc.fixed.T).reshape(-1, n * n)
+    rows = linalg.extend_orthonormal(np.zeros((0, n * n), dtype=np.complex128), mats,
+                                     eps_rank)
+    return MatrixStarAlgebra(n, np.ascontiguousarray(rows.reshape(-1, n, n)))
+
+
+def inv_sqrt_psd(mat: np.ndarray, eps_rank: float) -> np.ndarray:
+    """Inverse square root of a Hermitian positive definite matrix."""
+    try:
+        w, q = np.linalg.eigh(np.asarray(mat, dtype=np.complex128))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"eigendecomposition failed: {exc}") from exc
+    if w.min() <= eps_rank:
+        raise NumericalBreakdown(
+            f"matrix not positive definite (smallest eigenvalue {w.min():.2e})")
+    return (q * (w ** -0.5)) @ q.conj().T

@@ -56,8 +56,8 @@ def test_criterion_03_tensor_reproduction(analyses):
         an = analyses[name]
         balg, calg = (f.algebra for f in an.built.factors)
         dims_ok = an.basic.algebra.dim == balg.dim * calg.dim ** 2
-        resid = an.extras["tensor_partition_residual"]
-        default_resid = an.extras["default_partition_residual"]
+        resid = an.tensor_partition_residual
+        default_resid = an.default_partition_residual
         ok = ok and dims_ok and resid < 1e-8 and default_resid < 1e-8
         details.append(f"{name}: dims {'ok' if dims_ok else 'BAD'}, "
                        f"product-trace dev {resid:.2e}")
@@ -106,12 +106,12 @@ def test_criterion_06_skew_orbit_traces(shipped_descriptions):
 def test_criterion_07_finite_extension(analyses):
     """Restricted dynamics display, block pattern, non-product detection."""
     an = analyses["finite_extension_m2"]
-    diag = an.extras["finite_extension"]
-    resid = max(diag["beta_two_expressions"], diag["off_diagonal"],
-                diag["restriction"], diag["display_pattern"])
+    diag = an.finite_extension
+    resid = max(diag.beta_two_expressions, diag.off_diagonal,
+                diag.restriction, diag.display_pattern)
     complement_trace = an.basic.lifted_value(
         np.eye(an.gns.dim) - an.basic.e).real
-    ok = (resid < 1e-8 and diag["nonproduct_detected"] and an.spectrum.rds
+    ok = (resid < 1e-8 and diag.nonproduct_detected and an.spectrum.rds
           and np.isfinite(complement_trace))
     _report(7, ok, f"structure residual {resid:.2e}, non-product fired, "
                    f"complement trace {complement_trace:.6g}")

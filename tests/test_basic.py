@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import vnspec as v
-from vnspec import basic, linalg
+from vnspec import basic
 from vnspec.algebra import ToleranceConfig
 from vnspec.basic import default_partition, lifted_trace, lifted_trace_via_partition
 from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, NumericalBreakdown,
                            PartitionInvalid)
-from oracles import bar_vector, on_span, product_closure_residual, random_element
+from oracles import bar_vector, dense_span, product_closure_residual, random_element
 
 
 def test_m2_over_scalars_gives_full_operator_algebra(analyses):
@@ -101,9 +101,11 @@ def test_bar_unitary_intertwines_gamma(analyses):
 
 def test_partition_formulas_agree_everywhere(analyses):
     for name, an in analyses.items():
-        assert an.extras["default_partition_residual"] < 1e-9, name
+        assert an.default_partition_residual < 1e-9, name
         if an.built.factors is not None:
-            assert an.extras["tensor_partition_residual"] < 1e-9, name
+            assert an.tensor_partition_residual < 1e-9, name
+        else:
+            assert an.tensor_partition_residual is None, name
 
 
 def test_partition_agrees_on_random_elements(analyses):
@@ -135,12 +137,11 @@ def test_partition_rejects_incomplete_family(analyses):
 
 
 def test_default_partition_members_live_in_mirror_algebra(analyses):
-    an = analyses["explicit_m2_grading"]
-    gns, bc = an.gns, an.basic
-    mirror_basis = np.stack([gns.j_op(x) for x in bc.algebra.basis])
-    mirror = v.MatrixStarAlgebra(gns.dim, mirror_basis)
-    for w in default_partition(bc)[:6]:
-        assert mirror.membership_residual(w) < 1e-9
+    """Each v_i lies in j(<A, e>), so j(v_i) lies in <A, e>."""
+    for name, an in analyses.items():
+        gns, bc = an.gns, an.basic
+        for w in default_partition(bc):
+            assert bc.algebra.membership_residual(gns.j_op(w)) < 1e-9, name
 
 
 def test_lifted_trace_identity_via_alg_bar_membership(analyses):
@@ -152,11 +153,14 @@ def test_lifted_trace_identity_via_alg_bar_membership(analyses):
 
 
 def test_default_partition_uses_given_tolerance(analyses):
-    # the averaged element sum m_i* e m_i is the identity here, so a rank
-    # cutoff of 2 rejects it while the default cutoff accepts it
+    # block k of e has rank n_k (e j(q_k) H = F q_k Omega), so the partition
+    # has max_k ceil(m_k / n_k) members, not dim <A, e>; a rank cutoff of 2
+    # drops every singular value 1 of those blocks
+    for name, an in analyses.items():
+        bc = an.basic
+        assert len(default_partition(bc)) == max(-(-m // n) for _, n, m in bc.blocks), name
     bc = analyses["classical_4cycle"].basic
-    assert len(default_partition(bc)) == bc.algebra.dim
-    with pytest.raises(NumericalBreakdown):
+    with pytest.raises(NumericalBreakdown, match="rank cutoff 2 drops e from a block"):
         default_partition(bc, v.ToleranceConfig(eps_rank=2.0))
 
 
@@ -180,26 +184,34 @@ def _blocks(an):
 
 
 def test_closure_residual_fails_on_a_truncated_span(analyses, monkeypatch):
-    """The closure oracle sees a missing row; the pipeline's dimension count
-    rejects a span built one row short before the Jones relation is tried."""
-    extend = linalg.extend_orthonormal
+    """The closure oracle sees a missing row of the dense span; the
+    pipeline's dimension count rejects a span one block coordinate short
+    before the Jones relation is tried."""
+    span_coords = basic._span_coords
     for name, an in analyses.items():
         gns, bc = an.gns, an.basic
         gens = list(gns.left_mats) + [bc.e]
-        assert product_closure_residual(bc.algebra, gens) < 1e-12, name
-        short = v.MatrixStarAlgebra(gns.dim, bc.algebra.basis[:-1].copy())
+        dense = dense_span(bc)
+        assert product_closure_residual(dense, gens) < 1e-12, name
+        short = v.MatrixStarAlgebra(gns.dim, dense.basis[:-1].copy())
         assert product_closure_residual(short, gens) > 0.1, name
+
+        def dropped(*args):
+            cols = span_coords(*args).copy()
+            cols[:, -1] = 0.0
+            return cols
         with monkeypatch.context() as mp:
-            mp.setattr(linalg, "extend_orthonormal",
-                       on_span(gns.dim, lambda *args: extend(*args)[:-1]))
+            mp.setattr(basic, "_span_coords", dropped)
             with pytest.raises(CommutantMismatch, match="disagree"):
                 v.build_basic_construction(gns, an.built.sub)
 
 
 def test_extension_threshold_follows_eps_assert(analyses):
     an = analyses["explicit_m2_grading"]
+    corners = v.corner_factors(an.gns, v.cyclic_subspace_frame(an.gns, an.built.sub),
+                               an.basic.algebra)
     with pytest.raises(ExtensionInconsistent):
-        lifted_trace(an.gns, an.basic.e, an.basic.algebra, _blocks(an),
+        lifted_trace(an.gns, corners, an.basic.algebra, _blocks(an),
                      ToleranceConfig(eps_assert=1e-30))
 
 

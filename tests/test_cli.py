@@ -179,8 +179,8 @@ def test_negative_file_tolerance_is_invalid(tmp_path, capsys):
 
 
 def test_singular_partition_scale_is_breakdown(monkeypatch, capsys):
-    # an eps_rank above every eigenvalue of the partition's averaged element
-    # makes its inverse square root fail
+    # an eps_rank above every singular value of the blocks of e leaves no
+    # partition
     from vnspec import pipeline
     from vnspec.algebra import ToleranceConfig
     from vnspec.basic import default_partition
@@ -188,4 +188,4 @@ def test_singular_partition_scale_is_breakdown(monkeypatch, capsys):
                         lambda bc, tol: default_partition(
                             bc, ToleranceConfig(eps_rank=2.0)))
     assert cli.main(["analyze", _system_path("classical_4cycle")]) == 3
-    assert "not positive definite" in capsys.readouterr().err
+    assert "drops e from a block of <A, e>" in capsys.readouterr().err

@@ -186,12 +186,12 @@ def test_finite_extension_shapes(analyses):
 
 
 def test_finite_extension_diagnostics_pass(analyses):
-    diag = analyses["finite_extension_m2"].extras["finite_extension"]
-    assert diag["beta_two_expressions"] < 1e-9
-    assert diag["off_diagonal"] < 1e-9
-    assert diag["restriction"] < 1e-9
-    assert diag["display_pattern"] < 1e-9
-    assert diag["nonproduct_detected"]
+    diag = analyses["finite_extension_m2"].finite_extension
+    assert diag.beta_two_expressions < 1e-9
+    assert diag.off_diagonal < 1e-9
+    assert diag.restriction < 1e-9
+    assert diag.display_pattern < 1e-9
+    assert diag.nonproduct_detected
 
 
 def test_finite_extension_displayed_corner(analyses, shipped_descriptions):
@@ -229,8 +229,8 @@ def test_finite_extension_degenerate_summand_is_product():
     fe = v.build_finite_extension(spec)
     assert fe.factors[0] is b1  # B = B1 is not built again
     diag = finite_extension_diagnostics(fe)
-    assert diag["product_distance"] < 1e-9  # alpha = beta (x) id
-    assert not diag["nonproduct_expected"]
+    assert diag.product_distance < 1e-9  # alpha = beta (x) id
+    assert not diag.nonproduct_expected
     alg = fe.system.algebra
     m = np.array([[0.3, 1.0], [0.25j, -0.1]], dtype=complex)
     image = fe.system.dynamics.apply(alg, np.kron(np.eye(2), m))

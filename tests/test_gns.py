@@ -105,11 +105,12 @@ def test_inner_product_reproduces_trace(analyses):
 
 def test_cyclic_projection_ranks(m2_grading, m2_over_diagonal, analyses):
     gns = v.build_gns(m2_grading.system)
-    e = v.cyclic_subspace_projection(gns, m2_grading.sub)
-    assert int(round(np.trace(e).real)) == 1  # F = C1
+    frame = v.cyclic_subspace_frame(gns, m2_grading.sub)
+    assert frame.shape == (4, 1)  # F = C1
     gns2 = v.build_gns(m2_over_diagonal.system)
-    e2 = v.cyclic_subspace_projection(gns2, m2_over_diagonal.sub)
-    assert int(round(np.trace(e2).real)) == 2  # dim F Omega = dim F
+    frame2 = v.cyclic_subspace_frame(gns2, m2_over_diagonal.sub)
+    assert frame2.shape == (4, 2)  # dim F Omega = dim F
+    assert np.abs(frame2.conj().T @ frame2 - np.eye(2)).max() < 1e-12
     an = analyses["full_subsystem_m2"]
     assert np.abs(an.basic.e - np.eye(an.gns.dim)).max() < 1e-9  # F = A
 

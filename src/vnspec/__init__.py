@@ -11,7 +11,7 @@ from .algebra import (BlockAlgebra, ConditionalExpectation, DEFAULT_TOL,
                       block_decomposition, bratteli_blocks, center, generate_algebra,
                       gram_matrix, subsystem, system, trace_functional,
                       validate_trace)
-from .basic import (BasicConstruction, build_basic_construction, corner_factors,
+from .basic import (BasicConstruction, build_basic_construction,
                     default_partition, lifted_trace, lifted_trace_via_partition)
 from .constructors import (ConstructedSystem, FiniteExtensionDiagnostics,
                            FiniteExtensionSpec, GroupSystem,

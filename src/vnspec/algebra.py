@@ -44,7 +44,7 @@ def positive_integer(value) -> bool:
 
 
 DEFAULT_TOL = ToleranceConfig()
-BLOCK_SEED = 7  # seed of the generic central element in block_decomposition
+BLOCK_SEED = 7  # seed of the generic central element in central_projection_coords
 SPAN_SEED = 11  # seed of the generic generators of A over F spanning <A, e>
 INCLUSION_SEED = 13  # seed of the generic generators of F in the j(F)' check
 CENTER_SEED = 17  # seed of the two generic generators whose commutant is the center
@@ -237,61 +237,98 @@ def generate_algebra(generators, ambient_dim: int,
     return MatrixStarAlgebra(ambient_dim, np.ascontiguousarray(basis))
 
 
-def center(alg: MatrixStarAlgebra,
-           tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """Center of the algebra, computed in its own coordinates.
+def _full_matrix_algebra(n: int) -> BlockAlgebra:
+    """M_n as one block, so that coordinates are the matrix entries."""
+    return BlockAlgebra((np.eye(n, dtype=np.complex128)[None],))
+
+
+def center_coords(ambient: BlockAlgebra, basis: np.ndarray,
+                  tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Center of the *-subalgebra of ``ambient`` spanned by ``basis``, rows of
+    coordinates orthonormal in the plain inner product; returns its own
+    orthonormal rows of coordinates.
 
     It is the kernel of c -> ([c, g_1], [c, g_2]) for two seeded generic g,
     which generate the algebra as two generic elements of a finite-dimensional
     C*-algebra do; each kernel element is checked to commute with every basis
     element, which certifies that.  The commutators lie in the algebra, so
-    the null space reads their coordinates: 2 d rows, not 2 N^2.
+    the null space reads their coordinates over the basis: 2 d rows for an
+    algebra of dim d, however wide the ambient coordinates.
     """
-    d, n = alg.dim, alg.ambient_dim
     rng = np.random.default_rng(CENTER_SEED)
-    gens = alg.from_coords_stack(linalg.random_complex(rng, (2, d)))
-    comms = alg.basis[:, None] @ gens - gens @ alg.basis[:, None]  # [b_i, g]
-    comm_coords = alg.coords_stack(comms.reshape(-1, n, n)).reshape(d, -1)
-    kernel = linalg.nullspace(comm_coords.T, tol.eps_rank)  # central coords
+    gens = linalg.random_complex(rng, (2, len(basis))) @ basis
+    comms = ambient.product(basis[:, None], gens) - ambient.product(gens, basis[:, None])
+    kernel = linalg.nullspace((comms @ basis.conj().T).reshape(len(basis), -1).T,
+                              tol.eps_rank)
     if not kernel.shape[1]:  # the identity is central, so the cutoff dropped it
         raise NumericalBreakdown(
             f"rank cutoff {tol.eps_rank:g} drops the identity from the center")
-    mats = np.tensordot(kernel.T, alg.basis, axes=(1, 0))
-    resid = max((float(np.abs(z @ alg.basis - alg.basis @ z).max()) for z in mats),
-                default=0.0)
+    central = kernel.T @ basis
+    resid = max(float(np.abs(ambient.product(z, basis) - ambient.product(basis, z)).max())
+                for z in central)
     if resid > tol.eps_assert:
         raise NumericalBreakdown(f"two generic elements do not generate the algebra: "
                                  f"their commutant is not central (residual {resid:.2e})")
-    return MatrixStarAlgebra(n, np.ascontiguousarray(mats))
+    return central
+
+
+def central_projection_coords(ambient: BlockAlgebra, basis: np.ndarray,
+                              tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+    """Minimal central projections of the *-subalgebra of ``ambient`` spanned
+    by the orthonormal coordinate rows ``basis``, as coordinates.
+
+    A generic self-adjoint central element z is drawn from a fixed seed; its
+    blocks z_k are diagonalised one by one, and the clusters of their pooled
+    eigenvalues give the projections, one per cluster, with the eigenvectors
+    of that cluster in each block.  Central elements are constant on each
+    minimal central projection, so the clusters are exact up to roundoff;
+    each projection is checked to lie in the subalgebra.
+    """
+    central = center_coords(ambient, basis, tol)
+    rng = np.random.default_rng(BLOCK_SEED)
+    for _ in range(20):
+        z = linalg.random_complex(rng, len(central)) @ central
+        pairs = [np.linalg.eigh(b) for b in ambient.blocks(z + ambient.adjoint(z))]
+        vals = np.concatenate([w for w, _ in pairs])
+        order = np.argsort(vals, kind="stable")
+        spread = max(1.0, float(vals[order[-1]] - vals[order[0]]))
+        splits = np.nonzero(np.diff(vals[order]) > tol.eps_rank * spread)[0]
+        groups = np.split(order, splits + 1)
+        if len(groups) != len(central):
+            continue
+        label = np.empty(len(vals), dtype=int)  # the cluster of each eigenvalue
+        for i, g in enumerate(groups):
+            label[g] = i
+        labels = np.split(label, np.cumsum([len(w) for w, _ in pairs])[:-1])
+        projs = [ambient.join([v[:, lab == i] @ v[:, lab == i].conj().T
+                               for (_, v), lab in zip(pairs, labels)])
+                 for i in range(len(groups))]
+        resid = max(float(np.linalg.norm(p - (p @ basis.conj().T) @ basis))
+                    / max(1.0, float(np.linalg.norm(p))) for p in projs)
+        if resid < tol.eps_assert:
+            return projs
+    raise NumericalBreakdown(
+        f"could not separate central blocks at rank cutoff {tol.eps_rank:g}")
+
+
+def center(alg: MatrixStarAlgebra,
+           tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
+    """Center of the algebra, from the commutators' coordinates over its basis
+    (``center_coords``)."""
+    n = alg.ambient_dim
+    rows = center_coords(_full_matrix_algebra(n), alg.basis_rows(), tol)
+    return MatrixStarAlgebra(n, np.ascontiguousarray(rows.reshape(-1, n, n)))
 
 
 def block_decomposition(alg: MatrixStarAlgebra,
                         tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Minimal central projections, pairwise orthogonal and summing to 1.
-
-    A generic self-adjoint central element is drawn from a fixed seed; its
-    spectral projections realize the blocks.  Central elements are constant on
-    each block, so the eigenvalue clusters are exact up to roundoff.
-    """
-    z_alg = center(alg, tol)
-    dz = z_alg.dim
-    rng = np.random.default_rng(BLOCK_SEED)
-    for _ in range(20):
-        zmat = z_alg.from_coords(linalg.random_complex(rng, dz))
-        zmat = zmat + zmat.conj().T
-        vals, vecs = np.linalg.eigh(zmat)
-        spread = max(1.0, float(vals[-1] - vals[0]))
-        splits = np.nonzero(np.diff(vals) > tol.eps_rank * spread)[0]
-        groups = np.split(np.arange(len(vals)), splits + 1)
-        if len(groups) != dz:
-            continue
-        projs = [vecs[:, g] @ vecs[:, g].conj().T for g in groups]
-        if all(alg.membership_residual(p) < tol.eps_assert for p in projs):
-            projs.sort(key=lambda p: (-round(float(np.trace(p).real), 6),
-                                      linalg.sort_key(p)))
-            return projs
-    raise NumericalBreakdown(
-        f"could not separate central blocks at rank cutoff {tol.eps_rank:g}")
+    """Minimal central projections, pairwise orthogonal and summing to 1
+    (``central_projection_coords``), the largest first."""
+    n = alg.ambient_dim
+    projs = [p.reshape(n, n) for p in
+             central_projection_coords(_full_matrix_algebra(n), alg.basis_rows(), tol)]
+    projs.sort(key=lambda p: (-round(float(np.trace(p).real), 6), linalg.sort_key(p)))
+    return projs
 
 
 def bratteli_blocks(alg: MatrixStarAlgebra, sub_alg: MatrixStarAlgebra,

@@ -230,8 +230,8 @@ def _block_algebra(gns: GnsSpace, minimal: list[np.ndarray], f: np.ndarray,
     return BlockAlgebra(tuple(frames))
 
 
-def corner_factors(gns: GnsSpace, e_frame: np.ndarray,
-                   alg: BlockAlgebra) -> list[tuple[np.ndarray, np.ndarray]]:
+def _corner_factors(gns: GnsSpace, e_frame: np.ndarray,
+                    alg: BlockAlgebra) -> list[tuple[np.ndarray, np.ndarray]]:
     """For each block k, V_k^H L(a_j) E_0 (d, m_k, dim F) and E_0^H L(a_j) V_k
     (d, dim F, m_k) over the basis a_j of A: block k of a_i e a_j is their
     product, as e = E_0 E_0^H."""
@@ -307,7 +307,7 @@ def lifted_trace(gns: GnsSpace, corners, alg: BlockAlgebra,
     where mu(p_k) / n_k is the trace of a minimal projection of F p_k.
     Returns it as the vector t with lifted(x) = t @ coords(x), after checking
     the defining identity on every pair of basis elements a_i, a_j, whose
-    blocks are products of the ``corner_factors``; the residual is returned.
+    blocks are products of the ``_corner_factors``; the residual is returned.
     """
     mu = gns.system.trace
     weights = [mu.value(p).real / n for p, n, _ in blocks]
@@ -380,7 +380,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     minimal = _minimal_projections(sub, blocks, rng, tol)
     f = sub.algebra.from_coords(linalg.random_complex(rng, sub.algebra.dim))
     alg = _block_algebra(gns, minimal, f, tol)
-    corners = corner_factors(gns, e0, alg)
+    corners = _corner_factors(gns, e0, alg)
     span_coords = _span_coords(alg, corners, xs, bs)  # read by the equivalence
     rank = linalg.rank(span_coords, tol.eps_rank)
     # inclusion in j(F)': the largest entry of [e, j(g)], relative to |j(g)|,
@@ -391,14 +391,16 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     gen_coords = gns.system.algebra.coords_stack(gens)
     right_g = gns.j_op(np.tensordot(gen_coords, gns.left_mats, axes=(1, 0)))
     pair = _generic_pair(gns, e0, bs)
-    resid = max(*(float(np.abs(e @ j - j @ e).max() / np.linalg.norm(j, 2))
-                  for j in right_g),
-                *(float(np.abs(x - alg.from_coords(alg.coords(x))).max()) for x in pair))
+    commutator = max(float(np.abs(e @ j - j @ e).max() / np.linalg.norm(j, 2))
+                     for j in right_g)
+    rebuilt = max(float(np.abs(x - alg.from_coords(alg.coords(x))).max()) for x in pair)
+    resid = max(commutator, rebuilt)
     count = sum(m * m for _, _, m in blocks)
     if rank != count or alg.dim != count or resid > tol.eps_assert:
         raise CommutantMismatch(
             f"span(A e A) (dim {rank}) and j(F)' (dim {count} by the "
-            f"Bratteli count) disagree, commutator residual {resid:.2e}")
+            f"Bratteli count) disagree, commutator residual {commutator:.2e}, "
+            f"block rebuild residual {rebuilt:.2e}")
     jones = _jones_relation(gns, sub, e, alg, tol)
     trace_vector, defining = lifted_trace(gns, corners, alg, blocks, tol)
     # the block product and the trace property on the generic pair

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import (BLOCK_SEED, CENTER_SEED, DEFAULT_TOL, Subsystem, ToleranceConfig,
-                      WStarSystem, positive_integer)
+from .algebra import (DEFAULT_TOL, Subsystem, ToleranceConfig, WStarSystem,
+                      central_projection_coords, positive_integer)
 from .basic import BasicConstruction
 from .errors import (NotInAlgebra, NotMeanZero, NumericalBreakdown, SubsystemInvalid,
                      VerdictMismatch)
@@ -156,72 +156,6 @@ def module_candidate(bc: BasicConstruction, projection: np.ndarray,
                               is_mod, is_inv)
 
 
-def _center_of_fixed_points(bc: BasicConstruction, tol: ToleranceConfig) -> np.ndarray:
-    """The center of C = {U}' in <A, e>, as block coordinates (z, dim).
-
-    C is spanned by the fixed points ``bc.fixed``, orthonormal coordinate
-    columns.  Its center is the kernel of c -> ([c, g_1], [c, g_2]) for two
-    seeded generic g in C, read in the fixed points' coordinates (2 dim C
-    rows); each kernel element is checked to commute with every basis element
-    of C, which certifies that the g generate C.
-    """
-    alg, basis = bc.algebra, bc.fixed.T
-    rng = np.random.default_rng(CENTER_SEED)
-    gens = linalg.random_complex(rng, (2, len(basis))) @ basis
-    comms = alg.product(basis[:, None], gens) - alg.product(gens, basis[:, None])
-    kernel = linalg.nullspace((comms @ basis.conj().T).reshape(len(basis), -1).T,
-                              tol.eps_rank)
-    if not kernel.shape[1]:  # the identity is central, so the cutoff dropped it
-        raise NumericalBreakdown(
-            f"rank cutoff {tol.eps_rank:g} drops the identity from the center")
-    central = kernel.T @ basis
-    resid = max(float(np.abs(alg.product(z, basis) - alg.product(basis, z)).max())
-                for z in central)
-    if resid > tol.eps_assert:
-        raise NumericalBreakdown(f"two generic elements do not generate the algebra: "
-                                 f"their commutant is not central (residual {resid:.2e})")
-    return central
-
-
-def _central_projections(bc: BasicConstruction, tol: ToleranceConfig
-                         ) -> list[np.ndarray]:
-    """Minimal central projections of C, as block coordinates.
-
-    A generic self-adjoint central element z is drawn from a fixed seed; its
-    blocks z_k are diagonalised one by one, and the clusters of their pooled
-    eigenvalues give the projections, one per cluster, with the eigenvectors
-    of that cluster in each block.  Central elements are constant on each
-    minimal central projection, so the clusters are exact up to roundoff;
-    each projection is checked to lie in C.
-    """
-    alg, basis = bc.algebra, bc.fixed.T
-    central = _center_of_fixed_points(bc, tol)
-    rng = np.random.default_rng(BLOCK_SEED)
-    for _ in range(20):
-        z = linalg.random_complex(rng, len(central)) @ central
-        pairs = [np.linalg.eigh(b) for b in alg.blocks(z + alg.adjoint(z))]
-        vals = np.concatenate([w for w, _ in pairs])
-        order = np.argsort(vals, kind="stable")
-        spread = max(1.0, float(vals[order[-1]] - vals[order[0]]))
-        splits = np.nonzero(np.diff(vals[order]) > tol.eps_rank * spread)[0]
-        groups = np.split(order, splits + 1)
-        if len(groups) != len(central):
-            continue
-        label = np.empty(len(vals), dtype=int)  # the cluster of each eigenvalue
-        for i, g in enumerate(groups):
-            label[g] = i
-        labels = np.split(label, np.cumsum([len(w) for w, _ in pairs])[:-1])
-        projs = [alg.join([v[:, lab == i] @ v[:, lab == i].conj().T
-                           for (_, v), lab in zip(pairs, labels)])
-                 for i in range(len(groups))]
-        resid = max(float(np.linalg.norm(p - (p @ basis.conj().T) @ basis))
-                    / max(1.0, float(np.linalg.norm(p))) for p in projs)
-        if resid < tol.eps_assert:
-            return projs
-    raise NumericalBreakdown(
-        f"could not separate central blocks at rank cutoff {tol.eps_rank:g}")
-
-
 def find_minimal_modules(bc: BasicConstruction, tol: ToleranceConfig = DEFAULT_TOL
                          ) -> list[SubmoduleCandidate]:
     """Minimal joint invariant blocks of the complement of the F-cyclic space.
@@ -236,7 +170,7 @@ def find_minimal_modules(bc: BasicConstruction, tol: ToleranceConfig = DEFAULT_T
     alg = bc.algebra
     comp = alg.identity_coords() - alg.coords(bc.e)
     blocks = [alg.from_coords(alg.product(z, comp))
-              for z in _central_projections(bc, tol)]
+              for z in central_projection_coords(alg, bc.fixed.T, tol)]
     out = [module_candidate(bc, p, tol) for p in blocks if np.trace(p).real > 0.5]
     out.sort(key=lambda c: (-round(c.lifted_trace, 8), linalg.sort_key(c.projection)))
     return out

@@ -208,8 +208,8 @@ def test_closure_residual_fails_on_a_truncated_span(analyses, monkeypatch):
 
 def test_extension_threshold_follows_eps_assert(analyses):
     an = analyses["explicit_m2_grading"]
-    corners = v.corner_factors(an.gns, v.cyclic_subspace_frame(an.gns, an.built.sub),
-                               an.basic.algebra)
+    frame = v.cyclic_subspace_frame(an.gns, an.built.sub)
+    corners = basic._corner_factors(an.gns, frame, an.basic.algebra)
     with pytest.raises(ExtensionInconsistent):
         lifted_trace(an.gns, corners, an.basic.algebra, _blocks(an),
                      ToleranceConfig(eps_assert=1e-30))

@@ -43,6 +43,7 @@ The older routes survive here only, as oracles.
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -349,8 +350,8 @@ def test_bratteli_blocks_and_wrong_weight(analyses, name, blocks):
     assert [(n, m) for _, n, m in found] == blocks
     # n_k -> sqrt(n_k) turns the weight mu(p_k) / n_k^2 into mu(p_k) / n_k
     wrong = [(p, np.sqrt(n), m) for p, n, m in found]
-    corners = v.corner_factors(an.gns, v.cyclic_subspace_frame(an.gns, an.built.sub),
-                               an.basic.algebra)
+    frame = v.cyclic_subspace_frame(an.gns, an.built.sub)
+    corners = basic._corner_factors(an.gns, frame, an.basic.algebra)
     v.lifted_trace(an.gns, corners, an.basic.algebra, found)
     with pytest.raises(ExtensionInconsistent, match="basis pair"):
         v.lifted_trace(an.gns, corners, an.basic.algebra, wrong)
@@ -364,6 +365,14 @@ def m2_over_diagonal_gns():
     return v.build_gns(built.system), built.sub
 
 
+def _inclusion_residuals(error):
+    """The commutator [e, j(g)] and block rebuild residuals a failed
+    inclusion reports."""
+    found = re.search(r"commutator residual (\S+), block rebuild residual (\S+)$",
+                      str(error))
+    return float(found[1]), float(found[2])
+
+
 def test_projection_off_the_commutant_fails_inclusion(m2_over_diagonal_gns,
                                                       monkeypatch):
     """j(w) e j(w)* spans j(w F w*)': off j(F)', so it no longer commutes
@@ -372,8 +381,10 @@ def test_projection_off_the_commutant_fails_inclusion(m2_over_diagonal_gns,
     frame = v.cyclic_subspace_frame(gns, sub)
     jw = gns.j_op(gns.left(np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)))
     monkeypatch.setattr(basic, "cyclic_subspace_frame", lambda *args: jw @ frame)
-    with pytest.raises(CommutantMismatch, match=r"j\(F\)' \(dim 8 .* residual"):
+    with pytest.raises(CommutantMismatch, match=r"j\(F\)' \(dim 8 ") as err:
         v.build_basic_construction(gns, sub)
+    commutator, _ = _inclusion_residuals(err.value)
+    assert commutator > DEFAULT_TOL.eps_assert
 
 
 def test_span_missing_a_row_fails_dimension(m2_over_diagonal_gns, monkeypatch):
@@ -590,24 +601,28 @@ def _stacked_center(alg, eps_rank=1e-10):
 
 
 def test_blockwise_center_equals_stacked_on_module_corners(analyses, monkeypatch):
-    """The centers of F, from commutator coordinates, and of the fixed points
-    C, in <A, e>'s block coordinates, against the stacked commutators."""
-    algebras, center = [], algebra.center
+    """The centers of F, from commutator coordinates over its dense basis,
+    and of the fixed points C, in <A, e>'s block coordinates, against the
+    stacked commutators: one routine, two representations."""
+    calls, center_coords = [], algebra.center_coords
 
-    def spy(alg, tol=DEFAULT_TOL):
-        algebras.append(alg)
-        return center(alg, tol)
-    monkeypatch.setattr(algebra, "center", spy)
+    def spy(ambient, basis, tol=DEFAULT_TOL):
+        calls.append((ambient, basis))
+        return center_coords(ambient, basis, tol)
+    monkeypatch.setattr(algebra, "center_coords", spy)
     for name, an in analyses.items():
         v.build_basic_construction(an.gns, an.built.sub)
         bc = an.basic
-        z = bc.algebra.from_coords(spectrum._center_of_fixed_points(bc, DEFAULT_TOL))
+        z = bc.algebra.from_coords(center_coords(bc.algebra, bc.fixed.T))
         oracle = _stacked_center(joint_commutant(bc))
         assert len(z) == oracle.dim, name
         assert max(oracle.membership_residual(x) for x in z) <= 1e-12, name
-    assert len(algebras) == len(analyses)
-    for alg in algebras:
-        z, oracle = center(alg), _stacked_center(alg)
+    assert len(calls) == len(analyses)
+    monkeypatch.undo()
+    for ambient, basis in calls:
+        n = ambient.ambient_dim
+        alg = v.MatrixStarAlgebra(n, basis.reshape(-1, n, n).copy())
+        z, oracle = v.center(alg), _stacked_center(alg)
         assert z.dim == oracle.dim
         assert _mutual_inclusion(z, oracle) <= 1e-12
 
@@ -687,7 +702,7 @@ def test_skew_d24_fits_in_one_gib():
             cap = min(cap, hard)
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
         from vnspec.descriptions import parse_system
-        from vnspec.pipeline import SystemAnalysis, analyze_built, analyze_description
+        from vnspec.pipeline import analyze_built, analyze_description
         an = analyze_description(parse_system({SKEW_D24!r}))
         assert an.passed and an.basic.algebra.dim == 96
         print("ok")
@@ -1413,8 +1428,10 @@ def test_row_outside_the_commutant_fails_inclusion(analyses, name, monkeypatch):
         frames[-1][0][:, -1] = col / np.linalg.norm(col)
         return v.BlockAlgebra(tuple(frames))
     monkeypatch.setattr(basic, "_block_algebra", swap_last)
-    with pytest.raises(CommutantMismatch, match="commutator residual"):
+    with pytest.raises(CommutantMismatch, match="commutator residual") as err:
         v.build_basic_construction(an.gns, an.built.sub)
+    commutator, rebuilt = _inclusion_residuals(err.value)
+    assert commutator <= DEFAULT_TOL.eps_assert < rebuilt
 
 
 def test_non_generating_elements_fail(analyses, monkeypatch):

@@ -8,10 +8,15 @@
 Each run is a child process with one BLAS thread and an address-space cap
 (RLIMIT_AS, set in the child only) that imports vnspec from ``--src``
 (default: this checkout), parses one system description and times
-``analyze_description`` on it.  A row holds the median wall time of three
-runs and the largest of their peak resident set sizes (``ru_maxrss``, which
-includes the interpreter and numpy, about 40 MB).  A run that fails, such as
-by ``MemoryError`` under the cap, is recorded with its error.
+``analyze_description`` on it, then times the Cesaro stage at the shape of
+the benchmark's ``cesaro_long`` workload on a freshly built copy of the
+system: the admissible elements and, for every one of them, N = 2048
+Cesaro steps without early exit.  A row holds the median wall time of the
+analysis over three runs, the median time of the Cesaro stage
+(``cesaro_s``), and the largest of the analyses' peak resident set sizes
+(``ru_maxrss`` before the Cesaro stage, which includes the interpreter and
+numpy, about 40 MB).  A run that fails, such as by ``MemoryError`` under
+the cap, is recorded with its error.
 
 The cases are Z_4 skew products over a d/4-cycle with the inversion
 automorphism and cocycle [1, 0, ...], so that dim F = d/4 and
@@ -40,26 +45,36 @@ OUT = ROOT / "BENCH_ladder.json"
 SYSTEMS = ROOT / "src" / "vnspec" / "systems"
 ADDRESS_SPACE_CAP = 4 << 30  # bytes; the parent's d = 160 run peaks near 1.7 GB
 RUNS = 3
+CESARO_HORIZON = 2048  # the steps of each sequence in the benchmark's cesaro_long
 SKEW_SIZES = (12, 16, 24, 32, 48, 64, 96, 128, 160)
 TENSOR_CYCLES = (2, 4, 8)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CHILD = textwrap.dedent("""
     import json, resource, sys, time
-    cap = int(sys.argv[2])
+    cap, horizon = int(sys.argv[2]), int(sys.argv[3])
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
     if hard != resource.RLIM_INFINITY:
         cap = min(cap, hard)
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     sys.path.insert(0, sys.argv[1])
-    from vnspec.descriptions import parse_system
+    from vnspec.descriptions import build_from_description, parse_system
     from vnspec.pipeline import analyze_description
+    from vnspec.spectrum import admissible_elements, cesaro_sequence
     desc = parse_system(sys.stdin.read())
+    tol = desc.tolerance_config()
     start = time.perf_counter()
-    an = analyze_description(desc)
+    an = analyze_description(desc, tol)
     wall = time.perf_counter() - start
-    print(json.dumps({"wall_s": wall, "passed": an.passed,
-                      "dim_basic": an.basic.algebra.dim,
-                      "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+    row = {"wall_s": wall, "passed": an.passed, "dim_basic": an.basic.algebra.dim,
+           "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+    del an
+    built = build_from_description(desc, tol)
+    start = time.perf_counter()
+    for _, a in admissible_elements(built.system, built.sub, tol):
+        cesaro_sequence(built.system, built.sub, a, n_max=horizon, tol=tol,
+                        early_exit=False)
+    row["cesaro_s"] = time.perf_counter() - start
+    print(json.dumps(row))
 """)
 
 
@@ -94,7 +109,8 @@ def run_once(desc: dict, src: Path) -> dict:
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, "-c", CHILD, str(src),
-                           str(ADDRESS_SPACE_CAP)], input=json.dumps(desc),
+                           str(ADDRESS_SPACE_CAP), str(CESARO_HORIZON)],
+                          input=json.dumps(desc),
                           capture_output=True, text=True, env=env, timeout=900)
     if proc.returncode:
         lines = proc.stderr.strip().splitlines()
@@ -111,6 +127,7 @@ def measure(desc: dict, src: Path, label: str) -> dict:
     return {**row, "dim_basic": runs[0]["dim_basic"],
             "passed": all(r["passed"] for r in runs),
             "wall_s": round(statistics.median(r["wall_s"] for r in runs), 4),
+            "cesaro_s": round(statistics.median(r["cesaro_s"] for r in runs), 5),
             "peak_rss_mb": round(max(r["rss_mb"] for r in runs), 1)}
 
 

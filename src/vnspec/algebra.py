@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -524,6 +525,9 @@ def eigenmodes(matrix: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
     raise NumericalBreakdown("no unitary eigenbasis of the dynamics was certified")
 
 
+CESARO_BLOCK = 1024  # Cesaro steps whose powers of the eigenvalues are held at once
+
+
 @dataclass(frozen=True)
 class WStarSystem:
     """(algebra, faithful tracial state, trace-preserving *-automorphism).
@@ -534,7 +538,9 @@ class WStarSystem:
     the factors' tables for a product system), and the
     certified eigenbasis ``modes = (lam, V)`` of the dynamics' coordinate
     matrix, alpha = V diag(lam) V^H, from ``eigenmodes``; ``system`` computes
-    and checks them.
+    and checks them.  The powers ``mode_powers`` that every Cesaro sequence
+    reads are formed on first use and held with the system, d x CESARO_BLOCK
+    numbers; a ``dataclasses.replace`` copy forms its own.
     """
     algebra: MatrixStarAlgebra
     trace: TraceFunctional
@@ -547,6 +553,15 @@ class WStarSystem:
     def __post_init__(self):
         for a in (self.gram, self.table, self.star, *self.modes):
             a.setflags(write=False)
+
+    @cached_property
+    def mode_powers(self) -> np.ndarray:
+        """lam^1 .. lam^CESARO_BLOCK, read-only: column n - 1 holds lam^n for
+        the eigenvalues lam of ``modes``, from one cumprod."""
+        powers = np.repeat(self.modes[0][:, None], CESARO_BLOCK, axis=1)
+        np.cumprod(powers, axis=1, out=powers)
+        powers.setflags(write=False)
+        return powers
 
 
 def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
@@ -598,7 +613,9 @@ class ConditionalExpectation:
 @dataclass(frozen=True)
 class Subsystem:
     """Unital subalgebra F with alpha(F) = F and faithful restricted trace,
-    with the trace-preserving conditional expectation onto it."""
+    with the trace-preserving conditional expectation onto it.  The map
+    ``whitened_expectation`` that every Cesaro sequence reads is formed on
+    first use and held with the subsystem."""
     parent: WStarSystem
     algebra: MatrixStarAlgebra
     coords_in_parent: np.ndarray = field(repr=False)  # (m, d)
@@ -606,6 +623,18 @@ class Subsystem:
 
     def __post_init__(self):
         self.coords_in_parent.setflags(write=False)
+
+    @cached_property
+    def whitened_expectation(self) -> np.ndarray:
+        """R f^H E_F, read-only (m, d): E_F followed by the coordinates in a
+        basis of F orthonormal for mu(x* y), where the columns f are the
+        coordinates of F's basis and R^H R = f^H G f is the Cholesky factor
+        of F's Gram matrix."""
+        fh = self.coords_in_parent.conj()  # f^H
+        r = np.linalg.cholesky(fh @ self.parent.gram @ fh.conj().T).conj().T
+        out = r @ (fh @ self.expectation.matrix)
+        out.setflags(write=False)
+        return out
 
 
 def subsystem(parent: WStarSystem, sub_algebra: MatrixStarAlgebra,

@@ -26,7 +26,6 @@ from .errors import (NotInAlgebra, NotMeanZero, NumericalBreakdown, SubsystemInv
 from .joining import ErgodicityCheck, JoiningData, relative_ergodicity_check
 
 CESARO_EXIT_TOL = 1e-6
-CESARO_BLOCK = 1024  # Cesaro steps whose powers of the eigenvalues are held at once
 
 
 @dataclass(frozen=True)
@@ -94,11 +93,13 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
     image, and alpha = V diag(lam) V^H (``system.modes``), so the term is
     |K lam^n|^2 for the dim F x dim A matrix K = (R f^H E L V) diag(V^H c),
     with R^H R = f^H G f the Cholesky factor of F's Gram matrix.  The powers
-    lam^n come from one cumprod over a block of up to CESARO_BLOCK steps, and
-    K is moved on by lam^(block width) from block to block, so a step costs
-    O(dim A dim F) and the output grows with the steps run.  Stops at the
-    first even n >= 4 where the averages at n and n/2 agree to 1e-6, unless
-    disabled.
+    lam^1 .. lam^w of a block of w = min(CESARO_BLOCK, n_max) steps are the
+    first w columns of ``system.mode_powers`` and R f^H E is
+    ``sub.whitened_expectation``, both held from the first call on; K is
+    moved on by lam^w from block to block, so a step costs O(dim A dim F)
+    and the output grows with the steps run.  The arguments are checked
+    before either is read.  Stops at the first even n >= 4 where the
+    averages at n and n/2 agree to 1e-6, unless disabled.
     """
     n_max = tol.cesaro_n_max if n_max is None else n_max
     if not positive_integer(n_max):
@@ -113,15 +114,12 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
     coords = alg.coords(a)
     if np.abs(exp @ coords).max() > tol.eps_assert:
         raise NotMeanZero("element has a nonzero conditional expectation")
-    lam, vecs = system.modes
-    fh = sub.coords_in_parent.conj()  # f^H
-    r = np.linalg.cholesky(fh @ system.gram @ fh.conj().T).conj().T
-    k = (r @ (fh @ exp) @ _adjoint_left_map(system, coords) @ vecs) \
+    vecs = system.modes[1]
+    k = (sub.whitened_expectation @ _adjoint_left_map(system, coords) @ vecs) \
         * (vecs.conj().T @ coords)
-    width = min(CESARO_BLOCK, n_max)
+    powers = system.mode_powers[:, :n_max]  # lam^1 .. lam^width
+    width = powers.shape[1]
     sums = np.empty(width)  # grows with the steps run
-    powers = np.repeat(lam[:, None], width, axis=1)
-    np.cumprod(powers, axis=1, out=powers)  # lam^1 .. lam^width
     start, total = 1, 0.0
     while True:
         stop = min(start + width, n_max + 1)

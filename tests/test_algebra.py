@@ -264,8 +264,43 @@ def test_subsystem_rejects_noninvariant_subalgebra():
     dyn = v.automorphism_from_unitary(alg, rot, tr)
     sys = v.system(alg, tr, dyn)
     diag = v.generate_algebra([np.diag([1.0, -1.0])], 2)
-    with pytest.raises(SubsystemInvalid):
+    with pytest.raises(SubsystemInvalid, match="dynamics does not preserve"):
         v.subsystem(sys, diag)
+
+
+def _diagonal_m2_system(weights=(0.5, 0.5)):
+    """The diagonal algebra of M_2 under the identity dynamics."""
+    alg = v.generate_algebra([np.diag([1.0, -1.0])], 2)
+    tr = v.trace_functional(np.diag(weights))
+    return v.system(alg, tr, v.automorphism_from_unitary(alg, np.eye(2), tr))
+
+
+def test_subsystem_rejects_another_ambient_dimension():
+    with pytest.raises(SubsystemInvalid, match="ambient dimensions differ"):
+        v.subsystem(_diagonal_m2_system(), v.generate_algebra([], 3))
+
+
+def test_subsystem_rejects_a_subalgebra_without_the_unit():
+    """span{E11} is a *-algebra whose own unit E11 is not the unit of M_2."""
+    corner = v.MatrixStarAlgebra(2, E11[None].copy())
+    with pytest.raises(SubsystemInvalid, match="must contain the unit"):
+        v.subsystem(_diagonal_m2_system(), corner)
+
+
+def test_subsystem_rejects_a_subalgebra_outside_the_parent():
+    """M_2 contains the unit but not in the diagonal algebra."""
+    with pytest.raises(SubsystemInvalid, match="not contained in the parent"):
+        v.subsystem(_diagonal_m2_system(), v.generate_algebra([E12], 2))
+
+
+def test_subsystem_rejects_a_trace_unfaithful_at_its_own_cutoff():
+    """The subsystem takes its own tolerances: an atom of weight 1e-9 is
+    faithful at the system's eps_rank 1e-10 but not at 1e-8, where the
+    Gram matrix of F = A has an eigenvalue below the cutoff."""
+    sys = _diagonal_m2_system((1e-9, 1.0 - 1e-9))
+    assert v.subsystem(sys, sys.algebra).algebra.dim == 2
+    with pytest.raises(SubsystemInvalid, match="restricted trace is not faithful"):
+        v.subsystem(sys, sys.algebra, v.ToleranceConfig(eps_rank=1e-8))
 
 
 def test_conditional_expectation_onto_diagonal(m2_over_diagonal):

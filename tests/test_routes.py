@@ -1012,6 +1012,80 @@ def test_cesaro_memory_does_not_grow_with_horizon():
     assert peak < 16 * 2 ** 20
 
 
+def _cold(built):
+    """Copies of the system and subsystem that hold no Cesaro data yet."""
+    system = dataclasses.replace(built.system)
+    return system, dataclasses.replace(built.sub, parent=system)
+
+
+@pytest.mark.parametrize("name", sorted(CESARO_SYSTEMS))
+def test_cesaro_held_data_give_what_fresh_data_give(name):
+    """Warm: the powers and the whitened E_F formed by an earlier call and
+    held; cold: formed by this call.  Equal bit for bit at the default
+    horizon and at N = 2048 without early exit."""
+    built, elements = _admissible(name)
+    for label, a in elements:
+        for kwargs in ({}, {"n_max": 2048, "early_exit": False}):
+            warm = v.cesaro_sequence(built.system, built.sub, a, **kwargs)
+            assert "mode_powers" in vars(built.system), (name, label)
+            assert "whitened_expectation" in vars(built.sub), (name, label)
+            system, sub = _cold(built)
+            cold = v.cesaro_sequence(system, sub, a, **kwargs)
+            assert np.array_equal(warm, cold), (name, label, kwargs)
+
+
+def test_cesaro_forms_the_powers_and_the_map_once(monkeypatch):
+    """All 18 admissible elements of finite_extension_m2 at the benchmark's
+    shape share one cumprod and one Cholesky factor."""
+    built, elements = _admissible("finite_extension_m2")
+    assert len(elements) == 18
+    calls = {"cumprod": 0, "cholesky": 0}
+
+    def counted(module, fname):
+        inner = getattr(module, fname)
+
+        def wrapper(*args, **kwargs):
+            calls[fname] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, fname, wrapper)
+
+    counted(np, "cumprod")
+    counted(np.linalg, "cholesky")
+    for _, a in elements:
+        v.cesaro_sequence(built.system, built.sub, a, n_max=2048, early_exit=False)
+    assert calls == {"cumprod": 1, "cholesky": 1}
+
+
+def test_a_replaced_system_reads_its_own_powers():
+    built, _ = _admissible("group_z4_inversion")
+    lam, vecs = built.system.modes
+    held = built.system.mode_powers
+    turned = dataclasses.replace(built.system, modes=(lam.conj().copy(), vecs))
+    assert np.array_equal(turned.mode_powers[:, 0], lam.conj())
+    assert np.array_equal(turned.mode_powers, held.conj())
+    assert built.system.mode_powers is held
+    assert np.array_equal(held[:, 0], lam)
+
+
+@pytest.mark.parametrize("name", ["finite_extension_m2", SKEW_D24["name"]])
+def test_held_cesaro_data_are_read_only_and_right(name):
+    """Column n - 1 of the powers is lam^n; the whitened E_F W satisfies
+    W^H W = G E_F, so |W c|^2 = mu(E_F(x)* E_F(x)) for x with coordinates c."""
+    built, _ = _admissible(name)
+    system, sub = built.system, built.sub
+    lam = system.modes[0]
+    powers, w = system.mode_powers, sub.whitened_expectation
+    assert powers.shape == (system.algebra.dim, algebra.CESARO_BLOCK)
+    for n in (1, 2, 7, algebra.CESARO_BLOCK):
+        assert np.abs(powers[:, n - 1] - lam ** n).max() <= 1e-12
+    assert w.shape == (sub.algebra.dim, system.algebra.dim)
+    assert np.abs(w.conj().T @ w - system.gram @ sub.expectation.matrix).max() <= 1e-12
+    for held in (powers, w):
+        assert not held.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("name", sorted(CESARO_SYSTEMS))
 def test_modes_diagonalise_the_dynamics(name):
     system = _admissible(name)[0].system

@@ -133,6 +133,62 @@ def private_reaches(source: str) -> list[str]:
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
+MUTATORS = frozenset({"append", "extend", "insert", "update", "setdefault", "pop",
+                      "popitem", "clear", "add", "discard", "remove"})
+
+
+def module_state_writes(source: str) -> list[str]:
+    """Statements in a function that write module-level state: a global
+    declaration; an assignment, augmented assignment or deletion of an item
+    or attribute of a name the module binds and no enclosing function binds;
+    or a call of a mutating container method (``MUTATORS``) on a name the
+    module binds by assignment."""
+    tree = ast.parse(source)
+    bound, assigned = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        else:
+            assigned |= {n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    bound |= assigned
+    found = set()
+
+    def root(node):
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+        return node.id if isinstance(node, ast.Name) else None
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = (local or set()) | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)} \
+                | {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                   and isinstance(n.ctx, ast.Store)}
+        elif local is not None:
+            if isinstance(node, ast.Global):
+                found.add((node.lineno, f"global {', '.join(node.names)}"))
+            targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                       else [node.target] if isinstance(node, (ast.AugAssign,
+                                                               ast.AnnAssign, ast.For))
+                       else [])
+            prefix = "del " if isinstance(node, ast.Delete) else ""
+            for target in targets:
+                for t in ast.walk(target):
+                    if isinstance(t, (ast.Attribute, ast.Subscript)) \
+                            and isinstance(t.ctx, (ast.Store, ast.Del)) \
+                            and root(t) in bound - local:
+                        found.add((node.lineno, prefix + ast.unparse(t)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS and root(node.func) in assigned - local:
+                found.add((node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+    visit(tree, None)
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
 def test_unused_import_check_finds_an_unused_name():
     assert unused_imports("import os\nimport sys\nfrom a import b, c as d\nsys.exit(d)\n") \
         == ["line 1: os", "line 3: b"]
@@ -267,4 +323,30 @@ def test_package_modules_keep_to_public_names_of_each_other():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) >= 10
     found = {p.name: private_reaches(p.read_text()) for p in paths}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
+def test_module_state_check_finds_every_form():
+    source = ("import numpy as np\nCACHE = {}\nSEEN = []\nSEEN.append(0)\n"
+              "class C:\n    def f(self, x):\n        self.y = x\n"
+              "        CACHE[id(x)] = x\n"
+              "def g(x):\n    global SEEN\n    SEEN = [x]\n    np.cumprod = len\n"
+              "def h(CACHE):\n    CACHE[0] = 1\n    out = {}\n    out['a'] = 1\n"
+              "    del SEEN[0]\n    SEEN[-1] += 1\n    np.add(1, 2)\n"
+              "    def k(y):\n        out['b'] = y\n        C.z: int = 3\n"
+              "        SEEN.setdefault(y, out).x = 1\n        return [n for n in y]\n")
+    assert module_state_writes(source) == [
+        "line 8: CACHE[id(x)]", "line 10: global SEEN", "line 12: np.cumprod",
+        "line 17: del SEEN[0]", "line 18: SEEN[-1]", "line 22: C.z",
+        "line 23: SEEN.setdefault(y, out)"]
+
+
+def test_package_functions_write_no_module_state():
+    """State derived from a system is held on the object it derives from
+    (a cached property), never in a module-level table: a table keyed by
+    id() reads a freed object's entry for a new object given the same id,
+    and keeps every keyed object alive."""
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = {p.name: module_state_writes(p.read_text()) for p in paths}
     assert {name: f for name, f in found.items() if f} == {}

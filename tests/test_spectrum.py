@@ -5,7 +5,8 @@ import pytest
 
 import vnspec as v
 from vnspec import linalg, pipeline
-from vnspec.errors import InputError, NotInAlgebra, NotMeanZero, VerdictMismatch
+from vnspec.errors import (InputError, NotInAlgebra, NotMeanZero, NumericalBreakdown,
+                           VerdictMismatch)
 from vnspec.spectrum import admissible_elements
 from conftest import E12
 from oracles import bar_vector
@@ -41,7 +42,7 @@ def test_cesaro_takes_a_numpy_integer_horizon(m2_grading):
 
 
 def test_cesaro_rejects_nonzero_expectation(m2_grading):
-    with pytest.raises(NotMeanZero):
+    with pytest.raises(NotMeanZero, match="nonzero conditional expectation"):
         v.cesaro_sequence(m2_grading.system, m2_grading.sub, np.eye(2))
 
 
@@ -52,7 +53,7 @@ def test_cesaro_rejects_element_outside_algebra(analyses):
     e01 = np.zeros((4, 4), dtype=complex)
     e01[0, 1] = 1.0
     assert built.system.algebra.membership_residual(e01) == pytest.approx(1.0)
-    with pytest.raises(NotInAlgebra):
+    with pytest.raises(NotInAlgebra, match="does not lie in the algebra"):
         v.cesaro_sequence(built.system, built.sub, e01)
     assert issubclass(NotInAlgebra, InputError)
 
@@ -65,6 +66,15 @@ def test_cesaro_early_exit_shortens(m2_grading):
 def test_no_admissible_elements_for_full_subsystem(analyses):
     an = analyses["full_subsystem_m2"]
     assert admissible_elements(an.built.system, an.built.sub) == []
+
+
+def test_admissible_elements_refuse_a_draw_below_the_rank_cutoff(analyses):
+    """At eps_rank 10 every singular value of the draw is cut, so the k
+    generic elements no longer span ker E_F."""
+    built = analyses["finite_extension_m2"].built
+    with pytest.raises(NumericalBreakdown,
+                       match="^18 generic elements span less than ker E_F$"):
+        admissible_elements(built.system, built.sub, v.ToleranceConfig(eps_rank=10.0))
 
 
 def test_admissible_elements_span_kernel(analyses):

@@ -33,9 +33,12 @@ carries block k to block pi(k), where alpha(p_k) = p_pi(k), by
 x_k -> U_k x_k U_k^H with U_k = V_pi(k)^H j(w_k)* U V_k, for the partial
 isometry w_k from alpha(q_k) to q_pi(k) in F (p_pi(k) when n_k = 1); each
 U_k is certified unitary with U V_k = j(w_k) V_pi(k) U_k.  L2(<A, e>) of the
-lifted trace is diagonal in these coordinates, and the fixed points of the
-lifted dynamics, {U}' in <A, e>, are one null space of an r x r matrix that
-the module and ergodicity routes share.
+lifted trace is diagonal in these coordinates.  The fixed points of the
+lifted dynamics, C = {U}' in <A, e>, and the minimal central projections of
+C come from the m x m return unitary R of each orbit of pi (the finite form
+of the Mackey range of a group extension: Zimmer 1976; Furstenberg 1977):
+the null space of Ad(R) - 1 and the eigenprojections of R, carried around
+the orbit, which must agree with each other and with the dense dynamics.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ import numpy as np
 from . import linalg
 from .algebra import (DEFAULT_TOL, INCLUSION_SEED, MINIMAL_SEED, PRODUCT_SEED, SPAN_SEED,
                       BlockAlgebra, MatrixStarAlgebra, StarAutomorphism, Subsystem,
-                      ToleranceConfig, TraceFunctional, bratteli_blocks,
+                      ToleranceConfig, TraceFunctional, bratteli_blocks, eigenmodes,
                       product_trace_table)
 from .errors import (CommutantMismatch, ExtensionInconsistent, NumericalBreakdown,
                      PartitionInvalid, SubsystemInvalid)
@@ -64,7 +67,8 @@ class BasicConstruction:
     dynamics: StarAutomorphism      # conjugation by U in block coordinates
     bar_to_vector: np.ndarray       # block coords -> L2(algebra, lifted trace), diagonal
     u_bar: np.ndarray               # unitary implementing the dynamics there
-    fixed: np.ndarray               # (dim, f) orthonormal coords of the fixed points
+    fixed: np.ndarray               # (dim, f) orthonormal coords of the fixed points C
+    central: np.ndarray             # (c, dim) coords of C's minimal central projections
     commutant_residual: float
     extension_residual: float
     tracial_residual: float         # trace property, block product of a generic pair
@@ -76,7 +80,8 @@ class BasicConstruction:
 
     def __post_init__(self):
         for a in (self.e, self.trace_vector, self.bar_to_vector, self.u_bar, self.fixed,
-                  self.x_coords, self.b_coords, self.g_coords, self.span_coords):
+                  self.central, self.x_coords, self.b_coords, self.g_coords,
+                  self.span_coords):
             a.setflags(write=False)
 
     @property
@@ -325,16 +330,17 @@ def lifted_trace(gns: GnsSpace, corners, alg: BlockAlgebra,
 
 def _lifted_dynamics(gns: GnsSpace, alg: BlockAlgebra, blocks,
                      minimal: list[np.ndarray], f: np.ndarray,
-                     tol: ToleranceConfig) -> np.ndarray:
-    """Coordinate matrix of x -> U x U* on the block algebra.
+                     tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, list]:
+    """Coordinate matrix of x -> U x U* on the block algebra, with the block
+    permutation pi and the unitaries U_k that make it up.
 
     U j(a) U* = j(alpha(a)) as U commutes with J, so U maps j(q_k) H onto
     j(alpha(q_k)) H, and alpha(p_k) = p_pi(k) for a permutation pi of the
     blocks.  With w_k the partial isometry of F from alpha(q_k) to q_pi(k)
     (p_pi(k) when n_k = 1), j(w_k) V_pi(k) is an orthonormal basis of
     j(alpha(q_k)) H, so U V_k = j(w_k) V_pi(k) U_k for a unitary U_k, and
-    the block pi(k) of U x U* is U_k x_k U_k^H.  Checks pi, U J = J U, each
-    U_k's unitarity and that relation.
+    the block pi(k) of U x U* is U_k x_k U_k^H.  Checks that pi is a
+    permutation, U J = J U, each U_k's unitarity and that relation.
     """
     u, amb = gns.u_matrix, gns.system.dynamics.unitary
     conj = gns.conj_matrix
@@ -344,8 +350,11 @@ def _lifted_dynamics(gns: GnsSpace, alg: BlockAlgebra, blocks,
     perm = (moved.reshape(len(projs), -1).conj()
             @ projs.reshape(len(projs), -1).T).real.argmax(axis=1)
     resid = max(resid, float(np.abs(moved - projs[perm]).max()))
+    if len(set(perm.tolist())) != len(perm):
+        resid = float("inf")
     starts = np.cumsum([0, *(m * m for m in alg.sizes)])
     matrix = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
+    unitaries = []
     for k, l in enumerate(perm):
         if (alg.sizes[l], alg.mults[l]) != (alg.sizes[k], alg.mults[k]):
             raise NumericalBreakdown("the dynamics moves a central block of F onto "
@@ -360,11 +369,95 @@ def _lifted_dynamics(gns: GnsSpace, alg: BlockAlgebra, blocks,
         resid = max(resid, float(np.abs(uk.conj().T @ uk - np.eye(len(uk))).max()),
                     float(np.abs(moved_v - image @ uk).max()))
         matrix[starts[l]:starts[l + 1], starts[k]:starts[k + 1]] = np.kron(uk, uk.conj())
+        unitaries.append(uk)
     if resid > tol.eps_assert:
         raise NumericalBreakdown(f"lifted system: conjugation by the unitary does not "
                                  f"map the blocks of <A, e> onto each other "
                                  f"(residual {resid:.2e})")
-    return matrix
+    return matrix, perm, unitaries
+
+
+def _orbits(perm: np.ndarray) -> list[list[int]]:
+    """The cycles k_0 -> pi(k_0) -> ... of a permutation, each from its
+    smallest element."""
+    seen, out = set(), []
+    for start in range(len(perm)):
+        orbit, k = [], start
+        while k not in seen:
+            seen.add(k)
+            orbit.append(k)
+            k = int(perm[k])
+        if orbit:
+            out.append(orbit)
+    return out
+
+
+def _circle_clusters(lam: np.ndarray, eps_rank: float) -> list[np.ndarray]:
+    """Indices of the eigenvalues lam on the unit circle, grouped by the rank
+    rule of ``linalg.nullspace`` on Ad(R) - 1, whose singular values are the
+    chords |lam_i - lam_j|: neighbours around the circle share a group when
+    their chord is at most eps_rank max(1, largest chord)."""
+    order = np.argsort(np.angle(lam), kind="stable")
+    ring = lam[order]
+    gaps = np.abs(np.roll(ring, -1) - ring)  # position i to i + 1, wrapping
+    spread = max(1.0, float(np.abs(lam[:, None] - lam[None]).max()))
+    cuts = np.nonzero(gaps > eps_rank * spread)[0]
+    if not len(cuts):
+        return [order]
+    start = (cuts[-1] + 1) % len(lam)
+    return np.split(np.roll(order, -start), np.sort((cuts - start) % len(lam) + 1)[:-1])
+
+
+def _fixed_points(alg: BlockAlgebra, perm: np.ndarray, unitaries: list,
+                  tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal coordinates (dim, f) of C = {U}' in <A, e>, and the
+    coordinates (c, dim) of its minimal central projections, from the return
+    unitaries of the orbits of pi.
+
+    On an orbit k_0 -> ... -> k_{L-1} of length L, the frames W_0 = 1,
+    W_{i+1} = U_{k_i} W_i carry y to the element with blocks W_i y W_i^H,
+    which is fixed exactly when y commutes with R = W_L.  Route one is the
+    null space of kron(R, conj R) - 1 under the one rank rule, carried and
+    scaled by 1 / sqrt(L), which keeps it orthonormal; it must hold the
+    identity.  Route two is the eigenprojections of R (``eigenmodes``), its
+    eigenvalues clustered by the same rule, carried unscaled.  Each orbit's
+    kernel must have dimension sum mult(lambda)^2, and each projection must
+    lie in the span of the fixed points.
+    """
+    starts = np.cumsum([0, *(m * m for m in alg.sizes)])
+    fixed, central, counts = [], [], []
+    for orbit in _orbits(perm):
+        m = alg.sizes[orbit[0]]
+        frames = [np.eye(m, dtype=np.complex128)]
+        for k in orbit:
+            frames.append(unitaries[k] @ frames[-1])
+        ret, frames = frames[-1], np.stack(frames[:-1])
+        kernel = linalg.nullspace(np.kron(ret, ret.conj()) - np.eye(m * m), tol.eps_rank)
+        ident = np.eye(m).reshape(-1) / np.sqrt(m)
+        if np.linalg.norm(ident - kernel @ (kernel.conj().T @ ident)) > tol.eps_assert:
+            raise NumericalBreakdown(
+                f"rank cutoff {tol.eps_rank:g} drops the identity from the fixed points")
+        lam, vecs = eigenmodes(ret, tol)
+        groups = _circle_clusters(lam, tol.eps_rank)
+        counts.append((sum(len(g) ** 2 for g in groups), kernel.shape[1]))
+        # carry both families around the orbit: y -> W_i y W_i^H on block k_i
+        ys = np.concatenate([kernel.T.reshape(-1, m, m) / np.sqrt(len(orbit)),
+                             [vecs[:, g] @ vecs[:, g].conj().T for g in groups]])
+        moved = frames[None] @ ys[:, None] @ frames.conj().transpose(0, 2, 1)[None]
+        coords = np.zeros((len(ys), alg.dim), dtype=np.complex128)
+        for i, k in enumerate(orbit):
+            coords[:, starts[k]:starts[k + 1]] = moved[:, i].reshape(len(ys), -1)
+        fixed.append(coords[:kernel.shape[1]])
+        central.append(coords[kernel.shape[1]:])
+    fixed, central = np.vstack(fixed).T, np.vstack(central)
+    span = float(np.abs(central - (central @ fixed.conj()) @ fixed.T).max())
+    if span > tol.eps_assert or any(a != b for a, b in counts):
+        raise NumericalBreakdown(
+            f"rank cutoff {tol.eps_rank:g}: the eigenprojections of the return "
+            f"unitaries and the null space of alpha_bar - 1 disagree (dimensions "
+            f"{[a for a, _ in counts]} and {[b for _, b in counts]}, span residual "
+            f"{span:.2e})")
+    return np.ascontiguousarray(fixed), central
 
 
 def build_basic_construction(gns: GnsSpace, sub: Subsystem,
@@ -417,22 +510,22 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     if tracial > tol.eps_assert:
         raise NumericalBreakdown("lifted system: functional is not tracial on the "
                                  f"algebra (residual {tracial:.2e})")
-    dyn = _lifted_dynamics(gns, alg, blocks, minimal, f, tol)
+    dyn, perm, unitaries = _lifted_dynamics(gns, alg, blocks, minimal, f, tol)
     if np.abs(trace_vector @ dyn - trace_vector).max() > tol.eps_assert:
         raise NumericalBreakdown("lifted system: conjugation by the unitary does not "
                                  "preserve the trace")
     root = np.sqrt(weights)
     u_bar = root[:, None] * dyn / root
-    # {U}' in <A, e>: alpha_bar is unitary in these coordinates
-    fixed = linalg.nullspace(dyn - np.eye(alg.dim), tol.eps_rank)
-    if not fixed.shape[1]:
-        raise NumericalBreakdown(
-            f"rank cutoff {tol.eps_rank:g} drops the identity from the fixed points")
+    fixed, central = _fixed_points(alg, perm, unitaries, tol)
+    moved = float(np.abs(dyn @ fixed - fixed).max())
+    if moved > tol.eps_assert:
+        raise NumericalBreakdown(f"rank cutoff {tol.eps_rank:g}: the lifted dynamics "
+                                 f"moves a fixed point (residual {moved:.2e})")
     density = TraceFunctional(alg.from_coords(trace_vector / alg.hs_weights),
                               normalized=False)
     return BasicConstruction(gns, sub, e, alg, trace_vector, density,
                              StarAutomorphism(dyn, gns.u_matrix), np.diag(root),
-                             np.ascontiguousarray(u_bar), np.ascontiguousarray(fixed),
+                             np.ascontiguousarray(u_bar), fixed, central,
                              resid, max(jones, defining), tracial, tuple(blocks),
                              xs, bs, gen_coords, span_coords)
 

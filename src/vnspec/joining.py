@@ -4,10 +4,11 @@ The joining is the state on the algebraic tensor product built from the two
 conditional expectations composed with the diagonal state.  Its GNS space is
 the relative tensor product L2(A) (x)_F L2(A) (Sauvageot 1983), which the d k
 generating tensors x_i (x) j(b_s) span just as the x_i e b_s span <A, e>
-(Pimsner and Popa 1986); it is the range of a pivoted Cholesky factor of
-their Gram matrix, and is unitarily equivalent to L2 of the basic
-construction, checked on the x_i e b_s in the <A, e> coordinates that the
-basic construction keeps.  Neither the Gram matrix nor the equivalence
+(Pimsner and Popa 1986); it is the range of the factor that one
+eigendecomposition gives of their Jacobi-scaled Gram matrix, whose columns
+are orthogonal, and is unitarily equivalent to L2 of the basic construction,
+checked on the x_i e b_s in the <A, e> coordinates that the basic
+construction keeps.  Neither the Gram matrix nor the equivalence
 ranges over the d^2 simple tensors a_i (x) j(a_j).
 """
 from __future__ import annotations
@@ -29,7 +30,8 @@ class JoiningData:
     omega_values is indexed over pairs of the parent basis, with the
     commutant slot running over j(left(a_i)).  The GNS space is read through
     the generating tensors t = x_i (x) j(b_s) of the basic construction,
-    column i k + s: gamma holds the GNS vectors of the unit tensors t / |t|.
+    column i k + s: gamma holds the GNS vectors of the unit tensors t / |t|,
+    from the eigenvalues of their scaled Gram above eps_rank.
     """
     basic: BasicConstruction        # owns the GNS space and the subsystem
     omega_values: np.ndarray        # (d, d) joint state on basis pairs
@@ -41,7 +43,8 @@ class JoiningData:
     w_matrix: np.ndarray            # (r, r) unitary of the joint dynamics
     h_lambda_alt_residual: float    # F (x) 1 span versus 1 (x) j(F) span
     factor_residual: float          # ||G - L L^H||_F of the scaled Gram's factor
-    smallest_pivot: float           # smallest pivot kept in that factor
+    smallest_kept_eigenvalue: float     # of the scaled Gram, in that factor
+    largest_dropped_eigenvalue: float   # -inf when every eigenvalue is kept
 
     def __post_init__(self):
         for a in (self.omega_values, self.gamma, self.norms, self.w_matrix):
@@ -89,32 +92,27 @@ def _tensor_gram(bc: BasicConstruction, side: tuple[np.ndarray, np.ndarray],
 
 
 def factor_gram(gram: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
-                ) -> tuple[np.ndarray, float, float]:
-    """Factor a Hermitian G = L L^H + S by pivoted Cholesky.
+                ) -> tuple[np.ndarray, float, float, float]:
+    """Factor a Hermitian G = L L^H + S from one eigendecomposition.
 
-    Pivoted Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 10) pivots on the largest remaining diagonal entry, the first of
-    those equal to it up to a factor 1 - eps_rank, and stops once it is at
-    most eps_rank.  As L L^H is positive, lambda_min(G) >= -||S||_F, so
-    StateNotPositive is raised when ||S||_F > eps_assert.  Returns L^T
-    (row k is column k of L), ||S||_F and the smallest pivot kept.
+    G = V diag(lam) V^H, and the eigenvalues above eps_rank, an absolute
+    cutoff on a Gram of unit diagonal, give L = V_kept diag(sqrt(lam_kept)),
+    whose columns are orthogonal; S is the dropped part.  StateNotPositive is
+    raised when the smallest eigenvalue is below -eps_assert or ||S||_F
+    exceeds eps_assert.  Returns L^T (row k is column k of L), ||S||_F, the
+    smallest eigenvalue kept and the largest dropped (-inf when none is).
     """
-    diag = gram.diagonal().real.copy()
-    rows = np.empty(gram.shape, dtype=np.complex128)
-    pivots: list[float] = []
-    while len(pivots) < len(gram) and diag.max() > tol.eps_rank:
-        # the first of the tied entries, so that rounding does not order them
-        k, piv = len(pivots), int(np.argmax(diag >= (1 - tol.eps_rank) * diag.max()))
-        rows[k] = (gram[:, piv] - rows[:k].T @ rows[:k, piv].conj()) / np.sqrt(diag[piv])
-        pivots.append(float(diag[piv]))
-        diag -= rows[k].real ** 2 + rows[k].imag ** 2
-        diag[piv] = 0.0
-    rows = rows[:len(pivots)]
+    vals, vecs = np.linalg.eigh(gram)  # ascending
+    kept = vals > tol.eps_rank
+    rows = np.sqrt(vals[kept])[:, None] * vecs[:, kept].T
     resid = float(np.linalg.norm(gram - rows.T @ rows.conj()))
-    if resid > tol.eps_assert:
-        raise StateNotPositive(f"joining state has negative part: Schur complement "
-                               f"{resid:.2e} at rank {len(pivots)}")
-    return rows, resid, min(pivots, default=float("inf"))
+    if vals[0] < -tol.eps_assert or resid > tol.eps_assert:
+        raise StateNotPositive(f"joining state has negative part or loses rank: "
+                               f"smallest eigenvalue {vals[0]:.2e}, dropped part "
+                               f"{resid:.2e} at rank {len(rows)} (rank cutoff "
+                               f"{tol.eps_rank:g})")
+    return (rows, resid, float(vals[kept].min(initial=np.inf)),
+            float(vals[~kept].max(initial=-np.inf)))
 
 
 def relative_joining(bc: BasicConstruction,
@@ -148,15 +146,16 @@ def relative_joining(bc: BasicConstruction,
         raise NumericalBreakdown(f"the joining is not invariant under alpha (x) "
                                  f"alpha' (residual {invariance:.2e})")
     # Gram of the generating tensors, factored after Jacobi scaling so that
-    # the pivots do not follow the trace weights; |t|^2 = mu(E(x* x) E(b b*))
-    # is positive as mu is faithful and E(b_s b_s*) invertible for generic b_s
+    # the kept eigenvalues do not follow the trace weights;
+    # |t|^2 = mu(E(x* x) E(b b*)) is positive as mu is faithful and
+    # E(b_s b_s*) invertible for generic b_s
     gens, side = (bc.x_coords, bc.b_coords), _generating_side(bc)
     gram = _tensor_gram(bc, side, gens)
     norms = np.sqrt(gram.diagonal().real)
-    l_rows, factor_resid, pivot = factor_gram(gram / np.outer(norms, norms), tol)
-    # L = V S with V orthonormal: gamma = S V^H, and L L^H = gamma^H gamma
-    _, s, vh = np.linalg.svd(l_rows, full_matrices=False)
-    gamma = s[:, None] * vh.conj()  # (r, d k)
+    l_rows, factor_resid, kept, dropped = factor_gram(gram / np.outer(norms, norms), tol)
+    # L = V diag(sqrt(lam)) has orthogonal columns: gamma = L^H, and
+    # L L^H = gamma^H gamma
+    gamma = l_rows.conj()  # (r, d k)
     read = _read_back(gamma, norms)
     # <t, W t'> = <t, (alpha (x) alpha') t'>, with t' moved by U
     moved = tuple(z @ m_alpha.T for z in gens)
@@ -173,7 +172,7 @@ def relative_joining(bc: BasicConstruction,
                                  f"(residual {span_resid:.2e})")
     return JoiningData(bc, omega_vals, two_formula, marg, invariance,
                        np.ascontiguousarray(gamma), norms, np.ascontiguousarray(w),
-                       span_resid, factor_resid, pivot)
+                       span_resid, factor_resid, kept, dropped)
 
 
 def _balance(bc: BasicConstruction) -> float:

@@ -20,6 +20,7 @@ from .basic import (BasicConstruction, build_basic_construction, default_partiti
 from .constructors import (ConstructedSystem, FiniteExtensionDiagnostics,
                            finite_extension_diagnostics, tensor_partition_isometries)
 from .descriptions import SystemDescription, build_from_description
+from .errors import NumericalBreakdown
 from .gns import GnsSpace, build_gns
 from .joining import JoiningData, joining_equivalence, relative_joining
 from .spectrum import SpectrumReport, build_spectrum_report, skew_orbit_modules
@@ -68,6 +69,12 @@ class SystemAnalysis:
 def analyze_built(name: str, kind: str, built: ConstructedSystem,
                   tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
                   ) -> SystemAnalysis:
+    """Every stage and check on a built system.  A rank cutoff below the
+    machine epsilon is refused first: no singular value or eigenvalue that
+    roundoff leaves can be told from zero there."""
+    if tol.eps_rank < np.finfo(float).eps:
+        raise NumericalBreakdown(f"rank cutoff {tol.eps_rank:g} lies below roundoff "
+                                 f"(machine epsilon {np.finfo(float).eps:.2e})")
     gns = build_gns(built.system, tol)
     bc = build_basic_construction(gns, built.sub, tol)
     jd = relative_joining(bc, tol)
@@ -95,9 +102,12 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
     add("R_intertwine", intertwine)
     add("omega_marginals", jd.marginal_residual)
     add("omega_two_formulas", jd.two_formula_residual)
+    kept, dropped = jd.smallest_kept_eigenvalue, jd.largest_dropped_eigenvalue
     add("joining_factorisation", jd.factor_residual,
-        note=f"smallest kept pivot {jd.smallest_pivot:.3e}, "
-             f"{jd.smallest_pivot / tol.eps_rank:.3e} x eps_rank")
+        note=f"smallest kept eigenvalue {kept:.3e}, "
+             f"{kept / tol.eps_rank:.3e} x eps_rank; "
+             + (f"largest dropped {dropped:.3e}, {dropped / tol.eps_rank:.3e} x eps_rank"
+                if np.isfinite(dropped) else "none dropped"))
     add("module_completeness", spectrum.completeness_residual)
     add("trace_additivity", spectrum.additivity_residual)
     add("rds", spectrum.completeness_residual, passed=spectrum.rds,

@@ -1,8 +1,9 @@
 """Relative weak mixing and relative discrete spectrum diagnostics.
 
 Finds the minimal jointly invariant submodules of the orthogonal complement of
-the subalgebra's cyclic subspace, by the generic block route and, for skew
-products, by the orbit route from the orbits' indices; evaluates and
+the subalgebra's cyclic subspace, by the block route from the minimal central
+projections of the fixed points that the basic construction certified and,
+for skew products, by the orbit route from the orbits' indices; evaluates and
 certifies each family once, runs the
 Cesaro averages characterizing relative weak mixing, and cross-checks the
 ergodicity route against the module route (any disagreement is an error, never
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import (DEFAULT_TOL, Subsystem, ToleranceConfig, WStarSystem,
-                      central_projection_coords, positive_integer)
+                      positive_integer)
 from .basic import BasicConstruction
 from .errors import (NotInAlgebra, NotMeanZero, NumericalBreakdown, SubsystemInvalid,
                      VerdictMismatch)
@@ -108,11 +109,11 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
         raise SubsystemInvalid("subsystem does not belong to this system")
     alg = system.algebra
     a = np.asarray(element, dtype=np.complex128)
-    if alg.membership_residual(a) > tol.eps_assert:
+    coords = alg.coords(a)  # membership_residual's projection, formed once
+    if linalg.hs_norm(a - alg.from_coords(coords)) / max(1.0, linalg.hs_norm(a)) \
+            > tol.eps_assert:
         raise NotInAlgebra("element does not lie in the algebra")
-    exp = sub.expectation.matrix
-    coords = alg.coords(a)
-    if np.abs(exp @ coords).max() > tol.eps_assert:
+    if np.abs(sub.expectation.matrix @ coords).max() > tol.eps_assert:
         raise NotMeanZero("element has a nonzero conditional expectation")
     vecs = system.modes[1]
     k = (sub.whitened_expectation @ _adjoint_left_map(system, coords) @ vecs) \
@@ -162,13 +163,14 @@ def find_minimal_modules(bc: BasicConstruction, tol: ToleranceConfig = DEFAULT_T
     {U}' within j(F)' = <A, e>, as U e U* = e, so the center of the corner
     (1 - e) C (1 - e) is Z(C)(1 - e): the blocks are z (1 - e) for the
     minimal central projections z of C with z (1 - e) != 0, formed in block
-    coordinates.  Isomorphic minimal modules are reported as their block sum
-    rather than an arbitrary internal splitting.
+    coordinates.  The z are the eigenprojections of the return unitaries of
+    F's block orbits that the basic construction certified (``bc.central``).
+    Isomorphic minimal modules are reported as their block sum rather than an
+    arbitrary internal splitting.
     """
     alg = bc.algebra
     comp = alg.identity_coords() - alg.coords(bc.e)
-    blocks = [alg.from_coords(alg.product(z, comp))
-              for z in central_projection_coords(alg, bc.fixed.T, tol)]
+    blocks = alg.from_coords(alg.product(bc.central, comp))
     out = [module_candidate(bc, p, tol) for p in blocks if np.trace(p).real > 0.5]
     out.sort(key=lambda c: (-round(c.lifted_trace, 8), linalg.sort_key(c.projection)))
     return out

@@ -4,11 +4,15 @@ test by products with generators, the full algebra validator, seeded random
 elements, GNS vectors of ambient matrices and of elements of <A, e>, the
 inverse square root that scaled the old default partition, and the dense
 form of <A, e>: its n^2-wide span with an SVD basis, and the fixed points of
-its dynamics as n x n matrices."""
+its dynamics as n x n matrices.  Also the routes the return unitaries of F's
+block orbits replaced: the fixed points as one null space of the dim <A, e>
+square matrix alpha_bar - 1, with the generic center search on them, and the
+pivoted Cholesky factor of the joining's scaled Gram."""
 import numpy as np
 
 from vnspec import linalg
-from vnspec.algebra import DEFAULT_TOL, MatrixStarAlgebra, ToleranceConfig
+from vnspec.algebra import (DEFAULT_TOL, MatrixStarAlgebra, ToleranceConfig,
+                            central_projection_coords)
 from vnspec.errors import NumericalBreakdown
 
 
@@ -119,3 +123,36 @@ def inv_sqrt_psd(mat: np.ndarray, eps_rank: float) -> np.ndarray:
         raise NumericalBreakdown(
             f"matrix not positive definite (smallest eigenvalue {w.min():.2e})")
     return (q * (w ** -0.5)) @ q.conj().T
+
+
+def dense_fixed_points(bc, eps_rank: float = DEFAULT_TOL.eps_rank) -> np.ndarray:
+    """Orthonormal coordinates of {U}' in <A, e>: the null space of the
+    dim <A, e> square matrix alpha_bar - 1, as the package once found them."""
+    dyn = bc.dynamics.matrix
+    return linalg.nullspace(dyn - np.eye(len(dyn)), eps_rank)
+
+
+def fixed_point_center(bc, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+    """Minimal central projections of the fixed points, by the generic center
+    search on the dense null space, as module search once found them."""
+    return central_projection_coords(bc.algebra, dense_fixed_points(bc, tol.eps_rank).T,
+                                     tol)
+
+
+def pivoted_cholesky(gram: np.ndarray, eps_rank: float = DEFAULT_TOL.eps_rank
+                     ) -> tuple[np.ndarray, list[float]]:
+    """Rows L^T of G = L L^H + S by pivoted Cholesky (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10), with the pivots kept: pivot
+    on the largest remaining diagonal entry, the first of those equal to it
+    up to a factor 1 - eps_rank, and stop once it is at most eps_rank, as
+    the joining once factored its scaled Gram."""
+    diag = gram.diagonal().real.copy()
+    rows = np.empty(gram.shape, dtype=np.complex128)
+    pivots: list[float] = []
+    while len(pivots) < len(gram) and diag.max() > eps_rank:
+        k, piv = len(pivots), int(np.argmax(diag >= (1 - eps_rank) * diag.max()))
+        rows[k] = (gram[:, piv] - rows[:k].T @ rows[:k, piv].conj()) / np.sqrt(diag[piv])
+        pivots.append(float(diag[piv]))
+        diag -= rows[k].real ** 2 + rows[k].imag ** 2
+        diag[piv] = 0.0
+    return rows[:len(pivots)], pivots

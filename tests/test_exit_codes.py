@@ -181,6 +181,16 @@ PINNED = {
     # <A, e> does not (0.25): a failed cross-check, not bad input
     "lifted_trace_below_cutoff": (SHIPPED["full_subsystem_m2"],
                                   ["--eps-rank", "0.3"], 3),
+    # below the machine epsilon every analysis is refused; at 1e-16 this one
+    # once passed, and below it its own default partition was refused as input
+    "rank_cutoff_below_machine_epsilon": (SHIPPED["classical_4cycle"],
+                                          ["--eps-rank", "1e-16"], 3),
+    # the joining's scaled Gram has eigenvalues below these cutoffs, which
+    # the factor drops, so the joining loses rank
+    **{f"joining_eigenvalue_below_cutoff_{name}_{eps}": (SHIPPED[name],
+                                                         ["--eps-rank", eps], 3)
+       for name, eps in (("finite_extension_m2", "1e-2"), ("skew_z4_inversion", "3e-2"),
+                         ("skew_z4_inversion", "1e-2"))},
 }
 # misspelled keys were once ignored: this analysed F = C with exit 0
 TYPO_KEYS = copy.deepcopy(SHIPPED["classical_4cycle"])
@@ -217,6 +227,14 @@ def test_pinned_input_has_no_traceback(case, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == expected
     assert "Traceback" not in proc.stderr
+
+
+def test_cutoff_below_machine_epsilon_is_named(tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(SHIPPED["skew_z4_inversion"]))
+    code, _, err = _run(["analyze", str(path), "--eps-rank", "1e-300"])
+    assert code == 3
+    assert "rank cutoff 1e-300 lies below roundoff (machine epsilon 2.22e-16)" in err
 
 
 @pytest.mark.parametrize("name", ["explicit_m2_grading", "finite_extension_m2",

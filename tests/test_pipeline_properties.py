@@ -136,12 +136,13 @@ def test_skewed_weights_within_regime_pass():
 
 def test_skewed_weights_pass_down_to_1e6():
     # the joining factors the Jacobi-scaled Gram of its generating tensors,
-    # whose pivots do not scale with the weight
+    # whose kept eigenvalues do not scale with the weight
     an = analyze_built("t", "tensor", _skewed_fiber_tensor(1e-6))
     ref = analyze_built("t", "tensor", _skewed_fiber_tensor(1e-2))
     assert an.passed
-    assert abs(an.joining.smallest_pivot / ref.joining.smallest_pivot - 1) <= 1e-6
-    assert an.joining.smallest_pivot > 0.05
+    kept, ref_kept = (x.joining.smallest_kept_eigenvalue for x in (an, ref))
+    assert abs(kept / ref_kept - 1) <= 1e-6
+    assert kept > 0.05
 
 
 def test_extreme_weights_fail_loudly_not_silently(tmp_path, capsys):
@@ -175,14 +176,16 @@ def _weight_ladder(weight, atom_pairs):
 @pytest.mark.parametrize("atom_pairs", [False, True], ids=["trivial_f", "atom_pairs"])
 def test_weight_ladder_passes_down_to_the_trace_cutoff(atom_pairs):
     """Every weight the faithfulness cutoff eps_rank admits is certified, with
-    the pivots of the Jacobi-scaled generating Gram at w = 1e-2; a full
-    eigendecomposition of the Gram lost rank below w = 1e-5 with trivial F
-    and below w = 5e-10 with the atom pairs."""
+    the smallest kept eigenvalue of the Jacobi-scaled generating Gram that
+    w = 1e-2 gives; an eigendecomposition of the unscaled d^2 x d^2 Gram of
+    all simple tensors lost rank below w = 1e-5 with trivial F and below
+    w = 5e-10 with the atom pairs."""
     an = analyze_description(parse_system(_weight_ladder(2e-10, atom_pairs)))
     ref = analyze_description(parse_system(_weight_ladder(1e-2, atom_pairs)))
     assert an.passed
-    assert abs(an.joining.smallest_pivot / ref.joining.smallest_pivot - 1) <= 1e-6
-    assert an.joining.smallest_pivot > 0.05
+    kept, ref_kept = (x.joining.smallest_kept_eigenvalue for x in (an, ref))
+    assert abs(kept / ref_kept - 1) <= 1e-6
+    assert kept > 0.05
 
 
 @pytest.mark.parametrize("atom_pairs", [False, True], ids=["trivial_f", "atom_pairs"])

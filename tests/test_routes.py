@@ -13,10 +13,11 @@ as j(F)' by commutation with j(F) and the Bratteli dimension instead of the
 commutant of j(F) grown from all of M_n.  The lifted trace is the closed form
 Tr(x j(sum_k mu(p_k) / n_k^2 p_k)) over the central blocks of F instead of a
 least-squares extension over the spanning family.  The joining's GNS space
-comes from a pivoted Cholesky factor of the Gram matrix of the d k
-generating tensors x_i (x) j(b_s) instead of a full eigendecomposition of
-the d^2 x d^2 Gram, and the equivalence is checked on those tensors, with
-the balance over F, instead of on all d^2 simple tensors.
+comes from one eigendecomposition of the Jacobi-scaled Gram matrix of the
+d k generating tensors x_i (x) j(b_s) instead of the d^2 x d^2 Gram of all
+simple tensors or a pivoted Cholesky factor of the scaled one, and the
+equivalence is checked on those tensors, with the balance over F, instead
+of on all d^2 simple tensors.
 span(A e A) is shown closed under products by the Jones relation
 e a e = E(a) e instead of multiplying the span by every generator.  <A, e> is
 spanned by the d k products x_i e b_s over a few generic generators b_s of A
@@ -38,10 +39,15 @@ dynamics as validate_trace and automorphism_from_unitary certified them, the
 fixed points as n x n matrices and the default partition of dim <A, e>
 operators are the oracles for the span's rank and coordinates, the lifted
 trace and dynamics, the center of the fixed points and the partition formula.
+The fixed points and their minimal central projections come from the
+return unitaries of F's block orbits, an m^2-wide null space and the
+eigenprojections per orbit, instead of the null space of the dim <A, e>
+square matrix alpha_bar - 1 and the generic center search on it.
 The older routes survive here only, as oracles.
 """
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -63,7 +69,8 @@ from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, IsometryVio
 from vnspec.pipeline import SystemAnalysis, analyze_built, analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 from conftest import E12
-from oracles import (commutant, dense_span, inv_sqrt_psd, joint_commutant,
+from oracles import (commutant, dense_fixed_points, dense_span, fixed_point_center,
+                     inv_sqrt_psd, joint_commutant, pivoted_cholesky,
                      product_closure_residual, random_element, span_candidates)
 from test_exit_codes import _run as run_cli
 
@@ -675,13 +682,31 @@ def test_center_of_c_times_complement_equals_corner_center(analyses, skew_d24,
     _assert_module_route("m2_over_diagonal", bc, v.find_minimal_modules(bc))
 
 
+def _orbit_sides(an):
+    """m_k^2 for one block k of each orbit of the block permutation pi,
+    alpha(p_k) = p_pi(k), read from the central blocks of F."""
+    u = an.built.system.dynamics.unitary
+    projs = [p for p, _, _ in an.basic.blocks]
+    perm = [min(range(len(projs)), key=lambda l: np.abs(u @ p @ u.conj().T
+                                                        - projs[l]).max())
+            for p in projs]
+    sides, seen = [], set()
+    for k, (_, _, m) in enumerate(an.basic.blocks):
+        if k not in seen:
+            sides.append(m * m)
+            while k not in seen:
+                seen.add(k)
+                k = perm[k]
+    return sorted(sides)
+
+
 @pytest.mark.parametrize("name", ["skew_z4_inversion", "finite_extension_m2"])
 def test_fixed_points_are_found_once(analyses, monkeypatch, name):
-    """One null space of a dim <A, e> square matrix per analysis: the fixed
-    points of alpha_bar, which the module and the ergodicity routes share."""
+    """No null space of a dim <A, e> square matrix: one square null space of
+    side m_k^2 per orbit of F's blocks, for the return unitary of that
+    orbit, which the module and the ergodicity routes share."""
     an = analyses[name]
     dim = an.basic.algebra.dim
-    assert joint_commutant(an.basic).dim != dim  # no other square of that size
     shapes, nullspace = [], linalg.nullspace
 
     def spy(mat, eps_rank):
@@ -689,7 +714,127 @@ def test_fixed_points_are_found_once(analyses, monkeypatch, name):
         return nullspace(mat, eps_rank)
     monkeypatch.setattr(linalg, "nullspace", spy)
     analyze_built(name, an.kind, an.built)
-    assert shapes.count((dim, dim)) == 1, shapes
+    assert all(dim not in shape for shape in shapes), shapes
+    assert sorted(r for r, c in shapes if r == c) == _orbit_sides(an), shapes
+
+
+# --- the fixed points and their center: return unitaries against alpha_bar - 1
+
+@pytest.fixture(scope="module")
+def orbit_systems(analyses, skew_d24, m2_over_diagonal):
+    """The basic constructions of the shipped systems, the d = 24 skew
+    product, M_2 over its diagonal and F = A = M_2 (+) M_2 with swapped
+    summands (unrotated and rotated)."""
+    out = {name: an.basic for name, an in analyses.items()}
+    out[SKEW_D24["name"]] = skew_d24.basic
+    out["m2_over_diagonal"] = v.build_basic_construction(
+        v.build_gns(m2_over_diagonal.system), m2_over_diagonal.sub)
+    for angle in (0.0, 0.3):
+        out[f"swapped_blocks_{angle}"] = _swapped_blocks(angle).basic
+    return out
+
+
+def test_orbit_fixed_points_span_the_dense_null_space(orbit_systems):
+    for name, bc in orbit_systems.items():
+        dense = dense_fixed_points(bc)
+        fixed = bc.fixed
+        assert fixed.shape == dense.shape, name
+        gram = fixed.conj().T @ fixed
+        assert np.abs(gram - np.eye(len(gram))).max() <= 1e-12, name
+        assert max(linalg.subspace_inclusion_residual(fixed, dense),
+                   linalg.subspace_inclusion_residual(dense, fixed)) <= 1e-12, name
+
+
+def test_eigenprojections_equal_the_generic_center_search(orbit_systems):
+    """The eigenprojections of the return unitaries, carried around the
+    orbits, are the minimal central projections that the generic center
+    search finds on the dense null space; for skew_z4_inversion,
+    classical_4cycle and the d = 24 skew product the modules built from them
+    are the ones that search gave, to 1e-12."""
+    for name, bc in orbit_systems.items():
+        oracle = fixed_point_center(bc)
+        assert len(oracle) == len(bc.central), name
+        for z in oracle:
+            assert min(float(np.abs(z - c).max()) for c in bc.central) <= 1e-12, name
+
+
+def test_factor_rank_equals_the_pivoted_cholesky(orbit_systems):
+    """The eigendecomposition keeps as many directions of the scaled Gram as
+    the pivoted Cholesky factor it replaced, and gamma^H gamma is that Gram,
+    also on the skewed tensor at w = 1e-9 and the weight ladder at 2e-10."""
+    from test_pipeline_properties import _skewed_fiber_tensor, _weight_ladder
+    cases = dict(orbit_systems)
+    cases["skewed_tensor_1e-9"] = analyze_built("t", "tensor",
+                                                _skewed_fiber_tensor(1e-9)).basic
+    for pairs in (False, True):
+        cases[f"weight_ladder_{pairs}"] = analyze_description(
+            parse_system(_weight_ladder(2e-10, pairs))).basic
+    for name, bc in cases.items():
+        jd = v.relative_joining(bc)
+        gram = joining._tensor_gram(bc, joining._generating_side(bc),
+                                    (bc.x_coords, bc.b_coords))
+        scaled = gram / np.outer(jd.norms, jd.norms)
+        rows, _ = pivoted_cholesky(scaled)
+        assert len(rows) == jd.rank == len(bc.u_bar), name
+        assert np.abs(jd.gamma.conj().T @ jd.gamma - scaled).max() <= 1e-12, name
+
+
+def test_return_unitaries_that_disagree_with_the_null_space_are_refused(
+        analyses, monkeypatch):
+    """Eigenvalues merged into one cluster give sum mult^2 = 4 for a kernel
+    of dim 2; eigenvectors of another matrix give projections off the fixed
+    points.  Either way the two routes disagree, and the message names the
+    cutoff."""
+    an = analyses["classical_4cycle"]
+    modes = basic.eigenmodes
+    rotation = np.linalg.qr(linalg.random_complex(np.random.default_rng(0), (2, 2)))[0]
+    faults = {  # the dimensions in the message: sum mult^2, then the kernel's
+        r"\[4\] and \[2\]": lambda lam, vecs: (np.ones_like(lam), vecs),
+        r"\[2\] and \[2\]": lambda lam, vecs: (lam, rotation)}
+    for dims, fault in faults.items():
+        monkeypatch.setattr(basic, "eigenmodes",
+                            lambda m, tol, f=fault: f(*modes(m, tol)))
+        with pytest.raises(NumericalBreakdown,
+                           match=f"rank cutoff 1e-10: the eigenprojections of the "
+                                 f"return unitaries and the null space of alpha_bar "
+                                 f"- 1 disagree \\(dimensions {dims}, span residual"):
+            v.build_basic_construction(an.gns, an.built.sub)
+
+
+def test_a_moved_fixed_point_is_refused(analyses, monkeypatch):
+    """At eps_rank = 10 the orbit null space keeps the whole block, as no
+    chord |lam_i - lam_j| <= 2 exceeds 10 max(1, s_0); both routes then
+    agree on one cluster, and the dense lifted dynamics moves the extra
+    directions."""
+    an = analyses["classical_4cycle"]
+    fixed_points = basic._fixed_points
+
+    def coarse(alg, perm, unitaries, tol):
+        return fixed_points(alg, perm, unitaries, v.ToleranceConfig(eps_rank=10.0))
+    monkeypatch.setattr(basic, "_fixed_points", coarse)
+    with pytest.raises(NumericalBreakdown, match=r"rank cutoff 1e-10: the lifted "
+                                                  r"dynamics moves a fixed point "
+                                                  r"\(residual 1\.00e\+00\)"):
+        v.build_basic_construction(an.gns, an.built.sub)
+
+
+def test_a_kernel_without_the_identity_is_refused(analyses, monkeypatch):
+    """The orbit's null space with the identity projected out: the existing
+    breakdown that names the cutoff."""
+    an = analyses["skew_z4_inversion"]
+    nullspace = linalg.nullspace
+
+    def without_identity(mat, eps_rank):
+        kernel = nullspace(mat, eps_rank)
+        m = math.isqrt(len(mat))
+        if mat.shape != (m * m, m * m):  # not an orbit's kernel
+            return kernel
+        ident = np.eye(m).reshape(-1, 1) / np.sqrt(m)
+        return linalg.orthonormal_columns(kernel - ident @ (ident.T @ kernel), 1e-10)
+    monkeypatch.setattr(linalg, "nullspace", without_identity)
+    with pytest.raises(NumericalBreakdown, match="rank cutoff 1e-10 drops the "
+                                                 "identity from the fixed points"):
+        v.build_basic_construction(an.gns, an.built.sub)
 
 
 def test_skew_d24_fits_in_one_gib():
@@ -744,7 +889,7 @@ def test_skew_d128_is_too_large_for_384_mib(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-# --- the joining Gram: pivoted Cholesky against the full eigendecomposition -
+# --- the joining Gram: the scaled factor against the full eigendecomposition
 
 def coordinate_kronecker_terms(gns, e):
     """p[i, k] = e R coords(b_k* b_i) and q[i, k] = e R coords(b_k b_i*) for
@@ -857,11 +1002,14 @@ def test_factor_rejects_a_negative_eigenvalue():
 
 def test_factor_finds_the_rank_of_a_positive_matrix():
     gram = _hermitian([4.0, 1.0, 1e-3, 1e-6, 1e-9] + [0.0] * 20, seed=1)
-    rows, resid, smallest = v.factor_gram(gram)
+    rows, resid, smallest, dropped = v.factor_gram(gram)
     assert rows.shape == (5, 25)
     assert resid <= 1e-12
     assert np.abs(rows.T @ rows.conj() - gram).max() <= 1e-12
+    assert np.abs(rows @ rows.conj().T - np.diag(np.diag(rows @ rows.conj().T))).max() \
+        <= 1e-12  # orthogonal rows
     assert 1e-10 < smallest <= 1e-9
+    assert abs(dropped) <= 1e-12
 
 
 # --- conjugation automorphisms: invariance against the generic check --------
@@ -895,19 +1043,25 @@ def test_skew_d24_lifted_dynamics_passes_the_generic_check(skew_d24):
     _assert_lifted_dynamics_route(SKEW_D24["name"], skew_d24.basic)
 
 
-@pytest.mark.parametrize("angle", [0.0, 0.3])
-def test_lifted_dynamics_across_noncommutative_blocks(angle):
+def _swapped_blocks(angle):
     """F = A = M_2 (+) M_2, with dynamics that swap the summands after
-    rotating one, so that alpha(q_k) is a minimal projection of the other
-    block but, for a rotation, not its q: the partial isometry w_k carries
-    it there.  The block route agrees with the dense one."""
+    rotating one by ``angle``, analysed."""
     e12, zero = np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))
     gens = [np.block([[e12, zero], [zero, zero]]), np.block([[zero, zero], [zero, e12]])]
     rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     swap = np.block([[zero, rot], [np.eye(2), zero]])
     built = v.build_explicit_system(4, gens, np.eye(4) / 4, dynamics_unitary=swap,
                                     sub_generators=gens)
-    an = analyze_built("swapped_blocks", "explicit", built)
+    return analyze_built("swapped_blocks", "explicit", built)
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.3])
+def test_lifted_dynamics_across_noncommutative_blocks(angle):
+    """F = A = M_2 (+) M_2, with dynamics that swap the summands after
+    rotating one, so that alpha(q_k) is a minimal projection of the other
+    block but, for a rotation, not its q: the partial isometry w_k carries
+    it there.  The block route agrees with the dense one."""
+    an = _swapped_blocks(angle)
     assert an.passed and [(n, m) for _, n, m in an.basic.blocks] == [(2, 2), (2, 2)]
     _assert_lifted_dynamics_route("swapped_blocks", an.basic)
     _assert_block_coordinates_route("swapped_blocks", an.basic)
@@ -1054,6 +1208,22 @@ def test_cesaro_forms_the_powers_and_the_map_once(monkeypatch):
     for _, a in elements:
         v.cesaro_sequence(built.system, built.sub, a, n_max=2048, early_exit=False)
     assert calls == {"cumprod": 1, "cholesky": 1}
+
+
+def test_cesaro_projects_its_element_once(monkeypatch):
+    """The membership check and the Cesaro map read one coords(a) of the
+    element, not one each."""
+    built, elements = _admissible("finite_extension_m2")
+    calls, coords = [], algebra.MatrixStarAlgebra.coords
+
+    def spy(alg, mat):
+        calls.append(alg)
+        return coords(alg, mat)
+    monkeypatch.setattr(algebra.MatrixStarAlgebra, "coords", spy)
+    for _, a in elements:
+        calls.clear()
+        v.cesaro_sequence(built.system, built.sub, a, n_max=2048, early_exit=False)
+        assert calls == [built.system.algebra]
 
 
 def test_a_replaced_system_reads_its_own_powers():

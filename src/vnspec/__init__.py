@@ -6,10 +6,10 @@ joining with its unitary equivalence, and exact certificates for relative
 weak mixing and relative discrete spectrum.
 """
 from .algebra import (BlockAlgebra, ConditionalExpectation, DEFAULT_TOL,
-                      MatrixStarAlgebra, StarAutomorphism, Subsystem, ToleranceConfig,
-                      TraceFunctional, WStarSystem, automorphism_from_unitary,
-                      block_decomposition, bratteli_blocks, center, generate_algebra,
-                      gram_matrix, subsystem, system, trace_functional,
+                      MatrixStarAlgebra, MatrixUnits, StarAutomorphism, Subsystem,
+                      ToleranceConfig, TraceFunctional, WStarSystem,
+                      automorphism_from_unitary, bratteli_blocks, generate_algebra,
+                      gram_matrix, matrix_units, subsystem, system, trace_functional,
                       validate_trace)
 from .basic import (BasicConstruction, build_basic_construction,
                     default_partition, lifted_trace, lifted_trace_via_partition)

@@ -5,8 +5,10 @@ Hilbert-Schmidt orthonormal basis.  A W*-dynamical system is such an algebra
 together with a faithful tracial state (given by a density matrix) and a
 trace-preserving *-automorphism, conjugation by a unitary, stored with its
 coordinate matrix over the basis.  A subsystem carries the trace-preserving
-conditional expectation onto it, solved once where the subsystem is made;
-its central blocks (``bratteli_blocks``) decide whether it is commutative.
+conditional expectation onto it, solved once where the subsystem is made.
+Its central blocks, minimal projections and matrix units come from one
+seeded generic pair of its elements (``matrix_units``), and their sizes in
+the parent from integer traces (``bratteli_blocks``).
 """
 from __future__ import annotations
 
@@ -45,15 +47,13 @@ def positive_integer(value) -> bool:
 
 
 DEFAULT_TOL = ToleranceConfig()
-BLOCK_SEED = 7  # seed of the generic central element in central_projection_coords
+BLOCK_SEED = 7  # seed of h, whose eigenprojections are F's minimal projections
 SPAN_SEED = 11  # seed of the generic generators of A over F spanning <A, e>
-INCLUSION_SEED = 13  # seed of the generic generators of F in the j(F)' check
-CENTER_SEED = 17  # seed of the two generic generators whose commutant is the center
 MODES_SEED = 19  # seed of the phases w whose Hermitian part of w alpha is diagonalised
 PRODUCT_SEED = 23  # seed of the generic pairs certifying a product system's inherited
                    # table and the block product of <A, e>
-MINIMAL_SEED = 29  # seed of the generic elements of F giving minimal projections and
-                   # matrix units of its blocks and the partial isometries of the dynamics
+MINIMAL_SEED = 29  # seed of f, which links F's minimal projections into blocks and
+                   # gives its matrix units and the partial isometries of the dynamics
 
 
 @dataclass(frozen=True)
@@ -157,9 +157,6 @@ class BlockAlgebra:
     def product(self, x, y) -> np.ndarray:
         return self.join([a @ b for a, b in zip(self.blocks(x), self.blocks(y))])
 
-    def adjoint(self, x) -> np.ndarray:
-        return self.join([b.conj().swapaxes(-1, -2) for b in self.blocks(x)])
-
     def identity_coords(self) -> np.ndarray:
         return self.join([np.eye(m, dtype=np.complex128) for m in self.sizes])
 
@@ -238,121 +235,138 @@ def generate_algebra(generators, ambient_dim: int,
     return MatrixStarAlgebra(ambient_dim, np.ascontiguousarray(basis))
 
 
-def _full_matrix_algebra(n: int) -> BlockAlgebra:
-    """M_n as one block, so that coordinates are the matrix entries."""
-    return BlockAlgebra((np.eye(n, dtype=np.complex128)[None],))
+def partial_isometry(target: np.ndarray, f: np.ndarray,
+                     source: np.ndarray) -> tuple[np.ndarray, float]:
+    """w = target f source / sqrt(lambda), with the largest entry of
+    w w* - target and of w* w - source (inf when target f source = 0).
 
-
-def center_coords(ambient: BlockAlgebra, basis: np.ndarray,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Center of the *-subalgebra of ``ambient`` spanned by ``basis``, rows of
-    coordinates orthonormal in the plain inner product; returns its own
-    orthonormal rows of coordinates.
-
-    It is the kernel of c -> ([c, g_1], [c, g_2]) for two seeded generic g,
-    which generate the algebra as two generic elements of a finite-dimensional
-    C*-algebra do; each kernel element is checked to commute with every basis
-    element, which certifies that.  The commutators lie in the algebra, so
-    the null space reads their coordinates over the basis: 2 d rows for an
-    algebra of dim d, however wide the ambient coordinates.
+    For minimal projections of one block of F and a generic f in F,
+    target f source f* target = lambda target with lambda > 0, so w is the
+    partial isometry of F from source to target.
     """
-    rng = np.random.default_rng(CENTER_SEED)
-    gens = linalg.random_complex(rng, (2, len(basis))) @ basis
-    comms = ambient.product(basis[:, None], gens) - ambient.product(gens, basis[:, None])
-    kernel = linalg.nullspace((comms @ basis.conj().T).reshape(len(basis), -1).T,
-                              tol.eps_rank)
-    if not kernel.shape[1]:  # the identity is central, so the cutoff dropped it
-        raise NumericalBreakdown(
-            f"rank cutoff {tol.eps_rank:g} drops the identity from the center")
-    central = kernel.T @ basis
-    resid = max(float(np.abs(ambient.product(z, basis) - ambient.product(basis, z)).max())
-                for z in central)
-    if resid > tol.eps_assert:
-        raise NumericalBreakdown(f"two generic elements do not generate the algebra: "
-                                 f"their commutant is not central (residual {resid:.2e})")
-    return central
+    w = target @ f @ source
+    scale = np.vdot(w, w).real / np.trace(target).real
+    if not scale > 0:
+        return w, float("inf")
+    w = w / np.sqrt(scale)
+    return w, max(float(np.abs(w @ w.conj().T - target).max()),
+                  float(np.abs(w.conj().T @ w - source).max()))
 
 
-def central_projection_coords(ambient: BlockAlgebra, basis: np.ndarray,
-                              tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Minimal central projections of the *-subalgebra of ``ambient`` spanned
-    by the orthonormal coordinate rows ``basis``, as coordinates.
+@dataclass(frozen=True)
+class MatrixUnits:
+    """F = sum_k M_{n_k} through its matrix units, from ``matrix_units``.
 
-    A generic self-adjoint central element z is drawn from a fixed seed; its
-    blocks z_k are diagonalised one by one, and the clusters of their pooled
-    eigenvalues give the projections, one per cluster, with the eigenvectors
-    of that cluster in each block.  Central elements are constant on each
-    minimal central projection, so the clusters are exact up to roundoff;
-    each projection is checked to lie in the subalgebra.
+    ``units[k][i]`` is the partial isometry u_{k,i} of F from q_k =
+    ``units[k][0]`` onto the minimal projection q_{k,i} = u_{k,i} u_{k,i}*,
+    so the u_{k,i} u_{k,j}* are matrix units of F p_k, and the minimal central
+    projections p_k = sum_i q_{k,i} come largest trace first.  ``generators``
+    are h, and f when some n_k > 1, which generate F as an algebra.
     """
-    central = center_coords(ambient, basis, tol)
-    rng = np.random.default_rng(BLOCK_SEED)
+    projections: tuple[np.ndarray, ...]  # p_k, (N, N) each
+    units: tuple[np.ndarray, ...]        # (n_k, N, N) for each block k
+    generators: np.ndarray               # (1 or 2, N, N)
+
+    def __post_init__(self):
+        for a in (*self.projections, *self.units, self.generators):
+            a.setflags(write=False)
+
+
+def _pair_units(alg: MatrixStarAlgebra, h: np.ndarray, f: np.ndarray,
+                tol: ToleranceConfig) -> tuple[list, int, float]:
+    """The blocks [(p_k, units)] that one pair h, f gives, with sum n_k^2 and
+    the certificate's residual (see ``matrix_units``)."""
+    vals, vecs = np.linalg.eigh(h)
+    spread = max(1.0, float(vals[-1] - vals[0]))
+    starts = np.concatenate([[0], np.nonzero(np.diff(vals) > tol.eps_rank * spread)[0] + 1])
+    ranges = np.split(vecs, starts[1:], axis=1)  # orthonormal columns of each q
+    qs = [v @ v.conj().T for v in ranges]
+    f_eig = np.abs(vecs.conj().T @ f @ vecs) ** 2
+    links = np.sqrt(np.add.reduceat(np.add.reduceat(f_eig, starts, axis=0),
+                                    starts, axis=1))  # |q_i f q_j|_F
+    linked = links > tol.eps_rank * max(1.0, float(links.max()))
+    free, blocks, resid, frame = list(range(len(qs))), [], 0.0, []
+    while free:
+        first = free[0]
+        members = [first] + [i for i in free[1:] if linked[i, first]]
+        free = [i for i in free if i not in members]
+        pairs = [partial_isometry(qs[i], f, qs[first]) for i in members[1:]]
+        resid = max([resid] + [r for _, r in pairs])
+        units = np.stack([qs[first]] + [w for w, _ in pairs])
+        blocks.append((sum(qs[i] for i in members), units))
+        frame.append(units @ ranges[first])  # u_i V_k spans q_i
+    # the basis of F in the frame of the units: what lies off the span of the
+    # u_i u_j*, which there are the blocks 1 (x) E_ij, is the residual
+    cols = np.concatenate([np.concatenate(list(y), axis=1) for y in frame], axis=1)
+    moved = cols.conj().T @ alg.basis @ cols
+    start = 0
+    for y in frame:
+        n, r = y.shape[0], y.shape[2]
+        block = slice(start, start + n * r)
+        coef = np.einsum("kiaja->kij", moved[:, block, block].reshape(-1, n, r, n, r)) / r
+        moved[:, block, block] -= np.einsum("kij,ab->kiajb", coef, np.eye(r)).reshape(
+            -1, n * r, n * r)
+        start += n * r
+    resid = max(resid, float(np.linalg.norm(moved, axis=(1, 2)).max()))
+    return blocks, sum(len(u) ** 2 for _, u in blocks), resid
+
+
+def matrix_units(alg: MatrixStarAlgebra,
+                 tol: ToleranceConfig = DEFAULT_TOL) -> MatrixUnits:
+    """Central blocks, minimal projections and matrix units of F from one
+    seeded generic pair of Hermitian elements h and f of F (Goodman, de la
+    Harpe and Jones 1989, ch. 2).
+
+    The eigenprojections of h, its sorted eigenvalues cut where neighbours
+    differ by more than eps_rank max(1, spread), are minimal projections q of
+    F.  Two of them lie in one central block exactly when q_i f q_j != 0,
+    which the rank rule decides on the norms |q_i f q_j|_F; the first q of
+    a block is q_k, and the normalised q_i f q_k are the units
+    (``partial_isometry``).  One identity certifies the result: sum_k n_k^2
+    = dim F, and every basis element of F lies within eps_assert of the span
+    of the u_{k,i} u_{k,j}*, which has that dimension and so is F.  As each
+    q is a polynomial in h and (q_i f q_k)(q_k f q_j) spans q_i F q_j, h and
+    f generate F, and h alone when every n_k = 1.  A pair that fails is
+    redrawn, up to 20 times.
+    """
+    rngs = [np.random.default_rng(BLOCK_SEED), np.random.default_rng(MINIMAL_SEED)]
     for _ in range(20):
-        z = linalg.random_complex(rng, len(central)) @ central
-        pairs = [np.linalg.eigh(b) for b in ambient.blocks(z + ambient.adjoint(z))]
-        vals = np.concatenate([w for w, _ in pairs])
-        order = np.argsort(vals, kind="stable")
-        spread = max(1.0, float(vals[order[-1]] - vals[order[0]]))
-        splits = np.nonzero(np.diff(vals[order]) > tol.eps_rank * spread)[0]
-        groups = np.split(order, splits + 1)
-        if len(groups) != len(central):
-            continue
-        label = np.empty(len(vals), dtype=int)  # the cluster of each eigenvalue
-        for i, g in enumerate(groups):
-            label[g] = i
-        labels = np.split(label, np.cumsum([len(w) for w, _ in pairs])[:-1])
-        projs = [ambient.join([v[:, lab == i] @ v[:, lab == i].conj().T
-                               for (_, v), lab in zip(pairs, labels)])
-                 for i in range(len(groups))]
-        resid = max(float(np.linalg.norm(p - (p @ basis.conj().T) @ basis))
-                    / max(1.0, float(np.linalg.norm(p))) for p in projs)
-        if resid < tol.eps_assert:
-            return projs
-    raise NumericalBreakdown(
-        f"could not separate central blocks at rank cutoff {tol.eps_rank:g}")
-
-
-def center(alg: MatrixStarAlgebra,
-           tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """Center of the algebra, from the commutators' coordinates over its basis
-    (``center_coords``)."""
-    n = alg.ambient_dim
-    rows = center_coords(_full_matrix_algebra(n), alg.basis_rows(), tol)
-    return MatrixStarAlgebra(n, np.ascontiguousarray(rows.reshape(-1, n, n)))
-
-
-def block_decomposition(alg: MatrixStarAlgebra,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Minimal central projections, pairwise orthogonal and summing to 1
-    (``central_projection_coords``), the largest first."""
-    n = alg.ambient_dim
-    projs = [p.reshape(n, n) for p in
-             central_projection_coords(_full_matrix_algebra(n), alg.basis_rows(), tol)]
-    projs.sort(key=lambda p: (-round(float(np.trace(p).real), 6), linalg.sort_key(p)))
-    return projs
+        h, f = (x + x.conj().T for x in
+                [alg.from_coords(linalg.random_complex(rng, alg.dim)) for rng in rngs])
+        blocks, count, resid = _pair_units(alg, h, f, tol)
+        if count == alg.dim and resid <= tol.eps_assert:
+            break
+    else:
+        raise NumericalBreakdown(
+            f"rank cutoff {tol.eps_rank:g}: no generic pair gives matrix units of F "
+            f"(sum n_k^2 = {count} for dim F = {alg.dim}, residual {resid:.2e})")
+    blocks.sort(key=lambda b: (-round(float(np.trace(b[0]).real), 6),
+                               linalg.sort_key(b[0])))
+    commutative = all(len(u) == 1 for _, u in blocks)
+    return MatrixUnits(tuple(p for p, _ in blocks), tuple(u for _, u in blocks),
+                       np.stack([h] if commutative else [h, f]))
 
 
 def bratteli_blocks(alg: MatrixStarAlgebra, sub_alg: MatrixStarAlgebra,
-                    tol: ToleranceConfig = DEFAULT_TOL
+                    units: MatrixUnits, tol: ToleranceConfig = DEFAULT_TOL
                     ) -> list[tuple[np.ndarray, int, int]]:
     """The central blocks (p_k, n_k, m_k) of F in A (Goodman, de la Harpe and
     Jones 1989, ch. 2); dim j(F)' = sum_k m_k^2 is the dimension of <A, e>.
 
-    Over the minimal central projections p_k of F, F p_k = M_{n_k} acts on
-    A p_k, which is m_k copies of its row space.  Right multiplication by p_k
-    is an orthogonal projection of X = F or A, so its rank dim X p_k is its
-    trace Tr(Q_X p_k), with Q_X = sum_i b_i* b_i over the orthonormal basis
-    of X; each count must lie within eps_assert of an integer.
+    Over the minimal central projections p_k of F, with n_k units each
+    (``matrix_units``), F p_k = M_{n_k} acts on A p_k, which is m_k copies of
+    its row space.  Right multiplication by p_k is an orthogonal projection
+    of X = F or A, so its rank dim X p_k is its trace Tr(Q_X p_k), with
+    Q_X = sum_i b_i* b_i over the orthonormal basis of X; dim F p_k must lie
+    within eps_assert of n_k^2, and dim A p_k of a multiple of n_k.
     """
     q_f, q_a = (x.basis.reshape(-1, x.ambient_dim).conj().T
                 @ x.basis.reshape(-1, x.ambient_dim) for x in (sub_alg, alg))
     blocks = []
-    for p in block_decomposition(sub_alg, tol):
+    for p, us in zip(units.projections, units.units):
         fp, ap = (float(np.vdot(p, q).real) for q in (q_f, q_a))  # Tr(Q p), p = p*
-        dim_fp, dim_ap = round(fp), round(ap)
-        n_k = math.isqrt(max(dim_fp, 0))
-        if max(abs(fp - dim_fp), abs(ap - dim_ap)) > tol.eps_assert \
-                or not n_k or n_k * n_k != dim_fp or dim_ap % n_k:
+        n_k, dim_ap = len(us), round(ap)
+        if max(abs(fp - n_k * n_k), abs(ap - dim_ap)) > tol.eps_assert or dim_ap % n_k:
             raise NumericalBreakdown(f"a central block of F has dim F p = {fp:.12g}, "
                                      f"not n^2 for an n dividing dim A p = {ap:.12g}")
         blocks.append((p, n_k, dim_ap // n_k))

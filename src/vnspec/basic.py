@@ -3,13 +3,13 @@ canonical lifted trace.
 
 <A, e> is the commutant j(F)' of the right action of F on H, which is
 sum_k M_{m_k} (x) 1_{n_k} over the central blocks (p_k, n_k, m_k) of F in A
-(Jones 1983; Goodman, de la Harpe and Jones 1989, ch. 2).  Each block has a
-minimal projection q_k of F p_k: p_k itself when n_k = 1, otherwise a
-spectral projection of a seeded generic Hermitian element of F, certified
-by q_k f q_k in C q_k over F's basis.  An orthonormal basis V_k of j(q_k) H
-and the frames V_{k,i} = j(u_{k,i})* V_k, for matrix units u_{k,i} of F p_k,
-make an element x its r = sum_k m_k^2 block entries x_k = V_k^H x V_k
-(``algebra.BlockAlgebra``); no n^2-wide array is formed.
+(Jones 1983; Goodman, de la Harpe and Jones 1989, ch. 2).  F's blocks, a
+minimal projection q_k of each and its matrix units u_{k,i} come once from
+one generic pair h, f of F (``algebra.matrix_units``), which every step
+below reads.  An orthonormal basis V_k of j(q_k) H and the frames
+V_{k,i} = j(u_{k,i})* V_k make an element x its r = sum_k m_k^2 block
+entries x_k = V_k^H x V_k (``algebra.BlockAlgebra``); no n^2-wide array is
+formed.
 
 The algebra is spanned by the d k products x e b, for the d elements x of A
 making the L(x) e Hilbert-Schmidt orthonormal and k seeded generic b in A
@@ -19,9 +19,10 @@ block k of x e b is (V_k^H L(x) E_0)(E_0^H L(b) V_k), and the d k x r
 matrix of these blocks must have rank r, the Bratteli count sum_k m_k^2
 (which reads A and F, never e or the b).  The products lie in j(F)' as L(A)
 commutes with j(F), and e does too, which one commutator [e, j(g)] per
-seeded generic g certifies (the g generate F as an algebra: one when every
-n_k = 1, two otherwise); a seeded generic pair of span elements must be
-rebuilt from its blocks, multiply blockwise and satisfy the trace property.
+generator g of F certifies: h, and f when some n_k > 1, which generate F as
+an algebra as each q is a polynomial in h and (q_i f q_k)(q_k f q_j) spans
+q_i F q_j; a seeded generic pair of span elements must be rebuilt from its
+blocks, multiply blockwise and satisfy the trace property.
 The Jones relation e a e = E(a) e on the basis of A, with the subsystem's E,
 and the identity's membership make the span a unital algebra: e commutes
 with F, so a e (f b) = (a f) e b, the span is all of span(A e A), and
@@ -32,7 +33,7 @@ closed form, checked on every pair of basis elements of A.  Conjugation by U
 carries block k to block pi(k), where alpha(p_k) = p_pi(k), by
 x_k -> U_k x_k U_k^H with U_k = V_pi(k)^H j(w_k)* U V_k, for the partial
 isometry w_k from alpha(q_k) to q_pi(k) in F (p_pi(k) when n_k = 1); each
-U_k is certified unitary with U V_k = j(w_k) V_pi(k) U_k.  L2(<A, e>) of the
+w_k and U_k is certified, with U V_k = j(w_k) V_pi(k) U_k.  L2(<A, e>) of the
 lifted trace is diagonal in these coordinates.  The fixed points of the
 lifted dynamics, C = {U}' in <A, e>, and the minimal central projections of
 C come from the m x m return unitary R of each orbit of pi (the finite form
@@ -47,9 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import (DEFAULT_TOL, INCLUSION_SEED, MINIMAL_SEED, PRODUCT_SEED, SPAN_SEED,
-                      BlockAlgebra, MatrixStarAlgebra, StarAutomorphism, Subsystem,
-                      ToleranceConfig, TraceFunctional, bratteli_blocks, eigenmodes,
+from .algebra import (DEFAULT_TOL, PRODUCT_SEED, SPAN_SEED, BlockAlgebra, MatrixUnits,
+                      StarAutomorphism, Subsystem, ToleranceConfig, TraceFunctional,
+                      bratteli_blocks, eigenmodes, matrix_units, partial_isometry,
                       product_trace_table)
 from .errors import (CommutantMismatch, ExtensionInconsistent, NumericalBreakdown,
                      PartitionInvalid, SubsystemInvalid)
@@ -131,106 +132,19 @@ def _generators(sub: Subsystem, whiten: np.ndarray,
         draws = np.vstack([draws, linalg.random_complex(rng, (1, d))])
 
 
-def _inclusion_generators(sub_alg: MatrixStarAlgebra, count: int,
-                          tol: ToleranceConfig) -> np.ndarray:
-    """``count`` seeded generic g in F that generate F as an algebra: the
-    caller passes one when F is commutative, two otherwise.
-
-    An operator commuting with every j(g) commutes with the algebra they
-    generate, which is j of the algebra the g generate, as j is linear and
-    reverses products; so commuting with j(F) needs only these.  Generation
-    as an algebra, not as a *-algebra, is certified by the rank of the words
-    in the g in F's own coordinates: the span of the words of length l is
-    extended by its newest directions times each g, until it stops growing,
-    and must then have dim F, so a count too small fails here.
-    """
-    m, n = sub_alg.dim, sub_alg.ambient_dim
-    rng = np.random.default_rng(INCLUSION_SEED)
-    gens = sub_alg.from_coords_stack(linalg.random_complex(rng, (count, m)))
-    span = new = linalg.extend_orthonormal(np.zeros((0, m), dtype=np.complex128),
-                                           sub_alg.coords(np.eye(n)), tol.eps_rank)
-    while len(new) and len(span) < m:
-        words = (sub_alg.from_coords_stack(new)[:, None] @ gens[None]).reshape(-1, n, n)
-        grown = linalg.extend_orthonormal(span, sub_alg.coords_stack(words), tol.eps_rank)
-        span, new = grown, grown[len(span):]
-    if len(span) != m:
-        raise NumericalBreakdown(
-            f"{count} generic elements of F generate an algebra of dim "
-            f"{len(span)}, not F (dim {m})")
-    return gens
-
-
-def _partial_isometry(target: np.ndarray, f: np.ndarray, source: np.ndarray,
-                      tol: ToleranceConfig) -> np.ndarray:
-    """w = target f source / sqrt(lambda), with w w* = target and w* w = source.
-
-    For minimal projections of one block of F and a generic f in F,
-    target f source f* target = lambda target with lambda > 0, so w is the
-    partial isometry of F from source to target; both relations are checked.
-    """
-    w = target @ f @ source
-    w = w / np.sqrt(np.vdot(w, w).real / np.trace(target).real)
-    resid = max(float(np.abs(w @ w.conj().T - target).max()),
-                float(np.abs(w.conj().T @ w - source).max()))
-    if resid > tol.eps_assert:
-        raise NumericalBreakdown(f"no partial isometry of F joins two minimal "
-                                 f"projections of a block (residual {resid:.2e})")
-    return w
-
-
-def _minimal_projections(sub: Subsystem, blocks, rng: np.random.Generator,
-                         tol: ToleranceConfig) -> list[np.ndarray]:
-    """For each central block (p_k, n_k, m_k) of F, n_k pairwise orthogonal
-    minimal projections of F p_k summing to p_k, the first being q_k.
-
-    For n_k = 1 that is p_k.  Otherwise F p_k = M_{n_k} (x) 1 on p_k C^N, so a
-    seeded generic Hermitian h in F has n_k eigenvalues there, each as often
-    as rank p_k / n_k, and its eigenprojections, the runs of that length of
-    its sorted eigenvectors, are the projections.  Each is certified to lie
-    in F and to be minimal: q b q = (Tr(q b) / Tr(q)) q for every basis
-    element b of F.
-    """
-    alg = sub.algebra
-    h = alg.from_coords(linalg.random_complex(rng, alg.dim))
-    h = h + h.conj().T
-    out = []
-    for p, nk, _ in blocks:
-        if nk == 1:
-            out.append(p[None])
-            continue
-        w, vecs = np.linalg.eigh(p)
-        support = vecs[:, w > 0.5]
-        if support.shape[1] % nk:
-            raise NumericalBreakdown(f"a central block of F of rank {support.shape[1]} "
-                                     f"is not {nk} equal minimal projections")
-        cols = support @ np.linalg.eigh(support.conj().T @ h @ support)[1]
-        qs = np.stack([c @ c.conj().T for c in np.split(cols, nk, axis=1)])
-        qbq = qs[:, None] @ alg.basis @ qs[:, None]
-        scale = np.trace(qbq, axis1=2, axis2=3) / np.trace(qs, axis1=1, axis2=2)[:, None]
-        resid = max(float(np.abs(qbq - scale[..., None, None] * qs[:, None]).max()),
-                    max(alg.membership_residual(q) for q in qs))
-        if resid > tol.eps_assert:
-            raise NumericalBreakdown(f"eigenprojections of a generic element of F are "
-                                     f"not minimal projections of F "
-                                     f"(residual {resid:.2e})")
-        out.append(qs)
-    return out
-
-
-def _block_algebra(gns: GnsSpace, minimal: list[np.ndarray], f: np.ndarray,
+def _block_algebra(gns: GnsSpace, units: MatrixUnits,
                    tol: ToleranceConfig) -> BlockAlgebra:
     """j(F)' in the frames of its blocks: V_k an orthonormal basis of
-    j(q_k) H, and V_{k,i} = j(u_{k,i})* V_k for the matrix units
-    u_{k,i} = q_{k,i} f q_k of F p_k, normalised, which map j(q_k) H onto
-    j(q_{k,i}) H as j reverses products."""
+    j(q_k) H, and V_{k,i} = j(u_{k,i})* V_k for F's matrix units u_{k,i}
+    (``algebra.matrix_units``), which map j(q_k) H onto j(q_{k,i}) H as j
+    reverses products."""
     alg = gns.system.algebra
-    first = alg.coords_stack(np.stack([qs[0] for qs in minimal]))
+    first = alg.coords_stack(np.stack([us[0] for us in units.units]))
     right = gns.j_op(np.tensordot(first, gns.left_mats, axes=(1, 0)))  # j(q_k)
     frames = []
-    for qs, jq in zip(minimal, right):
+    for us, jq in zip(units.units, right):
         v = linalg.orthonormal_columns(jq, tol.eps_rank)
-        units = [_partial_isometry(q, f, qs[0], tol) for q in qs[1:]]
-        others = [gns.j_op(gns.left(u)).conj().T @ v for u in units]
+        others = [gns.j_op(gns.left(u)).conj().T @ v for u in us[1:]]
         frames.append(np.ascontiguousarray(np.stack([v, *others])))
     return BlockAlgebra(tuple(frames))
 
@@ -328,8 +242,7 @@ def lifted_trace(gns: GnsSpace, corners, alg: BlockAlgebra,
     return vector, defining
 
 
-def _lifted_dynamics(gns: GnsSpace, alg: BlockAlgebra, blocks,
-                     minimal: list[np.ndarray], f: np.ndarray,
+def _lifted_dynamics(gns: GnsSpace, alg: BlockAlgebra, blocks, units: MatrixUnits,
                      tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, list]:
     """Coordinate matrix of x -> U x U* on the block algebra, with the block
     permutation pi and the unitaries U_k that make it up.
@@ -340,7 +253,7 @@ def _lifted_dynamics(gns: GnsSpace, alg: BlockAlgebra, blocks,
     (p_pi(k) when n_k = 1), j(w_k) V_pi(k) is an orthonormal basis of
     j(alpha(q_k)) H, so U V_k = j(w_k) V_pi(k) U_k for a unitary U_k, and
     the block pi(k) of U x U* is U_k x_k U_k^H.  Checks that pi is a
-    permutation, U J = J U, each U_k's unitarity and that relation.
+    permutation, U J = J U, each w_k's and U_k's relations and that relation.
     """
     u, amb = gns.u_matrix, gns.system.dynamics.unitary
     conj = gns.conj_matrix
@@ -361,8 +274,9 @@ def _lifted_dynamics(gns: GnsSpace, alg: BlockAlgebra, blocks,
                                      "one of another shape")
         image = alg.frames[l][0]
         if alg.mults[k] > 1:
-            w = _partial_isometry(minimal[l][0], f, amb @ minimal[k][0] @ amb.conj().T,
-                                  tol)
+            q_k, q_l, f = units.units[k][0], units.units[l][0], units.generators[1]
+            w, partial = partial_isometry(q_l, f, amb @ q_k @ amb.conj().T)
+            resid = max(resid, partial)
             image = gns.j_op(gns.left(w)) @ image
         moved_v = u @ alg.frames[k][0]
         uk = image.conj().T @ moved_v
@@ -468,20 +382,16 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     e = e0 @ e0.conj().T
     xs = _whitener(gns.left_mats @ e0).T  # coordinates of the x_i
     bs = _generators(sub, _whitener(e0.conj().T @ gns.left_mats), tol)
-    blocks = bratteli_blocks(gns.system.algebra, sub.algebra, tol)
-    rng = np.random.default_rng(MINIMAL_SEED)
-    minimal = _minimal_projections(sub, blocks, rng, tol)
-    f = sub.algebra.from_coords(linalg.random_complex(rng, sub.algebra.dim))
-    alg = _block_algebra(gns, minimal, f, tol)
+    units = matrix_units(sub.algebra, tol)
+    blocks = bratteli_blocks(gns.system.algebra, sub.algebra, units, tol)
+    alg = _block_algebra(gns, units, tol)
     corners = _corner_factors(gns, e0, alg)
     span_coords = _span_coords(alg, corners, xs, bs)  # read by the equivalence
     rank = linalg.rank(span_coords, tol.eps_rank)
     # inclusion in j(F)': the largest entry of [e, j(g)], relative to |j(g)|,
-    # for one g when F is commutative (every block n_k = 1), two otherwise, and
-    # a generic pair of span elements rebuilt from its blocks
-    commutative = all(nk == 1 for _, nk, _ in blocks)
-    gens = _inclusion_generators(sub.algebra, 1 if commutative else 2, tol)
-    gen_coords = gns.system.algebra.coords_stack(gens)
+    # for the generators h (and f) of F that gave its matrix units, and a
+    # generic pair of span elements rebuilt from its blocks
+    gen_coords = gns.system.algebra.coords_stack(units.generators)
     right_g = gns.j_op(np.tensordot(gen_coords, gns.left_mats, axes=(1, 0)))
     pair = _generic_pair(gns, e0, bs)
     commutator = max(float(np.abs(e @ j - j @ e).max() / np.linalg.norm(j, 2))
@@ -510,7 +420,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     if tracial > tol.eps_assert:
         raise NumericalBreakdown("lifted system: functional is not tracial on the "
                                  f"algebra (residual {tracial:.2e})")
-    dyn, perm, unitaries = _lifted_dynamics(gns, alg, blocks, minimal, f, tol)
+    dyn, perm, unitaries = _lifted_dynamics(gns, alg, blocks, units, tol)
     if np.abs(trace_vector @ dyn - trace_vector).max() > tol.eps_assert:
         raise NumericalBreakdown("lifted system: conjugation by the unitary does not "
                                  "preserve the trace")
@@ -539,7 +449,8 @@ def default_partition(bc: BasicConstruction,
     projection e_k of rank rho_k with orthonormal range columns G_k, and block
     k of y_i maps G_k onto the standard basis vectors i rho_k .. i rho_k +
     rho_k - 1 of C^{m_k} (those below m_k), so the y_i e y_i* add up to 1 in
-    max_k ceil(m_k / rho_k) members.
+    max_k ceil(m_k / rho_k) members.  As e H = L2(F) holds n_k copies of the
+    irreducible right module of F p_k, rho_k must equal n_k.
     """
     alg = bc.algebra
     ranges = [linalg.orthonormal_columns(ek, tol.eps_rank)
@@ -547,6 +458,11 @@ def default_partition(bc: BasicConstruction,
     if not all(g.shape[1] for g in ranges):
         raise NumericalBreakdown(
             f"rank cutoff {tol.eps_rank:g} drops e from a block of <A, e>")
+    ranks = [g.shape[1] for g in ranges]
+    if ranks != [n for _, n, _ in bc.blocks]:
+        raise NumericalBreakdown(
+            f"rank cutoff {tol.eps_rank:g} gives e the ranks {ranks} in the blocks of "
+            f"<A, e>, not n_k = {[n for _, n, _ in bc.blocks]}")
     count = max(-(-m // g.shape[1]) for m, g in zip(alg.sizes, ranges))
     members = []
     for i in range(count):

@@ -97,22 +97,27 @@ def factor_gram(gram: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
 
     G = V diag(lam) V^H, and the eigenvalues above eps_rank, an absolute
     cutoff on a Gram of unit diagonal, give L = V_kept diag(sqrt(lam_kept)),
-    whose columns are orthogonal; S is the dropped part.  StateNotPositive is
-    raised when the smallest eigenvalue is below -eps_assert or ||S||_F
-    exceeds eps_assert.  Returns L^T (row k is column k of L), ||S||_F, the
+    whose columns are orthogonal; S is the dropped part.  A smallest
+    eigenvalue below -eps_assert is a state that is not positive
+    (StateNotPositive); otherwise an ||S||_F above eps_assert is a cutoff
+    that drops part of a positive Gram, and the factor loses rank
+    (NumericalBreakdown).  Returns L^T (row k is column k of L), ||S||_F, the
     smallest eigenvalue kept and the largest dropped (-inf when none is).
     """
     vals, vecs = np.linalg.eigh(gram)  # ascending
     kept = vals > tol.eps_rank
     rows = np.sqrt(vals[kept])[:, None] * vecs[:, kept].T
     resid = float(np.linalg.norm(gram - rows.T @ rows.conj()))
-    if vals[0] < -tol.eps_assert or resid > tol.eps_assert:
-        raise StateNotPositive(f"joining state has negative part or loses rank: "
-                               f"smallest eigenvalue {vals[0]:.2e}, dropped part "
-                               f"{resid:.2e} at rank {len(rows)} (rank cutoff "
-                               f"{tol.eps_rank:g})")
-    return (rows, resid, float(vals[kept].min(initial=np.inf)),
-            float(vals[~kept].max(initial=-np.inf)))
+    dropped = float(vals[~kept].max(initial=-np.inf))
+    if vals[0] < -tol.eps_assert:
+        raise StateNotPositive(f"joining state has a negative part: smallest "
+                               f"eigenvalue {vals[0]:.2e}")
+    if resid > tol.eps_assert:
+        raise NumericalBreakdown(f"rank cutoff {tol.eps_rank:g} loses rank in the "
+                                 f"joining: it drops a part {resid:.2e} of the scaled "
+                                 f"Gram at rank {len(rows)}, largest dropped "
+                                 f"eigenvalue {dropped:.2e}")
+    return rows, resid, float(vals[kept].min(initial=np.inf)), dropped
 
 
 def relative_joining(bc: BasicConstruction,

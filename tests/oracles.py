@@ -7,13 +7,19 @@ form of <A, e>: its n^2-wide span with an SVD basis, and the fixed points of
 its dynamics as n x n matrices.  Also the routes the return unitaries of F's
 block orbits replaced: the fixed points as one null space of the dim <A, e>
 square matrix alpha_bar - 1, with the generic center search on them, and the
-pivoted Cholesky factor of the joining's scaled Gram."""
+pivoted Cholesky factor of the joining's scaled Gram.  And the generic
+center search itself, which once found F's central blocks too before
+``algebra.matrix_units`` read them off one generic pair: the kernel of the
+commutators with two generic elements, and the clusters of a generic central
+element."""
 import numpy as np
 
 from vnspec import linalg
-from vnspec.algebra import (DEFAULT_TOL, MatrixStarAlgebra, ToleranceConfig,
-                            central_projection_coords)
+from vnspec.algebra import BlockAlgebra, DEFAULT_TOL, MatrixStarAlgebra, ToleranceConfig
 from vnspec.errors import NumericalBreakdown
+
+CENTER_SEED = 17  # the two generic generators whose commutant is the center
+CENTRAL_SEED = 7  # the generic central element whose clusters give the blocks
 
 
 def product_closure_residual(alg: MatrixStarAlgebra, generators) -> float:
@@ -156,3 +162,93 @@ def pivoted_cholesky(gram: np.ndarray, eps_rank: float = DEFAULT_TOL.eps_rank
         diag -= rows[k].real ** 2 + rows[k].imag ** 2
         diag[piv] = 0.0
     return rows[:len(pivots)], pivots
+
+
+def full_matrix_algebra(n: int) -> BlockAlgebra:
+    """M_n as one block, so that coordinates are the matrix entries."""
+    return BlockAlgebra((np.eye(n, dtype=np.complex128)[None],))
+
+
+def center_coords(ambient: BlockAlgebra, basis: np.ndarray,
+                  tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Center of the *-subalgebra of ``ambient`` spanned by ``basis``, rows of
+    coordinates orthonormal in the plain inner product; returns its own
+    orthonormal rows of coordinates.
+
+    It is the kernel of c -> ([c, g_1], [c, g_2]) for two seeded generic g,
+    which generate the algebra as two generic elements of a finite-dimensional
+    C*-algebra do; each kernel element is checked to commute with every basis
+    element, which certifies that.  The commutators lie in the algebra, so
+    the null space reads their coordinates over the basis.
+    """
+    rng = np.random.default_rng(CENTER_SEED)
+    gens = linalg.random_complex(rng, (2, len(basis))) @ basis
+    comms = ambient.product(basis[:, None], gens) - ambient.product(gens, basis[:, None])
+    kernel = linalg.nullspace((comms @ basis.conj().T).reshape(len(basis), -1).T,
+                              tol.eps_rank)
+    if not kernel.shape[1]:  # the identity is central, so the cutoff dropped it
+        raise NumericalBreakdown(
+            f"rank cutoff {tol.eps_rank:g} drops the identity from the center")
+    central = kernel.T @ basis
+    resid = max(float(np.abs(ambient.product(z, basis) - ambient.product(basis, z)).max())
+                for z in central)
+    if resid > tol.eps_assert:
+        raise NumericalBreakdown(f"two generic elements do not generate the algebra: "
+                                 f"their commutant is not central (residual {resid:.2e})")
+    return central
+
+
+def central_projection_coords(ambient: BlockAlgebra, basis: np.ndarray,
+                              tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+    """Minimal central projections of the *-subalgebra of ``ambient`` spanned
+    by the orthonormal coordinate rows ``basis``, as coordinates.
+
+    A generic self-adjoint central element z is drawn from a fixed seed; its
+    blocks z_k are diagonalised one by one, and the clusters of their pooled
+    eigenvalues give the projections, one per cluster, with the eigenvectors
+    of that cluster in each block; each projection is checked to lie in the
+    subalgebra.
+    """
+    central = center_coords(ambient, basis, tol)
+    rng = np.random.default_rng(CENTRAL_SEED)
+    for _ in range(20):
+        z = linalg.random_complex(rng, len(central)) @ central
+        pairs = [np.linalg.eigh(b + b.conj().swapaxes(-1, -2)) for b in ambient.blocks(z)]
+        vals = np.concatenate([w for w, _ in pairs])
+        order = np.argsort(vals, kind="stable")
+        spread = max(1.0, float(vals[order[-1]] - vals[order[0]]))
+        splits = np.nonzero(np.diff(vals[order]) > tol.eps_rank * spread)[0]
+        groups = np.split(order, splits + 1)
+        if len(groups) != len(central):
+            continue
+        label = np.empty(len(vals), dtype=int)  # the cluster of each eigenvalue
+        for i, g in enumerate(groups):
+            label[g] = i
+        labels = np.split(label, np.cumsum([len(w) for w, _ in pairs])[:-1])
+        projs = [ambient.join([v[:, lab == i] @ v[:, lab == i].conj().T
+                               for (_, v), lab in zip(pairs, labels)])
+                 for i in range(len(groups))]
+        resid = max(float(np.linalg.norm(p - (p @ basis.conj().T) @ basis))
+                    / max(1.0, float(np.linalg.norm(p))) for p in projs)
+        if resid < tol.eps_assert:
+            return projs
+    raise NumericalBreakdown(
+        f"could not separate central blocks at rank cutoff {tol.eps_rank:g}")
+
+
+def center(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixStarAlgebra:
+    """Center of the algebra, from the commutators' coordinates over its basis."""
+    n = alg.ambient_dim
+    rows = center_coords(full_matrix_algebra(n), alg.basis_rows(), tol)
+    return MatrixStarAlgebra(n, np.ascontiguousarray(rows.reshape(-1, n, n)))
+
+
+def block_decomposition(alg: MatrixStarAlgebra,
+                        tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+    """Minimal central projections, pairwise orthogonal and summing to 1, the
+    largest first, as the package once found F's blocks."""
+    n = alg.ambient_dim
+    projs = [p.reshape(n, n) for p in
+             central_projection_coords(full_matrix_algebra(n), alg.basis_rows(), tol)]
+    projs.sort(key=lambda p: (-round(float(np.trace(p).real), 6), linalg.sort_key(p)))
+    return projs

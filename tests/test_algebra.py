@@ -119,23 +119,39 @@ def test_commutant_of_full_matrix_algebra_is_scalars():
     assert comm.membership_residual(np.eye(2)) < 1e-10
 
 
-# --- block decomposition ----------------------------------------------------
+# --- block decomposition: F's matrix units from one generic pair ---------------
+
+def _assert_matrix_units(units):
+    """Each unit is a partial isometry from the block's first projection,
+    the minimal projections of a block are orthogonal, and the p_k are
+    orthogonal projections summing to 1."""
+    for p, us in zip(units.projections, units.units):
+        q = us[0]
+        qs = us @ us.conj().transpose(0, 2, 1)
+        assert np.abs(us.conj().transpose(0, 2, 1) @ us - q).max() < 1e-12
+        assert np.abs(qs.sum(axis=0) - p).max() < 1e-12
+        assert np.abs(p @ p - p).max() < 1e-12
+    total = sum(units.projections)
+    assert np.abs(total - np.eye(len(total))).max() < 1e-12
+
 
 def test_block_decomposition_factor():
     alg = v.generate_algebra([E12], 2)
-    blocks = v.block_decomposition(alg)
-    assert len(blocks) == 1
-    assert np.abs(blocks[0] - np.eye(2)).max() < 1e-10
+    units = v.matrix_units(alg)
+    assert [len(u) for u in units.units] == [2]
+    assert np.abs(units.projections[0] - np.eye(2)).max() < 1e-10
+    assert len(units.generators) == 2  # h and f
+    _assert_matrix_units(units)
 
 
 def test_block_decomposition_diagonal():
     alg = v.generate_algebra([np.diag([1.0, -1.0])], 2)
-    blocks = v.block_decomposition(alg)
-    assert len(blocks) == 2
-    total = sum(blocks)
-    assert np.abs(total - np.eye(2)).max() < 1e-10
-    for p in blocks:
+    units = v.matrix_units(alg)
+    assert [len(u) for u in units.units] == [1, 1]
+    assert len(units.generators) == 1  # h alone generates a commutative F
+    for p in units.projections:
         assert np.abs(p @ p - p).max() < 1e-10
+    _assert_matrix_units(units)
 
 
 def test_block_decomposition_two_full_blocks():
@@ -145,19 +161,29 @@ def test_block_decomposition_two_full_blocks():
     g2[2, 3] = 1.0
     alg = v.generate_algebra([g1, g2], 4)
     assert alg.dim == 8
-    blocks = v.block_decomposition(alg)
-    assert len(blocks) == 2
+    units = v.matrix_units(alg)
+    assert [len(u) for u in units.units] == [2, 2]
     expected = {(2, 0), (0, 2)}
     got = {(int(round(np.trace(p[:2, :2]).real)),
-            int(round(np.trace(p[2:, 2:]).real))) for p in blocks}
+            int(round(np.trace(p[2:, 2:]).real))) for p in units.projections}
     assert got == expected
+    _assert_matrix_units(units)
 
 
-def test_center_without_the_identity_names_the_cutoff():
-    """The identity is always central; at 1e-20 the kernel keeps nothing."""
-    alg = v.generate_algebra([E12], 2)
-    with pytest.raises(NumericalBreakdown, match="rank cutoff 1e-20 drops the identity"):
-        v.algebra.center(alg, v.ToleranceConfig(eps_rank=1e-20))
+def test_matrix_units_below_roundoff_name_the_cutoff():
+    """M_2 keeps its one block at 1e-20, as no null space is taken; in
+    M_2 (+) M_2 roundoff links the two blocks at that cutoff, so no pair
+    gives sum n_k^2 = dim F, and the message names the cutoff."""
+    m2 = v.generate_algebra([E12], 2)
+    tol = v.ToleranceConfig(eps_rank=1e-20)
+    assert [len(u) for u in v.matrix_units(m2, tol).units] == [2]
+    g1, g2 = np.zeros((2, 4, 4), dtype=complex)
+    g1[0, 1] = g2[2, 3] = 1.0
+    alg = v.generate_algebra([g1, g2], 4)
+    with pytest.raises(NumericalBreakdown,
+                       match=r"^rank cutoff 1e-20: no generic pair gives matrix units of "
+                             r"F \(sum n_k\^2 = 16 for dim F = 8, residual"):
+        v.matrix_units(alg, tol)
 
 
 # --- the eigenbasis of the dynamics ------------------------------------------

@@ -164,6 +164,20 @@ def test_default_partition_uses_given_tolerance(analyses):
         default_partition(bc, v.ToleranceConfig(eps_rank=2.0))
 
 
+def test_default_partition_below_roundoff_names_the_cutoff(shipped_descriptions):
+    """At 1e-17, below the pipeline's guard, e keeps two noise directions in
+    each block of classical_4cycle's <A, e>, where n_k = 1: a failed rank
+    decision, not a partition that the user supplied."""
+    tol = v.ToleranceConfig(eps_rank=1e-17)
+    built = v.descriptions.build_from_description(
+        shipped_descriptions["classical_4cycle"], tol)
+    bc = v.build_basic_construction(v.build_gns(built.system, tol), built.sub, tol)
+    assert [n for _, n, _ in bc.blocks] == [1, 1]
+    with pytest.raises(NumericalBreakdown, match=r"^rank cutoff 1e-17 gives e the ranks "
+                       r"\[2, 2\] in the blocks of <A, e>, not n_k = \[1, 1\]$"):
+        default_partition(bc, tol)
+
+
 def test_pipeline_passes_file_tolerance_to_partition(shipped_descriptions,
                                                      monkeypatch):
     from vnspec import pipeline
@@ -180,7 +194,8 @@ def test_pipeline_passes_file_tolerance_to_partition(shipped_descriptions,
 
 
 def _blocks(an):
-    return v.bratteli_blocks(an.built.system.algebra, an.built.sub.algebra)
+    sub_alg = an.built.sub.algebra
+    return v.bratteli_blocks(an.built.system.algebra, sub_alg, v.matrix_units(sub_alg))
 
 
 def test_closure_residual_fails_on_a_truncated_span(analyses, monkeypatch):

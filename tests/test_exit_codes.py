@@ -229,6 +229,18 @@ def test_pinned_input_has_no_traceback(case, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_joining_that_loses_rank_is_a_breakdown_not_a_negative_state(tmp_path):
+    """Every eigenvalue of the scaled Gram is nonnegative here; the cutoff
+    drops some of them, and the message says so."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(SHIPPED["finite_extension_m2"]))
+    code, _, err = _run(["analyze", str(path), "--eps-rank", "1e-2"])
+    assert code == 3
+    assert "rank cutoff 0.01 loses rank in the joining: it drops a part 6.79e-03 of the " \
+           "scaled Gram at rank 88" in err, err
+    assert "negative part" not in err
+
+
 def test_cutoff_below_machine_epsilon_is_named(tmp_path):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(SHIPPED["skew_z4_inversion"]))
@@ -240,8 +252,8 @@ def test_cutoff_below_machine_epsilon_is_named(tmp_path):
 @pytest.mark.parametrize("name", ["explicit_m2_grading", "finite_extension_m2",
                                   "full_subsystem_m2"])
 def test_central_blocks_below_roundoff_name_the_cutoff(name, tmp_path):
-    """At this cutoff the center of F loses the identity or its central
-    blocks do not separate; either message names the cutoff."""
+    """This cutoff lies below the machine epsilon, so the analysis is
+    refused before F's blocks are sought, and the message names it."""
     path = tmp_path / "system.json"
     path.write_text(json.dumps(SHIPPED[name]))
     proc = subprocess.run([sys.executable, "-m", "vnspec", "analyze", str(path),

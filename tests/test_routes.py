@@ -43,6 +43,10 @@ The fixed points and their minimal central projections come from the
 return unitaries of F's block orbits, an m^2-wide null space and the
 eigenprojections per orbit, instead of the null space of the dim <A, e>
 square matrix alpha_bar - 1 and the generic center search on it.
+F's central blocks, minimal projections and matrix units come from the
+eigenprojections of one generic h in F, linked into blocks by one generic f,
+instead of the generic center search on F, a generic central element and a
+word loop over generic generators of F.
 The older routes survive here only, as oracles.
 """
 import dataclasses
@@ -69,9 +73,10 @@ from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, IsometryVio
 from vnspec.pipeline import SystemAnalysis, analyze_built, analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 from conftest import E12
-from oracles import (commutant, dense_fixed_points, dense_span, fixed_point_center,
-                     inv_sqrt_psd, joint_commutant, pivoted_cholesky,
-                     product_closure_residual, random_element, span_candidates)
+from oracles import (block_decomposition, center, center_coords, commutant,
+                     dense_fixed_points, dense_span, fixed_point_center, inv_sqrt_psd,
+                     joint_commutant, pivoted_cholesky, product_closure_residual,
+                     random_element, span_candidates)
 from test_exit_codes import _run as run_cli
 
 
@@ -234,8 +239,8 @@ def _right_subalgebra(gns, sub, eps_rank=1e-10):
 def _assert_commutant_route(name, an):
     bc, sub = an.basic, an.built.sub
     oracle = commutant(_right_subalgebra(an.gns, sub))
-    count = sum(m * m for _, _, m in v.bratteli_blocks(an.built.system.algebra,
-                                                        sub.algebra))
+    count = sum(m * m for _, _, m in v.bratteli_blocks(
+        an.built.system.algebra, sub.algebra, v.matrix_units(sub.algebra)))
     assert oracle.dim == bc.algebra.dim == count, name
     assert _block_inclusion(oracle, bc) < 1e-9, name
     assert bc.commutant_residual <= 1e-14, name
@@ -320,30 +325,31 @@ def test_bratteli_traces_equal_the_svd_ranks(analyses, skew_d24):
         assert [(n * n, n * m) for _, n, m in blocks] == oracle, name
 
 
-def test_bratteli_refuses_a_block_that_is_not_n_squared(analyses, monkeypatch):
-    """The two one-dimensional blocks of F, merged, give dim F p = 2."""
+def test_bratteli_refuses_a_block_that_is_not_n_squared(analyses):
+    """The two one-dimensional blocks of F, merged into one block of two
+    units, give dim F p = 2."""
     an = analyses["finite_extension_m2"]
-    blocks = algebra.block_decomposition
-
-    def merged(alg, tol):
-        big, *ones = blocks(alg, tol)
-        return [big, sum(ones)]
-    monkeypatch.setattr(algebra, "block_decomposition", merged)
+    sub_alg = an.built.sub.algebra
+    units = v.matrix_units(sub_alg)
+    (big, *ones), (big_units, *one_units) = units.projections, units.units
+    merged = v.MatrixUnits((big, sum(ones)), (big_units, np.concatenate(one_units)),
+                           units.generators)
     with pytest.raises(NumericalBreakdown, match=r"a central block of F has dim F p = 2, "
                        r"not n\^2 for an n dividing dim A p = 8$"):
-        v.bratteli_blocks(an.built.system.algebra, an.built.sub.algebra)
+        v.bratteli_blocks(an.built.system.algebra, sub_alg, merged)
 
 
-def test_bratteli_refuses_a_count_off_an_integer(analyses, monkeypatch):
+def test_bratteli_refuses_a_count_off_an_integer(analyses):
     """p (1 + 1e-6) is not a projection: its traces miss 4 and 16 by 4e-6
     and 1.6e-5."""
     an = analyses["finite_extension_m2"]
-    blocks = algebra.block_decomposition
-    monkeypatch.setattr(algebra, "block_decomposition",
-                        lambda alg, tol: [p * (1 + 1e-6) for p in blocks(alg, tol)])
+    sub_alg = an.built.sub.algebra
+    units = v.matrix_units(sub_alg)
+    scaled = dataclasses.replace(
+        units, projections=tuple(p * (1 + 1e-6) for p in units.projections))
     with pytest.raises(NumericalBreakdown, match=r"dim F p = 4\.000004, not n\^2 for "
                        r"an n dividing dim A p = 16\.000016$"):
-        v.bratteli_blocks(an.built.system.algebra, an.built.sub.algebra)
+        v.bratteli_blocks(an.built.system.algebra, sub_alg, scaled)
 
 
 @pytest.mark.parametrize("name, blocks", [
@@ -353,7 +359,8 @@ def test_bratteli_refuses_a_count_off_an_integer(analyses, monkeypatch):
 def test_bratteli_blocks_and_wrong_weight(analyses, name, blocks):
     """(n_k, m_k) per block; the weight mu(p_k) / n_k fails the definition."""
     an = analyses[name]
-    found = v.bratteli_blocks(an.built.system.algebra, an.built.sub.algebra)
+    sub_alg = an.built.sub.algebra
+    found = v.bratteli_blocks(an.built.system.algebra, sub_alg, v.matrix_units(sub_alg))
     assert [(n, m) for _, n, m in found] == blocks
     # n_k -> sqrt(n_k) turns the weight mu(p_k) / n_k^2 into mu(p_k) / n_k
     wrong = [(p, np.sqrt(n), m) for p, n, m in found]
@@ -607,31 +614,20 @@ def _stacked_center(alg, eps_rank=1e-10):
         n, np.ascontiguousarray(np.tensordot(kernel.T, alg.basis, axes=(1, 0))))
 
 
-def test_blockwise_center_equals_stacked_on_module_corners(analyses, monkeypatch):
-    """The centers of F, from commutator coordinates over its dense basis,
-    and of the fixed points C, in <A, e>'s block coordinates, against the
-    stacked commutators: one routine, two representations."""
-    calls, center_coords = [], algebra.center_coords
-
-    def spy(ambient, basis, tol=DEFAULT_TOL):
-        calls.append((ambient, basis))
-        return center_coords(ambient, basis, tol)
-    monkeypatch.setattr(algebra, "center_coords", spy)
+def test_blockwise_center_equals_stacked_on_module_corners(analyses):
+    """The generic center search on F, from commutator coordinates over its
+    dense basis, and on the fixed points C, in <A, e>'s block coordinates,
+    against the stacked commutators: one routine, two representations."""
     for name, an in analyses.items():
-        v.build_basic_construction(an.gns, an.built.sub)
         bc = an.basic
         z = bc.algebra.from_coords(center_coords(bc.algebra, bc.fixed.T))
         oracle = _stacked_center(joint_commutant(bc))
         assert len(z) == oracle.dim, name
         assert max(oracle.membership_residual(x) for x in z) <= 1e-12, name
-    assert len(calls) == len(analyses)
-    monkeypatch.undo()
-    for ambient, basis in calls:
-        n = ambient.ambient_dim
-        alg = v.MatrixStarAlgebra(n, basis.reshape(-1, n, n).copy())
-        z, oracle = v.center(alg), _stacked_center(alg)
-        assert z.dim == oracle.dim
-        assert _mutual_inclusion(z, oracle) <= 1e-12
+        alg = an.built.sub.algebra
+        z, oracle = center(alg), _stacked_center(alg)
+        assert z.dim == oracle.dim, name
+        assert _mutual_inclusion(z, oracle) <= 1e-12, name
 
 
 def test_center_of_degenerate_draws_fails_its_certificate(monkeypatch):
@@ -641,7 +637,165 @@ def test_center_of_degenerate_draws_fails_its_certificate(monkeypatch):
     monkeypatch.setattr(linalg, "random_complex",
                         lambda rng, shape: np.ones(shape, dtype=np.complex128))
     with pytest.raises(NumericalBreakdown, match="do not generate the algebra"):
-        v.center(alg)
+        center(alg)
+
+
+# --- F's blocks: matrix units from one generic pair against the center search
+
+def _m2_times_identity():
+    """F = M_2 (x) 1_2 in A = M_4, whose minimal projections have rank 2."""
+    one, e12 = np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])
+    return v.build_explicit_system(4, [np.kron(e12, one), np.kron(one, e12)],
+                                   np.eye(4) / 4, dynamics_unitary=np.eye(4),
+                                   sub_generators=[np.kron(e12, one)])
+
+
+@pytest.fixture(scope="module")
+def block_systems(analyses, skew_d24):
+    """The subalgebras F whose blocks both routes find."""
+    subs = {name: an.built.sub.algebra for name, an in analyses.items()}
+    subs[SKEW_D24["name"]] = skew_d24.built.sub.algebra
+    subs["swapped_blocks"] = _swapped_blocks(0.3).built.sub.algebra
+    subs["m2_times_identity"] = _m2_times_identity().sub.algebra
+    return subs
+
+
+def _assert_blocks_route(name, sub_alg, tol=DEFAULT_TOL):
+    units = v.matrix_units(sub_alg, tol)
+    oracle = block_decomposition(sub_alg, tol)
+    assert len(units.projections) == len(oracle), name
+    assert max(float(np.abs(p - q).max())
+               for p, q in zip(units.projections, oracle)) <= 1e-12, name
+    assert sum(len(u) ** 2 for u in units.units) == sub_alg.dim, name
+    return units
+
+
+def test_matrix_units_give_the_oracle_blocks(block_systems):
+    sizes = {}
+    for name, sub_alg in block_systems.items():
+        units = _assert_blocks_route(name, sub_alg)
+        sizes[name] = [(len(u), round(float(np.trace(u[0]).real))) for u in units.units]
+    assert sizes["swapped_blocks"] == [(2, 1), (2, 1)]
+    assert sizes["m2_times_identity"] == [(2, 2)]  # n_k = 2, rank q_k = 2
+    assert sizes["finite_extension_m2"] == [(2, 2), (1, 2), (1, 2)]
+
+
+def _assert_generators_generate(name, sub_alg):
+    """h alone when F is commutative, h and f otherwise, generate F."""
+    units = v.matrix_units(sub_alg)
+    commutative = all(len(u) == 1 for u in units.units)
+    assert len(units.generators) == (1 if commutative else 2), name
+    assert v.generate_algebra(list(units.generators),
+                              sub_alg.ambient_dim).dim == sub_alg.dim, name
+    return len(units.generators)
+
+
+@pytest.mark.parametrize("name, count", [("classical_4cycle", 1),
+                                         ("skew_z4_inversion", 1),
+                                         ("finite_extension_m2", 2)])
+def test_inclusion_generators_generate_f(analyses, name, count):
+    an = analyses[name]
+    assert _assert_generators_generate(name, an.built.sub.algebra) == count
+    assert len(an.basic.g_coords) == count
+
+
+def test_inclusion_generators_generate_f_everywhere(block_systems):
+    for name, sub_alg in block_systems.items():
+        _assert_generators_generate(name, sub_alg)
+
+
+def test_basic_construction_reads_one_set_of_units(analyses, monkeypatch):
+    """One matrix_units per build, and its generators are the inclusion's."""
+    calls, units_of = [], algebra.matrix_units
+
+    def spy(alg, tol=DEFAULT_TOL):
+        calls.append(units_of(alg, tol))
+        return calls[-1]
+    monkeypatch.setattr(basic, "matrix_units", spy)
+    an = analyses["finite_extension_m2"]
+    bc = v.build_basic_construction(an.gns, an.built.sub)
+    units, = calls
+    gens = an.built.system.algebra.from_coords_stack(bc.g_coords)
+    assert np.abs(gens - units.generators).max() <= 1e-12
+
+
+def _skew_cycle(d):
+    """The Z_4 skew product over a d/4-cycle with cocycle [1, 0, ...]."""
+    n_x = d // 4
+    return {"format_version": 1, "name": f"skew_cycle_d{d}", "kind": "skew_product",
+            "parameters": {"weights": [1.0 / n_x] * n_x,
+                           "permutation": [(x + 1) % n_x for x in range(n_x)],
+                           "group_table": [[(i + j) % 4 for j in range(4)]
+                                           for i in range(4)],
+                           "group_automorphism": [0, 3, 2, 1],
+                           "cocycle": [1] + [0] * (n_x - 1)}}
+
+
+@pytest.mark.parametrize("d", [24, 48, 96])
+def test_matrix_units_separate_the_blocks_wherever_the_oracle_does(d):
+    """On the skew ladder at coarse cutoffs, both routes succeed, with the
+    same blocks, or both fail, each naming the cutoff."""
+    sub_alg = build_from_description(parse_system(_skew_cycle(d))).sub.algebra
+    outcomes = []
+    for eps in (3e-2, 1e-2, 3e-3, 1e-3):
+        tol = v.ToleranceConfig(eps_rank=eps)
+        try:
+            block_decomposition(sub_alg, tol)
+        except NumericalBreakdown as err:
+            assert f"rank cutoff {eps:g}" in str(err)
+            with pytest.raises(NumericalBreakdown, match=f"^rank cutoff {eps:g}: no "
+                               "generic pair gives matrix units of F"):
+                v.matrix_units(sub_alg, tol)
+            outcomes.append(False)
+            continue
+        _assert_blocks_route(f"d={d} at {eps:g}", sub_alg, tol)
+        outcomes.append(True)
+    assert outcomes == {24: [True] * 4, 48: [False] + [True] * 3,
+                        96: [False] * 3 + [True]}[d]
+
+
+def test_non_generating_elements_fail(analyses, monkeypatch):
+    """h and f = h generate a commutative algebra, never the noncommutative
+    F of dim 6: q_i f q_j = 0 for every two projections, so each is its own
+    block and sum n_k^2 = 4, at every draw."""
+    pair_units, calls = algebra._pair_units, []
+
+    def same(alg, h, f, tol):
+        calls.append(h)
+        return pair_units(alg, h, h, tol)
+    monkeypatch.setattr(algebra, "_pair_units", same)
+    with pytest.raises(NumericalBreakdown,
+                       match=r"^rank cutoff 1e-10: no generic pair gives matrix units of "
+                             r"F \(sum n_k\^2 = 4 for dim F = 6, residual"):
+        v.matrix_units(analyses["finite_extension_m2"].built.sub.algebra)
+    assert len(calls) == 20
+
+
+def test_a_failed_pair_is_redrawn(analyses, monkeypatch):
+    """The first pair fails (f = h); the second gives the blocks."""
+    pair_units, calls = algebra._pair_units, []
+
+    def first_same(alg, h, f, tol):
+        calls.append(h)
+        return pair_units(alg, h, h if len(calls) == 1 else f, tol)
+    monkeypatch.setattr(algebra, "_pair_units", first_same)
+    sub_alg = analyses["finite_extension_m2"].built.sub.algebra
+    units = v.matrix_units(sub_alg)
+    assert len(calls) == 2
+    assert [len(u) for u in units.units] == [2, 1, 1]
+    monkeypatch.undo()
+    oracle = block_decomposition(sub_alg)
+    assert max(float(np.abs(p - q).max())
+               for p, q in zip(units.projections, oracle)) <= 1e-12
+
+
+def test_units_off_the_span_of_f_are_refused(analyses):
+    """The certificate's residual, not the count, fails at eps_assert 1e-30."""
+    with pytest.raises(NumericalBreakdown,
+                       match=r"no generic pair gives matrix units of F \(sum n_k\^2 = 6 "
+                             r"for dim F = 6, residual [1-9]"):
+        v.matrix_units(analyses["finite_extension_m2"].built.sub.algebra,
+                       v.ToleranceConfig(eps_assert=1e-30))
 
 
 # --- modules: Z(C)(1 - e) against the center of the corner (1 - e) C (1 - e)
@@ -662,7 +816,7 @@ def corner_modules(bc, tol=DEFAULT_TOL):
         np.eye(m, dtype=np.complex128).reshape(1, -1) / np.sqrt(m),
         compressed.reshape(len(compressed), -1), tol.eps_rank)
     corner = v.MatrixStarAlgebra(m, np.ascontiguousarray(rows.reshape(-1, m, m)))
-    return [q @ small @ q.conj().T for small in v.block_decomposition(corner, tol)]
+    return [q @ small @ q.conj().T for small in block_decomposition(corner, tol)]
 
 
 def _assert_module_route(name, bc, blocks):
@@ -996,8 +1150,22 @@ def _hermitian(spectrum, seed=0):
 
 def test_factor_rejects_a_negative_eigenvalue():
     gram = _hermitian([3.0, 2.0, 1.0, 0.5, -1e-6] + [0.0] * 11)
-    with pytest.raises(StateNotPositive, match="negative part"):
+    with pytest.raises(StateNotPositive, match=r"^joining state has a negative part: "
+                       r"smallest eigenvalue -1\.00e-06$"):
         v.factor_gram(gram)
+
+
+def test_factor_that_loses_rank_names_the_cutoff():
+    """Eigenvalues 1e-3 and 1e-6 of a positive Gram fall below the cutoff
+    1e-2: a rank decision that drops part of it, not a state that fails to
+    be positive."""
+    gram = _hermitian([4.0, 1.0, 1e-3, 1e-6] + [0.0] * 12, seed=2)
+    with pytest.raises(NumericalBreakdown) as err:
+        v.factor_gram(gram, v.ToleranceConfig(eps_rank=1e-2))
+    assert not isinstance(err.value, StateNotPositive)
+    assert re.fullmatch(r"rank cutoff 0\.01 loses rank in the joining: it drops a part "
+                        r"1\.00e-03 of the scaled Gram at rank 2, largest dropped "
+                        r"eigenvalue 1\.00e-03", str(err.value)), str(err.value)
 
 
 def test_factor_finds_the_rank_of_a_positive_matrix():
@@ -1065,6 +1233,21 @@ def test_lifted_dynamics_across_noncommutative_blocks(angle):
     assert an.passed and [(n, m) for _, n, m in an.basic.blocks] == [(2, 2), (2, 2)]
     _assert_lifted_dynamics_route("swapped_blocks", an.basic)
     _assert_block_coordinates_route("swapped_blocks", an.basic)
+
+
+def test_lifted_dynamics_refuses_a_failed_partial_isometry(analyses, monkeypatch):
+    """The residual of w_k, from alpha(q_k) to q_pi(k) in the block with
+    n_k = 2, is part of the lifted dynamics' residual."""
+    isometry = basic.partial_isometry
+
+    def failed(target, f, source):
+        return isometry(target, f, source)[0], 0.5
+    monkeypatch.setattr(basic, "partial_isometry", failed)
+    an = analyses["finite_extension_m2"]
+    with pytest.raises(NumericalBreakdown, match=r"^lifted system: conjugation by the "
+                       r"unitary does not map the blocks of <A, e> onto each other "
+                       r"\(residual 5\.00e-01\)$"):
+        v.build_basic_construction(an.gns, an.built.sub)
 
 
 def _unchecked_conjugation(alg, u):
@@ -1628,18 +1811,6 @@ def test_equivalence_checks_the_balance(analyses):
 
 # --- inclusion in j(F)' by generators of F against every basis element of F -
 
-@pytest.mark.parametrize("name, count", [("classical_4cycle", 1),
-                                         ("skew_z4_inversion", 1),
-                                         ("finite_extension_m2", 2)])
-def test_inclusion_generators_generate_f(analyses, name, count):
-    an = analyses[name]
-    sub_alg = an.built.sub.algebra
-    assert (1 if all(n == 1 for _, n, _ in an.basic.blocks) else 2) == count
-    gens = basic._inclusion_generators(sub_alg, count, DEFAULT_TOL)
-    assert len(gens) == count
-    assert v.generate_algebra(list(gens), sub_alg.ambient_dim).dim == sub_alg.dim
-
-
 def _right_action_residual(an):
     """max |[x, j(f)]| / |j(f)| over the span and every basis element f of F,
     the inclusion check before it used generators of F."""
@@ -1678,17 +1849,6 @@ def test_row_outside_the_commutant_fails_inclusion(analyses, name, monkeypatch):
     assert commutator <= DEFAULT_TOL.eps_assert < rebuilt
 
 
-def test_non_generating_elements_fail(analyses, monkeypatch):
-    """One generic element of a noncommutative F generates a commutative
-    algebra, never F."""
-    an = analyses["finite_extension_m2"]
-    generators = basic._inclusion_generators
-    monkeypatch.setattr(basic, "_inclusion_generators",
-                        lambda sub_alg, count, tol: generators(sub_alg, 1, tol))
-    with pytest.raises(NumericalBreakdown, match="1 generic elements of F generate"):
-        v.build_basic_construction(an.gns, an.built.sub)
-
-
 # --- one path per object: E_F solved once by the subsystem, the test-only
 # --- API and the recomputing fallbacks out of the package
 
@@ -1712,7 +1872,10 @@ REMOVED_NAMES = ("checked_trace", "is_commutative", "conditional_expectation",
                  "commutant", "product_closure_residual", "validate_algebra",
                  "random_element", "classical_fiber_analysis", "NotCommutative",
                  "joint_commutant", "cyclic_subspace_projection", "inv_sqrt_psd",
-                 "_span_candidates")
+                 "_span_candidates", "center_coords", "central_projection_coords",
+                 "center", "block_decomposition", "_full_matrix_algebra", "CENTER_SEED",
+                 "INCLUSION_SEED", "_inclusion_generators", "_minimal_projections",
+                 "_partial_isometry")
 
 
 def test_removed_names_are_absent():
@@ -1724,6 +1887,7 @@ def test_removed_names_are_absent():
             if hasattr(m, n)] == []
     assert not hasattr(v.GnsSpace, "vector_of")
     assert not hasattr(v.BasicConstruction, "gamma")
+    assert not hasattr(v.BlockAlgebra, "adjoint")
     assert not hasattr(constructors, "skew_orbit_modules")  # spectrum owns it
 
 

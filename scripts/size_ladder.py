@@ -11,12 +11,18 @@ Each run is a child process with one BLAS thread and an address-space cap
 ``analyze_description`` on it, then times the Cesaro stage at the shape of
 the benchmark's ``cesaro_long`` workload on a freshly built copy of the
 system: the admissible elements and, for every one of them, N = 2048
-Cesaro steps without early exit.  A row holds the median wall time of the
-analysis over three runs, the median time of the Cesaro stage
-(``cesaro_s``), and the largest of the analyses' peak resident set sizes
-(``ru_maxrss`` before the Cesaro stage, which includes the interpreter and
-numpy, about 40 MB).  A run that fails, such as by ``MemoryError`` under
-the cap, is recorded with its error.
+Cesaro steps without early exit.  The analysis is also timed stage by
+stage: the child wraps the stage functions that ``vnspec.pipeline`` calls
+(``STAGES``: build, GNS, basic construction, joining, equivalence,
+spectrum with the orbit modules and the Cesaro averages, and the partition
+checks) and records each stage's time and ``ru_maxrss`` when it returns;
+what is left of the wall time is the check ledger.  A row holds the median
+wall time of the analysis over three runs, the median time of each stage
+(``stage_s``), the median time of the Cesaro stage (``cesaro_s``), the
+largest of the analyses' peak resident set sizes (``ru_maxrss`` before the
+Cesaro stage, which includes the interpreter and numpy, about 40 MB) and
+the largest ``ru_maxrss`` after each stage (``stage_rss_mb``).  A run that
+fails, such as by ``MemoryError`` under the cap, is recorded with its error.
 
 The cases are Z_4 skew products over a d/4-cycle with the inversion
 automorphism and cocycle [1, 0, ...], so that dim F = d/4 and
@@ -49,6 +55,16 @@ CESARO_HORIZON = 2048  # the steps of each sequence in the benchmark's cesaro_lo
 SKEW_SIZES = (12, 16, 24, 32, 48, 64, 96, 128, 160)
 TENSOR_CYCLES = (2, 4, 8)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+STAGES = {  # stage: the functions of vnspec.pipeline that make it up
+    "build": ["build_from_description"],
+    "gns": ["build_gns"],
+    "basic": ["build_basic_construction"],
+    "joining": ["relative_joining"],
+    "equivalence": ["joining_equivalence"],
+    "spectrum": ["skew_orbit_modules", "build_spectrum_report"],
+    "partition": ["default_partition", "lifted_trace_via_partition",
+                  "tensor_partition_isometries"],
+}
 CHILD = textwrap.dedent("""
     import json, resource, sys, time
     cap, horizon = int(sys.argv[2]), int(sys.argv[3])
@@ -57,16 +73,36 @@ CHILD = textwrap.dedent("""
         cap = min(cap, hard)
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     sys.path.insert(0, sys.argv[1])
+    from vnspec import pipeline
     from vnspec.descriptions import build_from_description, parse_system
-    from vnspec.pipeline import analyze_description
     from vnspec.spectrum import admissible_elements, cesaro_sequence
+
+    def rss_mb():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+    stages = json.loads(sys.argv[4])
+    stage_s, stage_rss = dict.fromkeys(stages, 0.0), dict.fromkeys(stages, 0.0)
+
+    def timed(stage, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage_s[stage] += time.perf_counter() - start
+                stage_rss[stage] = rss_mb()
+        return wrapper
+
+    for stage, names in stages.items():
+        for name in names:
+            setattr(pipeline, name, timed(stage, getattr(pipeline, name)))
     desc = parse_system(sys.stdin.read())
     tol = desc.tolerance_config()
     start = time.perf_counter()
-    an = analyze_description(desc, tol)
+    an = pipeline.analyze_description(desc, tol)
     wall = time.perf_counter() - start
     row = {"wall_s": wall, "passed": an.passed, "dim_basic": an.basic.algebra.dim,
-           "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+           "rss_mb": rss_mb(), "stage_s": stage_s, "stage_rss_mb": stage_rss}
     del an
     built = build_from_description(desc, tol)
     start = time.perf_counter()
@@ -109,7 +145,8 @@ def run_once(desc: dict, src: Path) -> dict:
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, "-c", CHILD, str(src),
-                           str(ADDRESS_SPACE_CAP), str(CESARO_HORIZON)],
+                           str(ADDRESS_SPACE_CAP), str(CESARO_HORIZON),
+                           json.dumps(STAGES)],
                           input=json.dumps(desc),
                           capture_output=True, text=True, env=env, timeout=900)
     if proc.returncode:
@@ -127,8 +164,13 @@ def measure(desc: dict, src: Path, label: str) -> dict:
     return {**row, "dim_basic": runs[0]["dim_basic"],
             "passed": all(r["passed"] for r in runs),
             "wall_s": round(statistics.median(r["wall_s"] for r in runs), 4),
+            "stage_s": {stage: round(statistics.median(r["stage_s"][stage]
+                                                       for r in runs), 5)
+                        for stage in STAGES},
             "cesaro_s": round(statistics.median(r["cesaro_s"] for r in runs), 5),
-            "peak_rss_mb": round(max(r["rss_mb"] for r in runs), 1)}
+            "peak_rss_mb": round(max(r["rss_mb"] for r in runs), 1),
+            "stage_rss_mb": {stage: round(max(r["stage_rss_mb"][stage] for r in runs), 1)
+                             for stage in STAGES}}
 
 
 def main(argv=None) -> int:

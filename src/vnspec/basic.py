@@ -50,8 +50,7 @@ import numpy as np
 from . import linalg
 from .algebra import (DEFAULT_TOL, PRODUCT_SEED, SPAN_SEED, BlockAlgebra, MatrixUnits,
                       StarAutomorphism, Subsystem, ToleranceConfig, TraceFunctional,
-                      bratteli_blocks, eigenmodes, matrix_units, partial_isometry,
-                      product_trace_table)
+                      bratteli_blocks, eigenmodes, matrix_units, partial_isometry)
 from .errors import (CommutantMismatch, ExtensionInconsistent, NumericalBreakdown,
                      PartitionInvalid, SubsystemInvalid)
 from .gns import GnsSpace, cyclic_subspace_frame
@@ -132,18 +131,25 @@ def _generators(sub: Subsystem, whiten: np.ndarray,
         draws = np.vstack([draws, linalg.random_complex(rng, (1, d))])
 
 
-def _block_algebra(gns: GnsSpace, units: MatrixUnits,
+def _block_algebra(gns: GnsSpace, units: MatrixUnits, blocks,
                    tol: ToleranceConfig) -> BlockAlgebra:
     """j(F)' in the frames of its blocks: V_k an orthonormal basis of
     j(q_k) H, and V_{k,i} = j(u_{k,i})* V_k for F's matrix units u_{k,i}
     (``algebra.matrix_units``), which map j(q_k) H onto j(q_{k,i}) H as j
-    reverses products."""
+    reverses products.  j(q_k) H has dimension m_k, the Bratteli count of
+    block k; a frame of another width is a rank cutoff that keeps roundoff
+    or drops part of j(q_k), a numerical breakdown that names the cutoff."""
     alg = gns.system.algebra
     first = alg.coords_stack(np.stack([us[0] for us in units.units]))
     right = gns.j_op(np.tensordot(first, gns.left_mats, axes=(1, 0)))  # j(q_k)
+    bases = [linalg.orthonormal_columns(jq, tol.eps_rank) for jq in right]
+    widths, sizes = [v.shape[1] for v in bases], [m for _, _, m in blocks]
+    if widths != sizes:
+        raise NumericalBreakdown(
+            f"rank cutoff {tol.eps_rank:g} gives the frames of j(q_k) H the widths "
+            f"{widths}, not m_k = {sizes}")
     frames = []
-    for us, jq in zip(units.units, right):
-        v = linalg.orthonormal_columns(jq, tol.eps_rank)
+    for us, v in zip(units.units, bases):
         others = [gns.j_op(gns.left(u)).conj().T @ v for u in us[1:]]
         frames.append(np.ascontiguousarray(np.stack([v, *others])))
     return BlockAlgebra(tuple(frames))
@@ -226,14 +232,17 @@ def lifted_trace(gns: GnsSpace, corners, alg: BlockAlgebra,
     where mu(p_k) / n_k is the trace of a minimal projection of F p_k.
     Returns it as the vector t with lifted(x) = t @ coords(x), after checking
     the defining identity on every pair of basis elements a_i, a_j, whose
-    blocks are products of the ``_corner_factors``; the residual is returned.
+    blocks are products of the ``_corner_factors``, against
+    mu(a_i a_j) = sum_c T[i, j, c] mu(a_c) from the system's multiplication
+    table T; the residual is returned.
     """
-    mu = gns.system.trace
+    system = gns.system
+    mu = system.trace
     weights = [mu.value(p).real / n for p, n, _ in blocks]
     lifted = sum(w * np.einsum("iaf,jfa->ij", left, right)
                  for w, (left, right) in zip(weights, corners))
-    defining = float(np.abs(
-        lifted - product_trace_table(gns.system.algebra, mu.density)).max())
+    products = system.table @ mu.values(system.algebra.basis)  # mu(a_i a_j)
+    defining = float(np.abs(lifted - products).max())
     if defining > tol.eps_assert:
         raise ExtensionInconsistent(
             f"lifted(a e b) = mu(a b) fails on a basis pair "
@@ -384,7 +393,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     bs = _generators(sub, _whitener(e0.conj().T @ gns.left_mats), tol)
     units = matrix_units(sub.algebra, tol)
     blocks = bratteli_blocks(gns.system.algebra, sub.algebra, units, tol)
-    alg = _block_algebra(gns, units, tol)
+    alg = _block_algebra(gns, units, blocks, tol)
     corners = _corner_factors(gns, e0, alg)
     span_coords = _span_coords(alg, corners, xs, bs)  # read by the equivalence
     rank = linalg.rank(span_coords, tol.eps_rank)
@@ -399,7 +408,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     rebuilt = max(float(np.abs(x - alg.from_coords(alg.coords(x))).max()) for x in pair)
     resid = max(commutator, rebuilt)
     count = sum(m * m for _, _, m in blocks)
-    if rank != count or alg.dim != count or resid > tol.eps_assert:
+    if rank != count or resid > tol.eps_assert:
         raise CommutantMismatch(
             f"span(A e A) (dim {rank}) and j(F)' (dim {count} by the "
             f"Bratteli count) disagree, commutator residual {commutator:.2e}, "

@@ -9,7 +9,11 @@ eigendecomposition gives of their Jacobi-scaled Gram matrix, whose columns
 are orthogonal, and is unitarily equivalent to L2 of the basic construction,
 checked on the x_i e b_s in the <A, e> coordinates that the basic
 construction keeps.  Neither the Gram matrix nor the equivalence
-ranges over the d^2 simple tensors a_i (x) j(a_j).
+ranges over the d^2 simple tensors a_i (x) j(a_j).  The four Grams a
+joining reads, of the generating tensors against themselves, against the
+tensors moved by the dynamics and against F (x) 1 and 1 (x) j(F), are one
+GEMM each (``_tensor_grams``), and both routes of the joint state are
+explicit products over the vectors and the operators of A's basis.
 """
 from __future__ import annotations
 
@@ -64,31 +68,47 @@ def _read_back(gamma: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 def _generating_side(bc: BasicConstruction) -> tuple[np.ndarray, np.ndarray]:
     """The vectors L(x_i) Omega and L(b_s)^H Omega of the generating tensors,
-    as columns i and s, formed once for every ``_tensor_gram`` of a joining
+    as columns i and s, formed once for every ``_tensor_grams`` of a joining
     from the vectors L(a_j) Omega and L(a_j)^H Omega of A's basis."""
     lm, om = bc.gns.left_mats, bc.gns.omega
     return ((bc.x_coords @ (lm @ om)).T,
             (bc.b_coords.conj() @ (lm.conj().transpose(0, 2, 1) @ om)).T)
 
 
-def _tensor_gram(bc: BasicConstruction, side: tuple[np.ndarray, np.ndarray],
-                 right: tuple) -> np.ndarray:
+def _tensor_grams(bc: BasicConstruction, side: tuple[np.ndarray, np.ndarray],
+                  rights) -> list[np.ndarray]:
     """G[(i, s), (l, t)] = <x_i (x) j(b_s), y_l (x) j(c_t)>
     = mu(E(x_i* y_l) E(c_t b_s*)) between the generating tensors, whose
-    vectors ``side`` = (L(x_i) Omega, L(b_s)^H Omega) come from
-    ``_generating_side``, and right = (y, c), stacks of coordinate rows in A.
+    vectors ``side`` = (X, B) = (L(x_i) Omega, L(b_s)^H Omega) come from
+    ``_generating_side``, for each right-hand side (y, c) of ``rights``,
+    stacks of coordinate rows in A.
 
     Read from the GNS action alone as <E(y_l* x_i) Omega, E(c_t b_s*) Omega>
     with E(y* x) Omega = e L(y)^H L(x) Omega and E(c b*) Omega =
     e L(c) L(b)^H Omega, the operators the span's products x_i e b_s use;
     coordinates x Omega through to_vector would carry its condition number.
+    As e is an orthogonal projection, the inner product is
+    X^H L(y_l) e L(c_t) B: per right-hand side, L(y) is formed first, then
+    X^H L(y) with its rows (l, i) contiguous, which one GEMM multiplies by
+    the small e L(c) B; one right-hand side's L(y) is held at a time.
     """
-    gns, (x_vecs, b_vecs), (y, c) = bc.gns, side, right
-    ly, lc = (np.tensordot(z, gns.left_mats, axes=(1, 0)) for z in (y, c))
-    p = bc.e @ ly.conj().transpose(0, 2, 1) @ x_vecs  # (l, h, i)
-    q = bc.e @ lc @ b_vecs  # (t, h, s)
-    return np.einsum("lhi,ths->islt", p.conj(), q, optimize=True).reshape(
-        x_vecs.shape[1] * b_vecs.shape[1], len(y) * len(c))
+    gns, (x_vecs, b_vecs) = bc.gns, side
+    xh, n_x, n_b = x_vecs.conj().T, x_vecs.shape[1], b_vecs.shape[1]
+    grams = []
+    for y, c in rights:
+        # X^H L(y_l), row (l, i)
+        rows = (xh @ np.tensordot(y, gns.left_mats, axes=(1, 0))).reshape(-1, gns.dim)
+        q = bc.e @ np.tensordot(c, gns.left_mats, axes=(1, 0)) @ b_vecs  # (t, h, s)
+        g = rows @ q.transpose(1, 0, 2).reshape(gns.dim, -1)  # [(l, i), (t, s)]
+        grams.append(g.reshape(len(y), n_x, len(c), n_b).transpose(1, 3, 0, 2)
+                     .reshape(n_x * n_b, len(y) * len(c)))
+    return grams
+
+
+def _tensor_gram(bc: BasicConstruction, side: tuple[np.ndarray, np.ndarray],
+                 right: tuple) -> np.ndarray:
+    """``_tensor_grams`` for the one right-hand side right = (y, c)."""
+    return _tensor_grams(bc, side, [right])[0]
 
 
 def factor_gram(gram: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
@@ -124,52 +144,53 @@ def relative_joining(bc: BasicConstruction,
                      tol: ToleranceConfig = DEFAULT_TOL) -> JoiningData:
     gns, sub, e = bc.gns, bc.sub, bc.e
     parent, alg = gns.system, gns.system.algebra
-    # conditioned left/right actions
-    left_d = np.tensordot(sub.expectation.matrix.T, gns.left_mats,
-                          axes=(1, 0))  # left(D(a_i))
-    right_d = gns.j_op(left_d)                                     # j(left(D(a_i)))
-    # joint state, route one: diagonal state after D (x) D'
-    r_omega = right_d @ gns.omega
-    omega_vals = np.einsum("a,iab,jb->ij", gns.omega.conj(), left_d, r_omega,
-                           optimize=True)
+    lm, om, cond = gns.left_mats, gns.omega, sub.expectation.matrix.T
+    # joint state, route one: diagonal state after D (x) D', from the rows
+    # Omega^H L(D(a_i)) and the vectors j(L(D(a_i))) Omega
+    # = K L(D(a_i))^T conj(K) Omega, as j(x) = K x^T conj(K), each read off
+    # the same vectors of A's basis, as L(D(a_i)) = sum_j E[j, i] L(a_j)
+    left_rows = cond @ (om.conj() @ lm)
+    r_omega = (cond @ ((gns.conj_matrix.conj() @ om) @ lm)) @ gns.conj_matrix.T
+    omega_vals = left_rows @ r_omega.T
     # route two: lifted trace Tr(Delta x) of x = e a e j(b); j sends the
     # commutant slot back to a left-acting element, so the conditioning
-    # happens through e alone
-    alt = np.einsum("ab,ibc,cd,jda->ij", bc.trace.density @ e, gns.left_mats, e,
-                    gns.left_mats, optimize=True)
+    # happens through e alone: Tr(P_i L(a_j)) for P_i = Delta e L(a_i) e,
+    # whose transposes are formed directly
+    p_t = e.T @ lm.transpose(0, 2, 1) @ (bc.trace.density @ e).T  # P_i^T
+    alt = p_t.reshape(len(lm), -1) @ lm.reshape(len(lm), -1).T
+    del p_t  # d n^2 entries, freed before the Grams
     two_formula = float(np.abs(omega_vals - alt).max())
     # marginals against mu and mu' = mu(j(.))
     mu_vals = parent.trace.values(alg.basis)
-    marg = max(float(np.abs(np.einsum("a,iab,b->i", gns.omega.conj(), left_d,
-                                      gns.omega) - mu_vals).max()),
-               float(np.abs(np.einsum("a,ia->i", gns.omega.conj(), r_omega)
-                            - mu_vals).max()))
+    marg = max(float(np.abs(left_rows @ om - mu_vals).max()),
+               float(np.abs(r_omega @ om.conj() - mu_vals).max()))
     # invariance under the joint dynamics
     m_alpha = parent.dynamics.matrix
     invariance = float(np.abs(m_alpha.T @ omega_vals @ m_alpha - omega_vals).max())
     if invariance > tol.eps_assert:
         raise NumericalBreakdown(f"the joining is not invariant under alpha (x) "
                                  f"alpha' (residual {invariance:.2e})")
-    # Gram of the generating tensors, factored after Jacobi scaling so that
-    # the kept eigenvalues do not follow the trace weights;
-    # |t|^2 = mu(E(x* x) E(b b*)) is positive as mu is faithful and
-    # E(b_s b_s*) invertible for generic b_s
-    gens, side = (bc.x_coords, bc.b_coords), _generating_side(bc)
-    gram = _tensor_gram(bc, side, gens)
+    # the Grams of the generating tensors against themselves, against the
+    # tensors moved by U (t' -> (alpha (x) alpha') t') and against the
+    # F-subspace in both descriptions, F (x) 1 and 1 (x) j(F)
+    gens = (bc.x_coords, bc.b_coords)
+    f, one = sub.coords_in_parent, alg.coords(alg.identity())[None]
+    gram, moved, f_one, one_f = _tensor_grams(
+        bc, _generating_side(bc),
+        [gens, tuple(z @ m_alpha.T for z in gens), (f, one), (one, f)])
+    # the Gram factored after Jacobi scaling so that the kept eigenvalues do
+    # not follow the trace weights; |t|^2 = mu(E(x* x) E(b b*)) is positive
+    # as mu is faithful and E(b_s b_s*) invertible for generic b_s
     norms = np.sqrt(gram.diagonal().real)
     l_rows, factor_resid, kept, dropped = factor_gram(gram / np.outer(norms, norms), tol)
     # L = V diag(sqrt(lam)) has orthogonal columns: gamma = L^H, and
     # L L^H = gamma^H gamma
     gamma = l_rows.conj()  # (r, d k)
     read = _read_back(gamma, norms)
-    # <t, W t'> = <t, (alpha (x) alpha') t'>, with t' moved by U
-    moved = tuple(z @ m_alpha.T for z in gens)
-    w = read @ _tensor_gram(bc, side, moved) @ read.conj().T
-    # F-subspace, both descriptions
-    f, one = sub.coords_in_parent, alg.coords(alg.identity())[None]
-    h_lambda, alt_span = (linalg.orthonormal_columns(read @ _tensor_gram(bc, side, pair),
-                                                     tol.eps_rank)
-                          for pair in ((f, one), (one, f)))
+    # <t, W t'> = <t, (alpha (x) alpha') t'>
+    w = read @ moved @ read.conj().T
+    h_lambda, alt_span = (linalg.orthonormal_columns(read @ g, tol.eps_rank)
+                          for g in (f_one, one_f))
     span_resid = max(linalg.subspace_inclusion_residual(alt_span, h_lambda),
                      linalg.subspace_inclusion_residual(h_lambda, alt_span))
     if span_resid > tol.eps_assert:

@@ -5,7 +5,8 @@ the subalgebra's cyclic subspace, by the block route from the minimal central
 projections of the fixed points that the basic construction certified and,
 for skew products, by the orbit route from the orbits' indices; evaluates and
 certifies each family once, runs the
-Cesaro averages characterizing relative weak mixing, and cross-checks the
+Cesaro averages characterizing relative weak mixing, for all admissible
+elements at once from their coordinates, and cross-checks the
 ergodicity route against the module route (any disagreement is an error, never
 a silent pass).  The conditional expectation is the one the subsystem
 carries, the Cesaro averages run in the eigenbasis of the dynamics that the
@@ -74,32 +75,93 @@ class SpectrumReport:
 
 
 def _adjoint_left_map(system: WStarSystem, coords: np.ndarray) -> np.ndarray:
-    """L with L[:, j] = coords(a* b_j) for the element a with coordinates c:
-    sum_m coords(a*)_m T[m, j] with coords(a*) = S conj(c), from the system's
-    multiplication table T and adjoint matrix S."""
-    d = len(coords)
-    a_star = system.star @ coords.conj()
-    return (a_star @ system.table.reshape(d, -1)).reshape(d, d).T
+    """L with L[:, j] = coords(a* b_j) for the element a with coordinates c,
+    or a stack (..., d, d) of them for a stack of rows: sum_m coords(a*)_m
+    T[m, j] with coords(a*) = S conj(c), from the system's multiplication
+    table T and adjoint matrix S, in one product with T."""
+    d = len(system.star)
+    a_star = coords.conj() @ system.star.T
+    return (a_star @ system.table.reshape(d, -1)).reshape(
+        *coords.shape[:-1], d, d).swapaxes(-1, -2)
+
+
+def _cesaro_rows(system: WStarSystem, sub: Subsystem, coords: np.ndarray,
+                 n_max: int, tol: ToleranceConfig,
+                 early_exit: bool = True) -> list[np.ndarray]:
+    """Running averages of lambda(|D(a* alpha^n(a))|^2) for the elements a
+    with the coordinate rows ``coords`` (k, d), all at once; every a must
+    have mean zero.
+
+    In coordinates the n-th term is v^H G v with v = E L alpha^n(c), where c
+    holds the coordinates of a, G is the Gram matrix, E = E_F, and L: x -> a* x
+    is read from the system's multiplication table T and adjoint matrix S
+    (``_adjoint_left_map``), in one product with T for all k elements.  The
+    coordinates f of F's basis are orthonormal columns spanning E's image,
+    and alpha = V diag(lam) V^H (``system.modes``), so the term is
+    |K lam^n|^2 for the dim F x dim A matrix K = (R f^H E L V) diag(V^H c),
+    with R^H R = f^H G f the Cholesky factor of F's Gram matrix.  The powers
+    lam^1 .. lam^w of a block of w = min(CESARO_BLOCK, n_max) steps are the
+    first w columns of ``system.mode_powers`` and R f^H E is
+    ``sub.whitened_expectation``, both held from the first call on; one
+    product with the powers runs a block for every element still running,
+    and K is moved on by lam^w from block to block, so a step costs
+    O(dim A dim F) per element and the output grows with the steps run.
+    Each sequence stops at its own first even n >= 4 where the averages at
+    n and n/2 agree to 1e-6, unless disabled.
+    """
+    if not len(coords):
+        return []
+    if np.abs(sub.expectation.matrix @ coords.T).max() > tol.eps_assert:
+        raise NotMeanZero("element has a nonzero conditional expectation")
+    d, vecs = len(system.star), system.modes[1]
+    k = (sub.whitened_expectation @ _adjoint_left_map(system, coords) @ vecs) \
+        * (coords @ vecs.conj())[:, None]  # (k, dim F, d)
+    powers = system.mode_powers[:, :n_max]  # lam^1 .. lam^width
+    width = powers.shape[1]
+    out: list = [None] * len(coords)
+    live = list(range(len(coords)))  # the elements still running, rows of k
+    sums = np.empty((len(live), width))  # grows with the steps run
+    start, totals = 1, np.zeros(len(live))
+    while True:
+        stop = min(start + width, n_max + 1)
+        z = k.reshape(-1, d) @ powers[:, :stop - start]
+        running = (z.real ** 2 + z.imag ** 2).reshape(len(live), -1,
+                                                     stop - start).sum(axis=1)
+        running[:, 0] += totals  # the terms, summed on from the last block's total
+        np.cumsum(running, axis=1, out=running)
+        totals = running[:, -1]
+        if sums.shape[1] < stop - 1:
+            grown = min(n_max, 2 * sums.shape[1]) - sums.shape[1]
+            sums = np.concatenate((sums, np.empty((len(live), grown))), axis=1)
+        sums[:, start - 1:stop - 1] = running / np.arange(start, stop)
+        if early_exit:
+            even = np.arange(max(4, start + start % 2), stop, 2)
+            hit = np.abs(sums[:, even - 1] - sums[:, even // 2 - 1]) < CESARO_EXIT_TOL
+            ended = hit.any(axis=1)
+            for row in np.nonzero(ended)[0]:
+                out[live[row]] = sums[row, :even[hit[row].argmax()]].copy()
+            if ended.all():
+                return out
+            if ended.any():
+                live = [i for i, e in zip(live, ended) if not e]
+                k, sums, totals = k[~ended], sums[~ended], totals[~ended]
+        if stop > n_max:
+            for row, i in enumerate(live):
+                out[i] = sums[row]
+            return out
+        start = stop
+        k = k * powers[:, -1]
 
 
 def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
                     n_max: int | None = None, tol: ToleranceConfig = DEFAULT_TOL,
                     early_exit: bool = True) -> np.ndarray:
-    """Running averages of lambda(|D(a* alpha^n(a))|^2) for a mean-zero a in A.
-
-    In coordinates the n-th term is v^H G v with v = E L alpha^n(c), where c
-    holds the coordinates of a, G is the Gram matrix, E = E_F, and L: x -> a* x
-    is read from the system's multiplication table T and adjoint matrix S.
-    The coordinates f of F's basis are orthonormal columns spanning E's
-    image, and alpha = V diag(lam) V^H (``system.modes``), so the term is
-    |K lam^n|^2 for the dim F x dim A matrix K = (R f^H E L V) diag(V^H c),
-    with R^H R = f^H G f the Cholesky factor of F's Gram matrix.  The powers
-    lam^1 .. lam^w of a block of w = min(CESARO_BLOCK, n_max) steps are the
-    first w columns of ``system.mode_powers`` and R f^H E is
-    ``sub.whitened_expectation``, both held from the first call on; K is
-    moved on by lam^w from block to block, so a step costs O(dim A dim F)
-    and the output grows with the steps run.  The arguments are checked
-    before either is read.  Stops at the first even n >= 4 where the
+    """Running averages of lambda(|D(a* alpha^n(a))|^2) for a mean-zero a in A,
+    the case of one element of the routine the spectrum report runs on all
+    admissible elements at once (``_cesaro_rows``, which describes the
+    method).  The arguments are checked before any held data is read: the
+    horizon, the subsystem, and that ``element`` lies in the algebra, whose
+    coordinates the routine reads.  Stops at the first even n >= 4 where the
     averages at n and n/2 agree to 1e-6, unless disabled.
     """
     n_max = tol.cesaro_n_max if n_max is None else n_max
@@ -113,33 +175,7 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
     if linalg.hs_norm(a - alg.from_coords(coords)) / max(1.0, linalg.hs_norm(a)) \
             > tol.eps_assert:
         raise NotInAlgebra("element does not lie in the algebra")
-    if np.abs(sub.expectation.matrix @ coords).max() > tol.eps_assert:
-        raise NotMeanZero("element has a nonzero conditional expectation")
-    vecs = system.modes[1]
-    k = (sub.whitened_expectation @ _adjoint_left_map(system, coords) @ vecs) \
-        * (vecs.conj().T @ coords)
-    powers = system.mode_powers[:, :n_max]  # lam^1 .. lam^width
-    width = powers.shape[1]
-    sums = np.empty(width)  # grows with the steps run
-    start, total = 1, 0.0
-    while True:
-        stop = min(start + width, n_max + 1)
-        z = k @ powers[:, :stop - start]
-        terms = (z.real ** 2 + z.imag ** 2).sum(axis=0)
-        running = np.cumsum(np.concatenate(([total], terms)))[1:]
-        total = running[-1]
-        if len(sums) < stop - 1:
-            sums = np.concatenate((sums, np.empty(min(n_max, 2 * len(sums)) - len(sums))))
-        sums[start - 1:stop - 1] = running / np.arange(start, stop)
-        if early_exit:
-            even = np.arange(max(4, start + start % 2), stop, 2)
-            hit = np.abs(sums[even - 1] - sums[even // 2 - 1]) < CESARO_EXIT_TOL
-            if hit.any():
-                return sums[:even[hit.argmax()]].copy()
-        if stop > n_max:
-            return sums
-        start = stop
-        k = k * powers[:, -1]
+    return _cesaro_rows(system, sub, coords[None], n_max, tol, early_exit)[0]
 
 
 def module_candidate(bc: BasicConstruction, projection: np.ndarray,
@@ -293,6 +329,22 @@ def fiber_analysis(bc: BasicConstruction, module: SubmoduleCandidate,
                        label, max(dims))
 
 
+def _admissible_coords(system: WStarSystem, sub: Subsystem,
+                       tol: ToleranceConfig, seed: int) -> np.ndarray:
+    """The coordinate rows (k, d) of ``admissible_elements``."""
+    if sub.parent is not system:
+        raise SubsystemInvalid("subsystem does not belong to this system")
+    k = system.algebra.dim - sub.algebra.dim
+    rng = np.random.default_rng(seed)
+    cols = (np.eye(system.algebra.dim) - sub.expectation.matrix) @ linalg.random_complex(
+        rng, (system.algebra.dim, k))
+    if linalg.rank(cols, tol.eps_rank) != k:
+        raise NumericalBreakdown(f"{k} generic elements span less than ker E_F")
+    rows = np.linalg.qr(cols)[0].T
+    norms = np.sqrt(((rows.conj() @ system.gram) * rows).sum(axis=1).real)
+    return rows / norms[:, None]
+
+
 def admissible_elements(system: WStarSystem, sub: Subsystem,
                         tol: ToleranceConfig = DEFAULT_TOL,
                         seed: int = 0) -> list[tuple[str, np.ndarray]]:
@@ -303,22 +355,11 @@ def admissible_elements(system: WStarSystem, sub: Subsystem,
     so structured zeros do not mask the Cesaro behaviour; unlike an SVD of
     1 - E_F, whose nonzero singular values are degenerate, it moves only by
     roundoff when E_F does.  Each element is normalized in the GNS norm so
-    that witness floors are comparable across trace scales.
+    that witness floors are comparable across trace scales.  These are the
+    matrices of the coordinates that the spectrum report's Cesaro stage reads.
     """
-    if sub.parent is not system:
-        raise SubsystemInvalid("subsystem does not belong to this system")
-    alg = system.algebra
-    k = alg.dim - sub.algebra.dim
-    rng = np.random.default_rng(seed)
-    cols = (np.eye(alg.dim) - sub.expectation.matrix) @ linalg.random_complex(
-        rng, (alg.dim, k))
-    if linalg.rank(cols, tol.eps_rank) != k:
-        raise NumericalBreakdown(f"{k} generic elements span less than ker E_F")
-    out = []
-    for i, c in enumerate(np.linalg.qr(cols)[0].T):
-        norm = np.sqrt(float((c.conj() @ system.gram @ c).real))
-        out.append((f"k{i}", alg.from_coords(c / norm)))
-    return out
+    mats = system.algebra.from_coords_stack(_admissible_coords(system, sub, tol, seed))
+    return [(f"k{i}", a) for i, a in enumerate(mats)]
 
 
 def build_spectrum_report(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL,
@@ -334,10 +375,9 @@ def build_spectrum_report(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL,
     erg = rwm_certificate(jd, tol)
     additivity = max(abs(sum(c.lifted_trace for c in cert.modules)
                          - cert.trace_of_complement) for cert in certs)
-    samples = []
-    for label, mat in admissible_elements(system, sub, tol, seed):
-        values = cesaro_sequence(system, sub, mat, tol=tol)
-        samples.append(CesaroSample(label, values))
+    rows = _cesaro_rows(system, sub, _admissible_coords(system, sub, tol, seed),
+                        tol.cesaro_n_max, tol)
+    samples = [CesaroSample(f"k{i}", values) for i, values in enumerate(rows)]
     modules = families[0]
     dim_span = sum(c.dim for c in modules)
     return SpectrumReport(tuple(modules), tuple(blocks), dim_span,

@@ -7,7 +7,8 @@ form of <A, e>: its n^2-wide span with an SVD basis, and the fixed points of
 its dynamics as n x n matrices.  Also the routes the return unitaries of F's
 block orbits replaced: the fixed points as one null space of the dim <A, e>
 square matrix alpha_bar - 1, with the generic center search on them, and the
-pivoted Cholesky factor of the joining's scaled Gram.  And the generic
+pivoted Cholesky factor of the joining's scaled Gram, and the one einsum per
+right-hand side that formed the joining's tensor Grams.  And the generic
 center search itself, which once found F's central blocks too before
 ``algebra.matrix_units`` read them off one generic pair: the kernel of the
 commutators with two generic elements, and the clusters of a generic central
@@ -162,6 +163,22 @@ def pivoted_cholesky(gram: np.ndarray, eps_rank: float = DEFAULT_TOL.eps_rank
         diag -= rows[k].real ** 2 + rows[k].imag ** 2
         diag[piv] = 0.0
     return rows[:len(pivots)], pivots
+
+
+def einsum_tensor_gram(bc, right) -> np.ndarray:
+    """G[(i, s), (l, t)] = <x_i (x) j(b_s), y_l (x) j(c_t)> between the
+    generating tensors and right = (y, c), as one einsum over
+    p[l] = e L(y_l)^H L(x_i) Omega and q[t] = e L(c_t) L(b_s)^H Omega, as the
+    joining once formed each of its four Grams."""
+    gns, (y, c) = bc.gns, right
+    lm, om = gns.left_mats, gns.omega
+    x_vecs = (bc.x_coords @ (lm @ om)).T
+    b_vecs = (bc.b_coords.conj() @ (lm.conj().transpose(0, 2, 1) @ om)).T
+    ly, lc = (np.tensordot(z, lm, axes=(1, 0)) for z in (y, c))
+    p = bc.e @ ly.conj().transpose(0, 2, 1) @ x_vecs  # (l, h, i)
+    q = bc.e @ lc @ b_vecs  # (t, h, s)
+    return np.einsum("lhi,ths->islt", p.conj(), q, optimize=True).reshape(
+        x_vecs.shape[1] * b_vecs.shape[1], len(y) * len(c))
 
 
 def full_matrix_algebra(n: int) -> BlockAlgebra:

@@ -178,6 +178,22 @@ def test_default_partition_below_roundoff_names_the_cutoff(shipped_descriptions)
         default_partition(bc, tol)
 
 
+@pytest.mark.parametrize("name, widths, sizes", [
+    ("full_subsystem_m2", r"\[4\]", r"\[2\]"),
+    ("finite_extension_m2", r"\[16, 8, 8\]", r"\[8, 4, 4\]")])
+def test_frame_widths_below_roundoff_name_the_cutoff(shipped_descriptions, name,
+                                                     widths, sizes):
+    """At 1e-17, below the pipeline's guard, the orthonormal basis of each
+    j(q_k) H keeps noise columns: twice the width m_k that the Bratteli count
+    gives, refused where the frames are made."""
+    tol = v.ToleranceConfig(eps_rank=1e-17)
+    built = v.descriptions.build_from_description(shipped_descriptions[name], tol)
+    gns = v.build_gns(built.system, tol)
+    with pytest.raises(NumericalBreakdown, match=rf"^rank cutoff 1e-17 gives the frames "
+                       rf"of j\(q_k\) H the widths {widths}, not m_k = {sizes}$"):
+        v.build_basic_construction(gns, built.sub, tol)
+
+
 def test_pipeline_passes_file_tolerance_to_partition(shipped_descriptions,
                                                      monkeypatch):
     from vnspec import pipeline

@@ -74,9 +74,10 @@ from vnspec.pipeline import SystemAnalysis, analyze_built, analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 from conftest import E12
 from oracles import (block_decomposition, center, center_coords, commutant,
-                     dense_fixed_points, dense_span, fixed_point_center, inv_sqrt_psd,
-                     joint_commutant, pivoted_cholesky, product_closure_residual,
-                     random_element, span_candidates)
+                     dense_fixed_points, dense_span, einsum_tensor_gram,
+                     fixed_point_center, inv_sqrt_psd, joint_commutant,
+                     pivoted_cholesky, product_closure_residual, random_element,
+                     span_candidates)
 from test_exit_codes import _run as run_cli
 
 
@@ -308,6 +309,17 @@ def test_closed_form_trace_equals_least_squares(analyses):
 
 def test_skew_d24_closed_form_trace_equals_least_squares(skew_d24):
     _assert_trace_route(SKEW_D24["name"], skew_d24)
+
+
+def test_trace_table_from_the_multiplication_table(analyses, skew_d24):
+    """mu(b_i b_j) = sum_c T[i, j, c] mu(b_c), which the lifted trace's
+    defining check reads, equals the table Tr(rho b_i b_j) that
+    validate_trace forms from the basis matrices."""
+    for name, an in {**analyses, SKEW_D24["name"]: skew_d24}.items():
+        system = an.built.system
+        from_table = system.table @ system.trace.values(system.algebra.basis)
+        oracle = algebra.product_trace_table(system.algebra, system.trace.density)
+        assert np.abs(from_table - oracle).max() <= 1e-13, name
 
 
 def bratteli_counts_by_rank(alg, sub_alg, blocks, eps_rank=DEFAULT_TOL.eps_rank):
@@ -912,10 +924,10 @@ def test_eigenprojections_equal_the_generic_center_search(orbit_systems):
             assert min(float(np.abs(z - c).max()) for c in bc.central) <= 1e-12, name
 
 
-def test_factor_rank_equals_the_pivoted_cholesky(orbit_systems):
-    """The eigendecomposition keeps as many directions of the scaled Gram as
-    the pivoted Cholesky factor it replaced, and gamma^H gamma is that Gram,
-    also on the skewed tensor at w = 1e-9 and the weight ladder at 2e-10."""
+@pytest.fixture(scope="module")
+def gram_systems(orbit_systems):
+    """The orbit systems with the skewed tensor at w = 1e-9 and the weight
+    ladder at 2e-10, with and without pairs."""
     from test_pipeline_properties import _skewed_fiber_tensor, _weight_ladder
     cases = dict(orbit_systems)
     cases["skewed_tensor_1e-9"] = analyze_built("t", "tensor",
@@ -923,7 +935,14 @@ def test_factor_rank_equals_the_pivoted_cholesky(orbit_systems):
     for pairs in (False, True):
         cases[f"weight_ladder_{pairs}"] = analyze_description(
             parse_system(_weight_ladder(2e-10, pairs))).basic
-    for name, bc in cases.items():
+    return cases
+
+
+def test_factor_rank_equals_the_pivoted_cholesky(gram_systems):
+    """The eigendecomposition keeps as many directions of the scaled Gram as
+    the pivoted Cholesky factor it replaced, and gamma^H gamma is that Gram,
+    also on the skewed tensor at w = 1e-9 and the weight ladder at 2e-10."""
+    for name, bc in gram_systems.items():
         jd = v.relative_joining(bc)
         gram = joining._tensor_gram(bc, joining._generating_side(bc),
                                     (bc.x_coords, bc.b_coords))
@@ -931,6 +950,37 @@ def test_factor_rank_equals_the_pivoted_cholesky(orbit_systems):
         rows, _ = pivoted_cholesky(scaled)
         assert len(rows) == jd.rank == len(bc.u_bar), name
         assert np.abs(jd.gamma.conj().T @ jd.gamma - scaled).max() <= 1e-12, name
+
+
+def test_batched_grams_equal_the_einsum_oracle(gram_systems):
+    """The four Grams of a joining, against the generating tensors, the
+    tensors moved by the dynamics and the F-subspace in both descriptions,
+    from one product per right-hand side, equal the einsum that formed each
+    of them, also on the skewed tensor and the weight ladder."""
+    for name, bc in gram_systems.items():
+        gens = (bc.x_coords, bc.b_coords)
+        m_alpha = bc.gns.system.dynamics.matrix
+        alg = bc.gns.system.algebra
+        f, one = bc.sub.coords_in_parent, alg.coords(alg.identity())[None]
+        rights = [gens, tuple(z @ m_alpha.T for z in gens), (f, one), (one, f)]
+        grams = joining._tensor_grams(bc, joining._generating_side(bc), rights)
+        for right, gram in zip(rights, grams):
+            oracle = einsum_tensor_gram(bc, right)
+            assert gram.shape == oracle.shape, name
+            assert np.abs(gram - oracle).max() <= 1e-12, name
+
+
+def test_relative_joining_peak_is_below_the_einsum_layout(skew_d24):
+    """The four einsum Grams with their left(D(a_i)) and j stacks peaked at
+    2 169 075 traced bytes in relative_joining at the d = 24 skew product."""
+    bc = skew_d24.basic
+    tracemalloc.start()
+    try:
+        v.relative_joining(bc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_169_075
 
 
 def test_return_unitaries_that_disagree_with_the_null_space_are_refused(
@@ -1332,6 +1382,53 @@ def test_cesaro_early_exit_equals_stepwise_loop(name):
         seq = v.cesaro_sequence(built.system, built.sub, a)
         assert len(seq) == len(oracle), (name, label)
         assert np.abs(seq - oracle).max() <= 1e-12, (name, label)
+
+
+def test_pipeline_cesaro_equals_the_public_sequence(analyses, skew_d24):
+    """The spectrum report runs the sequences of all admissible elements at
+    once from their coordinates, each cut at its own early exit; each has
+    the length of the public per-element sequence of the element's matrix
+    and agrees with it to 1e-14."""
+    for name, an in {**analyses, SKEW_D24["name"]: skew_d24}.items():
+        system, sub = an.built.system, an.built.sub
+        elements = admissible_elements(system, sub)
+        assert [s.label for s in an.spectrum.cesaro] == [lab for lab, _ in elements], name
+        for sample, (label, a) in zip(an.spectrum.cesaro, elements):
+            seq = v.cesaro_sequence(system, sub, a)
+            assert len(sample.values) == len(seq), (name, label)
+            assert np.abs(sample.values - seq).max() <= 1e-14, (name, label)
+
+
+def test_cesaro_rows_past_block_edges_equal_one_row_at_a_time():
+    """All 18 elements of the finite extension over 3000 steps without early
+    exit, past two block edges, against each element run alone."""
+    built, elements = _admissible("finite_extension_m2")
+    coords = built.system.algebra.coords_stack(np.stack([a for _, a in elements]))
+    rows = spectrum._cesaro_rows(built.system, built.sub, coords, LONGEST,
+                                 DEFAULT_TOL, early_exit=False)
+    assert len(rows) == len(elements) == 18
+    for (label, _), c, seq in zip(elements, coords, rows):
+        alone = spectrum._cesaro_rows(built.system, built.sub, c[None], LONGEST,
+                                      DEFAULT_TOL, early_exit=False)[0]
+        assert len(seq) == LONGEST, label
+        assert np.abs(seq - alone).max() <= 1e-14, label
+
+
+def test_cesaro_rows_stop_each_at_its_own_exit():
+    """With blocks of two steps, the zero element stops at n = 4 in the
+    second block and the elements of tensor_diag2_m2 at n = 8 in the
+    fourth, while the others run on; each equals the public sequence of
+    its element."""
+    built, elements = _admissible("tensor_diag2_m2")
+    system, sub = _cold(built)
+    system.__dict__["mode_powers"] = built.system.mode_powers[:, :2]
+    mats = [np.zeros_like(elements[0][1])] + [a for _, a in elements]
+    coords = system.algebra.coords_stack(np.stack(mats))
+    rows = spectrum._cesaro_rows(system, sub, coords, 64, DEFAULT_TOL)
+    assert [len(r) for r in rows] == [4] + [8] * len(elements)
+    for i, (a, seq) in enumerate(zip(mats, rows)):
+        alone = v.cesaro_sequence(built.system, built.sub, a, n_max=64)
+        assert np.abs(seq - alone).max() <= 1e-12, i
 
 
 def test_cesaro_memory_does_not_grow_with_horizon():

@@ -105,9 +105,10 @@ def _cesaro_rows(system: WStarSystem, sub: Subsystem, coords: np.ndarray,
     ``sub.whitened_expectation``, both held from the first call on; one
     product with the powers runs a block for every element still running,
     and K is moved on by lam^w from block to block, so a step costs
-    O(dim A dim F) per element and the output grows with the steps run.
-    Each sequence stops at its own first even n >= 4 where the averages at
-    n and n/2 agree to 1e-6, unless disabled.
+    O(dim A dim F) per element.  Each sequence stops at its own first even
+    n >= 4 where the averages at n and n/2 agree to 1e-6, its output grown
+    with the steps run; with the early exit disabled every sequence runs to
+    n_max, and the output has that length from the start.
     """
     if not len(coords):
         return []
@@ -120,8 +121,8 @@ def _cesaro_rows(system: WStarSystem, sub: Subsystem, coords: np.ndarray,
     width = powers.shape[1]
     out: list = [None] * len(coords)
     live = list(range(len(coords)))  # the elements still running, rows of k
-    sums = np.empty((len(live), width))  # grows with the steps run
-    start, totals = 1, np.zeros(len(live))
+    sums = np.empty((len(live), width if early_exit else n_max))
+    start, totals = 1, 0.0
     while True:
         stop = min(start + width, n_max + 1)
         z = k.reshape(-1, d) @ powers[:, :stop - start]
@@ -133,7 +134,7 @@ def _cesaro_rows(system: WStarSystem, sub: Subsystem, coords: np.ndarray,
         if sums.shape[1] < stop - 1:
             grown = min(n_max, 2 * sums.shape[1]) - sums.shape[1]
             sums = np.concatenate((sums, np.empty((len(live), grown))), axis=1)
-        sums[:, start - 1:stop - 1] = running / np.arange(start, stop)
+        np.divide(running, np.arange(start, stop), out=sums[:, start - 1:stop - 1])
         if early_exit:
             even = np.arange(max(4, start + start % 2), stop, 2)
             hit = np.abs(sums[:, even - 1] - sums[:, even // 2 - 1]) < CESARO_EXIT_TOL

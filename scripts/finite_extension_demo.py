@@ -35,7 +35,7 @@ def main():
     jd = v.relative_joining(bc)
     print(f"  dim <A,e> = {bc.algebra.dim}, "
           f"lifted trace of complement = "
-          f"{bc.lifted_value(np.eye(gns.dim) - bc.e).real:.6g}")
+          f"{bc.lifted_value(bc.complement_coords).real:.6g}")
     print(f"  weak mixing relative to the base: "
           f"{v.rwm_certificate(jd).holds}")
     reports = [(c, v.fiber_analysis(bc, c)) for c in v.find_minimal_modules(bc)]

@@ -5,7 +5,6 @@ Varies the cocycle to show how the generic joint-commutant blocks can merge
 orbit modules (trivial twist monodromy) while the orbit certificate keeps the
 per-orbit traces.
 """
-import numpy as np
 
 import vnspec as v
 from vnspec.spectrum import skew_orbit_modules
@@ -26,7 +25,7 @@ def run(cocycle):
     print(f"cocycle {cocycle}: dim H = {gns.dim}, "
           f"dim <A,e> = {bc.algebra.dim}, "
           f"lifted trace of complement = "
-          f"{bc.lifted_value(np.eye(gns.dim) - bc.e).real:.6g}")
+          f"{bc.lifted_value(bc.complement_coords).real:.6g}")
     print("  orbit modules: ",
           [(c.dim, round(c.lifted_trace, 9)) for c in orbit])
     print("  commutant blocks:",

@@ -88,11 +88,9 @@ class MatrixStarAlgebra:
         """Matrices from a stack of coordinate rows."""
         return np.tensordot(np.asarray(c, dtype=np.complex128), self.basis, axes=(1, 0))
 
-    def project(self, mat: np.ndarray) -> np.ndarray:
-        return self.from_coords(self.coords(mat))
-
     def membership_residual(self, mat: np.ndarray) -> float:
-        return linalg.hs_norm(mat - self.project(mat)) / max(1.0, linalg.hs_norm(mat))
+        return linalg.hs_norm(mat - self.from_coords(self.coords(mat))) \
+            / max(1.0, linalg.hs_norm(mat))
 
     def basis_rows(self) -> np.ndarray:
         return self.basis.reshape(self.dim, -1)
@@ -184,8 +182,14 @@ class BlockAlgebra:
                 total += v @ x @ v.conj().T
         return total
 
-    def membership_residual(self, mat: np.ndarray) -> float:
-        return linalg.hs_norm(mat - self.from_coords(self.coords(mat))) \
+    def block_traces(self, c) -> np.ndarray:
+        """tr(x_k) of each block k, (..., number of blocks)."""
+        return np.stack([np.trace(b, axis1=-2, axis2=-1) for b in self.blocks(c)], -1)
+
+    def membership_residual(self, mat: np.ndarray, coords=None) -> float:
+        """Relative distance of ``mat`` from its coordinates' element."""
+        coords = self.coords(mat) if coords is None else coords
+        return linalg.hs_norm(mat - self.from_coords(coords)) \
             / max(1.0, linalg.hs_norm(mat))
 
 
@@ -400,19 +404,14 @@ def gram_matrix(alg: MatrixStarAlgebra, trace: TraceFunctional) -> np.ndarray:
     return rows.conj() @ weighted.T
 
 
-def product_trace_table(alg: MatrixStarAlgebra, density: np.ndarray) -> np.ndarray:
-    """T[i, j] = Tr(density b_i b_j); traciality means T is symmetric."""
-    left = (density @ alg.basis).transpose(0, 2, 1).reshape(alg.dim, -1)
-    return left @ alg.basis_rows().T
-
-
-def validate_trace(alg: MatrixStarAlgebra, trace: TraceFunctional,
+def validate_trace(alg: MatrixStarAlgebra, trace: TraceFunctional, table: np.ndarray,
                    tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """Check Hermitian PSD density, faithfulness on the algebra and traciality.
 
     Faithfulness is only required on the algebra (the ambient density may be
-    singular).  Returns the Gram matrix for reuse and the traciality residual
-    max |T - T^T| of the product trace table it checked.
+    singular).  Traciality reads the algebra's multiplication table T: the
+    traces M[i, j] = mu(b_i b_j) = sum_c T[i, j, c] mu(b_c) must be symmetric.
+    Returns the Gram matrix for reuse and the traciality residual max |M - M^T|.
     """
     rho = trace.density
     if np.abs(rho - rho.conj().T).max() > tol.eps_assert:
@@ -422,8 +421,8 @@ def validate_trace(alg: MatrixStarAlgebra, trace: TraceFunctional,
     gram = gram_matrix(alg, trace)
     if np.linalg.eigvalsh((gram + gram.conj().T) / 2).min() < tol.eps_rank:
         raise TraceNotFaithful("trace is not faithful on the algebra")
-    table = product_trace_table(alg, rho)
-    tracial = float(np.abs(table - table.T).max())
+    products = table @ trace.values(alg.basis)
+    tracial = float(np.abs(products - products.T).max())
     if tracial > tol.eps_assert:
         raise TraceNotFaithful("functional is not tracial on the algebra")
     if trace.normalized and abs(trace.value(alg.identity()) - 1.0) > tol.eps_assert:
@@ -606,7 +605,7 @@ def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
     if closure > tol.eps_assert:
         raise NumericalBreakdown(f"the basis does not span a *-algebra: a product or "
                                  f"adjoint leaves its span (residual {closure:.2e})")
-    gram, _ = validate_trace(algebra, trace, tol)
+    gram, _ = validate_trace(algebra, trace, table, tol)
     return WStarSystem(algebra, trace, dynamics, gram, table, star,
                        eigenmodes(dynamics.matrix, tol))
 

@@ -62,6 +62,7 @@ class BasicConstruction:
     sub: Subsystem
     e: np.ndarray                   # projection onto the cyclic subspace of F
     algebra: BlockAlgebra           # span(A e A), equal to j(F)', in block coordinates
+    e_coords: np.ndarray            # block coordinates of e
     trace_vector: np.ndarray        # lifted trace: lifted(x) = trace_vector @ coords(x)
     trace: TraceFunctional          # same functional as a central density (not normalized)
     dynamics: StarAutomorphism      # conjugation by U in block coordinates
@@ -79,9 +80,9 @@ class BasicConstruction:
     span_coords: np.ndarray         # (d k, dim) block coords of x_i e b_s, row i k + s
 
     def __post_init__(self):
-        for a in (self.e, self.trace_vector, self.bar_to_vector, self.u_bar, self.fixed,
-                  self.central, self.x_coords, self.b_coords, self.g_coords,
-                  self.span_coords):
+        for a in (self.e, self.e_coords, self.trace_vector, self.bar_to_vector,
+                  self.u_bar, self.fixed, self.central, self.x_coords, self.b_coords,
+                  self.g_coords, self.span_coords):
             a.setflags(write=False)
 
     @property
@@ -89,9 +90,14 @@ class BasicConstruction:
         """Dimension of (1 - e) H, the complement of the F-cyclic subspace."""
         return self.gns.dim - int(round(float(np.trace(self.e).real)))
 
-    def lifted_value(self, mat: np.ndarray) -> complex:
-        """Lifted trace of an element of the constructed algebra."""
-        return complex(self.trace_vector @ self.algebra.coords(mat))
+    @property
+    def complement_coords(self) -> np.ndarray:
+        """Block coordinates of 1 - e."""
+        return self.algebra.identity_coords() - self.e_coords
+
+    def lifted_value(self, coords: np.ndarray) -> complex:
+        """Lifted trace of the element of <A, e> with block coordinates ``coords``."""
+        return complex(self.trace_vector @ coords)
 
 
 def _whitener(ops: np.ndarray) -> np.ndarray:
@@ -442,7 +448,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
                                  f"moves a fixed point (residual {moved:.2e})")
     density = TraceFunctional(alg.from_coords(trace_vector / alg.hs_weights),
                               normalized=False)
-    return BasicConstruction(gns, sub, e, alg, trace_vector, density,
+    return BasicConstruction(gns, sub, e, alg, alg.coords(e), trace_vector, density,
                              StarAutomorphism(dyn, gns.u_matrix), np.diag(root),
                              np.ascontiguousarray(u_bar), fixed, central,
                              resid, max(jones, defining), tracial, tuple(blocks),
@@ -459,11 +465,12 @@ def default_partition(bc: BasicConstruction,
     k of y_i maps G_k onto the standard basis vectors i rho_k .. i rho_k +
     rho_k - 1 of C^{m_k} (those below m_k), so the y_i e y_i* add up to 1 in
     max_k ceil(m_k / rho_k) members.  As e H = L2(F) holds n_k copies of the
-    irreducible right module of F p_k, rho_k must equal n_k.
+    irreducible right module of F p_k, rho_k must equal n_k.  On H, y_i is
+    the sum of V_{k,r}[:, c] (V_{k,r} G_k)^H over the frames, c the slice.
     """
-    alg = bc.algebra
+    alg, dim = bc.algebra, bc.gns.dim
     ranges = [linalg.orthonormal_columns(ek, tol.eps_rank)
-              for ek in alg.blocks(alg.coords(bc.e))]
+              for ek in alg.blocks(bc.e_coords)]
     if not all(g.shape[1] for g in ranges):
         raise NumericalBreakdown(
             f"rank cutoff {tol.eps_rank:g} drops e from a block of <A, e>")
@@ -472,17 +479,16 @@ def default_partition(bc: BasicConstruction,
         raise NumericalBreakdown(
             f"rank cutoff {tol.eps_rank:g} gives e the ranks {ranks} in the blocks of "
             f"<A, e>, not n_k = {[n for _, n, _ in bc.blocks]}")
-    count = max(-(-m // g.shape[1]) for m, g in zip(alg.sizes, ranges))
+    count = max(-(-m // rho) for m, rho in zip(alg.sizes, ranks))
     members = []
     for i in range(count):
-        blocks = []
-        for m, g in zip(alg.sizes, ranges):
-            y = np.zeros((m, m), dtype=np.complex128)
-            rows = range(i * g.shape[1], min((i + 1) * g.shape[1], m))
-            y[rows] = g[:, :len(rows)].conj().T
-            blocks.append(y)
-        members.append(alg.join(blocks))
-    return list(bc.gns.j_op(alg.from_coords(np.stack(members))))
+        image, source = [], []  # the frames' columns side by side
+        for f, g, rho in zip(alg.frames, ranges, ranks):
+            cols = f[:, :, i * rho:(i + 1) * rho]  # slice i of each frame
+            image.append(cols.transpose(1, 0, 2).reshape(dim, -1))
+            source.append((f @ g[:, :cols.shape[2]]).transpose(1, 0, 2).reshape(dim, -1))
+        members.append(np.hstack(image) @ np.hstack(source).conj().T)
+    return list(bc.gns.j_op(np.stack(members)))
 
 
 def lifted_trace_via_partition(bc: BasicConstruction, partial_isometries,

@@ -102,14 +102,10 @@ def cmd_certify_rds(args) -> int:
               f"{len(sp.modules)} modules, lifted traces "
               f"{[round(m.lifted_trace, 9) for m in sp.modules]}")
         print(f"  lifted trace of complement: "
-              f"{an.basic.lifted_value(_eye(an) - an.basic.e).real:.9g} (finite)")
+              f"{an.basic.lifted_value(an.basic.complement_coords).real:.9g} (finite)")
     if not an.passed:
         return EXIT_BREAKDOWN
     return EXIT_OK if sp.rds else EXIT_NEGATIVE
-
-
-def _eye(an):
-    return np.eye(an.gns.dim)
 
 
 def cmd_rwm(args) -> int:

@@ -210,8 +210,6 @@ def _parse_params(kind: str, p: dict, fld: str, factor: bool = False) -> dict:
         for key in ("v2", "v3"):
             out[key] = (_parse_matrix(p.get(key), f"{fld}.{key}")
                         if out["b2_factor"] is not None else None)
-    else:
-        raise ValidationError(f"{fld}.kind", f"unknown kind {kind!r}")
     return out
 
 

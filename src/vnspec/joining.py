@@ -105,12 +105,6 @@ def _tensor_grams(bc: BasicConstruction, side: tuple[np.ndarray, np.ndarray],
     return grams
 
 
-def _tensor_gram(bc: BasicConstruction, side: tuple[np.ndarray, np.ndarray],
-                 right: tuple) -> np.ndarray:
-    """``_tensor_grams`` for the one right-hand side right = (y, c)."""
-    return _tensor_grams(bc, side, [right])[0]
-
-
 def factor_gram(gram: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
                 ) -> tuple[np.ndarray, float, float, float]:
     """Factor a Hermitian G = L L^H + S from one eigendecomposition.

@@ -4,8 +4,6 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-import numpy as np
-
 from .pipeline import SystemAnalysis
 
 REPORT_VERSION = 1
@@ -21,7 +19,6 @@ def analysis_to_dict(an: SystemAnalysis) -> dict:
     sys = an.built.system
     sub = an.built.sub
     bc = an.basic
-    eye = np.eye(an.gns.dim)
     modules = [{"dim": m.dim,
                 "lifted_trace": float(m.lifted_trace),
                 "is_right_module": bool(m.is_right_module),
@@ -52,9 +49,11 @@ def analysis_to_dict(an: SystemAnalysis) -> dict:
         },
         "basic_construction": {
             "dim_algebra": bc.algebra.dim,
-            "lifted_trace_of_identity": float(bc.lifted_value(eye).real),
-            "lifted_trace_of_e": float(bc.lifted_value(bc.e).real),
-            "lifted_trace_of_complement": float(bc.lifted_value(eye - bc.e).real),
+            "lifted_trace_of_identity":
+                float(bc.lifted_value(bc.algebra.identity_coords()).real),
+            "lifted_trace_of_e": float(bc.lifted_value(bc.e_coords).real),
+            "lifted_trace_of_complement":
+                float(bc.lifted_value(bc.complement_coords).real),
             "dim_bar_gns": len(bc.u_bar),
             "commutant_residual": bc.commutant_residual,
             "extension_residual": bc.extension_residual,

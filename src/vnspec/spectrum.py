@@ -32,15 +32,17 @@ CESARO_EXIT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SubmoduleCandidate:
-    """A jointly invariant subspace of the complement of the F-cyclic space."""
-    projection: np.ndarray
+    """A jointly invariant subspace of the complement of the F-cyclic space, as
+    the block coordinates P_k of its projection P (of P's projection onto
+    <A, e> when P is no right module), of dimension Tr P = sum_k n_k tr P_k."""
+    coords: np.ndarray
     dim: int
     lifted_trace: float
     is_right_module: bool
     is_u_invariant: bool
 
     def __post_init__(self):
-        self.projection.setflags(write=False)
+        self.coords.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -179,17 +181,30 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
     return _cesaro_rows(system, sub, coords[None], n_max, tol, early_exit)[0]
 
 
+def _candidate(bc: BasicConstruction, coords, is_mod, is_inv) -> SubmoduleCandidate:
+    dim_v = int(round(float(bc.algebra.block_traces(coords).real @ bc.algebra.mults)))
+    return SubmoduleCandidate(np.ascontiguousarray(coords), dim_v,
+                              bc.lifted_value(coords).real, is_mod, is_inv)
+
+
+def _ordered(bc: BasicConstruction, modules) -> list[SubmoduleCandidate]:
+    """Decreasing lifted trace, then multiplicities tr P_k, then coordinates."""
+    return sorted(modules, key=lambda c: (
+        -round(c.lifted_trace, 8),
+        tuple(-bc.algebra.block_traces(c.coords).real.round(8)), linalg.sort_key(c.coords)))
+
+
 def module_candidate(bc: BasicConstruction, projection: np.ndarray,
                      tol: ToleranceConfig = DEFAULT_TOL) -> SubmoduleCandidate:
-    """Package a projection with its lifted trace and invariance flags."""
-    dim_v = int(round(float(np.trace(projection).real)))
-    value = bc.lifted_value(projection).real
-    is_mod = bc.algebra.membership_residual(projection) < tol.eps_assert
-    u = bc.gns.u_matrix
+    """Package a projection P on H, as the orbit route gives them, with its
+    lifted trace and invariance flags, whose evidence stays on H: P must equal
+    the element of its block coordinates (formed once) and u P u*."""
+    alg, u = bc.algebra, bc.gns.u_matrix
+    coords = alg.coords(projection)
+    is_mod = alg.membership_residual(projection, coords) < tol.eps_assert
     is_inv = float(np.abs(u @ projection @ u.conj().T - projection).max()) \
         < tol.eps_assert
-    return SubmoduleCandidate(np.ascontiguousarray(projection), dim_v, value,
-                              is_mod, is_inv)
+    return _candidate(bc, coords, is_mod, is_inv)
 
 
 def find_minimal_modules(bc: BasicConstruction, tol: ToleranceConfig = DEFAULT_TOL
@@ -199,18 +214,17 @@ def find_minimal_modules(bc: BasicConstruction, tol: ToleranceConfig = DEFAULT_T
     Both e and 1 - e lie in the joint commutant C of U and the right F-action,
     {U}' within j(F)' = <A, e>, as U e U* = e, so the center of the corner
     (1 - e) C (1 - e) is Z(C)(1 - e): the blocks are z (1 - e) for the
-    minimal central projections z of C with z (1 - e) != 0, formed in block
-    coordinates.  The z are the eigenprojections of the return unitaries of
-    F's block orbits that the basic construction certified (``bc.central``).
+    minimal central projections z of C with z (1 - e) != 0, formed and kept
+    in block coordinates.  The z are the eigenprojections of the return
+    unitaries of F's block orbits that the basic construction certified
+    (``bc.central``); U-invariance is read from the dynamics' coordinates.
     Isomorphic minimal modules are reported as their block sum rather than an
     arbitrary internal splitting.
     """
-    alg = bc.algebra
-    comp = alg.identity_coords() - alg.coords(bc.e)
-    blocks = alg.from_coords(alg.product(bc.central, comp))
-    out = [module_candidate(bc, p, tol) for p in blocks if np.trace(p).real > 0.5]
-    out.sort(key=lambda c: (-round(c.lifted_trace, 8), linalg.sort_key(c.projection)))
-    return out
+    blocks = bc.algebra.product(bc.central, bc.complement_coords)
+    fixed = np.abs(blocks @ bc.dynamics.matrix.T - blocks).max(axis=1) < tol.eps_assert
+    out = [_candidate(bc, c, True, bool(ok)) for c, ok in zip(blocks, fixed)]
+    return _ordered(bc, [c for c in out if c.dim > 0])
 
 
 def skew_orbit_modules(bc: BasicConstruction, orbits: tuple[tuple[int, ...], ...],
@@ -220,12 +234,9 @@ def skew_orbit_modules(bc: BasicConstruction, orbits: tuple[tuple[int, ...], ...
     modules of finite lifted trace spanning the complement of the base's
     cyclic subspace; their traces equal the orbit sizes.
     """
-    out = []
-    for idx in orbits:
-        q = linalg.orthonormal_columns(bc.gns.to_vector[:, list(idx)], tol.eps_rank)
-        out.append(module_candidate(bc, q @ q.conj().T, tol))
-    out.sort(key=lambda c: (-round(c.lifted_trace, 8), linalg.sort_key(c.projection)))
-    return out
+    frames = (linalg.orthonormal_columns(bc.gns.to_vector[:, list(idx)], tol.eps_rank)
+              for idx in orbits)
+    return _ordered(bc, [module_candidate(bc, q @ q.conj().T, tol) for q in frames])
 
 
 def rwm_certificate(jd: JoiningData,
@@ -264,16 +275,13 @@ def rds_verdict(bc: BasicConstruction, modules: list[SubmoduleCandidate],
     F-cyclic space and each is what it claims to be: a right F-module (its
     projection lies in <A, e>) invariant under U.  At finite dimension every
     projection has finite lifted trace, so the decomposition itself is the
-    certificate.
+    certificate; the modules' block coordinates must add up to 1 - e's.
     """
-    one_minus_e = np.eye(bc.gns.dim) - bc.e
-    total = sum((c.projection for c in modules),
-                np.zeros_like(bc.e))
-    resid = float(np.abs(total - one_minus_e).max())
-    value = bc.lifted_value(one_minus_e).real
+    comp = bc.complement_coords
+    resid = float(np.abs(sum(c.coords for c in modules) - comp).max())
     claims = all(c.is_right_module and c.is_u_invariant for c in modules)
     return RdsCertificate(resid < tol.eps_assert and claims, tuple(modules), resid,
-                          value)
+                          bc.lifted_value(comp).real)
 
 
 @dataclass(frozen=True)
@@ -300,12 +308,12 @@ def fiber_analysis(bc: BasicConstruction, module: SubmoduleCandidate,
 
     A module P lies in <A, e> = j(F)', so P j(p_k) H is c_k copies of the
     irreducible right F p_k = M_{n_k} module, c_k = Tr(P j(p_k)) / n_k, which
-    is the trace of P's block P_k in <A, e>'s block coordinates, and a
-    minimal projection of F p_k has trace mu(p_k) / n_k.  The lifted trace of
-    P is then sum_k mu(p_k) / n_k c_k, as <A, e> carries the trace vector of
-    F (Goodman, de la Harpe and Jones 1989, ch. 2).  For a commutative F
-    every n_k = 1 and this is the classical weighted fiber sum; the
-    weight-free sum of the c_k is kept beside it as the classical
+    is the trace of P's block P_k, and a minimal projection of F p_k has trace
+    mu(p_k) / n_k, the trace vector's entries on block k's diagonal.  The
+    lifted trace of P is then sum_k mu(p_k) / n_k c_k, as <A, e> carries the
+    trace vector of F (Goodman, de la Harpe and Jones 1989, ch. 2).  For a
+    commutative F every n_k = 1 and this is the classical weighted fiber sum;
+    the weight-free sum of the c_k is kept beside it as the classical
     comparison, flagged in ``matching_formula``, and the rank bound is the
     largest c_k.
 
@@ -313,10 +321,8 @@ def fiber_analysis(bc: BasicConstruction, module: SubmoduleCandidate,
     as the lifted trace of P, rounded to integers, so it is not a third route
     to the trace; what it adds is the integrality of every c_k.
     """
-    trace = bc.gns.system.trace
-    weights = [float(trace.value(p).real) / n for p, n, _ in bc.blocks]
-    mults = [float(np.trace(b).real)
-             for b in bc.algebra.blocks(bc.algebra.coords(module.projection))]
+    weights = [float(t[0, 0].real) for t in bc.algebra.blocks(bc.trace_vector)]
+    mults = bc.algebra.block_traces(module.coords).real.tolist()
     dims = [int(round(c)) for c in mults]
     gap = max(abs(c - k) for c, k in zip(mults, dims))
     weighted = float(sum(w * dv for w, dv in zip(weights, dims)))

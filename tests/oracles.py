@@ -12,7 +12,8 @@ right-hand side that formed the joining's tensor Grams.  And the generic
 center search itself, which once found F's central blocks too before
 ``algebra.matrix_units`` read them off one generic pair: the kernel of the
 commutators with two generic elements, and the clusters of a generic central
-element."""
+element.  And the dense product trace table Tr(rho b_i b_j) that once
+checked a trace's traciality, before the multiplication table did."""
 import numpy as np
 
 from vnspec import linalg
@@ -179,6 +180,12 @@ def einsum_tensor_gram(bc, right) -> np.ndarray:
     q = bc.e @ lc @ b_vecs  # (t, h, s)
     return np.einsum("lhi,ths->islt", p.conj(), q, optimize=True).reshape(
         x_vecs.shape[1] * b_vecs.shape[1], len(y) * len(c))
+
+
+def product_trace_table(alg: MatrixStarAlgebra, density: np.ndarray) -> np.ndarray:
+    """T[i, j] = Tr(density b_i b_j); traciality means T is symmetric."""
+    left = (density @ alg.basis).transpose(0, 2, 1).reshape(alg.dim, -1)
+    return left @ alg.basis_rows().T
 
 
 def full_matrix_algebra(n: int) -> BlockAlgebra:

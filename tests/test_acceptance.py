@@ -34,7 +34,8 @@ def test_criterion_01_lifted_trace_identity(analyses):
         for _ in range(100):
             a = random_element(alg, rng)
             b = random_element(alg, rng)
-            lifted = bc.lifted_value(gns.left(a) @ bc.e @ gns.left(b))
+            x = gns.left(a) @ bc.e @ gns.left(b)
+            lifted = bc.lifted_value(bc.algebra.coords(x))
             worst = max(worst, abs(lifted - an.built.system.trace.value(a @ b)))
         slowest = max(slowest, time.perf_counter() - t0)
     ok = worst < 1e-8 and slowest < 5.0 and len(analyses) >= 6
@@ -110,7 +111,7 @@ def test_criterion_07_finite_extension(analyses):
     resid = max(diag.beta_two_expressions, diag.off_diagonal,
                 diag.restriction, diag.display_pattern)
     complement_trace = an.basic.lifted_value(
-        np.eye(an.gns.dim) - an.basic.e).real
+        an.basic.algebra.coords(np.eye(an.gns.dim) - an.basic.e)).real
     ok = (resid < 1e-8 and diag.nonproduct_detected and an.spectrum.rds
           and np.isfinite(complement_trace))
     _report(7, ok, f"structure residual {resid:.2e}, non-product fired, "

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vnspec as v
+from vnspec.algebra import multiplication_table
 from vnspec.errors import (DimensionMismatch, NonSquareGenerator, NotUnitary,
                            NumericalBreakdown, SubsystemInvalid, TraceNotFaithful)
 from conftest import E11, E12, E21, E22
@@ -231,20 +232,33 @@ def test_trace_validation_rejects_unfaithful():
     alg = v.generate_algebra([np.diag([1.0, -1.0])], 2)
     bad = v.trace_functional(np.diag([1.0, 0.0]))
     with pytest.raises(TraceNotFaithful):
-        v.validate_trace(alg, bad)
+        v.validate_trace(alg, bad, multiplication_table(alg)[0])
 
 
 def test_trace_validation_rejects_nontracial():
     alg = v.generate_algebra([E12], 2)
     skew = v.trace_functional(np.diag([0.7, 0.3]))
     with pytest.raises(TraceNotFaithful):
-        v.validate_trace(alg, skew)
+        v.validate_trace(alg, skew, multiplication_table(alg)[0])
+
+
+@pytest.mark.parametrize("density, message", [
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), "density is not Hermitian"),
+    (np.diag([1.5, -0.5]), "density is not positive semidefinite"),
+    (np.eye(2), "normalized trace must send 1 to 1"),
+])
+def test_trace_validation_names_the_failed_condition(density, message):
+    """A non-Hermitian density, an indefinite one and a faithful tracial
+    density of trace 2 offered as a state."""
+    alg = v.generate_algebra([E12], 2)
+    with pytest.raises(TraceNotFaithful, match=f"^{message}$"):
+        v.validate_trace(alg, v.trace_functional(density), multiplication_table(alg)[0])
 
 
 def test_weighted_trace_on_diagonal_algebra_is_fine():
     alg = v.generate_algebra([np.diag([1.0, -1.0])], 2)
     tr = v.trace_functional(np.diag([1 / 3, 2 / 3]))
-    gram, _ = v.validate_trace(alg, tr)
+    gram, _ = v.validate_trace(alg, tr, multiplication_table(alg)[0])
     assert gram.shape == (2, 2)
 
 
@@ -255,6 +269,13 @@ def test_automorphism_from_unitary_rejects_nonunitary():
     tr = v.trace_functional(np.eye(2) / 2)
     with pytest.raises(NotUnitary):
         v.automorphism_from_unitary(alg, np.diag([1.0, 2.0]), tr)
+
+
+def test_automorphism_from_unitary_rejects_a_wrong_shape():
+    alg = v.generate_algebra([E12], 2)
+    tr = v.trace_functional(np.eye(2) / 2)
+    with pytest.raises(DimensionMismatch, match="^unitary has wrong shape$"):
+        v.automorphism_from_unitary(alg, np.eye(3), tr)
 
 
 def test_automorphism_coordinate_and_unitary_forms_agree():

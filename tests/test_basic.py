@@ -17,8 +17,8 @@ def test_m2_over_scalars_gives_full_operator_algebra(analyses):
     bc = an.basic
     assert bc.algebra.dim == 16          # all of B(H) for dim H = 4
     eye = np.eye(an.gns.dim)
-    assert abs(bc.lifted_value(eye) - 4.0) < 1e-9   # canonical trace of 1
-    assert abs(bc.lifted_value(bc.e) - 1.0) < 1e-9  # rank-one projection
+    assert abs(bc.lifted_value(bc.algebra.coords(eye)) - 4.0) < 1e-9  # trace of 1
+    assert abs(bc.lifted_value(bc.e_coords) - 1.0) < 1e-9  # rank-one projection
     assert len(bc.u_bar) == 16
 
 
@@ -28,14 +28,16 @@ def test_full_subsystem_collapses(analyses):
     assert bc.algebra.dim == an.built.system.algebra.dim
     assert np.abs(bc.e - np.eye(an.gns.dim)).max() < 1e-10
     assert len(bc.u_bar) == an.gns.dim
-    assert abs(bc.lifted_value(np.eye(an.gns.dim)) - 1.0) < 1e-9  # mu itself
+    one = bc.algebra.coords(np.eye(an.gns.dim))
+    assert abs(bc.lifted_value(one) - 1.0) < 1e-9  # mu itself
 
 
 def test_tensor_dimension_count(analyses):
     an = analyses["tensor_diag2_m2"]
     balg, calg = (f.algebra for f in an.built.factors)
     assert an.basic.algebra.dim == balg.dim * calg.dim ** 2  # 2 * 16
-    assert abs(an.basic.lifted_value(np.eye(an.gns.dim)) - calg.dim) < 1e-9
+    one = an.basic.algebra.coords(np.eye(an.gns.dim))
+    assert abs(an.basic.lifted_value(one) - calg.dim) < 1e-9
 
 
 def test_skew_bar_space_dimension(analyses):
@@ -52,7 +54,8 @@ def test_lifted_trace_identity_on_random_pairs(analyses):
         for _ in range(20):
             a = random_element(alg, rng)
             b = random_element(alg, rng)
-            lifted = bc.lifted_value(gns.left(a) @ bc.e @ gns.left(b))
+            x = gns.left(a) @ bc.e @ gns.left(b)
+            lifted = bc.lifted_value(bc.algebra.coords(x))
             assert abs(lifted - an.built.system.trace.value(a @ b)) < 1e-9, name
 
 
@@ -62,7 +65,7 @@ def test_lifted_trace_is_positive_and_faithful(analyses):
         bc = an.basic
         for _ in range(10):
             x = random_element(bc.algebra, rng)
-            val = bc.lifted_value(x.conj().T @ x)
+            val = bc.lifted_value(bc.algebra.coords(x.conj().T @ x))
             assert val.real > 1e-12, name
             assert abs(val.imag) < 1e-9, name
 
@@ -71,7 +74,8 @@ def test_lifted_trace_monotone_on_projections(analyses):
     an = analyses["explicit_m2_grading"]
     bc = an.basic
     # P <= Q implies lifted(P) <= lifted(Q): compare e against identity
-    assert bc.lifted_value(bc.e).real <= bc.lifted_value(np.eye(an.gns.dim)).real + 1e-12
+    one = bc.algebra.coords(np.eye(an.gns.dim))
+    assert bc.lifted_value(bc.e_coords).real <= bc.lifted_value(one).real + 1e-12
 
 
 def test_dynamics_restriction_and_e_fixed(analyses):
@@ -117,7 +121,7 @@ def test_partition_agrees_on_random_elements(analyses):
         vecs = np.stack([bc.gns.apply_j(w.conj().T @ bc.gns.omega) for w in vs])
         for _ in range(100):
             x = random_element(bc.algebra, rng)
-            extension = bc.lifted_value(x)
+            extension = bc.lifted_value(bc.algebra.coords(x))
             partition = np.einsum("ia,ab,ib->", vecs.conj(), x, vecs,
                                   optimize=True)
             assert abs(extension - partition) < 1e-9, name

@@ -113,7 +113,7 @@ def test_tensor_with_trivial_base_reduces_to_absolute(analyses):
 def test_tensor_lifted_trace_of_identity_is_fiber_dimension(analyses):
     an = analyses["tensor_diag2_m2"]
     calg = an.built.factors[1].algebra
-    value = an.basic.lifted_value(np.eye(an.gns.dim))
+    value = an.basic.lifted_value(an.basic.algebra.coords(np.eye(an.gns.dim)))
     assert abs(value - calg.dim) < 1e-9
 
 
@@ -164,7 +164,8 @@ def test_skew_cocycle_length_checked():
 def test_skew_system_passes_validators(analyses):
     an = analyses["skew_z4_inversion"]
     validate_algebra(an.built.system.algebra)
-    v.validate_trace(an.built.system.algebra, an.built.system.trace)
+    system = an.built.system
+    v.validate_trace(system.algebra, system.trace, system.table)
 
 
 # --- finite extensions -----------------------------------------------------

@@ -42,6 +42,38 @@ def test_parse_rejects_unknown_kind():
     assert err.value.field == "kind"
 
 
+@pytest.mark.parametrize("kind", ["mystery", "tensor"])
+def test_parse_rejects_an_unknown_factor_kind(shipped_descriptions, kind):
+    """A factor's kind is checked against the factor kinds before its
+    parameters are read; a tensor is no factor kind."""
+    doc = emit_description(shipped_descriptions["tensor_diag2_m2"])
+    factor = dict(doc["parameters"]["b_factor"], kind=kind)
+    doc = dict(doc, parameters=dict(doc["parameters"], b_factor=factor))
+    with pytest.raises(ValidationError) as err:
+        parse_system(doc)
+    assert str(err.value) == ("parameters.b_factor.kind: factor kind must be one of "
+                              "('explicit', 'classical', 'group_vn')")
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("tensor", "kind: unsupported factor kind 'tensor'"),
+    ("bogus", "kind: unknown kind 'bogus'"),
+])
+def test_build_refuses_a_kind_that_parsing_refuses(shipped_descriptions, kind,
+                                                   message):
+    """A description built directly, not parsed: a tensor whose first factor
+    is a tensor, and a system of an unknown kind."""
+    params = shipped_descriptions["tensor_diag2_m2"].parameters
+    if kind == "tensor":
+        params = dict(params, b_factor=dict(params["b_factor"], kind="tensor"))
+        desc = SystemDescription("nested", "tensor", params)
+    else:
+        desc = SystemDescription("bogus", kind, params)
+    with pytest.raises(ValidationError) as err:
+        build_from_description(desc)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("system, path, field", [
     ("classical_4cycle", (), "tolerence"),
     ("classical_4cycle", ("parameters",), "parameters.partiton"),

@@ -66,7 +66,8 @@ import vnspec as v
 from vnspec import linalg
 from vnspec.cli import shipped_system_paths
 from vnspec.descriptions import build_from_description, parse_system
-from vnspec import algebra, basic, constructors, descriptions, joining, spectrum
+from vnspec import (algebra, basic, constructors, descriptions, joining, report,
+                    spectrum)
 from vnspec.algebra import DEFAULT_TOL
 from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, IsometryViolation,
                            NotAutomorphism, NumericalBreakdown, StateNotPositive)
@@ -76,8 +77,8 @@ from conftest import E12
 from oracles import (block_decomposition, center, center_coords, commutant,
                      dense_fixed_points, dense_span, einsum_tensor_gram,
                      fixed_point_center, inv_sqrt_psd, joint_commutant,
-                     pivoted_cholesky, product_closure_residual, random_element,
-                     span_candidates)
+                     pivoted_cholesky, product_closure_residual, product_trace_table,
+                     random_element, span_candidates)
 from test_exit_codes import _run as run_cli
 
 
@@ -125,7 +126,8 @@ def _dense_lifted_system(bc):
     """The lifted system on the dense span, as the package once certified it:
     validate_trace and automorphism_from_unitary on <A, e>."""
     dense = dense_span(bc)
-    gram, tracial = v.validate_trace(dense, bc.trace)
+    gram, tracial = v.validate_trace(dense, bc.trace,
+                                     algebra.multiplication_table(dense)[0])
     return dense, gram, tracial, v.automorphism_from_unitary(dense, bc.gns.u_matrix,
                                                              bc.trace)
 
@@ -313,12 +315,12 @@ def test_skew_d24_closed_form_trace_equals_least_squares(skew_d24):
 
 def test_trace_table_from_the_multiplication_table(analyses, skew_d24):
     """mu(b_i b_j) = sum_c T[i, j, c] mu(b_c), which the lifted trace's
-    defining check reads, equals the table Tr(rho b_i b_j) that
-    validate_trace forms from the basis matrices."""
+    defining check and validate_trace read, equals the table
+    Tr(rho b_i b_j) that validate_trace once formed from the basis matrices."""
     for name, an in {**analyses, SKEW_D24["name"]: skew_d24}.items():
         system = an.built.system
         from_table = system.table @ system.trace.values(system.algebra.basis)
-        oracle = algebra.product_trace_table(system.algebra, system.trace.density)
+        oracle = product_trace_table(system.algebra, system.trace.density)
         assert np.abs(from_table - oracle).max() <= 1e-13, name
 
 
@@ -834,8 +836,8 @@ def corner_modules(bc, tol=DEFAULT_TOL):
 def _assert_module_route(name, bc, blocks):
     oracle = corner_modules(bc)
     assert len(blocks) == len(oracle), name
-    for p in oracle:
-        assert min(float(np.abs(c.projection - p).max()) for c in blocks) <= 1e-10, name
+    for p in bc.algebra.coords(np.stack(oracle)) if oracle else ():
+        assert min(float(np.abs(c.coords - p).max()) for c in blocks) <= 1e-10, name
 
 
 def test_center_of_c_times_complement_equals_corner_center(analyses, skew_d24,
@@ -846,6 +848,33 @@ def test_center_of_c_times_complement_equals_corner_center(analyses, skew_d24,
     bc = v.build_basic_construction(v.build_gns(built.system), built.sub)
     assert bc.dim_complement == 2
     _assert_module_route("m2_over_diagonal", bc, v.find_minimal_modules(bc))
+
+
+def test_spectrum_consumers_stay_in_block_coordinates(skew_d24, monkeypatch):
+    """The module search, the rds verdict, the fiber analysis, the default
+    partition and the report read <A, e>'s elements in block coordinates:
+    none projects a matrix on H onto the blocks or rebuilds one from them.
+    A module given on H costs one projection and the membership residual's
+    rebuild."""
+    an, bc = skew_d24, skew_d24.basic
+    calls = []
+    for name in ("coords", "from_coords"):
+        def spy(self, *args, _name=name, _orig=getattr(algebra.BlockAlgebra, name)):
+            calls.append(_name)
+            return _orig(self, *args)
+        monkeypatch.setattr(algebra.BlockAlgebra, name, spy)
+    blocks = spectrum.find_minimal_modules(bc)
+    assert [(c.dim, c.lifted_trace) for c in blocks] \
+        == [(c.dim, c.lifted_trace) for c in an.spectrum.block_modules]
+    for family in (list(an.spectrum.modules), blocks):
+        assert spectrum.rds_verdict(bc, family).verdict
+        for module in family:
+            spectrum.fiber_analysis(bc, module)
+    basic.default_partition(bc)
+    report.analysis_to_dict(an)
+    assert calls == []
+    spectrum.module_candidate(bc, np.eye(bc.gns.dim) - bc.e)
+    assert calls == ["coords", "from_coords"]
 
 
 def _orbit_sides(an):
@@ -944,8 +973,8 @@ def test_factor_rank_equals_the_pivoted_cholesky(gram_systems):
     also on the skewed tensor at w = 1e-9 and the weight ladder at 2e-10."""
     for name, bc in gram_systems.items():
         jd = v.relative_joining(bc)
-        gram = joining._tensor_gram(bc, joining._generating_side(bc),
-                                    (bc.x_coords, bc.b_coords))
+        gram = joining._tensor_grams(bc, joining._generating_side(bc),
+                                     [(bc.x_coords, bc.b_coords)])[0]
         scaled = gram / np.outer(jd.norms, jd.norms)
         rows, _ = pivoted_cholesky(scaled)
         assert len(rows) == jd.rank == len(bc.u_bar), name
@@ -1141,7 +1170,7 @@ def simple_tensor_vectors(jd):
     generating tensors."""
     bc = jd.basic
     eye = np.eye(bc.gns.system.algebra.dim)
-    inner = joining._tensor_gram(bc, joining._generating_side(bc), (eye, eye))
+    inner = joining._tensor_grams(bc, joining._generating_side(bc), [(eye, eye)])[0]
     return joining._read_back(jd.gamma, jd.norms) @ inner
 
 

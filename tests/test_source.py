@@ -308,12 +308,12 @@ def test_certificate_stages_do_not_import_the_families():
 def test_private_reach_check_finds_imports_and_attributes():
     source = ("from .basic import BasicConstruction, _span_candidates\n"
               "from . import _private, linalg\n"
-              "from vnspec.joining import _tensor_gram as gram\n"
+              "from vnspec.joining import _tensor_grams as grams\n"
               "from numpy import _core\nimport numpy as np\n"
               "x = linalg._kept(s) + linalg.rank(s) + np._pytesttester + self._y\n")
     assert private_reaches(source) == ["line 1: .basic import _span_candidates",
                                        "line 2: . import _private",
-                                       "line 3: vnspec.joining import _tensor_gram",
+                                       "line 3: vnspec.joining import _tensor_grams",
                                        "line 6: linalg._kept"]
 
 

@@ -120,7 +120,7 @@ def test_modules_are_invariant_right_modules(analyses):
         for cand in an.spectrum.modules + an.spectrum.block_modules:
             assert cand.is_right_module, name
             assert cand.is_u_invariant, name
-            p = cand.projection
+            p = bc.algebra.from_coords(cand.coords)
             assert np.abs(p @ p - p).max() < 1e-9, name
             assert np.abs(p @ bc.e).max() < 1e-9, name
             for f in an.built.sub.algebra.basis:
@@ -136,7 +136,7 @@ def test_module_completeness_and_additivity(analyses):
         one_minus_e = np.eye(an.gns.dim) - an.basic.e
         for group in (sp.modules, sp.block_modules):
             if group:
-                total = sum(c.projection for c in group)
+                total = an.basic.algebra.from_coords(sum(c.coords for c in group))
                 assert np.abs(total - one_minus_e).max() < 1e-8, name
 
 
@@ -146,7 +146,7 @@ def test_fixed_point_witness(analyses):
     for name, an in analyses.items():
         bc = an.basic
         for cand in an.spectrum.modules:
-            x = bar_vector(bc, cand.projection)
+            x = bar_vector(bc, bc.algebra.from_coords(cand.coords))
             assert np.abs(bc.u_bar @ x - x).max() < 1e-8, name
             for f in an.built.sub.algebra.basis:
                 y = bar_vector(bc, bc.e @ an.gns.left(f))
@@ -307,13 +307,18 @@ def test_full_complement_fibers(analyses):
 
 
 def test_right_module_characterization_both_ways(analyses):
-    # projections of invariant submodules lie in the constructed algebra;
-    # a generic one-dimensional subspace of the complement does not, and it
+    # projections of invariant submodules lie in the constructed algebra, the
+    # orbit modules' ones on H with the coordinates the modules hold; a
+    # generic one-dimensional subspace of the complement does not, and it
     # also fails invariance under the right subalgebra action
     an = analyses["skew_z4_inversion"]
     gns, bc = an.gns, an.basic
-    for cand in an.spectrum.modules:
-        assert bc.algebra.membership_residual(cand.projection) < 1e-9
+    for idx in an.built.orbits:
+        q = linalg.orthonormal_columns(gns.to_vector[:, list(idx)], 1e-10)
+        orbit = q @ q.conj().T
+        assert bc.algebra.membership_residual(orbit) < 1e-9
+        assert min(np.abs(c.coords - bc.algebra.coords(orbit)).max()
+                   for c in an.spectrum.modules) < 1e-9
     rng = np.random.default_rng(29)
     vec = (np.eye(gns.dim) - bc.e) @ (rng.standard_normal(gns.dim)
                                       + 1j * rng.standard_normal(gns.dim))

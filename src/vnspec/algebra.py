@@ -54,6 +54,7 @@ PRODUCT_SEED = 23  # seed of the generic pairs certifying a product system's inh
                    # table and the block product of <A, e>
 MINIMAL_SEED = 29  # seed of f, which links F's minimal projections into blocks and
                    # gives its matrix units and the partial isometries of the dynamics
+TABLE_CHUNK = 1 << 18  # complex entries (4 MiB) of a stack of n x n products held at once
 
 
 @dataclass(frozen=True)
@@ -405,12 +406,15 @@ def gram_matrix(alg: MatrixStarAlgebra, trace: TraceFunctional) -> np.ndarray:
 
 
 def validate_trace(alg: MatrixStarAlgebra, trace: TraceFunctional, table: np.ndarray,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+                   tol: ToleranceConfig = DEFAULT_TOL,
+                   gram: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Check Hermitian PSD density, faithfulness on the algebra and traciality.
 
     Faithfulness is only required on the algebra (the ambient density may be
-    singular).  Traciality reads the algebra's multiplication table T: the
-    traces M[i, j] = mu(b_i b_j) = sum_c T[i, j, c] mu(b_c) must be symmetric.
+    singular), and is read off the Gram matrix: ``gram`` when the caller
+    knows it (a product system's kron(G_B, G_C)), else ``gram_matrix``.
+    Traciality reads the algebra's multiplication table T: the traces
+    M[i, j] = mu(b_i b_j) = sum_c T[i, j, c] mu(b_c) must be symmetric.
     Returns the Gram matrix for reuse and the traciality residual max |M - M^T|.
     """
     rho = trace.density
@@ -418,7 +422,8 @@ def validate_trace(alg: MatrixStarAlgebra, trace: TraceFunctional, table: np.nda
         raise TraceNotFaithful("density is not Hermitian")
     if np.linalg.eigvalsh(rho).min() < -tol.eps_assert:
         raise TraceNotFaithful("density is not positive semidefinite")
-    gram = gram_matrix(alg, trace)
+    if gram is None:
+        gram = gram_matrix(alg, trace)
     if np.linalg.eigvalsh((gram + gram.conj().T) / 2).min() < tol.eps_rank:
         raise TraceNotFaithful("trace is not faithful on the algebra")
     products = table @ trace.values(alg.basis)
@@ -483,7 +488,7 @@ def multiplication_table(alg: MatrixStarAlgebra) -> tuple[np.ndarray, np.ndarray
     d, n = alg.dim, alg.ambient_dim
     rows = alg.basis_rows()
     table = np.empty((d, d, d), dtype=np.complex128)
-    step = max(1, (1 << 18) // max(1, d * n * n))
+    step = max(1, TABLE_CHUNK // max(1, d * n * n))
     resid = 0.0
     for i in range(0, d, step):
         prods = (alg.basis[i:i + step, None] @ alg.basis[None]).reshape(-1, n * n)
@@ -591,7 +596,10 @@ def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
     b_i b_k (x) c_j c_l and (b_i (x) c_j)* = b_i* (x) c_j*, so that
     T[(i, j), (k, l)] = T_B[i, k] (x) T_C[j, l] and S = S_B (x) S_C; they
     are certified on the algebra itself by ``_generic_closure_residual``.
+    When the density is rho_B (x) rho_C, the Gram matrix is kron(G_B, G_C),
+    as mu(b_i* b_k (x) c_j* c_l) = mu_B(b_i* b_k) mu_C(c_j* c_l).
     """
+    gram = None
     if factors is None:
         table, star, closure = multiplication_table(algebra)
     else:
@@ -602,10 +610,13 @@ def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
         table = np.einsum("ikm,jln->ijklmn", b.table, c.table).reshape(d, d, d)
         star = np.kron(b.star, c.star)
         closure = _generic_closure_residual(algebra, table, star)
+        product = np.kron(b.trace.density, c.trace.density)
+        if np.abs(trace.density - product).max() <= tol.eps_assert:
+            gram = np.kron(b.gram, c.gram)
     if closure > tol.eps_assert:
         raise NumericalBreakdown(f"the basis does not span a *-algebra: a product or "
                                  f"adjoint leaves its span (residual {closure:.2e})")
-    gram, _ = validate_trace(algebra, trace, table, tol)
+    gram, _ = validate_trace(algebra, trace, table, tol, gram)
     return WStarSystem(algebra, trace, dynamics, gram, table, star,
                        eigenmodes(dynamics.matrix, tol))
 

@@ -14,10 +14,14 @@ formed.
 The algebra is spanned by the d k products x e b, for the d elements x of A
 making the L(x) e Hilbert-Schmidt orthonormal and k seeded generic b in A
 with F b_1 + ... + F b_k = A (a Pimsner-Popa-type generating set),
-k = ceil(dim A / dim F) unless more are needed.  Writing e = E_0 E_0^H,
-block k of x e b is (V_k^H L(x) E_0)(E_0^H L(b) V_k), and the d k x r
-matrix of these blocks must have rank r, the Bratteli count sum_k m_k^2
-(which reads A and F, never e or the b).  The products lie in j(F)' as L(A)
+k = ceil(dim A / dim F) unless more are needed.  The x come block by
+block, n_k m_k of them in A p_k (``_x_coords``).  Writing
+e = E_0 E_0^H, block l of x e b is (V_l^H L(x) E_0)(E_0^H L(b) V_l), which
+is 0 for x in A p_k, k != l: the d k x r matrix of these blocks is block
+diagonal, its largest entry off the diagonal blocks is a residual, and
+each diagonal block must have rank m_k^2 under the cutoff of the whole
+matrix, so the rank is r, the Bratteli count sum_k m_k^2 (which reads A
+and F, never e or the b).  The products lie in j(F)' as L(A)
 commutes with j(F), and e does too, which one commutator [e, j(g)] per
 generator g of F certifies: h, and f when some n_k > 1, which generate F as
 an algebra as each q is a polynomial in h and (q_i f q_k)(q_k f q_j) spans
@@ -78,12 +82,21 @@ class BasicConstruction:
     b_coords: np.ndarray            # (k, d) coords of b_s: F b_1 + ... + F b_k = A
     g_coords: np.ndarray            # coords of the inclusion generators of F
     span_coords: np.ndarray         # (d k, dim) block coords of x_i e b_s, row i k + s
+    perm: np.ndarray                # block permutation pi: alpha(p_k) = p_pi(k)
 
     def __post_init__(self):
         for a in (self.e, self.e_coords, self.trace_vector, self.bar_to_vector,
                   self.u_bar, self.fixed, self.central, self.x_coords, self.b_coords,
-                  self.g_coords, self.span_coords):
+                  self.g_coords, self.span_coords, self.perm):
             a.setflags(write=False)
+
+    @property
+    def block_slices(self) -> list[tuple[slice, slice]]:
+        """For each central block k of F, the rows x_{k,i} e b_s of
+        ``span_coords`` (the x_i come block by block, n_k m_k in A p_k) and
+        the m_k^2 block coordinates of block k; the products of block k lie
+        in block k alone."""
+        return _block_slices(self.blocks, len(self.b_coords))
 
     @property
     def dim_complement(self) -> int:
@@ -100,12 +113,85 @@ class BasicConstruction:
         return complex(self.trace_vector @ coords)
 
 
+def _block_slices(blocks, nb: int) -> list[tuple[slice, slice]]:
+    """``BasicConstruction.block_slices`` for the blocks (p_k, n_k, m_k) and
+    nb generators b_s."""
+    rows = np.cumsum([0, *(n * m * nb for _, n, m in blocks)])
+    cols = np.cumsum([0, *(m * m for _, _, m in blocks)])
+    return [(slice(r0, r1), slice(c0, c1))
+            for r0, r1, c0, c1 in zip(rows, rows[1:], cols, cols[1:])]
+
+
 def _whitener(ops: np.ndarray) -> np.ndarray:
     """C with sum_j C[j, i] ops[j] Hilbert-Schmidt orthonormal: R^-1 for the
     Cholesky factor R^H R of the operators' Gram matrix."""
     rows = ops.reshape(len(ops), -1)
     gram = rows.conj() @ rows.T
     return np.linalg.inv(np.linalg.cholesky((gram + gram.conj().T) / 2).conj().T)
+
+
+def _x_coords(gns: GnsSpace, e_frame: np.ndarray, units: MatrixUnits, blocks,
+              tol: ToleranceConfig) -> tuple[np.ndarray, float]:
+    """Coordinates (d, d) of the x_i, which make the L(x_i) E_0
+    Hilbert-Schmidt orthonormal (``_whitener``), regrouped into n_k m_k
+    elements of each A p_k, block after block, with the idempotency
+    residual of that split.
+
+    For <x, y> = Tr(e L(x* y) e), right multiplication by p_k is an
+    orthogonal projection, as E(p_k x* y p_l) = E(x* y) p_k p_l = 0 for
+    k != l.  As L(p_k) e = e L(p_k) e, it is
+    P_k[i, j] = <x_i, x_j p_k> = <L(x_i) E_0 Y_k, L(x_j) E_0 Y_k>_HS on the
+    orthonormal x_i, for Y_k an orthonormal basis of the range of the
+    projection Z_k = E_0^H L(p_k) E_0: a Hermitian idempotent of trace
+    n_k m_k.  An x_i with P_k[i, i] within eps_rank of 1 lies in A p_k and
+    is kept as it is: a rotation would add
+    roundoff times its coordinates, which grow as the trace weights shrink.
+    The other x_i are rotated by the eigenvectors at 1 of each P_k
+    compressed to them.  Every Z_k and compressed P_k must have eigenvalues
+    within eps_assert of 0 and 1 (the largest |lam (lam - 1)|), and each P_k
+    must be 1 on its kept x_i and 0 on the others' (the largest entry off
+    that); Z_k must have n_k^2 eigenvalues at 1 and A p_k n_k m_k elements,
+    the counts of ``bratteli_blocks``.  One central block leaves the x_i as
+    they are.
+    """
+    left_e = gns.left_mats @ e_frame
+    xs = _whitener(left_e).T
+    if len(blocks) == 1:
+        return xs, 0.0
+    proj = gns.system.algebra.coords_stack(np.stack(units.projections))
+    z_vals, z_vecs = np.linalg.eigh(
+        e_frame.conj().T @ np.tensordot(proj, left_e, axes=(1, 0)))  # Z_k
+    x_ops = np.tensordot(xs, left_e, axes=(1, 0)).reshape(-1, left_e.shape[2])
+
+    def projections(ys):  # P_k from the L(x_i) E_0 Y_k of blocks of one n_k
+        ops = (x_ops @ ys).reshape(len(ys), len(xs), -1)
+        return ops.conj() @ ops.transpose(0, 2, 1)
+    grams = np.stack(linalg.stacked(projections, [v[:, lam > 0.5]
+                                                  for lam, v in zip(z_vals, z_vecs)]))
+    diag = np.diagonal(grams, axis1=1, axis2=2).real
+    home, kept = diag.argmax(axis=0), 1 - diag.max(axis=0) <= tol.eps_rank
+    where = np.nonzero(kept)[0]
+    columns = grams[:, :, where]  # P_k less the indicator of block k's kept x_i
+    columns[home[where], where, np.arange(len(where))] -= 1.0
+    resid = max(float(np.abs(z_vals * (z_vals - 1)).max()),
+                float(np.abs(columns).max(initial=0.0)))
+    members = [xs[where[home[where] == k]] for k in range(len(blocks))]
+    rest = np.nonzero(~kept)[0]
+    if len(rest):
+        vals, vecs = np.linalg.eigh(grams[:, rest][:, :, rest])
+        coeffs = [v[:, lam > 0.5] for lam, v in zip(vals, vecs)]
+        both = np.hstack(coeffs)
+        resid = max(resid, float(np.abs(vals * (vals - 1)).max()),
+                    float(np.abs(both.conj().T @ both - np.eye(len(rest))).max()))
+        members = [np.vstack([m, c.T @ xs[rest]]) for m, c in zip(members, coeffs)]
+    counts = [(int(f), len(m)) for f, m in zip((z_vals > 0.5).sum(axis=1), members)]
+    expected = [(n * n, n * m) for _, n, m in blocks]
+    if counts != expected or resid > tol.eps_assert:
+        raise NumericalBreakdown(
+            f"right multiplication by the central blocks of F splits (F, A) into "
+            f"dimensions {counts}, not (n_k^2, n_k m_k) = {expected} (idempotency "
+            f"residual {resid:.2e})")
+    return np.vstack(members), resid
 
 
 def _generators(sub: Subsystem, whiten: np.ndarray,
@@ -182,10 +268,20 @@ def _span_coords(alg: BlockAlgebra, corners, x_coords: np.ndarray,
     the trace, so the rank cutoff sees no trace weight.  As e commutes with
     L(F), a e (f b) = (a f) e b, so span(A e B) = span(A e A).
     """
-    blocks = [np.tensordot(x_coords, left, axes=(1, 0))[:, None]
-              @ np.tensordot(b_coords, right, axes=(1, 0))[None]
-              for left, right in corners]
-    return alg.join(blocks).reshape(len(x_coords) * len(b_coords), alg.dim)
+    d, k = len(x_coords), len(b_coords)
+    left = np.tensordot(x_coords, np.concatenate([a for a, _ in corners], axis=1),
+                        axes=(1, 0))  # (d, sum m_k, dim F)
+    right = np.tensordot(b_coords, np.concatenate([b for _, b in corners], axis=2),
+                         axes=(1, 0))  # (k, dim F, sum m_k)
+    edges = np.cumsum([0, *alg.sizes])
+    # block l is one GEMM (d m_l, dim F) x (dim F, k m_l), blocks of one size
+    # stacked, with rows (i, a) and columns (s, b) of (x_i e b_s)_l[a, b]
+    prods = linalg.stacked(np.matmul, *zip(*(
+        (left[:, a:b].reshape(d * (b - a), -1),
+         right[:, :, a:b].transpose(1, 0, 2).reshape(-1, k * (b - a)))
+        for a, b in zip(edges, edges[1:]))))
+    return np.hstack([p.reshape(d, m, k, m).transpose(0, 2, 1, 3).reshape(d * k, m * m)
+                      for p, m in zip(prods, alg.sizes)])
 
 
 def _generic_pair(gns: GnsSpace, e_frame: np.ndarray,
@@ -395,14 +491,18 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
         raise SubsystemInvalid("subsystem does not belong to this system")
     e0 = cyclic_subspace_frame(gns, sub, tol)
     e = e0 @ e0.conj().T
-    xs = _whitener(gns.left_mats @ e0).T  # coordinates of the x_i
     bs = _generators(sub, _whitener(e0.conj().T @ gns.left_mats), tol)
     units = matrix_units(sub.algebra, tol)
     blocks = bratteli_blocks(gns.system.algebra, sub.algebra, units, tol)
+    xs, split = _x_coords(gns, e0, units, blocks, tol)  # block after block
     alg = _block_algebra(gns, units, blocks, tol)
     corners = _corner_factors(gns, e0, alg)
     span_coords = _span_coords(alg, corners, xs, bs)  # read by the equivalence
-    rank = linalg.rank(span_coords, tol.eps_rank)
+    # x_{k,i} e b_s lies in block k: the rank is counted per block, and what
+    # lies off the diagonal blocks is a residual
+    slices = _block_slices(blocks, len(bs))
+    ranks = linalg.block_ranks([span_coords[s] for s in slices], tol.eps_rank)
+    off_block = float(linalg.off_blocks(span_coords, slices).max())
     # inclusion in j(F)': the largest entry of [e, j(g)], relative to |j(g)|,
     # for the generators h (and f) of F that gave its matrix units, and a
     # generic pair of span elements rebuilt from its blocks
@@ -412,13 +512,13 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     commutator = max(float(np.abs(e @ j - j @ e).max() / np.linalg.norm(j, 2))
                      for j in right_g)
     rebuilt = max(float(np.abs(x - alg.from_coords(alg.coords(x))).max()) for x in pair)
-    resid = max(commutator, rebuilt)
-    count = sum(m * m for _, _, m in blocks)
-    if rank != count or resid > tol.eps_assert:
+    resid = max(commutator, rebuilt, off_block, split)
+    if ranks != [m * m for _, _, m in blocks] or resid > tol.eps_assert:
         raise CommutantMismatch(
-            f"span(A e A) (dim {rank}) and j(F)' (dim {count} by the "
-            f"Bratteli count) disagree, commutator residual {commutator:.2e}, "
-            f"block rebuild residual {rebuilt:.2e}")
+            f"span(A e A) (dim {sum(ranks)}) and j(F)' (dim {alg.dim} by the "
+            f"Bratteli count) disagree, ranks {ranks} by block, off-block residual "
+            f"{off_block:.2e}, commutator residual {commutator:.2e}, block rebuild "
+            f"residual {rebuilt:.2e}")
     jones = _jones_relation(gns, sub, e, alg, tol)
     trace_vector, defining = lifted_trace(gns, corners, alg, blocks, tol)
     # the block product and the trace property on the generic pair
@@ -452,7 +552,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
                              StarAutomorphism(dyn, gns.u_matrix), np.diag(root),
                              np.ascontiguousarray(u_bar), fixed, central,
                              resid, max(jones, defining), tracial, tuple(blocks),
-                             xs, bs, gen_coords, span_coords)
+                             xs, bs, gen_coords, span_coords, perm)
 
 
 def default_partition(bc: BasicConstruction,

@@ -4,15 +4,20 @@ The joining is the state on the algebraic tensor product built from the two
 conditional expectations composed with the diagonal state.  Its GNS space is
 the relative tensor product L2(A) (x)_F L2(A) (Sauvageot 1983), which the d k
 generating tensors x_i (x) j(b_s) span just as the x_i e b_s span <A, e>
-(Pimsner and Popa 1986); it is the range of the factor that one
-eigendecomposition gives of their Jacobi-scaled Gram matrix, whose columns
-are orthogonal, and is unitarily equivalent to L2 of the basic construction,
-checked on the x_i e b_s in the <A, e> coordinates that the basic
-construction keeps.  Neither the Gram matrix nor the equivalence
-ranges over the d^2 simple tensors a_i (x) j(a_j).  The four Grams a
-joining reads, of the generating tensors against themselves, against the
-tensors moved by the dynamics and against F (x) 1 and 1 (x) j(F), are one
-GEMM each (``_tensor_grams``), and both routes of the joint state are
+(Pimsner and Popa 1986).  It splits over the central blocks p_k of F as
+<A, e> does, since p_k (x) 1 = 1 (x) j(p_k) there (Jones 1983; Sauvageot
+1983): with the x_i of A p_k coming block after block, the Jacobi-scaled
+Gram matrix of the generating tensors is block diagonal, and the GNS space
+is the range of the factor that an eigendecomposition of each diagonal
+block gives, whose columns are orthogonal; what lies off the blocks joins
+the factor's residual.  It is unitarily equivalent to L2 of the basic
+construction by a block-diagonal R, checked block by block on the
+x_i e b_s in the <A, e> coordinates that the basic construction keeps.
+Neither the Gram matrix nor the equivalence ranges over the d^2 simple
+tensors a_i (x) j(a_j).  The four Grams a joining reads, of the generating
+tensors against themselves, against the tensors moved by the dynamics and
+against F (x) 1 and 1 (x) j(F), are one GEMM per chunk of right-hand
+sides each (``_tensor_grams``), and both routes of the joint state are
 explicit products over the vectors and the operators of A's basis.
 """
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import DEFAULT_TOL, ToleranceConfig
+from .algebra import DEFAULT_TOL, TABLE_CHUNK, ToleranceConfig
 from .basic import BasicConstruction
 from .errors import IsometryViolation, NumericalBreakdown, StateNotPositive
 
@@ -35,7 +40,8 @@ class JoiningData:
     commutant slot running over j(left(a_i)).  The GNS space is read through
     the generating tensors t = x_i (x) j(b_s) of the basic construction,
     column i k + s: gamma holds the GNS vectors of the unit tensors t / |t|,
-    from the eigenvalues of their scaled Gram above eps_rank.
+    from the eigenvalues of their scaled Gram above eps_rank, block by
+    block: rows ranks[k] of block k span the tensors of A p_k (x) j(A).
     """
     basic: BasicConstruction        # owns the GNS space and the subsystem
     omega_values: np.ndarray        # (d, d) joint state on basis pairs
@@ -49,6 +55,7 @@ class JoiningData:
     factor_residual: float          # ||G - L L^H||_F of the scaled Gram's factor
     smallest_kept_eigenvalue: float     # of the scaled Gram, in that factor
     largest_dropped_eigenvalue: float   # -inf when every eigenvalue is kept
+    ranks: tuple[int, ...]          # rows of gamma per central block of F
 
     def __post_init__(self):
         for a in (self.omega_values, self.gamma, self.norms, self.w_matrix):
@@ -71,8 +78,8 @@ def _generating_side(bc: BasicConstruction) -> tuple[np.ndarray, np.ndarray]:
     as columns i and s, formed once for every ``_tensor_grams`` of a joining
     from the vectors L(a_j) Omega and L(a_j)^H Omega of A's basis."""
     lm, om = bc.gns.left_mats, bc.gns.omega
-    return ((bc.x_coords @ (lm @ om)).T,
-            (bc.b_coords.conj() @ (lm.conj().transpose(0, 2, 1) @ om)).T)
+    # L(a_j)^H Omega = conj(Omega^H L(a_j)), with no conjugated copy of L
+    return ((bc.x_coords @ (lm @ om)).T, (bc.b_coords @ (om.conj() @ lm)).conj().T)
 
 
 def _tensor_grams(bc: BasicConstruction, side: tuple[np.ndarray, np.ndarray],
@@ -88,21 +95,59 @@ def _tensor_grams(bc: BasicConstruction, side: tuple[np.ndarray, np.ndarray],
     e L(c) L(b)^H Omega, the operators the span's products x_i e b_s use;
     coordinates x Omega through to_vector would carry its condition number.
     As e is an orthogonal projection, the inner product is
-    X^H L(y_l) e L(c_t) B: per right-hand side, L(y) is formed first, then
-    X^H L(y) with its rows (l, i) contiguous, which one GEMM multiplies by
-    the small e L(c) B; one right-hand side's L(y) is held at a time.
+    X^H L(y_l) e L(c_t) B: per right-hand side, the small e L(c) B is formed
+    first, then L(y) and X^H L(y), with its rows (l, i) contiguous, a chunk
+    of rows y_l at a time (``TABLE_CHUNK`` entries of L(y), all of them
+    for d <= 24), each multiplied by e L(c) B in one GEMM.
     """
     gns, (x_vecs, b_vecs) = bc.gns, side
-    xh, n_x, n_b = x_vecs.conj().T, x_vecs.shape[1], b_vecs.shape[1]
+    xh, n_x, n_b, n = x_vecs.conj().T, x_vecs.shape[1], b_vecs.shape[1], gns.dim
+    step = max(1, TABLE_CHUNK // (n * n))
     grams = []
     for y, c in rights:
-        # X^H L(y_l), row (l, i)
-        rows = (xh @ np.tensordot(y, gns.left_mats, axes=(1, 0))).reshape(-1, gns.dim)
         q = bc.e @ np.tensordot(c, gns.left_mats, axes=(1, 0)) @ b_vecs  # (t, h, s)
-        g = rows @ q.transpose(1, 0, 2).reshape(gns.dim, -1)  # [(l, i), (t, s)]
+        q = q.transpose(1, 0, 2).reshape(n, -1)
+        g = np.empty((len(y) * n_x, len(c) * n_b), dtype=np.complex128)  # [(l, i), (t, s)]
+        for start in range(0, len(y), step):
+            # X^H L(y_l), row (l, i)
+            rows = xh @ np.tensordot(y[start:start + step], gns.left_mats, axes=(1, 0))
+            np.matmul(rows.reshape(-1, n), q, out=g[start * n_x:(start + len(rows)) * n_x])
         grams.append(g.reshape(len(y), n_x, len(c), n_b).transpose(1, 3, 0, 2)
                      .reshape(n_x * n_b, len(y) * len(c)))
     return grams
+
+
+def _factor_blocks(gram: np.ndarray, blocks, tol: ToleranceConfig
+                   ) -> tuple[list[np.ndarray], float, float, float]:
+    """``factor_gram`` of the diagonal blocks gram[s, s] for the slices s of
+    ``blocks``, equal ones in one stacked ``eigh``, with the Frobenius norm
+    of what lies off them joined to ||S||_F: the rows of each block, the
+    residual, the smallest eigenvalue kept and the largest dropped over all
+    blocks."""
+    def factor(stack):  # eigenvalues ascending, and ||G - L L^H||_F of each
+        vals, vecs = np.linalg.eigh(stack)
+        low = vecs * np.sqrt(np.where(vals > tol.eps_rank, vals, 0.0))[:, None]
+        return vals, vecs, np.linalg.norm(stack - low @ low.conj().transpose(0, 2, 1),
+                                          axis=(1, 2))
+    parts = linalg.stacked(factor, [gram[s, s] for s in blocks])
+    rows = [np.sqrt(vals[vals > tol.eps_rank])[:, None] * vecs[:, vals > tol.eps_rank].T
+            for vals, vecs, _ in parts]
+    vals = np.concatenate([v for v, _, _ in parts])
+    kept = vals > tol.eps_rank
+    smallest, kept_min = float(vals.min()), float(vals[kept].min(initial=np.inf))
+    dropped = float(vals[~kept].max(initial=-np.inf))
+    off = float(np.linalg.norm(linalg.off_blocks(gram, [(s, s) for s in blocks])))
+    resid = float(np.sqrt(sum(float(r) ** 2 for _, _, r in parts) + off * off))
+    if smallest < -tol.eps_assert:
+        raise StateNotPositive(f"joining state has a negative part: smallest "
+                               f"eigenvalue {smallest:.2e}")
+    if resid > tol.eps_assert:
+        raise NumericalBreakdown(
+            f"rank cutoff {tol.eps_rank:g} loses rank in the joining: it drops a part "
+            f"{resid:.2e} of the scaled Gram at rank {sum(len(r) for r in rows)}, "
+            f"largest dropped eigenvalue {dropped:.2e}"
+            + (f", {off:.2e} of it off the central blocks of F" if len(blocks) > 1 else ""))
+    return rows, resid, kept_min, dropped
 
 
 def factor_gram(gram: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
@@ -117,21 +162,11 @@ def factor_gram(gram: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
     that drops part of a positive Gram, and the factor loses rank
     (NumericalBreakdown).  Returns L^T (row k is column k of L), ||S||_F, the
     smallest eigenvalue kept and the largest dropped (-inf when none is).
+    The joining factors the diagonal blocks of its Gram this way, one per
+    central block of F.
     """
-    vals, vecs = np.linalg.eigh(gram)  # ascending
-    kept = vals > tol.eps_rank
-    rows = np.sqrt(vals[kept])[:, None] * vecs[:, kept].T
-    resid = float(np.linalg.norm(gram - rows.T @ rows.conj()))
-    dropped = float(vals[~kept].max(initial=-np.inf))
-    if vals[0] < -tol.eps_assert:
-        raise StateNotPositive(f"joining state has a negative part: smallest "
-                               f"eigenvalue {vals[0]:.2e}")
-    if resid > tol.eps_assert:
-        raise NumericalBreakdown(f"rank cutoff {tol.eps_rank:g} loses rank in the "
-                                 f"joining: it drops a part {resid:.2e} of the scaled "
-                                 f"Gram at rank {len(rows)}, largest dropped "
-                                 f"eigenvalue {dropped:.2e}")
-    return rows, resid, float(vals[kept].min(initial=np.inf)), dropped
+    (rows,), resid, kept, dropped = _factor_blocks(gram, [slice(0, len(gram))], tol)
+    return rows, resid, kept, dropped
 
 
 def relative_joining(bc: BasicConstruction,
@@ -149,10 +184,15 @@ def relative_joining(bc: BasicConstruction,
     # route two: lifted trace Tr(Delta x) of x = e a e j(b); j sends the
     # commutant slot back to a left-acting element, so the conditioning
     # happens through e alone: Tr(P_i L(a_j)) for P_i = Delta e L(a_i) e,
-    # whose transposes are formed directly
-    p_t = e.T @ lm.transpose(0, 2, 1) @ (bc.trace.density @ e).T  # P_i^T
-    alt = p_t.reshape(len(lm), -1) @ lm.reshape(len(lm), -1).T
-    del p_t  # d n^2 entries, freed before the Grams
+    # whose transposes are formed directly, a chunk of i at a time
+    # (``TABLE_CHUNK`` entries)
+    n = gns.dim
+    step, right_t = max(1, TABLE_CHUNK // (n * n)), (bc.trace.density @ e).T
+    alt = np.empty((len(lm), len(lm)), dtype=np.complex128)
+    for start in range(0, len(lm), step):
+        p_t = e.T @ lm[start:start + step].transpose(0, 2, 1) @ right_t  # P_i^T
+        np.matmul(p_t.reshape(len(p_t), -1), lm.reshape(len(lm), -1).T,
+                  out=alt[start:start + step])
     two_formula = float(np.abs(omega_vals - alt).max())
     # marginals against mu and mu' = mu(j(.))
     mu_vals = parent.trace.values(alg.basis)
@@ -174,25 +214,37 @@ def relative_joining(bc: BasicConstruction,
         [gens, tuple(z @ m_alpha.T for z in gens), (f, one), (one, f)])
     # the Gram factored after Jacobi scaling so that the kept eigenvalues do
     # not follow the trace weights; |t|^2 = mu(E(x* x) E(b b*)) is positive
-    # as mu is faithful and E(b_s b_s*) invertible for generic b_s
+    # as mu is faithful and E(b_s b_s*) invertible for generic b_s.  The
+    # tensors of A p_k (x) j(A) are orthogonal to those of the other blocks,
+    # as E(p_k x* y p_l) = 0, so the Gram is factored per central block,
+    # and what lies off those blocks joins the factor's residual
     norms = np.sqrt(gram.diagonal().real)
-    l_rows, factor_resid, kept, dropped = factor_gram(gram / np.outer(norms, norms), tol)
+    tensors = [g for g, _ in bc.block_slices]  # the generating tensors of block k
+    l_rows, factor_resid, kept, dropped = _factor_blocks(
+        gram / np.outer(norms, norms), tensors, tol)
     # L = V diag(sqrt(lam)) has orthogonal columns: gamma = L^H, and
-    # L L^H = gamma^H gamma
-    gamma = l_rows.conj()  # (r, d k)
-    read = _read_back(gamma, norms)
-    # <t, W t'> = <t, (alpha (x) alpha') t'>
-    w = read @ moved @ read.conj().T
-    h_lambda, alt_span = (linalg.orthonormal_columns(read @ g, tol.eps_rank)
+    # L L^H = gamma^H gamma; block k of gamma holds the rows of block k
+    ranks = tuple(len(r) for r in l_rows)
+    starts = np.cumsum([0, *ranks])
+    gamma = np.zeros((starts[-1], len(norms)), dtype=np.complex128)
+    for r0, t, rows in zip(starts, tensors, l_rows):
+        gamma[r0:r0 + len(rows), t] = rows.conj()
+    read_all = _read_back(gamma, norms)
+    read = [read_all[r0:r1, t] for r0, r1, t in zip(starts, starts[1:], tensors)]
+    # <t, W t'> = <t, (alpha (x) alpha') t'>; W carries block k to block
+    # pi(k), and is formed whole, one product per block of (gamma^H)^+
+    w = linalg.block_sandwich(read, moved, read)
+    h_lambda, alt_span = (linalg.orthonormal_columns(linalg.block_rows(read, g),
+                                                     tol.eps_rank)
                           for g in (f_one, one_f))
     span_resid = max(linalg.subspace_inclusion_residual(alt_span, h_lambda),
                      linalg.subspace_inclusion_residual(h_lambda, alt_span))
     if span_resid > tol.eps_assert:
         raise NumericalBreakdown(f"F (x) 1 and 1 (x) j(F) span different subspaces "
                                  f"(residual {span_resid:.2e})")
-    return JoiningData(bc, omega_vals, two_formula, marg, invariance,
-                       np.ascontiguousarray(gamma), norms, np.ascontiguousarray(w),
-                       span_resid, factor_resid, kept, dropped)
+    return JoiningData(bc, omega_vals, two_formula, marg, invariance, gamma, norms,
+                       np.ascontiguousarray(w), span_resid, factor_resid, kept,
+                       dropped, ranks)
 
 
 def _balance(bc: BasicConstruction) -> float:
@@ -221,6 +273,16 @@ def _balance(bc: BasicConstruction) -> float:
     return max(residual(g) for g in bc.g_coords)
 
 
+def _equivalence_blocks(cols, read, gamma, norms):
+    """For stacks of diagonal blocks: R = C (gamma^H)^+ D^-1/2, the largest
+    entry of R gamma - C D^-1/2 and that of R^H R - 1 or R R^H - 1."""
+    r = cols @ read.conj().transpose(0, 2, 1)
+    rh, eye = r.conj().transpose(0, 2, 1), np.eye(r.shape[-1])
+    return (r, np.abs(r @ gamma - cols / norms[:, None]).max(axis=(1, 2)),
+            np.maximum(np.abs(rh @ r - eye).max(axis=(1, 2)),
+                       np.abs(r @ rh - eye).max(axis=(1, 2))))
+
+
 def joining_equivalence(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL
                         ) -> tuple[np.ndarray, float, float]:
     """The unitary from the joining GNS space onto the basic-construction one.
@@ -237,34 +299,55 @@ def joining_equivalence(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL
     gamma(a (x) j(b)) = sum_s gamma(a f_s (x) j(b_s)), a combination of the
     generating tensors as the x_i are a basis of A.  On the bar side the
     certified Jones relation gives e f = f e, so a e b = sum_s (a f_s) e b_s
-    with the same coefficients, and R sends the one to the other.  Returns
-    the map with its isometry residual (the largest of the defining, the
-    unitarity and the balance residual) and its intertwining residual.
+    with the same coefficients, and R sends the one to the other.  As gamma
+    and C keep to the central blocks of F, R is block diagonal, formed and
+    checked for unitarity one block at a time; the entries of C off the
+    blocks count in the defining residual, and R W R^H - U_bar is formed
+    whole.  Returns the map with its isometry residual (the largest of the
+    defining, the unitarity and the balance residual) and its intertwining
+    residual.
     """
     bc = jd.basic
     if jd.rank != len(bc.u_bar):
         raise IsometryViolation(
             f"joining GNS rank {jd.rank} differs from basic-construction "
             f"dimension {len(bc.u_bar)}")
+    sizes = tuple(m * m for m in bc.algebra.sizes)
+    if jd.ranks != sizes:
+        raise IsometryViolation(f"joining GNS ranks {list(jd.ranks)} by central block "
+                                f"differ from the block dimensions {list(sizes)}")
     balance = _balance(bc)
     if balance > tol.eps_assert:
         raise NumericalBreakdown(f"a g (x) j(b) and a (x) j(g b) differ for g in F "
                                  f"(omega(n* n) = {balance:.2e})")
-    cols = bc.bar_to_vector @ bc.span_coords.T  # gamma_bar(x_i e b_s), column i k + s
-    r = cols @ _read_back(jd.gamma, jd.norms).conj().T
-    defining = float(np.abs(r @ jd.gamma - cols / jd.norms).max())
+    # gamma_bar(x_i e b_s), column i k + s, as bar_to_vector is diagonal
+    cols = np.diagonal(bc.bar_to_vector)[:, None] * bc.span_coords.T
+    slices = bc.block_slices
+    # R is block diagonal: block k is C_k (gamma_k^H)^+ D_k^-1/2 on the
+    # diagonal block C_k of the columns, with the defining and the unitarity
+    # residuals of each block; the columns off those blocks are the defining
+    # relation's residual there, as R gamma has none
+    read = _read_back(jd.gamma, jd.norms)
+    checked = linalg.stacked(_equivalence_blocks, *zip(*(
+        (cols[c, g], read[c, g], jd.gamma[c, g], jd.norms[g]) for g, c in slices)))
+    blocks = [r for r, _, _ in checked]
+    defining = max(float((linalg.off_blocks(cols, [(c, g) for g, c in slices])
+                          / jd.norms).max()),
+                   *(float(d) for _, d, _ in checked))
     if defining > tol.eps_assert:
         raise IsometryViolation(f"equivalence map does not send gamma(a (x) j(b)) "
                                 f"to gamma_bar(a e b) ({defining:.2e})")
-    eye = np.eye(jd.rank)
-    resid = max(defining, balance, float(np.abs(r.conj().T @ r - eye).max()),
-                float(np.abs(r @ r.conj().T - eye).max()))
+    resid = max(defining, balance, *(float(u) for _, _, u in checked))
     if resid > tol.eps_assert:
         raise IsometryViolation(f"equivalence map is not unitary ({resid:.2e})")
-    inter = float(np.abs(r @ jd.w_matrix @ r.conj().T - bc.u_bar).max())
+    inter = float(np.abs(linalg.block_sandwich(blocks, jd.w_matrix, blocks)
+                         - bc.u_bar).max())
     if inter > tol.eps_assert:
         raise IsometryViolation(
             f"equivalence map does not intertwine the dynamics ({inter:.2e})")
+    r = np.zeros((jd.rank, jd.rank), dtype=np.complex128)
+    for (_, c), block in zip(slices, blocks):
+        r[c, c] = block
     return r, resid, inter
 
 

@@ -5,7 +5,8 @@ Hilbert-Schmidt inner product <x, y> = Tr(x* y).  This module is the one
 place where a singular value becomes a rank decision, by one rule: keep
 s > eps_rank * max(1, s_0) for the largest singular value s_0, a cutoff that
 scales with the matrix once s_0 exceeds 1.  ``rank``, ``orthonormal_columns``,
-``nullspace`` and ``extend_orthonormal`` all apply it through ``_kept``.
+``nullspace`` and ``extend_orthonormal`` all apply it through ``_kept``, and
+``block_ranks`` applies it to a block-diagonal matrix one block at a time.
 """
 from __future__ import annotations
 
@@ -25,9 +26,11 @@ def hs_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-def _kept(s: np.ndarray, eps_rank: float) -> int:
-    """How many of the singular values ``s`` the rank rule keeps."""
-    return int(np.sum(s > eps_rank * np.max(s, initial=1.0)))
+def _kept(s: np.ndarray, eps_rank: float, top: float | None = None) -> int:
+    """How many of the singular values ``s`` the rank rule keeps; ``top`` is
+    the largest singular value of the whole matrix when ``s`` are a block's."""
+    top = np.max(s, initial=1.0) if top is None else max(1.0, top)
+    return int(np.sum(s > eps_rank * top))
 
 
 def _right_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -43,6 +46,56 @@ def rank(mat: np.ndarray, eps_rank: float) -> int:
     """Numerical rank of a matrix."""
     s = np.linalg.svd(np.asarray(mat, dtype=np.complex128), compute_uv=False)
     return _kept(s, eps_rank)
+
+
+def stacked(fn, *lists) -> list:
+    """``fn`` applied to the i-th arrays of ``lists`` for every i, in one call
+    on the stacks of those of each shape, so that equal blocks go to BLAS and
+    LAPACK together; ``fn`` returns an array or a tuple of arrays stacked
+    along the first axis.  Returns the results in the order of the lists."""
+    out, shapes = [None] * len(lists[0]), {}
+    for i in range(len(out)):
+        shapes.setdefault(tuple(a[i].shape for a in lists), []).append(i)
+    for idx in shapes.values():
+        res = fn(*(np.stack([a[i] for i in idx]) for a in lists))
+        for j, i in enumerate(idx):
+            out[i] = tuple(r[j] for r in res) if isinstance(res, tuple) else res[j]
+    return out
+
+
+def block_ranks(blocks, eps_rank: float) -> list[int]:
+    """Numerical ranks of the diagonal blocks of a block-diagonal matrix, by
+    the rank rule on the whole matrix: its singular values are those of the
+    blocks, so each block is cut at eps_rank * max(1, largest over all)."""
+    s = stacked(lambda a: np.linalg.svd(a, compute_uv=False), blocks)
+    top = max(float(np.max(x, initial=0.0)) for x in s)
+    return [_kept(x, eps_rank, top) for x in s]
+
+
+def off_blocks(mat: np.ndarray, blocks) -> np.ndarray:
+    """|mat| with its diagonal blocks mat[rows, cols], for the pairs of
+    slices ``blocks``, set to 0: the part that a block-diagonal route
+    leaves out."""
+    off = np.abs(mat)
+    for rows, cols in blocks:
+        off[rows, cols] = 0.0
+    return off
+
+
+def block_rows(blocks, mat: np.ndarray) -> np.ndarray:
+    """blockdiag(blocks) @ mat: block k multiplies the rows of ``mat`` that
+    its columns index, in one stacked product when the blocks share a
+    shape."""
+    if len({b.shape for b in blocks}) == 1:
+        k, (p, q) = len(blocks), blocks[0].shape
+        return (np.stack(blocks) @ mat.reshape(k, q, -1)).reshape(k * p, -1)
+    starts = np.cumsum([0, *(b.shape[1] for b in blocks)])
+    return np.vstack([b @ mat[a:z] for b, a, z in zip(blocks, starts, starts[1:])])
+
+
+def block_sandwich(left, mat: np.ndarray, right) -> np.ndarray:
+    """blockdiag(left) @ mat @ blockdiag(right)^H, by ``block_rows``."""
+    return block_rows(right, block_rows(left, mat).conj().T).conj().T
 
 
 def extend_orthonormal(existing: np.ndarray, candidates: np.ndarray,

@@ -13,7 +13,10 @@ center search itself, which once found F's central blocks too before
 ``algebra.matrix_units`` read them off one generic pair: the kernel of the
 commutators with two generic elements, and the clusters of a generic central
 element.  And the dense product trace table Tr(rho b_i b_j) that once
-checked a trace's traciality, before the multiplication table did."""
+checked a trace's traciality, before the multiplication table did.  And
+the whole-matrix routes that the central blocks of F split: the rank of the
+d k x r span by one SVD, the factor of the joining's scaled Gram by one
+eigh, and the equivalence R = C (gamma^H)^+ D^-1/2 as one dense product."""
 import numpy as np
 
 from vnspec import linalg
@@ -276,3 +279,35 @@ def block_decomposition(alg: MatrixStarAlgebra,
              central_projection_coords(full_matrix_algebra(n), alg.basis_rows(), tol)]
     projs.sort(key=lambda p: (-round(float(np.trace(p).real), 6), linalg.sort_key(p)))
     return projs
+
+
+def full_span_rank(bc, eps_rank: float = DEFAULT_TOL.eps_rank) -> int:
+    """Rank of the whole d k x r matrix of the span products x_i e b_s, by
+    one SVD, as the package once decided it."""
+    return linalg.rank(bc.span_coords, eps_rank)
+
+
+def full_factor(gram: np.ndarray, eps_rank: float = DEFAULT_TOL.eps_rank
+                ) -> tuple[np.ndarray, float]:
+    """Rows L^T of G = L L^H + S from one eigendecomposition of the whole
+    Hermitian G, with ||S||_F, as the joining once factored its scaled
+    Gram."""
+    vals, vecs = np.linalg.eigh(gram)
+    kept = vals > eps_rank
+    rows = np.sqrt(vals[kept])[:, None] * vecs[:, kept].T
+    return rows, float(np.linalg.norm(gram - rows.T @ rows.conj()))
+
+
+def full_equivalence(jd) -> tuple[np.ndarray, float, float, float]:
+    """R = C (gamma^H)^+ D^-1/2 for the columns C = gamma_bar(x_i e b_s) as
+    one dense product, with its defining, unitarity and intertwining
+    residuals on the whole matrices, as the package once formed them."""
+    bc = jd.basic
+    cols = bc.bar_to_vector @ bc.span_coords.T
+    lam = np.einsum("ij,ij->i", jd.gamma.conj(), jd.gamma).real
+    r = cols @ (jd.gamma / lam[:, None] / jd.norms).conj().T
+    eye = np.eye(jd.rank)
+    return (r, float(np.abs(r @ jd.gamma - cols / jd.norms).max()),
+            max(float(np.abs(r.conj().T @ r - eye).max()),
+                float(np.abs(r @ r.conj().T - eye).max())),
+            float(np.abs(r @ jd.w_matrix @ r.conj().T - bc.u_bar).max()))

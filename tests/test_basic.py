@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -269,3 +270,123 @@ def test_partition_formula_refuses_a_disagreeing_trace(analyses):
     with pytest.raises(ExtensionInconsistent,
                        match="partition formula disagrees with the closed-form trace"):
         lifted_trace_via_partition(doubled, default_partition(bc))
+
+
+# --- fault injection: the block split of A and the lifted system -------------
+
+def _shipped_analysis(analyses, name):
+    an = analyses[name]
+    return an, an.gns, an.built.sub
+
+
+def test_a_block_split_off_the_bratteli_counts_is_refused(analyses, monkeypatch):
+    """Right multiplication by p_k splits A into n_k m_k = 16, 4 and 4
+    dimensions here; counts of 16, 5 and 3 are refused before the frames
+    of j(F)' are built."""
+    an, gns, sub = _shipped_analysis(analyses, "finite_extension_m2")
+    blocks = v.bratteli_blocks
+
+    def shifted(*args):
+        (p0, n0, m0), (p1, n1, m1), (p2, n2, m2) = blocks(*args)
+        return [(p0, n0, m0), (p1, n1, m1 + 1), (p2, n2, m2 - 1)]
+    monkeypatch.setattr(basic, "bratteli_blocks", shifted)
+    with pytest.raises(NumericalBreakdown, match=re.escape(
+            "splits (F, A) into dimensions [(4, 16), (1, 4), (1, 4)], not (n_k^2, "
+            "n_k m_k) = [(4, 16), (1, 5), (1, 3)]")):
+        v.build_basic_construction(gns, sub)
+
+
+def test_x_i_of_a_block_are_kept_and_the_rest_rotated(analyses):
+    """The x_i that lie in one A p_k are today's whitened x_i, in block
+    order; on finite_extension_m2 the 8 x_i across p_1 and p_2 are rotated,
+    and every x_i of block k lies in A p_k."""
+    for name, an in analyses.items():
+        bc, gns = an.basic, an.gns
+        whitened = basic._whitener(gns.left_mats @ basic.cyclic_subspace_frame(
+            gns, an.built.sub)).T
+        table, alg = an.built.system.table, an.built.system.algebra
+        kept = 0
+        for (rows, _), (p, n, m) in zip(bc.block_slices, bc.blocks):
+            xs = bc.x_coords[rows.start // len(bc.b_coords):rows.stop // len(bc.b_coords)]
+            assert len(xs) == n * m, name
+            moved = np.tensordot(xs, np.tensordot(table, alg.coords(p), axes=(1, 0)),
+                                 axes=(1, 0))  # coords of x p_k
+            assert np.abs(moved - xs).max() <= 1e-9 * np.abs(xs).max(), name
+            kept += sum(np.abs(whitened - x).max(axis=1).min() == 0.0 for x in xs)
+        assert kept == (16 if name == "finite_extension_m2" else len(whitened)), name
+
+
+def test_off_block_span_entry_is_refused(analyses, monkeypatch):
+    """x_{k,i} e b_s lies in block k of <A, e>; an entry of 1e-6 in another
+    block keeps every block's rank and fails the inclusion."""
+    an, gns, sub = _shipped_analysis(analyses, "skew_z4_inversion")
+    span = basic._span_coords
+
+    def leaking(*args):
+        cols = span(*args).copy()
+        cols[0, -1] += 1e-6
+        return cols
+    monkeypatch.setattr(basic, "_span_coords", leaking)
+    with pytest.raises(CommutantMismatch, match=r"\(dim 48\) and j\(F\)' \(dim 48 .*"
+                       r"ranks \[16, 16, 16\] by block, off-block residual 1\.00e-06"):
+        v.build_basic_construction(gns, sub)
+
+
+def test_dynamics_onto_a_block_of_another_shape_is_refused(analyses):
+    """A unitary that swaps the range of p_1 (n = 1, m = 4) with half of
+    that of p_0 (n = 2, m = 8) moves block 1 onto block 0."""
+    an, gns, sub = _shipped_analysis(analyses, "finite_extension_m2")
+    bc = an.basic
+    (p0, _, _), (p1, _, _), _ = bc.blocks
+    w0, w1 = (np.linalg.eigh(p)[1][:, -round(np.trace(p).real):] for p in (p0, p1))
+    half = w0[:, :w1.shape[1]]
+    swap = (np.eye(len(p0)) - w1 @ w1.conj().T - half @ half.conj().T
+            + half @ w1.conj().T + w1 @ half.conj().T)
+    system = an.built.system
+    moved = dataclasses.replace(system, dynamics=v.StarAutomorphism(
+        system.dynamics.matrix, swap))
+    with pytest.raises(NumericalBreakdown, match="^the dynamics moves a central block "
+                       "of F onto one of another shape$"):
+        basic._lifted_dynamics(dataclasses.replace(gns, system=moved), bc.algebra,
+                               bc.blocks, v.matrix_units(sub.algebra), v.DEFAULT_TOL)
+
+
+def _with_trace_vector(monkeypatch, change):
+    """lifted_trace returning ``change`` of the closed-form vector."""
+    closed = basic.lifted_trace
+
+    def changed(gns, corners, alg, blocks, tol=v.DEFAULT_TOL):
+        vector, defining = closed(gns, corners, alg, blocks, tol)
+        return change(alg, vector), defining
+    monkeypatch.setattr(basic, "lifted_trace", changed)
+
+
+def test_a_functional_that_is_not_tracial_is_refused(analyses, monkeypatch):
+    """Block 0 weighted by diag(1.1, 0.9, 1, 1) instead of the identity: still
+    faithful, not a trace."""
+    an, gns, sub = _shipped_analysis(analyses, "tensor_diag2_m2")
+
+    def skewed(alg, vector):
+        blocks = alg.blocks(vector.copy())
+        blocks[0] = blocks[0] @ np.diag([1.1, 0.9, 1.0, 1.0])
+        return alg.join(blocks)
+    _with_trace_vector(monkeypatch, skewed)
+    with pytest.raises(NumericalBreakdown, match=r"^lifted system: functional is not "
+                       r"tracial on the algebra \(residual \d"):
+        v.build_basic_construction(gns, sub)
+
+
+def test_a_trace_that_the_dynamics_moves_is_refused(analyses, monkeypatch):
+    """Doubling the weight of block 0, which pi carries to block 1, keeps a
+    faithful trace that conjugation by U does not preserve."""
+    an, gns, sub = _shipped_analysis(analyses, "skew_z4_inversion")
+    assert list(an.basic.perm) != [0, 1, 2]
+
+    def doubled(alg, vector):
+        blocks = alg.blocks(vector.copy())
+        blocks[0] = 2 * blocks[0]
+        return alg.join(blocks)
+    _with_trace_vector(monkeypatch, doubled)
+    with pytest.raises(NumericalBreakdown, match="^lifted system: conjugation by the "
+                       "unitary does not preserve the trace$"):
+        v.build_basic_construction(gns, sub)

@@ -194,3 +194,47 @@ def test_equivalence_refuses_a_dynamics_it_does_not_intertwine(analyses):
     jd = analyses["classical_4cycle"].joining
     with pytest.raises(IsometryViolation, match="does not intertwine the dynamics"):
         v.joining_equivalence(replace(jd, w_matrix=-jd.w_matrix))
+
+
+# --- fault injection: what the block route leaves out is measured ------------
+
+def test_off_block_gram_entry_is_refused(analyses, monkeypatch):
+    """The tensors of A p_k (x) j(A) are orthogonal to the other blocks'; a
+    Hermitian pair of 1e-6 entries between blocks 0 and 1 of the Gram joins
+    the factor's residual."""
+    from vnspec import joining
+    bc = analyses["classical_4cycle"].basic
+    grams = joining._tensor_grams
+
+    def leaking(*args):
+        gram, *rest = grams(*args)
+        gram = gram.copy()
+        gram[0, -1] += 1e-6
+        gram[-1, 0] += 1e-6
+        return [gram, *rest]
+    monkeypatch.setattr(joining, "_tensor_grams", leaking)
+    with pytest.raises(NumericalBreakdown, match=r"loses rank in the joining: it drops a "
+                       r"part \S+ of the scaled Gram at rank 8, largest dropped eigenvalue "
+                       r"-inf, \S+ of it off the central blocks of F$"):
+        v.relative_joining(bc)
+
+
+def test_off_pattern_w_entry_is_refused(analyses):
+    """W carries block k of the joining to block pi(k); an entry of 1e-6 in
+    block (k, k), which pi moves, breaks the intertwining."""
+    jd = analyses["classical_4cycle"].joining
+    assert list(jd.basic.perm) == [1, 0]
+    w = jd.w_matrix.copy()
+    w[0, 0] += 1e-6
+    with pytest.raises(IsometryViolation, match=r"does not intertwine the dynamics "
+                       r"\(\d\.\d\de-07\)"):
+        v.joining_equivalence(replace(jd, w_matrix=w))
+
+
+def test_equivalence_refuses_ranks_that_miss_the_blocks(analyses):
+    """The total rank matches dim <A, e>, but not block by block."""
+    jd = analyses["classical_4cycle"].joining
+    assert jd.ranks == (4, 4)
+    with pytest.raises(IsometryViolation, match=r"joining GNS ranks \[5, 3\] by central "
+                       r"block differ from the block dimensions \[4, 4\]"):
+        v.joining_equivalence(replace(jd, ranks=(5, 3)))

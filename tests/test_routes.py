@@ -76,7 +76,8 @@ from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 from conftest import E12
 from oracles import (block_decomposition, center, center_coords, commutant,
                      dense_fixed_points, dense_span, einsum_tensor_gram,
-                     fixed_point_center, inv_sqrt_psd, joint_commutant,
+                     fixed_point_center, full_equivalence, full_factor, full_span_rank,
+                     inv_sqrt_psd, joint_commutant,
                      pivoted_cholesky, product_closure_residual, product_trace_table,
                      random_element, span_candidates)
 from test_exit_codes import _run as run_cli
@@ -555,17 +556,20 @@ def test_generated_span_equals_all_products(spied_analyses):
 
 def test_finite_extension_offers_96_candidates_not_576(analyses, monkeypatch):
     """The d k = 96 products, each r = 96 block coordinates wide, not the
-    d^2 = 576 products, and their rank read by one SVD of that square."""
+    d^2 = 576 products, and their rank read per central block of F, from
+    the diagonal blocks of that square: 64 = 8^2 and twice 16 = 4^2."""
     an = analyses["finite_extension_m2"]
-    ranked, rank = [], linalg.rank
+    ranked, ranks = [], linalg.block_ranks
 
-    def spy(mat, eps_rank):
-        ranked.append(np.shape(mat))
-        return rank(mat, eps_rank)
-    monkeypatch.setattr(linalg, "rank", spy)
+    def spy(blocks, eps_rank):
+        ranked.append([np.shape(b) for b in blocks])
+        return ranks(blocks, eps_rank)
+    monkeypatch.setattr(linalg, "block_ranks", spy)
     bc = v.build_basic_construction(an.gns, an.built.sub)
     assert bc.span_coords.shape == (96, 96) and bc.algebra.dim == 96
-    assert (96, 96) in ranked and an.gns.dim ** 2 == 576
+    assert [(r.stop - r.start, c.stop - c.start) for r, c in bc.block_slices] \
+        == [(64, 64), (16, 16), (16, 16)]
+    assert ranked == [[(64, 64), (16, 16), (16, 16)]] and an.gns.dim ** 2 == 576
     assert len(span_products(an.gns, bc.e)) == 576
 
 
@@ -979,6 +983,56 @@ def test_factor_rank_equals_the_pivoted_cholesky(gram_systems):
         rows, _ = pivoted_cholesky(scaled)
         assert len(rows) == jd.rank == len(bc.u_bar), name
         assert np.abs(jd.gamma.conj().T @ jd.gamma - scaled).max() <= 1e-12, name
+
+
+def test_block_route_equals_the_full_matrix_oracles(gram_systems):
+    """Per central block of F, the span rank, the factor of the joining's
+    scaled Gram and the equivalence R against one SVD of the d k x r span,
+    one eigh of the whole Gram and the dense R = C (gamma^H)^+ D^-1/2, on
+    the shipped systems, the d = 24 skew product, the skewed tensor at
+    w = 1e-9 and the weight ladder at 2e-10."""
+    for name, bc in gram_systems.items():
+        slices = bc.block_slices
+        assert linalg.block_ranks([bc.span_coords[g, c] for g, c in slices],
+                                  DEFAULT_TOL.eps_rank) \
+            == [m * m for m in bc.algebra.sizes], name
+        assert full_span_rank(bc) == bc.algebra.dim, name
+        jd = v.relative_joining(bc)
+        gram = joining._tensor_grams(bc, joining._generating_side(bc),
+                                     [(bc.x_coords, bc.b_coords)])[0]
+        scaled = gram / np.outer(jd.norms, jd.norms)
+        rows, resid = full_factor(scaled)
+        assert len(rows) == jd.rank == sum(jd.ranks) == len(bc.u_bar), name
+        assert np.abs(jd.gamma.conj().T @ jd.gamma - scaled).max() <= 1e-12, name
+        assert np.abs(rows.T @ rows.conj() - jd.gamma.conj().T @ jd.gamma).max() \
+            <= 1e-12, name
+        assert max(resid, jd.factor_residual) <= 1e-11, name
+        dense, defining, unitary, inter = full_equivalence(jd)
+        r, isometry, intertwine = v.joining_equivalence(jd)
+        assert np.abs(r - dense).max() <= 1e-12, name
+        assert max(defining, unitary, inter, isometry, intertwine) <= 1e-11, name
+        for g, c in slices:  # R, like gamma, keeps to the blocks
+            assert np.abs(jd.gamma[c][:, np.r_[:g.start, g.stop:jd.gamma.shape[1]]]) \
+                .max(initial=0.0) == 0.0, name
+            assert np.abs(dense[c][:, np.r_[:c.start, c.stop:jd.rank]]) \
+                .max(initial=0.0) <= 1e-12, name
+
+
+def test_no_factorisation_is_wider_than_d(monkeypatch):
+    """Every SVD, QR and eigendecomposition of the d = 24 skew product has
+    a side of at most d = 24: the span's rank and the joining's factor,
+    once 96 x 96, are read per central block of F, 16 x 16 each."""
+    desc = parse_system(SKEW_D24)
+    sides = []
+    for name in ("svd", "qr", "eigh"):
+        def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            sides.append(np.shape(a)[-2:])
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    an = analyze_description(desc)
+    assert an.passed and an.gns.dim == 24 and an.basic.algebra.dim == 96
+    assert max(min(s) for s in sides) <= 24, sorted(sides, key=min)[-3:]
+    assert (16, 16) in sides
 
 
 def test_batched_grams_equal_the_einsum_oracle(gram_systems):
@@ -1822,6 +1876,39 @@ def test_product_system_tables_only_its_factors(monkeypatch):
     assert sorted(seen) == [4, 6]
 
 
+def test_product_system_reads_the_kronecker_gram(analyses, monkeypatch):
+    """A product system's Gram is kron(G_B, G_C), equal to gram_matrix on
+    the tensor, skew and finite-extension families, with gram_matrix formed
+    for the factors only; a density other than rho_B (x) rho_C is read
+    from the basis matrices instead."""
+    seen, dense = [], algebra.gram_matrix
+
+    def spy(alg, trace):
+        seen.append(alg.dim)
+        return dense(alg, trace)
+    monkeypatch.setattr(algebra, "gram_matrix", spy)
+    built = build_from_description(parse_system(SKEW_D24))
+    assert sorted(seen) == [4, 6]
+    for name, b in [*((n, analyses[n].built) for n in PRODUCT_SYSTEMS),
+                    (SKEW_D24["name"], built)]:
+        sys_a, (fb, fc) = b.system, b.factors
+        assert np.abs(sys_a.gram - np.kron(fb.gram, fc.gram)).max() == 0.0, name
+        assert np.abs(sys_a.gram - dense(sys_a.algebra, sys_a.trace)).max() <= 1e-13, name
+    sys_a, factors = analyses["tensor_diag2_m2"].built.system, \
+        analyses["tensor_diag2_m2"].built.factors
+    # the same functional on A from a density that differs off A
+    alg = sys_a.algebra
+    x = linalg.random_complex(np.random.default_rng(43), (alg.ambient_dim,) * 2)
+    x = x + x.conj().T
+    off = x - alg.from_coords(alg.coords(x))
+    moved = v.trace_functional(sys_a.trace.density + 1e-3 * off / np.abs(off).max())
+    seen.clear()
+    other = v.system(alg, moved, sys_a.dynamics, factors=factors)
+    assert seen == [alg.dim]
+    assert np.abs(other.gram - dense(alg, moved)).max() == 0.0
+    assert np.abs(other.gram - sys_a.gram).max() <= 1e-13
+
+
 @pytest.mark.parametrize("field", ["table", "star"])
 def test_perturbed_factor_table_fails_the_generic_pair(analyses, field):
     """A 1e-6 error in one structure constant of a factor leaves the
@@ -1863,14 +1950,15 @@ def test_table_left_map_equals_coordinate_pass(name):
 
 
 def test_kronecker_terms_equal_coordinate_passes(analyses, skew_d24, monkeypatch):
-    """The Gram of the generating tensors from the GNS action, as factored,
-    against the coordinate passes restricted to the generators."""
-    seen, factor = [], joining.factor_gram
+    """The Gram of the generating tensors from the GNS action, as factored
+    block by block, against the coordinate passes restricted to the
+    generators."""
+    seen, factor = [], joining._factor_blocks
 
-    def spy(gram, tol=DEFAULT_TOL):
+    def spy(gram, blocks, tol=DEFAULT_TOL):
         seen.append(gram)
-        return factor(gram, tol)
-    monkeypatch.setattr(joining, "factor_gram", spy)
+        return factor(gram, blocks, tol)
+    monkeypatch.setattr(joining, "_factor_blocks", spy)
     for name, an in {**analyses, SKEW_D24["name"]: skew_d24}.items():
         seen.clear()
         jd = v.relative_joining(an.basic)

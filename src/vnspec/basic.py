@@ -48,6 +48,7 @@ the orbit, which must agree with each other and with the dense dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -116,8 +117,8 @@ class BasicConstruction:
 def _block_slices(blocks, nb: int) -> list[tuple[slice, slice]]:
     """``BasicConstruction.block_slices`` for the blocks (p_k, n_k, m_k) and
     nb generators b_s."""
-    rows = np.cumsum([0, *(n * m * nb for _, n, m in blocks)])
-    cols = np.cumsum([0, *(m * m for _, _, m in blocks)])
+    rows = [0, *accumulate(n * m * nb for _, n, m in blocks)]
+    cols = [0, *accumulate(m * m for _, _, m in blocks)]
     return [(slice(r0, r1), slice(c0, c1))
             for r0, r1, c0, c1 in zip(rows, rows[1:], cols, cols[1:])]
 
@@ -158,10 +159,11 @@ def _x_coords(gns: GnsSpace, e_frame: np.ndarray, units: MatrixUnits, blocks,
     xs = _whitener(left_e).T
     if len(blocks) == 1:
         return xs, 0.0
+    d, n, f = left_e.shape
     proj = gns.system.algebra.coords_stack(np.stack(units.projections))
-    z_vals, z_vecs = np.linalg.eigh(
-        e_frame.conj().T @ np.tensordot(proj, left_e, axes=(1, 0)))  # Z_k
-    x_ops = np.tensordot(xs, left_e, axes=(1, 0)).reshape(-1, left_e.shape[2])
+    z_vals, z_vecs = np.linalg.eigh(  # Z_k
+        e_frame.conj().T @ (proj @ left_e.reshape(d, -1)).reshape(-1, n, f))
+    x_ops = (xs @ left_e.reshape(d, -1)).reshape(-1, f)  # L(x_i) E_0, rows (i, a)
 
     def projections(ys):  # P_k from the L(x_i) E_0 Y_k of blocks of one n_k
         ops = (x_ops @ ys).reshape(len(ys), len(xs), -1)

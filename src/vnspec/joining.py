@@ -23,6 +23,7 @@ explicit products over the vectors and the operators of A's basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -124,20 +125,19 @@ def _factor_blocks(gram: np.ndarray, blocks, tol: ToleranceConfig
     of what lies off them joined to ||S||_F: the rows of each block, the
     residual, the smallest eigenvalue kept and the largest dropped over all
     blocks."""
-    def factor(stack):  # eigenvalues ascending, and ||G - L L^H||_F of each
-        vals, vecs = np.linalg.eigh(stack)
-        low = vecs * np.sqrt(np.where(vals > tol.eps_rank, vals, 0.0))[:, None]
-        return vals, vecs, np.linalg.norm(stack - low @ low.conj().transpose(0, 2, 1),
-                                          axis=(1, 2))
-    parts = linalg.stacked(factor, [gram[s, s] for s in blocks])
-    rows = [np.sqrt(vals[vals > tol.eps_rank])[:, None] * vecs[:, vals > tol.eps_rank].T
-            for vals, vecs, _ in parts]
-    vals = np.concatenate([v for v, _, _ in parts])
+    rows, dropped_sq = [], 0.0
+    parts = linalg.stacked(np.linalg.eigh, [gram[s, s] for s in blocks])
+    for (vals, vecs), s in zip(parts, blocks):  # eigenvalues ascending
+        kept = vals > tol.eps_rank
+        rows.append(np.sqrt(vals[kept])[:, None] * vecs[:, kept].T)
+        dropped_sq += float(np.linalg.norm(gram[s, s] - rows[-1].T @ rows[-1].conj())) ** 2
+    vals = np.concatenate([v for v, _ in parts])
     kept = vals > tol.eps_rank
     smallest, kept_min = float(vals.min()), float(vals[kept].min(initial=np.inf))
     dropped = float(vals[~kept].max(initial=-np.inf))
-    off = float(np.linalg.norm(linalg.off_blocks(gram, [(s, s) for s in blocks])))
-    resid = float(np.sqrt(sum(float(r) ** 2 for _, _, r in parts) + off * off))
+    off = float(np.linalg.norm(linalg.off_blocks(gram, [(s, s) for s in blocks]))) \
+        if len(blocks) > 1 else 0.0
+    resid = float(np.sqrt(dropped_sq + off * off))
     if smallest < -tol.eps_assert:
         raise StateNotPositive(f"joining state has a negative part: smallest "
                                f"eigenvalue {smallest:.2e}")
@@ -225,7 +225,7 @@ def relative_joining(bc: BasicConstruction,
     # L = V diag(sqrt(lam)) has orthogonal columns: gamma = L^H, and
     # L L^H = gamma^H gamma; block k of gamma holds the rows of block k
     ranks = tuple(len(r) for r in l_rows)
-    starts = np.cumsum([0, *ranks])
+    starts = [0, *accumulate(ranks)]
     gamma = np.zeros((starts[-1], len(norms)), dtype=np.complex128)
     for r0, t, rows in zip(starts, tensors, l_rows):
         gamma[r0:r0 + len(rows), t] = rows.conj()
@@ -273,14 +273,10 @@ def _balance(bc: BasicConstruction) -> float:
     return max(residual(g) for g in bc.g_coords)
 
 
-def _equivalence_blocks(cols, read, gamma, norms):
-    """For stacks of diagonal blocks: R = C (gamma^H)^+ D^-1/2, the largest
-    entry of R gamma - C D^-1/2 and that of R^H R - 1 or R R^H - 1."""
-    r = cols @ read.conj().transpose(0, 2, 1)
-    rh, eye = r.conj().transpose(0, 2, 1), np.eye(r.shape[-1])
-    return (r, np.abs(r @ gamma - cols / norms[:, None]).max(axis=(1, 2)),
-            np.maximum(np.abs(rh @ r - eye).max(axis=(1, 2)),
-                       np.abs(r @ rh - eye).max(axis=(1, 2))))
+def _unitarity(r: np.ndarray) -> float:
+    """The largest entry of R^H R - 1 or R R^H - 1."""
+    rh, eye = r.conj().T, np.eye(len(r))
+    return max(float(np.abs(rh @ r - eye).max()), float(np.abs(r @ rh - eye).max()))
 
 
 def joining_equivalence(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL
@@ -323,21 +319,17 @@ def joining_equivalence(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL
     # gamma_bar(x_i e b_s), column i k + s, as bar_to_vector is diagonal
     cols = np.diagonal(bc.bar_to_vector)[:, None] * bc.span_coords.T
     slices = bc.block_slices
-    # R is block diagonal: block k is C_k (gamma_k^H)^+ D_k^-1/2 on the
-    # diagonal block C_k of the columns, with the defining and the unitarity
-    # residuals of each block; the columns off those blocks are the defining
-    # relation's residual there, as R gamma has none
+    # R is block diagonal, block k C_k (gamma_k^H)^+ D_k^-1/2 from the
+    # diagonal blocks of C and gamma; R gamma - C D^-1/2 is formed whole, so
+    # the entries of C off the blocks, which R gamma lacks, count in it
     read = _read_back(jd.gamma, jd.norms)
-    checked = linalg.stacked(_equivalence_blocks, *zip(*(
-        (cols[c, g], read[c, g], jd.gamma[c, g], jd.norms[g]) for g, c in slices)))
-    blocks = [r for r, _, _ in checked]
-    defining = max(float((linalg.off_blocks(cols, [(c, g) for g, c in slices])
-                          / jd.norms).max()),
-                   *(float(d) for _, d, _ in checked))
+    blocks = linalg.stacked(lambda c, rd: c @ rd.conj().transpose(0, 2, 1),
+                            [cols[c, g] for g, c in slices], [read[c, g] for g, c in slices])
+    defining = float(np.abs(linalg.block_rows(blocks, jd.gamma) - cols / jd.norms).max())
     if defining > tol.eps_assert:
         raise IsometryViolation(f"equivalence map does not send gamma(a (x) j(b)) "
                                 f"to gamma_bar(a e b) ({defining:.2e})")
-    resid = max(defining, balance, *(float(u) for _, _, u in checked))
+    resid = max(defining, balance, *(_unitarity(r) for r in blocks))
     if resid > tol.eps_assert:
         raise IsometryViolation(f"equivalence map is not unitary ({resid:.2e})")
     inter = float(np.abs(linalg.block_sandwich(blocks, jd.w_matrix, blocks)

@@ -57,7 +57,8 @@ def stacked(fn, *lists) -> list:
     for i in range(len(out)):
         shapes.setdefault(tuple(a[i].shape for a in lists), []).append(i)
     for idx in shapes.values():
-        res = fn(*(np.stack([a[i] for i in idx]) for a in lists))
+        res = fn(*(a[idx[0]][None] if len(idx) == 1 else np.stack([a[i] for i in idx])
+                   for a in lists))
         for j, i in enumerate(idx):
             out[i] = tuple(r[j] for r in res) if isinstance(res, tuple) else res[j]
     return out
@@ -86,6 +87,8 @@ def block_rows(blocks, mat: np.ndarray) -> np.ndarray:
     """blockdiag(blocks) @ mat: block k multiplies the rows of ``mat`` that
     its columns index, in one stacked product when the blocks share a
     shape."""
+    if len(blocks) == 1:
+        return blocks[0] @ mat
     if len({b.shape for b in blocks}) == 1:
         k, (p, q) = len(blocks), blocks[0].shape
         return (np.stack(blocks) @ mat.reshape(k, q, -1)).reshape(k * p, -1)

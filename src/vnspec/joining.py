@@ -273,10 +273,11 @@ def _balance(bc: BasicConstruction) -> float:
     return max(residual(g) for g in bc.g_coords)
 
 
-def _unitarity(r: np.ndarray) -> float:
-    """The largest entry of R^H R - 1 or R R^H - 1."""
-    rh, eye = r.conj().T, np.eye(len(r))
-    return max(float(np.abs(rh @ r - eye).max()), float(np.abs(r @ rh - eye).max()))
+def _unitarity(r: np.ndarray) -> np.ndarray:
+    """The largest entry of R^H R - 1 or R R^H - 1 of each R of a stack."""
+    rh, eye = r.conj().transpose(0, 2, 1), np.eye(r.shape[-1])
+    return np.maximum(np.abs(rh @ r - eye).max(axis=(1, 2)),
+                      np.abs(r @ rh - eye).max(axis=(1, 2)))
 
 
 def joining_equivalence(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL
@@ -329,7 +330,7 @@ def joining_equivalence(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL
     if defining > tol.eps_assert:
         raise IsometryViolation(f"equivalence map does not send gamma(a (x) j(b)) "
                                 f"to gamma_bar(a e b) ({defining:.2e})")
-    resid = max(defining, balance, *(_unitarity(r) for r in blocks))
+    resid = max(defining, balance, *map(float, linalg.stacked(_unitarity, blocks)))
     if resid > tol.eps_assert:
         raise IsometryViolation(f"equivalence map is not unitary ({resid:.2e})")
     inter = float(np.abs(linalg.block_sandwich(blocks, jd.w_matrix, blocks)

@@ -131,63 +131,60 @@ def _whitener(ops: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky((gram + gram.conj().T) / 2).conj().T)
 
 
-def _x_coords(gns: GnsSpace, e_frame: np.ndarray, units: MatrixUnits, blocks,
-              tol: ToleranceConfig) -> tuple[np.ndarray, float]:
+def _x_coords(gns: GnsSpace, sub: Subsystem, e_frame: np.ndarray, units: MatrixUnits,
+              blocks, tol: ToleranceConfig) -> tuple[np.ndarray, float]:
     """Coordinates (d, d) of the x_i, which make the L(x_i) E_0
     Hilbert-Schmidt orthonormal (``_whitener``), regrouped into n_k m_k
-    elements of each A p_k, block after block, with the idempotency
-    residual of that split.
+    elements of each A p_k, block after block, with the residual of that
+    split.
 
     For <x, y> = Tr(e L(x* y) e), right multiplication by p_k is an
     orthogonal projection, as E(p_k x* y p_l) = E(x* y) p_k p_l = 0 for
-    k != l.  As L(p_k) e = e L(p_k) e, it is
-    P_k[i, j] = <x_i, x_j p_k> = <L(x_i) E_0 Y_k, L(x_j) E_0 Y_k>_HS on the
-    orthonormal x_i, for Y_k an orthonormal basis of the range of the
-    projection Z_k = E_0^H L(p_k) E_0: a Hermitian idempotent of trace
-    n_k m_k.  An x_i with P_k[i, i] within eps_rank of 1 lies in A p_k and
-    is kept as it is: a rotation would add
-    roundoff times its coordinates, which grow as the trace weights shrink.
-    The other x_i are rotated by the eigenvectors at 1 of each P_k
-    compressed to them.  Every Z_k and compressed P_k must have eigenvalues
-    within eps_assert of 0 and 1 (the largest |lam (lam - 1)|), and each P_k
-    must be 1 on its kept x_i and 0 on the others' (the largest entry off
-    that); Z_k must have n_k^2 eigenvalues at 1 and A p_k n_k m_k elements,
-    the counts of ``bratteli_blocks``.  One central block leaves the x_i as
-    they are.
+    k != l.  As L(p_k) e = e L(p_k) e, <x p_k, y p_k> is the Hilbert-Schmidt
+    product of L(x) E_0 Y_k and L(y) E_0 Y_k, for Y_k an orthonormal basis
+    of the range of the projection Z_k = E_0^H L(p_k) E_0; on the
+    orthonormal x_i these products make a Hermitian idempotent P_k of trace
+    n_k m_k.  An x_i with |x_i p_k|^2 within eps_rank of 1 lies in A p_k and
+    is kept as it is: a rotation would add roundoff times its coordinates,
+    which grow as the trace weights shrink.  The other x_i are rotated by
+    the eigenvectors at 1 of each P_k compressed to them.  The residual is
+    the largest |lam (lam - 1)| over the eigenvalues of the Z_k and of the
+    compressed P_k, the largest 1 - |x_i p_k|^2 over the kept x_i of each
+    block k, and the unitarity of the rotation; Z_k must have n_k^2
+    eigenvalues at 1 and A p_k n_k m_k elements, the counts of
+    ``bratteli_blocks``.  One central block leaves the x_i as they are.
     """
     left_e = gns.left_mats @ e_frame
     xs = _whitener(left_e).T
     if len(blocks) == 1:
         return xs, 0.0
     d, n, f = left_e.shape
-    proj = gns.system.algebra.coords_stack(np.stack(units.projections))
+    # coordinates of the p_k in A, through F's
+    proj = sub.algebra.coords_stack(np.stack(units.projections)) @ sub.coords_in_parent
     z_vals, z_vecs = np.linalg.eigh(  # Z_k
         e_frame.conj().T @ (proj @ left_e.reshape(d, -1)).reshape(-1, n, f))
-    x_ops = (xs @ left_e.reshape(d, -1)).reshape(-1, f)  # L(x_i) E_0, rows (i, a)
-
-    def projections(ys):  # P_k from the L(x_i) E_0 Y_k of blocks of one n_k
-        ops = (x_ops @ ys).reshape(len(ys), len(xs), -1)
-        return ops.conj() @ ops.transpose(0, 2, 1)
-    grams = np.stack(linalg.stacked(projections, [v[:, lam > 0.5]
-                                                  for lam, v in zip(z_vals, z_vecs)]))
-    diag = np.diagonal(grams, axis1=1, axis2=2).real
-    home, kept = diag.argmax(axis=0), 1 - diag.max(axis=0) <= tol.eps_rank
-    where = np.nonzero(kept)[0]
-    columns = grams[:, :, where]  # P_k less the indicator of block k's kept x_i
-    columns[home[where], where, np.arange(len(where))] -= 1.0
+    ranges = [v[:, lam > 0.5] for lam, v in zip(z_vals, z_vecs)]
+    edges = [0, *accumulate(y.shape[1] for y in ranges)]
+    # L(x_i) E_0 Y_k of every block k, side by side, and |x_i p_k|^2
+    parts = (xs @ left_e.reshape(d, -1)).reshape(d, n, f) @ np.hstack(ranges)
+    sums = np.cumsum((parts.real ** 2 + parts.imag ** 2).sum(axis=1), axis=1)
+    weight = np.hstack([np.zeros((d, 1)), sums])[:, edges]
+    weight = weight[:, 1:] - weight[:, :-1]  # (d, blocks)
+    home, kept = weight.argmax(axis=1), 1 - weight.max(axis=1) <= tol.eps_rank
     resid = max(float(np.abs(z_vals * (z_vals - 1)).max()),
-                float(np.abs(columns).max(initial=0.0)))
-    members = [xs[where[home[where] == k]] for k in range(len(blocks))]
+                float((1 - weight.max(axis=1))[kept].max(initial=0.0)))
+    members = [xs[kept & (home == k)] for k in range(len(blocks))]
     rest = np.nonzero(~kept)[0]
     if len(rest):
-        vals, vecs = np.linalg.eigh(grams[:, rest][:, :, rest])
+        ops = [parts[rest, :, a:b].reshape(len(rest), -1) for a, b in zip(edges, edges[1:])]
+        vals, vecs = np.linalg.eigh(np.stack([v.conj() @ v.T for v in ops]))
         coeffs = [v[:, lam > 0.5] for lam, v in zip(vals, vecs)]
         both = np.hstack(coeffs)
         resid = max(resid, float(np.abs(vals * (vals - 1)).max()),
                     float(np.abs(both.conj().T @ both - np.eye(len(rest))).max()))
-        members = [np.vstack([m, c.T @ xs[rest]]) for m, c in zip(members, coeffs)]
-    counts = [(int(f), len(m)) for f, m in zip((z_vals > 0.5).sum(axis=1), members)]
-    expected = [(n * n, n * m) for _, n, m in blocks]
+        members = [np.vstack([x, c.T @ xs[rest]]) for x, c in zip(members, coeffs)]
+    counts = [(y.shape[1], len(x)) for y, x in zip(ranges, members)]
+    expected = [(n_k * n_k, n_k * m_k) for _, n_k, m_k in blocks]
     if counts != expected or resid > tol.eps_assert:
         raise NumericalBreakdown(
             f"right multiplication by the central blocks of F splits (F, A) into "
@@ -496,7 +493,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     bs = _generators(sub, _whitener(e0.conj().T @ gns.left_mats), tol)
     units = matrix_units(sub.algebra, tol)
     blocks = bratteli_blocks(gns.system.algebra, sub.algebra, units, tol)
-    xs, split = _x_coords(gns, e0, units, blocks, tol)  # block after block
+    xs, split = _x_coords(gns, sub, e0, units, blocks, tol)  # block after block
     alg = _block_algebra(gns, units, blocks, tol)
     corners = _corner_factors(gns, e0, alg)
     span_coords = _span_coords(alg, corners, xs, bs)  # read by the equivalence

@@ -176,7 +176,8 @@ def _x_coords(gns: GnsSpace, sub: Subsystem, e_frame: np.ndarray, units: MatrixU
     members = [xs[kept & (home == k)] for k in range(len(blocks))]
     rest = np.nonzero(~kept)[0]
     if len(rest):
-        ops = [parts[rest, :, a:b].reshape(len(rest), -1) for a, b in zip(edges, edges[1:])]
+        ops = [parts[rest, :, a:b].reshape(len(rest), -1)
+               for a, b in zip(edges, edges[1:])]
         vals, vecs = np.linalg.eigh(np.stack([v.conj() @ v.T for v in ops]))
         coeffs = [v[:, lam > 0.5] for lam, v in zip(vals, vecs)]
         both = np.hstack(coeffs)

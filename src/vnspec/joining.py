@@ -108,11 +108,13 @@ def _tensor_grams(bc: BasicConstruction, side: tuple[np.ndarray, np.ndarray],
     for y, c in rights:
         q = bc.e @ np.tensordot(c, gns.left_mats, axes=(1, 0)) @ b_vecs  # (t, h, s)
         q = q.transpose(1, 0, 2).reshape(n, -1)
-        g = np.empty((len(y) * n_x, len(c) * n_b), dtype=np.complex128)  # [(l, i), (t, s)]
+        # [(l, i), (t, s)]
+        g = np.empty((len(y) * n_x, len(c) * n_b), dtype=np.complex128)
         for start in range(0, len(y), step):
             # X^H L(y_l), row (l, i)
             rows = xh @ np.tensordot(y[start:start + step], gns.left_mats, axes=(1, 0))
-            np.matmul(rows.reshape(-1, n), q, out=g[start * n_x:(start + len(rows)) * n_x])
+            np.matmul(rows.reshape(-1, n), q,
+                      out=g[start * n_x:(start + len(rows)) * n_x])
         grams.append(g.reshape(len(y), n_x, len(c), n_b).transpose(1, 3, 0, 2)
                      .reshape(n_x * n_b, len(y) * len(c)))
     return grams
@@ -130,7 +132,8 @@ def _factor_blocks(gram: np.ndarray, blocks, tol: ToleranceConfig
     for (vals, vecs), s in zip(parts, blocks):  # eigenvalues ascending
         kept = vals > tol.eps_rank
         rows.append(np.sqrt(vals[kept])[:, None] * vecs[:, kept].T)
-        dropped_sq += float(np.linalg.norm(gram[s, s] - rows[-1].T @ rows[-1].conj())) ** 2
+        left_out = gram[s, s] - rows[-1].T @ rows[-1].conj()
+        dropped_sq += float(np.linalg.norm(left_out)) ** 2
     vals = np.concatenate([v for v, _ in parts])
     kept = vals > tol.eps_rank
     smallest, kept_min = float(vals.min()), float(vals[kept].min(initial=np.inf))
@@ -146,7 +149,8 @@ def _factor_blocks(gram: np.ndarray, blocks, tol: ToleranceConfig
             f"rank cutoff {tol.eps_rank:g} loses rank in the joining: it drops a part "
             f"{resid:.2e} of the scaled Gram at rank {sum(len(r) for r in rows)}, "
             f"largest dropped eigenvalue {dropped:.2e}"
-            + (f", {off:.2e} of it off the central blocks of F" if len(blocks) > 1 else ""))
+            + (f", {off:.2e} of it off the central blocks of F" if len(blocks) > 1
+               else ""))
     return rows, resid, kept_min, dropped
 
 
@@ -325,7 +329,8 @@ def joining_equivalence(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL
     # the entries of C off the blocks, which R gamma lacks, count in it
     read = _read_back(jd.gamma, jd.norms)
     blocks = linalg.stacked(lambda c, rd: c @ rd.conj().transpose(0, 2, 1),
-                            [cols[c, g] for g, c in slices], [read[c, g] for g, c in slices])
+                            [cols[c, g] for g, c in slices],
+                            [read[c, g] for g, c in slices])
     defining = float(np.abs(linalg.block_rows(blocks, jd.gamma) - cols / jd.norms).max())
     if defining > tol.eps_assert:
         raise IsometryViolation(f"equivalence map does not send gamma(a (x) j(b)) "

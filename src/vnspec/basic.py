@@ -65,7 +65,7 @@ from .gns import GnsSpace, cyclic_subspace_frame
 class BasicConstruction:
     gns: GnsSpace
     sub: Subsystem
-    e: np.ndarray                   # projection onto the cyclic subspace of F
+    e_frame: np.ndarray             # (n, dim F) orthonormal frame E_0 of F Omega
     algebra: BlockAlgebra           # span(A e A), equal to j(F)', in block coordinates
     e_coords: np.ndarray            # block coordinates of e
     trace_vector: np.ndarray        # lifted trace: lifted(x) = trace_vector @ coords(x)
@@ -86,7 +86,7 @@ class BasicConstruction:
     perm: np.ndarray                # block permutation pi: alpha(p_k) = p_pi(k)
 
     def __post_init__(self):
-        for a in (self.e, self.e_coords, self.trace_vector, self.bar_to_vector,
+        for a in (self.e_frame, self.e_coords, self.trace_vector, self.bar_to_vector,
                   self.u_bar, self.fixed, self.central, self.x_coords, self.b_coords,
                   self.g_coords, self.span_coords, self.perm):
             a.setflags(write=False)
@@ -100,9 +100,14 @@ class BasicConstruction:
         return _block_slices(self.blocks, len(self.b_coords))
 
     @property
+    def e(self) -> np.ndarray:
+        """The Jones projection E_0 E_0^H, formed on access; no stage reads it."""
+        return self.e_frame @ self.e_frame.conj().T
+
+    @property
     def dim_complement(self) -> int:
         """Dimension of (1 - e) H, the complement of the F-cyclic subspace."""
-        return self.gns.dim - int(round(float(np.trace(self.e).real)))
+        return self.gns.dim - self.e_frame.shape[1]
 
     @property
     def complement_coords(self) -> np.ndarray:
@@ -131,12 +136,12 @@ def _whitener(ops: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky((gram + gram.conj().T) / 2).conj().T)
 
 
-def _x_coords(gns: GnsSpace, sub: Subsystem, e_frame: np.ndarray, units: MatrixUnits,
+def _x_coords(sub: Subsystem, left_e: np.ndarray, e_left_e: np.ndarray, units: MatrixUnits,
               blocks, tol: ToleranceConfig) -> tuple[np.ndarray, float]:
     """Coordinates (d, d) of the x_i, which make the L(x_i) E_0
-    Hilbert-Schmidt orthonormal (``_whitener``), regrouped into n_k m_k
-    elements of each A p_k, block after block, with the residual of that
-    split.
+    Hilbert-Schmidt orthonormal (``_whitener`` of ``left_e``), regrouped into
+    n_k m_k elements of each A p_k, block after block, with the residual of
+    that split.
 
     For <x, y> = Tr(e L(x* y) e), right multiplication by p_k is an
     orthogonal projection, as E(p_k x* y p_l) = E(x* y) p_k p_l = 0 for
@@ -154,21 +159,18 @@ def _x_coords(gns: GnsSpace, sub: Subsystem, e_frame: np.ndarray, units: MatrixU
     eigenvalues at 1 and A p_k n_k m_k elements, the counts of
     ``bratteli_blocks``.  One central block leaves the x_i as they are.
     """
-    left_e = gns.left_mats @ e_frame
     xs = _whitener(left_e).T
     if len(blocks) == 1:
         return xs, 0.0
-    d, n, f = left_e.shape
     # coordinates of the p_k in A, through F's
     proj = sub.algebra.coords_stack(np.stack(units.projections)) @ sub.coords_in_parent
-    z_vals, z_vecs = np.linalg.eigh(  # Z_k
-        e_frame.conj().T @ (proj @ left_e.reshape(d, -1)).reshape(-1, n, f))
+    z_vals, z_vecs = np.linalg.eigh(np.tensordot(proj, e_left_e, axes=(1, 0)))  # Z_k
     ranges = [v[:, lam > 0.5] for lam, v in zip(z_vals, z_vecs)]
     edges = [0, *accumulate(y.shape[1] for y in ranges)]
     # L(x_i) E_0 Y_k of every block k, side by side, and |x_i p_k|^2
-    parts = (xs @ left_e.reshape(d, -1)).reshape(d, n, f) @ np.hstack(ranges)
+    parts = np.tensordot(xs, left_e, axes=(1, 0)) @ np.hstack(ranges)
     sums = np.cumsum((parts.real ** 2 + parts.imag ** 2).sum(axis=1), axis=1)
-    weight = np.hstack([np.zeros((d, 1)), sums])[:, edges]
+    weight = np.hstack([np.zeros((len(xs), 1)), sums])[:, edges]
     weight = weight[:, 1:] - weight[:, :-1]  # (d, blocks)
     home, kept = weight.argmax(axis=1), 1 - weight.max(axis=1) <= tol.eps_rank
     resid = max(float(np.abs(z_vals * (z_vals - 1)).max()),
@@ -247,16 +249,6 @@ def _block_algebra(gns: GnsSpace, units: MatrixUnits, blocks,
     return BlockAlgebra(tuple(frames))
 
 
-def _corner_factors(gns: GnsSpace, e_frame: np.ndarray,
-                    alg: BlockAlgebra) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each block k, V_k^H L(a_j) E_0 (d, m_k, dim F) and E_0^H L(a_j) V_k
-    (d, dim F, m_k) over the basis a_j of A: block k of a_i e a_j is their
-    product, as e = E_0 E_0^H."""
-    left_e = gns.left_mats @ e_frame
-    e_left = e_frame.conj().T @ gns.left_mats
-    return [(f[0].conj().T @ left_e, e_left @ f[0]) for f in alg.frames]
-
-
 def _span_coords(alg: BlockAlgebra, corners, x_coords: np.ndarray,
                  b_coords: np.ndarray) -> np.ndarray:
     """Block coordinates of the d k products x_i e b_s spanning <A, e>, row
@@ -269,10 +261,8 @@ def _span_coords(alg: BlockAlgebra, corners, x_coords: np.ndarray,
     L(F), a e (f b) = (a f) e b, so span(A e B) = span(A e A).
     """
     d, k = len(x_coords), len(b_coords)
-    left = np.tensordot(x_coords, np.concatenate([a for a, _ in corners], axis=1),
-                        axes=(1, 0))  # (d, sum m_k, dim F)
-    right = np.tensordot(b_coords, np.concatenate([b for _, b in corners], axis=2),
-                         axes=(1, 0))  # (k, dim F, sum m_k)
+    left = np.tensordot(x_coords, corners[0], axes=(1, 0))  # (d, sum m_k, dim F)
+    right = np.tensordot(b_coords, corners[1], axes=(1, 0))  # (k, dim F, sum m_k)
     edges = np.cumsum([0, *alg.sizes])
     # block l is one GEMM (d m_l, dim F) x (dim F, k m_l), blocks of one size
     # stacked, with rows (i, a) and columns (s, b) of (x_i e b_s)_l[a, b]
@@ -284,26 +274,27 @@ def _span_coords(alg: BlockAlgebra, corners, x_coords: np.ndarray,
                       for p, m in zip(prods, alg.sizes)])
 
 
-def _generic_pair(gns: GnsSpace, e_frame: np.ndarray,
+def _generic_pair(left_e: np.ndarray, e_left: np.ndarray,
                   b_coords: np.ndarray) -> list[np.ndarray]:
     """Two seeded generic elements sum_s L(c_s) e L(b_s) of span(A e A), with
-    generic c_s in A, scaled to unit Hilbert-Schmidt norm."""
+    generic c_s in A, scaled to unit Hilbert-Schmidt norm, read off the stacks."""
     rng = np.random.default_rng(PRODUCT_SEED)
-    right = e_frame.conj().T @ np.tensordot(b_coords, gns.left_mats, axes=(1, 0))
+    right = np.tensordot(b_coords, e_left, axes=(1, 0))
     pair = []
     for _ in range(2):
         c = linalg.random_complex(rng, b_coords.shape)
-        left = np.tensordot(c, gns.left_mats, axes=(1, 0)) @ e_frame
-        x = np.einsum("sab,sbc->ac", left, right)
+        x = np.einsum("sab,sbc->ac", np.tensordot(c, left_e, axes=(1, 0)), right)
         pair.append(x / linalg.hs_norm(x))
     return pair
 
 
-def _jones_relation(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
-                    alg_bar, tol: ToleranceConfig) -> float:
+def _jones_relation(sub: Subsystem, e_frame: np.ndarray, left_e: np.ndarray,
+                    e_left_e: np.ndarray, alg_bar, tol: ToleranceConfig) -> float:
     """Residual of  e a e = E(a) e  on the basis of A, and of the identity's
     membership in the algebra, the span of {x_i e b_s}.
 
+    As e = E_0 E_0^H and E_0^H E_0 = 1, it holds exactly when E_0 (E_0^H L(a)
+    E_0) = L(E(a)) E_0, read off the stacks ``e_left_e`` and ``left_e``.
     For a in F the relation gives e a = a e, so with F b_1 + ... + F b_k = A
     the span holds every a e (f b) = (a f) e b, that is span(A e A); by the
     relation (Jones 1983), (a e b)(c e d) = a E(b c) e d, so span(A e A) is
@@ -311,12 +302,12 @@ def _jones_relation(gns: GnsSpace, sub: Subsystem, e: np.ndarray,
     leaves none of the x_i e b_s out.  E is the trace-preserving conditional
     expectation onto F, and L(E(a_i)) = sum_j E[j, i] L(a_j).
     """
-    ident = alg_bar.membership_residual(np.eye(gns.dim))
+    ident = alg_bar.membership_residual(np.eye(len(e_frame)))
     if ident > tol.eps_assert:
         raise ExtensionInconsistent(
             f"span(A e A) does not contain the identity (residual {ident:.2e})")
-    cond = np.tensordot(sub.expectation.matrix, gns.left_mats, axes=(0, 0))
-    jones = float(np.abs(e @ gns.left_mats @ e - cond @ e).max())
+    cond = np.tensordot(sub.expectation.matrix, left_e, axes=(0, 0))  # L(E(a_i)) E_0
+    jones = float(np.abs(e_frame @ e_left_e - cond).max())
     if jones > tol.eps_assert:
         raise ExtensionInconsistent(
             f"the Jones relation e a e = E(a) e fails on a basis element of A "
@@ -334,15 +325,16 @@ def lifted_trace(gns: GnsSpace, corners, alg: BlockAlgebra,
     where mu(p_k) / n_k is the trace of a minimal projection of F p_k.
     Returns it as the vector t with lifted(x) = t @ coords(x), after checking
     the defining identity on every pair of basis elements a_i, a_j, whose
-    blocks are products of the ``_corner_factors``, against
+    blocks are products of the ``corners``, against
     mu(a_i a_j) = sum_c T[i, j, c] mu(a_c) from the system's multiplication
     table T; the residual is returned.
     """
     system = gns.system
     mu = system.trace
     weights = [mu.value(p).real / n for p, n, _ in blocks]
-    lifted = sum(w * np.einsum("iaf,jfa->ij", left, right)
-                 for w, (left, right) in zip(weights, corners))
+    left, right = corners  # (d, sum m_k, dim F) and (d, dim F, sum m_k)
+    scaled = (left * np.repeat(weights, alg.sizes)[:, None]).reshape(len(left), -1)
+    lifted = scaled @ right.transpose(0, 2, 1).reshape(len(right), -1).T
     products = system.table @ mu.values(system.algebra.basis)  # mu(a_i a_j)
     defining = float(np.abs(lifted - products).max())
     if defining > tol.eps_assert:
@@ -490,13 +482,17 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     if sub.parent is not gns.system:
         raise SubsystemInvalid("subsystem does not belong to this system")
     e0 = cyclic_subspace_frame(gns, sub, tol)
-    e = e0 @ e0.conj().T
-    bs = _generators(sub, _whitener(e0.conj().T @ gns.left_mats), tol)
+    # A's corner stacks L(a_j) E_0, E_0^H L(a_j), E_0^H L(a_j) E_0, formed once
+    left_e, e_left = gns.left_mats @ e0, e0.conj().T @ gns.left_mats
+    e_left_e = e_left @ e0
+    bs = _generators(sub, _whitener(e_left), tol)
     units = matrix_units(sub.algebra, tol)
     blocks = bratteli_blocks(gns.system.algebra, sub.algebra, units, tol)
-    xs, split = _x_coords(gns, sub, e0, units, blocks, tol)  # block after block
+    xs, split = _x_coords(sub, left_e, e_left_e, units, blocks, tol)  # block after block
     alg = _block_algebra(gns, units, blocks, tol)
-    corners = _corner_factors(gns, e0, alg)
+    # block k of a_i e a_j is (V_k^H L(a_i) E_0)(E_0^H L(a_j) V_k), all k side by side
+    frames = np.hstack([f[0] for f in alg.frames])
+    corners = (frames.conj().T @ left_e, e_left @ frames)
     span_coords = _span_coords(alg, corners, xs, bs)  # read by the equivalence
     # x_{k,i} e b_s lies in block k: the rank is counted per block, and what
     # lies off the diagonal blocks is a residual
@@ -508,7 +504,8 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     # generic pair of span elements rebuilt from its blocks
     gen_coords = gns.system.algebra.coords_stack(units.generators)
     right_g = gns.j_op(np.tensordot(gen_coords, gns.left_mats, axes=(1, 0)))
-    pair = _generic_pair(gns, e0, bs)
+    pair = _generic_pair(left_e, e_left, bs)
+    e = e0 @ e0.conj().T
     commutator = max(float(np.abs(e @ j - j @ e).max() / np.linalg.norm(j, 2))
                      for j in right_g)
     rebuilt = max(float(np.abs(x - alg.from_coords(alg.coords(x))).max()) for x in pair)
@@ -519,8 +516,9 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
             f"Bratteli count) disagree, ranks {ranks} by block, off-block residual "
             f"{off_block:.2e}, commutator residual {commutator:.2e}, block rebuild "
             f"residual {rebuilt:.2e}")
-    jones = _jones_relation(gns, sub, e, alg, tol)
+    jones = _jones_relation(sub, e0, left_e, e_left_e, alg, tol)
     trace_vector, defining = lifted_trace(gns, corners, alg, blocks, tol)
+    del left_e, e_left, e_left_e, corners  # what follows reads only the blocks
     # the block product and the trace property on the generic pair
     x, y = pair
     cx, cy = alg.coords(x), alg.coords(y)
@@ -548,7 +546,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
                                  f"moves a fixed point (residual {moved:.2e})")
     density = TraceFunctional(alg.from_coords(trace_vector / alg.hs_weights),
                               normalized=False)
-    return BasicConstruction(gns, sub, e, alg, alg.coords(e), trace_vector, density,
+    return BasicConstruction(gns, sub, e0, alg, alg.coords(e), trace_vector, density,
                              StarAutomorphism(dyn, gns.u_matrix), np.diag(root),
                              np.ascontiguousarray(u_bar), fixed, central,
                              resid, max(jones, defining), tracial, tuple(blocks),
@@ -602,7 +600,7 @@ def lifted_trace_via_partition(bc: BasicConstruction, partial_isometries,
     vectors' block components.
     """
     vs = [np.asarray(v, dtype=np.complex128) for v in partial_isometries]
-    total = sum(v.conj().T @ bc.e @ v for v in vs)
+    total = sum(w.conj().T @ w for w in (bc.e_frame.conj().T @ v for v in vs))
     if np.abs(total - np.eye(bc.gns.dim)).max() > tol.eps_assert:
         raise PartitionInvalid("sum v_i* e v_i differs from the identity")
     vecs = np.stack([bc.gns.apply_j(v.conj().T @ bc.gns.omega) for v in vs])

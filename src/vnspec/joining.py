@@ -18,7 +18,7 @@ tensors a_i (x) j(a_j).  The four Grams a joining reads, of the generating
 tensors against themselves, against the tensors moved by the dynamics and
 against F (x) 1 and 1 (x) j(F), are one GEMM per chunk of right-hand
 sides each (``_tensor_grams``), and both routes of the joint state are
-explicit products over the vectors and the operators of A's basis.
+explicit products over A's basis, reading e = E_0 E_0^H through E_0.
 """
 from __future__ import annotations
 
@@ -95,18 +95,18 @@ def _tensor_grams(bc: BasicConstruction, side: tuple[np.ndarray, np.ndarray],
     with E(y* x) Omega = e L(y)^H L(x) Omega and E(c b*) Omega =
     e L(c) L(b)^H Omega, the operators the span's products x_i e b_s use;
     coordinates x Omega through to_vector would carry its condition number.
-    As e is an orthogonal projection, the inner product is
-    X^H L(y_l) e L(c_t) B: per right-hand side, the small e L(c) B is formed
-    first, then L(y) and X^H L(y), with its rows (l, i) contiguous, a chunk
-    of rows y_l at a time (``TABLE_CHUNK`` entries of L(y), all of them
-    for d <= 24), each multiplied by e L(c) B in one GEMM.
+    As e = E_0 E_0^H, the inner product is X^H L(y_l) E_0 (E_0^H L(c_t) B):
+    per right-hand side, the small E_0 (E_0^H L(c) B) is formed first, then
+    L(y) and X^H L(y), with its rows (l, i) contiguous, a chunk of rows y_l
+    at a time (``TABLE_CHUNK`` entries of L(y), all of them for d <= 24),
+    each multiplied by E_0 (E_0^H L(c) B) in one GEMM.
     """
-    gns, (x_vecs, b_vecs) = bc.gns, side
+    gns, (x_vecs, b_vecs), e0 = bc.gns, side, bc.e_frame
     xh, n_x, n_b, n = x_vecs.conj().T, x_vecs.shape[1], b_vecs.shape[1], gns.dim
     step = max(1, TABLE_CHUNK // (n * n))
     grams = []
     for y, c in rights:
-        q = bc.e @ np.tensordot(c, gns.left_mats, axes=(1, 0)) @ b_vecs  # (t, h, s)
+        q = e0 @ (e0.conj().T @ (np.tensordot(c, gns.left_mats, axes=(1, 0)) @ b_vecs))
         q = q.transpose(1, 0, 2).reshape(n, -1)
         # [(l, i), (t, s)]
         g = np.empty((len(y) * n_x, len(c) * n_b), dtype=np.complex128)
@@ -173,9 +173,20 @@ def factor_gram(gram: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
     return rows, resid, kept, dropped
 
 
+def _trace_route(bc: BasicConstruction) -> np.ndarray:
+    """Route two of the joint state on basis pairs: the lifted trace of
+    e a_i e j(a_j), with j sending the commutant slot back to a left-acting
+    element, so e = E_0 E_0^H alone conditions it: one product of dim F x
+    dim F corners, Tr((E_0^H L(a_i) E_0)(E_0^H L(a_j) Delta E_0))."""
+    lm, e0, e0h = bc.gns.left_mats, bc.e_frame, bc.e_frame.conj().T
+    corner = (e0h @ (lm @ e0)).transpose(0, 2, 1).reshape(len(lm), -1)
+    weighted = (e0h @ (lm @ (bc.trace.density @ e0))).reshape(len(lm), -1)
+    return corner @ weighted.T
+
+
 def relative_joining(bc: BasicConstruction,
                      tol: ToleranceConfig = DEFAULT_TOL) -> JoiningData:
-    gns, sub, e = bc.gns, bc.sub, bc.e
+    gns, sub = bc.gns, bc.sub
     parent, alg = gns.system, gns.system.algebra
     lm, om, cond = gns.left_mats, gns.omega, sub.expectation.matrix.T
     # joint state, route one: diagonal state after D (x) D', from the rows
@@ -185,19 +196,7 @@ def relative_joining(bc: BasicConstruction,
     left_rows = cond @ (om.conj() @ lm)
     r_omega = (cond @ ((gns.conj_matrix.conj() @ om) @ lm)) @ gns.conj_matrix.T
     omega_vals = left_rows @ r_omega.T
-    # route two: lifted trace Tr(Delta x) of x = e a e j(b); j sends the
-    # commutant slot back to a left-acting element, so the conditioning
-    # happens through e alone: Tr(P_i L(a_j)) for P_i = Delta e L(a_i) e,
-    # whose transposes are formed directly, a chunk of i at a time
-    # (``TABLE_CHUNK`` entries)
-    n = gns.dim
-    step, right_t = max(1, TABLE_CHUNK // (n * n)), (bc.trace.density @ e).T
-    alt = np.empty((len(lm), len(lm)), dtype=np.complex128)
-    for start in range(0, len(lm), step):
-        p_t = e.T @ lm[start:start + step].transpose(0, 2, 1) @ right_t  # P_i^T
-        np.matmul(p_t.reshape(len(p_t), -1), lm.reshape(len(lm), -1).T,
-                  out=alt[start:start + step])
-    two_formula = float(np.abs(omega_vals - alt).max())
+    two_formula = float(np.abs(omega_vals - _trace_route(bc)).max())
     # marginals against mu and mu' = mu(j(.))
     mu_vals = parent.trace.values(alg.basis)
     marg = max(float(np.abs(left_rows @ om - mu_vals).max()),
@@ -260,8 +259,8 @@ def _balance(bc: BasicConstruction) -> float:
     T1 = <a g (x) j(b), same>, T2 = <a g (x) j(b), a (x) j(g b)> and
     T3 = <a (x) j(g b), same>.  O(d^3) per g, with no factor of the rank.
     """
-    lm, om, e = bc.gns.left_mats, bc.gns.omega, bc.e
-    adj = lm.conj().transpose(0, 2, 1)
+    lm, om, e0 = bc.gns.left_mats, bc.gns.omega, bc.e_frame
+    adj, e0h = lm.conj().transpose(0, 2, 1), e0.conj().T
 
     def each(mats, rows):  # row i is mats[i] @ rows[i]
         return np.einsum("iab,ib->ia", mats, rows)
@@ -272,7 +271,8 @@ def _balance(bc: BasicConstruction) -> float:
         lg = np.tensordot(g, lm, axes=(0, 0))
         aag = each(adj, lm @ (lg @ om)).conj()      # rows conj(a_i* a_i g Omega)
         bbg = each(lm, adj @ (lg.conj().T @ om)).T  # columns b_j b_j* g* Omega
-        value = aag @ lg @ e @ bb - 2 * (aag @ e @ lg @ bb).real + aa @ e @ lg @ bbg
+        value = ((aag @ lg @ e0) @ (e0h @ bb) - 2 * ((aag @ e0) @ (e0h @ lg) @ bb).real
+                 + (aa @ e0) @ (e0h @ lg @ bbg))  # each term reads e = E_0 E_0^H
         return float(np.abs(value).max()) / np.linalg.norm(lg, 2) ** 2
     return max(residual(g) for g in bc.g_coords)
 
@@ -368,7 +368,8 @@ def relative_ergodicity_check(jd: JoiningData,
     bc = jd.basic
     fixed, _ = np.linalg.qr(bc.bar_to_vector @ bc.fixed)
     f_left = np.tensordot(bc.sub.coords_in_parent, bc.gns.left_mats, axes=(1, 0))
-    cols = bc.bar_to_vector @ bc.algebra.coords(bc.e @ f_left).T
+    e0 = bc.e_frame
+    cols = bc.bar_to_vector @ bc.algebra.coords(e0 @ (e0.conj().T @ f_left)).T
     lam = linalg.orthonormal_columns(cols, tol.eps_rank)
     resid = linalg.subspace_inclusion_residual(fixed, lam)
     return ErgodicityCheck(resid < tol.eps_assert, resid,

@@ -16,11 +16,16 @@ element.  And the dense product trace table Tr(rho b_i b_j) that once
 checked a trace's traciality, before the multiplication table did.  And
 the whole-matrix routes that the central blocks of F split: the rank of the
 d k x r span by one SVD, the factor of the joining's scaled Gram by one
-eigh, and the equivalence R = C (gamma^H)^+ D^-1/2 as one dense product."""
+eigh, and the equivalence R = C (gamma^H)^+ D^-1/2 as one dense product.
+And the dense forms of the Jones projection e that its frame E_0 replaced:
+the Jones relation on d x n x n stacks and route two of the joint state in
+chunks of n x n transposes; with the corner stacks of A that the basic
+construction forms from E_0, for the tests that call its steps."""
 import numpy as np
 
 from vnspec import linalg
-from vnspec.algebra import BlockAlgebra, DEFAULT_TOL, MatrixStarAlgebra, ToleranceConfig
+from vnspec.algebra import (BlockAlgebra, DEFAULT_TOL, TABLE_CHUNK, MatrixStarAlgebra,
+                            ToleranceConfig)
 from vnspec.errors import NumericalBreakdown
 
 CENTER_SEED = 17  # the two generic generators whose commutant is the center
@@ -311,3 +316,35 @@ def full_equivalence(jd) -> tuple[np.ndarray, float, float, float]:
             max(float(np.abs(r.conj().T @ r - eye).max()),
                 float(np.abs(r @ r.conj().T - eye).max())),
             float(np.abs(r @ jd.w_matrix @ r.conj().T - bc.u_bar).max()))
+
+
+def corner_stacks(bc):
+    """A's corner stacks L(a_j) E_0, E_0^H L(a_j) and E_0^H L(a_j) E_0 from
+    ``bc.e_frame``, and the block corners V_k^H L(a_j) E_0 and E_0^H L(a_j) V_k
+    of every block k side by side, as ``build_basic_construction`` forms
+    them."""
+    lm, e0 = bc.gns.left_mats, bc.e_frame
+    left_e, e_left = lm @ e0, e0.conj().T @ lm
+    frames = np.hstack([f[0] for f in bc.algebra.frames])
+    return left_e, e_left, e_left @ e0, (frames.conj().T @ left_e, e_left @ frames)
+
+
+def dense_jones_residual(gns, sub, e: np.ndarray) -> float:
+    """max |e L(a) e - L(E(a)) e| over A's basis, on d x n x n stacks, as the
+    basic construction once checked the Jones relation."""
+    cond = np.tensordot(sub.expectation.matrix, gns.left_mats, axes=(0, 0))
+    return float(np.abs(e @ gns.left_mats @ e - cond @ e).max())
+
+
+def chunked_trace_route(bc, e: np.ndarray) -> np.ndarray:
+    """Route two of the joint state, Tr(P_i L(a_j)) for
+    P_i = Delta e L(a_i) e, from the transposes of the P_i, a chunk of i at a
+    time (``TABLE_CHUNK`` entries), as the joining once formed it."""
+    lm, n = bc.gns.left_mats, bc.gns.dim
+    step, right_t = max(1, TABLE_CHUNK // (n * n)), (bc.trace.density @ e).T
+    alt = np.empty((len(lm), len(lm)), dtype=np.complex128)
+    for start in range(0, len(lm), step):
+        p_t = e.T @ lm[start:start + step].transpose(0, 2, 1) @ right_t  # P_i^T
+        np.matmul(p_t.reshape(len(p_t), -1), lm.reshape(len(lm), -1).T,
+                  out=alt[start:start + step])
+    return alt

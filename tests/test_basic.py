@@ -10,7 +10,8 @@ from vnspec.algebra import ToleranceConfig
 from vnspec.basic import default_partition, lifted_trace, lifted_trace_via_partition
 from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, NumericalBreakdown,
                            PartitionInvalid)
-from oracles import bar_vector, dense_span, product_closure_residual, random_element
+from oracles import (bar_vector, corner_stacks, dense_span, product_closure_residual,
+                     random_element)
 
 
 def test_m2_over_scalars_gives_full_operator_algebra(analyses):
@@ -244,8 +245,7 @@ def test_closure_residual_fails_on_a_truncated_span(analyses, monkeypatch):
 
 def test_extension_threshold_follows_eps_assert(analyses):
     an = analyses["explicit_m2_grading"]
-    frame = v.cyclic_subspace_frame(an.gns, an.built.sub)
-    corners = basic._corner_factors(an.gns, frame, an.basic.algebra)
+    *_, corners = corner_stacks(an.basic)
     with pytest.raises(ExtensionInconsistent):
         lifted_trace(an.gns, corners, an.basic.algebra, _blocks(an),
                      ToleranceConfig(eps_assert=1e-30))
@@ -258,9 +258,11 @@ def test_jones_relation_needs_the_identity(analyses):
     e = an.basic.e
     assert np.trace(e).real < an.gns.dim - 0.5
     e_only = v.MatrixStarAlgebra(an.gns.dim, (e / np.linalg.norm(e))[None])
+    left_e, _, e_left_e, _ = corner_stacks(an.basic)
     with pytest.raises(ExtensionInconsistent,
                        match=r"span\(A e A\) does not contain the identity \(residual"):
-        basic._jones_relation(an.gns, an.built.sub, e, e_only, v.DEFAULT_TOL)
+        basic._jones_relation(an.built.sub, an.basic.e_frame, left_e, e_left_e, e_only,
+                              v.DEFAULT_TOL)
 
 
 def test_partition_formula_refuses_a_disagreeing_trace(analyses):

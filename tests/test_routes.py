@@ -47,6 +47,10 @@ F's central blocks, minimal projections and matrix units come from the
 eigenprojections of one generic h in F, linked into blocks by one generic f,
 instead of the generic center search on F, a generic central element and a
 word loop over generic generators of F.
+The Jones projection is held as its frame E_0: the Jones relation reads
+E_0 (E_0^H L(a) E_0) = L(E(a)) E_0 instead of e L(a) e = L(E(a)) e on
+d x n x n stacks, and route two of the joint state is one product of the
+dim F x dim F corners instead of n x n transposes in chunks.
 The older routes survive here only, as oracles.
 """
 import dataclasses
@@ -74,8 +78,9 @@ from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, IsometryVio
 from vnspec.pipeline import SystemAnalysis, analyze_built, analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 from conftest import E12
-from oracles import (block_decomposition, center, center_coords, commutant,
-                     dense_fixed_points, dense_span, einsum_tensor_gram,
+from oracles import (block_decomposition, center, center_coords, chunked_trace_route,
+                     commutant, corner_stacks, dense_fixed_points, dense_jones_residual,
+                     dense_span, einsum_tensor_gram,
                      fixed_point_center, full_equivalence, full_factor, full_span_rank,
                      inv_sqrt_psd, joint_commutant,
                      pivoted_cholesky, product_closure_residual, product_trace_table,
@@ -379,8 +384,7 @@ def test_bratteli_blocks_and_wrong_weight(analyses, name, blocks):
     assert [(n, m) for _, n, m in found] == blocks
     # n_k -> sqrt(n_k) turns the weight mu(p_k) / n_k^2 into mu(p_k) / n_k
     wrong = [(p, np.sqrt(n), m) for p, n, m in found]
-    frame = v.cyclic_subspace_frame(an.gns, an.built.sub)
-    corners = basic._corner_factors(an.gns, frame, an.basic.algebra)
+    *_, corners = corner_stacks(an.basic)
     v.lifted_trace(an.gns, corners, an.basic.algebra, found)
     with pytest.raises(ExtensionInconsistent, match="basis pair"):
         v.lifted_trace(an.gns, corners, an.basic.algebra, wrong)
@@ -517,17 +521,51 @@ def test_conjugated_projection_fails_the_jones_relation(analyses, monkeypatch):
     """u e u* for a unitary u of A outside F spans the same algebra, commutes
     with j(F) and has the Bratteli dimension, but breaks e a e = E(a) e."""
     an = analyses["finite_extension_m2"]
+    frame = _conjugated_frame(an)
+    monkeypatch.setattr(basic, "cyclic_subspace_frame", lambda *args: frame)
+    with pytest.raises(ExtensionInconsistent, match="Jones relation"):
+        v.build_basic_construction(an.gns, an.built.sub)
+
+
+def _conjugated_frame(an):
+    """The frame L(u) E_0 of u e u* for a seeded unitary u of A outside F."""
     gns, sub, alg = an.gns, an.built.sub, an.built.system.algebra
     h = random_element(alg, np.random.default_rng(3))
     w, q = np.linalg.eigh(h + h.conj().T)
     u = (q * np.exp(1j * w)) @ q.conj().T
     assert alg.membership_residual(u) < 1e-12
     assert sub.algebra.membership_residual(u) > 0.1
-    lu = gns.left(u)
-    frame = v.cyclic_subspace_frame(gns, sub)
-    monkeypatch.setattr(basic, "cyclic_subspace_frame", lambda *args: lu @ frame)
+    return gns.left(u) @ v.cyclic_subspace_frame(gns, sub)
+
+
+def _stack_jones_residual(bc):
+    left_e, _, e_left_e, _ = corner_stacks(bc)
+    return basic._jones_relation(bc.sub, bc.e_frame, left_e, e_left_e, bc.algebra,
+                                 DEFAULT_TOL)
+
+
+def test_frame_routes_equal_the_dense_projection_routes(gram_systems, analyses):
+    """The Jones relation on the corner stacks and route two of the joint
+    state on the dim F x dim F corners against the d x n x n stacks and the
+    chunked n x n transposes of e, on the shipped systems, the d = 24 skew
+    product, the skewed tensor at w = 1e-9 and the weight ladder at 2e-10;
+    both routes of each refuse the frame of u e u* for a unitary u of A
+    outside F."""
+    for name, bc in gram_systems.items():
+        dense = dense_jones_residual(bc.gns, bc.sub, bc.e)
+        assert max(dense, _stack_jones_residual(bc)) <= 1e-13, name
+        alt = joining._trace_route(bc)
+        assert np.abs(alt - chunked_trace_route(bc, bc.e)).max() <= 1e-13, name
+        omega = v.relative_joining(bc).omega_values
+        assert np.abs(alt - omega).max() <= 1e-13, name
+    an = analyses["finite_extension_m2"]
+    bent = dataclasses.replace(an.basic, e_frame=_conjugated_frame(an))
+    assert dense_jones_residual(bent.gns, bent.sub, bent.e) > DEFAULT_TOL.eps_assert
     with pytest.raises(ExtensionInconsistent, match="Jones relation"):
-        v.build_basic_construction(gns, sub)
+        _stack_jones_residual(bent)
+    omega = an.joining.omega_values
+    for alt in (joining._trace_route(bent), chunked_trace_route(bent, bent.e)):
+        assert np.abs(alt - omega).max() > DEFAULT_TOL.eps_assert
 
 
 # --- <A, e> spanned by x_i e b_s for generators b_s of A over F, against
@@ -1066,6 +1104,25 @@ def test_relative_joining_peak_is_below_the_einsum_layout(skew_d24):
     assert peak <= 2_169_075
 
 
+@pytest.mark.parametrize("stage, bound", [
+    ("build_basic_construction", 1_130_000), ("relative_joining", 1_165_000)])
+def test_stage_peak_is_below_the_dense_projection_layout(skew_d24, stage, bound):
+    """Read through its frame E_0, the Jones projection e adds no n x n
+    stack to the d = 24 skew product's basic construction (935 kB traced,
+    against 1 333 kB with the dense e, its d x n x n Jones stacks and the
+    corners formed twice) or to its joining (1 027 kB, against 1 268 kB
+    with route two's n x n transposes)."""
+    an = skew_d24
+    args = (an.gns, an.built.sub) if stage == "build_basic_construction" else (an.basic,)
+    tracemalloc.start()
+    try:
+        getattr(v, stage)(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 def test_return_unitaries_that_disagree_with_the_null_space_are_refused(
         analyses, monkeypatch):
     """Eigenvalues merged into one cluster give sum mult^2 = 4 for a kernel
@@ -1146,17 +1203,19 @@ def test_skew_d24_fits_in_one_gib():
     assert proc.stdout.strip() == "ok"
 
 
-def test_skew_d128_is_too_large_for_384_mib(tmp_path):
-    """d = 128 peaks near 400 MB of RSS and does not fit under 384 MiB of
-    address space, and the CLI says so: the basic construction stops in the
-    Jones relation.  d = 96, the next size down on the size ladder, now
-    peaks near 200 MB and fits."""
-    n_x = 32
-    desc = {**SKEW_D24, "name": "skew_x32", "parameters": {
+def test_skew_d160_is_too_large_for_384_mib(tmp_path):
+    """d = 160 does not fit under 384 MiB of address space, and the CLI says
+    so: the build stops before the GNS stage, in automorphism_from_unitary,
+    whose images u b_j u* and their rebuilt stack are two d x N x N arrays.
+    d = 128, the next size down on the size ladder, now fits, as the basic
+    construction reads the Jones projection through its frame E_0 and forms
+    no d x n x n stack of it."""
+    n_x = 40
+    desc = {**SKEW_D24, "name": "skew_x40", "parameters": {
         **SKEW_D24["parameters"], "weights": [1.0 / n_x] * n_x,
         "permutation": [(x + 1) % n_x for x in range(n_x)],
         "cocycle": [1] + [0] * (n_x - 1)}}
-    path = tmp_path / "skew_d128.json"
+    path = tmp_path / "skew_d160.json"
     path.write_text(json.dumps(desc))
     child = textwrap.dedent(f"""
         import resource, sys

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from vnspec import cli
+from vnspec.report import emit_report
 from vnspec.errors import VerdictMismatch
 
 
@@ -189,3 +191,15 @@ def test_singular_partition_scale_is_breakdown(monkeypatch, capsys):
                             bc, ToleranceConfig(eps_rank=2.0)))
     assert cli.main(["analyze", _system_path("classical_4cycle")]) == 3
     assert "drops e from a block of <A, e>" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, text", [(float, "abc"), (int, "1.5")])
+def test_positive_type_refuses_a_non_number(kind, text):
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match=f"^invalid {kind.__name__}: '{text}'$"):
+        cli._positive(kind)(text)
+
+
+def test_report_refuses_an_unknown_format(analyses):
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        emit_report(analyses["classical_4cycle"], "xml")

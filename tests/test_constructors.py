@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,35 @@ def test_finite_extension_requires_second_unitaries():
 def test_finite_extension_s_range():
     with pytest.raises(SpecInvalid):
         v.build_finite_extension(_fe_spec(s=1.5))
+
+
+# --- invalid specifications, each refused by its own check -----------------
+
+NO_IDENTITY = tuple(tuple((-a - b) % 3 for b in range(3)) for a in range(3))
+# a loop of order 5, the smallest order with one that is not associative
+NON_ASSOCIATIVE = ((0, 1, 2, 3, 4), (1, 3, 4, 0, 2), (2, 4, 3, 1, 0), (3, 2, 0, 4, 1),
+                   (4, 0, 1, 2, 3))
+KLEIN = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: v.build_classical_system([0.5, 0.6], [0, 1]),
+     "weights must be positive and sum to one"),
+    (lambda: v.build_classical_system([1.5, -0.5], [0, 1]),
+     "weights must be positive and sum to one"),
+    (lambda: v.build_group_vn_system(NO_IDENTITY, (0, 1, 2)),
+     "multiplication table has no identity"),
+    (lambda: v.build_group_vn_system(NON_ASSOCIATIVE, tuple(range(5))),
+     "multiplication table is not associative"),
+    # {0, 1} is a subgroup of Z_2 x Z_2 that the swap of 1 and 2 moves
+    (lambda: v.group_sub_system(v.build_group_vn_system(KLEIN, (0, 2, 1, 3)), [0, 1]),
+     "subgroup is not invariant under the automorphism"),
+    (lambda: v.build_finite_extension(_fe_spec(v1=np.eye(3))), "v1 has the wrong shape"),
+    # diag(1, -1) is unitary but not in span(1, X), the algebra of Z_2
+    (lambda: v.build_finite_extension(_fe_spec(v2=np.diag([1.0, -1.0]))),
+     "v2 does not lie in its algebra"),
+], ids=["weight_sum", "negative_weight", "no_identity", "non_associative",
+        "non_invariant_subgroup", "wrong_shape", "outside_algebra"])
+def test_invalid_spec_is_refused(build, message):
+    with pytest.raises(SpecInvalid, match=f"^{re.escape(message)}$"):
+        build()

@@ -131,3 +131,9 @@ def test_inv_sqrt_psd_failures_are_breakdowns(monkeypatch):
     monkeypatch.setattr(oracles.np.linalg, "eigh", fail)
     with pytest.raises(NumericalBreakdown):
         oracles.inv_sqrt_psd(np.eye(2), 1e-12)
+
+
+@pytest.mark.parametrize("value", [[1.0, 2.0], np.zeros((2, 2, 2))])
+def test_as_matrix_refuses_a_non_matrix(value):
+    with pytest.raises(ValueError, match="^expected a matrix$"):
+        linalg.as_matrix(value)

@@ -50,8 +50,8 @@ DEFAULT_TOL = ToleranceConfig()
 BLOCK_SEED = 7  # seed of h, whose eigenprojections are F's minimal projections
 SPAN_SEED = 11  # seed of the generic generators of A over F spanning <A, e>
 MODES_SEED = 19  # seed of the phases w whose Hermitian part of w alpha is diagonalised
-PRODUCT_SEED = 23  # seed of the generic pairs certifying a product system's inherited
-                   # table and the block product of <A, e>
+PRODUCT_SEED = 23  # seed of the generic elements certifying the build's linear checks
+                   # (``generic_elements``) and the block product of <A, e>
 MINIMAL_SEED = 29  # seed of f, which links F's minimal projections into blocks and
                    # gives its matrix units and the partial isometries of the dynamics
 TABLE_CHUNK = 1 << 18  # complex entries (4 MiB) of a stack of n x n products held at once
@@ -83,11 +83,11 @@ class MatrixStarAlgebra:
         return (flat.conj() @ self.basis_rows().T).conj()
 
     def from_coords(self, c: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(c, dtype=np.complex128), self.basis, axes=(0, 0))
+        return self.from_coords_stack(np.asarray(c)[None])[0]
 
     def from_coords_stack(self, c: np.ndarray) -> np.ndarray:
         """Matrices from a stack of coordinate rows."""
-        return np.tensordot(np.asarray(c, dtype=np.complex128), self.basis, axes=(1, 0))
+        return (np.asarray(c) @ self.basis_rows()).reshape(-1, *self.basis.shape[1:])
 
     def membership_residual(self, mat: np.ndarray) -> float:
         return linalg.hs_norm(mat - self.from_coords(self.coords(mat))) \
@@ -456,9 +456,9 @@ def automorphism_from_unitary(alg: MatrixStarAlgebra, unitary,
     """Conjugation by a unitary in coordinate form.
 
     Ad(u) is a *-automorphism of the algebra exactly when u A u* lies in A
-    (equality follows by dimension).  Its coordinate matrix over the
-    Hilbert-Schmidt orthonormal basis is then unitary, so nonsingular,
-    multiplicative and *-preserving; only invariance and the trace are checked.
+    (equality follows by dimension); its coordinate matrix is then unitary,
+    so nonsingular, multiplicative and *-preserving.  Only the trace and
+    invariance, at one generic element (``generic_elements``), are checked.
     """
     u = linalg.as_matrix(unitary)
     if u.shape != (alg.ambient_dim, alg.ambient_dim):
@@ -467,7 +467,8 @@ def automorphism_from_unitary(alg: MatrixStarAlgebra, unitary,
         raise NotUnitary("dynamics matrix is not unitary")
     images = u @ alg.basis @ u.conj().T
     m = alg.coords_stack(images).T  # column j = coords of u b_j u*
-    resid = float(np.abs(alg.from_coords_stack(m.T) - images).max())
+    (x,), (xm,) = generic_elements(alg)
+    resid = float(np.abs(u @ xm @ u.conj().T - alg.from_coords(m @ x)).max())
     if resid > tol.eps_assert:
         raise NotAutomorphism(f"conjugation by the unitary does not map the algebra "
                               f"onto itself (residual {resid:.2e})")
@@ -476,45 +477,41 @@ def automorphism_from_unitary(alg: MatrixStarAlgebra, unitary,
     return StarAutomorphism(np.ascontiguousarray(m), np.ascontiguousarray(u))
 
 
-def multiplication_table(alg: MatrixStarAlgebra) -> tuple[np.ndarray, np.ndarray, float]:
+def multiplication_table(alg: MatrixStarAlgebra) -> tuple[np.ndarray, np.ndarray]:
     """Structure constants of the algebra in its own coordinates.
 
-    Returns T with T[i, j] = coords(b_i b_j), the adjoint matrix S with
-    S[:, i] = coords(b_i*), and the closure residual: the largest entry of
-    b_i b_j - sum_c T[i, j, c] b_c or of b_i* - sum_c S[c, i] b_c, which is
-    0 exactly when the span is closed under products and adjoints.  Products
-    are formed a block of rows i at a time.
+    Returns T with T[i, j] = coords(b_i b_j) and the adjoint matrix S with
+    S[:, i] = coords(b_i*), which ``system`` certifies.  Products are formed
+    a block of rows i at a time.
     """
     d, n = alg.dim, alg.ambient_dim
-    rows = alg.basis_rows()
     table = np.empty((d, d, d), dtype=np.complex128)
     step = max(1, TABLE_CHUNK // max(1, d * n * n))
-    resid = 0.0
     for i in range(0, d, step):
-        prods = (alg.basis[i:i + step, None] @ alg.basis[None]).reshape(-1, n * n)
-        coords = alg.coords_stack(prods)
-        table[i:i + step] = coords.reshape(-1, d, d)
-        resid = max(resid, float(np.abs(coords @ rows - prods).max()))
-    adj = alg.basis.conj().transpose(0, 2, 1).reshape(d, -1)
-    star = alg.coords_stack(adj).T
-    resid = max(resid, float(np.abs(star.T @ rows - adj).max()))
-    return table, np.ascontiguousarray(star), resid
+        prods = alg.basis[i:i + step, None] @ alg.basis[None]
+        table[i:i + step] = alg.coords_stack(prods.reshape(-1, n * n)).reshape(-1, d, d)
+    star = alg.coords_stack(alg.basis.conj().transpose(0, 2, 1)).T
+    return table, np.ascontiguousarray(star)
+
+
+def generic_elements(alg: MatrixStarAlgebra, count: int = 1
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows x (count, d) drawn afresh from PRODUCT_SEED and the elements
+    X = sum_i x_i b_i.  A linear condition on the basis holds on all of it
+    once it holds at X: a nonzero linear map vanishes only on a proper
+    subspace, a null set for Gaussian x (Schwartz, J. ACM 27, 1980)."""
+    x = linalg.random_complex(np.random.default_rng(PRODUCT_SEED), (count, alg.dim))
+    return x, alg.from_coords_stack(x)
 
 
 def _generic_closure_residual(alg: MatrixStarAlgebra, table: np.ndarray,
                              star: np.ndarray) -> float:
     """The largest entry of X Y - sum_k (x^T T_k y) b_k and of
-    X* - sum_k (S conj(x))_k b_k for one seeded generic pair X = sum x_i b_i,
-    Y = sum y_j b_j, in O(N^3 + d^3).
-
-    Both differences are sum_ij x_i y_j (b_i b_j - sum_k T[i, j, k] b_k) and
-    sum_i conj(x_i) (b_i* - sum_k S[k, i] b_k), so at generic coefficients
-    they vanish only if the basis is closed under products and adjoints with
-    structure constants T and S.
-    """
-    rng = np.random.default_rng(PRODUCT_SEED)
-    x, y = linalg.random_complex(rng, (2, alg.dim))
-    xm, ym = alg.from_coords_stack(np.stack([x, y]))
+    X* - sum_k (S conj(x))_k b_k for a generic pair X = sum x_i b_i,
+    Y = sum y_j b_j (``generic_elements``), in O(N^3 + d^3); linear in each
+    of x, y and conj(x), they vanish only if the basis is closed under
+    products and adjoints with structure constants T and S."""
+    (x, y), (xm, ym) = generic_elements(alg, 2)
     prod = alg.from_coords(np.einsum("i,ijk,j->k", x, table, y))
     adj = alg.from_coords(star @ x.conj())
     return max(float(np.abs(xm @ ym - prod).max()),
@@ -589,19 +586,18 @@ def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
     trace on it, and diagonalises the dynamics; the dynamics itself was
     validated where it was made.
 
-    Without ``factors`` the closure is the residual of the dense
-    ``multiplication_table``.  With the factor systems ``(B, C)`` of an
-    algebra whose basis is b_i (x) c_j at index i dim C + j, T and S are
-    read off the factors' tables, as (b_i (x) c_j)(b_k (x) c_l) =
-    b_i b_k (x) c_j c_l and (b_i (x) c_j)* = b_i* (x) c_j*, so that
-    T[(i, j), (k, l)] = T_B[i, k] (x) T_C[j, l] and S = S_B (x) S_C; they
-    are certified on the algebra itself by ``_generic_closure_residual``.
-    When the density is rho_B (x) rho_C, the Gram matrix is kron(G_B, G_C),
-    as mu(b_i* b_k (x) c_j* c_l) = mu_B(b_i* b_k) mu_C(c_j* c_l).
+    T and S come from ``multiplication_table``, or, with the factor systems
+    ``(B, C)`` of an algebra whose basis is b_i (x) c_j at index i dim C + j,
+    off the factors' tables, as (b_i (x) c_j)(b_k (x) c_l) = b_i b_k (x) c_j c_l
+    and (b_i (x) c_j)* = b_i* (x) c_j*: T[(i, j), (k, l)] = T_B[i, k] (x)
+    T_C[j, l] and S = S_B (x) S_C.  One generic pair certifies them, and the
+    closure, on the algebra itself (``_generic_closure_residual``).  When the
+    density is rho_B (x) rho_C, the Gram matrix is kron(G_B, G_C), as
+    mu(b_i* b_k (x) c_j* c_l) = mu_B(b_i* b_k) mu_C(c_j* c_l).
     """
     gram = None
     if factors is None:
-        table, star, closure = multiplication_table(algebra)
+        table, star = multiplication_table(algebra)
     else:
         (b, c), d = factors, algebra.dim
         if d != b.algebra.dim * c.algebra.dim:
@@ -609,10 +605,10 @@ def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
                                     f"of dims {b.algebra.dim} and {c.algebra.dim}")
         table = np.einsum("ikm,jln->ijklmn", b.table, c.table).reshape(d, d, d)
         star = np.kron(b.star, c.star)
-        closure = _generic_closure_residual(algebra, table, star)
         product = np.kron(b.trace.density, c.trace.density)
         if np.abs(trace.density - product).max() <= tol.eps_assert:
             gram = np.kron(b.gram, c.gram)
+    closure = _generic_closure_residual(algebra, table, star)
     if closure > tol.eps_assert:
         raise NumericalBreakdown(f"the basis does not span a *-algebra: a product or "
                                  f"adjoint leaves its span (residual {closure:.2e})")
@@ -664,19 +660,20 @@ class Subsystem:
 def subsystem(parent: WStarSystem, sub_algebra: MatrixStarAlgebra,
               tol: ToleranceConfig = DEFAULT_TOL) -> Subsystem:
     """Validates F and solves for E_F, the orthogonal projection of A onto F
-    for the inner product mu(a* b), from F's Gram matrix in A's coordinates."""
+    for the inner product mu(a* b), from F's Gram matrix in A's coordinates.
+    F in A and alpha(F) in F are checked at one generic element of F."""
     alg = parent.algebra
     if sub_algebra.ambient_dim != alg.ambient_dim:
         raise SubsystemInvalid("ambient dimensions differ")
     if sub_algebra.membership_residual(alg.identity()) > tol.eps_assert:
         raise SubsystemInvalid("subalgebra must contain the unit")
     coords = alg.coords_stack(sub_algebra.basis)  # (m, d)
-    recon = alg.from_coords_stack(coords)
-    if np.abs(recon - sub_algebra.basis).max() > tol.eps_assert:
+    (z,), (zm,) = generic_elements(sub_algebra)
+    if np.abs(alg.from_coords(z @ coords) - zm).max() > tol.eps_assert:
         raise SubsystemInvalid("subalgebra is not contained in the parent algebra")
-    images = alg.from_coords_stack((parent.dynamics.matrix @ coords.T).T)
-    recon2 = sub_algebra.from_coords_stack(sub_algebra.coords_stack(images))
-    if np.abs(recon2 - images).max() > tol.eps_assert:
+    image = alg.from_coords(parent.dynamics.matrix @ (z @ coords))
+    if np.abs(sub_algebra.from_coords(sub_algebra.coords(image)) - image).max() \
+            > tol.eps_assert:
         raise SubsystemInvalid("dynamics does not preserve the subalgebra")
     fc = coords.T  # (d, m)
     small = fc.conj().T @ parent.gram @ fc  # mu(f_k* f_l)

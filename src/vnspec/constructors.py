@@ -4,8 +4,11 @@ extensions.
 
 Every dynamics is spatial: conjugation by an ambient unitary, built through
 ``automorphism_from_unitary``, which checks that the unitary is unitary, maps
-the algebra onto itself and preserves the trace.  On top of that each
-constructor validates its own description:
+the algebra onto itself and preserves the trace; ``system`` checks closure
+and the trace, ``subsystem`` that F lies in A and is invariant.  Each check
+linear in a basis is made at one seeded generic element of the algebra
+(``algebra.generic_elements``).  On top of that each constructor validates
+its own description:
 
 * ``build_explicit_system``: generator and density shapes;
 * ``build_classical_system``: positive weights summing to one, a bijective
@@ -22,16 +25,14 @@ constructor validates its own description:
   relative-commutant conditions and a weight in (0, 1); the unitary is
   W = w1 (x) E_11 + w2 (x) E_12 + w3 (x) E_21 + w4 (x) E_22.
 
-``system`` then validates the closure of the basis under products and
-adjoints (its multiplication table) and the trace, and ``subsystem`` the
-subalgebra.  The last three families share one layout: A = B (x) C over
-F = B (x) 1 with the product trace and b_i (x) c_j at index i dim C + j,
-where C is the fiber, the group algebra or M_2.  Only the unitary differs,
-and each keeps its validated factor systems (B, C), from whose tables
-``system`` reads the table of A.  Skew products are thus
-block matrices indexed by atoms (the finite atomic stand-in for a direct
-integral of copies of the fiber algebra).  A family hands over its own data
-as typed fields: a skew product its dual orbits, a finite extension (n1, n2).
+The last three families share one layout: A = B (x) C over F = B (x) 1
+with the product trace and b_i (x) c_j at index i dim C + j, where C is the
+fiber, the group algebra or M_2.  Only the unitary differs, and each keeps
+its validated factor systems (B, C), from whose tables ``system`` reads the
+table of A.  Skew products are thus block matrices indexed by atoms (the
+finite atomic stand-in for a direct integral of copies of the fiber algebra).
+A family hands over its own data as typed fields: a skew product its dual
+orbits, a finite extension (n1, n2).
 """
 from __future__ import annotations
 
@@ -41,7 +42,8 @@ import numpy as np
 
 from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, StarAutomorphism, Subsystem,
                       ToleranceConfig, WStarSystem, automorphism_from_unitary,
-                      generate_algebra, subsystem, system, trace_functional)
+                      generate_algebra, generic_elements, subsystem, system,
+                      trace_functional)
 from .errors import (ConstraintViolated, DimensionMismatch, NotAutomorphism,
                      NotUnitary, SpecInvalid, WeightsNotPreserved)
 from .gns import build_gns
@@ -369,7 +371,8 @@ def _check_unitary_in(alg: MatrixStarAlgebra, v: np.ndarray, name: str,
 
 def _check_relative_commutant(alg: MatrixStarAlgebra, x: np.ndarray, name: str,
                               tol: ToleranceConfig) -> None:
-    resid = max(float(np.abs(x @ b - b @ x).max()) for b in alg.basis)
+    (_,), (y,) = generic_elements(alg)
+    resid = float(np.abs(x @ y - y @ x).max())
     if resid > tol.eps_assert:
         raise ConstraintViolated(f"{name} is not in the relative commutant "
                                  f"(residual {resid:.2e})")

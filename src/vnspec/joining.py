@@ -260,17 +260,17 @@ def _balance(bc: BasicConstruction) -> float:
     T3 = <a (x) j(g b), same>.  O(d^3) per g, with no factor of the rank.
     """
     lm, om, e0 = bc.gns.left_mats, bc.gns.omega, bc.e_frame
-    adj, e0h = lm.conj().transpose(0, 2, 1), e0.conj().T
+    lt, e0h = lm.transpose(0, 2, 1), e0.conj().T  # L^H v = conj(L^T conj(v))
 
     def each(mats, rows):  # row i is mats[i] @ rows[i]
         return np.einsum("iab,ib->ia", mats, rows)
-    aa = each(adj, lm @ om).conj()                  # rows conj(a_i* a_i Omega)
-    bb = each(lm, adj @ om).T                       # columns b_j b_j* Omega
+    aa = each(lt, (lm @ om).conj())                 # rows conj(a_i* a_i Omega)
+    bb = each(lm, (lt @ om.conj()).conj()).T        # columns b_j b_j* Omega
 
     def residual(g):
         lg = np.tensordot(g, lm, axes=(0, 0))
-        aag = each(adj, lm @ (lg @ om)).conj()      # rows conj(a_i* a_i g Omega)
-        bbg = each(lm, adj @ (lg.conj().T @ om)).T  # columns b_j b_j* g* Omega
+        aag = each(lt, (lm @ (lg @ om)).conj())     # rows conj(a_i* a_i g Omega)
+        bbg = each(lm, (lt @ (lg.T @ om.conj())).conj()).T  # b_j b_j* g* Omega
         value = ((aag @ lg @ e0) @ (e0h @ bb) - 2 * ((aag @ e0) @ (e0h @ lg) @ bb).real
                  + (aa @ e0) @ (e0h @ lg @ bbg))  # each term reads e = E_0 E_0^H
         return float(np.abs(value).max()) / np.linalg.norm(lg, 2) ** 2

@@ -20,13 +20,20 @@ eigh, and the equivalence R = C (gamma^H)^+ D^-1/2 as one dense product.
 And the dense forms of the Jones projection e that its frame E_0 replaced:
 the Jones relation on d x n x n stacks and route two of the joint state in
 chunks of n x n transposes; with the corner stacks of A that the basic
-construction forms from E_0, for the tests that call its steps."""
+construction forms from E_0, for the tests that call its steps.  And the
+dense forms of the build's linear checks that one generic element of the
+algebra certifies: the closure residual over every product and adjoint of
+basis elements, the invariance of the algebra under the dynamics on the whole
+rebuilt stack of images, F in A and alpha(F) in F on the rebuilt stacks of
+F's basis and its images, and the relative commutant by each basis element;
+each raises the class and message of the check it stands for."""
 import numpy as np
 
 from vnspec import linalg
 from vnspec.algebra import (BlockAlgebra, DEFAULT_TOL, TABLE_CHUNK, MatrixStarAlgebra,
                             ToleranceConfig)
-from vnspec.errors import NumericalBreakdown
+from vnspec.errors import (ConstraintViolated, NotAutomorphism, NumericalBreakdown,
+                           SubsystemInvalid)
 
 CENTER_SEED = 17  # the two generic generators whose commutant is the center
 CENTRAL_SEED = 7  # the generic central element whose clusters give the blocks
@@ -348,3 +355,78 @@ def chunked_trace_route(bc, e: np.ndarray) -> np.ndarray:
         np.matmul(p_t.reshape(len(p_t), -1), lm.reshape(len(lm), -1).T,
                   out=alt[start:start + step])
     return alt
+
+
+def dense_closure_residual(alg: MatrixStarAlgebra) -> float:
+    """The largest entry of b_i b_j - sum_c T[i, j, c] b_c or of
+    b_i* - sum_c S[c, i] b_c for the table T and adjoint matrix S of the
+    basis, over every pair, a block of rows i at a time, as
+    ``multiplication_table`` once returned it beside T and S."""
+    d, n = alg.dim, alg.ambient_dim
+    rows, resid = alg.basis_rows(), 0.0
+    step = max(1, TABLE_CHUNK // max(1, d * n * n))
+    for i in range(0, d, step):
+        prods = (alg.basis[i:i + step, None] @ alg.basis[None]).reshape(-1, n * n)
+        resid = max(resid, float(np.abs(alg.coords_stack(prods) @ rows - prods).max()))
+    adj = alg.basis.conj().transpose(0, 2, 1).reshape(d, -1)
+    return max(resid, float(np.abs(alg.coords_stack(adj) @ rows - adj).max()))
+
+
+def dense_closure_check(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_TOL
+                        ) -> float:
+    """``system``'s closure check on the dense residual; returns it."""
+    resid = dense_closure_residual(alg)
+    if resid > tol.eps_assert:
+        raise NumericalBreakdown(f"the basis does not span a *-algebra: a product or "
+                                 f"adjoint leaves its span (residual {resid:.2e})")
+    return resid
+
+
+def stack_invariance_residual(alg: MatrixStarAlgebra, u: np.ndarray,
+                              matrix: np.ndarray) -> float:
+    """The largest entry of sum_i m[i, j] b_i - u b_j u* over every j, on the
+    whole stack of images rebuilt from the coordinate matrix m."""
+    images = u @ alg.basis @ u.conj().T
+    return float(np.abs(alg.from_coords_stack(matrix.T) - images).max())
+
+
+def dense_automorphism_check(alg: MatrixStarAlgebra, u: np.ndarray, trace,
+                             tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """``automorphism_from_unitary``'s invariance and trace checks on the
+    whole rebuilt stack of images, as it once ran them; returns the
+    coordinate matrix."""
+    images = u @ alg.basis @ u.conj().T
+    m = alg.coords_stack(images).T
+    resid = stack_invariance_residual(alg, u, m)
+    if resid > tol.eps_assert:
+        raise NotAutomorphism(f"conjugation by the unitary does not map the algebra "
+                              f"onto itself (residual {resid:.2e})")
+    if np.abs(trace.values(images) - trace.values(alg.basis)).max() > tol.eps_assert:
+        raise NotAutomorphism("conjugation by the unitary does not preserve the trace")
+    return m
+
+
+def dense_subsystem_check(parent, sub_algebra: MatrixStarAlgebra,
+                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """``subsystem``'s F in A and alpha(F) in F on the rebuilt stacks of F's
+    basis and of its images, as it once ran them; returns F's coordinates."""
+    alg = parent.algebra
+    coords = alg.coords_stack(sub_algebra.basis)
+    if np.abs(alg.from_coords_stack(coords) - sub_algebra.basis).max() > tol.eps_assert:
+        raise SubsystemInvalid("subalgebra is not contained in the parent algebra")
+    images = alg.from_coords_stack((parent.dynamics.matrix @ coords.T).T)
+    recon = sub_algebra.from_coords_stack(sub_algebra.coords_stack(images))
+    if np.abs(recon - images).max() > tol.eps_assert:
+        raise SubsystemInvalid("dynamics does not preserve the subalgebra")
+    return coords
+
+
+def dense_relative_commutant_check(alg: MatrixStarAlgebra, x: np.ndarray, name: str,
+                                   tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """The relative-commutant check of a finite extension on each basis
+    element in turn, as it once ran; returns the residual."""
+    resid = max(float(np.abs(x @ b - b @ x).max()) for b in alg.basis)
+    if resid > tol.eps_assert:
+        raise ConstraintViolated(f"{name} is not in the relative commutant "
+                                 f"(residual {resid:.2e})")
+    return resid

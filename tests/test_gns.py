@@ -190,7 +190,7 @@ def test_trace_not_faithful_raises():
     # positive but unfaithful density on the full matrix algebra
     tr = v.TraceFunctional(np.diag([1.0, 0.0]).astype(complex), normalized=True)
     dyn = v.StarAutomorphism(np.eye(4, dtype=complex), np.eye(2, dtype=complex))
-    table, star, _ = v.algebra.multiplication_table(alg)
+    table, star = v.algebra.multiplication_table(alg)
     sys = v.WStarSystem(alg, tr, dyn, v.gram_matrix(alg, tr), table, star,
                         v.algebra.eigenmodes(dyn.matrix))
     with pytest.raises(v.errors.TraceNotFaithful):

@@ -51,6 +51,10 @@ The Jones projection is held as its frame E_0: the Jones relation reads
 E_0 (E_0^H L(a) E_0) = L(E(a)) E_0 instead of e L(a) e = L(E(a)) e on
 d x n x n stacks, and route two of the joint state is one product of the
 dim F x dim F corners instead of n x n transposes in chunks.
+The build's checks that are linear in a basis, the closure of every system,
+u A u* in A, F in A, alpha(F) in F and the relative-commutant conditions,
+hold at one seeded generic element instead of on the rebuilt stacks of the
+basis and its images or on each basis element in turn.
 The older routes survive here only, as oracles.
 """
 import dataclasses
@@ -79,12 +83,14 @@ from vnspec.pipeline import SystemAnalysis, analyze_built, analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 from conftest import E12
 from oracles import (block_decomposition, center, center_coords, chunked_trace_route,
-                     commutant, corner_stacks, dense_fixed_points, dense_jones_residual,
-                     dense_span, einsum_tensor_gram,
+                     commutant, corner_stacks, dense_automorphism_check,
+                     dense_closure_check, dense_closure_residual, dense_fixed_points,
+                     dense_jones_residual, dense_relative_commutant_check, dense_span,
+                     dense_subsystem_check, einsum_tensor_gram,
                      fixed_point_center, full_equivalence, full_factor, full_span_rank,
                      inv_sqrt_psd, joint_commutant,
                      pivoted_cholesky, product_closure_residual, product_trace_table,
-                     random_element, span_candidates)
+                     random_element, span_candidates, stack_invariance_residual)
 from test_exit_codes import _run as run_cli
 
 
@@ -1205,11 +1211,11 @@ def test_skew_d24_fits_in_one_gib():
 
 def test_skew_d160_is_too_large_for_384_mib(tmp_path):
     """d = 160 does not fit under 384 MiB of address space, and the CLI says
-    so: the build stops before the GNS stage, in automorphism_from_unitary,
-    whose images u b_j u* and their rebuilt stack are two d x N x N arrays.
-    d = 128, the next size down on the size ladder, now fits, as the basic
-    construction reads the Jones projection through its frame E_0 and forms
-    no d x n x n stack of it."""
+    so: the build completes, as its linear checks read one generic element
+    and rebuild no stack of the basis, and the GNS stage stops in build_gns,
+    forming the d x n x n left_mats.  d = 128, the next size down on the size
+    ladder, fits, as the basic construction reads the Jones projection
+    through its frame E_0 and forms no d x n x n stack of it."""
     n_x = 40
     desc = {**SKEW_D24, "name": "skew_x40", "parameters": {
         **SKEW_D24["parameters"], "weights": [1.0 / n_x] * n_x,
@@ -1839,8 +1845,7 @@ def test_dynamics_equal_the_written_out_coordinate_matrices(name):
     system = build_from_description(desc).system
     alg, dyn = system.algebra, system.dynamics
     validate_automorphism(alg, dyn, system.trace)
-    images = dyn.unitary @ alg.basis @ dyn.unitary.conj().T
-    assert np.abs(alg.from_coords_stack(dyn.matrix.T) - images).max() <= 1e-12
+    assert stack_invariance_residual(alg, dyn.unitary, dyn.matrix) <= 1e-12
     oracle = written_out_dynamics_matrix(desc.kind, desc.parameters)
     assert (oracle is None) == (desc.kind not in ("classical", "skew_product", "tensor"))
     if oracle is not None:
@@ -1877,14 +1882,14 @@ def test_closure_check_rejects_a_swapped_basis_element():
         parse_system(CESARO_SYSTEMS["skew_z4_inversion"])).system
     alg = system.algebra
     n = alg.ambient_dim
-    assert algebra.multiplication_table(alg)[2] <= 1e-15
+    assert dense_closure_residual(alg) <= 1e-15
     basis = alg.basis.copy()
     basis[1] = np.zeros((n, n))
     basis[1, n - 1, 0] = 1.0
     rows = basis.reshape(len(basis), -1)
     assert np.abs(rows @ rows.conj().T - np.eye(len(basis))).max() == 0.0
     bad = v.MatrixStarAlgebra(n, basis)
-    assert algebra.multiplication_table(bad)[2] >= 0.5
+    assert dense_closure_residual(bad) >= 0.5
     with pytest.raises(NumericalBreakdown, match=r"does not span a \*-algebra"):
         v.system(bad, system.trace, v.identity_automorphism(bad))
 
@@ -1914,7 +1919,8 @@ def test_inherited_table_equals_the_dense_table(analyses, skew_d24):
     for name in PRODUCT_SYSTEMS + (SKEW_D24["name"],):
         built = skew_d24.built if name == SKEW_D24["name"] else analyses[name].built
         sys_a, (b, c) = built.system, built.factors
-        table, star, closure = algebra.multiplication_table(sys_a.algebra)
+        table, star = algebra.multiplication_table(sys_a.algebra)
+        closure = dense_closure_residual(sys_a.algebra)
         assert closure <= 1e-13, name
         assert np.abs(table - sys_a.table).max() <= 1e-13, name
         assert np.abs(star - sys_a.star).max() <= 1e-13, name
@@ -2028,6 +2034,178 @@ def test_kronecker_terms_equal_coordinate_passes(analyses, skew_d24, monkeypatch
                           optimize=True).reshape(d * d, d * d)
         old = _generating_gram(an.basic, dense) / np.outer(jd.norms, jd.norms)
         assert np.abs(gram - old).max() <= 1e-12, name
+
+
+# --- the build's linear checks: one generic element against the dense rebuilds
+
+def _linear_check_systems(analyses, skew_d24):
+    """The shipped systems, the d = 24 skew product and the skewed tensor at
+    w = 1e-9, as built."""
+    from test_pipeline_properties import _skewed_fiber_tensor
+    return {**{name: an.built for name, an in analyses.items()},
+            SKEW_D24["name"]: skew_d24.built, "skewed_tensor": _skewed_fiber_tensor(1e-9)}
+
+
+def _summands(desc):
+    """(B_i, v, v') of each summand of a finite extension's description, for
+    the condition that v'* v lies in the relative commutant of B_i."""
+    p = desc.parameters
+    out = [(descriptions._build_factor(p["b1_factor"], DEFAULT_TOL),
+            *(descriptions.matrix_to_array(p[k]) for k in ("v1", "v4")))]
+    if p["b2_factor"] is not None:
+        out.append((descriptions._build_factor(p["b2_factor"], DEFAULT_TOL),
+                    *(descriptions.matrix_to_array(p[k]) for k in ("v2", "v3"))))
+    return out
+
+
+def test_linear_checks_pass_by_both_routes(analyses, skew_d24, shipped_descriptions):
+    """The closure, the invariance of A under the dynamics, F in A and
+    alpha(F) in F hold at the generic element and on the dense rebuilds,
+    with the same coordinate matrix and coordinates of F."""
+    for name, built in _linear_check_systems(analyses, skew_d24).items():
+        sys_a, sub = built.system, built.sub
+        alg, dyn = sys_a.algebra, sys_a.dynamics
+        assert algebra._generic_closure_residual(alg, sys_a.table, sys_a.star) \
+            <= 1e-12, name
+        assert dense_closure_check(alg) <= 1e-12, name
+        auto = v.automorphism_from_unitary(alg, dyn.unitary, sys_a.trace)
+        dense = dense_automorphism_check(alg, dyn.unitary, sys_a.trace)
+        assert np.abs(auto.matrix - dense).max() <= 1e-13, name
+        again = v.subsystem(sys_a, sub.algebra)
+        coords = dense_subsystem_check(sys_a, sub.algebra)
+        assert np.abs(again.coords_in_parent - coords).max() <= 1e-13, name
+    for b, first, second in _summands(shipped_descriptions["finite_extension_m2"]):
+        x = second.conj().T @ first
+        constructors._check_relative_commutant(b.algebra, x, "v'* v", DEFAULT_TOL)
+        assert dense_relative_commutant_check(b.algebra, x, "v'* v") <= 1e-12
+
+
+def test_build_rebuilds_no_stack_of_the_basis(monkeypatch):
+    """Building the d = 24 skew product reads coordinates back into matrices
+    for at most the two generic elements of the closure check: no check
+    rebuilds a whole stack of basis images."""
+    rows, rebuild = [], v.MatrixStarAlgebra.from_coords_stack
+
+    def spy(alg, c):
+        rows.append(len(c))
+        return rebuild(alg, c)
+    monkeypatch.setattr(v.MatrixStarAlgebra, "from_coords_stack", spy)
+    assert build_from_description(parse_system(SKEW_D24)).system.algebra.dim == 24
+    assert rows and max(rows) <= 2, rows
+
+
+LINEAR_FAULT = 1e-6  # size of the fault each route must refuse
+
+
+def _refusal(call):
+    """The class and message of the error ``call`` raises, with the residual's
+    value, which differs between the routes, left out."""
+    with pytest.raises(v.errors.VnspecError) as info:
+        call()
+    return type(info.value), re.sub(r" \(residual [^)]*\)$", "", str(info.value))
+
+
+def _unit_direction(mat):
+    return mat / np.linalg.norm(mat)
+
+
+def _off_span(alg, rng):
+    """A unit matrix Hilbert-Schmidt orthogonal to the algebra."""
+    r = linalg.random_complex(rng, (alg.ambient_dim,) * 2)
+    return _unit_direction(r - alg.from_coords(alg.coords(r)))
+
+
+def _with_unit_first(sub_alg):
+    """F's basis with 1 / sqrt(N) first and the rest orthogonal to it."""
+    return v.generate_algebra(list(sub_alg.basis), sub_alg.ambient_dim)
+
+
+def _faulty_closure(built, rng):
+    sys_a = built.system
+    alg = sys_a.algebra
+    basis = alg.basis.copy()
+    basis[1] += LINEAR_FAULT * _off_span(alg, rng)
+    bad = v.MatrixStarAlgebra(alg.ambient_dim, basis)
+    return (lambda: v.system(bad, sys_a.trace, v.identity_automorphism(bad),
+                             factors=built.factors),
+            lambda: dense_closure_check(bad))
+
+
+def _turned(u, h):
+    """u exp(i f (h + h*)) for the fault size f: unitary, and f |h| from u."""
+    vals, vecs = np.linalg.eigh(h + h.conj().T)
+    return u @ (vecs * np.exp(1j * LINEAR_FAULT * vals)) @ vecs.conj().T
+
+
+def _faulty_dynamics(built, rng):
+    sys_a = built.system
+    alg, u = sys_a.algebra, sys_a.dynamics.unitary
+    bad = _turned(u, linalg.random_complex(rng, (alg.ambient_dim,) * 2))
+    return (lambda: v.automorphism_from_unitary(alg, bad, sys_a.trace),
+            lambda: dense_automorphism_check(alg, bad, sys_a.trace))
+
+
+def _faulty_sub(built, direction):
+    sys_a = built.system
+    sub = _with_unit_first(built.sub.algebra)
+    basis = sub.basis.copy()
+    basis[1] += LINEAR_FAULT * direction
+    bad = v.MatrixStarAlgebra(sub.ambient_dim, basis)
+    return (lambda: v.subsystem(sys_a, bad), lambda: dense_subsystem_check(sys_a, bad))
+
+
+def _faulty_inclusion(built, rng):
+    """F with one basis element moved off A."""
+    return _faulty_sub(built, _off_span(built.system.algebra, rng))
+
+
+def _faulty_invariance(built, rng):
+    """F with one basis element moved within A, off F."""
+    alg, sub = built.system.algebra, built.sub.algebra
+    r = alg.from_coords(linalg.random_complex(rng, alg.dim))
+    return _faulty_sub(built, _unit_direction(r - sub.from_coords(sub.coords(r))))
+
+
+LINEAR_FAULTS = {  # the fault, and what both routes raise
+    "closure": (_faulty_closure, NumericalBreakdown,
+                r"^the basis does not span a \*-algebra: a product or adjoint leaves "
+                r"its span$"),
+    "dynamics": (_faulty_dynamics, NotAutomorphism,
+                 r"^conjugation by the unitary does not map the algebra onto itself$"),
+    "inclusion": (_faulty_inclusion, v.errors.SubsystemInvalid,
+                  r"^subalgebra is not contained in the parent algebra$"),
+    "invariance": (_faulty_invariance, v.errors.SubsystemInvalid,
+                   r"^dynamics does not preserve the subalgebra$"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LINEAR_FAULTS))
+@pytest.mark.parametrize("name", ["classical_4cycle", "finite_extension_m2",
+                                  SKEW_D24["name"]])
+def test_linear_fault_is_refused_by_both_routes(analyses, skew_d24, fault, name):
+    """A fault of 1e-6 in the basis, the unitary or F is refused by the
+    generic element and by the dense rebuild, with one class and message."""
+    built = skew_d24.built if name == SKEW_D24["name"] else analyses[name].built
+    make, cls, message = LINEAR_FAULTS[fault]
+    generic, dense = make(built, np.random.default_rng(47))
+    refusals = [_refusal(generic), _refusal(dense)]
+    assert refusals[0] == refusals[1], refusals
+    assert refusals[0][0] is cls and re.match(message, refusals[0][1]), refusals
+
+
+def test_relative_commutant_fault_is_refused_by_both_routes(shipped_descriptions):
+    """v1 turned by exp(i 1e-6 h) for a generic Hermitian h in B_1 = M_2
+    stays a unitary of B_1, and v4* v1 leaves the relative commutant."""
+    p = shipped_descriptions["finite_extension_m2"].parameters
+    (b1, v1, v4), (b2, v2, v3) = _summands(shipped_descriptions["finite_extension_m2"])
+    bad = _turned(v1, b1.algebra.from_coords(
+        linalg.random_complex(np.random.default_rng(53), b1.algebra.dim)))
+    spec = v.FiniteExtensionSpec(b1=b1, b2=b2, s=p["s"], v1=bad, v4=v4, v2=v2, v3=v3)
+    refusals = [_refusal(lambda: v.build_finite_extension(spec)),
+                _refusal(lambda: dense_relative_commutant_check(
+                    b1.algebra, v4.conj().T @ bad, "v4* v1"))]
+    assert refusals[0] == refusals[1] == (
+        v.errors.ConstraintViolated, "v4* v1 is not in the relative commutant"), refusals
 
 
 # --- the equivalence map and the relation that defines it ---------------------

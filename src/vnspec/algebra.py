@@ -540,7 +540,7 @@ def eigenmodes(matrix: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
     raise NumericalBreakdown("no unitary eigenbasis of the dynamics was certified")
 
 
-CESARO_BLOCK = 1024  # Cesaro steps whose powers of the eigenvalues are held at once
+CESARO_BLOCK = 1024  # Cesaro steps whose powers of the cluster representatives are held
 
 
 @dataclass(frozen=True)
@@ -552,10 +552,13 @@ class WStarSystem:
     matrix S[:, i] = coords(b_i*) (from ``multiplication_table``, or from
     the factors' tables for a product system), and the
     certified eigenbasis ``modes = (lam, V)`` of the dynamics' coordinate
-    matrix, alpha = V diag(lam) V^H, from ``eigenmodes``; ``system`` computes
-    and checks them.  The powers ``mode_powers`` that every Cesaro sequence
-    reads are formed on first use and held with the system, d x CESARO_BLOCK
-    numbers; a ``dataclasses.replace`` copy forms its own.
+    matrix, alpha = V diag(lam) V^H, from ``eigenmodes``, with the indicator
+    ``clusters`` of its c clusters of equal eigenvalues, 1 at (j, c) when
+    lam_j lies in cluster c (``linalg.circle_clusters``); ``system``
+    computes and checks them.  The powers ``mode_powers`` that every Cesaro
+    sequence reads, c x CESARO_BLOCK numbers, and ``cluster_spread`` are
+    formed on first use and held with the system; a ``dataclasses.replace``
+    copy forms its own.
     """
     algebra: MatrixStarAlgebra
     trace: TraceFunctional
@@ -564,19 +567,29 @@ class WStarSystem:
     table: np.ndarray = field(repr=False)  # (d, d, d)
     star: np.ndarray = field(repr=False)   # (d, d)
     modes: tuple[np.ndarray, np.ndarray] = field(repr=False)  # (d,), (d, d)
+    clusters: np.ndarray = field(repr=False)  # (d, c), 0 or 1
 
     def __post_init__(self):
-        for a in (self.gram, self.table, self.star, *self.modes):
+        for a in (self.gram, self.table, self.star, *self.modes, self.clusters):
             a.setflags(write=False)
 
     @cached_property
     def mode_powers(self) -> np.ndarray:
-        """lam^1 .. lam^CESARO_BLOCK, read-only: column n - 1 holds lam^n for
-        the eigenvalues lam of ``modes``, from one cumprod."""
-        powers = np.repeat(self.modes[0][:, None], CESARO_BLOCK, axis=1)
+        """mu^1 .. mu^CESARO_BLOCK, read-only (c, CESARO_BLOCK): row c holds
+        the powers of mu_c = lam_j for the lowest j in cluster c, column
+        n - 1 its n-th power, from one cumprod."""
+        first = self.clusters.argmax(axis=0)
+        powers = np.repeat(self.modes[0][first][:, None], CESARO_BLOCK, axis=1)
         np.cumprod(powers, axis=1, out=powers)
         powers.setflags(write=False)
         return powers
+
+    @cached_property
+    def cluster_spread(self) -> float:
+        """The largest |lam_j - mu_c| for lam_j in cluster c: how far merging
+        moves an eigenvalue onto its cluster's representative."""
+        merged = self.clusters @ self.mode_powers[:, 0]  # mu_c for each lam_j
+        return float(np.abs(self.modes[0] - merged).max())
 
 
 def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
@@ -593,7 +606,9 @@ def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
     T_C[j, l] and S = S_B (x) S_C.  One generic pair certifies them, and the
     closure, on the algebra itself (``_generic_closure_residual``).  When the
     density is rho_B (x) rho_C, the Gram matrix is kron(G_B, G_C), as
-    mu(b_i* b_k (x) c_j* c_l) = mu_B(b_i* b_k) mu_C(c_j* c_l).
+    mu(b_i* b_k (x) c_j* c_l) = mu_B(b_i* b_k) mu_C(c_j* c_l).  The
+    eigenvalues of the dynamics are partitioned once, by the circle rule at
+    eps_rank; the Cesaro averages certify what merging them costs.
     """
     gram = None
     if factors is None:
@@ -613,8 +628,12 @@ def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
         raise NumericalBreakdown(f"the basis does not span a *-algebra: a product or "
                                  f"adjoint leaves its span (residual {closure:.2e})")
     gram, _ = validate_trace(algebra, trace, table, tol, gram)
-    return WStarSystem(algebra, trace, dynamics, gram, table, star,
-                       eigenmodes(dynamics.matrix, tol))
+    modes = eigenmodes(dynamics.matrix, tol)
+    groups = linalg.circle_clusters(modes[0], tol.eps_rank)
+    clusters = np.zeros((len(modes[0]), len(groups)))
+    for c, members in enumerate(groups):
+        clusters[members, c] = 1.0
+    return WStarSystem(algebra, trace, dynamics, gram, table, star, modes, clusters)
 
 
 @dataclass(frozen=True)

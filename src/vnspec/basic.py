@@ -409,22 +409,6 @@ def _orbits(perm: np.ndarray) -> list[list[int]]:
     return out
 
 
-def _circle_clusters(lam: np.ndarray, eps_rank: float) -> list[np.ndarray]:
-    """Indices of the eigenvalues lam on the unit circle, grouped by the rank
-    rule of ``linalg.nullspace`` on Ad(R) - 1, whose singular values are the
-    chords |lam_i - lam_j|: neighbours around the circle share a group when
-    their chord is at most eps_rank max(1, largest chord)."""
-    order = np.argsort(np.angle(lam), kind="stable")
-    ring = lam[order]
-    gaps = np.abs(np.roll(ring, -1) - ring)  # position i to i + 1, wrapping
-    spread = max(1.0, float(np.abs(lam[:, None] - lam[None]).max()))
-    cuts = np.nonzero(gaps > eps_rank * spread)[0]
-    if not len(cuts):
-        return [order]
-    start = (cuts[-1] + 1) % len(lam)
-    return np.split(np.roll(order, -start), np.sort((cuts - start) % len(lam) + 1)[:-1])
-
-
 def _fixed_points(alg: BlockAlgebra, perm: np.ndarray, unitaries: list,
                   tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal coordinates (dim, f) of C = {U}' in <A, e>, and the
@@ -455,7 +439,7 @@ def _fixed_points(alg: BlockAlgebra, perm: np.ndarray, unitaries: list,
             raise NumericalBreakdown(
                 f"rank cutoff {tol.eps_rank:g} drops the identity from the fixed points")
         lam, vecs = eigenmodes(ret, tol)
-        groups = _circle_clusters(lam, tol.eps_rank)
+        groups = linalg.circle_clusters(lam, tol.eps_rank)
         counts.append((sum(len(g) ** 2 for g in groups), kernel.shape[1]))
         # carry both families around the orbit: y -> W_i y W_i^H on block k_i
         ys = np.concatenate([kernel.T.reshape(-1, m, m) / np.sqrt(len(orbit)),

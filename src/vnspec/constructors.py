@@ -401,21 +401,27 @@ def build_finite_extension(spec: FiniteExtensionSpec,
         v2 = _check_unitary_in(b2.algebra, spec.v2, "v2", tol)
         v3 = _check_unitary_in(b2.algebra, spec.v3, "v3", tol)
         _check_relative_commutant(b2.algebra, v3.conj().T @ v2, "v3* v2", tol)
-        n2 = b2.algebra.ambient_dim
+        n2, d1 = b2.algebra.ambient_dim, b1.algebra.dim
         nb = n1 + n2
-        pad1 = lambda m: np.block([[m, np.zeros((n1, n2))],
-                                   [np.zeros((n2, n1)), np.zeros((n2, n2))]])
-        pad2 = lambda m: np.block([[np.zeros((n1, n1)), np.zeros((n1, n2))],
-                                   [np.zeros((n2, n1)), m]])
-        b_alg = MatrixStarAlgebra(nb, np.stack([pad1(m) for m in b1.algebra.basis]
-                                               + [pad2(m) for m in b2.algebra.basis]))
-        b_density = spec.s * pad1(b1.trace.density) \
-            + (1.0 - spec.s) * pad2(b2.trace.density)
+        first, second = slice(0, n1), slice(n1, nb)
+
+        def pad(m: np.ndarray, at: slice) -> np.ndarray:
+            """m on one summand of C^n1 (+) C^n2."""
+            out = np.zeros((nb, nb), dtype=np.complex128)
+            out[at, at] = m
+            return out
+
+        basis = np.zeros((d1 + b2.algebra.dim, nb, nb), dtype=np.complex128)
+        basis[:d1, first, first] = b1.algebra.basis
+        basis[d1:, second, second] = b2.algebra.basis
+        b_alg = MatrixStarAlgebra(nb, basis)
+        b_density = spec.s * pad(b1.trace.density, first) \
+            + (1.0 - spec.s) * pad(b2.trace.density, second)
         # _product reads only Ad(W), so B1 (+) B2 and M_2 get the identity dynamics
         b_sys = system(b_alg, trace_functional(b_density), identity_automorphism(b_alg),
                        tol)
-        w1, w4 = pad1(v1), pad1(v4)
-        w2, w3 = pad2(v2), pad2(v3)
+        w1, w4 = pad(v1, first), pad(v4, first)
+        w2, w3 = pad(v2, second), pad(v3, second)
     else:
         nb, b_sys = n1, b1
         w1, w4 = v1, v4

@@ -5,8 +5,9 @@ Hilbert-Schmidt inner product <x, y> = Tr(x* y).  This module is the one
 place where a singular value becomes a rank decision, by one rule: keep
 s > eps_rank * max(1, s_0) for the largest singular value s_0, a cutoff that
 scales with the matrix once s_0 exceeds 1.  ``rank``, ``orthonormal_columns``,
-``nullspace`` and ``extend_orthonormal`` all apply it through ``_kept``, and
-``block_ranks`` applies it to a block-diagonal matrix one block at a time.
+``nullspace`` and ``extend_orthonormal`` all apply it through ``_kept``,
+``block_ranks`` applies it to a block-diagonal matrix one block at a time, and
+``circle_clusters`` applies it to the chords between eigenvalues of a unitary.
 """
 from __future__ import annotations
 
@@ -136,6 +137,22 @@ def nullspace(mat: np.ndarray, eps_rank: float) -> np.ndarray:
         a = np.vstack([a, np.zeros((n - m, n), dtype=np.complex128)])
     s, vh = _right_svd(a)
     return vh[_kept(s, eps_rank):].conj().T
+
+
+def circle_clusters(lam: np.ndarray, eps_rank: float) -> list[np.ndarray]:
+    """Indices of the eigenvalues lam on the unit circle, grouped by the rank
+    rule on Ad(R) - 1 for a unitary R with these eigenvalues, whose singular
+    values are the chords |lam_i - lam_j|: neighbours around the circle share
+    a group when their chord is at most eps_rank max(1, largest chord)."""
+    order = np.argsort(np.angle(lam), kind="stable")
+    ring = lam[order]
+    gaps = np.abs(np.concatenate((ring[1:], ring[:1])) - ring)  # i to i + 1, wrapping
+    spread = max(1.0, float(np.abs(lam[:, None] - lam[None]).max()))
+    starts = np.flatnonzero(gaps > eps_rank * spread) + 1  # where a group begins
+    if not len(starts):
+        return [order]
+    return [np.concatenate((order[starts[-1]:], order[:starts[0]])),  # across the wrap
+            *(order[a:b] for a, b in zip(starts[:-1], starts[1:]))]
 
 
 def subspace_inclusion_residual(inner: np.ndarray, outer: np.ndarray) -> float:

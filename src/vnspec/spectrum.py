@@ -9,9 +9,10 @@ Cesaro averages characterizing relative weak mixing, for all admissible
 elements at once from their coordinates, and cross-checks the
 ergodicity route against the module route (any disagreement is an error, never
 a silent pass).  The conditional expectation is the one the subsystem
-carries, the Cesaro averages run in the eigenbasis of the dynamics that the
-system carries, and the fiber analysis counts each module's multiplicities
-over the central blocks of F that the basic construction found, for every F.
+carries, the Cesaro averages run on the clusters of equal eigenvalues of the
+dynamics that the system carries, and the fiber analysis counts each
+module's multiplicities over the central blocks of F that the basic
+construction found, for every F.
 """
 from __future__ import annotations
 
@@ -101,33 +102,45 @@ def _cesaro_rows(system: WStarSystem, sub: Subsystem, coords: np.ndarray,
     coordinates f of F's basis are orthonormal columns spanning E's image,
     and alpha = V diag(lam) V^H (``system.modes``), so the term is
     |K lam^n|^2 for the dim F x dim A matrix K = (R f^H E L V) diag(V^H c),
-    with R^H R = f^H G f the Cholesky factor of F's Gram matrix.  The powers
-    lam^1 .. lam^w of a block of w = min(CESARO_BLOCK, n_max) steps are the
-    first w columns of ``system.mode_powers`` and R f^H E is
+    with R^H R = f^H G f the Cholesky factor of F's Gram matrix.  Columns of
+    K whose eigenvalues share one of the c clusters of ``system.clusters``
+    meet the power mu_c^n of that cluster's representative, so they are
+    summed once per element, by the product with that indicator, into a
+    dim F x c matrix.  The powers mu^1 .. mu^w of a block of
+    w = min(CESARO_BLOCK, n_max) steps are the first w columns of
+    ``system.mode_powers`` and R f^H E is
     ``sub.whitened_expectation``, both held from the first call on; one
     product with the powers runs a block for every element still running,
-    and K is moved on by lam^w from block to block, so a step costs
-    O(dim A dim F) per element.  Each sequence stops at its own first even
+    and K is moved on by mu^w from block to block, so a step costs
+    O(c dim F) per element.  Each sequence stops at its own first even
     n >= 4 where the averages at n and n/2 agree to 1e-6, its output grown
     with the steps run; with the early exit disabled every sequence runs to
     n_max, and the output has that length from the start.
+
+    Merging moves lam_j^n by at most n s, for s = ``system.cluster_spread``,
+    the largest |lam_j - mu_c|, so term n moves by at most
+    2 n s (sum_j |K_j|)^2 over the columns K_j of the unmerged K; above
+    eps_assert at the last step a sequence ran, the cutoff that formed the
+    clusters is refused.
     """
     if not len(coords):
         return []
     if np.abs(sub.expectation.matrix @ coords.T).max() > tol.eps_assert:
         raise NotMeanZero("element has a nonzero conditional expectation")
-    d, vecs = len(system.star), system.modes[1]
+    vecs, spread = system.modes[1], system.cluster_spread
+    powers = system.mode_powers[:, :n_max]  # mu^1 .. mu^width
+    (c, width), count = powers.shape, len(coords)
     k = (sub.whitened_expectation @ _adjoint_left_map(system, coords) @ vecs) \
         * (coords @ vecs.conj())[:, None]  # (k, dim F, d)
-    powers = system.mode_powers[:, :n_max]  # lam^1 .. lam^width
-    width = powers.shape[1]
-    out: list = [None] * len(coords)
-    live = list(range(len(coords)))  # the elements still running, rows of k
-    sums = np.empty((len(live), width if early_exit else n_max))
+    reach = 2.0 * spread * np.sqrt((np.abs(k) ** 2).sum(axis=1)).sum(axis=1) ** 2
+    k = k @ system.clusters  # (k, dim F, c)
+    out: list = [None] * count
+    live = list(range(count))  # the elements still running, rows of k
+    sums = np.empty((count, width if early_exit else n_max))
     start, totals = 1, 0.0
-    while True:
+    while live:
         stop = min(start + width, n_max + 1)
-        z = k.reshape(-1, d) @ powers[:, :stop - start]
+        z = k.reshape(-1, c) @ powers[:, :stop - start]
         running = (z.real ** 2 + z.imag ** 2).reshape(len(live), -1,
                                                      stop - start).sum(axis=1)
         running[:, 0] += totals  # the terms, summed on from the last block's total
@@ -143,17 +156,21 @@ def _cesaro_rows(system: WStarSystem, sub: Subsystem, coords: np.ndarray,
             ended = hit.any(axis=1)
             for row in np.nonzero(ended)[0]:
                 out[live[row]] = sums[row, :even[hit[row].argmax()]].copy()
-            if ended.all():
-                return out
             if ended.any():
                 live = [i for i, e in zip(live, ended) if not e]
                 k, sums, totals = k[~ended], sums[~ended], totals[~ended]
         if stop > n_max:
             for row, i in enumerate(live):
                 out[i] = sums[row]
-            return out
+            break
         start = stop
         k = k * powers[:, -1]
+    moved = max(r * len(row) for r, row in zip(reach.tolist(), out))  # at the last step
+    if moved > tol.eps_assert:
+        raise NumericalBreakdown(
+            f"rank cutoff {tol.eps_rank:g} merges eigenvalues of the dynamics "
+            f"{spread:.2e} apart, which may move a Cesaro term by {moved:.2e}")
+    return out
 
 
 def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
@@ -162,10 +179,12 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
     """Running averages of lambda(|D(a* alpha^n(a))|^2) for a mean-zero a in A,
     the case of one element of the routine the spectrum report runs on all
     admissible elements at once (``_cesaro_rows``, which describes the
-    method).  The arguments are checked before any held data is read: the
-    horizon, the subsystem, and that ``element`` lies in the algebra, whose
-    coordinates the routine reads.  Stops at the first even n >= 4 where the
-    averages at n and n/2 agree to 1e-6, unless disabled.
+    method: each step runs on the c clusters of equal eigenvalues of the
+    dynamics, at O(c dim F), and a merge too coarse to certify raises
+    ``NumericalBreakdown``).  The arguments are checked before any held data
+    is read: the horizon, the subsystem, and that ``element`` lies in the
+    algebra, whose coordinates the routine reads.  Stops at the first even
+    n >= 4 where the averages at n and n/2 agree to 1e-6, unless disabled.
     """
     n_max = tol.cesaro_n_max if n_max is None else n_max
     if not positive_integer(n_max):

@@ -26,12 +26,14 @@ algebra certifies: the closure residual over every product and adjoint of
 basis elements, the invariance of the algebra under the dynamics on the whole
 rebuilt stack of images, F in A and alpha(F) in F on the rebuilt stacks of
 F's basis and its images, and the relative commutant by each basis element;
-each raises the class and message of the check it stands for."""
+each raises the class and message of the check it stands for.  And the
+Cesaro averages over all d eigenvalues of the dynamics, before the
+eigenvalues were merged into their clusters."""
 import numpy as np
 
-from vnspec import linalg
-from vnspec.algebra import (BlockAlgebra, DEFAULT_TOL, TABLE_CHUNK, MatrixStarAlgebra,
-                            ToleranceConfig)
+from vnspec import linalg, spectrum
+from vnspec.algebra import (BlockAlgebra, CESARO_BLOCK, DEFAULT_TOL, TABLE_CHUNK,
+                            MatrixStarAlgebra, ToleranceConfig)
 from vnspec.errors import (ConstraintViolated, NotAutomorphism, NumericalBreakdown,
                            SubsystemInvalid)
 
@@ -430,3 +432,30 @@ def dense_relative_commutant_check(alg: MatrixStarAlgebra, x: np.ndarray, name: 
         raise ConstraintViolated(f"{name} is not in the relative commutant "
                                  f"(residual {resid:.2e})")
     return resid
+
+
+def d_wide_cesaro_rows(system, sub, coords: np.ndarray, n_max: int) -> list[np.ndarray]:
+    """The running averages of ``spectrum._cesaro_rows`` without the early
+    exit, run over all d eigenvalues lam of the dynamics: term n is
+    |K lam^n|^2 for the dim F x d matrix K, in blocks of CESARO_BLOCK steps
+    of the d x CESARO_BLOCK powers of lam, with K moved on by lam^w from
+    block to block, so a step costs O(d dim F) per element."""
+    if not len(coords):
+        return []
+    lam, vecs = system.modes
+    k = (sub.whitened_expectation @ spectrum._adjoint_left_map(system, coords) @ vecs) \
+        * (coords @ vecs.conj())[:, None]  # (k, dim F, d)
+    width = min(CESARO_BLOCK, n_max)
+    powers = np.cumprod(np.repeat(lam[:, None], width, axis=1), axis=1)
+    sums, start, totals = np.empty((len(coords), n_max)), 1, 0.0
+    while start <= n_max:
+        stop = min(start + width, n_max + 1)
+        z = k.reshape(-1, len(lam)) @ powers[:, :stop - start]
+        running = (z.real ** 2 + z.imag ** 2).reshape(k.shape[:2] + (-1,)).sum(axis=1)
+        running[:, 0] += totals
+        np.cumsum(running, axis=1, out=running)
+        totals = running[:, -1]
+        sums[:, start - 1:stop - 1] = running / np.arange(start, stop)
+        start = stop
+        k = k * powers[:, -1]
+    return list(sums)

@@ -83,7 +83,8 @@ from vnspec.pipeline import SystemAnalysis, analyze_built, analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
 from conftest import E12
 from oracles import (block_decomposition, center, center_coords, chunked_trace_route,
-                     commutant, corner_stacks, dense_automorphism_check,
+                     commutant, corner_stacks, d_wide_cesaro_rows,
+                     dense_automorphism_check,
                      dense_closure_check, dense_closure_residual, dense_fixed_points,
                      dense_jones_residual, dense_relative_commutant_check, dense_span,
                      dense_subsystem_check, einsum_tensor_gram,
@@ -1655,33 +1656,80 @@ def test_cesaro_projects_its_element_once(monkeypatch):
 
 
 def test_a_replaced_system_reads_its_own_powers():
+    """Conjugation keeps every chord, so the conjugated eigenvalues keep the
+    partition and its representatives, the lowest index of each cluster."""
     built, _ = _admissible("group_z4_inversion")
     lam, vecs = built.system.modes
+    first = built.system.clusters.argmax(axis=0)
     held = built.system.mode_powers
     turned = dataclasses.replace(built.system, modes=(lam.conj().copy(), vecs))
-    assert np.array_equal(turned.mode_powers[:, 0], lam.conj())
+    assert np.array_equal(turned.mode_powers[:, 0], lam.conj()[first])
     assert np.array_equal(turned.mode_powers, held.conj())
     assert built.system.mode_powers is held
-    assert np.array_equal(held[:, 0], lam)
+    assert np.array_equal(held[:, 0], lam[first])
 
 
 @pytest.mark.parametrize("name", ["finite_extension_m2", SKEW_D24["name"]])
 def test_held_cesaro_data_are_read_only_and_right(name):
-    """Column n - 1 of the powers is lam^n; the whitened E_F W satisfies
+    """Row c of the powers holds mu_c^n in column n - 1, and mu_c^n is every
+    lam_j^n of cluster c to 1e-12; the whitened E_F W satisfies
     W^H W = G E_F, so |W c|^2 = mu(E_F(x)* E_F(x)) for x with coordinates c."""
     built, _ = _admissible(name)
     system, sub = built.system, built.sub
-    lam = system.modes[0]
+    lam, clusters = system.modes[0], system.clusters
     powers, w = system.mode_powers, sub.whitened_expectation
-    assert powers.shape == (system.algebra.dim, algebra.CESARO_BLOCK)
+    assert np.array_equal(clusters.sum(axis=1), np.ones(len(lam)))
+    assert np.array_equal(clusters, clusters.astype(bool))
+    assert powers.shape == (clusters.shape[1], algebra.CESARO_BLOCK)
     for n in (1, 2, 7, algebra.CESARO_BLOCK):
-        assert np.abs(powers[:, n - 1] - lam ** n).max() <= 1e-12
+        assert np.abs(clusters @ powers[:, n - 1] - lam ** n).max() <= 1e-12
+    assert system.cluster_spread == np.abs(clusters @ powers[:, 0] - lam).max() <= 1e-15
     assert w.shape == (sub.algebra.dim, system.algebra.dim)
     assert np.abs(w.conj().T @ w - system.gram @ sub.expectation.matrix).max() <= 1e-12
     for held in (powers, w):
         assert not held.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             held[0, 0] = 0.0
+    assert not clusters.flags.writeable
+
+
+def test_finite_extension_powers_have_one_row_per_cluster():
+    """The d = 24 eigenvalues of the finite extension's dynamics are +-1, so
+    its held powers have 2 rows, not 24."""
+    system = _admissible("finite_extension_m2")[0].system
+    assert system.algebra.dim == 24
+    assert system.mode_powers.shape == (2, algebra.CESARO_BLOCK)
+
+
+@pytest.mark.parametrize("name", sorted(CESARO_SYSTEMS) + ["m3_generic"])
+def test_cesaro_on_clusters_equals_the_d_wide_route(name, request):
+    """Every admissible element's 3000 averages, past two block edges with
+    no early exit, against the route over all d eigenvalues."""
+    built = request.getfixturevalue(name) if name == "m3_generic" \
+        else _admissible(name)[0]
+    system, sub = built.system, built.sub
+    coords = spectrum._admissible_coords(system, sub, DEFAULT_TOL, 0)
+    rows = spectrum._cesaro_rows(system, sub, coords, LONGEST, DEFAULT_TOL,
+                                 early_exit=False)
+    oracle = d_wide_cesaro_rows(system, sub, coords, LONGEST)
+    assert len(rows) == len(oracle) == len(coords)
+    for i, (seq, want) in enumerate(zip(rows, oracle)):
+        assert len(seq) == LONGEST, (name, i)
+        assert np.abs(seq - want).max() <= 1e-12, (name, i)
+
+
+def test_merging_distinct_eigenvalues_is_a_breakdown(monkeypatch):
+    """A partition that merges the finite extension's eigenvalues +1 and -1
+    moves the Cesaro terms by far more than eps_assert: the sequence is
+    refused with the cutoff that formed the clusters, not returned."""
+    monkeypatch.setattr(linalg, "circle_clusters",
+                        lambda lam, eps_rank: [np.arange(len(lam))])
+    built, elements = _admissible("finite_extension_m2")
+    assert built.system.mode_powers.shape == (1, algebra.CESARO_BLOCK)
+    with pytest.raises(NumericalBreakdown,
+                       match=r"^rank cutoff 1e-10 merges eigenvalues of the dynamics "
+                             r"2\.00e\+00 apart, which may move a Cesaro term by"):
+        v.cesaro_sequence(built.system, built.sub, elements[0][1])
 
 
 @pytest.mark.parametrize("name", sorted(CESARO_SYSTEMS))

@@ -16,8 +16,7 @@ Z2 = ((0, 1), (1, 0))
 
 
 def main():
-    b1 = v.build_explicit_system(2, [E12], np.eye(2) / 2,
-                                 dynamics_unitary=X).system
+    b1 = v.explicit_system(2, [E12], np.eye(2) / 2, dynamics_unitary=X)
     b2 = v.build_group_vn_system(Z2, (0, 1)).system
     spec = v.FiniteExtensionSpec(b1=b1, b2=b2, s=1 / 3,
                                  v1=X, v4=X, v2=X, v3=np.eye(2))

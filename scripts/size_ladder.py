@@ -4,6 +4,7 @@
     python scripts/size_ladder.py            # the smallest case: print its row
     python scripts/size_ladder.py --full --label change
     python scripts/size_ladder.py --full --label parent --src ../other/src
+    python scripts/size_ladder.py --full --label change --against parent=../other/src
 
 Each run is a child process with one BLAS thread and an address-space cap
 (RLIMIT_AS, set in the child only) that imports vnspec from ``--src``
@@ -30,8 +31,12 @@ dim <A, e> = 4 d, from d = 12 to d = 160; the shipped finite extension; and
 tensor products of a k-cycle with the shipped M_2 factor of
 ``tensor_diag2_m2``.  ``--full`` runs every case and replaces the rows of its
 label in ``BENCH_ladder.json`` at the root of the checkout; without it only
-the smallest case runs, its row is printed and nothing is written.  The
-file gates nothing.
+the smallest case runs, its row is printed and nothing is written.  With
+``--against LABEL=SRC`` a second package is measured in the same pass: each
+case runs both, its runs alternating between them and starting with the
+other one each time, so that a slow spell of the host, or the first runs of
+a pass, fall on both labels alike; the rows of both labels are replaced.
+The file gates nothing.
 """
 from __future__ import annotations
 
@@ -155,8 +160,17 @@ def run_once(desc: dict, src: Path) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def measure(desc: dict, src: Path, label: str) -> dict:
-    runs = [run_once(desc, src) for _ in range(RUNS)]
+def measure(desc: dict, srcs: dict[str, Path]) -> list[dict]:
+    """The rows of one case for each label, RUNS runs each, alternating
+    between the labels and led by each in turn."""
+    runs: dict[str, list] = {label: [] for label in srcs}
+    for i in range(RUNS):
+        for label in list(srcs)[::1 if i % 2 == 0 else -1]:
+            runs[label].append(run_once(desc, srcs[label]))
+    return [summarise(desc, label, rows) for label, rows in runs.items()]
+
+
+def summarise(desc: dict, label: str, runs: list[dict]) -> dict:
     row = {"label": label, "case": desc["name"]}
     errors = [r["error"] for r in runs if "error" in r]
     if errors:
@@ -180,14 +194,24 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default="current", help="label of the rows")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory that holds the vnspec package to measure")
+    parser.add_argument("--against", metavar="LABEL=SRC",
+                        help="a second label and package, run alternately per case")
     args = parser.parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "vnspec" / "__init__.py").is_file():
-        parser.error(f"no vnspec package under {src}")
+    srcs = {args.label: args.src}
+    if args.against:
+        label, sep, other = args.against.partition("=")
+        if not sep or not label or label == args.label:
+            parser.error("--against takes LABEL=SRC with a label of its own")
+        srcs[label] = Path(other)
+    for label, src in srcs.items():
+        srcs[label] = src.resolve()
+        if not (srcs[label] / "vnspec" / "__init__.py").is_file():
+            parser.error(f"no vnspec package under {srcs[label]}")
     rows = []
     for desc in cases() if args.full else cases()[:1]:
-        rows.append(measure(desc, src, args.label))
-        print(json.dumps(rows[-1]), flush=True)
+        for row in measure(desc, srcs):
+            rows.append(row)
+            print(json.dumps(row), flush=True)
     if args.full:
         doc = json.loads(OUT.read_text()) if OUT.is_file() else {"rows": []}
         doc.update({"host": f"{platform.machine()}, {os.cpu_count()} cores, "
@@ -195,7 +219,8 @@ def main(argv=None) -> int:
                             f"numpy {importlib.metadata.version('numpy')}",
                     "runs_per_row": RUNS, "address_space_cap_bytes": ADDRESS_SPACE_CAP,
                     "blas_threads": 1})
-        doc["rows"] = [r for r in doc["rows"] if r["label"] != args.label] + rows
+        doc["rows"] = [r for r in doc["rows"] if r["label"] not in srcs] \
+            + [r for label in srcs for r in rows if r["label"] == label]
         OUT.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -19,7 +19,7 @@ from .constructors import (ConstructedSystem, FiniteExtensionDiagnostics,
                            build_explicit_system, build_finite_extension,
                            build_group_vn_system, build_skew_product,
                            build_tensor_system, classical_sub_partition,
-                           group_sub_system, identity_automorphism,
+                           explicit_system, group_sub_system, identity_automorphism,
                            tensor_partition_isometries, trivial_subalgebra)
 from .gns import GnsSpace, build_gns, cyclic_subspace_frame
 from .joining import (ErgodicityCheck, JoiningData, factor_gram, joining_equivalence,

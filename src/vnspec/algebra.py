@@ -12,6 +12,7 @@ the parent from integer traces (``bratteli_blocks``).
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -55,6 +56,7 @@ PRODUCT_SEED = 23  # seed of the generic elements certifying the build's linear 
 MINIMAL_SEED = 29  # seed of f, which links F's minimal projections into blocks and
                    # gives its matrix units and the partial isometries of the dynamics
 TABLE_CHUNK = 1 << 18  # complex entries (4 MiB) of a stack of n x n products held at once
+GENERIC_ROWS_HELD = 32  # shapes (count, d) whose generic rows are held
 
 
 @dataclass(frozen=True)
@@ -407,14 +409,16 @@ def gram_matrix(alg: MatrixStarAlgebra, trace: TraceFunctional) -> np.ndarray:
 
 def validate_trace(alg: MatrixStarAlgebra, trace: TraceFunctional, table: np.ndarray,
                    tol: ToleranceConfig = DEFAULT_TOL,
-                   gram: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+                   gram: np.ndarray | None = None,
+                   values: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Check Hermitian PSD density, faithfulness on the algebra and traciality.
 
     Faithfulness is only required on the algebra (the ambient density may be
     singular), and is read off the Gram matrix: ``gram`` when the caller
     knows it (a product system's kron(G_B, G_C)), else ``gram_matrix``.
     Traciality reads the algebra's multiplication table T: the traces
-    M[i, j] = mu(b_i b_j) = sum_c T[i, j, c] mu(b_c) must be symmetric.
+    M[i, j] = mu(b_i b_j) = sum_c T[i, j, c] mu(b_c) must be symmetric, with
+    mu(b_c) from ``values`` when the caller holds them.
     Returns the Gram matrix for reuse and the traciality residual max |M - M^T|.
     """
     rho = trace.density
@@ -426,7 +430,7 @@ def validate_trace(alg: MatrixStarAlgebra, trace: TraceFunctional, table: np.nda
         gram = gram_matrix(alg, trace)
     if np.linalg.eigvalsh((gram + gram.conj().T) / 2).min() < tol.eps_rank:
         raise TraceNotFaithful("trace is not faithful on the algebra")
-    products = table @ trace.values(alg.basis)
+    products = table @ (trace.values(alg.basis) if values is None else values)
     tracial = float(np.abs(products - products.T).max())
     if tracial > tol.eps_assert:
         raise TraceNotFaithful("functional is not tracial on the algebra")
@@ -494,13 +498,24 @@ def multiplication_table(alg: MatrixStarAlgebra) -> tuple[np.ndarray, np.ndarray
     return table, np.ascontiguousarray(star)
 
 
+@functools.lru_cache(maxsize=GENERIC_ROWS_HELD)
+def _generic_rows(count: int, dim: int) -> np.ndarray:
+    """The first draw (count, dim) of a generator seeded with PRODUCT_SEED,
+    read-only."""
+    x = linalg.random_complex(np.random.default_rng(PRODUCT_SEED), (count, dim))
+    x.setflags(write=False)
+    return x
+
+
 def generic_elements(alg: MatrixStarAlgebra, count: int = 1
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows x (count, d) drawn afresh from PRODUCT_SEED and the elements
+    """Rows x (count, d), the first draw from PRODUCT_SEED, and the elements
     X = sum_i x_i b_i.  A linear condition on the basis holds on all of it
     once it holds at X: a nonzero linear map vanishes only on a proper
-    subspace, a null set for Gaussian x (Schwartz, J. ACM 27, 1980)."""
-    x = linalg.random_complex(np.random.default_rng(PRODUCT_SEED), (count, alg.dim))
+    subspace, a null set for Gaussian x (Schwartz, J. ACM 27, 1980).  The
+    rows depend on (count, d) alone, so they are drawn once per shape and
+    held, read-only, for the last GENERIC_ROWS_HELD shapes."""
+    x = _generic_rows(count, alg.dim)
     return x, alg.from_coords_stack(x)
 
 
@@ -550,15 +565,19 @@ class WStarSystem:
     Carries the data every stage reads from the algebra's one multiplication:
     the Gram matrix, the table T[i, j] = coords(b_i b_j) and the adjoint
     matrix S[:, i] = coords(b_i*) (from ``multiplication_table``, or from
-    the factors' tables for a product system), and the
-    certified eigenbasis ``modes = (lam, V)`` of the dynamics' coordinate
-    matrix, alpha = V diag(lam) V^H, from ``eigenmodes``, with the indicator
-    ``clusters`` of its c clusters of equal eigenvalues, 1 at (j, c) when
-    lam_j lies in cluster c (``linalg.circle_clusters``); ``system``
-    computes and checks them.  The powers ``mode_powers`` that every Cesaro
-    sequence reads, c x CESARO_BLOCK numbers, and ``cluster_spread`` are
-    formed on first use and held with the system; a ``dataclasses.replace``
-    copy forms its own.
+    the factors' tables for a product system), the traces mu(b_i) of the
+    basis (``trace_values``), and the tolerance ``tol`` it was built with.
+    The spectral data that only the Cesaro averages read are formed on first
+    read and held with the system, read-only: the certified eigenbasis
+    ``modes = (lam, V)`` of the dynamics' coordinate matrix, alpha =
+    V diag(lam) V^H, from ``eigenmodes``, whose ``NumericalBreakdown`` is
+    raised at that read; the indicator ``clusters`` of its c clusters of
+    equal eigenvalues, 1 at (j, c) when lam_j lies in cluster c
+    (``linalg.circle_clusters`` at tol.eps_rank); the powers
+    ``mode_powers``, c x CESARO_BLOCK numbers; and ``cluster_spread``.  A
+    system that no Cesaro average reads, such as a factor of a product
+    system, never diagonalises its dynamics; a ``dataclasses.replace`` copy
+    forms its own.
     """
     algebra: MatrixStarAlgebra
     trace: TraceFunctional
@@ -566,12 +585,31 @@ class WStarSystem:
     gram: np.ndarray = field(repr=False)
     table: np.ndarray = field(repr=False)  # (d, d, d)
     star: np.ndarray = field(repr=False)   # (d, d)
-    modes: tuple[np.ndarray, np.ndarray] = field(repr=False)  # (d,), (d, d)
-    clusters: np.ndarray = field(repr=False)  # (d, c), 0 or 1
+    trace_values: np.ndarray = field(repr=False)  # (d,), mu(b_i)
+    tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
-        for a in (self.gram, self.table, self.star, *self.modes, self.clusters):
+        for a in (self.gram, self.table, self.star, self.trace_values):
             a.setflags(write=False)
+
+    @cached_property
+    def modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, V), read-only: alpha = V diag(lam) V^H (``eigenmodes``)."""
+        modes = eigenmodes(self.dynamics.matrix, self.tol)
+        for a in modes:
+            a.setflags(write=False)
+        return modes
+
+    @cached_property
+    def clusters(self) -> np.ndarray:
+        """Read-only (d, c) indicator of the clusters of equal eigenvalues."""
+        lam = self.modes[0]
+        groups = linalg.circle_clusters(lam, self.tol.eps_rank)
+        clusters = np.zeros((len(lam), len(groups)))
+        for c, members in enumerate(groups):
+            clusters[members, c] = 1.0
+        clusters.setflags(write=False)
+        return clusters
 
     @cached_property
     def mode_powers(self) -> np.ndarray:
@@ -596,8 +634,9 @@ def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
            dynamics: StarAutomorphism, tol: ToleranceConfig = DEFAULT_TOL,
            factors: tuple[WStarSystem, WStarSystem] | None = None) -> WStarSystem:
     """Validates the algebra's closure under products and adjoints, then the
-    trace on it, and diagonalises the dynamics; the dynamics itself was
-    validated where it was made.
+    trace on it; the dynamics itself was validated where it was made, and
+    is diagonalised only when a Cesaro average first reads its eigenbasis
+    (``WStarSystem.modes``), at ``tol``, which the system holds.
 
     T and S come from ``multiplication_table``, or, with the factor systems
     ``(B, C)`` of an algebra whose basis is b_i (x) c_j at index i dim C + j,
@@ -606,9 +645,8 @@ def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
     T_C[j, l] and S = S_B (x) S_C.  One generic pair certifies them, and the
     closure, on the algebra itself (``_generic_closure_residual``).  When the
     density is rho_B (x) rho_C, the Gram matrix is kron(G_B, G_C), as
-    mu(b_i* b_k (x) c_j* c_l) = mu_B(b_i* b_k) mu_C(c_j* c_l).  The
-    eigenvalues of the dynamics are partitioned once, by the circle rule at
-    eps_rank; the Cesaro averages certify what merging them costs.
+    mu(b_i* b_k (x) c_j* c_l) = mu_B(b_i* b_k) mu_C(c_j* c_l).  The traces
+    mu(b_i) are formed once, read by the traciality check and held.
     """
     gram = None
     if factors is None:
@@ -627,13 +665,9 @@ def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
     if closure > tol.eps_assert:
         raise NumericalBreakdown(f"the basis does not span a *-algebra: a product or "
                                  f"adjoint leaves its span (residual {closure:.2e})")
-    gram, _ = validate_trace(algebra, trace, table, tol, gram)
-    modes = eigenmodes(dynamics.matrix, tol)
-    groups = linalg.circle_clusters(modes[0], tol.eps_rank)
-    clusters = np.zeros((len(modes[0]), len(groups)))
-    for c, members in enumerate(groups):
-        clusters[members, c] = 1.0
-    return WStarSystem(algebra, trace, dynamics, gram, table, star, modes, clusters)
+    values = trace.values(algebra.basis)
+    gram, _ = validate_trace(algebra, trace, table, tol, gram, values)
+    return WStarSystem(algebra, trace, dynamics, gram, table, star, values, tol)
 
 
 @dataclass(frozen=True)

@@ -335,7 +335,7 @@ def lifted_trace(gns: GnsSpace, corners, alg: BlockAlgebra,
     left, right = corners  # (d, sum m_k, dim F) and (d, dim F, sum m_k)
     scaled = (left * np.repeat(weights, alg.sizes)[:, None]).reshape(len(left), -1)
     lifted = scaled @ right.transpose(0, 2, 1).reshape(len(right), -1).T
-    products = system.table @ mu.values(system.algebra.basis)  # mu(a_i a_j)
+    products = system.table @ system.trace_values  # mu(a_i a_j)
     defining = float(np.abs(lifted - products).max())
     if defining > tol.eps_assert:
         raise ExtensionInconsistent(

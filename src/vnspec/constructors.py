@@ -73,16 +73,24 @@ def trivial_subalgebra(ambient_dim: int) -> MatrixStarAlgebra:
 
 # --- explicit systems ---------------------------------------------------------
 
-def build_explicit_system(ambient_dim: int, generators, density, dynamics_unitary,
-                          sub_generators=(), tol: ToleranceConfig = DEFAULT_TOL
-                          ) -> ConstructedSystem:
-    """System from generators, a density matrix and conjugation by a unitary."""
+def explicit_system(ambient_dim: int, generators, density, dynamics_unitary,
+                    tol: ToleranceConfig = DEFAULT_TOL) -> WStarSystem:
+    """The system of generators, a density matrix and conjugation by a
+    unitary, with no subsystem: the factor of a product system."""
     alg = generate_algebra(generators, ambient_dim, tol)
     trace = trace_functional(density)
     if trace.density.shape != (ambient_dim, ambient_dim):
         raise DimensionMismatch("density has wrong shape")
     dyn = automorphism_from_unitary(alg, dynamics_unitary, trace, tol)
-    sys = system(alg, trace, dyn, tol)
+    return system(alg, trace, dyn, tol)
+
+
+def build_explicit_system(ambient_dim: int, generators, density, dynamics_unitary,
+                          sub_generators=(), tol: ToleranceConfig = DEFAULT_TOL
+                          ) -> ConstructedSystem:
+    """``explicit_system`` over the subalgebra the sub-generators generate
+    (the scalars when there are none)."""
+    sys = explicit_system(ambient_dim, generators, density, dynamics_unitary, tol)
     sub_alg = generate_algebra(sub_generators, ambient_dim, tol)
     return ConstructedSystem(sys, subsystem(sys, sub_alg, tol))
 
@@ -468,47 +476,42 @@ def finite_extension_diagnostics(fe: ConstructedSystem,
     """
     w = fe.system.dynamics.unitary
     w1, w2, w3, w4 = w[0::2, 0::2], w[0::2, 1::2], w[1::2, 0::2], w[1::2, 1::2]
-    b_alg = fe.factors[0].algebra
-    alg = fe.system.algebra
-    nb = b_alg.ambient_dim
-    beta_resid = 0.0
-    offdiag_resid = 0.0
-    restrict_resid = 0.0
-    units = np.zeros((2, 2, 2, 2), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            units[i, j, i, j] = 1.0
-    for b in b_alg.basis:
-        first = w1 @ b @ w1.conj().T + w2 @ b @ w2.conj().T
-        second = w3 @ b @ w3.conj().T + w4 @ b @ w4.conj().T
-        beta_resid = max(beta_resid, float(np.abs(first - second).max()))
-        off = w1 @ b @ w3.conj().T + w2 @ b @ w4.conj().T
-        offdiag_resid = max(offdiag_resid, float(np.abs(off).max()))
-        image = fe.system.dynamics.apply(alg, np.kron(b, np.eye(2)))
-        restrict_resid = max(restrict_resid,
-                             float(np.abs(image - np.kron(first, np.eye(2))).max()))
-    # displayed block pattern of alpha(1 (x) m) on the matrix units
-    eye_b = np.eye(nb, dtype=np.complex128)
-    display_resid = 0.0
+    b = fe.factors[0].algebra.basis
+    alg, alpha = fe.system.algebra, fe.system.dynamics.matrix
+    nb = b.shape[1]
+    eye_2, eye_b = np.eye(2)[None], np.eye(nb)[None]
+    units = np.eye(4).reshape(4, 2, 2)  # E11, E12, E21, E22
+
+    def moved(mats: np.ndarray) -> np.ndarray:
+        """alpha on a stack of elements of A."""
+        return alg.from_coords_stack(alg.coords_stack(mats) @ alpha.T)
+
+    def h(x: np.ndarray) -> np.ndarray:
+        return x.conj().T
+
+    # on B (x) 1, every basis element b at once
+    first = w1 @ b @ h(w1) + w2 @ b @ h(w2)
+    second = w3 @ b @ h(w3) + w4 @ b @ h(w4)
+    beta_resid = float(np.abs(first - second).max())
+    offdiag_resid = float(np.abs(w1 @ b @ h(w3) + w2 @ b @ h(w4)).max())
+    image = moved(np.kron(b, eye_2))  # alpha(b (x) 1)
+    restrict_resid = float(np.abs(image - np.kron(first, eye_2)).max())
+    # displayed block pattern of alpha(1 (x) m) on the matrix units m
     n1, n2 = fe.summands
     p1 = np.zeros((nb, nb), dtype=np.complex128)
     p1[:n1, :n1] = np.eye(n1)
-    p2 = eye_b - p1
-    for m1, m2, m3, m4 in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
-        m = np.array([[m1, m2], [m3, m4]], dtype=np.complex128)
-        expected = (np.kron(m1 * p1 + m4 * p2, units[0, 0])
-                    + np.kron(m2 * (w1 @ w4.conj().T) + m3 * (w2 @ w3.conj().T),
-                              units[0, 1])
-                    + np.kron(m3 * (w4 @ w1.conj().T) + m2 * (w3 @ w2.conj().T),
-                              units[1, 0])
-                    + np.kron(m4 * p1 + m1 * p2, units[1, 1]))
-        image = fe.system.dynamics.apply(alg, np.kron(eye_b, m))
-        display_resid = max(display_resid, float(np.abs(image - expected).max()))
+    p2 = np.eye(nb) - p1
+    m1, m2, m3, m4 = units.reshape(4, 4).T[..., None, None]  # entry k of each m
+    corners = np.stack([m1 * p1 + m4 * p2, m2 * (w1 @ h(w4)) + m3 * (w2 @ h(w3)),
+                        m3 * (w4 @ h(w1)) + m2 * (w3 @ h(w2)), m4 * p1 + m1 * p2], axis=1)
+    expected = corners.reshape(4, 2, 2, nb, nb).transpose(0, 3, 1, 4, 2).reshape(
+        4, 2 * nb, 2 * nb)  # sum_ij x_ij (x) E_ij over the corners x_ij
+    fiber = np.kron(eye_b, units)  # 1 (x) m
+    image = moved(fiber)
+    display_resid = float(np.abs(image - expected).max())
     # distance of alpha(1 (x) E12) from 1 (x) M_2
-    image = fe.system.dynamics.apply(alg, np.kron(eye_b, units[0, 1]))
-    fiber_rows = np.stack([np.kron(eye_b, units[i, j]).reshape(-1) / np.sqrt(nb)
-                           for i in range(2) for j in range(2)])
-    flat = image.reshape(-1)
+    fiber_rows = fiber.reshape(4, -1) / np.sqrt(nb)
+    flat = image[1].reshape(-1)
     proj = fiber_rows.conj() @ flat
     product_distance = float(np.linalg.norm(flat - fiber_rows.T @ proj))
     return FiniteExtensionDiagnostics(beta_resid, offdiag_resid, restrict_resid,

@@ -12,13 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, ToleranceConfig
+from .algebra import DEFAULT_TOL, ToleranceConfig, WStarSystem
 from .constructors import (ConstructedSystem, FiniteExtensionSpec, SkewProductSpec,
                            build_classical_system, build_explicit_system,
                            build_finite_extension, build_group_vn_system,
                            build_skew_product, build_tensor_system,
-                           classical_sub_partition, group_sub_system,
-                           subsystem, trivial_subalgebra)
+                           classical_sub_partition, explicit_system,
+                           group_sub_system, subsystem, trivial_subalgebra)
 from .errors import InputError, ParseError, ValidationError
 
 FORMAT_VERSION = 1
@@ -258,14 +258,15 @@ def emit_description(desc: SystemDescription) -> dict:
     return out
 
 
-def _build_factor(factor: dict, tol: ToleranceConfig):
+def _build_factor(factor: dict, tol: ToleranceConfig) -> WStarSystem:
+    """The system of a factor description; a product system has its own
+    subsystem B (x) 1, so none is built for the factor."""
     kind, p = factor["kind"], factor["parameters"]
     if kind == "explicit":
-        built = build_explicit_system(
+        return explicit_system(
             p["ambient_dim"], [matrix_to_array(g) for g in p["algebra_generators"]],
             matrix_to_array(p["trace_density"]),
             dynamics_unitary=matrix_to_array(p["dynamics_unitary"]), tol=tol)
-        return built.system
     if kind == "classical":
         return build_classical_system(p["weights"], p["permutation"], tol)
     if kind == "group_vn":

@@ -198,7 +198,7 @@ def relative_joining(bc: BasicConstruction,
     omega_vals = left_rows @ r_omega.T
     two_formula = float(np.abs(omega_vals - _trace_route(bc)).max())
     # marginals against mu and mu' = mu(j(.))
-    mu_vals = parent.trace.values(alg.basis)
+    mu_vals = parent.trace_values
     marg = max(float(np.abs(left_rows @ om - mu_vals).max()),
                float(np.abs(r_omega @ om.conj() - mu_vals).max()))
     # invariance under the joint dynamics

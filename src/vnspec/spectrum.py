@@ -10,7 +10,8 @@ elements at once from their coordinates, and cross-checks the
 ergodicity route against the module route (any disagreement is an error, never
 a silent pass).  The conditional expectation is the one the subsystem
 carries, the Cesaro averages run on the clusters of equal eigenvalues of the
-dynamics that the system carries, and the fiber analysis counts each
+dynamics that the system forms on their first read and holds, and the fiber
+analysis counts each
 module's multiplicities over the central blocks of F that the basic
 construction found, for every F.
 """
@@ -100,7 +101,8 @@ def _cesaro_rows(system: WStarSystem, sub: Subsystem, coords: np.ndarray,
     is read from the system's multiplication table T and adjoint matrix S
     (``_adjoint_left_map``), in one product with T for all k elements.  The
     coordinates f of F's basis are orthonormal columns spanning E's image,
-    and alpha = V diag(lam) V^H (``system.modes``), so the term is
+    and alpha = V diag(lam) V^H (``system.modes``, which the first read
+    forms and certifies, or refuses with ``NumericalBreakdown``), so the term is
     |K lam^n|^2 for the dim F x dim A matrix K = (R f^H E L V) diag(V^H c),
     with R^H R = f^H G f the Cholesky factor of F's Gram matrix.  Columns of
     K whose eigenvalues share one of the c clusters of ``system.clusters``

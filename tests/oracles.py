@@ -28,7 +28,9 @@ rebuilt stack of images, F in A and alpha(F) in F on the rebuilt stacks of
 F's basis and its images, and the relative commutant by each basis element;
 each raises the class and message of the check it stands for.  And the
 Cesaro averages over all d eigenvalues of the dynamics, before the
-eigenvalues were merged into their clusters."""
+eigenvalues were merged into their clusters.  And the finite extension's
+structural residuals one basis element of B and one matrix unit of M_2 at a
+time, each through its own Kronecker product and image under the dynamics."""
 import numpy as np
 
 from vnspec import linalg, spectrum
@@ -459,3 +461,49 @@ def d_wide_cesaro_rows(system, sub, coords: np.ndarray, n_max: int) -> list[np.n
         start = stop
         k = k * powers[:, -1]
     return list(sums)
+
+
+def looped_finite_extension_diagnostics(fe, tol: ToleranceConfig = DEFAULT_TOL):
+    """``constructors.finite_extension_diagnostics`` with one kron and one
+    application of the dynamics per basis element of B and per matrix unit."""
+    w = fe.system.dynamics.unitary
+    w1, w2, w3, w4 = w[0::2, 0::2], w[0::2, 1::2], w[1::2, 0::2], w[1::2, 1::2]
+    b_alg, alg = fe.factors[0].algebra, fe.system.algebra
+    nb = b_alg.ambient_dim
+    beta_resid = offdiag_resid = restrict_resid = 0.0
+    units = np.zeros((2, 2, 2, 2), dtype=np.complex128)
+    for i in range(2):
+        for j in range(2):
+            units[i, j, i, j] = 1.0
+    for b in b_alg.basis:
+        first = w1 @ b @ w1.conj().T + w2 @ b @ w2.conj().T
+        second = w3 @ b @ w3.conj().T + w4 @ b @ w4.conj().T
+        beta_resid = max(beta_resid, float(np.abs(first - second).max()))
+        off = w1 @ b @ w3.conj().T + w2 @ b @ w4.conj().T
+        offdiag_resid = max(offdiag_resid, float(np.abs(off).max()))
+        image = fe.system.dynamics.apply(alg, np.kron(b, np.eye(2)))
+        restrict_resid = max(restrict_resid,
+                             float(np.abs(image - np.kron(first, np.eye(2))).max()))
+    eye_b = np.eye(nb, dtype=np.complex128)
+    display_resid = 0.0
+    n1, n2 = fe.summands
+    p1 = np.zeros((nb, nb), dtype=np.complex128)
+    p1[:n1, :n1] = np.eye(n1)
+    p2 = eye_b - p1
+    for m1, m2, m3, m4 in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
+        m = np.array([[m1, m2], [m3, m4]], dtype=np.complex128)
+        expected = (np.kron(m1 * p1 + m4 * p2, units[0, 0])
+                    + np.kron(m2 * (w1 @ w4.conj().T) + m3 * (w2 @ w3.conj().T),
+                              units[0, 1])
+                    + np.kron(m3 * (w4 @ w1.conj().T) + m2 * (w3 @ w2.conj().T),
+                              units[1, 0])
+                    + np.kron(m4 * p1 + m1 * p2, units[1, 1]))
+        image = fe.system.dynamics.apply(alg, np.kron(eye_b, m))
+        display_resid = max(display_resid, float(np.abs(image - expected).max()))
+    image = fe.system.dynamics.apply(alg, np.kron(eye_b, units[0, 1]))
+    fiber_rows = np.stack([np.kron(eye_b, units[i, j]).reshape(-1) / np.sqrt(nb)
+                           for i in range(2) for j in range(2)])
+    flat = image.reshape(-1)
+    product_distance = float(np.linalg.norm(flat - fiber_rows.T @ (fiber_rows.conj() @ flat)))
+    return (beta_resid, offdiag_resid, restrict_resid, display_resid, product_distance,
+            product_distance > tol.eps_assert, n2 > 0)

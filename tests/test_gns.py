@@ -192,7 +192,7 @@ def test_trace_not_faithful_raises():
     dyn = v.StarAutomorphism(np.eye(4, dtype=complex), np.eye(2, dtype=complex))
     table, star = v.algebra.multiplication_table(alg)
     sys = v.WStarSystem(alg, tr, dyn, v.gram_matrix(alg, tr), table, star,
-                        v.algebra.eigenmodes(dyn.matrix), np.ones((4, 1)))
+                        tr.values(alg.basis))
     with pytest.raises(v.errors.TraceNotFaithful):
         v.build_gns(sys)
 

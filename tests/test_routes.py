@@ -89,7 +89,7 @@ from oracles import (block_decomposition, center, center_coords, chunked_trace_r
                      dense_jones_residual, dense_relative_commutant_check, dense_span,
                      dense_subsystem_check, einsum_tensor_gram,
                      fixed_point_center, full_equivalence, full_factor, full_span_rank,
-                     inv_sqrt_psd, joint_commutant,
+                     inv_sqrt_psd, joint_commutant, looped_finite_extension_diagnostics,
                      pivoted_cholesky, product_closure_residual, product_trace_table,
                      random_element, span_candidates, stack_invariance_residual)
 from test_exit_codes import _run as run_cli
@@ -1595,6 +1595,15 @@ def test_cesaro_memory_does_not_grow_with_horizon():
     assert peak < 16 * 2 ** 20
 
 
+def _with_modes(system, modes, **changes):
+    """A ``dataclasses.replace`` copy of the system that holds ``modes`` as
+    its eigenbasis and the system's own clusters, in place of forming them
+    on first read."""
+    out = dataclasses.replace(system, **changes)
+    vars(out).update(modes=modes, clusters=system.clusters)
+    return out
+
+
 def _cold(built):
     """Copies of the system and subsystem that hold no Cesaro data yet."""
     system = dataclasses.replace(built.system)
@@ -1662,7 +1671,7 @@ def test_a_replaced_system_reads_its_own_powers():
     lam, vecs = built.system.modes
     first = built.system.clusters.argmax(axis=0)
     held = built.system.mode_powers
-    turned = dataclasses.replace(built.system, modes=(lam.conj().copy(), vecs))
+    turned = _with_modes(built.system, (lam.conj().copy(), vecs))
     assert np.array_equal(turned.mode_powers[:, 0], lam.conj()[first])
     assert np.array_equal(turned.mode_powers, held.conj())
     assert built.system.mode_powers is held
@@ -1699,6 +1708,122 @@ def test_finite_extension_powers_have_one_row_per_cluster():
     system = _admissible("finite_extension_m2")[0].system
     assert system.algebra.dim == 24
     assert system.mode_powers.shape == (2, algebra.CESARO_BLOCK)
+
+
+def _counted(monkeypatch, module, fname):
+    """Counts the calls of ``module.fname`` from here on."""
+    calls, inner = [], getattr(module, fname)
+
+    def wrapper(*args, **kwargs):
+        calls.append(fname)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, fname, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(CESARO_SYSTEMS))
+def test_a_build_diagonalises_the_dynamics_at_the_first_cesaro_read(name, monkeypatch):
+    """No system that a build makes diagonalises its dynamics, the factors
+    of a product system included; the first Cesaro read does, once, and the
+    other elements and a whole analysis read what it holds."""
+    calls = _counted(monkeypatch, algebra, "eigenmodes")
+    built = build_from_description(parse_system(CESARO_SYSTEMS[name]))
+    assert calls == []
+    for factor in built.factors or ():
+        assert "modes" not in vars(factor) and "clusters" not in vars(factor)
+    elements = admissible_elements(built.system, built.sub)
+    assert calls == []
+    for _, a in elements:
+        v.cesaro_sequence(built.system, built.sub, a)
+        assert calls == ["eigenmodes"], name
+    analyze_built(name, parse_system(CESARO_SYSTEMS[name]).kind, built)
+    assert calls == (["eigenmodes"] if elements else []), name
+    for factor in built.factors or ():
+        assert "modes" not in vars(factor), name
+
+
+def test_a_dynamics_without_an_eigenbasis_breaks_down_at_the_first_cesaro_read():
+    """system() does not diagonalise, so it accepts a non-normal dynamics
+    matrix; the first Cesaro read refuses it, and so does every later one."""
+    built, elements = _admissible("finite_extension_m2")
+    s = built.system
+    jordan = np.eye(s.algebra.dim) + np.eye(s.algebra.dim, k=1)
+    broken = v.system(s.algebra, s.trace,
+                      algebra.StarAutomorphism(jordan.astype(complex), s.dynamics.unitary))
+    sub = dataclasses.replace(built.sub, parent=broken)
+    for _ in range(2):
+        with pytest.raises(NumericalBreakdown,
+                           match=r"^no unitary eigenbasis of the dynamics was certified$"):
+            v.cesaro_sequence(broken, sub, elements[0][1])
+    assert "modes" not in vars(broken)
+
+
+@pytest.mark.parametrize("name", ["finite_extension_m2", "tensor_diag2_m2"])
+def test_a_product_build_makes_one_subsystem(name, monkeypatch):
+    """The explicit factor is built as a system alone: the only subsystem
+    is the product's F = B (x) 1."""
+    calls = _counted(monkeypatch, constructors, "subsystem")
+    calls += _counted(monkeypatch, descriptions, "subsystem")
+    built = build_from_description(parse_system(CESARO_SYSTEMS[name]))
+    assert calls == ["subsystem"]
+    assert built.sub.algebra.dim == built.factors[0].algebra.dim
+
+
+def test_generic_rows_are_one_read_only_draw_per_shape(monkeypatch):
+    """The held rows equal a fresh draw from PRODUCT_SEED bit for bit; a
+    finite-extension build draws each shape once, and a second build none."""
+    algebra._generic_rows.cache_clear()
+    seeds, rng = [], np.random.default_rng
+
+    def seeded(seed=None):
+        seeds.append(seed)
+        return rng(seed)
+    monkeypatch.setattr(np.random, "default_rng", seeded)
+    built, _ = _admissible("finite_extension_m2")
+    drawn = seeds.count(algebra.PRODUCT_SEED)
+    assert drawn == algebra._generic_rows.cache_info().currsize
+    assert 0 < drawn < 12
+    build_from_description(parse_system(CESARO_SYSTEMS["finite_extension_m2"]))
+    assert seeds.count(algebra.PRODUCT_SEED) == drawn
+    alg = built.system.algebra
+    for count in (1, 2):
+        x, xm = algebra.generic_elements(alg, count)
+        fresh = linalg.random_complex(rng(algebra.PRODUCT_SEED), (count, alg.dim))
+        assert x.tobytes() == fresh.tobytes()
+        assert np.array_equal(xm, alg.from_coords_stack(fresh))
+        assert algebra.generic_elements(alg, count)[0] is x
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 0.0
+
+
+def test_the_traces_of_the_basis_are_held_and_read_after_the_build(monkeypatch):
+    """mu(b_i), read-only on the system, is what trace.values gives; the
+    analysis after the build reads it and forms it again nowhere."""
+    built, _ = _admissible("finite_extension_m2")
+    s = built.system
+    assert np.array_equal(s.trace_values, s.trace.values(s.algebra.basis))
+    assert not s.trace_values.flags.writeable
+    calls = _counted(monkeypatch, algebra.TraceFunctional, "values")
+    analyze_built("finite_extension_m2", "finite_extension", built)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["finite_extension_m2", "one_summand"])
+def test_finite_extension_diagnostics_equal_the_looped_route(name, shipped_descriptions):
+    """The stacked residuals against one kron and one image per basis
+    element and per matrix unit."""
+    if name == "one_summand":
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        b1 = v.explicit_system(2, [E12], np.eye(2) / 2, dynamics_unitary=x)
+        fe = v.build_finite_extension(v.FiniteExtensionSpec(b1=b1, b2=None, s=0.5,
+                                                            v1=x, v4=x))
+    else:
+        fe = build_from_description(shipped_descriptions[name])
+    got = dataclasses.astuple(constructors.finite_extension_diagnostics(fe))
+    want = looped_finite_extension_diagnostics(fe)
+    assert got[5:] == want[5:]
+    assert np.abs(np.subtract(got[:5], want[:5])).max() <= 1e-14
 
 
 @pytest.mark.parametrize("name", sorted(CESARO_SYSTEMS) + ["m3_generic"])
@@ -1797,10 +1922,10 @@ def test_cesaro_reads_one_decomposition_and_forms_no_square_product(monkeypatch)
 
     def spy(arr):
         return arr.view(_ProductSpy)
-    spied = dataclasses.replace(
-        system, gram=spy(system.gram), table=spy(system.table), star=spy(system.star),
-        dynamics=dataclasses.replace(system.dynamics, matrix=spy(system.dynamics.matrix)),
-        modes=tuple(spy(m) for m in system.modes))
+    spied = _with_modes(
+        system, tuple(spy(m) for m in system.modes),
+        gram=spy(system.gram), table=spy(system.table), star=spy(system.star),
+        dynamics=dataclasses.replace(system.dynamics, matrix=spy(system.dynamics.matrix)))
     spied_sub = dataclasses.replace(
         sub, parent=spied, coords_in_parent=spy(sub.coords_in_parent),
         expectation=dataclasses.replace(sub.expectation,

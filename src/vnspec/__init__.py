@@ -8,9 +8,8 @@ weak mixing and relative discrete spectrum.
 from .algebra import (BlockAlgebra, ConditionalExpectation, DEFAULT_TOL,
                       MatrixStarAlgebra, MatrixUnits, StarAutomorphism, Subsystem,
                       ToleranceConfig, TraceFunctional, WStarSystem,
-                      automorphism_from_unitary, bratteli_blocks, generate_algebra,
-                      gram_matrix, matrix_units, subsystem, system, trace_functional,
-                      validate_trace)
+                      bratteli_blocks, generate_algebra, gram_matrix, matrix_units,
+                      subsystem, system, trace_functional, validate_trace)
 from .basic import (BasicConstruction, build_basic_construction,
                     default_partition, lifted_trace, lifted_trace_via_partition)
 from .constructors import (ConstructedSystem, FiniteExtensionDiagnostics,
@@ -19,7 +18,7 @@ from .constructors import (ConstructedSystem, FiniteExtensionDiagnostics,
                            build_explicit_system, build_finite_extension,
                            build_group_vn_system, build_skew_product,
                            build_tensor_system, classical_sub_partition,
-                           explicit_system, group_sub_system, identity_automorphism,
+                           explicit_system, group_sub_system,
                            tensor_partition_isometries, trivial_subalgebra)
 from .gns import GnsSpace, build_gns, cyclic_subspace_frame
 from .joining import (ErgodicityCheck, JoiningData, factor_gram, joining_equivalence,

@@ -4,7 +4,8 @@ A von Neumann algebra is stored concretely as a *-subalgebra of M_N(C) with a
 Hilbert-Schmidt orthonormal basis.  A W*-dynamical system is such an algebra
 together with a faithful tracial state (given by a density matrix) and a
 trace-preserving *-automorphism, conjugation by a unitary, stored with its
-coordinate matrix over the basis.  A subsystem carries the trace-preserving
+coordinate matrix over the basis; ``system`` certifies all three from the
+algebra, the trace and the unitary.  A subsystem carries the trace-preserving
 conditional expectation onto it, solved once where the subsystem is made.
 Its central blocks, minimal projections and matrix units come from one
 seeded generic pair of its elements (``matrix_units``), and their sizes in
@@ -72,24 +73,20 @@ class MatrixStarAlgebra:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def coords(self, mat: np.ndarray) -> np.ndarray:
-        """Hilbert-Schmidt coordinates of ``mat`` over the basis, <b_k, mat>.
+    def coords(self, mats) -> np.ndarray:
+        """Hilbert-Schmidt coordinates <b_k, mat> (..., dim) of a matrix or of
+        a stack (..., N, N) of them.
 
         The input and the result are conjugated, never the basis.
         """
-        return (self.basis_rows() @ np.asarray(mat).conj().reshape(-1)).conj()
-
-    def coords_stack(self, mats: np.ndarray) -> np.ndarray:
-        """Coordinates of a stack of matrices; row k holds coords(mats[k])."""
-        flat = np.asarray(mats).reshape(len(mats), -1)
+        mats = np.asarray(mats)
+        flat = mats.reshape(*mats.shape[:-2], -1)
         return (flat.conj() @ self.basis_rows().T).conj()
 
-    def from_coords(self, c: np.ndarray) -> np.ndarray:
-        return self.from_coords_stack(np.asarray(c)[None])[0]
-
-    def from_coords_stack(self, c: np.ndarray) -> np.ndarray:
-        """Matrices from a stack of coordinate rows."""
-        return (np.asarray(c) @ self.basis_rows()).reshape(-1, *self.basis.shape[1:])
+    def from_coords(self, c) -> np.ndarray:
+        """The matrices (..., N, N) with coordinates (..., dim)."""
+        c = np.asarray(c)
+        return (c @ self.basis_rows()).reshape(*c.shape[:-1], *self.basis.shape[1:])
 
     def membership_residual(self, mat: np.ndarray) -> float:
         return linalg.hs_norm(mat - self.from_coords(self.coords(mat))) \
@@ -454,31 +451,32 @@ class StarAutomorphism:
         return alg.from_coords(self.matrix @ alg.coords(mat))
 
 
-def automorphism_from_unitary(alg: MatrixStarAlgebra, unitary,
-                              trace: TraceFunctional,
-                              tol: ToleranceConfig = DEFAULT_TOL) -> StarAutomorphism:
+def _conjugation(alg: MatrixStarAlgebra, unitary, tol: ToleranceConfig) -> StarAutomorphism:
     """Conjugation by a unitary in coordinate form.
 
     Ad(u) is a *-automorphism of the algebra exactly when u A u* lies in A
     (equality follows by dimension); its coordinate matrix is then unitary,
-    so nonsingular, multiplicative and *-preserving.  Only the trace and
-    invariance, at one generic element (``generic_elements``), are checked.
+    so nonsingular, multiplicative and *-preserving.  Only invariance, at one
+    generic element (``generic_elements``), is checked here.  Column j of
+    the matrix holds the coordinates of u b_j u*, formed a chunk of images
+    at a time.
     """
     u = linalg.as_matrix(unitary)
-    if u.shape != (alg.ambient_dim, alg.ambient_dim):
+    d, n = alg.dim, alg.ambient_dim
+    if u.shape != (n, n):
         raise DimensionMismatch("unitary has wrong shape")
-    if np.abs(u @ u.conj().T - np.eye(alg.ambient_dim)).max() > tol.eps_assert:
+    if np.abs(u @ u.conj().T - np.eye(n)).max() > tol.eps_assert:
         raise NotUnitary("dynamics matrix is not unitary")
-    images = u @ alg.basis @ u.conj().T
-    m = alg.coords_stack(images).T  # column j = coords of u b_j u*
+    uh, m = u.conj().T, np.empty((d, d), dtype=np.complex128)
+    step = max(1, TABLE_CHUNK // (n * n))
+    for j in range(0, d, step):
+        m[:, j:j + step] = alg.coords(u @ alg.basis[j:j + step] @ uh).T
     (x,), (xm,) = generic_elements(alg)
-    resid = float(np.abs(u @ xm @ u.conj().T - alg.from_coords(m @ x)).max())
+    resid = float(np.abs(u @ xm @ uh - alg.from_coords(m @ x)).max())
     if resid > tol.eps_assert:
         raise NotAutomorphism(f"conjugation by the unitary does not map the algebra "
                               f"onto itself (residual {resid:.2e})")
-    if np.abs(trace.values(images) - trace.values(alg.basis)).max() > tol.eps_assert:
-        raise NotAutomorphism("conjugation by the unitary does not preserve the trace")
-    return StarAutomorphism(np.ascontiguousarray(m), np.ascontiguousarray(u))
+    return StarAutomorphism(m, np.ascontiguousarray(u))
 
 
 def multiplication_table(alg: MatrixStarAlgebra) -> tuple[np.ndarray, np.ndarray]:
@@ -493,8 +491,8 @@ def multiplication_table(alg: MatrixStarAlgebra) -> tuple[np.ndarray, np.ndarray
     step = max(1, TABLE_CHUNK // max(1, d * n * n))
     for i in range(0, d, step):
         prods = alg.basis[i:i + step, None] @ alg.basis[None]
-        table[i:i + step] = alg.coords_stack(prods.reshape(-1, n * n)).reshape(-1, d, d)
-    star = alg.coords_stack(alg.basis.conj().transpose(0, 2, 1)).T
+        table[i:i + step] = alg.coords(prods)
+    star = alg.coords(alg.basis.conj().transpose(0, 2, 1)).T
     return table, np.ascontiguousarray(star)
 
 
@@ -516,7 +514,7 @@ def generic_elements(alg: MatrixStarAlgebra, count: int = 1
     rows depend on (count, d) alone, so they are drawn once per shape and
     held, read-only, for the last GENERIC_ROWS_HELD shapes."""
     x = _generic_rows(count, alg.dim)
-    return x, alg.from_coords_stack(x)
+    return x, alg.from_coords(x)
 
 
 def _generic_closure_residual(alg: MatrixStarAlgebra, table: np.ndarray,
@@ -560,7 +558,8 @@ CESARO_BLOCK = 1024  # Cesaro steps whose powers of the cluster representatives 
 
 @dataclass(frozen=True)
 class WStarSystem:
-    """(algebra, faithful tracial state, trace-preserving *-automorphism).
+    """(algebra, faithful tracial state, trace-preserving *-automorphism
+    Ad u), made and certified by ``system`` from (A, mu, u).
 
     Carries the data every stage reads from the algebra's one multiplication:
     the Gram matrix, the table T[i, j] = coords(b_i b_j) and the adjoint
@@ -630,13 +629,20 @@ class WStarSystem:
         return float(np.abs(self.modes[0] - merged).max())
 
 
-def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
-           dynamics: StarAutomorphism, tol: ToleranceConfig = DEFAULT_TOL,
+def system(algebra: MatrixStarAlgebra, trace: TraceFunctional, unitary,
+           tol: ToleranceConfig = DEFAULT_TOL,
            factors: tuple[WStarSystem, WStarSystem] | None = None) -> WStarSystem:
-    """Validates the algebra's closure under products and adjoints, then the
-    trace on it; the dynamics itself was validated where it was made, and
-    is diagonalised only when a Cesaro average first reads its eigenbasis
-    (``WStarSystem.modes``), at ``tol``, which the system holds.
+    """The system (A, mu, Ad u), certified: first the dynamics, then the
+    algebra's closure under products and adjoints, then the trace on it.
+
+    The unitary must have A's ambient shape and be unitary, and conjugation
+    by it must map A onto itself (``_conjugation``, at one generic element)
+    and preserve the trace: with m its coordinate matrix, mu(u b_j u*) =
+    sum_i m[i, j] mu(b_i), so values @ m = values for the traces mu(b_i)
+    of the basis, which are formed once, read by this check and by the
+    traciality check, and held.  The dynamics is diagonalised only when a
+    Cesaro average first reads its eigenbasis (``WStarSystem.modes``), at
+    ``tol``, which the system holds.
 
     T and S come from ``multiplication_table``, or, with the factor systems
     ``(B, C)`` of an algebra whose basis is b_i (x) c_j at index i dim C + j,
@@ -645,9 +651,12 @@ def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
     T_C[j, l] and S = S_B (x) S_C.  One generic pair certifies them, and the
     closure, on the algebra itself (``_generic_closure_residual``).  When the
     density is rho_B (x) rho_C, the Gram matrix is kron(G_B, G_C), as
-    mu(b_i* b_k (x) c_j* c_l) = mu_B(b_i* b_k) mu_C(c_j* c_l).  The traces
-    mu(b_i) are formed once, read by the traciality check and held.
+    mu(b_i* b_k (x) c_j* c_l) = mu_B(b_i* b_k) mu_C(c_j* c_l).
     """
+    dynamics = _conjugation(algebra, unitary, tol)
+    values = trace.values(algebra.basis)
+    if np.abs(values @ dynamics.matrix - values).max() > tol.eps_assert:
+        raise NotAutomorphism("conjugation by the unitary does not preserve the trace")
     gram = None
     if factors is None:
         table, star = multiplication_table(algebra)
@@ -665,7 +674,6 @@ def system(algebra: MatrixStarAlgebra, trace: TraceFunctional,
     if closure > tol.eps_assert:
         raise NumericalBreakdown(f"the basis does not span a *-algebra: a product or "
                                  f"adjoint leaves its span (residual {closure:.2e})")
-    values = trace.values(algebra.basis)
     gram, _ = validate_trace(algebra, trace, table, tol, gram, values)
     return WStarSystem(algebra, trace, dynamics, gram, table, star, values, tol)
 
@@ -720,7 +728,7 @@ def subsystem(parent: WStarSystem, sub_algebra: MatrixStarAlgebra,
         raise SubsystemInvalid("ambient dimensions differ")
     if sub_algebra.membership_residual(alg.identity()) > tol.eps_assert:
         raise SubsystemInvalid("subalgebra must contain the unit")
-    coords = alg.coords_stack(sub_algebra.basis)  # (m, d)
+    coords = alg.coords(sub_algebra.basis)  # (m, d)
     (z,), (zm,) = generic_elements(sub_algebra)
     if np.abs(alg.from_coords(z @ coords) - zm).max() > tol.eps_assert:
         raise SubsystemInvalid("subalgebra is not contained in the parent algebra")

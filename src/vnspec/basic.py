@@ -71,7 +71,7 @@ class BasicConstruction:
     trace_vector: np.ndarray        # lifted trace: lifted(x) = trace_vector @ coords(x)
     trace: TraceFunctional          # same functional as a central density (not normalized)
     dynamics: StarAutomorphism      # conjugation by U in block coordinates
-    bar_to_vector: np.ndarray       # block coords -> L2(algebra, lifted trace), diagonal
+    bar_scale: np.ndarray           # diagonal of block coords -> L2(algebra, lifted trace)
     u_bar: np.ndarray               # unitary implementing the dynamics there
     fixed: np.ndarray               # (dim, f) orthonormal coords of the fixed points C
     central: np.ndarray             # (c, dim) coords of C's minimal central projections
@@ -86,7 +86,7 @@ class BasicConstruction:
     perm: np.ndarray                # block permutation pi: alpha(p_k) = p_pi(k)
 
     def __post_init__(self):
-        for a in (self.e_frame, self.e_coords, self.trace_vector, self.bar_to_vector,
+        for a in (self.e_frame, self.e_coords, self.trace_vector, self.bar_scale,
                   self.u_bar, self.fixed, self.central, self.x_coords, self.b_coords,
                   self.g_coords, self.span_coords, self.perm):
             a.setflags(write=False)
@@ -163,7 +163,7 @@ def _x_coords(sub: Subsystem, left_e: np.ndarray, e_left_e: np.ndarray, units: M
     if len(blocks) == 1:
         return xs, 0.0
     # coordinates of the p_k in A, through F's
-    proj = sub.algebra.coords_stack(np.stack(units.projections)) @ sub.coords_in_parent
+    proj = sub.algebra.coords(np.stack(units.projections)) @ sub.coords_in_parent
     z_vals, z_vecs = np.linalg.eigh(np.tensordot(proj, e_left_e, axes=(1, 0)))  # Z_k
     ranges = [v[:, lam > 0.5] for lam, v in zip(z_vals, z_vecs)]
     edges = [0, *accumulate(y.shape[1] for y in ranges)]
@@ -234,7 +234,7 @@ def _block_algebra(gns: GnsSpace, units: MatrixUnits, blocks,
     block k; a frame of another width is a rank cutoff that keeps roundoff
     or drops part of j(q_k), a numerical breakdown that names the cutoff."""
     alg = gns.system.algebra
-    first = alg.coords_stack(np.stack([us[0] for us in units.units]))
+    first = alg.coords(np.stack([us[0] for us in units.units]))
     right = gns.j_op(np.tensordot(first, gns.left_mats, axes=(1, 0)))  # j(q_k)
     bases = [linalg.orthonormal_columns(jq, tol.eps_rank) for jq in right]
     widths, sizes = [v.shape[1] for v in bases], [m for _, _, m in blocks]
@@ -486,7 +486,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     # inclusion in j(F)': the largest entry of [e, j(g)], relative to |j(g)|,
     # for the generators h (and f) of F that gave its matrix units, and a
     # generic pair of span elements rebuilt from its blocks
-    gen_coords = gns.system.algebra.coords_stack(units.generators)
+    gen_coords = gns.system.algebra.coords(units.generators)
     right_g = gns.j_op(np.tensordot(gen_coords, gns.left_mats, axes=(1, 0)))
     pair = _generic_pair(left_e, e_left, bs)
     e = e0 @ e0.conj().T
@@ -531,7 +531,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
     density = TraceFunctional(alg.from_coords(trace_vector / alg.hs_weights),
                               normalized=False)
     return BasicConstruction(gns, sub, e0, alg, alg.coords(e), trace_vector, density,
-                             StarAutomorphism(dyn, gns.u_matrix), np.diag(root),
+                             StarAutomorphism(dyn, gns.u_matrix), root,
                              np.ascontiguousarray(u_bar), fixed, central,
                              resid, max(jones, defining), tracial, tuple(blocks),
                              xs, bs, gen_coords, span_coords, perm)

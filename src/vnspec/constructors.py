@@ -2,10 +2,10 @@
 Neumann algebras of finite groups, tensor products, skew products and finite
 extensions.
 
-Every dynamics is spatial: conjugation by an ambient unitary, built through
-``automorphism_from_unitary``, which checks that the unitary is unitary, maps
-the algebra onto itself and preserves the trace; ``system`` checks closure
-and the trace, ``subsystem`` that F lies in A and is invariant.  Each check
+Every dynamics is spatial: conjugation by an ambient unitary u, and one call
+``system(algebra, trace, u)`` makes the system.  It checks that u is unitary,
+maps the algebra onto itself and preserves the trace, then closure and the
+trace; ``subsystem`` checks that F lies in A and is invariant.  Each check
 linear in a basis is made at one seeded generic element of the algebra
 (``algebra.generic_elements``).  On top of that each constructor validates
 its own description:
@@ -40,10 +40,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, StarAutomorphism, Subsystem,
-                      ToleranceConfig, WStarSystem, automorphism_from_unitary,
-                      generate_algebra, generic_elements, subsystem, system,
-                      trace_functional)
+from .algebra import (DEFAULT_TOL, MatrixStarAlgebra, Subsystem, ToleranceConfig,
+                      WStarSystem, generate_algebra, generic_elements, subsystem,
+                      system, trace_functional)
 from .errors import (ConstraintViolated, DimensionMismatch, NotAutomorphism,
                      NotUnitary, SpecInvalid, WeightsNotPreserved)
 from .gns import build_gns
@@ -61,11 +60,6 @@ class ConstructedSystem:
     summands: tuple[int, int] | None = None
 
 
-def identity_automorphism(alg: MatrixStarAlgebra) -> StarAutomorphism:
-    return StarAutomorphism(np.eye(alg.dim, dtype=np.complex128),
-                            np.eye(alg.ambient_dim, dtype=np.complex128))
-
-
 def trivial_subalgebra(ambient_dim: int) -> MatrixStarAlgebra:
     basis = np.eye(ambient_dim, dtype=np.complex128)[None] / np.sqrt(ambient_dim)
     return MatrixStarAlgebra(ambient_dim, basis)
@@ -81,8 +75,7 @@ def explicit_system(ambient_dim: int, generators, density, dynamics_unitary,
     trace = trace_functional(density)
     if trace.density.shape != (ambient_dim, ambient_dim):
         raise DimensionMismatch("density has wrong shape")
-    dyn = automorphism_from_unitary(alg, dynamics_unitary, trace, tol)
-    return system(alg, trace, dyn, tol)
+    return system(alg, trace, dynamics_unitary, tol)
 
 
 def build_explicit_system(ambient_dim: int, generators, density, dynamics_unitary,
@@ -117,8 +110,7 @@ def build_classical_system(weights, permutation,
     alg = MatrixStarAlgebra(n, basis)
     trace = trace_functional(np.diag(w.astype(np.complex128)))
     # alpha(f) = f o S sends the atom indicator x to S^-1 x
-    dyn = automorphism_from_unitary(alg, _atom_permutation(perm), trace, tol)
-    return system(alg, trace, dyn, tol)
+    return system(alg, trace, _atom_permutation(perm), tol)
 
 
 def classical_sub_partition(sys: WStarSystem, blocks,
@@ -215,8 +207,7 @@ def build_group_vn_system(group_table, automorphism,
     u_comp = np.zeros((n, n), dtype=np.complex128)
     for h in range(n):
         u_comp[h, images[h]] = 1.0  # (U f)(h) = f(T h)
-    dyn = automorphism_from_unitary(alg, u_comp, trace, tol)
-    sys = system(alg, trace, dyn, tol)
+    sys = system(alg, trace, u_comp, tol)
     return GroupSystem(sys, table, ident, tuple(images))
 
 
@@ -251,8 +242,7 @@ def _product(b_system: WStarSystem, c_system: WStarSystem, unitary: np.ndarray,
     basis = basis.reshape(balg.dim * calg.dim, nb * nc, nb * nc)
     alg = MatrixStarAlgebra(nb * nc, np.ascontiguousarray(basis))
     trace = trace_functional(np.kron(b_system.trace.density, c_system.trace.density))
-    dyn = automorphism_from_unitary(alg, unitary, trace, tol)
-    sys = system(alg, trace, dyn, tol, factors=(b_system, c_system))
+    sys = system(alg, trace, unitary, tol, factors=(b_system, c_system))
     eye_c = np.eye(nc, dtype=np.complex128) / np.sqrt(nc)
     f_basis = np.einsum("iab,cd->iacbd", balg.basis, eye_c)
     f_basis = f_basis.reshape(balg.dim, nb * nc, nb * nc)
@@ -426,8 +416,7 @@ def build_finite_extension(spec: FiniteExtensionSpec,
         b_density = spec.s * pad(b1.trace.density, first) \
             + (1.0 - spec.s) * pad(b2.trace.density, second)
         # _product reads only Ad(W), so B1 (+) B2 and M_2 get the identity dynamics
-        b_sys = system(b_alg, trace_functional(b_density), identity_automorphism(b_alg),
-                       tol)
+        b_sys = system(b_alg, trace_functional(b_density), np.eye(nb), tol)
         w1, w4 = pad(v1, first), pad(v4, first)
         w2, w3 = pad(v2, second), pad(v3, second)
     else:
@@ -439,7 +428,7 @@ def build_finite_extension(spec: FiniteExtensionSpec,
     units[0, 0, 0] = units[1, 0, 1] = units[2, 1, 0] = units[3, 1, 1] = 1.0
     m2_alg = MatrixStarAlgebra(2, units)
     m2_sys = system(m2_alg, trace_functional(np.eye(2, dtype=np.complex128) / 2.0),
-                    identity_automorphism(m2_alg), tol)
+                    np.eye(2), tol)
     # W is unitary once each v_i is: the corners act on orthogonal summands
     w_full = (np.kron(w1, units[0]) + np.kron(w2, units[1])
               + np.kron(w3, units[2]) + np.kron(w4, units[3]))
@@ -484,7 +473,7 @@ def finite_extension_diagnostics(fe: ConstructedSystem,
 
     def moved(mats: np.ndarray) -> np.ndarray:
         """alpha on a stack of elements of A."""
-        return alg.from_coords_stack(alg.coords_stack(mats) @ alpha.T)
+        return alg.from_coords(alg.coords(mats) @ alpha.T)
 
     def h(x: np.ndarray) -> np.ndarray:
         return x.conj().T

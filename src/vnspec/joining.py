@@ -321,8 +321,8 @@ def joining_equivalence(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL
     if balance > tol.eps_assert:
         raise NumericalBreakdown(f"a g (x) j(b) and a (x) j(g b) differ for g in F "
                                  f"(omega(n* n) = {balance:.2e})")
-    # gamma_bar(x_i e b_s), column i k + s, as bar_to_vector is diagonal
-    cols = np.diagonal(bc.bar_to_vector)[:, None] * bc.span_coords.T
+    # gamma_bar(x_i e b_s), column i k + s
+    cols = bc.bar_scale[:, None] * bc.span_coords.T
     slices = bc.block_slices
     # R is block diagonal, block k C_k (gamma_k^H)^+ D_k^-1/2 from the
     # diagonal blocks of C and gamma; R gamma - C D^-1/2 is formed whole, so
@@ -366,10 +366,10 @@ def relative_ergodicity_check(jd: JoiningData,
     invertible; the F-subspace is the span of gamma_bar(e f) over F's basis.
     """
     bc = jd.basic
-    fixed, _ = np.linalg.qr(bc.bar_to_vector @ bc.fixed)
+    fixed, _ = np.linalg.qr(bc.bar_scale[:, None] * bc.fixed)
     f_left = np.tensordot(bc.sub.coords_in_parent, bc.gns.left_mats, axes=(1, 0))
     e0 = bc.e_frame
-    cols = bc.bar_to_vector @ bc.algebra.coords(e0 @ (e0.conj().T @ f_left)).T
+    cols = bc.bar_scale[:, None] * bc.algebra.coords(e0 @ (e0.conj().T @ f_left)).T
     lam = linalg.orthonormal_columns(cols, tol.eps_rank)
     resid = linalg.subspace_inclusion_residual(fixed, lam)
     return ErgodicityCheck(resid < tol.eps_assert, resid,

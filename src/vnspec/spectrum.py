@@ -123,7 +123,7 @@ def _cesaro_rows(system: WStarSystem, sub: Subsystem, coords: np.ndarray,
     the largest |lam_j - mu_c|, so term n moves by at most
     2 n s (sum_j |K_j|)^2 over the columns K_j of the unmerged K; above
     eps_assert at the last step a sequence ran, the cutoff that formed the
-    clusters is refused.
+    clusters, ``system.tol.eps_rank``, is refused.
     """
     if not len(coords):
         return []
@@ -170,7 +170,7 @@ def _cesaro_rows(system: WStarSystem, sub: Subsystem, coords: np.ndarray,
     moved = max(r * len(row) for r, row in zip(reach.tolist(), out))  # at the last step
     if moved > tol.eps_assert:
         raise NumericalBreakdown(
-            f"rank cutoff {tol.eps_rank:g} merges eigenvalues of the dynamics "
+            f"rank cutoff {system.tol.eps_rank:g} merges eigenvalues of the dynamics "
             f"{spread:.2e} apart, which may move a Cesaro term by {moved:.2e}")
     return out
 
@@ -386,7 +386,7 @@ def admissible_elements(system: WStarSystem, sub: Subsystem,
     that witness floors are comparable across trace scales.  These are the
     matrices of the coordinates that the spectrum report's Cesaro stage reads.
     """
-    mats = system.algebra.from_coords_stack(_admissible_coords(system, sub, tol, seed))
+    mats = system.algebra.from_coords(_admissible_coords(system, sub, tol, seed))
     return [(f"k{i}", a) for i, a in enumerate(mats)]
 
 

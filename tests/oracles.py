@@ -109,7 +109,7 @@ def vector_of(gns, mat: np.ndarray) -> np.ndarray:
 
 def bar_vector(bc, mat: np.ndarray) -> np.ndarray:
     """GNS vector of an element of the basic construction <A, e>."""
-    return bc.bar_to_vector @ bc.algebra.coords(mat)
+    return bc.bar_scale * bc.algebra.coords(mat)
 
 
 def span_candidates(bc) -> np.ndarray:
@@ -319,7 +319,7 @@ def full_equivalence(jd) -> tuple[np.ndarray, float, float, float]:
     one dense product, with its defining, unitarity and intertwining
     residuals on the whole matrices, as the package once formed them."""
     bc = jd.basic
-    cols = bc.bar_to_vector @ bc.span_coords.T
+    cols = bc.bar_scale[:, None] * bc.span_coords.T
     lam = np.einsum("ij,ij->i", jd.gamma.conj(), jd.gamma).real
     r = cols @ (jd.gamma / lam[:, None] / jd.norms).conj().T
     eye = np.eye(jd.rank)
@@ -367,13 +367,12 @@ def dense_closure_residual(alg: MatrixStarAlgebra) -> float:
     basis, over every pair, a block of rows i at a time, as
     ``multiplication_table`` once returned it beside T and S."""
     d, n = alg.dim, alg.ambient_dim
-    rows, resid = alg.basis_rows(), 0.0
-    step = max(1, TABLE_CHUNK // max(1, d * n * n))
+    resid, step = 0.0, max(1, TABLE_CHUNK // max(1, d * n * n))
     for i in range(0, d, step):
-        prods = (alg.basis[i:i + step, None] @ alg.basis[None]).reshape(-1, n * n)
-        resid = max(resid, float(np.abs(alg.coords_stack(prods) @ rows - prods).max()))
-    adj = alg.basis.conj().transpose(0, 2, 1).reshape(d, -1)
-    return max(resid, float(np.abs(alg.coords_stack(adj) @ rows - adj).max()))
+        prods = alg.basis[i:i + step, None] @ alg.basis[None]
+        resid = max(resid, float(np.abs(alg.from_coords(alg.coords(prods)) - prods).max()))
+    adj = alg.basis.conj().transpose(0, 2, 1)
+    return max(resid, float(np.abs(alg.from_coords(alg.coords(adj)) - adj).max()))
 
 
 def dense_closure_check(alg: MatrixStarAlgebra, tol: ToleranceConfig = DEFAULT_TOL
@@ -391,16 +390,16 @@ def stack_invariance_residual(alg: MatrixStarAlgebra, u: np.ndarray,
     """The largest entry of sum_i m[i, j] b_i - u b_j u* over every j, on the
     whole stack of images rebuilt from the coordinate matrix m."""
     images = u @ alg.basis @ u.conj().T
-    return float(np.abs(alg.from_coords_stack(matrix.T) - images).max())
+    return float(np.abs(alg.from_coords(matrix.T) - images).max())
 
 
 def dense_automorphism_check(alg: MatrixStarAlgebra, u: np.ndarray, trace,
                              tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """``automorphism_from_unitary``'s invariance and trace checks on the
-    whole rebuilt stack of images, as it once ran them; returns the
-    coordinate matrix."""
+    """``system``'s invariance and trace checks on the whole rebuilt stack
+    of images, as the package once ran them before the system was made;
+    returns the coordinate matrix."""
     images = u @ alg.basis @ u.conj().T
-    m = alg.coords_stack(images).T
+    m = alg.coords(images).T
     resid = stack_invariance_residual(alg, u, m)
     if resid > tol.eps_assert:
         raise NotAutomorphism(f"conjugation by the unitary does not map the algebra "
@@ -415,11 +414,11 @@ def dense_subsystem_check(parent, sub_algebra: MatrixStarAlgebra,
     """``subsystem``'s F in A and alpha(F) in F on the rebuilt stacks of F's
     basis and of its images, as it once ran them; returns F's coordinates."""
     alg = parent.algebra
-    coords = alg.coords_stack(sub_algebra.basis)
-    if np.abs(alg.from_coords_stack(coords) - sub_algebra.basis).max() > tol.eps_assert:
+    coords = alg.coords(sub_algebra.basis)
+    if np.abs(alg.from_coords(coords) - sub_algebra.basis).max() > tol.eps_assert:
         raise SubsystemInvalid("subalgebra is not contained in the parent algebra")
-    images = alg.from_coords_stack((parent.dynamics.matrix @ coords.T).T)
-    recon = sub_algebra.from_coords_stack(sub_algebra.coords_stack(images))
+    images = alg.from_coords((parent.dynamics.matrix @ coords.T).T)
+    recon = sub_algebra.from_coords(sub_algebra.coords(images))
     if np.abs(recon - images).max() > tol.eps_assert:
         raise SubsystemInvalid("dynamics does not preserve the subalgebra")
     return coords

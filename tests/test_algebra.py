@@ -267,22 +267,22 @@ def test_weighted_trace_on_diagonal_algebra_is_fine():
 def test_automorphism_from_unitary_rejects_nonunitary():
     alg = v.generate_algebra([E12], 2)
     tr = v.trace_functional(np.eye(2) / 2)
-    with pytest.raises(NotUnitary):
-        v.automorphism_from_unitary(alg, np.diag([1.0, 2.0]), tr)
+    with pytest.raises(NotUnitary, match="^dynamics matrix is not unitary$"):
+        v.system(alg, tr, np.diag([1.0, 2.0]))
 
 
 def test_automorphism_from_unitary_rejects_a_wrong_shape():
     alg = v.generate_algebra([E12], 2)
     tr = v.trace_functional(np.eye(2) / 2)
     with pytest.raises(DimensionMismatch, match="^unitary has wrong shape$"):
-        v.automorphism_from_unitary(alg, np.eye(3), tr)
+        v.system(alg, tr, np.eye(3))
 
 
 def test_automorphism_coordinate_and_unitary_forms_agree():
     alg = v.generate_algebra([E12], 2)
     tr = v.trace_functional(np.eye(2) / 2)
     u = np.diag([1.0, 1.0j])
-    auto = v.automorphism_from_unitary(alg, u, tr)
+    auto = v.system(alg, tr, u).dynamics
     # normalizing to coordinate form and rebuilding gives the same map
     rebuilt = v.StarAutomorphism(auto.matrix.copy(), auto.unitary)
     validate_automorphism(alg, rebuilt, tr)
@@ -297,8 +297,7 @@ def test_subsystem_accepts_invariant_subalgebra():
     alg = v.generate_algebra([E12], 2)
     tr = v.trace_functional(np.eye(2) / 2)
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    dyn = v.automorphism_from_unitary(alg, swap, tr)
-    sys = v.system(alg, tr, dyn)
+    sys = v.system(alg, tr, swap)
     diag = v.generate_algebra([np.diag([1.0, -1.0])], 2)
     sub = v.subsystem(sys, diag)  # the swap preserves the diagonal algebra
     assert sub.algebra.dim == 2
@@ -308,8 +307,7 @@ def test_subsystem_rejects_noninvariant_subalgebra():
     alg = v.generate_algebra([E12], 2)
     tr = v.trace_functional(np.eye(2) / 2)
     rot = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
-    dyn = v.automorphism_from_unitary(alg, rot, tr)
-    sys = v.system(alg, tr, dyn)
+    sys = v.system(alg, tr, rot)
     diag = v.generate_algebra([np.diag([1.0, -1.0])], 2)
     with pytest.raises(SubsystemInvalid, match="dynamics does not preserve"):
         v.subsystem(sys, diag)
@@ -319,7 +317,7 @@ def _diagonal_m2_system(weights=(0.5, 0.5)):
     """The diagonal algebra of M_2 under the identity dynamics."""
     alg = v.generate_algebra([np.diag([1.0, -1.0])], 2)
     tr = v.trace_functional(np.diag(weights))
-    return v.system(alg, tr, v.automorphism_from_unitary(alg, np.eye(2), tr))
+    return v.system(alg, tr, np.eye(2))
 
 
 def test_subsystem_rejects_another_ambient_dimension():
@@ -381,8 +379,7 @@ coeffs = st.lists(st.integers(min_value=-3, max_value=3), min_size=8, max_size=8
 def test_conditional_expectation_properties(c1, c2):
     alg = v.generate_algebra([E12], 2)
     tr = v.trace_functional(np.eye(2) / 2)
-    dyn = v.automorphism_from_unitary(alg, np.eye(2), tr)
-    sys = v.system(alg, tr, dyn)
+    sys = v.system(alg, tr, np.eye(2))
     sub = v.subsystem(sys, v.generate_algebra([np.diag([1.0, -1.0])], 2))
     exp = sub.expectation
     a = ((c1[0] + 1j * c1[1]) * E11 + (c1[2] + 1j * c1[3]) * E12

@@ -86,7 +86,7 @@ def test_dynamics_restriction_and_e_fixed(analyses):
         u = gns.u_matrix
         assert np.abs(u @ bc.e @ u.conj().T - bc.e).max() < 1e-9, name
         # conjugation restricted to the left algebra implements the dynamics
-        images = an.built.system.algebra.from_coords_stack(
+        images = an.built.system.algebra.from_coords(
             an.built.system.dynamics.matrix.T)
         for i in range(min(4, an.built.system.algebra.dim)):
             lhs = u @ gns.left_mats[i] @ u.conj().T

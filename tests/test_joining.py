@@ -159,8 +159,7 @@ def test_joining_rejects_a_dynamics_that_moves_f(m2_over_diagonal):
     gns = v.build_gns(sys)
     bc = v.build_basic_construction(gns, sub)
     w = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
-    moved = v.system(sys.algebra, sys.trace,
-                     v.automorphism_from_unitary(sys.algebra, w, sys.trace))
+    moved = v.system(sys.algebra, sys.trace, w)
     with pytest.raises(NumericalBreakdown, match="not invariant"):
         v.relative_joining(replace(bc, gns=replace(gns, system=moved),
                                    sub=replace(sub, parent=moved)))

@@ -102,18 +102,16 @@ CHILD = textwrap.dedent("""
         for name in names:
             setattr(pipeline, name, timed(stage, getattr(pipeline, name)))
     desc = parse_system(sys.stdin.read())
-    tol = desc.tolerance_config()
     start = time.perf_counter()
-    an = pipeline.analyze_description(desc, tol)
+    an = pipeline.analyze_description(desc)
     wall = time.perf_counter() - start
     row = {"wall_s": wall, "passed": an.passed, "dim_basic": an.basic.algebra.dim,
            "rss_mb": rss_mb(), "stage_s": stage_s, "stage_rss_mb": stage_rss}
     del an
-    built = build_from_description(desc, tol)
+    built = build_from_description(desc)
     start = time.perf_counter()
-    for _, a in admissible_elements(built.system, built.sub, tol):
-        cesaro_sequence(built.system, built.sub, a, n_max=horizon, tol=tol,
-                        early_exit=False)
+    for _, a in admissible_elements(built.system, built.sub):
+        cesaro_sequence(built.system, built.sub, a, n_max=horizon, early_exit=False)
     row["cesaro_s"] = time.perf_counter() - start
     print(json.dumps(row))
 """)

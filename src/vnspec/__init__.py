@@ -11,7 +11,7 @@ from .algebra import (BlockAlgebra, ConditionalExpectation, DEFAULT_TOL,
                       bratteli_blocks, generate_algebra, gram_matrix, matrix_units,
                       subsystem, system, trace_functional, validate_trace)
 from .basic import (BasicConstruction, build_basic_construction,
-                    default_partition, lifted_trace, lifted_trace_via_partition)
+                    default_partition, lifted_trace_via_partition)
 from .constructors import (ConstructedSystem, FiniteExtensionDiagnostics,
                            FiniteExtensionSpec, GroupSystem,
                            SkewProductSpec, build_classical_system,

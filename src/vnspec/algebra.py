@@ -565,7 +565,9 @@ class WStarSystem:
     the Gram matrix, the table T[i, j] = coords(b_i b_j) and the adjoint
     matrix S[:, i] = coords(b_i*) (from ``multiplication_table``, or from
     the factors' tables for a product system), the traces mu(b_i) of the
-    basis (``trace_values``), and the tolerance ``tol`` it was built with.
+    basis (``trace_values``), and the tolerance ``tol`` it was built with,
+    the one at which every stage of its analysis decides ranks and checks
+    identities: a stage reads it off the system, never takes its own.
     The spectral data that only the Cesaro averages read are formed on first
     read and held with the system, read-only: the certified eigenbasis
     ``modes = (lam, V)`` of the dynamics' coordinate matrix, alpha =
@@ -718,12 +720,12 @@ class Subsystem:
         return out
 
 
-def subsystem(parent: WStarSystem, sub_algebra: MatrixStarAlgebra,
-              tol: ToleranceConfig = DEFAULT_TOL) -> Subsystem:
+def subsystem(parent: WStarSystem, sub_algebra: MatrixStarAlgebra) -> Subsystem:
     """Validates F and solves for E_F, the orthogonal projection of A onto F
     for the inner product mu(a* b), from F's Gram matrix in A's coordinates.
-    F in A and alpha(F) in F are checked at one generic element of F."""
-    alg = parent.algebra
+    F in A and alpha(F) in F are checked at one generic element of F, at the
+    tolerance the parent holds."""
+    alg, tol = parent.algebra, parent.tol
     if sub_algebra.ambient_dim != alg.ambient_dim:
         raise SubsystemInvalid("ambient dimensions differ")
     if sub_algebra.membership_residual(alg.identity()) > tol.eps_assert:

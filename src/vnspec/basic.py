@@ -53,7 +53,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import linalg
-from .algebra import (DEFAULT_TOL, PRODUCT_SEED, SPAN_SEED, BlockAlgebra, MatrixUnits,
+from .algebra import (PRODUCT_SEED, SPAN_SEED, BlockAlgebra, MatrixUnits,
                       StarAutomorphism, Subsystem, ToleranceConfig, TraceFunctional,
                       bratteli_blocks, eigenmodes, matrix_units, partial_isometry)
 from .errors import (CommutantMismatch, ExtensionInconsistent, NumericalBreakdown,
@@ -315,9 +315,9 @@ def _jones_relation(sub: Subsystem, e_frame: np.ndarray, left_e: np.ndarray,
     return max(ident, jones)
 
 
-def lifted_trace(gns: GnsSpace, corners, alg: BlockAlgebra,
-                 blocks: list[tuple[np.ndarray, int, int]],
-                 tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+def _lifted_trace(gns: GnsSpace, corners, alg: BlockAlgebra,
+                  blocks: list[tuple[np.ndarray, int, int]],
+                  tol: ToleranceConfig) -> tuple[np.ndarray, float]:
     """The trace  a e b -> mu(a b)  on the algebra, in closed form.
 
     <A, e> = j(F)' has the trace vector of F: over the blocks
@@ -461,11 +461,12 @@ def _fixed_points(alg: BlockAlgebra, perm: np.ndarray, unitaries: list,
     return np.ascontiguousarray(fixed), central
 
 
-def build_basic_construction(gns: GnsSpace, sub: Subsystem,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> BasicConstruction:
+def build_basic_construction(gns: GnsSpace, sub: Subsystem) -> BasicConstruction:
+    """<A, e> of the subsystem, every step at the tolerance the system holds."""
     if sub.parent is not gns.system:
         raise SubsystemInvalid("subsystem does not belong to this system")
-    e0 = cyclic_subspace_frame(gns, sub, tol)
+    tol = gns.system.tol
+    e0 = cyclic_subspace_frame(gns, sub)
     # A's corner stacks L(a_j) E_0, E_0^H L(a_j), E_0^H L(a_j) E_0, formed once
     left_e, e_left = gns.left_mats @ e0, e0.conj().T @ gns.left_mats
     e_left_e = e_left @ e0
@@ -501,7 +502,7 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
             f"{off_block:.2e}, commutator residual {commutator:.2e}, block rebuild "
             f"residual {rebuilt:.2e}")
     jones = _jones_relation(sub, e0, left_e, e_left_e, alg, tol)
-    trace_vector, defining = lifted_trace(gns, corners, alg, blocks, tol)
+    trace_vector, defining = _lifted_trace(gns, corners, alg, blocks, tol)
     del left_e, e_left, e_left_e, corners  # what follows reads only the blocks
     # the block product and the trace property on the generic pair
     x, y = pair
@@ -537,9 +538,9 @@ def build_basic_construction(gns: GnsSpace, sub: Subsystem,
                              xs, bs, gen_coords, span_coords, perm)
 
 
-def default_partition(bc: BasicConstruction,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Elements v_i of the commutant-side construction with sum v_i* e v_i = 1.
+def default_partition(bc: BasicConstruction) -> list[np.ndarray]:
+    """Elements v_i of the commutant-side construction with sum v_i* e v_i = 1,
+    with the ranks of e read at the system's eps_rank.
 
     They are v_i = j(y_i) = J y_i* J for y_i in <A, e> with
     sum_i y_i e y_i* = 1, as v_i* e v_i = J y_i e y_i* J.  Block k of e is a
@@ -550,7 +551,7 @@ def default_partition(bc: BasicConstruction,
     irreducible right module of F p_k, rho_k must equal n_k.  On H, y_i is
     the sum of V_{k,r}[:, c] (V_{k,r} G_k)^H over the frames, c the slice.
     """
-    alg, dim = bc.algebra, bc.gns.dim
+    alg, dim, tol = bc.algebra, bc.gns.dim, bc.gns.system.tol
     ranges = [linalg.orthonormal_columns(ek, tol.eps_rank)
               for ek in alg.blocks(bc.e_coords)]
     if not all(g.shape[1] for g in ranges):
@@ -573,16 +574,16 @@ def default_partition(bc: BasicConstruction,
     return list(bc.gns.j_op(np.stack(members)))
 
 
-def lifted_trace_via_partition(bc: BasicConstruction, partial_isometries,
-                               tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def lifted_trace_via_partition(bc: BasicConstruction, partial_isometries) -> float:
     """Evaluate the lifted trace as sum_i <J v_i* Omega, t J v_i* Omega>.
 
     Validates sum v_i* e v_i = 1 and that the result agrees with the
-    closed-form trace on the algebra; returns the largest disagreement.  For
-    t in <A, e> and a vector w, <w, t w> = sum_k sum_i z^H t_k z with
-    z = V_{k,i}^H w, so the functional's coordinates are read off the
-    vectors' block components.
+    closed-form trace on the algebra, at the system's eps_assert; returns the
+    largest disagreement.  For t in <A, e> and a vector w, <w, t w> =
+    sum_k sum_i z^H t_k z with z = V_{k,i}^H w, so the functional's
+    coordinates are read off the vectors' block components.
     """
+    tol = bc.gns.system.tol
     vs = [np.asarray(v, dtype=np.complex128) for v in partial_isometries]
     total = sum(w.conj().T @ w for w in (bc.e_frame.conj().T @ v for v in vs))
     if np.abs(total - np.eye(bc.gns.dim)).max() > tol.eps_assert:

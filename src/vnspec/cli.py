@@ -76,25 +76,24 @@ def _analyze_file(path: str, args):
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     desc = parse_system(text)
-    tol = _resolve_tolerances(desc, args)
-    return analyze_description(desc, tol, args.seed), tol
+    return analyze_description(desc, _resolve_tolerances(desc, args), args.seed)
 
 
 def cmd_analyze(args) -> int:
-    an, _ = _analyze_file(args.file, args)
+    an = _analyze_file(args.file, args)
     if not args.quiet:
         print(emit_report(an, "json" if args.format == "json" else "text"))
     return EXIT_OK if an.passed else EXIT_BREAKDOWN
 
 
 def cmd_report(args) -> int:
-    an, _ = _analyze_file(args.file, args)
+    an = _analyze_file(args.file, args)
     print(emit_report(an, args.format))
     return EXIT_OK if an.passed else EXIT_BREAKDOWN
 
 
 def cmd_certify_rds(args) -> int:
-    an, _ = _analyze_file(args.file, args)
+    an = _analyze_file(args.file, args)
     sp = an.spectrum
     if not args.quiet:
         print(f"relative discrete spectrum: {sp.rds}")
@@ -112,18 +111,18 @@ def cmd_rwm(args) -> int:
     if args.cesaro_n is not None and args.element is None:
         print("invalid input: --N needs --element", file=sys.stderr)
         return EXIT_INVALID
-    an, tol = _analyze_file(args.file, args)
+    an = _analyze_file(args.file, args)
     sp = an.spectrum
     if args.element is not None:
         elements = dict(admissible_elements(an.built.system, an.built.sub,
-                                            tol, seed=args.seed))
+                                            seed=args.seed))
         if args.element not in elements:
             print(f"unknown element {args.element!r}; available: "
                   f"{sorted(elements)}", file=sys.stderr)
             return EXIT_INVALID
         seq = cesaro_sequence(an.built.system, an.built.sub,
                               elements[args.element], n_max=args.cesaro_n,
-                              tol=tol, early_exit=False)
+                              early_exit=False)
         if not args.quiet:
             print(f"cesaro averages for {args.element} "
                   f"(N = 1..{len(seq)}): min {seq.min():.6g}, "
@@ -141,7 +140,7 @@ def cmd_rwm(args) -> int:
 
 
 def cmd_joining(args) -> int:
-    an, _ = _analyze_file(args.file, args)
+    an = _analyze_file(args.file, args)
     doc = analysis_to_dict(an)["joining"]
     checks = {c.name: c for c in an.checks}
     if not args.quiet:

@@ -85,7 +85,7 @@ def build_explicit_system(ambient_dim: int, generators, density, dynamics_unitar
     (the scalars when there are none)."""
     sys = explicit_system(ambient_dim, generators, density, dynamics_unitary, tol)
     sub_alg = generate_algebra(sub_generators, ambient_dim, tol)
-    return ConstructedSystem(sys, subsystem(sys, sub_alg, tol))
+    return ConstructedSystem(sys, subsystem(sys, sub_alg))
 
 
 # --- classical atomic systems -------------------------------------------------
@@ -113,9 +113,9 @@ def build_classical_system(weights, permutation,
     return system(alg, trace, _atom_permutation(perm), tol)
 
 
-def classical_sub_partition(sys: WStarSystem, blocks,
-                            tol: ToleranceConfig = DEFAULT_TOL) -> Subsystem:
-    """Subalgebra of a classical system spanned by indicators of atom blocks."""
+def classical_sub_partition(sys: WStarSystem, blocks) -> Subsystem:
+    """Subalgebra of a classical system spanned by indicators of atom blocks,
+    checked by ``subsystem`` at the tolerance the system holds."""
     n = sys.algebra.ambient_dim
     seen = sorted(x for b in blocks for x in b)
     if seen != list(range(n)):
@@ -126,7 +126,7 @@ def classical_sub_partition(sys: WStarSystem, blocks,
         for x in b:
             m[x, x] = 1.0
         mats.append(m / np.sqrt(len(b)))
-    return subsystem(sys, MatrixStarAlgebra(n, np.stack(mats)), tol)
+    return subsystem(sys, MatrixStarAlgebra(n, np.stack(mats)))
 
 
 def _atom_permutation(perm) -> np.ndarray:
@@ -211,9 +211,9 @@ def build_group_vn_system(group_table, automorphism,
     return GroupSystem(sys, table, ident, tuple(images))
 
 
-def group_sub_system(gs: GroupSystem, subgroup,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> Subsystem:
-    """Subsystem spanned by l(h) over an automorphism-invariant subgroup."""
+def group_sub_system(gs: GroupSystem, subgroup) -> Subsystem:
+    """Subsystem spanned by l(h) over an automorphism-invariant subgroup,
+    checked by ``subsystem`` at the tolerance the system holds."""
     elems = sorted(set(int(h) for h in subgroup))
     n = gs.table.shape[0]
     if gs.identity_index not in elems:
@@ -226,7 +226,7 @@ def group_sub_system(gs: GroupSystem, subgroup,
             raise SpecInvalid("subgroup is not invariant under the automorphism")
     lmats = left_regular_matrices(gs.table)
     basis = np.stack([lmats[h] for h in elems]) / np.sqrt(n)
-    return subsystem(gs.system, MatrixStarAlgebra(n, basis), tol)
+    return subsystem(gs.system, MatrixStarAlgebra(n, basis))
 
 
 # --- product systems --------------------------------------------------------
@@ -246,7 +246,7 @@ def _product(b_system: WStarSystem, c_system: WStarSystem, unitary: np.ndarray,
     eye_c = np.eye(nc, dtype=np.complex128) / np.sqrt(nc)
     f_basis = np.einsum("iab,cd->iacbd", balg.basis, eye_c)
     f_basis = f_basis.reshape(balg.dim, nb * nc, nb * nc)
-    sub = subsystem(sys, MatrixStarAlgebra(nb * nc, np.ascontiguousarray(f_basis)), tol)
+    sub = subsystem(sys, MatrixStarAlgebra(nb * nc, np.ascontiguousarray(f_basis)))
     return ConstructedSystem(sys, sub, (b_system, c_system))
 
 
@@ -257,14 +257,15 @@ def build_tensor_system(b_system: WStarSystem, c_system: WStarSystem,
                     np.kron(b_system.dynamics.unitary, c_system.dynamics.unitary), tol)
 
 
-def tensor_partition_isometries(b_system: WStarSystem, c_system: WStarSystem,
-                                tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+def tensor_partition_isometries(b_system: WStarSystem, c_system: WStarSystem
+                                ) -> list[np.ndarray]:
     """Partition elements 1 (x) w_i for the lifted trace of a product system.
 
     Each w_i maps z to <J_c h_i, z> Omega_c over an orthonormal basis (h_i) of
     the fiber GNS space, so that sum w_i* e w_i = 1 on the product space.
+    The fiber's GNS space is built at the tolerance the fiber holds.
     """
-    gns_c = build_gns(c_system, tol)
+    gns_c = build_gns(c_system)
     eye_b = np.eye(b_system.algebra.dim, dtype=np.complex128)
     out = []
     for i in range(gns_c.dim):
@@ -452,15 +453,14 @@ class FiniteExtensionDiagnostics:
                    self.display_pattern)
 
 
-def finite_extension_diagnostics(fe: ConstructedSystem,
-                                 tol: ToleranceConfig = DEFAULT_TOL
-                                 ) -> FiniteExtensionDiagnostics:
+def finite_extension_diagnostics(fe: ConstructedSystem) -> FiniteExtensionDiagnostics:
     """Residuals of the structural identities of a two-dimensional extension.
 
     Checks the two expressions for the restricted dynamics, the off-diagonal
     cancellation, the restriction alpha(b (x) 1) = beta(b) (x) 1, the displayed
     block pattern of alpha(1 (x) m), and whether the dynamics visibly fails to
-    be a product (distance of alpha(1 (x) m) from 1 (x) M_2).  The corner
+    be a product (distance of alpha(1 (x) m) from 1 (x) M_2, above the
+    system's eps_assert).  The corner
     w_k of W = sum_k w_k (x) E_k at (a, b) is W[a::2, b::2].
     """
     w = fe.system.dynamics.unitary
@@ -503,6 +503,6 @@ def finite_extension_diagnostics(fe: ConstructedSystem,
     flat = image[1].reshape(-1)
     proj = fiber_rows.conj() @ flat
     product_distance = float(np.linalg.norm(flat - fiber_rows.T @ proj))
+    nonproduct = product_distance > fe.system.tol.eps_assert
     return FiniteExtensionDiagnostics(beta_resid, offdiag_resid, restrict_resid,
-                                      display_resid, product_distance,
-                                      product_distance > tol.eps_assert, n2 > 0)
+                                      display_resid, product_distance, nonproduct, n2 > 0)

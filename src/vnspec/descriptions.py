@@ -291,16 +291,15 @@ def build_from_description(desc: SystemDescription,
                 tol=tol)
         if desc.kind == "classical":
             sys = build_classical_system(p["weights"], p["permutation"], tol)
-            sub = classical_sub_partition(sys, p["sub_partition"], tol)
+            sub = classical_sub_partition(sys, p["sub_partition"])
             return ConstructedSystem(sys, sub)
         if desc.kind == "group_vn":
             gs = build_group_vn_system(p["group_table"], p["automorphism"], tol)
             if p.get("subgroup") is None:
                 sub = subsystem(gs.system,
-                                trivial_subalgebra(gs.system.algebra.ambient_dim),
-                                tol)
+                                trivial_subalgebra(gs.system.algebra.ambient_dim))
             else:
-                sub = group_sub_system(gs, p["subgroup"], tol)
+                sub = group_sub_system(gs, p["subgroup"])
             return ConstructedSystem(gs.system, sub)
         if desc.kind == "tensor":
             return build_tensor_system(_build_factor(p["b_factor"], tol),

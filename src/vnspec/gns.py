@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import DEFAULT_TOL, Subsystem, ToleranceConfig, WStarSystem
+from .algebra import Subsystem, WStarSystem
 from .errors import TraceNotFaithful
 
 
@@ -50,25 +50,18 @@ class GnsSpace:
         return self.conj_matrix @ np.swapaxes(op, -1, -2) @ self.conj_matrix.conj()
 
 
-def gns_map(gram: np.ndarray, dynamics: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinates of L2 for a positive definite Gram matrix.
-
-    Returns the map a -> a Omega (the adjoint of the Cholesky factor of the
-    Hermitian part of the Gram matrix), its inverse, and the dynamics matrix
-    conjugated into a unitary on L2.  The caller checks faithfulness.
-    """
-    to_vec = np.linalg.cholesky((gram + gram.conj().T) / 2).conj().T
-    from_vec = np.linalg.inv(to_vec)
-    return to_vec, from_vec, to_vec @ dynamics @ from_vec
-
-
-def build_gns(system: WStarSystem, tol: ToleranceConfig = DEFAULT_TOL) -> GnsSpace:
+def build_gns(system: WStarSystem) -> GnsSpace:
+    """Coordinates of L2 for the positive definite Gram matrix, checked at
+    the system's eps_rank: the map a -> a Omega is the adjoint of the
+    Cholesky factor of the Gram matrix's Hermitian part, and the dynamics
+    matrix conjugated by it is a unitary on L2."""
     alg = system.algebra
     gram = (system.gram + system.gram.conj().T) / 2
-    if np.linalg.eigvalsh(gram).min() < tol.eps_rank:
+    if np.linalg.eigvalsh(gram).min() < system.tol.eps_rank:
         raise TraceNotFaithful("Gram matrix is singular; trace is not faithful")
-    to_vec, from_vec, u_mat = gns_map(system.gram, system.dynamics.matrix)
+    to_vec = np.linalg.cholesky(gram).conj().T
+    from_vec = np.linalg.inv(to_vec)
+    u_mat = to_vec @ system.dynamics.matrix @ from_vec
     omega = to_vec @ alg.coords(alg.identity())
     # column j of table[i].T holds coords(b_i b_j); star[:, i] holds coords(b_i*)
     left_mats = to_vec @ system.table.transpose(0, 2, 1) @ from_vec
@@ -77,12 +70,12 @@ def build_gns(system: WStarSystem, tol: ToleranceConfig = DEFAULT_TOL) -> GnsSpa
                     np.ascontiguousarray(conj_mat), np.ascontiguousarray(u_mat))
 
 
-def cyclic_subspace_frame(gns: GnsSpace, sub: Subsystem,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal columns E_0 spanning the closure of F Omega.
+def cyclic_subspace_frame(gns: GnsSpace, sub: Subsystem) -> np.ndarray:
+    """Orthonormal columns E_0 spanning the closure of F Omega, at the
+    system's eps_rank.
 
     The projection e = E_0 E_0^H satisfies e(a Omega) = D(a) Omega for the
     trace-preserving conditional expectation D onto F.
     """
     cols = gns.to_vector @ sub.coords_in_parent.T  # (dim, m), columns f Omega
-    return linalg.orthonormal_columns(cols, tol.eps_rank)
+    return linalg.orthonormal_columns(cols, gns.system.tol.eps_rank)

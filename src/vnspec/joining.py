@@ -184,10 +184,10 @@ def _trace_route(bc: BasicConstruction) -> np.ndarray:
     return corner @ weighted.T
 
 
-def relative_joining(bc: BasicConstruction,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> JoiningData:
+def relative_joining(bc: BasicConstruction) -> JoiningData:
+    """The joining, every rank decision and identity check at the system's tol."""
     gns, sub = bc.gns, bc.sub
-    parent, alg = gns.system, gns.system.algebra
+    parent, alg, tol = gns.system, gns.system.algebra, gns.system.tol
     lm, om, cond = gns.left_mats, gns.omega, sub.expectation.matrix.T
     # joint state, route one: diagonal state after D (x) D', from the rows
     # Omega^H L(D(a_i)) and the vectors j(L(D(a_i))) Omega
@@ -284,8 +284,7 @@ def _unitarity(r: np.ndarray) -> np.ndarray:
                       np.abs(r @ rh - eye).max(axis=(1, 2)))
 
 
-def joining_equivalence(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL
-                        ) -> tuple[np.ndarray, float, float]:
+def joining_equivalence(jd: JoiningData) -> tuple[np.ndarray, float, float]:
     """The unitary from the joining GNS space onto the basic-construction one.
 
     Determined by gamma(a (x) j(b)) -> gamma_bar(a e b), and validated on the
@@ -306,9 +305,9 @@ def joining_equivalence(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL
     blocks count in the defining residual, and R W R^H - U_bar is formed
     whole.  Returns the map with its isometry residual (the largest of the
     defining, the unitarity and the balance residual) and its intertwining
-    residual.
+    residual, each checked at the system's eps_assert.
     """
-    bc = jd.basic
+    bc, tol = jd.basic, jd.basic.gns.system.tol
     if jd.rank != len(bc.u_bar):
         raise IsometryViolation(
             f"joining GNS rank {jd.rank} differs from basic-construction "
@@ -357,15 +356,15 @@ class ErgodicityCheck:
     lambda_dim: int
 
 
-def relative_ergodicity_check(jd: JoiningData,
-                              tol: ToleranceConfig = DEFAULT_TOL) -> ErgodicityCheck:
+def relative_ergodicity_check(jd: JoiningData) -> ErgodicityCheck:
     """Whether every fixed vector of the lifted dynamics lies in the F-subspace.
 
     The fixed vectors are gamma_bar of the basic construction's fixed points,
     whose QR factor is orthonormal with no rank decision as gamma_bar is
-    invertible; the F-subspace is the span of gamma_bar(e f) over F's basis.
+    invertible; the F-subspace is the span of gamma_bar(e f) over F's basis,
+    its rank read at the system's eps_rank.
     """
-    bc = jd.basic
+    bc, tol = jd.basic, jd.basic.gns.system.tol
     fixed, _ = np.linalg.qr(bc.bar_scale[:, None] * bc.fixed)
     f_left = np.tensordot(bc.sub.coords_in_parent, bc.gns.left_mats, axes=(1, 0))
     e0 = bc.e_frame

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, ToleranceConfig
+from .algebra import ToleranceConfig
 from .basic import (BasicConstruction, build_basic_construction, default_partition,
                     lifted_trace_via_partition)
 from .constructors import (ConstructedSystem, FiniteExtensionDiagnostics,
@@ -67,23 +67,24 @@ class SystemAnalysis:
 
 
 def analyze_built(name: str, kind: str, built: ConstructedSystem,
-                  tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0
-                  ) -> SystemAnalysis:
-    """Every stage and check on a built system.  A rank cutoff below the
-    machine epsilon is refused first: no singular value or eigenvalue that
-    roundoff leaves can be told from zero there."""
+                  seed: int = 0) -> SystemAnalysis:
+    """Every stage and check on a built system, at the tolerance the system
+    holds.  A rank cutoff below the machine epsilon is refused first: no
+    singular value or eigenvalue that roundoff leaves can be told from zero
+    there."""
+    tol = built.system.tol
     if tol.eps_rank < np.finfo(float).eps:
         raise NumericalBreakdown(f"rank cutoff {tol.eps_rank:g} lies below roundoff "
                                  f"(machine epsilon {np.finfo(float).eps:.2e})")
-    gns = build_gns(built.system, tol)
-    bc = build_basic_construction(gns, built.sub, tol)
-    jd = relative_joining(bc, tol)
-    r, isometry, intertwine = joining_equivalence(jd, tol)
+    gns = build_gns(built.system)
+    bc = build_basic_construction(gns, built.sub)
+    jd = relative_joining(bc)
+    r, isometry, intertwine = joining_equivalence(jd)
     certificate = None
     diag = None
     if built.orbits is not None:
-        certificate = skew_orbit_modules(bc, built.orbits, tol)
-    spectrum = build_spectrum_report(jd, tol, seed, certificate)
+        certificate = skew_orbit_modules(bc, built.orbits)
+    spectrum = build_spectrum_report(jd, seed, certificate)
 
     checks: list[CheckResult] = []
 
@@ -134,7 +135,7 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
               f"sums matched: {', '.join(f.matching_formula for f in fibers)}"
               if fibers else "no modules"))
     if built.summands is not None:
-        diag = finite_extension_diagnostics(built, tol)
+        diag = finite_extension_diagnostics(built)
         add("finite_extension_beta", diag.structure_residual)
         if diag.nonproduct_expected:
             add("finite_extension_nonproduct",
@@ -151,11 +152,10 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
             note="not a finite extension")
 
     # partition cross-checks (raise on disagreement; residuals recorded)
-    default = lifted_trace_via_partition(bc, default_partition(bc, tol), tol)
+    default = lifted_trace_via_partition(bc, default_partition(bc))
     tensor = None
     if built.factors is not None:
-        vt = tensor_partition_isometries(*built.factors, tol=tol)
-        tensor = lifted_trace_via_partition(bc, vt, tol)
+        tensor = lifted_trace_via_partition(bc, tensor_partition_isometries(*built.factors))
     return SystemAnalysis(name, kind, built, gns, bc, jd, r, spectrum,
                           tuple(checks), diag, default, tensor)
 
@@ -163,6 +163,6 @@ def analyze_built(name: str, kind: str, built: ConstructedSystem,
 def analyze_description(desc: SystemDescription,
                         tol: ToleranceConfig | None = None,
                         seed: int = 0) -> SystemAnalysis:
-    tol = desc.tolerance_config() if tol is None else tol
-    built = build_from_description(desc, tol)
-    return analyze_built(desc.name, desc.kind, built, tol, seed)
+    """Build the described system at ``tol`` (the file's tolerances when
+    None) and analyze it at the tolerance it then holds."""
+    return analyze_built(desc.name, desc.kind, build_from_description(desc, tol), seed)

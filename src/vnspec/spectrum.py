@@ -4,16 +4,15 @@ Finds the minimal jointly invariant submodules of the orthogonal complement of
 the subalgebra's cyclic subspace, by the block route from the minimal central
 projections of the fixed points that the basic construction certified and,
 for skew products, by the orbit route from the orbits' indices; evaluates and
-certifies each family once, runs the
-Cesaro averages characterizing relative weak mixing, for all admissible
-elements at once from their coordinates, and cross-checks the
-ergodicity route against the module route (any disagreement is an error, never
-a silent pass).  The conditional expectation is the one the subsystem
-carries, the Cesaro averages run on the clusters of equal eigenvalues of the
-dynamics that the system forms on their first read and holds, and the fiber
-analysis counts each
-module's multiplicities over the central blocks of F that the basic
-construction found, for every F.
+certifies each family once, runs the Cesaro averages characterizing relative
+weak mixing, for all admissible elements at once from their coordinates, and
+cross-checks the ergodicity route against the module route (any disagreement
+is an error, never a silent pass).  The conditional expectation is the one
+the subsystem carries, the Cesaro averages run on the clusters of equal
+eigenvalues of the dynamics that the system forms on their first read and
+holds, and the fiber analysis counts each module's multiplicities over the
+central blocks of F that the basic construction found, for every F.  Every
+cutoff is the one the system holds (``WStarSystem.tol``).
 """
 from __future__ import annotations
 
@@ -22,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import (DEFAULT_TOL, Subsystem, ToleranceConfig, WStarSystem,
-                      positive_integer)
+from .algebra import Subsystem, ToleranceConfig, WStarSystem, positive_integer
 from .basic import BasicConstruction
 from .errors import (NotInAlgebra, NotMeanZero, NumericalBreakdown, SubsystemInvalid,
                      VerdictMismatch)
@@ -90,8 +88,7 @@ def _adjoint_left_map(system: WStarSystem, coords: np.ndarray) -> np.ndarray:
 
 
 def _cesaro_rows(system: WStarSystem, sub: Subsystem, coords: np.ndarray,
-                 n_max: int, tol: ToleranceConfig,
-                 early_exit: bool = True) -> list[np.ndarray]:
+                 n_max: int, early_exit: bool = True) -> list[np.ndarray]:
     """Running averages of lambda(|D(a* alpha^n(a))|^2) for the elements a
     with the coordinate rows ``coords`` (k, d), all at once; every a must
     have mean zero.
@@ -123,11 +120,11 @@ def _cesaro_rows(system: WStarSystem, sub: Subsystem, coords: np.ndarray,
     the largest |lam_j - mu_c|, so term n moves by at most
     2 n s (sum_j |K_j|)^2 over the columns K_j of the unmerged K; above
     eps_assert at the last step a sequence ran, the cutoff that formed the
-    clusters, ``system.tol.eps_rank``, is refused.
+    clusters, is refused; every check reads the system's ``tol``.
     """
     if not len(coords):
         return []
-    if np.abs(sub.expectation.matrix @ coords.T).max() > tol.eps_assert:
+    if np.abs(sub.expectation.matrix @ coords.T).max() > system.tol.eps_assert:
         raise NotMeanZero("element has a nonzero conditional expectation")
     vecs, spread = system.modes[1], system.cluster_spread
     powers = system.mode_powers[:, :n_max]  # mu^1 .. mu^width
@@ -168,15 +165,22 @@ def _cesaro_rows(system: WStarSystem, sub: Subsystem, coords: np.ndarray,
         start = stop
         k = k * powers[:, -1]
     moved = max(r * len(row) for r, row in zip(reach.tolist(), out))  # at the last step
-    if moved > tol.eps_assert:
+    if moved > system.tol.eps_assert:
         raise NumericalBreakdown(
             f"rank cutoff {system.tol.eps_rank:g} merges eigenvalues of the dynamics "
             f"{spread:.2e} apart, which may move a Cesaro term by {moved:.2e}")
     return out
 
 
+def _system_tol(system: WStarSystem, tol: ToleranceConfig | None) -> ToleranceConfig:
+    """The system's tolerance, which a caller's ``tol`` may only repeat."""
+    if tol not in (None, system.tol):
+        raise ValueError(f"tolerance {tol} differs from the system's {system.tol}")
+    return system.tol
+
+
 def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
-                    n_max: int | None = None, tol: ToleranceConfig = DEFAULT_TOL,
+                    n_max: int | None = None, tol: ToleranceConfig | None = None,
                     early_exit: bool = True) -> np.ndarray:
     """Running averages of lambda(|D(a* alpha^n(a))|^2) for a mean-zero a in A,
     the case of one element of the routine the spectrum report runs on all
@@ -184,10 +188,12 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
     method: each step runs on the c clusters of equal eigenvalues of the
     dynamics, at O(c dim F), and a merge too coarse to certify raises
     ``NumericalBreakdown``).  The arguments are checked before any held data
-    is read: the horizon, the subsystem, and that ``element`` lies in the
-    algebra, whose coordinates the routine reads.  Stops at the first even
-    n >= 4 where the averages at n and n/2 agree to 1e-6, unless disabled.
+    is read: ``tol``, which may only repeat the system's tolerance (None, the
+    default, means it), the horizon, the subsystem, and that ``element`` lies
+    in the algebra, whose coordinates the routine reads.  Stops at the first
+    even n >= 4 where the averages at n and n/2 agree to 1e-6, unless disabled.
     """
+    tol = _system_tol(system, tol)
     n_max = tol.cesaro_n_max if n_max is None else n_max
     if not positive_integer(n_max):
         raise ValueError("n_max must be positive and integral")
@@ -199,7 +205,7 @@ def cesaro_sequence(system: WStarSystem, sub: Subsystem, element,
     if linalg.hs_norm(a - alg.from_coords(coords)) / max(1.0, linalg.hs_norm(a)) \
             > tol.eps_assert:
         raise NotInAlgebra("element does not lie in the algebra")
-    return _cesaro_rows(system, sub, coords[None], n_max, tol, early_exit)[0]
+    return _cesaro_rows(system, sub, coords[None], n_max, early_exit)[0]
 
 
 def _candidate(bc: BasicConstruction, coords, is_mod, is_inv) -> SubmoduleCandidate:
@@ -215,12 +221,11 @@ def _ordered(bc: BasicConstruction, modules) -> list[SubmoduleCandidate]:
         tuple(-bc.algebra.block_traces(c.coords).real.round(8)), linalg.sort_key(c.coords)))
 
 
-def module_candidate(bc: BasicConstruction, projection: np.ndarray,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> SubmoduleCandidate:
+def module_candidate(bc: BasicConstruction, projection: np.ndarray) -> SubmoduleCandidate:
     """Package a projection P on H, as the orbit route gives them, with its
     lifted trace and invariance flags, whose evidence stays on H: P must equal
-    the element of its block coordinates (formed once) and u P u*."""
-    alg, u = bc.algebra, bc.gns.u_matrix
+    the element of its block coordinates (formed once) and u P u* (to eps_assert)."""
+    alg, u, tol = bc.algebra, bc.gns.u_matrix, bc.gns.system.tol
     coords = alg.coords(projection)
     is_mod = alg.membership_residual(projection, coords) < tol.eps_assert
     is_inv = float(np.abs(u @ projection @ u.conj().T - projection).max()) \
@@ -228,8 +233,7 @@ def module_candidate(bc: BasicConstruction, projection: np.ndarray,
     return _candidate(bc, coords, is_mod, is_inv)
 
 
-def find_minimal_modules(bc: BasicConstruction, tol: ToleranceConfig = DEFAULT_TOL
-                         ) -> list[SubmoduleCandidate]:
+def find_minimal_modules(bc: BasicConstruction) -> list[SubmoduleCandidate]:
     """Minimal joint invariant blocks of the complement of the F-cyclic space.
 
     Both e and 1 - e lie in the joint commutant C of U and the right F-action,
@@ -238,30 +242,31 @@ def find_minimal_modules(bc: BasicConstruction, tol: ToleranceConfig = DEFAULT_T
     minimal central projections z of C with z (1 - e) != 0, formed and kept
     in block coordinates.  The z are the eigenprojections of the return
     unitaries of F's block orbits that the basic construction certified
-    (``bc.central``); U-invariance is read from the dynamics' coordinates.
-    Isomorphic minimal modules are reported as their block sum rather than an
-    arbitrary internal splitting.
+    (``bc.central``); U-invariance is read from the dynamics' coordinates, to
+    eps_assert.  Isomorphic minimal modules are reported as their block sum
+    rather than an arbitrary internal splitting.
     """
     blocks = bc.algebra.product(bc.central, bc.complement_coords)
-    fixed = np.abs(blocks @ bc.dynamics.matrix.T - blocks).max(axis=1) < tol.eps_assert
+    fixed = np.abs(blocks @ bc.dynamics.matrix.T - blocks).max(axis=1) \
+        < bc.gns.system.tol.eps_assert
     out = [_candidate(bc, c, True, bool(ok)) for c, ok in zip(blocks, fixed)]
     return _ordered(bc, [c for c in out if c.dim > 0])
 
 
-def skew_orbit_modules(bc: BasicConstruction, orbits: tuple[tuple[int, ...], ...],
-                       tol: ToleranceConfig = DEFAULT_TOL) -> list[SubmoduleCandidate]:
+def skew_orbit_modules(bc: BasicConstruction, orbits: tuple[tuple[int, ...], ...]
+                       ) -> list[SubmoduleCandidate]:
     """Orbit modules of a skew product: base space tensored with the span of
     each dual orbit, given as its A-basis indices.  These are invariant right
     modules of finite lifted trace spanning the complement of the base's
-    cyclic subspace; their traces equal the orbit sizes.
+    cyclic subspace; their traces equal the orbit sizes.  Each frame's rank
+    is read at eps_rank.
     """
-    frames = (linalg.orthonormal_columns(bc.gns.to_vector[:, list(idx)], tol.eps_rank)
-              for idx in orbits)
-    return _ordered(bc, [module_candidate(bc, q @ q.conj().T, tol) for q in frames])
+    frames = (linalg.orthonormal_columns(bc.gns.to_vector[:, list(idx)],
+                                         bc.gns.system.tol.eps_rank) for idx in orbits)
+    return _ordered(bc, [module_candidate(bc, q @ q.conj().T) for q in frames])
 
 
-def rwm_certificate(jd: JoiningData,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> ErgodicityCheck:
+def rwm_certificate(jd: JoiningData) -> ErgodicityCheck:
     """Relative weak mixing, certified by two independent routes.
 
     Route one: relative ergodicity of the joined system.  Route two: absence
@@ -270,7 +275,7 @@ def rwm_certificate(jd: JoiningData,
     zero.  A disagreement raises, never passes; otherwise the ergodicity
     evidence is returned.
     """
-    erg = relative_ergodicity_check(jd, tol)
+    erg = relative_ergodicity_check(jd)
     bc = jd.basic
     module_route = bc.dim_complement == 0
     if erg.holds != module_route:
@@ -288,8 +293,8 @@ class RdsCertificate:
     trace_of_complement: float
 
 
-def rds_verdict(bc: BasicConstruction, modules: list[SubmoduleCandidate],
-                tol: ToleranceConfig = DEFAULT_TOL) -> RdsCertificate:
+def rds_verdict(bc: BasicConstruction, modules: list[SubmoduleCandidate]
+                ) -> RdsCertificate:
     """Relative discrete spectrum with an explicit spanning certificate.
 
     True iff the modules of finite lifted trace span the complement of the
@@ -301,8 +306,8 @@ def rds_verdict(bc: BasicConstruction, modules: list[SubmoduleCandidate],
     comp = bc.complement_coords
     resid = float(np.abs(sum(c.coords for c in modules) - comp).max())
     claims = all(c.is_right_module and c.is_u_invariant for c in modules)
-    return RdsCertificate(resid < tol.eps_assert and claims, tuple(modules), resid,
-                          bc.lifted_value(comp).real)
+    return RdsCertificate(resid < bc.gns.system.tol.eps_assert and claims,
+                          tuple(modules), resid, bc.lifted_value(comp).real)
 
 
 @dataclass(frozen=True)
@@ -323,8 +328,7 @@ class FiberReport:
         return max(abs(self.weighted_sum - self.measured), self.integrality_gap)
 
 
-def fiber_analysis(bc: BasicConstruction, module: SubmoduleCandidate,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> FiberReport:
+def fiber_analysis(bc: BasicConstruction, module: SubmoduleCandidate) -> FiberReport:
     """Multiplicities of a module over the central blocks (p_k, n_k, m_k) of F.
 
     A module P lies in <A, e> = j(F)', so P j(p_k) H is c_k copies of the
@@ -335,8 +339,8 @@ def fiber_analysis(bc: BasicConstruction, module: SubmoduleCandidate,
     trace vector of F (Goodman, de la Harpe and Jones 1989, ch. 2).  For a
     commutative F every n_k = 1 and this is the classical weighted fiber sum;
     the weight-free sum of the c_k is kept beside it as the classical
-    comparison, flagged in ``matching_formula``, and the rank bound is the
-    largest c_k.
+    comparison, flagged in ``matching_formula`` (each match to eps_assert),
+    and the rank bound is the largest c_k.
 
     How independent this is: the weighted sum reads the same block traces
     as the lifted trace of P, rounded to integers, so it is not a third route
@@ -348,7 +352,7 @@ def fiber_analysis(bc: BasicConstruction, module: SubmoduleCandidate,
     gap = max(abs(c - k) for c, k in zip(mults, dims))
     weighted = float(sum(w * dv for w, dv in zip(weights, dims)))
     plain = float(sum(dims))
-    measured = module.lifted_trace
+    measured, tol = module.lifted_trace, bc.gns.system.tol
     w_match = abs(weighted - measured) < tol.eps_assert
     p_match = abs(plain - measured) < tol.eps_assert
     label = {(True, True): "both", (True, False): "weighted",
@@ -374,7 +378,7 @@ def _admissible_coords(system: WStarSystem, sub: Subsystem,
 
 
 def admissible_elements(system: WStarSystem, sub: Subsystem,
-                        tol: ToleranceConfig = DEFAULT_TOL,
+                        tol: ToleranceConfig | None = None,
                         seed: int = 0) -> list[tuple[str, np.ndarray]]:
     """A labeled basis of the kernel of the conditional expectation.
 
@@ -385,26 +389,28 @@ def admissible_elements(system: WStarSystem, sub: Subsystem,
     roundoff when E_F does.  Each element is normalized in the GNS norm so
     that witness floors are comparable across trace scales.  These are the
     matrices of the coordinates that the spectrum report's Cesaro stage reads.
+    ``tol`` may only repeat the system's tolerance (None, the default, means it).
     """
-    mats = system.algebra.from_coords(_admissible_coords(system, sub, tol, seed))
+    mats = system.algebra.from_coords(
+        _admissible_coords(system, sub, _system_tol(system, tol), seed))
     return [(f"k{i}", a) for i, a in enumerate(mats)]
 
 
-def build_spectrum_report(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL,
-                          seed: int = 0,
+def build_spectrum_report(jd: JoiningData, seed: int = 0,
                           module_certificate: list[SubmoduleCandidate] | None = None
                           ) -> SpectrumReport:
+    """Modules, verdicts, Cesaro averages and fibers of the joining's system."""
     bc = jd.basic
     system, sub = bc.gns.system, bc.sub
-    blocks = find_minimal_modules(bc, tol)
+    blocks = find_minimal_modules(bc)
     families = [blocks] if module_certificate is None \
         else [list(module_certificate), blocks]
-    certs = [rds_verdict(bc, family, tol) for family in families]
-    erg = rwm_certificate(jd, tol)
+    certs = [rds_verdict(bc, family) for family in families]
+    erg = rwm_certificate(jd)
     additivity = max(abs(sum(c.lifted_trace for c in cert.modules)
                          - cert.trace_of_complement) for cert in certs)
-    rows = _cesaro_rows(system, sub, _admissible_coords(system, sub, tol, seed),
-                        tol.cesaro_n_max, tol)
+    rows = _cesaro_rows(system, sub, _admissible_coords(system, sub, system.tol, seed),
+                        system.tol.cesaro_n_max)
     samples = [CesaroSample(f"k{i}", values) for i, values in enumerate(rows)]
     modules = families[0]
     dim_span = sum(c.dim for c in modules)
@@ -412,4 +418,4 @@ def build_spectrum_report(jd: JoiningData, tol: ToleranceConfig = DEFAULT_TOL,
                           bc.dim_complement, all(cert.verdict for cert in certs),
                           erg.holds, max(cert.span_residual for cert in certs),
                           float(additivity), tuple(samples), erg,
-                          tuple(fiber_analysis(bc, m, tol) for m in modules))
+                          tuple(fiber_analysis(bc, m) for m in modules))

@@ -1,9 +1,12 @@
+import dataclasses
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vnspec.algebra import WStarSystem
+from vnspec.basic import BasicConstruction
 from vnspec.cli import shipped_system_paths
 from vnspec.descriptions import parse_system
 from vnspec.pipeline import analyze_description
@@ -12,6 +15,23 @@ E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 E22 = np.array([[0, 0], [0, 1]], dtype=complex)
+
+
+def at_tolerance(obj, tol):
+    """A copy of a system, a built system or a basic construction whose
+    system holds ``tol``, every array shared and the subsystem re-parented
+    onto the copy.  Every public stage reads the tolerance its system holds,
+    so this is how a test runs one at a cutoff that the build itself would
+    refuse."""
+    if isinstance(obj, WStarSystem):
+        return dataclasses.replace(obj, tol=tol)
+    if isinstance(obj, BasicConstruction):
+        system = at_tolerance(obj.gns.system, tol)
+        return dataclasses.replace(obj, gns=dataclasses.replace(obj.gns, system=system),
+                                   sub=dataclasses.replace(obj.sub, parent=system))
+    system = at_tolerance(obj.system, tol)
+    return dataclasses.replace(obj, system=system,
+                               sub=dataclasses.replace(obj.sub, parent=system))
 
 
 @pytest.fixture(scope="session", autouse=True)

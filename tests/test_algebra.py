@@ -6,7 +6,7 @@ import vnspec as v
 from vnspec.algebra import multiplication_table
 from vnspec.errors import (DimensionMismatch, NonSquareGenerator, NotUnitary,
                            NumericalBreakdown, SubsystemInvalid, TraceNotFaithful)
-from conftest import E11, E12, E21, E22
+from conftest import E11, E12, E21, E22, at_tolerance
 from oracles import commutant, random_element, validate_algebra
 from test_routes import validate_automorphism
 
@@ -339,13 +339,18 @@ def test_subsystem_rejects_a_subalgebra_outside_the_parent():
 
 
 def test_subsystem_rejects_a_trace_unfaithful_at_its_own_cutoff():
-    """The subsystem takes its own tolerances: an atom of weight 1e-9 is
-    faithful at the system's eps_rank 1e-10 but not at 1e-8, where the
-    Gram matrix of F = A has an eigenvalue below the cutoff."""
+    """The subsystem reads the tolerances its parent holds: an atom of
+    weight 1e-9 is faithful at the system's eps_rank 1e-10 but not at 1e-8,
+    where the Gram matrix of F = A has an eigenvalue below the cutoff.  A
+    build at 1e-8 refuses the trace before any subsystem; a copy of the
+    system that holds 1e-8 reaches the subsystem's own check."""
     sys = _diagonal_m2_system((1e-9, 1.0 - 1e-9))
     assert v.subsystem(sys, sys.algebra).algebra.dim == 2
+    with pytest.raises(TraceNotFaithful, match="trace is not faithful on the algebra"):
+        v.system(sys.algebra, sys.trace, np.eye(2), v.ToleranceConfig(eps_rank=1e-8))
+    coarse = at_tolerance(sys, v.ToleranceConfig(eps_rank=1e-8))
     with pytest.raises(SubsystemInvalid, match="restricted trace is not faithful"):
-        v.subsystem(sys, sys.algebra, v.ToleranceConfig(eps_rank=1e-8))
+        v.subsystem(coarse, sys.algebra)
 
 
 def test_conditional_expectation_onto_diagonal(m2_over_diagonal):

@@ -7,9 +7,10 @@ import pytest
 import vnspec as v
 from vnspec import basic
 from vnspec.algebra import ToleranceConfig
-from vnspec.basic import default_partition, lifted_trace, lifted_trace_via_partition
+from vnspec.basic import default_partition, lifted_trace_via_partition
 from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, NumericalBreakdown,
                            PartitionInvalid)
+from conftest import at_tolerance
 from oracles import (bar_vector, corner_stacks, dense_span, product_closure_residual,
                      random_element)
 
@@ -165,9 +166,11 @@ def test_default_partition_uses_given_tolerance(analyses):
     for name, an in analyses.items():
         bc = an.basic
         assert len(default_partition(bc)) == max(-(-m // n) for _, n, m in bc.blocks), name
-    bc = analyses["classical_4cycle"].basic
+    # the partition reads the system's cutoff: a copy of the construction
+    # whose system holds eps_rank 2 (no build passes there)
+    bc = at_tolerance(analyses["classical_4cycle"].basic, v.ToleranceConfig(eps_rank=2.0))
     with pytest.raises(NumericalBreakdown, match="rank cutoff 2 drops e from a block"):
-        default_partition(bc, v.ToleranceConfig(eps_rank=2.0))
+        default_partition(bc)
 
 
 def test_default_partition_below_roundoff_names_the_cutoff(shipped_descriptions):
@@ -177,11 +180,11 @@ def test_default_partition_below_roundoff_names_the_cutoff(shipped_descriptions)
     tol = v.ToleranceConfig(eps_rank=1e-17)
     built = v.descriptions.build_from_description(
         shipped_descriptions["classical_4cycle"], tol)
-    bc = v.build_basic_construction(v.build_gns(built.system, tol), built.sub, tol)
+    bc = v.build_basic_construction(v.build_gns(built.system), built.sub)
     assert [n for _, n, _ in bc.blocks] == [1, 1]
     with pytest.raises(NumericalBreakdown, match=r"^rank cutoff 1e-17 gives e the ranks "
                        r"\[2, 2\] in the blocks of <A, e>, not n_k = \[1, 1\]$"):
-        default_partition(bc, tol)
+        default_partition(bc)
 
 
 @pytest.mark.parametrize("name, widths, sizes", [
@@ -194,10 +197,10 @@ def test_frame_widths_below_roundoff_name_the_cutoff(shipped_descriptions, name,
     gives, refused where the frames are made."""
     tol = v.ToleranceConfig(eps_rank=1e-17)
     built = v.descriptions.build_from_description(shipped_descriptions[name], tol)
-    gns = v.build_gns(built.system, tol)
+    gns = v.build_gns(built.system)
     with pytest.raises(NumericalBreakdown, match=rf"^rank cutoff 1e-17 gives the frames "
                        rf"of j\(q_k\) H the widths {widths}, not m_k = {sizes}$"):
-        v.build_basic_construction(gns, built.sub, tol)
+        v.build_basic_construction(gns, built.sub)
 
 
 def test_pipeline_passes_file_tolerance_to_partition(shipped_descriptions,
@@ -205,9 +208,9 @@ def test_pipeline_passes_file_tolerance_to_partition(shipped_descriptions,
     from vnspec import pipeline
     seen = []
 
-    def spy(bc, tol):
-        seen.append(tol.eps_rank)
-        return default_partition(bc, tol)
+    def spy(bc):
+        seen.append(bc.gns.system.tol.eps_rank)
+        return default_partition(bc)
     monkeypatch.setattr(pipeline, "default_partition", spy)
     desc = shipped_descriptions["classical_4cycle"]
     desc = type(desc)(desc.name, desc.kind, desc.parameters, {"eps_rank": 1e-12})
@@ -247,8 +250,8 @@ def test_extension_threshold_follows_eps_assert(analyses):
     an = analyses["explicit_m2_grading"]
     *_, corners = corner_stacks(an.basic)
     with pytest.raises(ExtensionInconsistent):
-        lifted_trace(an.gns, corners, an.basic.algebra, _blocks(an),
-                     ToleranceConfig(eps_assert=1e-30))
+        basic._lifted_trace(an.gns, corners, an.basic.algebra, _blocks(an),
+                            ToleranceConfig(eps_assert=1e-30))
 
 
 def test_jones_relation_needs_the_identity(analyses):
@@ -354,13 +357,13 @@ def test_dynamics_onto_a_block_of_another_shape_is_refused(analyses):
 
 
 def _with_trace_vector(monkeypatch, change):
-    """lifted_trace returning ``change`` of the closed-form vector."""
-    closed = basic.lifted_trace
+    """_lifted_trace returning ``change`` of the closed-form vector."""
+    closed = basic._lifted_trace
 
-    def changed(gns, corners, alg, blocks, tol=v.DEFAULT_TOL):
+    def changed(gns, corners, alg, blocks, tol):
         vector, defining = closed(gns, corners, alg, blocks, tol)
         return change(alg, vector), defining
-    monkeypatch.setattr(basic, "lifted_trace", changed)
+    monkeypatch.setattr(basic, "_lifted_trace", changed)
 
 
 def test_a_functional_that_is_not_tracial_is_refused(analyses, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from vnspec import cli
 from vnspec.report import emit_report
 from vnspec.errors import VerdictMismatch
+from conftest import at_tolerance
 
 
 def _system_path(name):
@@ -182,13 +183,14 @@ def test_negative_file_tolerance_is_invalid(tmp_path, capsys):
 
 def test_singular_partition_scale_is_breakdown(monkeypatch, capsys):
     # an eps_rank above every singular value of the blocks of e leaves no
-    # partition
+    # partition; the partition reads the cutoff of the construction's
+    # system, here a copy that holds 2 (no build passes there)
     from vnspec import pipeline
     from vnspec.algebra import ToleranceConfig
     from vnspec.basic import default_partition
     monkeypatch.setattr(pipeline, "default_partition",
-                        lambda bc, tol: default_partition(
-                            bc, ToleranceConfig(eps_rank=2.0)))
+                        lambda bc: default_partition(
+                            at_tolerance(bc, ToleranceConfig(eps_rank=2.0))))
     assert cli.main(["analyze", _system_path("classical_4cycle")]) == 3
     assert "drops e from a block of <A, e>" in capsys.readouterr().err
 

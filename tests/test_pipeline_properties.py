@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vnspec as v
-from vnspec import cli
+from vnspec import cli, linalg
 from vnspec.descriptions import array_to_matrix, build_from_description, parse_system
 from vnspec.pipeline import CHECK_NAMES, analyze_built, analyze_description
 from conftest import E12
@@ -224,3 +224,23 @@ def test_extension_without_b2_has_no_nonproduct_check():
     entry = checks["finite_extension_nonproduct"]
     assert (entry.applicable, entry.passed, entry.note) \
         == (False, True, "a summand is absent")
+
+
+def test_an_analysis_decides_at_the_one_cutoff_its_system_holds(shipped_descriptions,
+                                                                  monkeypatch):
+    """finite_extension_m2 built at eps_rank 1e-6 and analysed with no
+    tolerance of its own: every rank decision (``linalg._kept``) and every
+    clustering of eigenvalues (``linalg.circle_clusters``) runs at 1e-6."""
+    tol = v.ToleranceConfig(eps_rank=1e-6)
+    built = build_from_description(shipped_descriptions["finite_extension_m2"], tol)
+    seen = []
+
+    def spy(fn):
+        def recorded(values, eps_rank, *rest):
+            seen.append(eps_rank)
+            return fn(values, eps_rank, *rest)
+        return recorded
+    for name in ("_kept", "circle_clusters"):
+        monkeypatch.setattr(linalg, name, spy(getattr(linalg, name)))
+    assert analyze_built("finite_extension_m2", "finite_extension", built).passed
+    assert len(seen) > 18 and set(seen) == {1e-6}

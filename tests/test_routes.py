@@ -81,7 +81,7 @@ from vnspec.errors import (CommutantMismatch, ExtensionInconsistent, IsometryVio
                            NotAutomorphism, NumericalBreakdown, StateNotPositive)
 from vnspec.pipeline import SystemAnalysis, analyze_built, analyze_description
 from vnspec.spectrum import CESARO_EXIT_TOL, admissible_elements
-from conftest import E12
+from conftest import E12, at_tolerance
 from oracles import (block_decomposition, center, center_coords, chunked_trace_route,
                      commutant, corner_stacks, d_wide_cesaro_rows,
                      dense_automorphism_check,
@@ -391,9 +391,10 @@ def test_bratteli_blocks_and_wrong_weight(analyses, name, blocks):
     # n_k -> sqrt(n_k) turns the weight mu(p_k) / n_k^2 into mu(p_k) / n_k
     wrong = [(p, np.sqrt(n), m) for p, n, m in found]
     *_, corners = corner_stacks(an.basic)
-    v.lifted_trace(an.gns, corners, an.basic.algebra, found)
+    tol = an.built.system.tol
+    basic._lifted_trace(an.gns, corners, an.basic.algebra, found, tol)
     with pytest.raises(ExtensionInconsistent, match="basis pair"):
-        v.lifted_trace(an.gns, corners, an.basic.algebra, wrong)
+        basic._lifted_trace(an.gns, corners, an.basic.algebra, wrong, tol)
 
 
 @pytest.fixture()
@@ -1552,11 +1553,11 @@ def test_cesaro_rows_past_block_edges_equal_one_row_at_a_time():
     built, elements = _admissible("finite_extension_m2")
     coords = built.system.algebra.coords(np.stack([a for _, a in elements]))
     rows = spectrum._cesaro_rows(built.system, built.sub, coords, LONGEST,
-                                 DEFAULT_TOL, early_exit=False)
+                                 early_exit=False)
     assert len(rows) == len(elements) == 18
     for (label, _), c, seq in zip(elements, coords, rows):
         alone = spectrum._cesaro_rows(built.system, built.sub, c[None], LONGEST,
-                                      DEFAULT_TOL, early_exit=False)[0]
+                                      early_exit=False)[0]
         assert len(seq) == LONGEST, label
         assert np.abs(seq - alone).max() <= 1e-14, label
 
@@ -1571,7 +1572,7 @@ def test_cesaro_rows_stop_each_at_its_own_exit():
     system.__dict__["mode_powers"] = built.system.mode_powers[:, :2]
     mats = [np.zeros_like(elements[0][1])] + [a for _, a in elements]
     coords = system.algebra.coords(np.stack(mats))
-    rows = spectrum._cesaro_rows(system, sub, coords, 64, DEFAULT_TOL)
+    rows = spectrum._cesaro_rows(system, sub, coords, 64)
     assert [len(r) for r in rows] == [4] + [8] * len(elements)
     for i, (a, seq) in enumerate(zip(mats, rows)):
         alone = v.cesaro_sequence(built.system, built.sub, a, n_max=64)
@@ -1833,8 +1834,7 @@ def test_cesaro_on_clusters_equals_the_d_wide_route(name, request):
         else _admissible(name)[0]
     system, sub = built.system, built.sub
     coords = spectrum._admissible_coords(system, sub, DEFAULT_TOL, 0)
-    rows = spectrum._cesaro_rows(system, sub, coords, LONGEST, DEFAULT_TOL,
-                                 early_exit=False)
+    rows = spectrum._cesaro_rows(system, sub, coords, LONGEST, early_exit=False)
     oracle = d_wide_cesaro_rows(system, sub, coords, LONGEST)
     assert len(rows) == len(oracle) == len(coords)
     for i, (seq, want) in enumerate(zip(rows, oracle)):
@@ -1846,16 +1846,25 @@ def test_merging_distinct_eigenvalues_is_a_breakdown(monkeypatch):
     """A partition that merges the finite extension's eigenvalues +1 and -1
     moves the Cesaro terms by far more than eps_assert: the sequence is
     refused with the cutoff that formed the clusters, the system's own, not
-    returned, whatever tolerance the caller passes."""
+    returned.  A caller's tolerance may only repeat it: None and the
+    system's own reach the refusal at 1e-10, another tolerance is a
+    ValueError, and a copy of the system that holds 1e-6 forms its own
+    clusters and names 1e-6."""
     monkeypatch.setattr(linalg, "circle_clusters",
                         lambda lam, eps_rank: [np.arange(len(lam))])
     built, elements = _admissible("finite_extension_m2")
     assert built.system.mode_powers.shape == (1, algebra.CESARO_BLOCK)
-    for tol in (DEFAULT_TOL, v.ToleranceConfig(eps_rank=1e-6)):
-        with pytest.raises(NumericalBreakdown,
-                           match=r"^rank cutoff 1e-10 merges eigenvalues of the dynamics "
-                                 r"2\.00e\+00 apart, which may move a Cesaro term by"):
+    merged = (r" merges eigenvalues of the dynamics 2\.00e\+00 apart, which may "
+              r"move a Cesaro term by")
+    coarse = v.ToleranceConfig(eps_rank=1e-6)
+    for tol in (None, DEFAULT_TOL):
+        with pytest.raises(NumericalBreakdown, match=r"^rank cutoff 1e-10" + merged):
             v.cesaro_sequence(built.system, built.sub, elements[0][1], tol=tol)
+    with pytest.raises(ValueError, match=r"^tolerance ToleranceConfig\(eps_rank=1e-06"):
+        v.cesaro_sequence(built.system, built.sub, elements[0][1], tol=coarse)
+    copy = at_tolerance(built, coarse)
+    with pytest.raises(NumericalBreakdown, match=r"^rank cutoff 1e-06" + merged):
+        v.cesaro_sequence(copy.system, copy.sub, elements[0][1])
 
 
 @pytest.mark.parametrize("name", ["finite_extension_m2", SKEW_D24["name"]])

@@ -92,6 +92,35 @@ def matrix_rank_calls(source: str) -> list[str]:
             for n in sorted(found, key=lambda n: n.lineno)]
 
 
+def tol_parameters(source: str) -> list[str]:
+    """Public module-level functions with a parameter named tol."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and not node.name.startswith("_"):
+            args = node.args
+            if any(a.arg == "tol" for a in args.posonlyargs + args.args + args.kwonlyargs):
+                found.append(node.name)
+    return found
+
+
+# The public functions that take a tol: those that make a system, those on
+# bare algebras or matrices, and the two calls the benchmark makes with a
+# tolerance, which take only the system's own.  Every other stage reads the
+# tolerance its system holds.
+KEEPS_TOL = {
+    "algebra": {"generate_algebra", "matrix_units", "bratteli_blocks", "validate_trace",
+                "eigenmodes", "system"},
+    "constructors": {"explicit_system", "build_explicit_system", "build_classical_system",
+                     "build_group_vn_system", "build_tensor_system", "build_skew_product",
+                     "build_finite_extension"},
+    "descriptions": {"build_from_description"},
+    "joining": {"factor_gram"},
+    "pipeline": {"analyze_description"},
+    "spectrum": {"cesaro_sequence", "admissible_elements"},
+}
+
+
 def _from_package(node) -> bool:
     """A from-import out of the package: relative, or from vnspec."""
     return isinstance(node, ast.ImportFrom) and bool(
@@ -350,3 +379,24 @@ def test_package_functions_write_no_module_state():
     assert len(paths) >= 10
     found = {p.name: module_state_writes(p.read_text()) for p in paths}
     assert {name: f for name, f in found.items() if f} == {}
+
+
+def test_tol_parameter_check_finds_public_functions():
+    source = ("def f(x, tol=None):\n    pass\n"
+              "def _g(x, tol):\n    pass\n"
+              "async def h(*, tol):\n    pass\n"
+              "class C:\n    def m(self, tol):\n        pass\n"
+              "def k(x, eps_tol, toll=lambda tol: tol):\n"
+              "    def inner(tol):\n        pass\n"
+              "def p(x, /, tol):\n    pass\n")
+    assert tol_parameters(source) == ["f", "h", "p"]
+
+
+def test_analysis_stages_read_the_tolerance_of_their_system():
+    """One tolerance per system: no public function of gns, basic, joining,
+    spectrum or pipeline takes a tol, nor do subsystem and the constructor
+    helpers that receive a built system, apart from ``KEEPS_TOL``."""
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    found = {p.stem: set(tol_parameters(p.read_text())) for p in paths}
+    assert {name: f for name, f in found.items() if f} == KEEPS_TOL

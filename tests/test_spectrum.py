@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -70,11 +71,35 @@ def test_no_admissible_elements_for_full_subsystem(analyses):
 
 def test_admissible_elements_refuse_a_draw_below_the_rank_cutoff(analyses):
     """At eps_rank 10 every singular value of the draw is cut, so the k
-    generic elements no longer span ker E_F."""
+    generic elements no longer span ker E_F.  The public call reads the
+    system's cutoff, so the step it runs is called at 10."""
     built = analyses["finite_extension_m2"].built
     with pytest.raises(NumericalBreakdown,
                        match="^18 generic elements span less than ker E_F$"):
-        admissible_elements(built.system, built.sub, v.ToleranceConfig(eps_rank=10.0))
+        v.spectrum._admissible_coords(built.system, built.sub,
+                                      v.ToleranceConfig(eps_rank=10.0), 0)
+
+
+@pytest.mark.parametrize("call", ["cesaro_sequence", "admissible_elements"])
+def test_a_tolerance_argument_may_only_repeat_the_systems(analyses, call):
+    """The two calls that still take ``tol`` run at the system's own: None
+    and an equal ToleranceConfig give the same output, and any other is
+    refused with a ValueError that names both."""
+    built = analyses["finite_extension_m2"].built
+    system, sub = built.system, built.sub
+    element = admissible_elements(system, sub)[0][1]
+    run = {"cesaro_sequence": lambda tol: [v.cesaro_sequence(system, sub, element,
+                                                             tol=tol)],
+           "admissible_elements": lambda tol: [a for _, a in admissible_elements(
+               system, sub, tol)]}[call]
+    equal = dataclasses.replace(system.tol)
+    assert equal == system.tol and equal is not system.tol
+    want = run(None)
+    assert len(want) and all(np.array_equal(x, y) for x, y in zip(run(equal), want))
+    other = v.ToleranceConfig(eps_rank=1e-6)
+    with pytest.raises(ValueError, match=re.escape(
+            f"tolerance {other} differs from the system's {system.tol}")):
+        run(other)
 
 
 def test_admissible_elements_span_kernel(analyses):
@@ -253,7 +278,7 @@ def test_fiber_analysis_flags_a_fractional_multiplicity(analyses, monkeypatch):
     assert abs(rep.integrality_gap - 0.5) < 1e-12
     report = pipeline.build_spectrum_report
     monkeypatch.setattr(pipeline, "build_spectrum_report",
-                        lambda jd, tol, seed, _: report(jd, tol, seed, [rank_one]))
+                        lambda jd, seed, _: report(jd, seed, [rank_one]))
     redone = pipeline.analyze_built(an.name, an.kind, an.built)
     check = {c.name: c for c in redone.checks}["fiber_formula"]
     assert check.applicable and not check.passed
@@ -335,7 +360,7 @@ def test_rwm_certificate_refuses_disagreeing_routes(analyses, monkeypatch):
     jd = analyses["skew_z4_inversion"].joining
     check = v.spectrum.relative_ergodicity_check
     monkeypatch.setattr(v.spectrum, "relative_ergodicity_check",
-                        lambda jd, tol: dataclasses.replace(check(jd, tol), holds=True))
+                        lambda jd: dataclasses.replace(check(jd), holds=True))
     with pytest.raises(VerdictMismatch, match=r"ergodicity route says True \(residual "
                        r".*\) but the module route says False \(complement dim 9\)"):
         v.spectrum.rwm_certificate(jd)
